@@ -1,14 +1,25 @@
 """Three-way conflict detector run against the observer output each sample.
 
 The detector keeps the box of states consistent with the current
-measurement. Conflict A: the box has grown past the volume that bounded
-noise alone can explain. Conflict B: the box has no point inside the
-estimated mode's invariant. Conflict C: a sensor event fires that the box
-cannot explain, because the box misses the slab of states the guard can
-fire from (the guard plus its one-step overshoot); the same flag covers
-the box's reachable set over the mode's horizon leaving the invariant,
-which shows the state cannot be where the mode says it is. Any one of
-them marks the sample anomalous.
+measurement, centred at the estimate c with half-widths h = |r| + v.
+Conflict A: the box has grown past the volume that bounded noise alone can
+explain. Conflict B: the box has no point inside the estimated mode's
+invariant. Conflict C: a sensor event fires that the box cannot explain,
+because the box misses the slab of states the guard can fire from (the
+guard plus its one-step overshoot); the same flag covers the box's
+reachable set over the mode's horizon leaving the invariant, which shows
+the state cannot be where the mode says it is. Any one of them marks the
+sample anomalous.
+
+A, B and the event check are interval comparisons on c +/- h. The horizon
+check is a separating-axis test against a per-mode table: the facet normals
+N of A^delta X_I + sigma-ball + (-invariant) are cross products of
+(n-1)-subsets of {A^delta e_i} and the coordinate axes, whatever the box
+widths, so each mode computes N, M = N A^delta, |M|,
+s = sigma ||N||_1 + |N| rho_inv and N mid_inv once, and a sample leaves the
+invariant exactly when any(|M c - N mid_inv| > |M| h + s). Contact counts as
+meeting. No zonotope is built per sample; `ConflictReport.initial_set` and
+`reach_set` build theirs on demand.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from .reachability import (
     inflate,
     intersects_box,
     linear_map,
+    separating_normals,
     sigma_sum,
     step_bound,
 )
@@ -37,7 +49,12 @@ class UnsupportedShapeError(ValueError):
 
 @dataclass(frozen=True)
 class ConflictReport:
-    """Per-sample detector verdict plus the geometry behind it."""
+    """Per-sample detector verdict plus the geometry behind it.
+
+    The geometry is kept as the box centre and half-widths, plus the mode's
+    (A^delta, sigma) when the horizon check ran; `initial_set` and
+    `reach_set` build the zonotopes from them when asked.
+    """
 
     time_index: int
     estimated_mode: ModeId | None
@@ -45,14 +62,33 @@ class ConflictReport:
     conflict_a: bool
     conflict_b: bool
     conflict_c: bool
-    initial_set: Zonotope
-    reach_set: Zonotope | None
+    center: np.ndarray
+    half_widths: np.ndarray
     volume: float
     volume_bound: float
+    horizon: tuple[np.ndarray, float] | None = None
 
     @property
     def alarm(self) -> bool:
         return self.conflict_a or self.conflict_b or self.conflict_c
+
+    @property
+    def initial_set(self) -> Zonotope:
+        return Zonotope(center=self.center, generators=np.diag(self.half_widths))
+
+    @property
+    def reach_set(self) -> Zonotope | None:
+        """A^delta X_I plus the sigma-ball, or None when no horizon check ran."""
+        if self.horizon is None:
+            return None
+        return _reach_set(self.horizon, self.center, self.half_widths)
+
+
+def _reach_set(
+    horizon: tuple[np.ndarray, float], center: np.ndarray, half: np.ndarray
+) -> Zonotope:
+    a_power, sigma = horizon
+    return inflate(linear_map(a_power, Zonotope(center, np.diag(half))), sigma)
 
 
 def initial_set(
@@ -85,9 +121,46 @@ def volume_bound(model: HybridAutomaton) -> float:
     return float(np.prod(2.0 * model.theta + 4.0 * v))
 
 
-def _invariant_box(model: HybridAutomaton, mode_id: ModeId) -> tuple[tuple[float, float], ...]:
-    lo, hi = model.invariant(mode_id).bounds()
-    return tuple(zip(lo.tolist(), hi.tolist()))
+@dataclass(frozen=True)
+class _HorizonTable:
+    """Separating-axis table of one mode's horizon check (see the module docstring)."""
+
+    m: np.ndarray  # N A^delta
+    m_abs: np.ndarray  # |N A^delta|
+    slack: np.ndarray  # sigma ||N||_1 + |N| rho_inv
+    n_mid: np.ndarray  # N mid_inv
+
+    @classmethod
+    def build(
+        cls, a_power: np.ndarray, sigma: float, inv_lo: np.ndarray, inv_hi: np.ndarray
+    ) -> _HorizonTable | None:
+        """The table, or None when A^delta X_I + sigma-ball + (-invariant) can be flat.
+
+        The sum always has the coordinate axes among its generators when
+        sigma > 0 or every invariant axis has positive width; then it is
+        full-dimensional for every box, and the normals over {A^delta e_i}
+        and the axes include all its facet normals. Otherwise a box with
+        zero half-widths could make it flat, and the test needs
+        `intersects_box` and its linear program.
+        """
+        rho = (inv_hi - inv_lo) / 2.0
+        if sigma <= 0.0 and not np.all(rho > 0.0):
+            return None
+        normals = separating_normals(np.vstack([a_power.T, np.eye(a_power.shape[0])]))
+        if normals is None:
+            return None
+        m = normals @ a_power
+        return cls(
+            m=m,
+            m_abs=np.abs(m),
+            slack=sigma * np.sum(np.abs(normals), axis=1) + np.abs(normals) @ rho,
+            n_mid=normals @ ((inv_lo + inv_hi) / 2.0),
+        )
+
+    def misses(self, center: np.ndarray, half: np.ndarray) -> bool:
+        """The reach set of the box (center, half) has no point in the invariant."""
+        gap = abs(self.m @ center - self.n_mid)
+        return bool((gap > self.m_abs @ half + self.slack).any())
 
 
 def detect(
@@ -111,9 +184,15 @@ def detect(
 class Detector:
     """Conflict evaluator with per-mode geometry precomputed once.
 
-    Holds each mode's invariant box, horizon, matrix power over the
-    horizon, and accumulated inflation radius, plus each guard's overshoot
-    slab, so the per-sample check is a handful of interval comparisons.
+    Holds each mode's invariant bounds, noise bounds, horizon, matrix power
+    over the horizon and accumulated inflation radius, each guard's
+    overshoot slab, and, for each mode with a positive horizon, the
+    separating-axis table of its horizon check. The per-sample check is a
+    handful of interval comparisons and one small matrix-vector product.
+    A mode whose table cannot be exact (sigma = 0 and a zero-width
+    invariant axis) builds its reach set per settled sample and decides it
+    with `intersects_box`, which solves a linear program if that set minus
+    the invariant is flat.
     """
 
     def __init__(
@@ -128,19 +207,23 @@ class Detector:
             dict(deltas) if deltas is not None else compute_all_deltas(model, self.regions)
         )
         self.volume_bound = volume_bound(model)
-        self._fallback_v = np.max(
-            [model.dynamics(q).v_bounds for q in model.mode_ids], axis=0
-        )
-        self._inv_box: dict[ModeId, tuple[tuple[float, float], ...]] = {}
-        self._a_power: dict[ModeId, np.ndarray] = {}
-        self._sigma: dict[ModeId, float] = {}
+        self._v = {q: model.dynamics(q).v_bounds for q in model.mode_ids}
+        self._fallback_v = np.max(list(self._v.values()), axis=0)
+        self._inv: dict[ModeId, tuple[np.ndarray, np.ndarray]] = {}
+        self._horizon: dict[ModeId, tuple[np.ndarray, float]] = {}
+        self._tables: dict[ModeId, _HorizonTable | None] = {}
         for mode_id in model.mode_ids:
-            dyn = model.dynamics(mode_id)
+            inv_lo, inv_hi = model.invariant(mode_id).bounds()
+            self._inv[mode_id] = (inv_lo, inv_hi)
             delta = self.deltas[mode_id]
+            if delta <= 0:
+                continue
+            dyn = model.dynamics(mode_id)
             a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
-            self._inv_box[mode_id] = _invariant_box(model, mode_id)
-            self._a_power[mode_id] = np.linalg.matrix_power(dyn.a, delta)
-            self._sigma[mode_id] = sigma_sum(a_norm, delta, step_bound(model, mode_id))
+            a_power = np.linalg.matrix_power(dyn.a, delta)
+            sigma = sigma_sum(a_norm, delta, step_bound(model, mode_id))
+            self._horizon[mode_id] = (a_power, sigma)
+            self._tables[mode_id] = _HorizonTable.build(a_power, sigma, inv_lo, inv_hi)
         # guard-axis slab a firing state lies in: from the guard to the
         # farthest one-step overshoot, the geometry behind the z* threshold
         self._slabs: dict[tuple[str, str], list[tuple[ModeId, int, float, float]]] = {}
@@ -171,14 +254,18 @@ class Detector:
         singleton node; until then the report is marked warming up.
         """
         singleton = len(node) == 1
-        v = self.model.dynamics(node[0]).v_bounds if singleton else self._fallback_v
-        x_i = initial_set(x_est, residual, v)
-        vol = volume(x_i)
+        center = np.array(x_est, dtype=float)
+        residual = np.asarray(residual, dtype=float)
+        v = self._v[node[0]] if singleton else self._fallback_v
+        if residual.shape != center.shape or v.shape != center.shape:
+            raise ValueError("residual/noise dimensions do not match the estimate")
+        half = np.abs(residual) + v
+        lo, hi = center - half, center + half
+        vol = float((2.0 * half).prod())
         mode_id = node[0] if singleton else None
         unexplained = False
         if steady and event is not None:
             slabs = [s for s in self._slabs.get(event, ()) if s[0] in node]
-            lo, hi = x_i.interval_hull()
             unexplained = not any(
                 lo[axis] <= s_hi and hi[axis] >= s_lo for _, axis, s_lo, s_hi in slabs
             )
@@ -193,30 +280,31 @@ class Detector:
                 conflict_a=False,
                 conflict_b=False,
                 conflict_c=unexplained,
-                initial_set=x_i,
-                reach_set=None,
+                center=center,
+                half_widths=half,
                 volume=vol,
                 volume_bound=self.volume_bound,
             )
-        inv_box = self._inv_box[mode_id]
-        conflict_a = vol > self.volume_bound
-        conflict_b = not intersects_box(x_i, inv_box)
-        reach_set: Zonotope | None = None
+        inv_lo, inv_hi = self._inv[mode_id]
         conflict_c = unexplained
-        if self.deltas[mode_id] > 0:
-            reach_set = inflate(
-                linear_map(self._a_power[mode_id], x_i), self._sigma[mode_id]
-            )
-            conflict_c = conflict_c or not intersects_box(reach_set, inv_box)
+        horizon = self._horizon.get(mode_id)
+        if horizon is not None and not conflict_c:
+            table = self._tables[mode_id]
+            if table is not None:
+                conflict_c = table.misses(center, half)
+            else:
+                reach_set = _reach_set(horizon, center, half)
+                conflict_c = not intersects_box(reach_set, tuple(zip(inv_lo, inv_hi)))
         return ConflictReport(
             time_index=time_index,
             estimated_mode=mode_id,
             warming_up=False,
-            conflict_a=conflict_a,
-            conflict_b=conflict_b,
+            conflict_a=vol > self.volume_bound,
+            conflict_b=bool((hi < inv_lo).any() or (lo > inv_hi).any()),
             conflict_c=conflict_c,
-            initial_set=x_i,
-            reach_set=reach_set,
+            center=center,
+            half_widths=half,
             volume=vol,
             volume_bound=self.volume_bound,
+            horizon=horizon,
         )

@@ -387,10 +387,17 @@ def validate_model(model: HybridAutomaton) -> list[str]:
 
     Structural problems (bad shapes, dangling ids) raise ModelError at
     construction time; this function reports semantic assumption violations:
-    eigenvalue moduli above 1, guards outside their source invariant, and
+    eigenvalue moduli above 1, unobservable events (the discrete observer
+    has no closure over them), guards outside their source invariant, and
     intermediate bands not delimited by the guard and neighbor hyperplanes.
     """
     violations: list[str] = []
+    for event in model.events:
+        if not event.observable:
+            violations.append(
+                f"observability: event {event.name!r} is unobservable, and the "
+                "discrete observer has no closure over unobservable events"
+            )
     for mode in model.modes:
         eigs = np.linalg.eigvals(mode.dynamics.a)
         worst = float(np.max(np.abs(eigs))) if eigs.size else 0.0

@@ -6,11 +6,15 @@ rejected at every level so typos fail loudly instead of being ignored.
 Top-level keys:
   states          list of {id, A, B, invariant}; A and B are row-major
                   nested lists, invariant is a list of [lo, hi] pairs
-  events          list of {id, kind: "input"|"output", observable: bool}
+  events          list of {id, kind: "input"|"output", observable: true};
+                  unobservable events are rejected, because the observer
+                  has no closure over them
   transitions     list of {source, input_event, output_event, target,
                   guard: {axis, sign, threshold}}
-  noise           {w: [per-axis bound], v: [per-axis bound]}
-  input_bound     scalar infinity-norm bound on the control input
+  noise           {w: [per-axis bound], v: [per-axis bound]}, shared by
+                  every mode
+  input_bound     scalar infinity-norm bound on the control input, shared
+                  by every mode
   sampling_period sample time in seconds
   dwell_time      minimum inter-event gap in samples
   theta           steady-state estimation error bound used by the detector
@@ -21,6 +25,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any, Mapping
+
+import numpy as np
 
 from .model import (
     Event,
@@ -93,6 +99,11 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
     events = []
     for i, ev in enumerate(doc["events"]):
         _check_keys(ev, _EVENT_KEYS, f"events[{i}]")
+        if not ev["observable"]:
+            raise ModelError(
+                f"events[{i}] ({ev['id']!r}): unobservable events are not supported; "
+                "the discrete observer has no closure over them"
+            )
         events.append(Event(name=ev["id"], kind=ev["kind"], observable=bool(ev["observable"])))
     transitions = []
     for i, tr in enumerate(doc["transitions"]):
@@ -123,8 +134,20 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
 
 
 def model_to_dict(model: HybridAutomaton) -> dict[str, Any]:
-    """Canonical schema document for a model; inverse of parse_model."""
+    """Canonical schema document for a model; inverse of parse_model.
+
+    The schema holds one noise and input bound for all modes, so a model
+    whose modes differ in w_bounds, v_bounds or input_bound is refused with
+    a ModelError naming the first such mode and field.
+    """
     first = model.modes[0].dynamics
+    for m in model.modes[1:]:
+        for field in ("w_bounds", "v_bounds", "input_bound"):
+            if not np.array_equal(getattr(m.dynamics, field), getattr(first, field)):
+                raise ModelError(
+                    f"mode {m.mode_id!r}: {field} differs from mode "
+                    f"{model.modes[0].mode_id!r}'s, and the schema holds one value for all modes"
+                )
     return {
         "states": [
             {

@@ -4,21 +4,25 @@ A zonotope is a center plus generator segments; the set is
 {c + sum_i b_i g_i : b_i in [-1, 1]}. Reachable sets use the closed form
 A^d Z plus an infinity-ball whose radius is the geometric sum of the
 per-step input and noise bound, so generators never accumulate with the
-horizon.
+horizon. Zonotope-box intersection is decided by separating axes, the
+facet normals of their Minkowski difference (Girard, HSCC 2005; Guibas et
+al., SODA 2003); scipy's LP solver is imported only for the flat cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import GEOM_TOL, HybridAutomaton, ModeId, RegionDecomposition, Transition
 
 NORM_ONE_TOL = 1e-12  # treat the matrix norm as exactly one inside this slack
 MAX_DELTA = 10_000
+MAX_NORMAL_SUBSETS = 4096  # beyond this many generator subsets, solve a linear program
 
 
 class HorizonError(RuntimeError):
@@ -132,52 +136,103 @@ def reach(model: HybridAutomaton, mode_id: ModeId, z: Zonotope, delta: int) -> Z
     return inflate(mapped, sigma)
 
 
-def _perp2(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (..., k, k) by cofactor expansion along the first row.
+
+    Products and sums only, so small dyadic entries give exact results
+    (LU does not); the stacks here are at most a few rows wide.
+    """
+    k = m.shape[-1]
+    if k == 0:
+        return np.ones(m.shape[:-2])
+    return sum(
+        (-1.0) ** j * m[..., 0, j] * _det(np.delete(m[..., 1:, :], j, axis=-1))
+        for j in range(k)
+    )
+
+
+def separating_normals(directions: np.ndarray) -> np.ndarray | None:
+    """Facet-normal candidates of a zonotope whose generators lie along `directions`.
+
+    Rows of the result are the generalized cross products of every
+    (n-1)-subset of the nonzero (p, n) rows, with zero vectors and +/-
+    duplicates dropped: perpendiculars in 2-D, pairwise cross products in 3-D. A
+    full-dimensional zonotope's facet normals are among them, so two convex
+    sets whose Minkowski difference is such a zonotope are disjoint exactly
+    when one of these directions separates their projections. Returns None
+    when the rows do not span the space (the zonotope is flat and its normal
+    is not among the cross products) or when there are more than
+    MAX_NORMAL_SUBSETS subsets.
+    """
+    directions = np.asarray(directions, dtype=float)
+    directions = directions[np.any(directions != 0.0, axis=1)]
+    n = directions.shape[1]
+    if np.linalg.matrix_rank(directions) < n:
+        return None
+    if comb(len(directions), n - 1) > MAX_NORMAL_SUBSETS:
+        return None
+    if n == 1:
+        return np.ones((1, 1))
+    subsets = directions[list(combinations(range(len(directions)), n - 1))]
+    normals = np.stack(
+        [(-1.0) ** k * _det(np.delete(subsets, k, axis=-1)) for k in range(n)], axis=-1
+    )
+    normals = normals[np.any(normals != 0.0, axis=1)]
+    # scale by a power of two, which is exact, to a largest entry in [0.5, 1)
+    largest = np.max(np.abs(normals), axis=1)
+    normals = np.ldexp(normals, -np.frexp(largest)[1][:, None])
+    lead = normals[np.arange(len(normals)), np.argmax(np.abs(normals), axis=1)]
+    key = np.round(normals / lead[:, None], 12)
+    _, first = np.unique(key, axis=0, return_index=True)
+    return normals[np.sort(first)]
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use.
+
+    The solver package is most of the import time of this one, and only
+    flat or very high-order intersection tests need it.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def intersects_box(z: Zonotope, box: Sequence[tuple[float, float]]) -> bool:
     """Exact emptiness decision for a zonotope against an axis-aligned box.
 
     Boundary contact counts as intersection. Fast paths: disjoint interval
-    hulls (always correct as a negative), axis-aligned zonotopes (the hull
-    is the set), and 2-D separating axes over all edge normals (exact for
-    convex polygons). Higher dimensions fall back to linear-program
-    feasibility over the generator coefficients.
+    hulls (always correct as a negative) and axis-aligned zonotopes (the
+    hull is the set). Otherwise the sets meet exactly when no direction of
+    `separating_normals` over the zonotope's generators and the box's
+    positive-width axes separates their projections, because those are the
+    facet normals of Z + (-box). The test falls back to linear-program
+    feasibility over the generator coefficients only when that sum is not
+    full-dimensional (its generators do not span the space) or has more than
+    MAX_NORMAL_SUBSETS generator subsets.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     if len(box) != z.dim:
         raise ValueError("box dimension does not match zonotope dimension")
     lo, hi = z.interval_hull()
-    for axis, (blo, bhi) in enumerate(box):
-        if hi[axis] < blo or lo[axis] > bhi:
-            return False
+    box_lo = np.array([blo for blo, _ in box])
+    box_hi = np.array([bhi for _, bhi in box])
+    if np.any(hi < box_lo) or np.any(lo > box_hi):
+        return False
     if z.is_axis_aligned():
         return True  # hull overlap is exact for interval sets
-    if z.dim == 2:
-        center = np.array([(blo + bhi) / 2.0 for blo, bhi in box])
-        half = np.array([(bhi - blo) / 2.0 for blo, bhi in box])
-        axes = [g for g in (_perp2(g) for g in z.generators) if np.any(g != 0.0)]
-        for direction in axes:
-            z_lo, z_hi = z.support(direction)
-            mid = float(direction @ center)
-            rad = float(np.abs(direction) @ half)
-            if z_hi < mid - rad or z_lo > mid + rad:
-                return False
-        return True  # box axes were already checked against the hull
+    normals = separating_normals(np.vstack([z.generators, np.eye(z.dim)[box_hi > box_lo]]))
+    if normals is not None:
+        gap = np.abs(normals @ z.center - normals @ ((box_lo + box_hi) / 2.0))
+        room = np.sum(np.abs(z.generators @ normals.T), axis=0)
+        room += np.abs(normals) @ ((box_hi - box_lo) / 2.0)
+        return not bool(np.any(gap > room))
     # feasibility of: box_lo <= c + G' b <= box_hi, b in [-1, 1]^p
     g = z.generators.T
-    a_ub = np.vstack([g, -g])
-    b_ub = np.concatenate(
-        [
-            np.array([bhi for _, bhi in box]) - z.center,
-            z.center - np.array([blo for blo, _ in box]),
-        ]
-    )
     result = linprog(
         c=np.zeros(z.order),
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=np.vstack([g, -g]),
+        b_ub=np.concatenate([box_hi - z.center, z.center - box_lo]),
         bounds=[(-1.0, 1.0)] * z.order,
         method="highs",
     )

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conflicts import ConflictReport, Detector
+from .conflicts import Detector
 from .kalman import KalmanBank, check_dwell, step_continuous, synthesize_gains
 from .model import HybridAutomaton, ModeId, ModelError, extract_fsm, validate_model
 from .observer import (
@@ -221,7 +221,6 @@ class Trace:
 class SimulationResult:
     summary: SimulationSummary
     trace: Trace | None
-    reports: tuple[ConflictReport, ...] | None
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,8 @@ def simulate(
     t + 1, so the step across the event still belongs to the old mode. The
     detector sees the event pair at sample t, the sample whose state fired
     it. The attack corrupts only the measured output. A stop event ends the
-    run at the sample that fired it.
+    run at the sample that fired it. With keep_trace=False no per-sample
+    row is kept; the summary is the same either way.
     """
     model = config.model
     problems = validate_model(model)
@@ -310,15 +310,7 @@ def simulate(
     y = x + v + gamma0
     x_est = y.copy()
 
-    reports: list[ConflictReport] = []
-    rows_time: list[float] = []
-    rows_x: list[np.ndarray] = []
-    rows_y: list[np.ndarray] = []
-    rows_est: list[np.ndarray] = []
-    rows_r: list[np.ndarray] = []
-    rows_mode: list[ModeId] = []
-    rows_node: list[Node] = []
-    rows_steady: list[bool] = []
+    rows: list[tuple] | None = [] if keep_trace else None
 
     events: list[EventRecord] = []
     first_conflict: ConflictAlarm | None = None
@@ -330,7 +322,7 @@ def simulate(
     max_error = 0.0
     max_volume = 0.0
 
-    t = 0
+    t, now = 0, 0.0
     for t in range(n):
         now = t * h
         r = y - x_est
@@ -345,7 +337,6 @@ def simulate(
         fired = _fired_transition(model, q, x)
         event = (fired.input_event, fired.output_event) if fired is not None else None
         report = detector.evaluate(t, node, steady, x_est, r, event)
-        reports.append(report)
         if steady:
             max_volume = max(max_volume, report.volume)
         if report.alarm and first_conflict is None:
@@ -358,14 +349,12 @@ def simulate(
         ):
             violation = SafetyViolation(time=now, state=tuple(x.tolist()))
 
-        rows_time.append(now)
-        rows_x.append(x.copy())
-        rows_y.append(y.copy())
-        rows_est.append(x_est.copy())
-        rows_r.append(r.copy())
-        rows_mode.append(q)
-        rows_node.append(node)
-        rows_steady.append(steady)
+        if rows is not None:
+            rows.append(
+                (now, x.copy(), y.copy(), x_est.copy(), r.copy(), q, node, steady)
+                + (report.warming_up, report.conflict_a, report.conflict_b, report.conflict_c)
+                + (report.alarm, report.volume)
+            )
 
         if fired is not None:
             events.append(
@@ -405,12 +394,11 @@ def simulate(
         estimate = step_continuous(bank, model, predict_mode, x_est, u, y, steady_timer)
         x_est = np.array(estimate.state)
 
-    samples = len(rows_time)
     summary = SimulationSummary(
         seed=config.seed,
         completed=inconsistency_time is None,
-        end_time=rows_time[-1] if rows_time else 0.0,
-        samples=samples,
+        end_time=now,
+        samples=t + 1,
         stop_event=stop_event,
         events=tuple(events),
         first_conflict=first_conflict,
@@ -423,25 +411,26 @@ def simulate(
         max_estimation_error=max_error,
         max_volume=max_volume,
     )
-    if not keep_trace:
-        return SimulationResult(summary=summary, trace=None, reports=None)
+    if rows is None:
+        return SimulationResult(summary=summary, trace=None)
+    times, xs, ys, ests, rs, modes, nodes, steadies, warm, ca, cb, cc, alarms, vols = zip(*rows)
     trace = Trace(
-        times=np.array(rows_time),
-        x_true=np.array(rows_x),
-        y=np.array(rows_y),
-        x_est=np.array(rows_est),
-        residual=np.array(rows_r),
-        mode_true=tuple(rows_mode),
-        node=tuple(rows_node),
-        steady=np.array(rows_steady, dtype=bool),
-        warming_up=np.array([rep.warming_up for rep in reports], dtype=bool),
-        conflict_a=np.array([rep.conflict_a for rep in reports], dtype=bool),
-        conflict_b=np.array([rep.conflict_b for rep in reports], dtype=bool),
-        conflict_c=np.array([rep.conflict_c for rep in reports], dtype=bool),
-        alarm=np.array([rep.alarm for rep in reports], dtype=bool),
-        volume=np.array([rep.volume for rep in reports]),
+        times=np.array(times),
+        x_true=np.array(xs),
+        y=np.array(ys),
+        x_est=np.array(ests),
+        residual=np.array(rs),
+        mode_true=modes,
+        node=nodes,
+        steady=np.array(steadies, dtype=bool),
+        warming_up=np.array(warm, dtype=bool),
+        conflict_a=np.array(ca, dtype=bool),
+        conflict_b=np.array(cb, dtype=bool),
+        conflict_c=np.array(cc, dtype=bool),
+        alarm=np.array(alarms, dtype=bool),
+        volume=np.array(vols),
     )
-    return SimulationResult(summary=summary, trace=trace, reports=tuple(reports))
+    return SimulationResult(summary=summary, trace=trace)
 
 
 def residual_baseline(trace: Trace, threshold: float) -> float | None:

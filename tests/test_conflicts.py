@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from lp_reference import box_distance, corner_box, touching_box
 
 from hybridmon import (
     ConflictReport,
@@ -18,11 +21,15 @@ from hybridmon import (
     decompose_regions,
     detect,
     detection_threshold,
+    inflate,
     initial_set,
+    intersects_box,
+    linear_map,
     volume,
     volume_bound,
 )
 from hybridmon.guarantees import facet_epsilon
+from hybridmon.reachability import sigma_sum, step_bound
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +193,110 @@ class TestDetector:
             np.testing.assert_array_equal(a.initial_set.generators, b.initial_set.generators)
 
 
+def _one_mode(a, w, v, invariant) -> HybridAutomaton:
+    n = len(a)
+    return HybridAutomaton(
+        modes=(
+            Mode(
+                1,
+                LtiDynamics(a=a, b=[[0.0]] * n, w_bounds=w, v_bounds=v, input_bound=0.0),
+                Invariant(tuple(invariant)),
+            ),
+        ),
+        events=(),
+        transitions=(),
+        dwell_time=1,
+        sampling_period=1.0,
+        theta=0.05,
+    )
+
+
+def _reference_reach(model, delta, x_est, residual):
+    """The horizon set built explicitly: inflate(linear_map(A^delta, X_I), sigma)."""
+    dyn = model.dynamics(1)
+    x_i = initial_set(x_est, residual, dyn.v_bounds)
+    a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
+    sigma = sigma_sum(a_norm, delta, step_bound(model, 1))
+    return x_i, inflate(linear_map(np.linalg.matrix_power(dyn.a, delta), x_i), sigma)
+
+
+@st.composite
+def horizon_case(draw):
+    """A random 2-D or 3-D mode, horizon, estimate and residual.
+
+    The invariant sits at a corner of the reach set's hull, where hull
+    overlap and set overlap part ways. Zero noise and zero-width invariant
+    axes come up often, so the modes whose table cannot be exact (and fall
+    back per sample) are drawn too.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    vec = lambda lo, hi: [draw(st.floats(lo, hi)) for _ in range(n)]  # noqa: E731
+    a = [vec(-1.2, 1.2) for _ in range(n)]
+    w = [draw(st.one_of(st.just(0.0), st.floats(0.001, 0.3)))] * n
+    v = vec(0.0, 0.5)
+    delta = draw(st.integers(1, 3))
+    x_est, residual = vec(-6.0, 6.0), vec(-1.0, 1.0)
+    placeholder = _one_mode(a, w, v, [(0.0, 0.0)] * n)
+    _, reach_set = _reference_reach(placeholder, delta, x_est, residual)
+    signs = [draw(st.sampled_from([-1, 1])) for _ in range(n)]
+    depths = np.array(vec(-0.1, 0.6))
+    widths = np.array([draw(st.one_of(st.just(0.0), st.floats(0.01, 4.0))) for _ in range(n)])
+    invariant = corner_box(reach_set, signs, depths, widths)
+    return _one_mode(a, w, v, invariant), delta, x_est, residual
+
+
+@st.composite
+def touching_case(draw):
+    """A dyadic mode whose one-step reach set touches the invariant exactly."""
+    n = draw(st.sampled_from([2, 3]))
+    eighths = st.integers(-8, 8).map(lambda k: k / 8.0)
+    sixteenths = lambda lo, hi: st.integers(lo, hi).map(lambda k: k / 16.0)  # noqa: E731
+    a = [[draw(eighths) for _ in range(n)] for _ in range(n)]
+    w = [draw(sixteenths(0, 4))] * n
+    v = [draw(sixteenths(1, 8)) for _ in range(n)]
+    x_est = [draw(sixteenths(-32, 32)) for _ in range(n)]
+    residual = [draw(sixteenths(-8, 8)) for _ in range(n)]
+    direction = [draw(st.integers(-3, 3)) for _ in range(n)]
+    assume(any(direction))
+    widths = [draw(st.integers(0, 16)) / 8.0 for _ in range(n)]
+    placeholder = _one_mode(a, w, v, [(0.0, 0.0)] * n)
+    _, reach_set = _reference_reach(placeholder, 1, x_est, residual)
+    invariant = touching_box(reach_set, direction, widths)
+    return _one_mode(a, w, v, invariant), x_est, residual
+
+
+class TestHorizonTable:
+    """Detector verdicts against the explicit reach set decided by a linear program."""
+
+    @staticmethod
+    def _evaluate(model, delta, x_est, residual):
+        detector = Detector(model, regions=decompose_regions(model), deltas={1: delta})
+        return detector.evaluate(0, (1,), True, x_est, residual)
+
+    @settings(max_examples=300, deadline=None)
+    @given(horizon_case())
+    def test_verdicts_match_reference(self, case):
+        model, delta, x_est, residual = case
+        x_i, reach_set = _reference_reach(model, delta, x_est, residual)
+        invariant = model.invariant(1).intervals
+        distance = box_distance(reach_set, invariant)
+        assume(abs(distance) > 1e-6)  # the program's own tolerance decides contact
+        report = self._evaluate(model, delta, x_est, residual)
+        assert report.conflict_c == (distance > 0.0)
+        assert report.conflict_b == (not intersects_box(x_i, invariant))
+        assert report.volume == volume(x_i)
+        np.testing.assert_array_equal(report.reach_set.center, reach_set.center)
+        np.testing.assert_array_equal(report.reach_set.generators, reach_set.generators)
+
+    @settings(max_examples=300, deadline=None)
+    @given(touching_case())
+    def test_contact_counts_as_meeting(self, case):
+        model, x_est, residual = case
+        _, reach_set = _reference_reach(model, 1, x_est, residual)
+        assert box_distance(reach_set, model.invariant(1).intervals) <= 1e-9
+        assert not self._evaluate(model, 1, x_est, residual).conflict_c
+
+
 class TestEventCheck:
     """Conflict C on the sample whose state fires a sensor event."""
 
@@ -285,13 +396,12 @@ class TestVolumeResidualLink:
 
 
 def test_report_alarm_property():
-    z = Zonotope([0.0], [[0.1]])
     base = dict(
         time_index=0,
         estimated_mode=1,
         warming_up=False,
-        initial_set=z,
-        reach_set=None,
+        center=np.array([0.0]),
+        half_widths=np.array([0.1]),
         volume=0.0,
         volume_bound=1.0,
     )
@@ -299,3 +409,5 @@ def test_report_alarm_property():
     loud = ConflictReport(conflict_a=False, conflict_b=True, conflict_c=False, **base)
     assert not quiet.alarm
     assert loud.alarm
+    np.testing.assert_array_equal(quiet.initial_set.generators, [[0.1]])
+    assert quiet.reach_set is None

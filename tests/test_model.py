@@ -1,5 +1,7 @@
 """Model construction, validation, and region decomposition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,19 @@ class TestValidateModel:
         tags = validate_model(model)
         assert len(tags) == 1
         assert tags[0].startswith("stability: mode 'a'")
+
+    def test_flags_unobservable_event(self, tg_model):
+        # built in code, the flag bypasses parse_model; the observer would
+        # still move (1,) to (2,) on s_1
+        events = tuple(
+            dataclasses.replace(e, observable=False) if e.name == "s_1" else e
+            for e in tg_model.events
+        )
+        tags = validate_model(dataclasses.replace(tg_model, events=events))
+        assert tags == [
+            "observability: event 's_1' is unobservable, and the discrete observer "
+            "has no closure over unobservable events"
+        ]
 
     def test_flags_guard_outside_invariant(self):
         model = corridor(tie_guard=5.0)

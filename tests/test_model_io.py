@@ -1,6 +1,7 @@
 """Schema document parsing and serialization round-trips."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -93,3 +94,29 @@ def test_dump_is_deterministic(tmp_path, tg_model):
     dump_model(tg_model, p1)
     dump_model(tg_model, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("v_bounds", [0.3, 0.3]), ("w_bounds", [0.01, 0.02]), ("input_bound", 2.0)]
+)
+def test_per_mode_noise_refused(tg_model, field, value):
+    # the schema has one noise block; writing mode 1's values for mode 2
+    # would silently change the model on the way back in
+    modes = tuple(
+        dataclasses.replace(m, dynamics=dataclasses.replace(m.dynamics, **{field: value}))
+        if m.mode_id == 2
+        else m
+        for m in tg_model.modes
+    )
+    model = dataclasses.replace(tg_model, modes=modes)
+    with pytest.raises(ModelError, match=f"mode 2: {field} differs"):
+        model_to_dict(model)
+
+
+def test_unobservable_event_rejected():
+    # the observer has no closure over unobservable events: it would still
+    # move (1,) to (2,) on s_1, so the flag is refused instead of ignored
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    doc["events"][1]["observable"] = False
+    with pytest.raises(ModelError, match=r"events\[1\] \('s_1'\): unobservable"):
+        parse_model(doc)

@@ -1,7 +1,16 @@
 """Zonotope algebra, reachable-set over-approximation, horizon search."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from lp_reference import box_distance, corner_box, touching_box
+
+import hybridmon
 
 from hybridmon import (
     Event,
@@ -20,7 +29,12 @@ from hybridmon import (
     linear_map,
     reach,
 )
-from hybridmon.reachability import compute_all_deltas, sigma_sum, step_bound
+from hybridmon.reachability import (
+    compute_all_deltas,
+    separating_normals,
+    sigma_sum,
+    step_bound,
+)
 
 
 def one_guard(a, w, inv_src, inv_tgt, threshold, b=0.0, mu=0.0):
@@ -207,6 +221,118 @@ class TestIntersectsBox:
         z = Zonotope([0.0, 0.0, 0.0], [[1.0, 1.0, 1.0]])
         assert intersects_box(z, [(0.9, 1.1), (0.9, 1.1), (0.9, 1.1)])
         assert not intersects_box(z, [(0.9, 1.1), (0.9, 1.1), (-1.1, -0.9)])
+
+    def test_flat_difference_solves_the_program(self):
+        # a segment against single points: Z + (-box) is the segment itself,
+        # whose normals are not cross products of its one generator
+        z = Zonotope([0.0, 0.0, 0.0], [[1.0, 1.0, 1.0]])
+        assert intersects_box(z, [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5)])
+        assert intersects_box(z, [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])  # end point
+        assert not intersects_box(z, [(0.5, 0.5), (0.5, 0.5), (0.4, 0.4)])
+
+
+class TestSeparatingNormals:
+    def test_plane_gives_perpendiculars(self):
+        normals = separating_normals(np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert normals.tolist() == [[0.5, -0.25], [0.0, -0.5], [0.5, 0.0]]  # powers of two apart
+
+    def test_space_gives_pairwise_cross_products(self):
+        # C(6, 2) = 15 pairs over a generic A's columns and the axes, none
+        # zero or parallel to another
+        a = np.array([[1.0, 0.3, 0.2], [0.1, 0.9, 0.4], [0.5, 0.2, 0.8]])
+        directions = np.vstack([a.T, np.eye(3)])
+        normals = separating_normals(directions)
+        assert normals.shape == (15, 3)
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        for (i, j), normal in zip(pairs, normals):
+            cross = np.cross(directions[i], directions[j])
+            scale = np.max(np.abs(cross)) / np.max(np.abs(normal))
+            np.testing.assert_allclose(normal * scale, cross)
+
+    def test_zero_and_parallel_products_dropped(self):
+        normals = separating_normals(np.vstack([np.eye(3), [[2.0, 0.0, 0.0]]]))
+        assert normals.tolist() == [[0.0, 0.0, 0.5], [0.0, -0.5, 0.0], [0.5, 0.0, 0.0]]
+
+    def test_flat_directions_give_none(self):
+        assert separating_normals(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])) is None
+
+
+def _zonotope(draw, n: int) -> Zonotope:
+    order = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+    return Zonotope(
+        center=[draw(st.floats(-2.0, 2.0)) for _ in range(n)],
+        generators=[[draw(unit) for _ in range(n)] for _ in range(order)],
+    )
+
+
+@st.composite
+def zonotope_and_box(draw):
+    """A random 3-D or 4-D zonotope and a box at a corner of its hull."""
+    n = draw(st.sampled_from([3, 4]))
+    z = _zonotope(draw, n)
+    signs = [draw(st.sampled_from([-1, 1])) for _ in range(n)]
+    depths = np.array([draw(st.floats(-0.1, 0.6)) for _ in range(n)])
+    widths = np.array([draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) for _ in range(n)])
+    return z, corner_box(z, signs, depths, widths)
+
+
+@st.composite
+def dyadic_zonotope_and_direction(draw):
+    n = draw(st.sampled_from([3, 4]))
+    sixteenths = st.integers(-16, 16).map(lambda k: k / 16.0)
+    order = draw(st.integers(1, 6))
+    z = Zonotope(
+        center=[draw(sixteenths) for _ in range(n)],
+        generators=[[draw(sixteenths) for _ in range(n)] for _ in range(order)],
+    )
+    direction = [draw(st.integers(-3, 3)) for _ in range(n)]
+    assume(any(direction))
+    widths = [draw(st.integers(0, 8)) / 8.0 for _ in range(n)]
+    return z, direction, widths
+
+
+class TestIntersectsBoxAgainstProgram:
+    """The separating-axis decision against an independent linear program."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zonotope_and_box())
+    def test_random_zonotopes(self, case):
+        z, box = case
+        distance = box_distance(z, box)
+        assume(abs(distance) > 1e-6)  # the program's own tolerance decides contact
+        assert intersects_box(z, box) == (distance <= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_zonotope_and_direction())
+    def test_touching_boxes_intersect(self, case):
+        z, direction, widths = case
+        box = touching_box(z, direction, widths)
+        assert box_distance(z, box) <= 1e-9
+        assert intersects_box(z, box)
+
+
+def test_import_leaves_the_solver_unloaded():
+    # the solver package is most of the import time; only flat or very
+    # high-order intersection tests load it, and the detector never does
+    src = str(Path(hybridmon.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import hybridmon\n"
+        "loaded = 'scipy.optimize' in sys.modules\n"
+        "detector = hybridmon.Detector(hybridmon.train_gate_model())\n"
+        "detector.evaluate(0, (1,), True, (10.0, 1.0), (0.02, -0.01))\n"
+        "print(loaded, 'scipy.optimize' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 class TestComputeDelta:
