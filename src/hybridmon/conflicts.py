@@ -20,6 +20,12 @@ s = sigma ||N||_1 + |N| rho_inv and N mid_inv once, and a sample leaves the
 invariant exactly when any(|M c - N mid_inv| > |M| h + s). Contact counts as
 meeting. No zonotope is built per sample; `ConflictReport.initial_set` and
 `reach_set` build theirs on demand.
+
+Nothing the detector returns feeds back into the plant, the controller or
+the observers, so `Detector.evaluate_rows` decides a block of samples in one
+pass: interval tests on (k, n) arrays and one stacked product per mode.
+`simulate` calls it once per 128 samples; `Detector.evaluate` is the same
+pass on a block of one row.
 """
 
 from __future__ import annotations
@@ -82,6 +88,23 @@ class ConflictReport:
         if self.horizon is None:
             return None
         return _reach_set(self.horizon, self.center, self.half_widths)
+
+
+@dataclass(frozen=True)
+class ConflictRows:
+    """Verdict columns of a block of samples, one entry per row."""
+
+    estimated_mode: tuple[ModeId | None, ...]
+    warming_up: np.ndarray
+    conflict_a: np.ndarray
+    conflict_b: np.ndarray
+    conflict_c: np.ndarray
+    half_widths: np.ndarray
+    volume: np.ndarray
+
+    @property
+    def alarm(self) -> np.ndarray:
+        return self.conflict_a | self.conflict_b | self.conflict_c
 
 
 def _reach_set(
@@ -157,10 +180,17 @@ class _HorizonTable:
             n_mid=normals @ ((inv_lo + inv_hi) / 2.0),
         )
 
-    def misses(self, center: np.ndarray, half: np.ndarray) -> bool:
-        """The reach set of the box (center, half) has no point in the invariant."""
-        gap = abs(self.m @ center - self.n_mid)
-        return bool((gap > self.m_abs @ half + self.slack).any())
+    def misses(self, centers: np.ndarray, half: np.ndarray) -> np.ndarray:
+        """Per row: the reach set of the box (centers[i], half[i]) has no point
+        in the invariant.
+
+        The products are stacked, one matrix-vector product per row, so each
+        row gets the bits of `m @ centers[i]`; a single `centers @ m.T` sums
+        in another order and can flip a verdict at contact.
+        """
+        gap = np.abs((self.m @ centers[..., None])[..., 0] - self.n_mid)
+        reach = (self.m_abs @ half[..., None])[..., 0] + self.slack
+        return (gap > reach).any(axis=1)
 
 
 def detect(
@@ -187,8 +217,9 @@ class Detector:
     Holds each mode's invariant bounds, noise bounds, horizon, matrix power
     over the horizon and accumulated inflation radius, each guard's
     overshoot slab, and, for each mode with a positive horizon, the
-    separating-axis table of its horizon check. The per-sample check is a
-    handful of interval comparisons and one small matrix-vector product.
+    separating-axis table of its horizon check. A block of samples costs a
+    handful of interval comparisons and one stacked matrix-vector product
+    per mode.
     A mode whose table cannot be exact (sigma = 0 and a zero-width
     invariant axis) builds its reach set per settled sample and decides it
     with `intersects_box`, which solves a linear program if that set minus
@@ -244,67 +275,116 @@ class Detector:
         residual: Sequence[float],
         event: tuple[str, str] | None = None,
     ) -> ConflictReport:
-        """Verdict for one sample.
+        """Verdict for one sample: `evaluate_rows` on a block of one row.
 
         `event` is the (input, output) event pair observed at this sample, if
-        any. On a settled sample it is checked against the box: conflict C
-        when no transition of the node with that pair has a guard slab the
-        box meets. The event names the transitions, so this check needs no
-        singleton node. A, B and the horizon part of C wait for a settled
-        singleton node; until then the report is marked warming up.
+        any; see `evaluate_rows` for what each verdict means.
         """
-        singleton = len(node) == 1
+        node = tuple(node)
         center = np.array(x_est, dtype=float)
-        residual = np.asarray(residual, dtype=float)
-        v = self._v[node[0]] if singleton else self._fallback_v
-        if residual.shape != center.shape or v.shape != center.shape:
-            raise ValueError("residual/noise dimensions do not match the estimate")
-        half = np.abs(residual) + v
-        lo, hi = center - half, center + half
-        vol = float((2.0 * half).prod())
-        mode_id = node[0] if singleton else None
-        unexplained = False
-        if steady and event is not None:
-            slabs = [s for s in self._slabs.get(event, ()) if s[0] in node]
-            unexplained = not any(
-                lo[axis] <= s_hi and hi[axis] >= s_lo for _, axis, s_lo, s_hi in slabs
-            )
-            sources = {s[0] for s in slabs}
-            if mode_id is None and len(sources) == 1:
-                mode_id = sources.pop()
-        if not (singleton and steady):
-            return ConflictReport(
-                time_index=time_index,
-                estimated_mode=mode_id,
-                warming_up=True,
-                conflict_a=False,
-                conflict_b=False,
-                conflict_c=unexplained,
-                center=center,
-                half_widths=half,
-                volume=vol,
-                volume_bound=self.volume_bound,
-            )
-        inv_lo, inv_hi = self._inv[mode_id]
-        conflict_c = unexplained
-        horizon = self._horizon.get(mode_id)
-        if horizon is not None and not conflict_c:
-            table = self._tables[mode_id]
-            if table is not None:
-                conflict_c = table.misses(center, half)
-            else:
-                reach_set = _reach_set(horizon, center, half)
-                conflict_c = not intersects_box(reach_set, tuple(zip(inv_lo, inv_hi)))
+        rows = self.evaluate_rows(
+            (node,),
+            np.array([bool(steady)]),
+            center[None],
+            np.asarray(residual, dtype=float)[None],
+            (event,),
+        )
+        armed = not rows.warming_up[0]
+        mode_id = rows.estimated_mode[0]
         return ConflictReport(
             time_index=time_index,
             estimated_mode=mode_id,
-            warming_up=False,
-            conflict_a=vol > self.volume_bound,
-            conflict_b=bool((hi < inv_lo).any() or (lo > inv_hi).any()),
-            conflict_c=conflict_c,
+            warming_up=not armed,
+            conflict_a=bool(rows.conflict_a[0]),
+            conflict_b=bool(rows.conflict_b[0]),
+            conflict_c=bool(rows.conflict_c[0]),
             center=center,
+            half_widths=rows.half_widths[0],
+            volume=float(rows.volume[0]),
+            volume_bound=self.volume_bound,
+            horizon=self._horizon.get(mode_id) if armed else None,
+        )
+
+    def evaluate_rows(
+        self,
+        nodes: Sequence[tuple[ModeId, ...]],
+        steady: Sequence[bool],
+        centers: np.ndarray,
+        residuals: np.ndarray,
+        events: Sequence[tuple[str, str] | None],
+    ) -> ConflictRows:
+        """Verdicts for a block of samples, one row each.
+
+        Row i holds the observer node, the settled flag, the estimate, the
+        residual and the event pair (or None) of one sample. Nothing here
+        depends on another row, so a block gives the bits that its rows give
+        one at a time.
+
+        On a settled row with an event, the event is checked against the box:
+        conflict C when no transition of the node with that pair has a guard
+        slab the box meets. The event names the transitions, so this check
+        needs no singleton node, and a sole source mode becomes the estimated
+        mode. A, B and the horizon part of C wait for a settled singleton
+        node; until then the row is marked warming up.
+        """
+        centers = np.asarray(centers, dtype=float)
+        residuals = np.asarray(residuals, dtype=float)
+        steady = np.asarray(steady, dtype=bool)
+        k = len(nodes)
+        if centers.shape != (k, self.model.dim) or residuals.shape != centers.shape:
+            raise ValueError("residual/noise dimensions do not match the estimate")
+        groups: dict[tuple[ModeId, ...], list[int]] = {}
+        for i, node in enumerate(nodes):
+            groups.setdefault(node, []).append(i)
+        v = np.empty_like(centers)
+        for node, idx in groups.items():
+            v[idx] = self._v[node[0]] if len(node) == 1 else self._fallback_v
+        half = np.abs(residuals) + v
+        lo, hi = centers - half, centers + half
+        vol = np.prod(2.0 * half, axis=1)
+        estimated = [node[0] if len(node) == 1 else None for node in nodes]
+        unexplained = np.zeros(k, dtype=bool)
+        for i, event in enumerate(events):
+            if event is None or not steady[i]:
+                continue
+            slabs = [s for s in self._slabs.get(event, ()) if s[0] in nodes[i]]
+            unexplained[i] = not any(
+                lo[i, axis] <= s_hi and hi[i, axis] >= s_lo for _, axis, s_lo, s_hi in slabs
+            )
+            sources = {s[0] for s in slabs}
+            if estimated[i] is None and len(sources) == 1:
+                estimated[i] = sources.pop()
+        armed = np.zeros(k, dtype=bool)
+        conflict_b = np.zeros(k, dtype=bool)
+        conflict_c = unexplained.copy()
+        for node, idx in groups.items():
+            if len(node) != 1:
+                continue
+            rows = np.asarray(idx)[steady[idx]]
+            if not rows.size:
+                continue
+            mode_id = node[0]
+            armed[rows] = True
+            inv_lo, inv_hi = self._inv[mode_id]
+            conflict_b[rows] = (hi[rows] < inv_lo).any(axis=1) | (lo[rows] > inv_hi).any(axis=1)
+            horizon = self._horizon.get(mode_id)
+            rows = rows[~unexplained[rows]]
+            if horizon is None or not rows.size:
+                continue
+            table = self._tables[mode_id]
+            if table is not None:
+                conflict_c[rows] = table.misses(centers[rows], half[rows])
+                continue
+            invariant = tuple(zip(inv_lo, inv_hi))
+            for i in rows:
+                reach_set = _reach_set(horizon, centers[i], half[i])
+                conflict_c[i] = not intersects_box(reach_set, invariant)
+        return ConflictRows(
+            estimated_mode=tuple(estimated),
+            warming_up=~armed,
+            conflict_a=armed & (vol > self.volume_bound),
+            conflict_b=conflict_b,
+            conflict_c=conflict_c,
             half_widths=half,
             volume=vol,
-            volume_bound=self.volume_bound,
-            horizon=horizon,
         )

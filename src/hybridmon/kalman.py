@@ -4,6 +4,11 @@ Gains come from iterating the discrete Riccati recursion on the predicted
 error covariance to a fixed point. Noise covariances are diagonal with
 standard deviation bound/3, matching the truncated-Gaussian noise model
 (the bound is a three-sigma clip).
+
+`step_continuous` is the per-sample update: it takes the mode's A, B and
+gain as arrays and returns the new estimate, with no model lookup, copy or
+validation, because `simulate` calls it once per sample. The caller keeps
+the residual and the settling count.
 """
 
 from __future__ import annotations
@@ -55,21 +60,6 @@ class KalmanBank:
     gains: Mapping[ModeId, KalmanGain]
 
 
-@dataclass(frozen=True)
-class ContinuousEstimate:
-    """State estimate, residual y - estimate, and the steady flag."""
-
-    state: np.ndarray
-    residual: np.ndarray
-    steady: bool
-
-    def __post_init__(self) -> None:
-        for name in ("state", "residual"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
 def synthesize_gains(
     model: HybridAutomaton,
     tol: float = RICCATI_TOL,
@@ -119,34 +109,21 @@ def synthesize_gains(
 
 
 def step_continuous(
-    bank: KalmanBank,
-    model: HybridAutomaton,
-    mode_id: ModeId,
-    x_est: Sequence[float],
-    u: Sequence[float],
-    y: Sequence[float],
-    steps_in_mode: int,
-) -> ContinuousEstimate:
-    """One predict/update step with the mode's gain.
+    a: np.ndarray,
+    b: np.ndarray,
+    gain: np.ndarray,
+    x_est: np.ndarray,
+    u: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """One predict/update step with a mode's A, B and gain: the updated estimate.
 
-    steps_in_mode counts samples since the simulation start or the last mode
-    switch; the steady flag turns on once it reaches the dwell time.
+    predicted = A x_est + B u, then predicted + K (y - predicted). The
+    operation order is part of the result: reassociating it, to (I - K) A
+    say, changes the float bits of every trace.
     """
-    dyn = model.dynamics(mode_id)
-    x_est = np.asarray(x_est, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(x_est)) and np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-        raise ValueError("step_continuous requires finite inputs")
-    gain = bank.gains[mode_id].gain
-    predicted = dyn.a @ x_est + dyn.b @ u
-    updated = predicted + gain @ (y - predicted)
-    residual = y - updated
-    return ContinuousEstimate(
-        state=updated,
-        residual=residual,
-        steady=steps_in_mode >= model.dwell_time,
-    )
+    predicted = a @ x_est + b @ u
+    return predicted + gain @ (y - predicted)
 
 
 def check_dwell(model: HybridAutomaton, event_samples: Sequence[int]) -> bool:

@@ -2,24 +2,41 @@
 
 One run steps the plant under truncated-Gaussian noise, fires guarded
 transitions on the true state, feeds the discrete and continuous
-observers, evaluates the conflict detector and the residual baseline
-every sample, and reports first-alarm times against the safety-violation
-time. A counter-based generator keyed by the seed makes traces
-bit-reproducible.
+observers, evaluates the conflict detector and the residual baseline, and
+reports first-alarm times against the safety-violation time. A
+counter-based generator keyed by the seed makes traces bit-reproducible.
+
+The loop has two parts. What feeds back into the plant (noise, guards, the
+controller, the observers and the Kalman step) runs per sample, with each
+mode's matrices, noise scales and guards looked up once per run and the
+standard normals drawn once per block of samples. What does not feed back
+(the detector, the baseline monitor, the steady maxima and the trace) is
+recorded into fixed buffers and decided a block at a time by
+`Detector.evaluate_rows`, which gives the same bits as deciding each sample
+as it comes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .conflicts import Detector
 from .kalman import KalmanBank, check_dwell, step_continuous, synthesize_gains
-from .model import HybridAutomaton, ModeId, ModelError, extract_fsm, validate_model
+from .model import (
+    HybridAutomaton,
+    ModeId,
+    ModelError,
+    Transition,
+    extract_fsm,
+    validate_model,
+)
 from .observer import (
     DiscreteInconsistencyError,
     Node,
@@ -58,6 +75,12 @@ class AttackSpec:
             raise ValueError("attack start time must be nonnegative")
         if self.kind == "custom" and not self.samples:
             raise ValueError("custom attack needs a sample sequence")
+        for name in ("slope", "magnitude", "start_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"attack {name} must be finite, got {getattr(self, name)!r}")
+        for i, value in enumerate(self.samples):
+            if not math.isfinite(value):
+                raise ValueError(f"attack samples[{i}] must be finite, got {value!r}")
 
     def magnitude_at(self, sample: int, sampling_period: float) -> float:
         """Signal value at a sample index."""
@@ -73,13 +96,19 @@ class AttackSpec:
 
     def gamma(self, sample: int, sampling_period: float, dim: int) -> np.ndarray:
         """Additive output corruption vector at a sample index."""
-        vec = np.zeros(dim)
-        value = self.magnitude_at(sample, sampling_period)
+        return self.gamma_rows(sample, 1, sampling_period, dim)[0]
+
+    def gamma_rows(
+        self, first: int, count: int, sampling_period: float, dim: int
+    ) -> np.ndarray:
+        """Corruption vectors of samples first, ..., first + count - 1, one row each."""
         for axis in self.axes:
             if axis >= dim:
                 raise ValueError(f"attack axis {axis} outside a {dim}-dimensional output")
-            vec[axis] = value
-        return vec
+        rows = np.zeros((count, dim))
+        values = [self.magnitude_at(s, sampling_period) for s in range(first, first + count)]
+        rows[:, list(self.axes)] = np.array(values)[:, None]
+        return rows
 
 
 @dataclass(frozen=True)
@@ -240,16 +269,132 @@ def baseline_threshold(model: HybridAutomaton) -> float:
     return model.theta + v
 
 
-def _truncated_gaussian(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
-    """Gaussian draw with sigma = bound / 3, clipped to the bound."""
-    return np.clip(rng.normal(0.0, bounds / 3.0), -bounds, bounds)
+# Samples decided per detector pass. A summary-only run keeps one block of
+# rows whatever its length; a larger block spends less NumPy call overhead
+# per sample and keeps more rows.
+BLOCK = 128
 
 
-def _fired_transition(model: HybridAutomaton, mode_id: ModeId, x: np.ndarray):
-    for tr in model.transitions_from(mode_id):
-        if tr.guard.satisfied(x):
-            return tr
-    return None
+def _truncated_gaussian(z: np.ndarray, sigma: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Standard normals z scaled by sigma and clipped to the bound.
+
+    `Generator.normal(0, sigma)` computes 0.0 + sigma * z from the same
+    draw, -0.0 included, so scaling a block of standard normals gives the
+    bits that one `normal` call per use gives.
+    """
+    return np.clip(0.0 + sigma * z, -bound, bound)
+
+
+class _ModeStep(NamedTuple):
+    """What a sample needs of one mode, looked up once per run."""
+
+    a: np.ndarray
+    b: np.ndarray
+    gain: np.ndarray
+    sigma: np.ndarray  # (2, n): standard deviations of w and v
+    bound: np.ndarray  # (2, n): the bounds they are clipped to
+    guards: tuple[tuple[int, int, float, Transition], ...]  # (axis, sign, threshold, transition)
+
+
+def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeStep]:
+    guards: dict[ModeId, list] = {q: [] for q in model.mode_ids}
+    for tr in model.transitions:
+        guards[tr.source].append((tr.guard.axis, tr.guard.sign, tr.guard.threshold, tr))
+    steps = {}
+    for mode in model.modes:
+        dyn = mode.dynamics
+        bound = np.stack([dyn.w_bounds, dyn.v_bounds])
+        steps[mode.mode_id] = _ModeStep(
+            dyn.a, dyn.b, bank.gains[mode.mode_id].gain, bound / 3.0, bound,
+            tuple(guards[mode.mode_id]),
+        )
+    return steps
+
+
+def _first_baseline(
+    times: np.ndarray, steady: np.ndarray, residual: np.ndarray, threshold: float
+) -> float | None:
+    """Time of the first settled row whose residual norm exceeds the threshold."""
+    norms = np.max(np.abs(residual), axis=1)
+    hits = np.flatnonzero(steady & (norms > threshold))
+    return float(times[hits[0]]) if hits.size else None
+
+
+class _Recorder:
+    """The rows that do not feed back into the plant, decided a block at a time.
+
+    The loop writes each sample into row `t % BLOCK` of the buffers; `flush`
+    hands a block to the detector and folds its verdicts into the summary
+    figures, and, when the trace is kept, appends its columns to it.
+    """
+
+    def __init__(
+        self, detector: Detector, threshold: float, h: float, dim: int, keep_trace: bool
+    ) -> None:
+        self.detector, self.threshold, self.h = detector, threshold, h
+        self.x = np.empty((BLOCK, dim))
+        self.y = np.empty((BLOCK, dim))
+        self.x_est = np.empty((BLOCK, dim))
+        self.steady = np.zeros(BLOCK, dtype=bool)
+        self.modes: list = [None] * BLOCK
+        self.nodes: list = [None] * BLOCK
+        self.events: list = [None] * BLOCK
+        self.chunks: list[tuple] | None = [] if keep_trace else None
+        self.max_residual = 0.0
+        self.max_error = 0.0
+        self.max_volume = 0.0
+        self.first_baseline: float | None = None
+        self.first_conflict: ConflictAlarm | None = None
+
+    def flush(self, first: int, k: int) -> None:
+        """Decide rows 0 .. k - 1, which hold samples first .. first + k - 1."""
+        x, y, x_est, steady = self.x[:k], self.y[:k], self.x_est[:k], self.steady[:k]
+        nodes = self.nodes[:k]
+        times = np.arange(first, first + k) * self.h
+        residual = y - x_est
+        rows = self.detector.evaluate_rows(nodes, steady, x_est, residual, self.events[:k])
+        if steady.any():
+            norms = np.max(np.abs(residual), axis=1)
+            errors = np.max(np.abs(x - x_est), axis=1)
+            self.max_residual = max(self.max_residual, float(norms[steady].max()))
+            self.max_error = max(self.max_error, float(errors[steady].max()))
+            self.max_volume = max(self.max_volume, float(rows.volume[steady].max()))
+            if self.first_baseline is None:
+                self.first_baseline = _first_baseline(times, steady, residual, self.threshold)
+        alarm = rows.alarm
+        if self.first_conflict is None and alarm.any():
+            j = int(np.argmax(alarm))
+            kind = "A" if rows.conflict_a[j] else ("B" if rows.conflict_b[j] else "C")
+            self.first_conflict = ConflictAlarm(
+                time=float(times[j]), kind=kind, mode=rows.estimated_mode[j]
+            )
+        if self.chunks is not None:
+            self.chunks.append(
+                (times, x.copy(), y.copy(), x_est.copy(), residual, self.modes[:k], nodes)
+                + (steady.copy(), rows.warming_up, rows.conflict_a, rows.conflict_b)
+                + (rows.conflict_c, alarm, rows.volume)
+            )
+
+    def trace(self) -> Trace:
+        times, xs, ys, ests, rs, modes, nodes, steadies, warm, ca, cb, cc, alarms, vols = zip(
+            *self.chunks
+        )
+        return Trace(
+            times=np.concatenate(times),
+            x_true=np.concatenate(xs),
+            y=np.concatenate(ys),
+            x_est=np.concatenate(ests),
+            residual=np.concatenate(rs),
+            mode_true=tuple(itertools.chain.from_iterable(modes)),
+            node=tuple(itertools.chain.from_iterable(nodes)),
+            steady=np.concatenate(steadies),
+            warming_up=np.concatenate(warm),
+            conflict_a=np.concatenate(ca),
+            conflict_b=np.concatenate(cb),
+            conflict_c=np.concatenate(cc),
+            alarm=np.concatenate(alarms),
+            volume=np.concatenate(vols),
+        )
 
 
 def simulate(
@@ -267,19 +412,22 @@ def simulate(
     t + 1, so the step across the event still belongs to the old mode. The
     detector sees the event pair at sample t, the sample whose state fired
     it. The attack corrupts only the measured output. A stop event ends the
-    run at the sample that fired it. With keep_trace=False no per-sample
-    row is kept; the summary is the same either way.
+    run at the sample that fired it. A controller output that is not a
+    vector of finite numbers raises ValueError at the sample that produced
+    it. With keep_trace=False the run keeps one block of rows, not a row
+    per sample; the summary is the same either way.
     """
     model = config.model
     problems = validate_model(model)
     if problems:
         raise ModelError("model failed validation: " + "; ".join(problems))
     h = model.sampling_period
-    if config.attack is not None:
+    attack = config.attack
+    if attack is not None:
         settle = model.dwell_time * h
-        if config.attack.start_time < settle - 1e-12:
+        if attack.start_time < settle - 1e-12:
             raise ValueError(
-                f"attack starts at {config.attack.start_time} s but the observer "
+                f"attack starts at {attack.start_time} s but the observer "
                 f"only settles at {settle} s"
             )
     if detector is None:
@@ -304,59 +452,66 @@ def simulate(
         raise ValueError("initial mode is missing from the observer root")
     steady_timer = 0
     dim = x.size
+    dwell = model.dwell_time
+    steps = _mode_steps(model, bank)
+    step = steps[q]
+    control = config.controller.control
+    safety = config.safety
 
-    gamma0 = config.attack.gamma(0, h, dim) if config.attack else np.zeros(dim)
-    v = _truncated_gaussian(rng, model.dynamics(q).v_bounds)
+    gamma0 = attack.gamma(0, h, dim) if attack else np.zeros(dim)
+    v = _truncated_gaussian(rng.standard_normal(dim), step.sigma[1], step.bound[1])
     y = x + v + gamma0
     x_est = y.copy()
 
-    rows: list[tuple] | None = [] if keep_trace else None
-
+    record = _Recorder(detector, threshold, h, dim, keep_trace)
+    xs_buf, ys_buf, est_buf = record.x, record.y, record.x_est
+    steady_buf, modes_buf, nodes_buf, events_buf = (
+        record.steady, record.modes, record.nodes, record.events,
+    )
     events: list[EventRecord] = []
-    first_conflict: ConflictAlarm | None = None
-    first_baseline: float | None = None
     violation: SafetyViolation | None = None
     inconsistency_time: float | None = None
     stop_event: str | None = None
-    max_residual = 0.0
-    max_error = 0.0
-    max_volume = 0.0
 
-    t, now = 0, 0.0
+    t, i, now = 0, 0, 0.0
     for t in range(n):
+        i = t % BLOCK
+        if i == 0:
+            if t:
+                record.flush(t - BLOCK, BLOCK)
+            k = min(BLOCK, n - t)
+            # row j: w of sample t + j, then v and the attack of sample t + j + 1
+            z = rng.standard_normal((k, 2, dim))
+            noise = {q: _truncated_gaussian(z, step.sigma, step.bound)}
+            mode_noise = noise[q]
+            gammas = attack.gamma_rows(t + 1, k, h, dim) if attack else np.zeros((k, dim))
         now = t * h
-        r = y - x_est
-        steady = steady_timer >= model.dwell_time
-        if steady:
-            r_norm = float(np.max(np.abs(r)))
-            max_residual = max(max_residual, r_norm)
-            max_error = max(max_error, float(np.max(np.abs(x - x_est))))
-            if r_norm > threshold and first_baseline is None:
-                first_baseline = now
-        u = config.controller.control(y, now)
-        fired = _fired_transition(model, q, x)
-        event = (fired.input_event, fired.output_event) if fired is not None else None
-        report = detector.evaluate(t, node, steady, x_est, r, event)
-        if steady:
-            max_volume = max(max_volume, report.volume)
-        if report.alarm and first_conflict is None:
-            kind = "A" if report.conflict_a else ("B" if report.conflict_b else "C")
-            first_conflict = ConflictAlarm(time=now, kind=kind, mode=report.estimated_mode)
-        if (
-            config.safety is not None
-            and violation is None
-            and config.safety.violated(x)
-        ):
-            violation = SafetyViolation(time=now, state=tuple(x.tolist()))
-
-        if rows is not None:
-            rows.append(
-                (now, x.copy(), y.copy(), x_est.copy(), r.copy(), q, node, steady)
-                + (report.warming_up, report.conflict_a, report.conflict_b, report.conflict_c)
-                + (report.alarm, report.volume)
+        steady = steady_timer >= dwell
+        u = np.asarray(control(y, now), dtype=float)
+        if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
+            raise ValueError(
+                f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
             )
+        state = x.tolist()
+        fired = None
+        for axis, sign, guard_at, tr in step.guards:
+            if sign * (state[axis] - guard_at) >= 0.0:
+                fired = tr
+                break
+        if safety is not None and violation is None and safety.violated(x):
+            violation = SafetyViolation(time=now, state=tuple(state))
+
+        xs_buf[i] = x
+        ys_buf[i] = y
+        est_buf[i] = x_est
+        steady_buf[i] = steady
+        modes_buf[i] = q
+        nodes_buf[i] = node
+        events_buf[i] = None
 
         if fired is not None:
+            pair = (fired.input_event, fired.output_event)
+            events_buf[i] = pair
             events.append(
                 EventRecord(
                     sample=t,
@@ -365,22 +520,24 @@ def simulate(
                     target=fired.target,
                     input_event=fired.input_event,
                     output_event=fired.output_event,
-                    state=tuple(x.tolist()),
+                    state=tuple(state),
                 )
             )
             if fired.output_event in config.stop_events:
                 stop_event = fired.output_event
                 break
 
-        w = _truncated_gaussian(rng, model.dynamics(q).w_bounds)
-        dyn = model.dynamics(q)
-        x = dyn.a @ x + dyn.b @ u + w
+        x = step.a @ x + step.b @ u + mode_noise[i, 0]
 
-        predict_mode = node[0]
+        predict = steps[node[0]]
         if fired is not None:
             q = fired.target
+            step = steps[q]
+            mode_noise = noise.get(q)
+            if mode_noise is None:
+                mode_noise = noise[q] = _truncated_gaussian(z, step.sigma, step.bound)
             try:
-                node = step_discrete(observer, node, (fired.input_event, fired.output_event))
+                node = step_discrete(observer, node, pair)
             except DiscreteInconsistencyError:
                 inconsistency_time = (t + 1) * h
                 break
@@ -388,12 +545,10 @@ def simulate(
         else:
             steady_timer += 1
 
-        v = _truncated_gaussian(rng, model.dynamics(q).v_bounds)
-        gamma = config.attack.gamma(t + 1, h, dim) if config.attack else np.zeros(dim)
-        y = x + v + gamma
-        estimate = step_continuous(bank, model, predict_mode, x_est, u, y, steady_timer)
-        x_est = np.array(estimate.state)
+        y = x + mode_noise[i, 1] + gammas[i]
+        x_est = step_continuous(predict.a, predict.b, predict.gain, x_est, u, y)
 
+    record.flush(t - i, i + 1)
     summary = SimulationSummary(
         seed=config.seed,
         completed=inconsistency_time is None,
@@ -401,43 +556,22 @@ def simulate(
         samples=t + 1,
         stop_event=stop_event,
         events=tuple(events),
-        first_conflict=first_conflict,
-        first_baseline_alarm=first_baseline,
+        first_conflict=record.first_conflict,
+        first_baseline_alarm=record.first_baseline,
         baseline_threshold=threshold,
         safety_violation=violation,
         dwell_ok=bool(check_dwell(model, [e.sample for e in events])),
         discrete_inconsistency=inconsistency_time,
-        max_residual=max_residual,
-        max_estimation_error=max_error,
-        max_volume=max_volume,
+        max_residual=record.max_residual,
+        max_estimation_error=record.max_error,
+        max_volume=record.max_volume,
     )
-    if rows is None:
-        return SimulationResult(summary=summary, trace=None)
-    times, xs, ys, ests, rs, modes, nodes, steadies, warm, ca, cb, cc, alarms, vols = zip(*rows)
-    trace = Trace(
-        times=np.array(times),
-        x_true=np.array(xs),
-        y=np.array(ys),
-        x_est=np.array(ests),
-        residual=np.array(rs),
-        mode_true=modes,
-        node=nodes,
-        steady=np.array(steadies, dtype=bool),
-        warming_up=np.array(warm, dtype=bool),
-        conflict_a=np.array(ca, dtype=bool),
-        conflict_b=np.array(cb, dtype=bool),
-        conflict_c=np.array(cc, dtype=bool),
-        alarm=np.array(alarms, dtype=bool),
-        volume=np.array(vols),
-    )
-    return SimulationResult(summary=summary, trace=trace)
+    return SimulationResult(summary=summary, trace=record.trace() if keep_trace else None)
 
 
 def residual_baseline(trace: Trace, threshold: float) -> float | None:
     """First settled sample whose residual norm exceeds the threshold."""
-    norms = np.max(np.abs(trace.residual), axis=1)
-    hits = np.flatnonzero(trace.steady & (norms > threshold))
-    return float(trace.times[hits[0]]) if hits.size else None
+    return _first_baseline(trace.times, trace.steady, trace.residual, threshold)
 
 
 def sweep(

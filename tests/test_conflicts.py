@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from loop_reference import reference_verdict
 from lp_reference import box_distance, corner_box, touching_box
 
 from hybridmon import (
@@ -295,6 +296,105 @@ class TestHorizonTable:
         _, reach_set = _reference_reach(model, 1, x_est, residual)
         assert box_distance(reach_set, model.invariant(1).intervals) <= 1e-9
         assert not self._evaluate(model, 1, x_est, residual).conflict_c
+
+
+TG_NODES = ((1,), (2,), (3,), (1, 2, 3), (2, 3))
+TG_EVENTS = (None, ("c_down", "s_1"), ("c_up", "s_2"), ("c_next", "s_3"), ("c_up", "s_1"))
+# positions anywhere on the track, or near a guard, where slabs and faces decide
+TG_POSITIONS = st.one_of(
+    st.floats(-5.0, 85.0), *(st.floats(g - 1.0, g + 1.0) for g in (45.0, 75.0, 80.0))
+)
+
+
+@st.composite
+def tg_block(draw):
+    """Train-gate rows: every node kind, settled or not, with and without events."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(TG_NODES),
+                st.booleans(),
+                st.sampled_from(TG_EVENTS),
+                TG_POSITIONS,
+                st.floats(-0.5, 2.0),
+                st.floats(-0.4, 0.4),
+                st.floats(-0.4, 0.4),
+            ),
+            min_size=1,
+            max_size=140,
+        )
+    )
+    nodes, steady, events, px, vx, r0, r1 = zip(*rows)
+    return nodes, np.array(steady), np.column_stack([px, vx]), np.column_stack([r0, r1]), events
+
+
+@st.composite
+def mode_block(draw):
+    """Rows of one random 2-D or 3-D mode, zero-noise and flat invariants included."""
+    model, delta, x_est, residual = draw(horizon_case())
+    n = model.dim
+    k = draw(st.integers(1, 12))
+    offsets = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=k * n, max_size=k * n)))
+    scales = np.array(draw(st.lists(st.floats(0.0, 1.5), min_size=k * n, max_size=k * n)))
+    steady = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    centers = np.asarray(x_est) + offsets.reshape(k, n)
+    residuals = np.asarray(residual) * scales.reshape(k, n)
+    detector = Detector(model, regions=decompose_regions(model), deltas={1: delta})
+    return detector, ((1,),) * k, steady, centers, residuals, (None,) * k
+
+
+def _assert_block_equals_rows(detector, nodes, steady, centers, residuals, events):
+    rows = detector.evaluate_rows(nodes, steady, centers, residuals, events)
+    for i, node in enumerate(nodes):
+        args = (node, steady[i], centers[i], residuals[i], events[i])
+        one = detector.evaluate(i, *args)
+        mode, warming, a, b, c, vol = reference_verdict(detector, *args)
+        assert (
+            rows.estimated_mode[i],
+            rows.warming_up[i],
+            rows.conflict_a[i],
+            rows.conflict_b[i],
+            rows.conflict_c[i],
+        ) == (one.estimated_mode, one.warming_up, one.conflict_a, one.conflict_b, one.conflict_c)
+        assert (one.estimated_mode, one.warming_up, one.conflict_a, one.conflict_b) == (
+            mode,
+            warming,
+            a,
+            b,
+        )
+        assert one.conflict_c == c
+        assert rows.volume[i].tobytes() == np.float64(one.volume).tobytes()
+        assert np.float64(vol).tobytes() == np.float64(one.volume).tobytes()
+
+
+class TestEvaluateRows:
+    """A block's verdicts are its rows' verdicts, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tg_block())
+    def test_train_gate_block(self, tg_machinery, block):
+        _assert_block_equals_rows(tg_machinery[0], *block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mode_block())
+    def test_random_mode_block(self, block):
+        _assert_block_equals_rows(*block)
+
+    def test_fallback_mode_block(self):
+        # sigma = 0 with a zero-width invariant axis has no table
+        model = _one_mode([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0], [0.1, 0.1], [(0.0, 1.0), (0.5, 0.5)])
+        detector = Detector(model, regions=decompose_regions(model), deltas={1: 2})
+        assert detector._tables[1] is None
+        centers = np.array([[0.5, 0.5], [0.2, 0.5], [3.0, 0.5]])
+        _assert_block_equals_rows(
+            detector, ((1,),) * 3, np.ones(3, dtype=bool), centers, np.zeros((3, 2)), (None,) * 3
+        )
+
+    def test_shape_mismatch_rejected(self, tg_machinery):
+        with pytest.raises(ValueError, match="do not match"):
+            tg_machinery[0].evaluate_rows(
+                ((1,),), np.array([True]), np.zeros((1, 2)), np.zeros((1, 3)), (None,)
+            )
 
 
 class TestEventCheck:

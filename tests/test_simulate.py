@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from loop_reference import reference_simulate
 
 from hybridmon import (
     AttackSpec,
@@ -17,13 +18,23 @@ from hybridmon import (
     ScenarioConfig,
     ZoneController,
     ZoneSpeedLimit,
+    Detector,
+    build_observer,
     classify_fdia,
+    extract_fsm,
+    parse_model,
     residual_baseline,
     simulate,
     sweep,
+    synthesize_gains,
 )
 from hybridmon.observer import ObserverFsm
-from hybridmon.simulate import baseline_threshold, write_trace_csv, write_trace_jsonl
+from hybridmon.simulate import (
+    BLOCK,
+    baseline_threshold,
+    write_trace_csv,
+    write_trace_jsonl,
+)
 from hybridmon.train_gate import (
     FAST_SPEED,
     GATE_POSITION,
@@ -56,6 +67,19 @@ class TestAttackSpec:
     def test_custom_needs_samples(self):
         with pytest.raises(ValueError, match="sample sequence"):
             AttackSpec(axes=(0,), kind="custom")
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("slope", dict(kind="ramp", slope=float("nan"))),
+            ("magnitude", dict(kind="step", magnitude=float("inf"))),
+            ("start_time", dict(kind="ramp", start_time=float("nan"))),
+            (r"samples\[1\]", dict(kind="custom", samples=(0.1, float("-inf")))),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"attack {field} must be finite"):
+            AttackSpec(axes=(0,), **kwargs)
 
     def test_ramp_profile(self):
         spec = AttackSpec(axes=(0,), kind="ramp", slope=0.02, start_time=1.5)
@@ -158,6 +182,24 @@ class TestSimulateValidation:
         config = dataclasses.replace(train_gate_scenario(), duration=0.04)
         with pytest.raises(ValueError, match="duration"):
             simulate(config)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_controller_output_stops_the_run(self, tg_machinery):
+        # the check runs before the NaN reaches any array operation, so
+        # NumPy has nothing to warn about first
+        class NanAt:
+            calls = 0
+
+            def control(self, y, t):
+                self.calls += 1
+                return np.array([np.nan if self.calls == 41 else 0.5])
+
+        detector, bank, observer = tg_machinery
+        controller = NanAt()
+        config = dataclasses.replace(train_gate_scenario(duration=30.0), controller=controller)
+        with pytest.raises(ValueError, match="controller output .* at 4.0 s"):
+            simulate(config, detector=detector, bank=bank, observer=observer)
+        assert controller.calls == 41
 
 
 class TestReproducibility:
@@ -458,3 +500,120 @@ class TestTraceWriters:
 
     def test_trace_length_matches_summary(self, nominal_run):
         assert len(nominal_run.trace) == nominal_run.summary.samples
+
+
+# monbench/nd_actuator.json: the crossing with an actuator state, so that the
+# horizon sets are neither boxes nor polygons
+ND_ACTUATOR = {
+    "states": [
+        {
+            "id": q,
+            "A": [[1.0, 0.1, 0.0], [0.0, 0.95, 0.05], [0.0, 0.0, 0.8]],
+            "B": [[0.0], [0.0], [0.2]],
+            "invariant": invariant,
+        }
+        for q, invariant in (
+            (1, [[0.0, 46.0], [0.0, 1.5], [0.0, 1.5]]),
+            (2, [[45.0, 76.0], [0.0, 0.6], [0.0, 0.4]]),
+            (3, [[75.0, 80.0], [0.0, 1.5], [0.0, 1.5]]),
+        )
+    ],
+    "events": [
+        {"id": name, "kind": kind, "observable": True}
+        for name, kind in (
+            ("c_down", "input"), ("s_1", "output"), ("c_up", "input"),
+            ("s_2", "output"), ("c_next", "input"), ("s_3", "output"),
+        )
+    ],
+    "transitions": [
+        {"source": 1, "input_event": "c_down", "output_event": "s_1", "target": 2,
+         "guard": {"axis": 0, "sign": 1, "threshold": 45.0}},
+        {"source": 2, "input_event": "c_up", "output_event": "s_2", "target": 3,
+         "guard": {"axis": 0, "sign": 1, "threshold": 75.0}},
+        {"source": 3, "input_event": "c_next", "output_event": "s_3", "target": 1,
+         "guard": {"axis": 0, "sign": 1, "threshold": 80.0}},
+    ],
+    "noise": {"w": [0.01, 0.01, 0.01], "v": [0.1, 0.1, 0.1]},
+    "input_bound": 1.0,
+    "sampling_period": 0.1,
+    "dwell_time": 15,
+    "theta": 0.05,
+}
+
+
+def _nd_scenario(seed, slope=None, w=None):
+    doc = dict(ND_ACTUATOR, noise={"w": w or ND_ACTUATOR["noise"]["w"], "v": [0.1] * 3})
+    attack = None if slope is None else ramp_attack(slope)
+    config = train_gate_scenario(seed=seed, duration=70.0, attack=attack, model=parse_model(doc))
+    return dataclasses.replace(config, initial_state=(0.0, 0.0, 0.0))
+
+
+def _mute(config):
+    # no observer transitions: the first event pair is inconsistent
+    return config, ObserverFsm(root=(1, 2, 3), nodes=frozenset({(1, 2, 3)}), transitions={})
+
+
+LOOP_CASES = {
+    **{f"nominal-{seed}": lambda seed=seed: train_gate_scenario(seed=seed) for seed in (0, 1, 5)},
+    **{
+        f"ramp{slope}": lambda slope=slope: train_gate_scenario(seed=2, attack=ramp_attack(slope))
+        for slope in (0.025, -0.06, 0.08)
+    },
+    "step-baseline": lambda: train_gate_scenario(
+        seed=3, attack=AttackSpec(axes=(0,), kind="step", magnitude=1.0, start_time=1.5)
+    ),
+    "custom": lambda: train_gate_scenario(
+        seed=4,
+        attack=AttackSpec(
+            axes=(0, 1),
+            kind="custom",
+            samples=tuple(0.01 * (j % 7 - 3) for j in range(300)),
+            start_time=2.0,
+        ),
+    ),
+    "nd-nominal": lambda: _nd_scenario(6),
+    "nd-ramp": lambda: _nd_scenario(7, slope=0.06),
+    "nd-ramp-falling": lambda: _nd_scenario(8, slope=-0.06),
+    # a noise bound of zero: every draw on that axis clips to +0.0
+    "nd-noiseless-actuator": lambda: _nd_scenario(9, w=[0.01, 0.01, 0.0]),
+    "inconsistency": lambda: _mute(train_gate_scenario(seed=0)),
+    **{
+        f"samples-{k}": lambda k=k: train_gate_scenario(seed=k, duration=k / 10)
+        for k in (1, 127, 128, 129, 257)
+    },
+    # from 34.7 m, seed 0 reaches the 45 m sensor at sample 127
+    "stop-on-block-end": lambda: dataclasses.replace(
+        train_gate_scenario(seed=0, duration=30.0),
+        initial_state=(34.7, 0.0),
+        stop_events=frozenset({"s_1"}),
+    ),
+}
+
+
+class TestBlockLoop:
+    """`simulate` against the per-sample loop it replaced (loop_reference.py)."""
+
+    @pytest.mark.parametrize("name", sorted(LOOP_CASES))
+    def test_matches_per_sample_loop(self, name, tmp_path):
+        config = LOOP_CASES[name]()
+        config, observer = config if isinstance(config, tuple) else (config, None)
+        model = config.model
+        detector, bank = Detector(model), synthesize_gains(model)
+        observer = observer or build_observer(extract_fsm(model))
+        got = simulate(config, detector=detector, bank=bank, observer=observer)
+        want = reference_simulate(config, detector, bank, observer)
+        assert got.summary == want.summary
+        if name == "stop-on-block-end":
+            assert got.summary.samples == BLOCK and got.summary.stop_event == "s_1"
+        if name == "inconsistency":
+            assert got.summary.discrete_inconsistency is not None
+        for writer, suffix in ((write_trace_csv, "csv"), (write_trace_jsonl, "jsonl")):
+            writer(got.trace, str(tmp_path / f"got.{suffix}"))
+            writer(want.trace, str(tmp_path / f"want.{suffix}"))
+            assert (tmp_path / f"got.{suffix}").read_bytes() == (
+                tmp_path / f"want.{suffix}"
+            ).read_bytes()
+        summary_only = simulate(
+            config, keep_trace=False, detector=detector, bank=bank, observer=observer
+        )
+        assert summary_only.summary == want.summary
