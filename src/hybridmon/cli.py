@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -144,16 +145,28 @@ def _summary_lines(summary: SimulationSummary, model: HybridAutomaton) -> list[s
     return lines
 
 
+_TRACE_WRITERS = {".csv": write_trace_csv, ".jsonl": write_trace_jsonl}
+
+
+def _trace_writer(out: str):
+    """The writer for a trace path, refused before the run if it cannot be written."""
+    suffix = os.path.splitext(out)[1]
+    if suffix not in _TRACE_WRITERS:
+        raise ValueError(f"--out {out!r} must end in .csv or .jsonl")
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out directory {directory!r} does not exist")
+    return _TRACE_WRITERS[suffix]
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     model = _load(args.model)
     attack = parse_attack(args.attack) if args.attack else None
     config = _scenario(args.model, model, args.seed, args.duration, attack)
+    write = _trace_writer(args.out) if args.out else None
     result = simulate(config)
-    if args.out:
-        if args.out.endswith(".jsonl"):
-            write_trace_jsonl(result.trace, args.out)
-        else:
-            write_trace_csv(result.trace, args.out)
+    if write is not None:
+        write(result.trace, args.out)
     for line in _summary_lines(result.summary, model):
         print(line)
     return 2 if result.summary.alarm else 0

@@ -333,18 +333,23 @@ class Detector:
         k = len(nodes)
         if centers.shape != (k, self.model.dim) or residuals.shape != centers.shape:
             raise ValueError("residual/noise dimensions do not match the estimate")
-        groups: dict[tuple[ModeId, ...], list[int]] = {}
-        for i, node in enumerate(nodes):
-            groups.setdefault(node, []).append(i)
+        if k and nodes.count(nodes[0]) == k:
+            # the usual block: one node throughout, whose rows are a slice
+            groups: dict[tuple[ModeId, ...], slice | list[int]] = {nodes[0]: slice(None)}
+        else:
+            groups = {}
+            for i, node in enumerate(nodes):
+                groups.setdefault(node, []).append(i)
         v = np.empty_like(centers)
-        for node, idx in groups.items():
-            v[idx] = self._v[node[0]] if len(node) == 1 else self._fallback_v
+        for node, rows in groups.items():
+            v[rows] = self._v[node[0]] if len(node) == 1 else self._fallback_v
         half = np.abs(residuals) + v
         lo, hi = centers - half, centers + half
-        vol = np.prod(2.0 * half, axis=1)
+        vol = (2.0 * half).prod(axis=1)
         estimated = [node[0] if len(node) == 1 else None for node in nodes]
         unexplained = np.zeros(k, dtype=bool)
-        for i, event in enumerate(events):
+        # an event pair is a non-empty tuple, so a block without events skips the scan
+        for i, event in enumerate(events if any(events) else ()):
             if event is None or not steady[i]:
                 continue
             slabs = [s for s in self._slabs.get(event, ()) if s[0] in nodes[i]]
@@ -357,26 +362,27 @@ class Detector:
         armed = np.zeros(k, dtype=bool)
         conflict_b = np.zeros(k, dtype=bool)
         conflict_c = unexplained.copy()
-        for node, idx in groups.items():
+        for node, rows in groups.items():
             if len(node) != 1:
                 continue
-            rows = np.asarray(idx)[steady[idx]]
-            if not rows.size:
+            settled = steady[rows]
+            if not np.count_nonzero(settled):
                 continue
             mode_id = node[0]
-            armed[rows] = True
+            armed[rows] = settled
             inv_lo, inv_hi = self._inv[mode_id]
-            conflict_b[rows] = (hi[rows] < inv_lo).any(axis=1) | (lo[rows] > inv_hi).any(axis=1)
+            outside = ((hi[rows] < inv_lo) | (lo[rows] > inv_hi)).any(axis=1)
+            conflict_b[rows] = settled & outside
             horizon = self._horizon.get(mode_id)
-            rows = rows[~unexplained[rows]]
-            if horizon is None or not rows.size:
+            if horizon is None:
                 continue
+            checked = settled & ~unexplained[rows]
             table = self._tables[mode_id]
             if table is not None:
-                conflict_c[rows] = table.misses(centers[rows], half[rows])
+                conflict_c[rows] |= checked & table.misses(centers[rows], half[rows])
                 continue
             invariant = tuple(zip(inv_lo, inv_hi))
-            for i in rows:
+            for i in np.arange(k)[rows][checked]:
                 reach_set = _reach_set(horizon, centers[i], half[i])
                 conflict_c[i] = not intersects_box(reach_set, invariant)
         return ConflictRows(

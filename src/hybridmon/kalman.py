@@ -5,10 +5,11 @@ error covariance to a fixed point. Noise covariances are diagonal with
 standard deviation bound/3, matching the truncated-Gaussian noise model
 (the bound is a three-sigma clip).
 
-`step_continuous` is the per-sample update: it takes the mode's A, B and
-gain as arrays and returns the new estimate, with no model lookup, copy or
-validation, because `simulate` calls it once per sample. The caller keeps
-the residual and the settling count.
+`step_continuous` is the per-sample update: it takes the mode's A and gain
+as arrays and B u as a vector, and returns the new estimate, with no model
+lookup, copy or validation, because `simulate` calls it once per sample and
+shares B u with the plant step. The caller keeps the residual and the
+settling count.
 """
 
 from __future__ import annotations
@@ -110,19 +111,19 @@ def synthesize_gains(
 
 def step_continuous(
     a: np.ndarray,
-    b: np.ndarray,
     gain: np.ndarray,
     x_est: np.ndarray,
-    u: np.ndarray,
+    bu: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """One predict/update step with a mode's A, B and gain: the updated estimate.
+    """One predict/update step with a mode's A and gain: the updated estimate.
 
-    predicted = A x_est + B u, then predicted + K (y - predicted). The
-    operation order is part of the result: reassociating it, to (I - K) A
-    say, changes the float bits of every trace.
+    bu is the mode's B times the input. predicted = A x_est + B u, then
+    predicted + K (y - predicted). The operation order is part of the
+    result: reassociating it, to (I - K) A say, changes the float bits of
+    every trace.
     """
-    predicted = a @ x_est + b @ u
+    predicted = a @ x_est + bu
     return predicted + gain @ (y - predicted)
 
 

@@ -19,11 +19,12 @@ as it comes.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -300,12 +301,16 @@ def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeS
     guards: dict[ModeId, list] = {q: [] for q in model.mode_ids}
     for tr in model.transitions:
         guards[tr.source].append((tr.guard.axis, tr.guard.sign, tr.guard.threshold, tr))
+    # modes whose B has the same bits share one array, so that the loop can
+    # tell by identity that the Kalman step's B u is the plant's
+    shared_b: dict[tuple, np.ndarray] = {}
     steps = {}
     for mode in model.modes:
         dyn = mode.dynamics
+        b = shared_b.setdefault((dyn.b.shape, dyn.b.tobytes()), dyn.b)
         bound = np.stack([dyn.w_bounds, dyn.v_bounds])
         steps[mode.mode_id] = _ModeStep(
-            dyn.a, dyn.b, bank.gains[mode.mode_id].gain, bound / 3.0, bound,
+            dyn.a, b, bank.gains[mode.mode_id].gain, bound / 3.0, bound,
             tuple(guards[mode.mode_id]),
         )
     return steps
@@ -527,9 +532,12 @@ def simulate(
                 stop_event = fired.output_event
                 break
 
-        x = step.a @ x + step.b @ u + mode_noise[i, 0]
+        bu = step.b @ u
+        x = step.a @ x + bu + mode_noise[i, 0]
 
         predict = steps[node[0]]
+        if predict.b is not step.b:
+            bu = predict.b @ u
         if fired is not None:
             q = fired.target
             step = steps[q]
@@ -546,7 +554,7 @@ def simulate(
             steady_timer += 1
 
         y = x + mode_noise[i, 1] + gammas[i]
-        x_est = step_continuous(predict.a, predict.b, predict.gain, x_est, u, y)
+        x_est = step_continuous(predict.a, predict.gain, x_est, bu, y)
 
     record.flush(t - i, i + 1)
     summary = SimulationSummary(
@@ -704,60 +712,98 @@ def _null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+# Verdict columns after the four float groups, in the order both trace formats
+# write them; they are also the CSV header names and the JSON keys.
+_VERDICT_COLUMNS = (
+    "q", "q_node", "conflict_a", "conflict_b", "conflict_c", "alarm",
+    "volume", "steady", "warming_up",
+)
+
+# what `json.dumps` writes for the floats whose repr is not JSON
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_rows(
+    trace: Trace,
+    handle: TextIO,
+    row_format: str,
+    numbers: Callable[[list[float]], Iterable[str]],
+    flags: tuple[str, str],
+    mode_cell: Callable[[ModeId], str],
+    node_cell: Callable[[Node], str],
+) -> None:
+    """Write each row of the trace as row_format % cells, one write per BLOCK rows.
+
+    A row's cells come in the column order both formats share: time, state,
+    output, estimate, residual, then `_VERDICT_COLUMNS`. `numbers` turns a
+    list of floats into cells and `flags` is the (false, true) cell pair;
+    `mode_cell` and `node_cell` encode a mode id and an observer node, once
+    per distinct value per file. Only one block of cells is alive at a time,
+    so memory stays flat whatever the trace length.
+    """
+    floats = (trace.times[:, None], trace.x_true, trace.y, trace.x_est, trace.residual)
+    labels = ((trace.mode_true, mode_cell, {}), (trace.node, node_cell, {}))
+    flag_columns = (
+        trace.conflict_a, trace.conflict_b, trace.conflict_c, trace.alarm,
+        trace.steady, trace.warming_up,
+    )
+    for lo in range(0, len(trace), BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        cells = [numbers(col.tolist()) for group in floats for col in group[rows].T]
+        for values, encode, cache in labels:
+            values = values[rows]
+            for value in set(values).difference(cache):
+                cache[value] = encode(value)
+            cells.append(map(cache.__getitem__, values))
+        flag_cells = [map(flags.__getitem__, col[rows].tolist()) for col in flag_columns]
+        cells += flag_cells[:4] + [numbers(trace.volume[rows].tolist())] + flag_cells[4:]
+        handle.write("".join(map(row_format.__mod__, zip(*cells))))
+
+
+def _csv_cell(text: str) -> str:
+    """The cell `csv.writer` writes for text inside a row, quoted if it must be."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
 def write_trace_csv(trace: Trace, path: str) -> None:
-    """Fixed column order: time, state, output, estimate, residual, modes, verdicts."""
+    """Fixed column order: time, state, output, estimate, residual, modes, verdicts.
+
+    Floats are written as their repr, flags as 0/1, the node as its mode ids
+    joined by "|", with `csv.writer`'s quoting and CRLF line ends.
+    """
     dim = trace.x_true.shape[1]
     header = (
         ["t"]
-        + [f"x_{i}" for i in range(dim)]
-        + [f"y_{i}" for i in range(dim)]
-        + [f"xest_{i}" for i in range(dim)]
-        + [f"r_{i}" for i in range(dim)]
-        + ["q", "q_node", "conflict_a", "conflict_b", "conflict_c", "alarm",
-           "volume", "steady", "warming_up"]
+        + [f"{name}_{i}" for name in ("x", "y", "xest", "r") for i in range(dim)]
+        + list(_VERDICT_COLUMNS)
     )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(len(trace)):
-            writer.writerow(
-                [repr(float(trace.times[i]))]
-                + [repr(float(value)) for value in trace.x_true[i]]
-                + [repr(float(value)) for value in trace.y[i]]
-                + [repr(float(value)) for value in trace.x_est[i]]
-                + [repr(float(value)) for value in trace.residual[i]]
-                + [
-                    str(trace.mode_true[i]),
-                    "|".join(str(m) for m in trace.node[i]),
-                    int(trace.conflict_a[i]),
-                    int(trace.conflict_b[i]),
-                    int(trace.conflict_c[i]),
-                    int(trace.alarm[i]),
-                    repr(float(trace.volume[i])),
-                    int(trace.steady[i]),
-                    int(trace.warming_up[i]),
-                ]
-            )
+        handle.write(",".join(header) + "\r\n")
+        _write_rows(
+            trace,
+            handle,
+            ",".join(["%s"] * len(header)) + "\r\n",
+            lambda values: map(repr, values),
+            ("0", "1"),
+            lambda mode: _csv_cell(str(mode)),
+            lambda node: _csv_cell("|".join(map(str, node))),
+        )
 
 
 def write_trace_jsonl(trace: Trace, path: str) -> None:
-    """Same records as the CSV, one JSON object per line."""
+    """Same records as the CSV, one JSON object per line, as `json.dumps` writes them."""
+    vector = "[" + ", ".join(["%s"] * trace.x_true.shape[1]) + "]"
+    fields = [("t", "%s")] + [(name, vector) for name in ("x", "y", "xest", "r")]
+    fields += [(name, "%s") for name in _VERDICT_COLUMNS]
     with open(path, "w") as handle:
-        for i in range(len(trace)):
-            record = {
-                "t": float(trace.times[i]),
-                "x": [float(v) for v in trace.x_true[i]],
-                "y": [float(v) for v in trace.y[i]],
-                "xest": [float(v) for v in trace.x_est[i]],
-                "r": [float(v) for v in trace.residual[i]],
-                "q": trace.mode_true[i],
-                "q_node": list(trace.node[i]),
-                "conflict_a": bool(trace.conflict_a[i]),
-                "conflict_b": bool(trace.conflict_b[i]),
-                "conflict_c": bool(trace.conflict_c[i]),
-                "alarm": bool(trace.alarm[i]),
-                "volume": float(trace.volume[i]),
-                "steady": bool(trace.steady[i]),
-                "warming_up": bool(trace.warming_up[i]),
-            }
-            handle.write(json.dumps(record) + "\n")
+        _write_rows(
+            trace,
+            handle,
+            "{" + ", ".join(f'"{name}": {cell}' for name, cell in fields) + "}\n",
+            lambda values: [_JSON_NONFINITE.get(cell, cell) for cell in map(repr, values)],
+            ("false", "true"),
+            json.dumps,
+            lambda node: json.dumps(list(node)),
+        )

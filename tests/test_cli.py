@@ -119,6 +119,24 @@ class TestRun:
         assert len(lines) == 100
         assert json.loads(lines[0])["q"] == 1
 
+    @pytest.mark.parametrize("name", ["trace.txt", "trace", "trace.csv.gz"])
+    def test_out_suffix_refused_before_the_run(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.setattr("hybridmon.cli.simulate", pytest.fail)
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, "run", "train-gate", "--out", str(path))
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: ") and ".csv" in err and ".jsonl" in err
+        assert not path.exists()
+
+    def test_out_missing_directory_refused_before_the_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("hybridmon.cli.simulate", pytest.fail)
+        path = tmp_path / "nosuch" / "trace.jsonl"
+        code, out, err = run_cli(capsys, "run", "train-gate", "--out", str(path))
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: ") and "nosuch" in err and "does not exist" in err
+
     def test_model_file_runs_generic_scenario(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(train_gate_model())))

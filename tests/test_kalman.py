@@ -117,7 +117,7 @@ class TestStepContinuous:
         u = np.array([0.5])
         y = np.array([10.2, 0.9])
         predicted = dyn.a @ x_est + dyn.b @ u
-        est = step_continuous(dyn.a, dyn.b, gain, x_est, u, y)
+        est = step_continuous(dyn.a, gain, x_est, dyn.b @ u, y)
         np.testing.assert_array_equal(est, predicted + gain @ (y - predicted))
         np.testing.assert_allclose(est, predicted + TG_GAIN @ (y - predicted), atol=1e-12)
 

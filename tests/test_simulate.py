@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from loop_reference import reference_simulate
+from trace_io_reference import reference_write_csv, reference_write_jsonl
 
 from hybridmon import (
     AttackSpec,
@@ -31,6 +33,7 @@ from hybridmon import (
 from hybridmon.observer import ObserverFsm
 from hybridmon.simulate import (
     BLOCK,
+    Trace,
     baseline_threshold,
     write_trace_csv,
     write_trace_jsonl,
@@ -548,6 +551,17 @@ def _nd_scenario(seed, slope=None, w=None):
     return dataclasses.replace(config, initial_state=(0.0, 0.0, 0.0))
 
 
+def _distinct_b_scenario(seed):
+    # mode 2 drives the actuator harder and mode 3's B differs from mode 1's
+    # only in the sign of a zero, so the Kalman step after each event needs
+    # its own B u
+    b = {1: [[0.0], [0.0], [0.2]], 2: [[0.0], [0.0], [0.3]], 3: [[-0.0], [0.0], [0.2]]}
+    states = [dict(state, B=b[state["id"]]) for state in ND_ACTUATOR["states"]]
+    model = parse_model(dict(ND_ACTUATOR, states=states))
+    config = train_gate_scenario(seed=seed, duration=70.0, model=model)
+    return dataclasses.replace(config, initial_state=(0.0, 0.0, 0.0))
+
+
 def _mute(config):
     # no observer transitions: the first event pair is inconsistent
     return config, ObserverFsm(root=(1, 2, 3), nodes=frozenset({(1, 2, 3)}), transitions={})
@@ -576,6 +590,7 @@ LOOP_CASES = {
     "nd-ramp-falling": lambda: _nd_scenario(8, slope=-0.06),
     # a noise bound of zero: every draw on that axis clips to +0.0
     "nd-noiseless-actuator": lambda: _nd_scenario(9, w=[0.01, 0.01, 0.0]),
+    "nd-distinct-b": lambda: _distinct_b_scenario(10),
     "inconsistency": lambda: _mute(train_gate_scenario(seed=0)),
     **{
         f"samples-{k}": lambda k=k: train_gate_scenario(seed=k, duration=k / 10)
@@ -617,3 +632,104 @@ class TestBlockLoop:
             config, keep_trace=False, detector=detector, bank=bank, observer=observer
         )
         assert summary_only.summary == want.summary
+
+
+WRITER_CASES = (
+    "nominal-0", "ramp-0.06", "ramp0.08", "nd-nominal", "nd-ramp", "nd-ramp-falling",
+    "samples-1", "samples-127", "samples-128", "samples-129", "samples-257",
+)
+
+SPECIAL_FLOATS = (
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+    1e16, -1e16, 1.7976931348623157e308, 0.1, 1 / 3,
+)
+
+
+def _hand_trace(k, dim, seed=0):
+    """A trace of k rows with special floats, awkward mode ids and mixed-type nodes."""
+    rng = np.random.default_rng(seed)
+
+    def floats(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+        mask = rng.random(shape) < 0.3
+        values[mask] = rng.choice(SPECIAL_FLOATS, size=int(mask.sum()))
+        return values
+
+    def flags():
+        return rng.random(k) < 0.5
+
+    modes = (1, 2, "a,b", 'q"x', "x|y", "l\nm", " pad ", "")
+    nodes = ((1,), ("a,b",), (1, "a,b", 'q"x'), ("x|y", 2), ("l\nm", ""), (" pad ",))
+    return Trace(
+        times=floats(k),
+        x_true=floats(k, dim),
+        y=floats(k, dim),
+        x_est=floats(k, dim),
+        residual=floats(k, dim),
+        mode_true=tuple(modes[j] for j in rng.integers(0, len(modes), k)),
+        node=tuple(nodes[j] for j in rng.integers(0, len(nodes), k)),
+        steady=flags(),
+        warming_up=flags(),
+        conflict_a=flags(),
+        conflict_b=flags(),
+        conflict_c=flags(),
+        alarm=flags(),
+        volume=floats(k),
+    )
+
+
+WRITERS = (
+    (write_trace_csv, reference_write_csv, "csv"),
+    (write_trace_jsonl, reference_write_jsonl, "jsonl"),
+)
+
+
+def _assert_same_bytes(trace, directory):
+    for writer, reference, suffix in WRITERS:
+        got, want = directory / f"got.{suffix}", directory / f"want.{suffix}"
+        writer(trace, str(got))
+        reference(trace, str(want))
+        assert got.read_bytes() == want.read_bytes(), suffix
+
+
+class TestBlockWriters:
+    """The block writers against the per-row writers they replaced (trace_io_reference.py)."""
+
+    @pytest.mark.parametrize("name", WRITER_CASES)
+    def test_simulated_traces(self, name, tmp_path):
+        config = LOOP_CASES[name]()
+        trace = simulate(config).trace
+        if name.startswith("samples-"):
+            assert len(trace) == int(name.split("-")[1])
+        _assert_same_bytes(trace, tmp_path)
+
+    @pytest.mark.parametrize("k, dim", [(1, 1), (6, 2), (BLOCK, 3), (2 * BLOCK + 1, 2)])
+    def test_special_floats_and_labels(self, k, dim, tmp_path):
+        _assert_same_bytes(_hand_trace(k, dim, seed=k), tmp_path)
+
+    def test_all_special_floats_in_one_row(self, tmp_path):
+        values = np.array(SPECIAL_FLOATS)
+        trace = dataclasses.replace(
+            _hand_trace(1, values.size),
+            x_true=values[None], y=-values[None], x_est=values[None], residual=values[None],
+        )
+        _assert_same_bytes(trace, tmp_path)
+        assert '"x": [NaN, Infinity, -Infinity, -0.0, 0.0, 5e-324, ' in (
+            tmp_path / "got.jsonl"
+        ).read_text()
+
+    def test_memory_stays_flat(self, tmp_path):
+        """A writer's peak above the live trace does not grow with its length."""
+        peaks = {}
+        for k in (2_000, 20_000):
+            trace = _hand_trace(k, 2, seed=1)
+            for writer, _, suffix in WRITERS:
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    writer(trace, str(tmp_path / f"trace.{suffix}"))
+                    peaks[k, suffix] = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+        for suffix in ("csv", "jsonl"):
+            assert peaks[20_000, suffix] < 1.5 * peaks[2_000, suffix], peaks
