@@ -45,7 +45,6 @@ from .reachability import (
     linear_map,
     separating_normals,
     sigma_sum,
-    step_bound,
 )
 
 
@@ -250,9 +249,8 @@ class Detector:
             if delta <= 0:
                 continue
             dyn = model.dynamics(mode_id)
-            a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
             a_power = np.linalg.matrix_power(dyn.a, delta)
-            sigma = sigma_sum(a_norm, delta, step_bound(model, mode_id))
+            sigma = sigma_sum(dyn.a_norm, delta, dyn.step_bound)
             self._horizon[mode_id] = (a_power, sigma)
             self._tables[mode_id] = _HorizonTable.build(a_power, sigma, inv_lo, inv_hi)
         # guard-axis slab a firing state lies in: from the guard to the

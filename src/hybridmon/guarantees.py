@@ -29,7 +29,7 @@ from .model import (
     Transition,
     decompose_regions,
 )
-from .reachability import box_zonotope, compute_all_deltas, reach, sigma_sum, step_bound
+from .reachability import box_zonotope, compute_all_deltas, reach, sigma_sum
 
 BISECT_TOL = 1e-9
 
@@ -136,6 +136,102 @@ def _reflect_model(model: HybridAutomaton, axis: int) -> HybridAutomaton:
     return replace(model, modes=tuple(modes), transitions=tuple(transitions))
 
 
+def _matching_transition(model: HybridAutomaton, transition: Transition) -> Transition:
+    for tr in model.transitions_from(transition.source):
+        if tr.input_event == transition.input_event:
+            return tr
+    raise KeyError(f"transition {transition.input_event!r} not found after reflection")
+
+
+_Mirrors = dict[int, tuple[HybridAutomaton, RegionDecomposition]]
+
+
+def _rising(
+    model: HybridAutomaton,
+    regions: RegionDecomposition,
+    transition: Transition,
+    mirrors: _Mirrors,
+) -> tuple[HybridAutomaton, RegionDecomposition, Transition]:
+    """The model, regions and transition in which the guard rises.
+
+    A falling guard is solved on the model mirrored on its axis, which
+    `mirrors` holds, with its regions, once per axis. The mirror is exact,
+    and the region decomposition breaks ties toward the lower face, which
+    negation does not preserve, so the mirrored regions are decomposed
+    afresh rather than derived by sign algebra.
+    """
+    guard = transition.guard
+    if guard.sign > 0:
+        return model, regions, transition
+    if guard.axis not in mirrors:
+        reflected = _reflect_model(model, guard.axis)
+        mirrors[guard.axis] = (reflected, decompose_regions(reflected))
+    reflected, reflected_regions = mirrors[guard.axis]
+    return reflected, reflected_regions, _matching_transition(reflected, transition)
+
+
+def _margin(model: HybridAutomaton) -> float:
+    """Measurement uncertainty margin theta + 2 v."""
+    return model.theta + 2.0 * _scalar_v(model)
+
+
+def _epsilon(model: HybridAutomaton, transition: Transition) -> float:
+    """`facet_epsilon` of a rising guard."""
+    guard = transition.guard
+    lo, hi = model.invariant(transition.source).bounds()
+    lo[guard.axis] = hi[guard.axis] = guard.threshold
+    hull_lo, hull_hi = reach(
+        model, transition.source, box_zonotope(lo, hi), 1
+    ).interval_hull()
+    return float(hull_hi[guard.axis])
+
+
+def _z_star(
+    model: HybridAutomaton, transition: Transition, epsilon: float, margin: float
+) -> float:
+    """`solve_z_star` of a rising guard whose `facet_epsilon` is epsilon."""
+    guard = transition.guard
+    c_g = guard.threshold
+    if epsilon < c_g:
+        raise EmptyGeometryError(
+            f"one-step overshoot tops out at {epsilon}, below the guard {c_g}"
+        )
+    lo, hi = model.invariant(transition.source).bounds()
+    lo[guard.axis] = max(lo[guard.axis], c_g)
+    hi[guard.axis] = min(hi[guard.axis], epsilon)
+    if lo[guard.axis] > hi[guard.axis]:
+        raise EmptyGeometryError("overshoot slab misses the source invariant")
+    dyn_t = model.dynamics(transition.target)
+    return max(0.0, box_max(dyn_t.a[guard.axis], lo, hi) + dyn_t.step_bound + margin - c_g)
+
+
+def _d_star(
+    model: HybridAutomaton,
+    regions: RegionDecomposition,
+    transition: Transition,
+    delta_q: int,
+    margin: float,
+) -> float:
+    """`solve_d_star` of a rising guard."""
+    guard = transition.guard
+    dyn = model.dynamics(transition.source)
+    a_row = np.linalg.matrix_power(dyn.a, delta_q)[guard.axis]
+    coefficient = float(a_row[guard.axis])
+    if coefficient < 0.0:
+        raise NoGuaranteeError(
+            f"mode {transition.source!r}, guard {transition.input_event!r} on axis "
+            f"{guard.axis}: the horizon-step coefficient A^{delta_q}[{guard.axis}, "
+            f"{guard.axis}] = {coefficient!r} is negative, so the band minimum "
+            "is not monotone in the offset and bisection cannot find d*"
+        )
+    sigma = sigma_sum(dyn.a_norm, delta_q, dyn.step_bound)
+    inv_lo, inv_hi = model.invariant(transition.source).bounds()
+    c_l = regions.neighbor_values[(transition.source, transition.input_event)]
+    return _d_star_raw(
+        a_row, inv_lo, inv_hi, guard.axis, guard.threshold, c_l, sigma, margin
+    )
+
+
 def facet_epsilon(model: HybridAutomaton, transition: Transition) -> float:
     """Farthest coordinate past the guard one step after it fires.
 
@@ -145,21 +241,8 @@ def facet_epsilon(model: HybridAutomaton, transition: Transition) -> float:
     guard = transition.guard
     if guard.sign < 0:
         reflected = _reflect_model(model, guard.axis)
-        tr = _matching_transition(reflected, transition)
-        return -facet_epsilon(reflected, tr)
-    lo, hi = model.invariant(transition.source).bounds()
-    lo[guard.axis] = hi[guard.axis] = guard.threshold
-    hull_lo, hull_hi = reach(
-        model, transition.source, box_zonotope(lo, hi), 1
-    ).interval_hull()
-    return float(hull_hi[guard.axis])
-
-
-def _matching_transition(model: HybridAutomaton, transition: Transition) -> Transition:
-    for tr in model.transitions_from(transition.source):
-        if tr.input_event == transition.input_event:
-            return tr
-    raise KeyError(f"transition {transition.input_event!r} not found after reflection")
+        return -_epsilon(reflected, _matching_transition(reflected, transition))
+    return _epsilon(model, transition)
 
 
 def solve_z_star(
@@ -173,28 +256,8 @@ def solve_z_star(
     axis, plus one step of input and noise inflation and the measurement
     margin, minus the guard threshold; floored at zero.
     """
-    guard = transition.guard
-    if guard.sign < 0:
-        reflected = _reflect_model(model, guard.axis)
-        return solve_z_star(
-            reflected, decompose_regions(reflected), _matching_transition(reflected, transition)
-        )
-    c_g = guard.threshold
-    epsilon = facet_epsilon(model, transition)
-    if epsilon < c_g:
-        raise EmptyGeometryError(
-            f"one-step overshoot tops out at {epsilon}, below the guard {c_g}"
-        )
-    lo, hi = model.invariant(transition.source).bounds()
-    lo[guard.axis] = max(lo[guard.axis], c_g)
-    hi[guard.axis] = min(hi[guard.axis], epsilon)
-    if lo[guard.axis] > hi[guard.axis]:
-        raise EmptyGeometryError("overshoot slab misses the source invariant")
-    dyn_t = model.dynamics(transition.target)
-    a_row = dyn_t.a[guard.axis]
-    sigma = step_bound(model, transition.target)
-    margin = model.theta + 2.0 * _scalar_v(model)
-    return max(0.0, box_max(a_row, lo, hi) + sigma + margin - c_g)
+    model, _, transition = _rising(model, regions, transition, {})
+    return _z_star(model, transition, _epsilon(model, transition), _margin(model))
 
 
 def _d_star_raw(
@@ -211,9 +274,9 @@ def _d_star_raw(
 
     The band pins the guard axis to [c_g + d - margin, c_g + d + margin];
     an offset whose band misses the invariant entirely proves nothing and
-    fails. The band minimum is nondecreasing in d (the guard-axis
-    coefficient of the horizon-step matrix is nonnegative in the systems
-    handled here), so the least satisfying d is found by bisection.
+    fails. The band minimum is nondecreasing in d when the guard-axis
+    coefficient a_row[axis] is nonnegative, which the caller checks, so the
+    least satisfying d is found by bisection.
     """
 
     def band_min(d: float) -> float | None:
@@ -251,26 +314,13 @@ def solve_d_star(
     transition: Transition,
     delta_q: int,
 ) -> float:
-    """Horizon-arm threshold for one guard; +inf when no offset works."""
-    guard = transition.guard
-    if guard.sign < 0:
-        reflected = _reflect_model(model, guard.axis)
-        return solve_d_star(
-            reflected,
-            decompose_regions(reflected),
-            _matching_transition(reflected, transition),
-            delta_q,
-        )
-    dyn = model.dynamics(transition.source)
-    a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
-    sigma = sigma_sum(a_norm, delta_q, step_bound(model, transition.source))
-    a_row = np.linalg.matrix_power(dyn.a, delta_q)[guard.axis]
-    inv_lo, inv_hi = model.invariant(transition.source).bounds()
-    c_l = regions.neighbor_values[(transition.source, transition.input_event)]
-    margin = model.theta + 2.0 * _scalar_v(model)
-    return _d_star_raw(
-        a_row, inv_lo, inv_hi, guard.axis, guard.threshold, c_l, sigma, margin
-    )
+    """Horizon-arm threshold for one guard; +inf when no offset works.
+
+    Raises NoGuaranteeError when the guard-axis coefficient of A^delta_q is
+    negative, since the bisection behind d* needs it nonnegative.
+    """
+    model, regions, transition = _rising(model, regions, transition, {})
+    return _d_star(model, regions, transition, delta_q, _margin(model))
 
 
 def state_guarantees(
@@ -278,19 +328,27 @@ def state_guarantees(
     regions: RegionDecomposition | None = None,
     deltas: Mapping[ModeId, int] | None = None,
 ) -> dict[ModeId, GuaranteeBound]:
-    """Solve both arms for every guard and aggregate per state."""
+    """Solve both arms for every guard and aggregate per state.
+
+    Each guard gives the values of `solve_z_star`, `solve_d_star` and
+    `facet_epsilon`, from one epsilon per guard and one mirrored model per
+    falling guard axis.
+    """
     if regions is None:
         regions = decompose_regions(model)
     if deltas is None:
         deltas = compute_all_deltas(model, regions)
     out: dict[ModeId, GuaranteeBound] = {}
-    margin = model.theta + 2.0 * _scalar_v(model)
+    margin = _margin(model)
+    mirrors: _Mirrors = {}
     for mode_id in model.mode_ids:
         guards = []
         for tr in model.transitions_from(mode_id):
-            z = solve_z_star(model, regions, tr)
+            view, view_regions, view_tr = _rising(model, regions, tr, mirrors)
+            epsilon = _epsilon(view, view_tr)
+            z = _z_star(view, view_tr, epsilon, margin)
             d = (
-                solve_d_star(model, regions, tr, deltas[mode_id])
+                _d_star(view, view_regions, view_tr, deltas[mode_id], margin)
                 if deltas[mode_id] > 0
                 else math.inf
             )
@@ -299,7 +357,7 @@ def state_guarantees(
                     input_event=tr.input_event,
                     z_star=z,
                     d_star=d,
-                    epsilon=facet_epsilon(model, tr),
+                    epsilon=epsilon if tr.guard.sign > 0 else -epsilon,
                 )
             )
         z_arm = max((g.z_star for g in guards), default=None)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import HybridAutomaton, ModeId
+from .model import HybridAutomaton, LtiDynamics, ModeId
 
 RICCATI_TOL = 1e-9
 RICCATI_MAX_ITER = 100_000
@@ -66,47 +66,60 @@ def synthesize_gains(
     tol: float = RICCATI_TOL,
     max_iter: int = RICCATI_MAX_ITER,
 ) -> KalmanBank:
-    """Iterate the Riccati recursion per mode and check closed-loop stability.
+    """Iterate the Riccati recursion per distinct dynamics and check stability.
 
     With the identity output map the update is K = P (P + R)^-1 on the
     predicted covariance P, followed by P+ = A (P - K P) A' + Q. The result
-    is deterministic for a given model.
+    is deterministic for a given model. Modes whose A, w and v bounds are
+    equal bit for bit (so 0.0 and -0.0 differ) share one solve and one
+    `KalmanGain`; a solve's errors name the first mode that needs it.
     """
     gains: dict[ModeId, KalmanGain] = {}
+    solved: dict[tuple, KalmanGain] = {}
     for mode in model.modes:
         dyn = mode.dynamics
-        n = dyn.dim
-        q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
-        r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
-        p = q_cov.copy()
-        increment = np.inf
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            k = p @ np.linalg.inv(p + r_cov)
-            p_next = dyn.a @ (p - k @ p) @ dyn.a.T + q_cov
-            increment = float(np.max(np.abs(p_next - p)))
-            p = p_next
-            if increment < tol:
-                break
-        else:
-            raise RiccatiError(
-                f"mode {mode.mode_id!r}: Riccati iteration did not converge "
-                f"within {max_iter} steps (last increment {increment:.3e})"
-            )
-        k = p @ np.linalg.inv(p + r_cov)
-        closed = (np.eye(n) - k) @ dyn.a
-        radius = float(np.max(np.abs(np.linalg.eigvals(closed)))) if n else 0.0
-        if radius >= 1.0:
-            raise GainInstabilityError(
-                f"mode {mode.mode_id!r}: closed-loop spectral radius {radius:.6g} >= 1"
-            )
-        gains[mode.mode_id] = KalmanGain(
-            gain=k,
-            predicted_covariance=p,
-            iterations=iterations,
-            final_increment=increment,
-        )
+        key = (dyn.a.shape, dyn.a.tobytes(), dyn.w_bounds.tobytes(), dyn.v_bounds.tobytes())
+        if key not in solved:
+            solved[key] = _solve_riccati(mode.mode_id, dyn, tol, max_iter)
+        gains[mode.mode_id] = solved[key]
     return KalmanBank(gains=gains)
+
+
+def _solve_riccati(
+    mode_id: ModeId, dyn: LtiDynamics, tol: float, max_iter: int
+) -> KalmanGain:
+    """Riccati fixed point and gain of one dynamics; errors name mode_id."""
+    n = dyn.dim
+    q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
+    r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
+    p = q_cov.copy()
+    increment = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        k = p @ np.linalg.inv(p + r_cov)
+        p_next = dyn.a @ (p - k @ p) @ dyn.a.T + q_cov
+        increment = float(np.max(np.abs(p_next - p)))
+        p = p_next
+        if increment < tol:
+            break
+    else:
+        raise RiccatiError(
+            f"mode {mode_id!r}: Riccati iteration did not converge "
+            f"within {max_iter} steps (last increment {increment:.3e})"
+        )
+    k = p @ np.linalg.inv(p + r_cov)
+    closed = (np.eye(n) - k) @ dyn.a
+    radius = float(np.max(np.abs(np.linalg.eigvals(closed)))) if n else 0.0
+    if radius >= 1.0:
+        raise GainInstabilityError(
+            f"mode {mode_id!r}: closed-loop spectral radius {radius:.6g} >= 1"
+        )
+    return KalmanGain(
+        gain=k,
+        predicted_covariance=p,
+        iterations=iterations,
+        final_increment=increment,
+    )
 
 
 def step_continuous(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -144,6 +145,17 @@ class LtiDynamics:
     @property
     def v_norm(self) -> float:
         return float(np.max(self.v_bounds)) if self.v_bounds.size else 0.0
+
+    @cached_property
+    def a_norm(self) -> float:
+        """||A|| in the infinity norm, the largest absolute row sum."""
+        return float(np.max(np.sum(np.abs(self.a), axis=1)))
+
+    @cached_property
+    def step_bound(self) -> float:
+        """Per-step inflation radius of a reach set: ||B|| mu + w, infinity norms."""
+        b_norm = float(np.max(np.sum(np.abs(self.b), axis=1))) if self.b.size else 0.0
+        return b_norm * self.input_bound + self.w_norm
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,7 @@ def inflate(z: Zonotope, sigma: float) -> Zonotope:
 
 def step_bound(model: HybridAutomaton, mode_id: ModeId) -> float:
     """Per-step inflation radius: ||B|| mu + w in the infinity norm."""
-    dyn = model.dynamics(mode_id)
-    b_norm = float(np.max(np.sum(np.abs(dyn.b), axis=1))) if dyn.b.size else 0.0
-    return b_norm * dyn.input_bound + dyn.w_norm
+    return model.dynamics(mode_id).step_bound
 
 
 def sigma_sum(a_norm: float, steps: int, per_step: float) -> float:
@@ -130,8 +128,7 @@ def reach(model: HybridAutomaton, mode_id: ModeId, z: Zonotope, delta: int) -> Z
     if delta == 0:
         return z
     dyn = model.dynamics(mode_id)
-    a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
-    sigma = sigma_sum(a_norm, delta, step_bound(model, mode_id))
+    sigma = sigma_sum(dyn.a_norm, delta, dyn.step_bound)
     mapped = linear_map(np.linalg.matrix_power(dyn.a, delta), z)
     return inflate(mapped, sigma)
 

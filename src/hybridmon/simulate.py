@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -95,6 +94,12 @@ class AttackSpec:
         offset = sample - start
         return self.samples[offset] if offset < len(self.samples) else 0.0
 
+    def check_axes(self, dim: int) -> None:
+        """Raise ValueError when an attacked axis lies outside a dim-dimensional output."""
+        for axis in self.axes:
+            if axis >= dim:
+                raise ValueError(f"attack axis {axis} outside a {dim}-dimensional output")
+
     def gamma(self, sample: int, sampling_period: float, dim: int) -> np.ndarray:
         """Additive output corruption vector at a sample index."""
         return self.gamma_rows(sample, 1, sampling_period, dim)[0]
@@ -103,9 +108,7 @@ class AttackSpec:
         self, first: int, count: int, sampling_period: float, dim: int
     ) -> np.ndarray:
         """Corruption vectors of samples first, ..., first + count - 1, one row each."""
-        for axis in self.axes:
-            if axis >= dim:
-                raise ValueError(f"attack axis {axis} outside a {dim}-dimensional output")
+        self.check_axes(dim)
         rows = np.zeros((count, dim))
         values = [self.magnitude_at(s, sampling_period) for s in range(first, first + count)]
         rows[:, list(self.axes)] = np.array(values)[:, None]
@@ -169,6 +172,12 @@ class ScenarioConfig:
     attack: AttackSpec | None = None
     safety: ZoneSpeedLimit | None = None
     stop_events: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        # initial_state is not checked here: callers build a config for one
+        # model and `replace` the start to fit it
+        if self.attack is not None:
+            self.attack.check_axes(self.model.dim)
 
 
 @dataclass(frozen=True)
@@ -330,11 +339,12 @@ class _Recorder:
 
     The loop writes each sample into row `t % BLOCK` of the buffers; `flush`
     hands a block to the detector and folds its verdicts into the summary
-    figures, and, when the trace is kept, appends its columns to it.
+    figures, and, when the trace is kept, writes its columns in place into
+    columns allocated for all n samples at the start.
     """
 
     def __init__(
-        self, detector: Detector, threshold: float, h: float, dim: int, keep_trace: bool
+        self, detector: Detector, threshold: float, h: float, dim: int, n: int | None
     ) -> None:
         self.detector, self.threshold, self.h = detector, threshold, h
         self.x = np.empty((BLOCK, dim))
@@ -344,7 +354,14 @@ class _Recorder:
         self.modes: list = [None] * BLOCK
         self.nodes: list = [None] * BLOCK
         self.events: list = [None] * BLOCK
-        self.chunks: list[tuple] | None = [] if keep_trace else None
+        self.columns: dict[str, np.ndarray] | None = None
+        self.mode_column: list = []
+        self.node_column: list = []
+        if n is not None:
+            flags = ("steady", "warming_up", "conflict_a", "conflict_b", "conflict_c", "alarm")
+            self.columns = {name: np.empty((n, dim)) for name in ("x_true", "y", "x_est", "residual")}
+            self.columns.update({name: np.empty(n) for name in ("times", "volume")})
+            self.columns.update({name: np.empty(n, dtype=bool) for name in flags})
         self.max_residual = 0.0
         self.max_error = 0.0
         self.max_volume = 0.0
@@ -373,32 +390,24 @@ class _Recorder:
             self.first_conflict = ConflictAlarm(
                 time=float(times[j]), kind=kind, mode=rows.estimated_mode[j]
             )
-        if self.chunks is not None:
-            self.chunks.append(
-                (times, x.copy(), y.copy(), x_est.copy(), residual, self.modes[:k], nodes)
-                + (steady.copy(), rows.warming_up, rows.conflict_a, rows.conflict_b)
-                + (rows.conflict_c, alarm, rows.volume)
-            )
+        if self.columns is not None:
+            block = {
+                "times": times, "x_true": x, "y": y, "x_est": x_est, "residual": residual,
+                "steady": steady, "warming_up": rows.warming_up, "conflict_a": rows.conflict_a,
+                "conflict_b": rows.conflict_b, "conflict_c": rows.conflict_c, "alarm": alarm,
+                "volume": rows.volume,
+            }
+            for name, values in block.items():
+                self.columns[name][first : first + k] = values
+            self.mode_column += self.modes[:k]
+            self.node_column += nodes
 
-    def trace(self) -> Trace:
-        times, xs, ys, ests, rs, modes, nodes, steadies, warm, ca, cb, cc, alarms, vols = zip(
-            *self.chunks
-        )
+    def trace(self, samples: int) -> Trace:
+        """The first `samples` rows, the samples the run reached."""
         return Trace(
-            times=np.concatenate(times),
-            x_true=np.concatenate(xs),
-            y=np.concatenate(ys),
-            x_est=np.concatenate(ests),
-            residual=np.concatenate(rs),
-            mode_true=tuple(itertools.chain.from_iterable(modes)),
-            node=tuple(itertools.chain.from_iterable(nodes)),
-            steady=np.concatenate(steadies),
-            warming_up=np.concatenate(warm),
-            conflict_a=np.concatenate(ca),
-            conflict_b=np.concatenate(cb),
-            conflict_c=np.concatenate(cc),
-            alarm=np.concatenate(alarms),
-            volume=np.concatenate(vols),
+            mode_true=tuple(self.mode_column),
+            node=tuple(self.node_column),
+            **{name: column[:samples] for name, column in self.columns.items()},
         )
 
 
@@ -468,7 +477,7 @@ def simulate(
     y = x + v + gamma0
     x_est = y.copy()
 
-    record = _Recorder(detector, threshold, h, dim, keep_trace)
+    record = _Recorder(detector, threshold, h, dim, n if keep_trace else None)
     xs_buf, ys_buf, est_buf = record.x, record.y, record.x_est
     steady_buf, modes_buf, nodes_buf, events_buf = (
         record.steady, record.modes, record.nodes, record.events,
@@ -574,7 +583,7 @@ def simulate(
         max_estimation_error=record.max_error,
         max_volume=record.max_volume,
     )
-    return SimulationResult(summary=summary, trace=record.trace() if keep_trace else None)
+    return SimulationResult(summary=summary, trace=record.trace(t + 1) if keep_trace else None)
 
 
 def residual_baseline(trace: Trace, threshold: float) -> float | None:

@@ -24,8 +24,9 @@ from hybridmon import (
     solve_d_star,
     solve_z_star,
     state_guarantees,
+    validate_model,
 )
-from hybridmon.guarantees import EmptyGeometryError, facet_epsilon
+from hybridmon.guarantees import EmptyGeometryError, _reflect_model, facet_epsilon
 from hybridmon.model_io import parse_model
 from hybridmon.reachability import compute_all_deltas
 from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT
@@ -54,23 +55,29 @@ def face_model(theta=0.05, v=0.1, w=0.0, a_source=1.0, a_target=1.0):
     )
 
 
-def mono_model(w):
-    """1-D drift-free pair with the guard strictly inside the source invariant."""
+def mono_model(w, falling=False):
+    """1-D drift-free pair with the guard strictly inside the source invariant.
+
+    The falling variant is its mirror image on the axis.
+    """
+    sign = -1.0 if falling else 1.0
     return HybridAutomaton(
         modes=(
             Mode(
                 1,
                 LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[w], v_bounds=[0.1], input_bound=0.0),
-                Invariant(((0.0, 10.0),)),
+                Invariant((tuple(sorted((0.0, sign * 10.0))),)),
             ),
             Mode(
                 2,
                 LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[w], v_bounds=[0.1], input_bound=0.0),
-                Invariant(((0.0, 2.0),)),
+                Invariant((tuple(sorted((0.0, sign * 2.0))),)),
             ),
         ),
         events=(Event("go", "input"), Event("seen", "output")),
-        transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=2.0)),),
+        transitions=(
+            Transition(1, "go", "seen", 2, Guard(axis=0, sign=int(sign), threshold=sign * 2.0)),
+        ),
         dwell_time=1,
         sampling_period=1.0,
         theta=0.05,
@@ -162,6 +169,18 @@ class TestDStarBisection:
         assert values[2] == pytest.approx(0.15, abs=1e-6)
         assert values[0] < values[1] < values[2]
 
+    def test_negative_guard_axis_coefficient_refused(self):
+        # A = -0.5: A^1 flips the guard axis, so the band minimum falls as the
+        # offset grows and bisection would return a wrong threshold
+        model = face_model(a_source=-0.5)
+        regions = decompose_regions(model)
+        tr = model.transitions[0]
+        with pytest.raises(NoGuaranteeError, match=r"mode 1, guard 'go'.*= -0\.5 is negative"):
+            solve_d_star(model, regions, tr, 1)
+        # A^2 = 0.25 is nonnegative, so the search runs; a quarter of the
+        # band never reaches the neighbor face at 10, so no offset works
+        assert solve_d_star(model, regions, tr, 2) == math.inf
+
     def test_infeasible_offset_returns_inf(self, tg_model, tg_regions, tg_deltas):
         # crossing model: the horizon-step band never clears the neighbor
         # face, so the horizon arm has no witness for any offset
@@ -251,11 +270,136 @@ class TestReflection:
             tr["guard"]["sign"] = -tr["guard"]["sign"]
             tr["guard"]["threshold"] = -tr["guard"]["threshold"]
         mirror = parse_model(doc)
-        from hybridmon import validate_model
-
         assert validate_model(mirror) == []
         regions = decompose_regions(mirror)
         assert compute_all_deltas(mirror, regions) == {1: 8, 2: 8, 3: 0}
         bounds = state_guarantees(mirror, regions)
         for q in (1, 2, 3):
             assert bounds[q].threshold == pytest.approx(tg_bounds[q].threshold, abs=1e-9)
+
+
+def _mode(mode_id, a, b, box, w, v):
+    return Mode(
+        mode_id,
+        LtiDynamics(a=a, b=b, w_bounds=w, v_bounds=v, input_bound=1.0),
+        Invariant(tuple(box)),
+    )
+
+
+def _automaton(modes, guards, theta=0.05):
+    """Mode i leaves on guards[i] = (axis, sign, threshold, target)."""
+    events, transitions = [], []
+    for i, (axis, sign, threshold, target) in enumerate(guards):
+        events += [Event(f"c_{i}", "input"), Event(f"s_{i}", "output")]
+        transitions.append(
+            Transition(modes[i].mode_id, f"c_{i}", f"s_{i}", target, Guard(axis, sign, threshold))
+        )
+    return HybridAutomaton(
+        modes=tuple(modes),
+        events=tuple(events),
+        transitions=tuple(transitions),
+        dwell_time=10,
+        sampling_period=0.1,
+        theta=theta,
+    )
+
+
+def ring_model(dim, mirrored):
+    """Four modes along axis 0, each leaving through a guard on it.
+
+    The last mode ends at its guard and sends the ring back to mode 0. The
+    mirrored ring negates axis 0, so every guard falls.
+    """
+    h, a_v, a_u = 0.1, 0.9, 0.7
+    if dim == 2:
+        a = np.array([[1.0, h], [0.0, a_v]])
+        b = np.array([[0.0], [1.0 - a_v]])
+    else:
+        a = np.array([[1.0, h, 0.0], [0.0, a_v, 1.0 - a_v], [0.0, 0.0, a_u]])
+        b = np.array([[0.0], [0.0], [1.0 - a_u]])
+    sign = -1.0 if mirrored else 1.0
+    if mirrored:
+        a[0, :] *= -1.0
+        a[:, 0] *= -1.0
+        b[0, :] *= -1.0
+    bounds, ceilings, overlap = (0.0, 22.0, 47.0, 60.0, 95.0), (1.5, 0.8, 1.2, 2.0), 1.3
+    w, v = [0.01, 0.015, 0.008][:dim], [0.1, 0.07, 0.12][:dim]
+    modes, guards = [], []
+    for i in range(4):
+        hi = bounds[i + 1] + (overlap if i < 3 else 0.0)
+        position = tuple(sorted((sign * bounds[i], sign * hi)))
+        box = [position] + [(0.0, ceilings[i])] * (dim - 1)
+        modes.append(_mode(i, a, b, box, w, v))
+        guards.append((0, -1 if mirrored else 1, sign * bounds[i + 1], (i + 1) % 4))
+    return _automaton(modes, guards, theta=0.06)
+
+
+def shuttle_model():
+    """Out along axis 0 through a rising guard, back through a falling one."""
+    a, b = [[1.0, 0.1], [0.0, 0.9]], [[0.0], [0.1]]
+    w, v = [0.01, 0.01], [0.1, 0.1]
+    modes = [
+        _mode("out", a, b, [(0.0, 21.0), (0.0, 1.0)], w, v),
+        _mode("back", a, b, [(20.0, 40.0), (-1.0, 0.0)], w, v),
+    ]
+    return _automaton(modes, [(0, 1, 20.0, "back"), (0, -1, 21.0, "out")])
+
+
+def two_axis_model():
+    """Falling guards on axis 0 and on axis 1, then a rising one back."""
+    a, b = np.eye(2), 0.1 * np.eye(2)
+    w, v = [0.01, 0.02], [0.1, 0.05]
+    modes = [
+        _mode(0, a, b, [(0.0, 10.0), (0.0, 10.0)], w, v),
+        _mode(1, a, b, [(-5.0, 1.0), (0.0, 10.0)], w, v),
+        _mode(2, a, b, [(-5.0, 1.0), (-5.0, 1.0)], w, v),
+    ]
+    return _automaton(modes, [(0, -1, 1.0, 1), (1, -1, 1.0, 2), (0, 1, 0.0, 0)])
+
+
+ORACLE_MODELS = {
+    "ring-2d": lambda: ring_model(2, False),
+    "ring-2d-mirrored": lambda: ring_model(2, True),
+    "ring-3d": lambda: ring_model(3, False),
+    "ring-3d-mirrored": lambda: ring_model(3, True),
+    "shuttle": shuttle_model,
+    "two-axis": two_axis_model,
+    # the horizon arm gives a finite d* on these two
+    "mono": lambda: mono_model(1.8),
+    "mono-falling": lambda: mono_model(1.8, falling=True),
+}
+
+
+class TestStateGuaranteesOracle:
+    """`state_guarantees` gives, field for field, what the per-guard entry points give."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_equals_per_guard_solutions(self, name):
+        model = ORACLE_MODELS[name]()
+        regions = decompose_regions(model)
+        deltas = compute_all_deltas(model, regions)
+        bounds = state_guarantees(model, regions, deltas)
+        assert validate_model(model) == []
+        assert bounds == state_guarantees(model)
+        assert list(bounds) == list(model.mode_ids)
+        for q in model.mode_ids:
+            guards = []
+            for tr in model.transitions_from(q):
+                epsilon = facet_epsilon(model, tr)
+                if tr.guard.sign < 0:
+                    reflected = _reflect_model(model, tr.guard.axis)
+                    mirrored = reflected.transitions[model.transitions.index(tr)]
+                    assert epsilon == -facet_epsilon(reflected, mirrored)
+                d = solve_d_star(model, regions, tr, deltas[q]) if deltas[q] > 0 else math.inf
+                guards.append((tr.input_event, solve_z_star(model, regions, tr), d, epsilon))
+            got = [(g.input_event, g.z_star, g.d_star, g.epsilon) for g in bounds[q].guards]
+            assert got == guards
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mirrored_ring_matches(self, dim):
+        plain = state_guarantees(ring_model(dim, False))
+        mirrored = state_guarantees(ring_model(dim, True))
+        for q, bound in plain.items():
+            for field in ("z_star", "d_star", "threshold"):
+                want, got = getattr(bound, field), getattr(mirrored[q], field)
+                assert (got == want) if want in (None, math.inf) else got == pytest.approx(want, abs=1e-9)

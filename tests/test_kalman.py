@@ -107,6 +107,59 @@ class TestSynthesizeGains:
         assert issubclass(GainInstabilityError, RuntimeError)
 
 
+def _two_modes(a1, a2, v1, v2):
+    """Two 2-D modes with the given A and v bounds, the same w and B."""
+    def mode(mode_id, a, v, box):
+        dyn = LtiDynamics(a=a, b=[[0.0], [0.1]], w_bounds=[0.01, 0.02], v_bounds=v, input_bound=1.0)
+        return Mode(mode_id, dyn, Invariant(box))
+
+    return HybridAutomaton(
+        modes=(
+            mode(1, a1, v1, ((0.0, 11.0), (0.0, 1.0))),
+            mode(2, a2, v2, ((10.0, 20.0), (0.0, 1.0))),
+        ),
+        events=(),
+        transitions=(),
+        dwell_time=1,
+        sampling_period=0.1,
+        theta=0.05,
+    )
+
+
+def _same_bits(x, y):
+    return (
+        x.gain.tobytes() == y.gain.tobytes()
+        and x.predicted_covariance.tobytes() == y.predicted_covariance.tobytes()
+        and x.iterations == y.iterations
+        and x.final_increment == y.final_increment
+    )
+
+
+class TestSharedSolves:
+    A = [[1.0, 0.1], [0.0, 0.9]]
+    A_NEG_ZERO = [[1.0, 0.1], [-0.0, 0.9]]
+    V = [0.1, 0.1]
+
+    def test_equal_dynamics_share_one_gain(self, tg_model):
+        bank = synthesize_gains(tg_model)
+        assert bank.gains[2] is bank.gains[1] and bank.gains[3] is bank.gains[1]
+        bank = synthesize_gains(_two_modes(self.A, [row[:] for row in self.A], self.V, self.V))
+        assert bank.gains[2] is bank.gains[1]
+
+    @pytest.mark.parametrize(
+        "a2, v2",
+        [(A_NEG_ZERO, V), (A, [0.1, 0.12])],
+        ids=["negative-zero-in-A", "per-mode-noise"],
+    )
+    def test_distinct_dynamics_solve_apart(self, a2, v2):
+        model = _two_modes(self.A, a2, self.V, v2)
+        bank = synthesize_gains(model)
+        assert bank.gains[1] is not bank.gains[2]
+        for mode in model.modes:
+            alone = dataclasses.replace(model, modes=(mode,))
+            assert _same_bits(bank.gains[mode.mode_id], synthesize_gains(alone).gains[mode.mode_id])
+
+
 class TestStepContinuous:
     def test_predict_update_by_hand(self, tg_model):
         # predict, then correct, in this order: (I - K) A is the same map in

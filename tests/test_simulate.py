@@ -112,6 +112,15 @@ class TestAttackSpec:
         with pytest.raises(ValueError, match="outside"):
             spec.gamma(0, 0.1, 2)
 
+    def test_axis_out_of_range_refused_at_construction(self):
+        attack = AttackSpec(axes=(2,), kind="step", magnitude=0.5, start_time=1.5)
+        with pytest.raises(ValueError, match="attack axis 2 outside a 2-dimensional output"):
+            train_gate_scenario(attack=attack)
+        # the 3-D crossing takes the axis, and still builds with the 2-D start
+        # that callers replace afterwards
+        config = train_gate_scenario(attack=attack, model=parse_model(ND_ACTUATOR))
+        assert config.initial_state == (0.0, 0.0)
+
 
 class TestControllersAndSafety:
     def test_zone_controller_boundary_is_inside(self):
@@ -717,6 +726,21 @@ class TestBlockWriters:
         assert '"x": [NaN, Infinity, -Infinity, -0.0, 0.0, 5e-324, ' in (
             tmp_path / "got.jsonl"
         ).read_text()
+
+    def test_kept_trace_peak_stays_near_the_trace(self, tg_machinery):
+        """A run that keeps its trace peaks at no more than 1.5 times what it returns."""
+        detector, bank, observer = tg_machinery
+        config = train_gate_scenario(seed=5, attack=ramp_attack(-0.06))
+        simulate(config, detector=detector, bank=bank, observer=observer)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = simulate(config, detector=detector, bank=bank, observer=observer)
+            retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 2_000
+        assert peak <= 1.5 * retained
 
     def test_memory_stays_flat(self, tmp_path):
         """A writer's peak above the live trace does not grow with its length."""
