@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .guarantees import facet_epsilon
+from .guarantees import _epsilon, _Mirrors, _rising
 from .model import HybridAutomaton, ModeId, RegionDecomposition, decompose_regions
 from .reachability import (
     Zonotope,
@@ -139,8 +139,7 @@ def volume(z: Zonotope) -> float:
 
 def volume_bound(model: HybridAutomaton) -> float:
     """Largest initial-set volume bounded noise can produce: prod(2*theta + 4*v_i)."""
-    v = np.max([model.dynamics(q).v_bounds for q in model.mode_ids], axis=0)
-    return float(np.prod(2.0 * model.theta + 4.0 * v))
+    return float(np.prod(2.0 * model.theta + 4.0 * model.max_v_bounds))
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ class Detector:
         )
         self.volume_bound = volume_bound(model)
         self._v = {q: model.dynamics(q).v_bounds for q in model.mode_ids}
-        self._fallback_v = np.max(list(self._v.values()), axis=0)
+        self._fallback_v = model.max_v_bounds
         self._inv: dict[ModeId, tuple[np.ndarray, np.ndarray]] = {}
         self._horizon: dict[ModeId, tuple[np.ndarray, float]] = {}
         self._tables: dict[ModeId, _HorizonTable | None] = {}
@@ -254,12 +253,15 @@ class Detector:
             self._horizon[mode_id] = (a_power, sigma)
             self._tables[mode_id] = _HorizonTable.build(a_power, sigma, inv_lo, inv_hi)
         # guard-axis slab a firing state lies in: from the guard to the
-        # farthest one-step overshoot, the geometry behind the z* threshold
+        # farthest one-step overshoot (`facet_epsilon`), the geometry behind
+        # the z* threshold; falling guards share one mirror per axis
         self._slabs: dict[tuple[str, str], list[tuple[ModeId, int, float, float]]] = {}
+        mirrors: _Mirrors = {}
         for tr in model.transitions:
             c_g = tr.guard.threshold
-            far = facet_epsilon(model, tr)
-            far = max(far, c_g) if tr.guard.sign > 0 else min(far, c_g)
+            view, _, view_tr = _rising(model, self.regions, tr, mirrors)
+            far = _epsilon(view, view_tr)
+            far = max(far, c_g) if tr.guard.sign > 0 else min(-far, c_g)
             self._slabs.setdefault((tr.input_event, tr.output_event), []).append(
                 (tr.source, tr.guard.axis, min(c_g, far), max(c_g, far))
             )

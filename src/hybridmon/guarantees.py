@@ -102,10 +102,6 @@ def oracle_box_optimum(a: Sequence[float], box: Sequence[tuple[float, float]]) -
     return best
 
 
-def _scalar_v(model: HybridAutomaton) -> float:
-    return float(max(np.max(model.dynamics(q).v_bounds) for q in model.mode_ids))
-
-
 def _reflect_model(model: HybridAutomaton, axis: int) -> HybridAutomaton:
     """Mirror the whole state space on one axis so a falling guard rises."""
     modes = []
@@ -172,7 +168,7 @@ def _rising(
 
 def _margin(model: HybridAutomaton) -> float:
     """Measurement uncertainty margin theta + 2 v."""
-    return model.theta + 2.0 * _scalar_v(model)
+    return model.theta + 2.0 * float(np.max(model.max_v_bounds))
 
 
 def _epsilon(model: HybridAutomaton, transition: Transition) -> float:

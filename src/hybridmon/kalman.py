@@ -6,9 +6,10 @@ standard deviation bound/3, matching the truncated-Gaussian noise model
 (the bound is a three-sigma clip).
 
 `step_continuous` is the per-sample update: it takes the mode's A and gain
-as arrays and B u as a vector, and returns the new estimate, with no model
-lookup, copy or validation, because `simulate` calls it once per sample and
-shares B u with the plant step. The caller keeps the residual and the
+as arrays and B u as a vector, and writes the new estimate into an array the
+caller owns, with no model lookup, copy or validation, because `simulate`
+calls it once per sample, shares B u with the plant step and keeps the
+estimate in its recorder's rows. The caller keeps the residual and the
 settling count.
 """
 
@@ -128,16 +129,22 @@ def step_continuous(
     x_est: np.ndarray,
     bu: np.ndarray,
     y: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """One predict/update step with a mode's A and gain: the updated estimate.
+    """One predict/update step with a mode's A and gain, written into `out`.
 
-    bu is the mode's B times the input. predicted = A x_est + B u, then
-    predicted + K (y - predicted). The operation order is part of the
-    result: reassociating it, to (I - K) A say, changes the float bits of
-    every trace.
+    bu is the mode's B times the input. out = A x_est + B u, then
+    out + K (y - out); returns `out`, which must not overlap x_est, bu or y.
+    The operation order is part of the result: reassociating it, to
+    (I - K) A say, changes the float bits of every trace. `ndarray.dot`
+    gives the bits of `@` up to the sign of a zero (see `simulate`), so when
+    bu is not -0.0, as `B @ u` never is, neither is A x_est + B u, and the
+    result has the bits of the same formula written with `@`.
     """
-    predicted = a @ x_est + bu
-    return predicted + gain @ (y - predicted)
+    a.dot(x_est, out=out)
+    out += bu
+    out += gain.dot(y - out)
+    return out
 
 
 def check_dwell(model: HybridAutomaton, event_samples: Sequence[int]) -> bool:

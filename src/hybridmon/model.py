@@ -117,7 +117,7 @@ class LtiDynamics:
             raise ModelError(f"process noise bounds must have length {n}")
         if v.shape != (n,):
             raise ModelError(f"measurement noise bounds must have length {n}")
-        if np.any(w < 0) or np.any(v < 0):
+        if not (np.all(w >= 0) and np.all(v >= 0)):
             raise ModelError("noise bounds must be nonnegative")
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
             raise ModelError("system matrices must be finite")
@@ -271,6 +271,16 @@ class HybridAutomaton:
     @property
     def mode_ids(self) -> tuple[ModeId, ...]:
         return tuple(m.mode_id for m in self.modes)
+
+    @cached_property
+    def max_v_bounds(self) -> np.ndarray:
+        """Per-axis largest measurement noise bound over the modes, read-only.
+
+        What noise alone can put on a residual axis whatever the mode; its
+        max is the scalar bound. A max returns one of its arguments, so both
+        keep the bits of the bound they pick.
+        """
+        return _readonly(np.max([m.dynamics.v_bounds for m in self.modes], axis=0))
 
     def mode(self, mode_id: ModeId) -> Mode:
         for m in self.modes:

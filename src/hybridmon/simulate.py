@@ -13,7 +13,10 @@ standard normals drawn once per block of samples. What does not feed back
 (the detector, the baseline monitor, the steady maxima and the trace) is
 recorded into fixed buffers and decided a block at a time by
 `Detector.evaluate_rows`, which gives the same bits as deciding each sample
-as it comes.
+as it comes. The per-sample step writes its products and sums with `out=`
+straight into the buffer rows of the next sample, in the operation order
+that fixes the bits; it allocates no array but the controller's output and
+the Kalman step's innovation and correction.
 """
 
 from __future__ import annotations
@@ -275,8 +278,7 @@ class FdiaClassification:
 
 def baseline_threshold(model: HybridAutomaton) -> float:
     """Residual-monitor alarm level: estimation margin plus noise bound."""
-    v = max(float(np.max(model.dynamics(q).v_bounds)) for q in model.mode_ids)
-    return model.theta + v
+    return model.theta + float(np.max(model.max_v_bounds))
 
 
 # Samples decided per detector pass. A summary-only run keeps one block of
@@ -337,19 +339,21 @@ def _first_baseline(
 class _Recorder:
     """The rows that do not feed back into the plant, decided a block at a time.
 
-    The loop writes each sample into row `t % BLOCK` of the buffers; `flush`
-    hands a block to the detector and folds its verdicts into the summary
-    figures, and, when the trace is kept, writes its columns in place into
-    columns allocated for all n samples at the start.
+    The loop reads sample t from row i = t % BLOCK of the buffers and steps
+    x, y and x_est of sample t + 1 straight into row i + 1, so these three
+    have one row past the block; after a flush, the loop moves that row to
+    row 0. `flush` hands a block to the detector and folds its verdicts into
+    the summary figures, and, when the trace is kept, writes its columns in
+    place into columns allocated for all n samples at the start.
     """
 
     def __init__(
         self, detector: Detector, threshold: float, h: float, dim: int, n: int | None
     ) -> None:
         self.detector, self.threshold, self.h = detector, threshold, h
-        self.x = np.empty((BLOCK, dim))
-        self.y = np.empty((BLOCK, dim))
-        self.x_est = np.empty((BLOCK, dim))
+        self.x = np.empty((BLOCK + 1, dim))
+        self.y = np.empty((BLOCK + 1, dim))
+        self.x_est = np.empty((BLOCK + 1, dim))
         self.steady = np.zeros(BLOCK, dtype=bool)
         self.modes: list = [None] * BLOCK
         self.nodes: list = [None] * BLOCK
@@ -430,6 +434,10 @@ def simulate(
     vector of finite numbers raises ValueError at the sample that produced
     it. With keep_trace=False the run keeps one block of rows, not a row
     per sample; the summary is the same either way.
+
+    `control(y, t)` and `safety.violated(x)` are handed a read-only row of
+    the run's buffers, valid only for the call: the loop overwrites it
+    BLOCK samples later, so a controller that keeps y must keep a copy.
     """
     model = config.model
     problems = validate_model(model)
@@ -472,16 +480,33 @@ def simulate(
     control = config.controller.control
     safety = config.safety
 
-    gamma0 = attack.gamma(0, h, dim) if attack else np.zeros(dim)
-    v = _truncated_gaussian(rng.standard_normal(dim), step.sigma[1], step.bound[1])
-    y = x + v + gamma0
-    x_est = y.copy()
-
     record = _Recorder(detector, threshold, h, dim, n if keep_trace else None)
-    xs_buf, ys_buf, est_buf = record.x, record.y, record.x_est
+    xs, ys, ests = record.x, record.y, record.x_est
+    # what `control` and `safety` are handed: read-only rows, which the loop
+    # overwrites one block later
+    xs_seen, ys_seen = xs.view(), ys.view()
+    xs_seen.flags.writeable = ys_seen.flags.writeable = False
     steady_buf, modes_buf, nodes_buf, events_buf = (
         record.steady, record.modes, record.nodes, record.events,
     )
+    # Products are taken with `ndarray.dot(..., out=row)`, which gives the
+    # bits of `@` but for the sign of a zero: a product with one column has
+    # no sum, and keeps a -0.0 that `@` turns into +0.0. A sum is -0.0 only
+    # if both terms are, so A x + B u and A x_est + B u keep the bits of `@`
+    # when B u is not -0.0 or A x is not: A x never is for dim >= 2, and for
+    # dim 1 the loop adds 0.0 to B u. So x past sample 0 is never -0.0, nor
+    # is x + v; adding the zero row of a run without attack would change
+    # nothing, and the loop skips it.
+    one_dim = dim == 1
+    gammas = None
+
+    gamma0 = attack.gamma(0, h, dim) if attack else np.zeros(dim)
+    v = _truncated_gaussian(rng.standard_normal(dim), step.sigma[1], step.bound[1])
+    xs[0] = x
+    ys[0] = x + v + gamma0
+    ests[0] = ys[0]
+    bu = np.empty(dim)
+
     events: list[EventRecord] = []
     violation: SafetyViolation | None = None
     inconsistency_time: float | None = None
@@ -493,19 +518,23 @@ def simulate(
         if i == 0:
             if t:
                 record.flush(t - BLOCK, BLOCK)
+                for rows in (xs, ys, ests):
+                    rows[0] = rows[BLOCK]
             k = min(BLOCK, n - t)
             # row j: w of sample t + j, then v and the attack of sample t + j + 1
             z = rng.standard_normal((k, 2, dim))
             noise = {q: _truncated_gaussian(z, step.sigma, step.bound)}
             mode_noise = noise[q]
-            gammas = attack.gamma_rows(t + 1, k, h, dim) if attack else np.zeros((k, dim))
+            if attack is not None:
+                gammas = attack.gamma_rows(t + 1, k, h, dim)
         now = t * h
         steady = steady_timer >= dwell
-        u = np.asarray(control(y, now), dtype=float)
+        u = np.asarray(control(ys_seen[i], now), dtype=float)
         if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
             raise ValueError(
                 f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
             )
+        x = xs_seen[i]
         state = x.tolist()
         fired = None
         for axis, sign, guard_at, tr in step.guards:
@@ -515,9 +544,6 @@ def simulate(
         if safety is not None and violation is None and safety.violated(x):
             violation = SafetyViolation(time=now, state=tuple(state))
 
-        xs_buf[i] = x
-        ys_buf[i] = y
-        est_buf[i] = x_est
         steady_buf[i] = steady
         modes_buf[i] = q
         nodes_buf[i] = node
@@ -541,12 +567,20 @@ def simulate(
                 stop_event = fired.output_event
                 break
 
-        bu = step.b @ u
-        x = step.a @ x + bu + mode_noise[i, 0]
+        # x of sample t + 1 = A x + B u + w, summed in this order in row i + 1
+        x_next = xs[i + 1]
+        step.b.dot(u, out=bu)
+        if one_dim:
+            bu += 0.0
+        step.a.dot(x, out=x_next)
+        x_next += bu
+        x_next += mode_noise[i, 0]
 
         predict = steps[node[0]]
         if predict.b is not step.b:
-            bu = predict.b @ u
+            predict.b.dot(u, out=bu)
+            if one_dim:
+                bu += 0.0
         if fired is not None:
             q = fired.target
             step = steps[q]
@@ -562,8 +596,11 @@ def simulate(
         else:
             steady_timer += 1
 
-        y = x + mode_noise[i, 1] + gammas[i]
-        x_est = step_continuous(predict.a, predict.gain, x_est, bu, y)
+        y_next = ys[i + 1]
+        np.add(x_next, mode_noise[i, 1], out=y_next)
+        if gammas is not None:
+            y_next += gammas[i]
+        step_continuous(predict.a, predict.gain, ests[i], bu, y_next, ests[i + 1])
 
     record.flush(t - i, i + 1)
     summary = SimulationSummary(
@@ -732,6 +769,18 @@ _VERDICT_COLUMNS = (
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_numbers(values: list[float]) -> Iterable[str]:
+    """The JSON cells of floats, as a lazy iterator like the CSV writer's.
+
+    A sum is finite only if every term is, so a finite sum sends the cells
+    straight through `repr`; otherwise each cell is looked up.
+    """
+    cells = map(repr, values)
+    if math.isfinite(sum(values)):
+        return cells
+    return (_JSON_NONFINITE.get(cell, cell) for cell in cells)
+
+
 def _write_rows(
     trace: Trace,
     handle: TextIO,
@@ -811,7 +860,7 @@ def write_trace_jsonl(trace: Trace, path: str) -> None:
             trace,
             handle,
             "{" + ", ".join(f'"{name}": {cell}' for name, cell in fields) + "}\n",
-            lambda values: [_JSON_NONFINITE.get(cell, cell) for cell in map(repr, values)],
+            _json_numbers,
             ("false", "true"),
             json.dumps,
             lambda node: json.dumps(list(node)),

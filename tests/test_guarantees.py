@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hybridmon import (
+    Detector,
     Event,
     Guard,
     GuaranteeBound,
@@ -26,10 +27,11 @@ from hybridmon import (
     state_guarantees,
     validate_model,
 )
+from hybridmon import guarantees
 from hybridmon.guarantees import EmptyGeometryError, _reflect_model, facet_epsilon
 from hybridmon.model_io import parse_model
 from hybridmon.reachability import compute_all_deltas
-from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT
+from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT, train_gate_model
 
 
 def face_model(theta=0.05, v=0.1, w=0.0, a_source=1.0, a_target=1.0):
@@ -403,3 +405,41 @@ class TestStateGuaranteesOracle:
             for field in ("z_star", "d_star", "threshold"):
                 want, got = getattr(bound, field), getattr(mirrored[q], field)
                 assert (got == want) if want in (None, math.inf) else got == pytest.approx(want, abs=1e-9)
+
+
+SLAB_MODELS = {
+    **ORACLE_MODELS,
+    "train-gate": train_gate_model,
+    "train-gate-mirrored": lambda: _reflect_model(train_gate_model(), 0),
+}
+
+
+class TestDetectorSlabs:
+    """`Detector` takes each guard's overshoot slab from the helpers of `state_guarantees`."""
+
+    @pytest.mark.parametrize("name", sorted(SLAB_MODELS))
+    def test_slabs_equal_facet_epsilon(self, name):
+        model = SLAB_MODELS[name]()
+        detector = Detector(model)
+        want: dict = {}
+        for tr in model.transitions:
+            c_g = tr.guard.threshold
+            far = facet_epsilon(model, tr)
+            far = max(far, c_g) if tr.guard.sign > 0 else min(far, c_g)
+            want.setdefault((tr.input_event, tr.output_event), []).append(
+                (tr.source, tr.guard.axis, min(c_g, far), max(c_g, far))
+            )
+        assert detector._slabs == want
+
+    @pytest.mark.parametrize("name", sorted(SLAB_MODELS))
+    def test_one_mirror_per_falling_axis(self, name, monkeypatch):
+        model = SLAB_MODELS[name]()
+        axes = []
+
+        def counted(model, axis):
+            axes.append(axis)
+            return _reflect_model(model, axis)
+
+        monkeypatch.setattr(guarantees, "_reflect_model", counted)
+        Detector(model)
+        assert sorted(axes) == sorted({tr.guard.axis for tr in model.transitions if tr.guard.sign < 0})

@@ -170,8 +170,10 @@ class TestStepContinuous:
         u = np.array([0.5])
         y = np.array([10.2, 0.9])
         predicted = dyn.a @ x_est + dyn.b @ u
-        est = step_continuous(dyn.a, gain, x_est, dyn.b @ u, y)
-        np.testing.assert_array_equal(est, predicted + gain @ (y - predicted))
+        out = np.full(2, np.nan)
+        est = step_continuous(dyn.a, gain, x_est, dyn.b @ u, y, out)
+        assert est is out
+        assert est.tobytes() == (predicted + gain @ (y - predicted)).tobytes()
         np.testing.assert_allclose(est, predicted + TG_GAIN @ (y - predicted), atol=1e-12)
 
 

@@ -76,6 +76,8 @@ class TestPrimitives:
             LtiDynamics(a=[[1.0]], b=[[0.0], [0.0]], w_bounds=[0.0], v_bounds=[0.0], input_bound=1.0)
         with pytest.raises(ModelError):
             LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[-0.1], v_bounds=[0.0], input_bound=1.0)
+        with pytest.raises(ModelError, match="nonnegative"):
+            LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[np.nan], input_bound=1.0)
 
     def test_dynamics_norms(self):
         d = LtiDynamics(
@@ -173,6 +175,19 @@ class TestAutomatonValidation:
         )
         with pytest.raises(ModelError, match="one continuous dimension"):
             HybridAutomaton(modes, (), (), 1, 0.1, 0.05)
+
+
+    def test_max_v_bounds_is_the_largest_per_axis(self):
+        a, b = [[0.5, 0.0], [0.0, 0.5]], [[0.0], [0.0]]
+        modes = tuple(
+            Mode(q, LtiDynamics(a, b, [0.0, 0.0], v, 1.0), Invariant(((lo, lo + 2.0), (0.0, 1.0))))
+            for q, v, lo in (("a", [0.1, 0.3], 0.0), ("b", [0.2, -0.0], 1.0))
+        )
+        model = HybridAutomaton(modes, (), (), 1, 0.1, 0.05)
+        assert model.max_v_bounds.tolist() == [0.2, 0.3]
+        assert model.max_v_bounds is model.max_v_bounds
+        with pytest.raises(ValueError, match="read-only"):
+            model.max_v_bounds[0] = 1.0
 
 
 class TestValidateModel:

@@ -6,18 +6,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from loop_reference import reference_simulate
 from trace_io_reference import reference_write_csv, reference_write_jsonl
 
 from hybridmon import (
     AttackSpec,
     ConstantController,
+    Event,
+    Guard,
     HybridAutomaton,
     Invariant,
     LtiDynamics,
     Mode,
     ModelError,
     ScenarioConfig,
+    Transition,
     ZoneController,
     ZoneSpeedLimit,
     Detector,
@@ -212,6 +217,115 @@ class TestSimulateValidation:
         with pytest.raises(ValueError, match="controller output .* at 4.0 s"):
             simulate(config, detector=detector, bank=bank, observer=observer)
         assert controller.calls == 41
+
+
+# the floats the loop's products meet at their edges: signed zeros and
+# subnormals, next to ordinary magnitudes that cannot overflow
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_subnormal=True),
+)
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.sampled_from([rows, 1, draw(st.integers(1, 4))]))
+    matrix = draw(st.lists(_EDGE_FLOATS, min_size=rows * cols, max_size=rows * cols))
+    vector = draw(st.lists(_EDGE_FLOATS, min_size=cols, max_size=cols))
+    return np.array(matrix).reshape(rows, cols), np.array(vector)
+
+
+class TestInPlaceStep:
+    """The loop steps each sample straight into its buffers' rows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_and_vector())
+    def test_dot_into_a_row_gives_the_bits_of_matmul(self, case):
+        # the loop takes its products with `ndarray.dot(..., out=row)` and
+        # its traces have the bits of `@`; what it relies on: `@` never
+        # gives -0.0, and `dot` gives the same bits but, with one column,
+        # keeps the -0.0 that `@` turns into +0.0
+        matrix, vector = case
+        rows = np.full((2, matrix.shape[0]), np.nan)
+        matrix.dot(vector, out=rows[1])
+        want = matrix @ vector
+        assert not np.any(np.signbit(want) & (want == 0.0))
+        assert (rows[1] + 0.0).tobytes() == want.tobytes()
+        if matrix.shape[1] > 1:
+            assert rows[1].tobytes() == want.tobytes()
+
+    def test_controller_cannot_write_into_y(self, tg_machinery):
+        class Scribbler:
+            def control(self, y, t):
+                y[0] = 0.0
+                return np.array([0.5])
+
+        detector, bank, observer = tg_machinery
+        config = dataclasses.replace(train_gate_scenario(duration=1.0), controller=Scribbler())
+        with pytest.raises(ValueError, match="read-only"):
+            simulate(config, detector=detector, bank=bank, observer=observer)
+
+    def test_copies_of_what_the_loop_hands_out_are_the_trace(self, tg_machinery):
+        # y and x are rows the loop overwrites a block later; copies taken
+        # during the call are the trace's rows
+        base = train_gate_scenario(seed=3, duration=40.0)
+
+        class Keeper:
+            def __init__(self):
+                self.seen = []
+
+            def control(self, y, t):
+                self.seen.append(y.copy())
+                return base.controller.control(y, t)
+
+        class Watcher:
+            def __init__(self):
+                self.seen = []
+
+            def violated(self, x):
+                assert not x.flags.writeable
+                self.seen.append(x.copy())
+                return base.safety.violated(x)
+
+        detector, bank, observer = tg_machinery
+        keeper, watcher = Keeper(), Watcher()
+        config = dataclasses.replace(base, controller=keeper, safety=watcher)
+        result = simulate(config, detector=detector, bank=bank, observer=observer)
+        assert len(result.trace) > 2 * BLOCK
+        np.testing.assert_array_equal(np.array(keeper.seen), result.trace.y)
+        np.testing.assert_array_equal(np.array(watcher.seen), result.trace.x_true)
+        plain = simulate(base, detector=detector, bank=bank, observer=observer)
+        assert result.summary == plain.summary
+
+    def test_one_dimensional_zeros_match_per_sample_loop(self):
+        # A = 0, B = 0 and a negative input: from a negative first estimate,
+        # the prediction's products are zeros whose sign `dot` and `@`
+        # disagree on, and the zero gain leaves the prediction as the estimate
+        dyn = LtiDynamics(a=[[0.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=1.0)
+        model = HybridAutomaton(
+            modes=(
+                Mode(1, dyn, Invariant(((-1.0, 10.0),))),
+                Mode(2, dyn, Invariant(((10.0, 12.0),))),
+            ),
+            events=(Event("go", "input"), Event("seen", "output")),
+            transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=10.0)),),
+            dwell_time=1,
+            sampling_period=1.0,
+            theta=0.3,
+        )
+        config = ScenarioConfig(
+            model=model, controller=ConstantController((-1.0,)), initial_state=(0.0,),
+            initial_mode=1, duration=300.0, seed=2,
+        )
+        detector, bank = Detector(model), synthesize_gains(model)
+        observer = build_observer(extract_fsm(model))
+        got = simulate(config, detector=detector, bank=bank, observer=observer)
+        want = reference_simulate(config, detector, bank, observer)
+        assert want.trace.x_est[0, 0] < 0.0
+        assert got.summary == want.summary
+        for field in ("x_true", "y", "x_est", "residual"):
+            assert getattr(got.trace, field).tobytes() == getattr(want.trace, field).tobytes()
 
 
 class TestReproducibility:
