@@ -336,17 +336,18 @@ class Detector:
         if k and nodes.count(nodes[0]) == k:
             # the usual block: one node throughout, whose rows are a slice
             groups: dict[tuple[ModeId, ...], slice | list[int]] = {nodes[0]: slice(None)}
+            estimated = [nodes[0][0] if len(nodes[0]) == 1 else None] * k
         else:
             groups = {}
             for i, node in enumerate(nodes):
                 groups.setdefault(node, []).append(i)
+            estimated = [node[0] if len(node) == 1 else None for node in nodes]
         v = np.empty_like(centers)
         for node, rows in groups.items():
             v[rows] = self._v[node[0]] if len(node) == 1 else self._fallback_v
         half = np.abs(residuals) + v
         lo, hi = centers - half, centers + half
         vol = (2.0 * half).prod(axis=1)
-        estimated = [node[0] if len(node) == 1 else None for node in nodes]
         unexplained = np.zeros(k, dtype=bool)
         # an event pair is a non-empty tuple, so a block without events skips the scan
         for i, event in enumerate(events if any(events) else ()):

@@ -9,14 +9,16 @@ counter-based generator keyed by the seed makes traces bit-reproducible.
 The loop has two parts. What feeds back into the plant (noise, guards, the
 controller, the observers and the Kalman step) runs per sample, with each
 mode's matrices, noise scales and guards looked up once per run and the
-standard normals drawn once per block of samples. What does not feed back
-(the detector, the baseline monitor, the steady maxima and the trace) is
-recorded into fixed buffers and decided a block at a time by
-`Detector.evaluate_rows`, which gives the same bits as deciding each sample
+standard normals drawn once per block of samples. A controller output is
+checked, and multiplied by each distinct B, once per distinct value: while
+its bytes match the last output's, the loop reuses that output's B u. What
+does not feed back (the safety predicate, the detector, the baseline
+monitor, the steady maxima and the trace) is recorded into fixed buffers
+and decided a block at a time, by `ZoneSpeedLimit.violated` and
+`Detector.evaluate_rows`, which give the same bits as deciding each sample
 as it comes. The per-sample step writes its products and sums with `out=`
 straight into the buffer rows of the next sample, in the operation order
-that fixes the bits; it allocates no array but the controller's output and
-the Kalman step's innovation and correction.
+that fixes the bits.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .model import (
     ModeId,
     ModelError,
     Transition,
+    _readonly,
     extract_fsm,
     validate_model,
 )
@@ -112,9 +115,18 @@ class AttackSpec:
     ) -> np.ndarray:
         """Corruption vectors of samples first, ..., first + count - 1, one row each."""
         self.check_axes(dim)
+        start = int(round(self.start_time / sampling_period))
+        offsets = np.arange(first - start, first - start + count)
+        # each kind in `magnitude_at`'s operation order, so the bits agree
+        if self.kind == "ramp":
+            values = self.slope * offsets * sampling_period
+        elif self.kind == "step":
+            values = np.full(count, self.magnitude, dtype=float)
+        else:
+            padded = np.array(self.samples + (0.0,), dtype=float)
+            values = padded[np.clip(offsets, 0, len(self.samples))]
         rows = np.zeros((count, dim))
-        values = [self.magnitude_at(s, sampling_period) for s in range(first, first + count)]
-        rows[:, list(self.axes)] = np.array(values)[:, None]
+        rows[:, list(self.axes)] = np.where(offsets < 0, 0.0, values)[:, None]
         return rows
 
 
@@ -123,7 +135,8 @@ class ZoneController:
     """Piecewise-constant reference input from the measured state.
 
     Emits inside_value while the measured coordinate is within half_width
-    of the center (inclusive), outside_value elsewhere.
+    of the center (inclusive), outside_value elsewhere. Both outputs are
+    built once, as read-only arrays, and handed out on every call.
     """
 
     axis: int
@@ -132,19 +145,27 @@ class ZoneController:
     inside_value: float
     outside_value: float
 
+    def __post_init__(self) -> None:
+        # not fields, so eq, hash and repr are the dataclass's own
+        object.__setattr__(self, "_inside", _readonly((self.inside_value,)))
+        object.__setattr__(self, "_outside", _readonly((self.outside_value,)))
+
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
         inside = abs(float(y[self.axis]) - self.center) <= self.half_width
-        return np.array([self.inside_value if inside else self.outside_value])
+        return self._inside if inside else self._outside
 
 
 @dataclass(frozen=True)
 class ConstantController:
-    """Fixed reference input."""
+    """Fixed reference input, handed out as one read-only array."""
 
     values: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_output", _readonly(self.values))
+
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        return self._output
 
 
 @dataclass(frozen=True)
@@ -157,9 +178,11 @@ class ZoneSpeedLimit:
     speed_axis: int
     limit: float
 
-    def violated(self, x: np.ndarray) -> bool:
-        near = abs(float(x[self.position_axis]) - self.center) <= self.half_width
-        return near and float(x[self.speed_axis]) > self.limit
+    def violated(self, x: np.ndarray) -> np.ndarray:
+        """Whether each row of x breaks the limit: a bool for one state, one per row of a block."""
+        x = np.asarray(x)
+        near = abs(x[..., self.position_axis] - self.center) <= self.half_width
+        return near & (x[..., self.speed_axis] > self.limit)
 
 
 @dataclass(frozen=True)
@@ -301,39 +324,77 @@ class _ModeStep(NamedTuple):
     """What a sample needs of one mode, looked up once per run."""
 
     a: np.ndarray
-    b: np.ndarray
+    b_index: int  # which of the run's distinct B arrays the mode's B is
     gain: np.ndarray
     sigma: np.ndarray  # (2, n): standard deviations of w and v
     bound: np.ndarray  # (2, n): the bounds they are clipped to
     guards: tuple[tuple[int, int, float, Transition], ...]  # (axis, sign, threshold, transition)
 
 
-def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeStep]:
+def _mode_steps(
+    model: HybridAutomaton, bank: KalmanBank
+) -> tuple[dict[ModeId, _ModeStep], list[np.ndarray]]:
+    """Each mode's step, and the distinct B arrays its `b_index` points into.
+
+    Modes whose B has the same bits share one B, so that a controller
+    output costs one product per distinct B.
+    """
     guards: dict[ModeId, list] = {q: [] for q in model.mode_ids}
     for tr in model.transitions:
         guards[tr.source].append((tr.guard.axis, tr.guard.sign, tr.guard.threshold, tr))
-    # modes whose B has the same bits share one array, so that the loop can
-    # tell by identity that the Kalman step's B u is the plant's
-    shared_b: dict[tuple, np.ndarray] = {}
+    b_index: dict[tuple, int] = {}
+    bs: list[np.ndarray] = []
     steps = {}
     for mode in model.modes:
         dyn = mode.dynamics
-        b = shared_b.setdefault((dyn.b.shape, dyn.b.tobytes()), dyn.b)
+        key = (dyn.b.shape, dyn.b.tobytes())
+        if key not in b_index:
+            b_index[key] = len(bs)
+            bs.append(dyn.b)
         bound = np.stack([dyn.w_bounds, dyn.v_bounds])
         steps[mode.mode_id] = _ModeStep(
-            dyn.a, b, bank.gains[mode.mode_id].gain, bound / 3.0, bound,
+            dyn.a, b_index[key], bank.gains[mode.mode_id].gain, bound / 3.0, bound,
             tuple(guards[mode.mode_id]),
         )
-    return steps
+    if len({b.shape[1] for b in bs}) > 1:
+        raise ValueError("modes take different numbers of inputs; one controller cannot drive them")
+    return steps, bs
+
+
+def _b_products(bs: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:
+    """B u for each distinct B, read-only; with one dimension, plus 0.0 (see `simulate`)."""
+    products = []
+    for b in bs:
+        bu = np.empty(b.shape[0])
+        b.dot(u, out=bu)
+        if bu.size == 1:
+            bu += 0.0
+        bu.flags.writeable = False
+        products.append(bu)
+    return products
 
 
 def _first_baseline(
-    times: np.ndarray, steady: np.ndarray, residual: np.ndarray, threshold: float
+    times: np.ndarray, steady: np.ndarray, norms: np.ndarray, threshold: float
 ) -> float | None:
     """Time of the first settled row whose residual norm exceeds the threshold."""
-    norms = np.max(np.abs(residual), axis=1)
     hits = np.flatnonzero(steady & (norms > threshold))
     return float(times[hits[0]]) if hits.size else None
+
+
+def _first_violation(
+    safety: ZoneSpeedLimit, times: np.ndarray, x: np.ndarray
+) -> SafetyViolation | None:
+    """The first row of a block of states that the safety predicate flags."""
+    hits = np.asarray(safety.violated(x), dtype=bool)
+    if hits.shape != times.shape:
+        raise ValueError(
+            f"safety predicate gave shape {hits.shape} for {times.size} rows, not one bool per row"
+        )
+    if not hits.any():
+        return None
+    j = int(np.argmax(hits))
+    return SafetyViolation(time=float(times[j]), state=tuple(x[j].tolist()))
 
 
 class _Recorder:
@@ -348,9 +409,15 @@ class _Recorder:
     """
 
     def __init__(
-        self, detector: Detector, threshold: float, h: float, dim: int, n: int | None
+        self,
+        detector: Detector,
+        safety: ZoneSpeedLimit | None,
+        threshold: float,
+        h: float,
+        dim: int,
+        n: int | None,
     ) -> None:
-        self.detector, self.threshold, self.h = detector, threshold, h
+        self.detector, self.safety, self.threshold, self.h = detector, safety, threshold, h
         self.x = np.empty((BLOCK + 1, dim))
         self.y = np.empty((BLOCK + 1, dim))
         self.x_est = np.empty((BLOCK + 1, dim))
@@ -371,12 +438,18 @@ class _Recorder:
         self.max_volume = 0.0
         self.first_baseline: float | None = None
         self.first_conflict: ConflictAlarm | None = None
+        self.violation: SafetyViolation | None = None
 
     def flush(self, first: int, k: int) -> None:
         """Decide rows 0 .. k - 1, which hold samples first .. first + k - 1."""
         x, y, x_est, steady = self.x[:k], self.y[:k], self.x_est[:k], self.steady[:k]
+        # the safety predicate is handed these rows, which it must not change
+        x.flags.writeable = False
         nodes = self.nodes[:k]
+        # sample t's time has the bits of t * h
         times = np.arange(first, first + k) * self.h
+        if self.safety is not None and self.violation is None:
+            self.violation = _first_violation(self.safety, times, x)
         residual = y - x_est
         rows = self.detector.evaluate_rows(nodes, steady, x_est, residual, self.events[:k])
         if steady.any():
@@ -386,7 +459,7 @@ class _Recorder:
             self.max_error = max(self.max_error, float(errors[steady].max()))
             self.max_volume = max(self.max_volume, float(rows.volume[steady].max()))
             if self.first_baseline is None:
-                self.first_baseline = _first_baseline(times, steady, residual, self.threshold)
+                self.first_baseline = _first_baseline(times, steady, norms, self.threshold)
         alarm = rows.alarm
         if self.first_conflict is None and alarm.any():
             j = int(np.argmax(alarm))
@@ -432,12 +505,19 @@ def simulate(
     it. The attack corrupts only the measured output. A stop event ends the
     run at the sample that fired it. A controller output that is not a
     vector of finite numbers raises ValueError at the sample that produced
-    it. With keep_trace=False the run keeps one block of rows, not a row
-    per sample; the summary is the same either way.
+    it, and a model whose modes take different numbers of inputs, which no
+    one output fits, raises it before the first sample. With
+    keep_trace=False the run keeps one block of rows, not a row per sample;
+    the summary is the same either way.
 
-    `control(y, t)` and `safety.violated(x)` are handed a read-only row of
-    the run's buffers, valid only for the call: the loop overwrites it
-    BLOCK samples later, so a controller that keeps y must keep a copy.
+    `control(y, t)` is handed a read-only row of the run's buffers, valid
+    only for the call: the loop overwrites it BLOCK samples later, so a
+    controller that keeps y must keep a copy. Its output is checked and
+    multiplied by each distinct B once per distinct value, told apart by
+    its bytes, so it may hand out one array and rewrite it in place. The
+    safety predicate does not feed back: `safety.violated(x)` is handed a
+    read-only block of up to BLOCK states, one per row, and returns one bool
+    per row; it is not called past the block of the first violation.
     """
     model = config.model
     problems = validate_model(model)
@@ -475,17 +555,16 @@ def simulate(
     steady_timer = 0
     dim = x.size
     dwell = model.dwell_time
-    steps = _mode_steps(model, bank)
+    steps, bs = _mode_steps(model, bank)
     step = steps[q]
     control = config.controller.control
-    safety = config.safety
 
-    record = _Recorder(detector, threshold, h, dim, n if keep_trace else None)
+    record = _Recorder(detector, config.safety, threshold, h, dim, n if keep_trace else None)
     xs, ys, ests = record.x, record.y, record.x_est
-    # what `control` and `safety` are handed: read-only rows, which the loop
-    # overwrites one block later
-    xs_seen, ys_seen = xs.view(), ys.view()
-    xs_seen.flags.writeable = ys_seen.flags.writeable = False
+    # what `control` is handed: read-only rows, which the loop overwrites
+    # one block later
+    ys_seen = ys.view()
+    ys_seen.flags.writeable = False
     steady_buf, modes_buf, nodes_buf, events_buf = (
         record.steady, record.modes, record.nodes, record.events,
     )
@@ -494,10 +573,9 @@ def simulate(
     # no sum, and keeps a -0.0 that `@` turns into +0.0. A sum is -0.0 only
     # if both terms are, so A x + B u and A x_est + B u keep the bits of `@`
     # when B u is not -0.0 or A x is not: A x never is for dim >= 2, and for
-    # dim 1 the loop adds 0.0 to B u. So x past sample 0 is never -0.0, nor
-    # is x + v; adding the zero row of a run without attack would change
+    # dim 1 `_b_products` adds 0.0 to B u. So x past sample 0 is never -0.0,
+    # nor is x + v; adding the zero row of a run without attack would change
     # nothing, and the loop skips it.
-    one_dim = dim == 1
     gammas = None
 
     gamma0 = attack.gamma(0, h, dim) if attack else np.zeros(dim)
@@ -505,10 +583,13 @@ def simulate(
     xs[0] = x
     ys[0] = x + v + gamma0
     ests[0] = ys[0]
-    bu = np.empty(dim)
+    # the last controller output that passed the check, as bytes, which
+    # tell -0.0 from 0.0 and see an array rewritten in place; and its B u
+    # for each distinct B
+    u_bytes: bytes | None = None
+    bus: list[np.ndarray] = []
 
     events: list[EventRecord] = []
-    violation: SafetyViolation | None = None
     inconsistency_time: float | None = None
     stop_event: str | None = None
 
@@ -530,19 +611,20 @@ def simulate(
         now = t * h
         steady = steady_timer >= dwell
         u = np.asarray(control(ys_seen[i], now), dtype=float)
-        if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
-            raise ValueError(
-                f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
-            )
-        x = xs_seen[i]
+        if u.ndim != 1 or u.tobytes() != u_bytes:
+            if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
+                raise ValueError(
+                    f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
+                )
+            u_bytes = u.tobytes()
+            bus = _b_products(bs, u)
+        x = xs[i]
         state = x.tolist()
         fired = None
         for axis, sign, guard_at, tr in step.guards:
             if sign * (state[axis] - guard_at) >= 0.0:
                 fired = tr
                 break
-        if safety is not None and violation is None and safety.violated(x):
-            violation = SafetyViolation(time=now, state=tuple(state))
 
         steady_buf[i] = steady
         modes_buf[i] = q
@@ -569,18 +651,11 @@ def simulate(
 
         # x of sample t + 1 = A x + B u + w, summed in this order in row i + 1
         x_next = xs[i + 1]
-        step.b.dot(u, out=bu)
-        if one_dim:
-            bu += 0.0
         step.a.dot(x, out=x_next)
-        x_next += bu
+        x_next += bus[step.b_index]
         x_next += mode_noise[i, 0]
 
         predict = steps[node[0]]
-        if predict.b is not step.b:
-            predict.b.dot(u, out=bu)
-            if one_dim:
-                bu += 0.0
         if fired is not None:
             q = fired.target
             step = steps[q]
@@ -600,7 +675,9 @@ def simulate(
         np.add(x_next, mode_noise[i, 1], out=y_next)
         if gammas is not None:
             y_next += gammas[i]
-        step_continuous(predict.a, predict.gain, ests[i], bu, y_next, ests[i + 1])
+        step_continuous(
+            predict.a, predict.gain, ests[i], bus[predict.b_index], y_next, ests[i + 1]
+        )
 
     record.flush(t - i, i + 1)
     summary = SimulationSummary(
@@ -613,7 +690,7 @@ def simulate(
         first_conflict=record.first_conflict,
         first_baseline_alarm=record.first_baseline,
         baseline_threshold=threshold,
-        safety_violation=violation,
+        safety_violation=record.violation,
         dwell_ok=bool(check_dwell(model, [e.sample for e in events])),
         discrete_inconsistency=inconsistency_time,
         max_residual=record.max_residual,
@@ -625,7 +702,8 @@ def simulate(
 
 def residual_baseline(trace: Trace, threshold: float) -> float | None:
     """First settled sample whose residual norm exceeds the threshold."""
-    return _first_baseline(trace.times, trace.steady, trace.residual, threshold)
+    norms = np.max(np.abs(trace.residual), axis=1)
+    return _first_baseline(trace.times, trace.steady, norms, threshold)
 
 
 def sweep(

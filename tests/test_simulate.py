@@ -112,6 +112,31 @@ class TestAttackSpec:
         spec = AttackSpec(axes=(1,), kind="step", magnitude=0.5, start_time=0.0)
         np.testing.assert_allclose(spec.gamma(3, 0.1, 2), [0.0, 0.5])
 
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            AttackSpec(axes=(0, 2), kind="ramp", slope=0.025, start_time=15.0),
+            # a negative slope gives -0.0 at the start sample
+            AttackSpec(axes=(1,), kind="ramp", slope=-0.06, start_time=0.0),
+            AttackSpec(axes=(2,), kind="step", magnitude=-0.7, start_time=15.0),
+            # starts mid-block and runs out in the next block's middle
+            AttackSpec(
+                axes=(0,), kind="custom", start_time=15.0,
+                samples=tuple(0.01 * (j % 7 - 3) for j in range(150)) + (-0.0,),
+            ),
+        ],
+        ids=["ramp", "ramp-falling", "step", "custom"],
+    )
+    def test_gamma_rows_are_the_stacked_magnitudes(self, attack):
+        h, dim = 0.1, 3
+        for first in (0, 128, 256, 384):
+            values = [attack.magnitude_at(s, h) for s in range(first, first + BLOCK)]
+            want = np.zeros((BLOCK, dim))
+            want[:, list(attack.axes)] = np.array(values)[:, None]
+            assert attack.gamma_rows(first, BLOCK, h, dim).tobytes() == want.tobytes(), first
+        if attack.slope < 0:
+            assert np.signbit(attack.gamma_rows(0, 1, h, dim)[0, 1])
+
     def test_gamma_axis_out_of_range(self):
         spec = AttackSpec(axes=(3,), kind="step", magnitude=0.5)
         with pytest.raises(ValueError, match="outside"):
@@ -143,6 +168,98 @@ class TestControllersAndSafety:
         assert not limit.violated(np.array([60.0, 0.4]))
         assert limit.violated(np.array([60.0, 0.41]))
         assert not limit.violated(np.array([47.9, 0.41]))  # outside the zone
+
+    def test_builtin_outputs_are_built_once_and_read_only(self):
+        fields = dict(axis=0, center=60.0, half_width=16.0, inside_value=0.2, outside_value=1.0)
+        zone = ZoneController(**fields)
+        inside = zone.control(np.array([60.0, 0.0]), 0.0)
+        assert zone.control(np.array([61.0, 0.0]), 0.1) is inside
+        assert zone.control(np.array([0.0, 0.0]), 0.2).tolist() == [1.0]
+        constant = ConstantController(values=(0.3, -0.0))
+        assert constant.control(np.zeros(2), 0.0) is constant.control(np.ones(2), 1.0)
+        for output in (inside, constant.control(np.zeros(2), 0.0)):
+            assert output.dtype == float and not output.flags.writeable
+        # the outputs are not fields: eq, hash and repr are the fields' own
+        assert zone == ZoneController(**fields) and hash(zone) == hash(ZoneController(**fields))
+        assert repr(zone) == (
+            "ZoneController(axis=0, center=60.0, half_width=16.0, inside_value=0.2, "
+            "outside_value=1.0)"
+        )
+        assert repr(constant) == "ConstantController(values=(0.3, -0.0))"
+        changed = dataclasses.replace(zone, inside_value=0.1)
+        assert changed.control(np.array([60.0, 0.0]), 0.0).tolist() == [0.1]
+
+
+def _scalar_violated(limit, x):
+    """`ZoneSpeedLimit.violated` on one state, as it was written per sample."""
+    near = abs(float(x[limit.position_axis]) - limit.center) <= limit.half_width
+    return near and float(x[limit.speed_axis]) > limit.limit
+
+
+_LIMITS = (
+    ZoneSpeedLimit(position_axis=0, center=60.0, half_width=12.0, speed_axis=1, limit=0.4),
+    ZoneSpeedLimit(position_axis=2, center=-1.5, half_width=0.25, speed_axis=0, limit=-0.0),
+)
+
+# the edges of both comparisons, signed zeros and the non-finite floats
+_SAFETY_FLOATS = st.one_of(
+    st.sampled_from(
+        [48.0, 72.0, 60.0, -1.75, -1.25, 0.4, -0.0, 0.0, float("nan"), float("inf"), float("-inf")]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestBlockSafety:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_LIMITS),
+        st.lists(st.lists(_SAFETY_FLOATS, min_size=3, max_size=3), min_size=1, max_size=12),
+    )
+    def test_block_verdicts_are_the_per_state_formula(self, limit, rows):
+        block = np.array(rows)
+        block.flags.writeable = False
+        got = limit.violated(block)
+        assert got.shape == (len(rows),) and got.dtype == bool
+        assert got.tolist() == [_scalar_violated(limit, row) for row in rows]
+        assert [bool(limit.violated(row)) for row in block] == got.tolist()
+
+    def test_first_violation_is_the_per_sample_one(self, tg_machinery):
+        # the falling ramp drives the train through the gate too fast
+        config = train_gate_scenario(seed=2, attack=ramp_attack(-0.06))
+        detector, bank, observer = tg_machinery
+        got = simulate(config, detector=detector, bank=bank, observer=observer).summary
+        want = reference_simulate(config, detector, bank, observer).summary
+        assert got.safety_violation is not None
+        assert got.safety_violation == want.safety_violation
+
+    def test_not_called_past_the_block_of_the_first_violation(self, tg_machinery):
+        base = train_gate_scenario(seed=2, attack=ramp_attack(-0.06))
+
+        class Counter:
+            blocks = 0
+
+            def violated(self, x):
+                self.blocks += 1
+                return base.safety.violated(x)
+
+        detector, bank, observer = tg_machinery
+        counter = Counter()
+        config = dataclasses.replace(base, safety=counter)
+        summary = simulate(config, detector=detector, bank=bank, observer=observer).summary
+        first = round(summary.safety_violation.time / config.model.sampling_period)
+        assert summary.samples > (first // BLOCK + 1) * BLOCK
+        assert counter.blocks == first // BLOCK + 1
+
+    def test_a_verdict_per_row_is_required(self, tg_machinery):
+        class Scalar:
+            def violated(self, x):
+                return False
+
+        detector, bank, observer = tg_machinery
+        config = dataclasses.replace(train_gate_scenario(duration=1.0), safety=Scalar())
+        with pytest.raises(ValueError, match="one bool per row"):
+            simulate(config, detector=detector, bank=bank, observer=observer)
 
 
 class TestSimulateValidation:
@@ -267,8 +384,8 @@ class TestInPlaceStep:
             simulate(config, detector=detector, bank=bank, observer=observer)
 
     def test_copies_of_what_the_loop_hands_out_are_the_trace(self, tg_machinery):
-        # y and x are rows the loop overwrites a block later; copies taken
-        # during the call are the trace's rows
+        # y is a row and x a block of rows that the loop overwrites a block
+        # later; copies taken during the call are the trace's rows
         base = train_gate_scenario(seed=3, duration=40.0)
 
         class Keeper:
@@ -294,7 +411,8 @@ class TestInPlaceStep:
         result = simulate(config, detector=detector, bank=bank, observer=observer)
         assert len(result.trace) > 2 * BLOCK
         np.testing.assert_array_equal(np.array(keeper.seen), result.trace.y)
-        np.testing.assert_array_equal(np.array(watcher.seen), result.trace.x_true)
+        assert all(len(block) <= BLOCK for block in watcher.seen)
+        np.testing.assert_array_equal(np.concatenate(watcher.seen), result.trace.x_true)
         plain = simulate(base, detector=detector, bank=bank, observer=observer)
         assert result.summary == plain.summary
 
@@ -326,6 +444,117 @@ class TestInPlaceStep:
         assert got.summary == want.summary
         for field in ("x_true", "y", "x_est", "residual"):
             assert getattr(got.trace, field).tobytes() == getattr(want.trace, field).tobytes()
+
+
+class InPlaceController:
+    """One writable array, rewritten in place on every call.
+
+    Calls 1-20 give 0.5 and 1.0 in runs of three, so that some outputs
+    repeat; from call 21 on, -0.0 and +0.0 alternate; call `nan_at` writes NaN.
+    """
+
+    def __init__(self, nan_at=41):
+        self.calls, self.nan_at, self.out = 0, nan_at, np.empty(1)
+
+    def control(self, y, t):
+        self.calls += 1
+        if self.calls == self.nan_at:
+            self.out[0] = np.nan
+        elif self.calls <= 20:
+            self.out[0] = (0.5, 1.0)[self.calls // 3 % 2]
+        else:
+            self.out[0] = (-0.0, 0.0)[self.calls % 2]
+        return self.out
+
+
+@dataclasses.dataclass
+class ContinuousController:
+    """A new array every sample, with a value that changes every sample."""
+
+    level: float = 0.6
+    swing: float = 0.4
+
+    def control(self, y, t):
+        return np.array([self.level + self.swing * np.sin(0.05 * t)])
+
+
+def _assert_bit_equal(got, want, directory):
+    assert got.summary == want.summary
+    for writer, suffix in ((write_trace_csv, "csv"), (write_trace_jsonl, "jsonl")):
+        writer(got.trace, str(directory / f"got.{suffix}"))
+        writer(want.trace, str(directory / f"want.{suffix}"))
+        assert (directory / f"got.{suffix}").read_bytes() == (
+            directory / f"want.{suffix}"
+        ).read_bytes()
+
+
+class TestOutputReuse:
+    """A controller output is checked and multiplied by B once per distinct value."""
+
+    def test_array_rewritten_in_place(self, tg_machinery, tmp_path):
+        detector, bank, observer = tg_machinery
+        base = train_gate_scenario(seed=4, duration=4.0)
+        got = simulate(
+            dataclasses.replace(base, controller=InPlaceController()),
+            detector=detector, bank=bank, observer=observer,
+        )
+        want = reference_simulate(
+            dataclasses.replace(base, controller=InPlaceController()), detector, bank, observer
+        )
+        assert got.summary.samples == 40
+        _assert_bit_equal(got, want, tmp_path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_written_in_place_stops_the_run(self, tg_machinery):
+        detector, bank, observer = tg_machinery
+        controller = InPlaceController()
+        config = dataclasses.replace(train_gate_scenario(duration=30.0), controller=controller)
+        with pytest.raises(ValueError, match=r"controller output \[nan\] at 4\.0 s"):
+            simulate(config, detector=detector, bank=bank, observer=observer)
+        assert controller.calls == 41
+
+    def test_new_output_every_sample(self, tg_machinery, tmp_path):
+        detector, bank, observer = tg_machinery
+        config = dataclasses.replace(
+            train_gate_scenario(seed=6), controller=ContinuousController()
+        )
+        got = simulate(config, detector=detector, bank=bank, observer=observer)
+        want = reference_simulate(config, detector, bank, observer)
+        assert len(got.trace) > 4 * BLOCK
+        _assert_bit_equal(got, want, tmp_path)
+
+    def test_summary_only_peak_does_not_grow_with_the_run(self, tg_machinery):
+        # only the last output is kept, not one entry per distinct output;
+        # the train crawls, so that no event changes what a block holds
+        detector, bank, observer = tg_machinery
+        peaks = {}
+        for samples in (4 * BLOCK, 16 * BLOCK):
+            config = dataclasses.replace(
+                train_gate_scenario(seed=6, duration=samples / 10),
+                controller=ContinuousController(level=0.02, swing=0.01),
+            )
+            simulate(config, keep_trace=False, detector=detector, bank=bank, observer=observer)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                summary = simulate(
+                    config, keep_trace=False, detector=detector, bank=bank, observer=observer
+                ).summary
+                peaks[samples] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert summary.samples == samples and not summary.events
+        assert peaks[16 * BLOCK] < 1.2 * peaks[4 * BLOCK], peaks
+
+    def test_modes_must_take_one_input_count(self):
+        states = [
+            dict(state, B=[[0.0, 0.0], [0.0, 0.0], [0.2, 0.1]] if state["id"] == 2 else state["B"])
+            for state in ND_ACTUATOR["states"]
+        ]
+        config = train_gate_scenario(model=parse_model(dict(ND_ACTUATOR, states=states)))
+        config = dataclasses.replace(config, initial_state=(0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="different numbers of inputs"):
+            simulate(config)
 
 
 class TestReproducibility:
