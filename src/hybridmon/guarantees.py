@@ -7,7 +7,9 @@ whole horizon-step reachable band past the neighbor hyperplane). The
 per-state detection threshold is the larger available arm plus the
 measurement uncertainty margin. All inner optimizations are over boxes,
 so maxima and minima are closed-form; a vertex-enumeration oracle
-cross-checks the closed form in tests.
+cross-checks the closed form in tests. `classify_fdia` asks the static
+question the residual monitor leaves open: whether an attack on a set of
+sensors can stay invisible to it.
 """
 
 from __future__ import annotations
@@ -391,3 +393,118 @@ def detection_threshold(
     if bound.threshold is None:
         raise NoGuaranteeError(f"state {mode_id!r}: no threshold arm is available")
     return bound.threshold
+
+
+@dataclass(frozen=True)
+class FdiaClassification:
+    """Whether a sensor selection admits a residual-stealthy injection."""
+
+    feasible: bool
+    indeterminate: bool
+    eigenvalue: complex | None
+    eigenvector: tuple[float, ...] | None
+    reason: str
+
+
+def classify_fdia(
+    model: HybridAutomaton, mode_id: ModeId, gamma_axes: Sequence[int]
+) -> FdiaClassification:
+    """Can an attack on these sensors stay invisible to the residual monitor?
+
+    Feasible when some eigenvalue of the mode's dynamics with modulus at
+    least one has an eigenvector supported only on the attacked axes: the
+    injected signal then reproduces a valid trajectory of the dynamics and
+    the estimator tracks it. Defective critical eigenvalues without such a
+    vector leave the answer indeterminate, since generalized eigenvectors
+    could still align.
+    """
+    axes = tuple(sorted(set(int(a) for a in gamma_axes)))
+    a = model.dynamics(mode_id).a
+    n = a.shape[0]
+    if any(axis < 0 or axis >= n for axis in axes):
+        raise ValueError("attack axis outside the state dimension")
+    if not axes:
+        return FdiaClassification(
+            feasible=False,
+            indeterminate=False,
+            eigenvalue=None,
+            eigenvector=None,
+            reason="no sensor selected",
+        )
+    eigvals = np.linalg.eigvals(a)
+    critical = [lam for lam in eigvals if abs(lam) >= 1.0 - 1e-9]
+    if not critical:
+        return FdiaClassification(
+            feasible=False,
+            indeterminate=False,
+            eigenvalue=None,
+            eigenvector=None,
+            reason="all eigenvalues strictly stable",
+        )
+    complement = [i for i in range(n) if i not in axes]
+    saw_defective = False
+    scale = max(1.0, float(np.max(np.abs(a))))
+    for lam in _cluster(critical):
+        algebraic = sum(1 for mu in critical if abs(mu - lam) <= 1e-6 * scale)
+        shifted = a - lam * np.eye(n)
+        null_basis = _null_space(shifted, tol=1e-9 * scale)
+        geometric = null_basis.shape[1]
+        if geometric == 0:
+            saw_defective = True
+            continue
+        if not complement:
+            vec = null_basis[:, 0]
+            return _feasible(lam, vec)
+        restricted = null_basis[complement, :]
+        # a combination vanishing on the unattacked axes lives in this kernel
+        kernel = _null_space(restricted, tol=1e-9)
+        if kernel.shape[1] > 0:
+            vec = null_basis @ kernel[:, 0]
+            return _feasible(lam, vec)
+        if geometric < algebraic:
+            saw_defective = True
+    if saw_defective:
+        return FdiaClassification(
+            feasible=False,
+            indeterminate=True,
+            eigenvalue=None,
+            eigenvector=None,
+            reason="critical eigenvalue is defective; eigenvectors alone are inconclusive",
+        )
+    return FdiaClassification(
+        feasible=False,
+        indeterminate=False,
+        eigenvalue=None,
+        eigenvector=None,
+        reason="no critical eigenvector is supported on the attacked sensors",
+    )
+
+
+def _feasible(lam: complex, vec: np.ndarray) -> FdiaClassification:
+    if abs(vec.imag).max() < 1e-9 * max(1.0, abs(vec.real).max()):
+        vec = vec.real
+    idx = int(np.argmax(np.abs(vec)))
+    vec = vec / vec[idx]
+    return FdiaClassification(
+        feasible=True,
+        indeterminate=False,
+        eigenvalue=complex(lam),
+        eigenvector=tuple(float(np.real(c)) for c in vec),
+        reason="critical eigenvector lies on the attacked sensors",
+    )
+
+
+def _cluster(values: Sequence[complex], tol: float = 1e-6) -> list[complex]:
+    out: list[complex] = []
+    for value in values:
+        if all(abs(value - seen) > tol for seen in out):
+            out.append(value)
+    return out
+
+
+def _null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
+    if matrix.size == 0:
+        return np.zeros((matrix.shape[0], 0))
+    _, s, vh = np.linalg.svd(matrix)
+    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    return vh[rank:].conj().T

@@ -5,12 +5,13 @@ error covariance to a fixed point. Noise covariances are diagonal with
 standard deviation bound/3, matching the truncated-Gaussian noise model
 (the bound is a three-sigma clip).
 
-`step_continuous` is the per-sample update: it takes the mode's A and gain
-as arrays and B u as a vector, and writes the new estimate into an array the
-caller owns, with no model lookup, copy or validation, because `simulate`
-calls it once per sample, shares B u with the plant step and keeps the
-estimate in its recorder's rows. The caller keeps the residual and the
-settling count.
+`step_rows` is the update: it takes one mode's A and gain as arrays and
+B u as a vector, and steps a range of rows of an estimate buffer, each from
+the row before and its measurement, with no model lookup, copy or
+validation. `simulate`'s monitor pass calls it once per stretch of samples
+that share the predicting mode and the input, after the plant loop has
+filled the measurements. `step_continuous` is its one-row case. The caller
+keeps the residual and the settling count.
 """
 
 from __future__ import annotations
@@ -123,6 +124,39 @@ def _solve_riccati(
     )
 
 
+def step_rows(
+    a: np.ndarray,
+    gain: np.ndarray,
+    bu: np.ndarray,
+    x_est: np.ndarray,
+    y: np.ndarray,
+    lo: int,
+    hi: int,
+    scratch: np.ndarray,
+) -> None:
+    """Predict/update steps with one mode's A and gain, rows lo + 1 .. hi in place.
+
+    Row r of x_est becomes A x_est[r - 1] + B u, then that plus
+    K (y[r] - it); bu is the mode's B times the input. The innovation and
+    the correction go to the two rows of scratch, which must not overlap
+    x_est, y or bu. The operation order is part of the result: reassociating
+    it, to (I - K) A say, changes the float bits of every trace.
+    `ndarray.dot` gives the bits of `@` up to the sign of a zero (see
+    `simulate`), so when bu is not -0.0, as `B @ u` never is, neither is
+    A x_est + B u, and each row has the bits of the same formula written
+    with `@`.
+    """
+    innovation, correction = scratch
+    prev = x_est[lo]
+    for out, meas in zip(x_est[lo + 1 : hi + 1], y[lo + 1 : hi + 1]):
+        a.dot(prev, out=out)
+        out += bu
+        np.subtract(meas, out, out=innovation)
+        gain.dot(innovation, out=correction)
+        out += correction
+        prev = out
+
+
 def step_continuous(
     a: np.ndarray,
     gain: np.ndarray,
@@ -131,19 +165,13 @@ def step_continuous(
     y: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """One predict/update step with a mode's A and gain, written into `out`.
+    """One predict/update step, the one-row case of `step_rows`, written into `out`.
 
-    bu is the mode's B times the input. out = A x_est + B u, then
-    out + K (y - out); returns `out`, which must not overlap x_est, bu or y.
-    The operation order is part of the result: reassociating it, to
-    (I - K) A say, changes the float bits of every trace. `ndarray.dot`
-    gives the bits of `@` up to the sign of a zero (see `simulate`), so when
-    bu is not -0.0, as `B @ u` never is, neither is A x_est + B u, and the
-    result has the bits of the same formula written with `@`.
+    out = A x_est + B u, then out + K (y - out); returns `out`.
     """
-    a.dot(x_est, out=out)
-    out += bu
-    out += gain.dot(y - out)
+    rows = np.array((x_est, x_est), dtype=float)
+    step_rows(a, gain, bu, rows, np.array((y, y), dtype=float), 0, 1, np.empty_like(rows))
+    out[...] = rows[1]
     return out
 
 

@@ -6,19 +6,25 @@ observers, evaluates the conflict detector and the residual baseline, and
 reports first-alarm times against the safety-violation time. A
 counter-based generator keyed by the seed makes traces bit-reproducible.
 
-The loop has two parts. What feeds back into the plant (noise, guards, the
-controller, the observers and the Kalman step) runs per sample, with each
-mode's matrices, noise scales and guards looked up once per run and the
-standard normals drawn once per block of samples. A controller output is
-checked, and multiplied by each distinct B, once per distinct value: while
-its bytes match the last output's, the loop reuses that output's B u. What
-does not feed back (the safety predicate, the detector, the baseline
-monitor, the steady maxima and the trace) is recorded into fixed buffers
-and decided a block at a time, by `ZoneSpeedLimit.violated` and
-`Detector.evaluate_rows`, which give the same bits as deciding each sample
-as it comes. The per-sample step writes its products and sums with `out=`
-straight into the buffer rows of the next sample, in the operation order
-that fixes the bits.
+A run has two parts. The plant loop steps per sample only what feeds back
+into the plant: the controller, the guards, x = A x + B u + w and the
+measurement, with each mode's matrices, noise scales and guards looked up
+once per run and the standard normals drawn once per block of samples. A
+controller output is checked, and multiplied by each distinct B, once per
+distinct value: while its bytes match the last output's, the loop reuses
+that output's B u. The observer steps only on events. Of the rest, the loop
+records change points: the row of each event, with the new mode and node,
+and the row of each new controller output, with its B u. The monitor pass
+then takes a block of samples at a time. It rebuilds the mode, node,
+settled and event columns from the change points, steps the Kalman
+estimate one stretch of equal A, K and B u at a time (`step_rows`), and
+decides the safety predicate, the detector, the baseline monitor and the
+steady maxima with `ZoneSpeedLimit.violated` and `Detector.evaluate_rows`.
+The monitor feeds nothing back, so this gives the bits of deciding each
+sample as it comes. Products and sums are written with `out=` straight
+into buffer rows, in the operation order that fixes the bits. A model's
+validation verdict, detector, filter bank, observer and mode steps are
+built on its first run and kept on the model object for the next.
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
 from .conflicts import Detector
-from .kalman import KalmanBank, check_dwell, step_continuous, synthesize_gains
+from .kalman import KalmanBank, check_dwell, step_rows, synthesize_gains
 from .model import (
     HybridAutomaton,
     ModeId,
@@ -288,17 +295,6 @@ class SimulationResult:
     trace: Trace | None
 
 
-@dataclass(frozen=True)
-class FdiaClassification:
-    """Whether a sensor selection admits a residual-stealthy injection."""
-
-    feasible: bool
-    indeterminate: bool
-    eigenvalue: complex | None
-    eigenvector: tuple[float, ...] | None
-    reason: str
-
-
 def baseline_threshold(model: HybridAutomaton) -> float:
     """Residual-monitor alarm level: estimation margin plus noise bound."""
     return model.theta + float(np.max(model.max_v_bounds))
@@ -397,34 +393,84 @@ def _first_violation(
     return SafetyViolation(time=float(times[j]), state=tuple(x[j].tolist()))
 
 
+class _Machinery:
+    """A model's run machinery, each part built on first use and kept on the model.
+
+    `_machinery` keeps one per model object in the model's `__dict__`, where
+    a cached property keeps its value; the model is immutable, so the parts
+    stay valid for its life. Equal but distinct models each build their own.
+    """
+
+    def __init__(self, model: HybridAutomaton) -> None:
+        self.model = model
+
+    @cached_property
+    def problems(self) -> list[str]:
+        return validate_model(self.model)
+
+    @cached_property
+    def detector(self) -> Detector:
+        return Detector(self.model)
+
+    @cached_property
+    def bank(self) -> KalmanBank:
+        return synthesize_gains(self.model)
+
+    @cached_property
+    def observer(self) -> ObserverFsm:
+        return build_observer(extract_fsm(self.model))
+
+    @cached_property
+    def steps(self) -> tuple[dict[ModeId, _ModeStep], list[np.ndarray]]:
+        return _mode_steps(self.model, self.bank)
+
+
+def _machinery(model: HybridAutomaton) -> _Machinery:
+    machinery = model.__dict__.get("_machinery")
+    if machinery is None:
+        machinery = model.__dict__["_machinery"] = _Machinery(model)
+    return machinery
+
+
 class _Recorder:
-    """The rows that do not feed back into the plant, decided a block at a time.
+    """The monitor: what does not feed back into the plant, a block at a time.
 
     The loop reads sample t from row i = t % BLOCK of the buffers and steps
-    x, y and x_est of sample t + 1 straight into row i + 1, so these three
-    have one row past the block; after a flush, the loop moves that row to
-    row 0. `flush` hands a block to the detector and folds its verdicts into
+    x and y of sample t + 1 straight into row i + 1, so x, y and x_est have
+    one row past the block; after a flush, the loop moves that row to row 0.
+    Of the rest, the loop records only change points: `event_rows` holds
+    (row, event pair, mode, node) for each event, the mode and node being
+    those of the next row, and `input_rows` holds (row, B u list) for each
+    row whose controller output differs from the last. `flush` is the
+    monitor pass: it rebuilds the labels from them, steps the Kalman
+    estimate, hands the block to the detector and folds its verdicts into
     the summary figures, and, when the trace is kept, writes its columns in
     place into columns allocated for all n samples at the start.
     """
 
     def __init__(
         self,
+        model: HybridAutomaton,
         detector: Detector,
+        steps: dict[ModeId, _ModeStep],
         safety: ZoneSpeedLimit | None,
-        threshold: float,
-        h: float,
-        dim: int,
+        mode: ModeId,
+        node: Node,
         n: int | None,
     ) -> None:
-        self.detector, self.safety, self.threshold, self.h = detector, safety, threshold, h
+        self.detector, self.steps, self.safety = detector, steps, safety
+        self.threshold = baseline_threshold(model)
+        self.h, self.dwell, dim = model.sampling_period, model.dwell_time, model.dim
         self.x = np.empty((BLOCK + 1, dim))
         self.y = np.empty((BLOCK + 1, dim))
         self.x_est = np.empty((BLOCK + 1, dim))
+        self.scratch = np.empty((2, dim))
         self.steady = np.zeros(BLOCK, dtype=bool)
-        self.modes: list = [None] * BLOCK
-        self.nodes: list = [None] * BLOCK
-        self.events: list = [None] * BLOCK
+        self.event_rows: list[tuple[int, tuple[str, str], ModeId, Node]] = []
+        self.input_rows: list[tuple[int, list[np.ndarray]]] = []
+        # the labels of the next row to flush, the first sample of the
+        # current settling count, and the B u list in force
+        self.mode, self.node, self.since, self.bus = mode, node, 0, []
         self.columns: dict[str, np.ndarray] | None = None
         self.mode_column: list = []
         self.node_column: list = []
@@ -440,18 +486,53 @@ class _Recorder:
         self.first_conflict: ConflictAlarm | None = None
         self.violation: SafetyViolation | None = None
 
-    def flush(self, first: int, k: int) -> None:
-        """Decide rows 0 .. k - 1, which hold samples first .. first + k - 1."""
-        x, y, x_est, steady = self.x[:k], self.y[:k], self.x_est[:k], self.steady[:k]
+    def flush(self, first: int, k: int, carry: bool) -> None:
+        """Monitor rows 0 .. k - 1, which hold samples first .. first + k - 1.
+
+        With carry the run goes on, and the estimate of row k is stepped too.
+        """
+        steady = self.steady[:k]
+        nodes: list[Node] = []
+        modes: list[ModeId] = []
+        events: list[tuple[str, str] | None] = [None] * k
+
+        def label(lo: int, hi: int) -> None:
+            nodes.extend([self.node] * (hi - lo))
+            modes.extend([self.mode] * (hi - lo))
+            steady[lo:hi] = False
+            steady[max(lo, self.since + self.dwell - first) : hi] = True
+
+        row = 0
+        for at, pair, mode, node in self.event_rows:
+            events[at] = pair
+            label(row, at + 1)
+            self.mode, self.node, self.since, row = mode, node, first + at + 1, at + 1
+        label(row, k)
+
+        # row r + 1's estimate is stepped with row r's node and B u, so one
+        # stretch of rows shares A, K and B u between those change points
+        stop = k if carry else k - 1
+        inputs = dict(self.input_rows)
+        changes = [at + 1 for at, *_ in self.event_rows] + list(inputs)
+        cuts = sorted({0, stop, *(c for c in changes if c < stop)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            self.bus = inputs.get(lo, self.bus)
+            step = self.steps[nodes[lo][0]]
+            step_rows(
+                step.a, step.gain, self.bus[step.b_index], self.x_est, self.y, lo, hi, self.scratch
+            )
+        self.event_rows.clear()
+        self.input_rows.clear()
+
+        x, y, x_est = self.x[:k], self.y[:k], self.x_est[:k]
         # the safety predicate is handed these rows, which it must not change
         x.flags.writeable = False
-        nodes = self.nodes[:k]
         # sample t's time has the bits of t * h
         times = np.arange(first, first + k) * self.h
         if self.safety is not None and self.violation is None:
             self.violation = _first_violation(self.safety, times, x)
         residual = y - x_est
-        rows = self.detector.evaluate_rows(nodes, steady, x_est, residual, self.events[:k])
+        rows = self.detector.evaluate_rows(nodes, steady, x_est, residual, events)
         if steady.any():
             norms = np.max(np.abs(residual), axis=1)
             errors = np.max(np.abs(x - x_est), axis=1)
@@ -476,7 +557,7 @@ class _Recorder:
             }
             for name, values in block.items():
                 self.columns[name][first : first + k] = values
-            self.mode_column += self.modes[:k]
+            self.mode_column += modes
             self.node_column += nodes
 
     def trace(self, samples: int) -> Trace:
@@ -503,12 +584,17 @@ def simulate(
     t + 1, so the step across the event still belongs to the old mode. The
     detector sees the event pair at sample t, the sample whose state fired
     it. The attack corrupts only the measured output. A stop event ends the
-    run at the sample that fired it. A controller output that is not a
-    vector of finite numbers raises ValueError at the sample that produced
-    it, and a model whose modes take different numbers of inputs, which no
-    one output fits, raises it before the first sample. With
-    keep_trace=False the run keeps one block of rows, not a row per sample;
-    the summary is the same either way.
+    run at the sample that fired it. An initial state that does not fit the
+    model or a duration that is not finite raises ValueError before the
+    run. A controller output that is not a vector of finite numbers raises
+    it at the sample that produced it, and a model whose modes take
+    different numbers of inputs, which no one output fits, raises it before
+    the first sample. With keep_trace=False the run keeps one block of rows,
+    not a row per sample; the summary is the same either way.
+
+    The detector, the filter bank and the observer default to the model's
+    own, built on its first run and kept for the next; so is the verdict of
+    `validate_model`. Passed ones take precedence.
 
     `control(y, t)` is handed a read-only row of the run's buffers, valid
     only for the call: the loop overwrites it BLOCK samples later, so a
@@ -520,9 +606,16 @@ def simulate(
     per row; it is not called past the block of the first violation.
     """
     model = config.model
-    problems = validate_model(model)
-    if problems:
-        raise ModelError("model failed validation: " + "; ".join(problems))
+    machinery = _machinery(model)
+    if machinery.problems:
+        raise ModelError("model failed validation: " + "; ".join(machinery.problems))
+    x = np.array(config.initial_state, dtype=float)
+    if x.shape != (model.dim,):
+        raise ValueError(
+            f"initial_state has shape {x.shape}, not the model's ({model.dim},)"
+        )
+    if not math.isfinite(config.duration):
+        raise ValueError(f"duration must be finite, got {config.duration!r}")
     h = model.sampling_period
     attack = config.attack
     if attack is not None:
@@ -532,42 +625,33 @@ def simulate(
                 f"attack starts at {attack.start_time} s but the observer "
                 f"only settles at {settle} s"
             )
-    if detector is None:
-        detector = Detector(model)
-    if bank is None:
-        bank = synthesize_gains(model)
-    if observer is None:
-        observer = build_observer(extract_fsm(model))
-
     n = int(round(config.duration / h))
     if n <= 0:
         raise ValueError("duration too short for one sample")
+    if detector is None:
+        detector = machinery.detector
+    if observer is None:
+        observer = machinery.observer
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    threshold = baseline_threshold(model)
 
-    x = np.array(config.initial_state, dtype=float)
     q: ModeId = config.initial_mode
     if not model.invariant(q).contains(x):
         raise ValueError("initial state lies outside the initial mode's invariant")
     node: Node = observer.root
     if q not in node:
         raise ValueError("initial mode is missing from the observer root")
-    steady_timer = 0
     dim = x.size
-    dwell = model.dwell_time
-    steps, bs = _mode_steps(model, bank)
+    steps, bs = machinery.steps if bank is None else _mode_steps(model, bank)
     step = steps[q]
     control = config.controller.control
 
-    record = _Recorder(detector, config.safety, threshold, h, dim, n if keep_trace else None)
-    xs, ys, ests = record.x, record.y, record.x_est
+    record = _Recorder(model, detector, steps, config.safety, q, node, n if keep_trace else None)
+    xs, ys = record.x, record.y
+    mark_event, mark_input = record.event_rows.append, record.input_rows.append
     # what `control` is handed: read-only rows, which the loop overwrites
     # one block later
     ys_seen = ys.view()
     ys_seen.flags.writeable = False
-    steady_buf, modes_buf, nodes_buf, events_buf = (
-        record.steady, record.modes, record.nodes, record.events,
-    )
     # Products are taken with `ndarray.dot(..., out=row)`, which gives the
     # bits of `@` but for the sign of a zero: a product with one column has
     # no sum, and keeps a -0.0 that `@` turns into +0.0. A sum is -0.0 only
@@ -582,7 +666,7 @@ def simulate(
     v = _truncated_gaussian(rng.standard_normal(dim), step.sigma[1], step.bound[1])
     xs[0] = x
     ys[0] = x + v + gamma0
-    ests[0] = ys[0]
+    record.x_est[0] = ys[0]
     # the last controller output that passed the check, as bytes, which
     # tell -0.0 from 0.0 and see an array rewritten in place; and its B u
     # for each distinct B
@@ -598,8 +682,8 @@ def simulate(
         i = t % BLOCK
         if i == 0:
             if t:
-                record.flush(t - BLOCK, BLOCK)
-                for rows in (xs, ys, ests):
+                record.flush(t - BLOCK, BLOCK, carry=True)
+                for rows in (xs, ys, record.x_est):
                     rows[0] = rows[BLOCK]
             k = min(BLOCK, n - t)
             # row j: w of sample t + j, then v and the attack of sample t + j + 1
@@ -609,7 +693,6 @@ def simulate(
             if attack is not None:
                 gammas = attack.gamma_rows(t + 1, k, h, dim)
         now = t * h
-        steady = steady_timer >= dwell
         u = np.asarray(control(ys_seen[i], now), dtype=float)
         if u.ndim != 1 or u.tobytes() != u_bytes:
             if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
@@ -618,6 +701,7 @@ def simulate(
                 )
             u_bytes = u.tobytes()
             bus = _b_products(bs, u)
+            mark_input((i, bus))
         x = xs[i]
         state = x.tolist()
         fired = None
@@ -626,14 +710,14 @@ def simulate(
                 fired = tr
                 break
 
-        steady_buf[i] = steady
-        modes_buf[i] = q
-        nodes_buf[i] = node
-        events_buf[i] = None
+        # x of sample t + 1 = A x + B u + w, summed in this order in row i + 1
+        x_next = xs[i + 1]
+        step.a.dot(x, out=x_next)
+        x_next += bus[step.b_index]
+        x_next += mode_noise[i, 0]
 
         if fired is not None:
             pair = (fired.input_event, fired.output_event)
-            events_buf[i] = pair
             events.append(
                 EventRecord(
                     sample=t,
@@ -647,39 +731,26 @@ def simulate(
             )
             if fired.output_event in config.stop_events:
                 stop_event = fired.output_event
-                break
-
-        # x of sample t + 1 = A x + B u + w, summed in this order in row i + 1
-        x_next = xs[i + 1]
-        step.a.dot(x, out=x_next)
-        x_next += bus[step.b_index]
-        x_next += mode_noise[i, 0]
-
-        predict = steps[node[0]]
-        if fired is not None:
+            else:
+                try:
+                    node = step_discrete(observer, node, pair)
+                except DiscreteInconsistencyError:
+                    inconsistency_time = (t + 1) * h
             q = fired.target
+            mark_event((i, pair, q, node))
+            if stop_event is not None or inconsistency_time is not None:
+                break
             step = steps[q]
             mode_noise = noise.get(q)
             if mode_noise is None:
                 mode_noise = noise[q] = _truncated_gaussian(z, step.sigma, step.bound)
-            try:
-                node = step_discrete(observer, node, pair)
-            except DiscreteInconsistencyError:
-                inconsistency_time = (t + 1) * h
-                break
-            steady_timer = 0
-        else:
-            steady_timer += 1
 
         y_next = ys[i + 1]
         np.add(x_next, mode_noise[i, 1], out=y_next)
         if gammas is not None:
             y_next += gammas[i]
-        step_continuous(
-            predict.a, predict.gain, ests[i], bus[predict.b_index], y_next, ests[i + 1]
-        )
 
-    record.flush(t - i, i + 1)
+    record.flush(t - i, i + 1, carry=False)
     summary = SimulationSummary(
         seed=config.seed,
         completed=inconsistency_time is None,
@@ -689,7 +760,7 @@ def simulate(
         events=tuple(events),
         first_conflict=record.first_conflict,
         first_baseline_alarm=record.first_baseline,
-        baseline_threshold=threshold,
+        baseline_threshold=record.threshold,
         safety_violation=record.violation,
         dwell_ok=bool(check_dwell(model, [e.sample for e in events])),
         discrete_inconsistency=inconsistency_time,
@@ -712,128 +783,11 @@ def sweep(
     *,
     keep_traces: bool = False,
 ) -> tuple[SimulationResult, ...]:
-    """Run the same scenario across seeds, reusing the per-model machinery."""
-    model = base.model
-    detector = Detector(model)
-    bank = synthesize_gains(model)
-    observer = build_observer(extract_fsm(model))
-    results = []
-    for seed in sorted(set(int(s) for s in seeds)):
-        config = replace(base, seed=seed)
-        results.append(
-            simulate(
-                config,
-                keep_trace=keep_traces,
-                detector=detector,
-                bank=bank,
-                observer=observer,
-            )
-        )
-    return tuple(results)
-
-
-def classify_fdia(
-    model: HybridAutomaton, mode_id: ModeId, gamma_axes: Sequence[int]
-) -> FdiaClassification:
-    """Can an attack on these sensors stay invisible to the residual monitor?
-
-    Feasible when some eigenvalue of the mode's dynamics with modulus at
-    least one has an eigenvector supported only on the attacked axes: the
-    injected signal then reproduces a valid trajectory of the dynamics and
-    the estimator tracks it. Defective critical eigenvalues without such a
-    vector leave the answer indeterminate, since generalized eigenvectors
-    could still align.
-    """
-    axes = tuple(sorted(set(int(a) for a in gamma_axes)))
-    a = model.dynamics(mode_id).a
-    n = a.shape[0]
-    if any(axis < 0 or axis >= n for axis in axes):
-        raise ValueError("attack axis outside the state dimension")
-    if not axes:
-        return FdiaClassification(
-            feasible=False,
-            indeterminate=False,
-            eigenvalue=None,
-            eigenvector=None,
-            reason="no sensor selected",
-        )
-    eigvals = np.linalg.eigvals(a)
-    critical = [lam for lam in eigvals if abs(lam) >= 1.0 - 1e-9]
-    if not critical:
-        return FdiaClassification(
-            feasible=False,
-            indeterminate=False,
-            eigenvalue=None,
-            eigenvector=None,
-            reason="all eigenvalues strictly stable",
-        )
-    complement = [i for i in range(n) if i not in axes]
-    saw_defective = False
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for lam in _cluster(critical):
-        algebraic = sum(1 for mu in critical if abs(mu - lam) <= 1e-6 * scale)
-        shifted = a - lam * np.eye(n)
-        null_basis = _null_space(shifted, tol=1e-9 * scale)
-        geometric = null_basis.shape[1]
-        if geometric == 0:
-            saw_defective = True
-            continue
-        if not complement:
-            vec = null_basis[:, 0]
-            return _feasible(lam, vec)
-        restricted = null_basis[complement, :]
-        # a combination vanishing on the unattacked axes lives in this kernel
-        kernel = _null_space(restricted, tol=1e-9)
-        if kernel.shape[1] > 0:
-            vec = null_basis @ kernel[:, 0]
-            return _feasible(lam, vec)
-        if geometric < algebraic:
-            saw_defective = True
-    if saw_defective:
-        return FdiaClassification(
-            feasible=False,
-            indeterminate=True,
-            eigenvalue=None,
-            eigenvector=None,
-            reason="critical eigenvalue is defective; eigenvectors alone are inconclusive",
-        )
-    return FdiaClassification(
-        feasible=False,
-        indeterminate=False,
-        eigenvalue=None,
-        eigenvector=None,
-        reason="no critical eigenvector is supported on the attacked sensors",
+    """Run the same scenario across seeds; the model's machinery is built once."""
+    return tuple(
+        simulate(replace(base, seed=seed), keep_trace=keep_traces)
+        for seed in sorted(set(int(s) for s in seeds))
     )
-
-
-def _feasible(lam: complex, vec: np.ndarray) -> FdiaClassification:
-    if abs(vec.imag).max() < 1e-9 * max(1.0, abs(vec.real).max()):
-        vec = vec.real
-    idx = int(np.argmax(np.abs(vec)))
-    vec = vec / vec[idx]
-    return FdiaClassification(
-        feasible=True,
-        indeterminate=False,
-        eigenvalue=complex(lam),
-        eigenvector=tuple(float(np.real(c)) for c in vec),
-        reason="critical eigenvector lies on the attacked sensors",
-    )
-
-
-def _cluster(values: Sequence[complex], tol: float = 1e-6) -> list[complex]:
-    out: list[complex] = []
-    for value in values:
-        if all(abs(value - seen) > tol for seen in out):
-            out.append(value)
-    return out
-
-
-def _null_space(matrix: np.ndarray, tol: float) -> np.ndarray:
-    if matrix.size == 0:
-        return np.zeros((matrix.shape[0], 0))
-    _, s, vh = np.linalg.svd(matrix)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return vh[rank:].conj().T
 
 
 # Verdict columns after the four float groups, in the order both trace formats

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are
 from scipy.stats import norm, poisson
 
@@ -20,7 +22,7 @@ from hybridmon import (
     step_continuous,
     synthesize_gains,
 )
-from hybridmon.kalman import GainInstabilityError
+from hybridmon.kalman import GainInstabilityError, step_rows
 
 # fixed point of the builtin crossing model's Riccati recursion, frozen from
 # a converged run; all three modes share one dynamics matrix so one gain
@@ -175,6 +177,52 @@ class TestStepContinuous:
         assert est is out
         assert est.tobytes() == (predicted + gain @ (y - predicted)).tobytes()
         np.testing.assert_allclose(est, predicted + TG_GAIN @ (y - predicted), atol=1e-12)
+
+
+# signed zeros next to ordinary magnitudes that cannot overflow
+_STEP_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-100.0, 100.0))
+
+
+@st.composite
+def _segmented_block(draw):
+    """A block of rows cut into segments, each with its own A, K and B u."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 10))
+    vectors = st.lists(_STEP_FLOATS, min_size=dim, max_size=dim).map(np.array)
+    matrices = st.lists(_STEP_FLOATS, min_size=dim * dim, max_size=dim * dim).map(
+        lambda values: np.array(values).reshape(dim, dim)
+    )
+    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=3)) if rows > 1 else set())
+    bounds = [0, *cuts, rows]
+    segments = [
+        (lo, hi, draw(matrices), draw(matrices), draw(vectors))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    y = np.array([draw(vectors) for _ in range(rows + 1)])
+    return draw(vectors), y, segments
+
+
+class TestStepRows:
+    @settings(max_examples=200, deadline=None)
+    @given(_segmented_block())
+    def test_rows_are_repeated_one_row_steps(self, case):
+        # the monitor pass steps a block one (A, K, B u) segment at a time;
+        # row for row it must give the bits of one step per sample, and of
+        # the formula with a fresh innovation and correction per step
+        start, y, segments = case
+        rows = np.full_like(y, np.nan)
+        rows[0] = start
+        scratch = np.empty((2, y.shape[1]))
+        for lo, hi, a, gain, bu in segments:
+            step_rows(a, gain, bu, rows, y, lo, hi, scratch)
+        est = start
+        for lo, hi, a, gain, bu in segments:
+            for r in range(lo + 1, hi + 1):
+                prev, est = est, step_continuous(a, gain, est, bu, y[r], np.empty_like(est))
+                fresh = a.dot(prev)
+                fresh += bu
+                fresh += gain.dot(y[r] - fresh)
+                assert rows[r].tobytes() == est.tobytes() == fresh.tobytes()
 
 
 class TestCheckDwell:

@@ -1,6 +1,7 @@
 """Closed-loop runs: reproducibility, event mechanics, monitors, writers."""
 
 import dataclasses
+import importlib
 import json
 import tracemalloc
 
@@ -29,6 +30,7 @@ from hybridmon import (
     build_observer,
     classify_fdia,
     extract_fsm,
+    model_to_dict,
     parse_model,
     residual_baseline,
     simulate,
@@ -317,6 +319,18 @@ class TestSimulateValidation:
         with pytest.raises(ValueError, match="duration"):
             simulate(config)
 
+    @pytest.mark.parametrize("start", [(0.0,), (0.0, 0.0, 0.0), ((0.0, 0.0),)])
+    def test_rejects_initial_state_of_another_shape(self, start):
+        config = dataclasses.replace(train_gate_scenario(), initial_state=start)
+        with pytest.raises(ValueError, match=r"initial_state has shape .* not the model's \(2,\)"):
+            simulate(config)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_duration(self, duration):
+        config = dataclasses.replace(train_gate_scenario(), duration=duration)
+        with pytest.raises(ValueError, match=r"duration must be finite, got"):
+            simulate(config)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_controller_output_stops_the_run(self, tg_machinery):
         # the check runs before the NaN reaches any array operation, so
@@ -596,6 +610,66 @@ class TestReproducibility:
                 observer=observer,
             )
             assert single.summary == r.summary
+
+
+class TestModelMachinery:
+    """A model's detector, gains, observer and verdict are built once, on its first run."""
+
+    BUILDS = ("validate_model", "Detector", "synthesize_gains", "build_observer")
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        module = importlib.import_module("hybridmon.simulate")
+        counts = dict.fromkeys(self.BUILDS, 0)
+        for name in self.BUILDS:
+
+            def counted(*args, _name=name, _build=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_two_sweeps_build_once(self, builds):
+        base = train_gate_scenario(duration=30.0)
+        results = sweep(base, [1, 2]) + sweep(base, [3, 2])
+        assert builds == dict.fromkeys(self.BUILDS, 1)
+        for result in results:
+            fresh = train_gate_scenario(seed=result.summary.seed, duration=30.0)
+            assert simulate(fresh, keep_trace=False).summary == result.summary
+
+    def test_equal_model_builds_its_own(self, builds):
+        first, second = train_gate_scenario(duration=5.0), train_gate_scenario(duration=5.0)
+        assert first.model is not second.model
+        assert model_to_dict(first.model) == model_to_dict(second.model)
+        for config in (first, first, second, second):
+            simulate(config, keep_trace=False)
+        assert builds == dict.fromkeys(self.BUILDS, 2)
+
+    def test_passed_machinery_is_used(self, builds, tg_machinery):
+        detector, bank, observer = tg_machinery
+
+        class Spy:
+            calls = 0
+
+            def evaluate_rows(self, *args):
+                self.calls += 1
+                return detector.evaluate_rows(*args)
+
+        spy = Spy()
+        config = train_gate_scenario(seed=5, duration=30.0)
+        scaled = dataclasses.replace(
+            bank,
+            gains={q: dataclasses.replace(g, gain=0.5 * g.gain) for q, g in bank.gains.items()},
+        )
+        got = simulate(config, detector=spy, bank=scaled, observer=observer)
+        assert builds == dict(dict.fromkeys(self.BUILDS, 0), validate_model=1)
+        assert spy.calls == -(-len(got.trace) // BLOCK)
+        want = reference_simulate(config, detector, scaled, observer)
+        assert got.summary == want.summary
+        assert got.trace.x_est.tobytes() == want.trace.x_est.tobytes()
+        config, mute = _mute(_start_at(34.7))
+        assert simulate(config, observer=mute).summary.discrete_inconsistency == 12.8
 
 
 class TestEventMechanics:
@@ -980,6 +1054,65 @@ class TestBlockLoop:
             assert (tmp_path / f"got.{suffix}").read_bytes() == (
                 tmp_path / f"want.{suffix}"
             ).read_bytes()
+        summary_only = simulate(
+            config, keep_trace=False, detector=detector, bank=bank, observer=observer
+        )
+        assert summary_only.summary == want.summary
+
+
+class TimeKeyedController:
+    """Output 0.8 before sample 128, 1.2 from there, 0.5 from sample 255 on."""
+
+    def __init__(self):
+        self.outputs = [np.array([value]) for value in (0.8, 1.2, 0.5)]
+
+    def control(self, y, t):
+        sample = round(t * 10)
+        return self.outputs[(sample >= 128) + (sample >= 255)]
+
+
+def _start_at(position, **kwargs):
+    # seed 0 from 34.7 m reaches the 45 m sensor at sample 127, from 34.6 m at 128
+    return dataclasses.replace(
+        train_gate_scenario(seed=0, duration=30.0), initial_state=(position, 0.0), **kwargs
+    )
+
+
+BOUNDARY_CASES = {
+    "event-on-127": lambda: _start_at(34.7),
+    "event-on-128": lambda: _start_at(34.6),
+    # the Kalman step needs the new mode's B u from row 0 of the next block
+    "distinct-b-event-on-127": lambda: dataclasses.replace(
+        _distinct_b_scenario(10), initial_state=(34.8, 0.0, 0.0), duration=30.0
+    ),
+    "output-switches-on-128-and-255": lambda: _start_at(0.0, controller=TimeKeyedController()),
+    "inconsistency-on-127": lambda: _mute(_start_at(34.7)),
+}
+
+
+class TestBlockBoundaries:
+    """Change points on the rows where the monitor pass splits its blocks."""
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_CASES))
+    def test_matches_per_sample_loop(self, name, tmp_path):
+        config = BOUNDARY_CASES[name]()
+        config, observer = config if isinstance(config, tuple) else (config, None)
+        model = config.model
+        detector, bank = Detector(model), synthesize_gains(model)
+        observer = observer or build_observer(extract_fsm(model))
+        got = simulate(config, detector=detector, bank=bank, observer=observer)
+        want = reference_simulate(config, detector, bank, observer)
+        _assert_bit_equal(got, want, tmp_path)
+        summary = got.summary
+        sample = {"event-on-128": 128}.get(name, 127)
+        if "event-on" in name:
+            assert summary.events[0].sample == sample
+            assert got.trace.mode_true[sample : sample + 2] == (1, 2)
+            assert got.trace.node[sample + 1] == (2,)
+        if name == "inconsistency-on-127":
+            assert summary.samples == BLOCK and summary.discrete_inconsistency == 12.8
+        if name.startswith("output"):
+            assert summary.samples > 255
         summary_only = simulate(
             config, keep_trace=False, detector=detector, bank=bank, observer=observer
         )
