@@ -31,7 +31,7 @@ from .model import (
     Transition,
     decompose_regions,
 )
-from .reachability import box_zonotope, compute_all_deltas, reach, sigma_sum
+from .reachability import compute_all_deltas, guard_axis_hulls, sigma_sum
 
 BISECT_TOL = 1e-9
 
@@ -174,14 +174,11 @@ def _margin(model: HybridAutomaton) -> float:
 
 
 def _epsilon(model: HybridAutomaton, transition: Transition) -> float:
-    """`facet_epsilon` of a rising guard."""
+    """`facet_epsilon` of a rising guard, from the one-step guard-axis hull."""
     guard = transition.guard
     lo, hi = model.invariant(transition.source).bounds()
     lo[guard.axis] = hi[guard.axis] = guard.threshold
-    hull_lo, hull_hi = reach(
-        model, transition.source, box_zonotope(lo, hi), 1
-    ).interval_hull()
-    return float(hull_hi[guard.axis])
+    return next(guard_axis_hulls(model, transition.source, lo, hi, guard.axis))[1]
 
 
 def _z_star(

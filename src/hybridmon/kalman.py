@@ -3,7 +3,8 @@
 Gains come from iterating the discrete Riccati recursion on the predicted
 error covariance to a fixed point. Noise covariances are diagonal with
 standard deviation bound/3, matching the truncated-Gaussian noise model
-(the bound is a three-sigma clip).
+(the bound is a three-sigma clip). A solve takes A' once and keeps the
+order of the products in K = P (P + R)^-1 and P+ = A (P - K P) A' + Q.
 
 `step_rows` is the update: it takes one mode's A and gain as arrays and
 B u as a vector, and steps a range of rows of an estimate buffer, each from
@@ -92,6 +93,7 @@ def _solve_riccati(
 ) -> KalmanGain:
     """Riccati fixed point and gain of one dynamics; errors name mode_id."""
     n = dyn.dim
+    a, a_t = dyn.a, dyn.a.T
     q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
     r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
     p = q_cov.copy()
@@ -99,8 +101,8 @@ def _solve_riccati(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         k = p @ np.linalg.inv(p + r_cov)
-        p_next = dyn.a @ (p - k @ p) @ dyn.a.T + q_cov
-        increment = float(np.max(np.abs(p_next - p)))
+        p_next = a @ (p - k @ p) @ a_t + q_cov
+        increment = float(abs(p_next - p).max())
         p = p_next
         if increment < tol:
             break
@@ -110,8 +112,8 @@ def _solve_riccati(
             f"within {max_iter} steps (last increment {increment:.3e})"
         )
     k = p @ np.linalg.inv(p + r_cov)
-    closed = (np.eye(n) - k) @ dyn.a
-    radius = float(np.max(np.abs(np.linalg.eigvals(closed)))) if n else 0.0
+    closed = (np.eye(n) - k) @ a
+    radius = float(abs(np.linalg.eigvals(closed)).max()) if n else 0.0
     if radius >= 1.0:
         raise GainInstabilityError(
             f"mode {mode_id!r}: closed-loop spectral radius {radius:.6g} >= 1"

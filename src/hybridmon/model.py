@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,8 +30,8 @@ class DegenerateModelError(ModelError):
     """Two modes share an identical invariant; regions cannot be separated."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _readonly(a: np.ndarray, ndmin: int = 0) -> np.ndarray:
+    out = np.array(a, dtype=float, ndmin=ndmin)
     out.flags.writeable = False
     return out
 
@@ -58,7 +59,7 @@ class Invariant:
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", ivs)
         for i, (lo, hi) in enumerate(ivs):
-            if not (np.isfinite(lo) and np.isfinite(hi)):
+            if not (isfinite(lo) and isfinite(hi)):
                 raise ModelError(f"invariant axis {i}: bounds must be finite")
             if lo > hi:
                 raise ModelError(f"invariant axis {i}: lower bound {lo} > upper bound {hi}")
@@ -94,7 +95,8 @@ class LtiDynamics:
 
     w_bounds and v_bounds are per-axis infinity-norm bounds on the process
     and measurement noise; input_bound is the infinity-norm bound on u.
-    The output map is the identity, so no output matrix is stored.
+    The output map is the identity, so no output matrix is stored. Arrays are
+    read-only copies, compared and hashed by value (0.0 equals -0.0).
     """
 
     a: np.ndarray
@@ -104,10 +106,8 @@ class LtiDynamics:
     input_bound: float
 
     def __post_init__(self) -> None:
-        a = _readonly(np.atleast_2d(np.asarray(self.a, dtype=float)))
-        b = _readonly(np.atleast_2d(np.asarray(self.b, dtype=float)))
-        w = _readonly(np.atleast_1d(np.asarray(self.w_bounds, dtype=float)))
-        v = _readonly(np.atleast_1d(np.asarray(self.v_bounds, dtype=float)))
+        a, b = _readonly(self.a, ndmin=2), _readonly(self.b, ndmin=2)
+        w, v = _readonly(self.w_bounds, ndmin=1), _readonly(self.v_bounds, ndmin=1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ModelError(f"A must be square, got shape {a.shape}")
         n = a.shape[0]
@@ -117,18 +117,27 @@ class LtiDynamics:
             raise ModelError(f"process noise bounds must have length {n}")
         if v.shape != (n,):
             raise ModelError(f"measurement noise bounds must have length {n}")
-        if not (np.all(w >= 0) and np.all(v >= 0)):
+        if not ((w >= 0).all() and (v >= 0).all()):
             raise ModelError("noise bounds must be nonnegative")
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ModelError("system matrices must be finite")
         mu = float(self.input_bound)
-        if not np.isfinite(mu) or mu < 0:
+        if not isfinite(mu) or mu < 0:
             raise ModelError("input bound must be finite and nonnegative")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "w_bounds", w)
-        object.__setattr__(self, "v_bounds", v)
-        object.__setattr__(self, "input_bound", mu)
+        for name, value in zip(("a", "b", "w_bounds", "v_bounds", "input_bound"), (a, b, w, v, mu)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LtiDynamics):
+            return NotImplemented
+        fields = ("a", "b", "w_bounds", "v_bounds")
+        return self.input_bound == other.input_bound and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
+        )
+
+    def __hash__(self) -> int:
+        values = (tuple(m.ravel().tolist()) for m in (self.a, self.b, self.w_bounds, self.v_bounds))
+        return hash((self.a.shape, self.b.shape, self.input_bound, *values))
 
     @property
     def dim(self) -> int:
@@ -149,12 +158,12 @@ class LtiDynamics:
     @cached_property
     def a_norm(self) -> float:
         """||A|| in the infinity norm, the largest absolute row sum."""
-        return float(np.max(np.sum(np.abs(self.a), axis=1)))
+        return float(abs(self.a).sum(axis=1).max())
 
     @cached_property
     def step_bound(self) -> float:
         """Per-step inflation radius of a reach set: ||B|| mu + w, infinity norms."""
-        b_norm = float(np.max(np.sum(np.abs(self.b), axis=1))) if self.b.size else 0.0
+        b_norm = float(abs(self.b).sum(axis=1).max()) if self.b.size else 0.0
         return b_norm * self.input_bound + self.w_norm
 
 

@@ -7,14 +7,22 @@ per-step input and noise bound, so generators never accumulate with the
 horizon. Zonotope-box intersection is decided by separating axes, the
 facet normals of their Minkowski difference (Girard, HSCC 2005; Guibas et
 al., SODA 2003); scipy's LP solver is imported only for the flat cases.
+
+The horizon search and the one-step overshoot read only the guard axis of a
+box's reach hull. `guard_axis_hulls` takes it straight from one A^d: the
+midpoint (A^d c)[axis] plus or minus the sum of |half_i A^d[axis, i]| over
+the box's wide axes in order, then sigma. That has the bits of `reach`: an
+entry of a mapped box generator is one exact product (FMA or not), the hull
+adds generator rows left to right with sigma's row last, and zero entries,
+like a zero sigma that `inflate` leaves out, change no sum of |entries|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
-from typing import Sequence
+from itertools import combinations, count
+from math import comb, isfinite
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,8 +91,7 @@ def box_zonotope(lo: Sequence[float], hi: Sequence[float]) -> Zonotope:
         raise ValueError("box has lo > hi")
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0
-    generators = [half[i] * np.eye(len(lo))[i] for i in range(len(lo)) if half[i] > 0.0]
-    return Zonotope(center=center, generators=np.array(generators).reshape(-1, len(lo)))
+    return Zonotope(center=center, generators=np.diag(half)[half > 0.0])
 
 
 def linear_map(matrix: np.ndarray, z: Zonotope) -> Zonotope:
@@ -131,6 +138,32 @@ def reach(model: HybridAutomaton, mode_id: ModeId, z: Zonotope, delta: int) -> Z
     sigma = sigma_sum(dyn.a_norm, delta, dyn.step_bound)
     mapped = linear_map(np.linalg.matrix_power(dyn.a, delta), z)
     return inflate(mapped, sigma)
+
+
+def guard_axis_hulls(
+    model: HybridAutomaton, mode_id: ModeId, lo: np.ndarray, hi: np.ndarray, axis: int
+) -> Iterator[tuple[float, float]]:
+    """For d = 1, 2, ...: the axis entries of `reach(..., box_zonotope(lo, hi), d).interval_hull()`.
+
+    Bounds that are not finite come from `reach`, where 0 * inf gives NaN.
+    """
+    if np.any(lo > hi):
+        raise ValueError("box has lo > hi")
+    dyn = model.dynamics(mode_id)
+    center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    wide = np.flatnonzero(half > 0.0)
+    for d in count(1):
+        power = np.linalg.matrix_power(dyn.a, d)
+        radius = 0.0
+        for h, entry in zip(half[wide].tolist(), power[axis, wide].tolist()):
+            radius += abs(h * entry)
+        radius += sigma_sum(dyn.a_norm, d, dyn.step_bound)
+        mid = float((power @ center)[axis])
+        if isfinite(mid - radius) and isfinite(mid + radius):
+            yield mid - radius, mid + radius
+        else:
+            hull = reach(model, mode_id, box_zonotope(lo, hi), d).interval_hull()
+            yield float(hull[0][axis]), float(hull[1][axis])
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -277,7 +310,8 @@ def compute_delta(
     hyperplane value on the guard axis (interval-hull contact). A guard
     sitting on the invariant face gives zero immediately. The mode's horizon
     is the minimum over its guards; a mode with no outgoing guard gets zero,
-    since no transition constrains how long the estimate may linger.
+    since no transition constrains how long the estimate may linger. Each
+    candidate reads that hull's guard axis straight from `guard_axis_hulls`.
     """
     per_guard: dict[tuple[ModeId, str], int] = {}
     for tr in model.transitions_from(mode_id):
@@ -287,12 +321,10 @@ def compute_delta(
         if abs(c_l - c_g) <= GEOM_TOL:
             per_guard[key] = 0
             continue
-        lo, hi = _facet_box(model, tr)
-        facet = box_zonotope(lo, hi)
+        hulls = guard_axis_hulls(model, mode_id, *_facet_box(model, tr), tr.guard.axis)
         found: int | None = None
-        for delta in range(max_delta + 1):
-            hull_lo, hull_hi = reach(model, mode_id, facet, delta + 1).interval_hull()
-            if hull_lo[tr.guard.axis] <= c_l <= hull_hi[tr.guard.axis]:
+        for delta, (hull_lo, hull_hi) in zip(range(max_delta + 1), hulls):
+            if hull_lo <= c_l <= hull_hi:
                 found = delta
                 break
         if found is None:

@@ -1,8 +1,11 @@
 """Per-guard detection thresholds and the box-optimum closed form."""
 
 import copy
+import importlib.util
 import math
+from pathlib import Path
 
+import analysis_reference
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from hybridmon import (
     OracleScaleError,
     Transition,
     box_max,
+    compute_delta,
     decompose_regions,
     detection_threshold,
     oracle_box_optimum,
@@ -29,7 +33,8 @@ from hybridmon import (
 )
 from hybridmon import guarantees
 from hybridmon.guarantees import EmptyGeometryError, _reflect_model, facet_epsilon
-from hybridmon.model_io import parse_model
+from hybridmon.kalman import synthesize_gains
+from hybridmon.model_io import load_model, parse_model
 from hybridmon.reachability import compute_all_deltas
 from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT, train_gate_model
 
@@ -443,3 +448,82 @@ class TestDetectorSlabs:
         monkeypatch.setattr(guarantees, "_reflect_model", counted)
         Detector(model)
         assert sorted(axes) == sorted({tr.guard.axis for tr in model.transitions if tr.guard.sign < 0})
+
+
+MONBENCH = Path(__file__).resolve().parents[1] / "monbench"
+
+
+def _family():
+    spec = importlib.util.spec_from_file_location("family", MONBENCH / "family.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_models():
+    family = _family()
+    models = {
+        **ORACLE_MODELS,
+        "train-gate": train_gate_model,
+        "nd-actuator": lambda: load_model(MONBENCH / "nd_actuator.json"),
+    }
+    low, high = family.RING_MODES
+    for i in range(12):
+        ring = family.draw_ring(np.random.default_rng([13, i]), low + i % (high - low + 1))
+        for dim in (2, 3):
+            for mirrored in (False, True):
+                doc = family.ring_document(ring, dim, mirrored)
+                models[f"ring{i}-{dim}d{'-mirrored' if mirrored else ''}"] = (
+                    lambda doc=doc: parse_model(doc)
+                )
+    return models
+
+
+REFERENCE_MODELS = _reference_models()
+
+
+def _bits(value):
+    """Bytes of a float or array, so that -0.0 and +0.0 differ."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestAnalysisReference:
+    """The analyses equal the zonotope-based ones of `tests/analysis_reference.py` bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_equals_reference(self, name, monkeypatch):
+        model = REFERENCE_MODELS[name]()
+        regions = decompose_regions(model)
+        deltas = compute_all_deltas(model, regions)
+        assert deltas == analysis_reference.compute_all_deltas(model, regions)
+        for q in model.mode_ids:
+            want = analysis_reference.compute_delta(model, regions, q)
+            assert compute_delta(model, regions, q) == want
+        for tr in model.transitions:
+            want = analysis_reference.facet_epsilon(model, tr)
+            assert _bits(facet_epsilon(model, tr)) == _bits(want)
+        got = state_guarantees(model, regions, deltas)
+        monkeypatch.setattr(guarantees, "_epsilon", analysis_reference.epsilon)
+        want = state_guarantees(model, regions, analysis_reference.compute_all_deltas(model, regions))
+        monkeypatch.undo()
+        assert list(got) == list(want)
+        for q, bound in got.items():
+            assert repr(bound) == repr(want[q])
+            for mine, theirs in zip(bound.guards, want[q].guards):
+                for field in ("z_star", "d_star", "epsilon"):
+                    assert _bits(getattr(mine, field)) == _bits(getattr(theirs, field))
+        bank = synthesize_gains(model)
+        for mode in model.modes:
+            mine = bank.gains[mode.mode_id]
+            theirs = analysis_reference.solve_riccati(mode.mode_id, mode.dynamics)
+            assert _bits(mine.gain) == _bits(theirs.gain)
+            assert _bits(mine.predicted_covariance) == _bits(theirs.predicted_covariance)
+            assert mine.iterations == theirs.iterations
+            assert _bits(mine.final_increment) == _bits(theirs.final_increment)
+
+    def test_models_cover_falling_guards_and_finite_d_star(self):
+        models = [make() for make in REFERENCE_MODELS.values()]
+        assert len(models) == 58
+        assert any(tr.guard.sign < 0 for m in models for tr in m.transitions)
+        bounds = [b for m in models for b in state_guarantees(m).values()]
+        assert any(b.d_star is not None for b in bounds)

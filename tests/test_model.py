@@ -1,6 +1,7 @@
 """Model construction, validation, and region decomposition."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hybridmon import (
     validate_model,
 )
 from hybridmon.model import neighbor_value
+from hybridmon.train_gate import train_gate_model, train_gate_scenario
 
 
 def dyn1(a=0.5, w=0.01, v=0.1):
@@ -70,14 +72,46 @@ class TestPrimitives:
             Invariant(((0.0, float("inf")),))
 
     def test_dynamics_shape_checks(self):
-        with pytest.raises(ModelError):
-            LtiDynamics(a=[[1.0, 0.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.0], input_bound=1.0)
-        with pytest.raises(ModelError):
-            LtiDynamics(a=[[1.0]], b=[[0.0], [0.0]], w_bounds=[0.0], v_bounds=[0.0], input_bound=1.0)
-        with pytest.raises(ModelError):
-            LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[-0.1], v_bounds=[0.0], input_bound=1.0)
-        with pytest.raises(ModelError, match="nonnegative"):
-            LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[np.nan], input_bound=1.0)
+        fields = dict(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.0], input_bound=1.0)
+        refusals = [
+            ({"a": [[1.0, 0.0]]}, "A must be square, got shape (1, 2)"),
+            ({"a": np.zeros((1, 1, 1))}, "A must be square, got shape (1, 1, 1)"),
+            ({"b": [[0.0], [0.0]]}, "B must have 1 rows, got shape (2, 1)"),
+            ({"w_bounds": [0.0, 0.0]}, "process noise bounds must have length 1"),
+            ({"v_bounds": [[0.0]]}, "measurement noise bounds must have length 1"),
+            ({"w_bounds": [-0.1]}, "noise bounds must be nonnegative"),
+            ({"v_bounds": [np.nan]}, "noise bounds must be nonnegative"),
+            ({"a": [[np.inf]]}, "system matrices must be finite"),
+            ({"b": [[np.nan]]}, "system matrices must be finite"),
+            ({"input_bound": np.nan}, "input bound must be finite and nonnegative"),
+            ({"input_bound": np.inf}, "input bound must be finite and nonnegative"),
+            ({"input_bound": -1.0}, "input bound must be finite and nonnegative"),
+        ]
+        for change, message in refusals:
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                LtiDynamics(**{**fields, **change})
+
+    def test_dynamics_store_read_only_copies(self):
+        a, b = [[0.5, 0.1], [0.0, 0.9]], np.array([[0.0], [0.1]])
+        w, v = np.array([0.01, 0.02]), [0.1, 0.2]
+        dyn = LtiDynamics(a=a, b=b, w_bounds=w, v_bounds=v, input_bound=1.0)
+        a[0][0], b[1, 0], w[0], v[1] = 7.0, 7.0, 7.0, 7.0
+        assert dyn.a.tolist() == [[0.5, 0.1], [0.0, 0.9]]
+        assert dyn.b.tolist() == [[0.0], [0.1]]
+        assert dyn.w_bounds.tolist() == [0.01, 0.02]
+        assert dyn.v_bounds.tolist() == [0.1, 0.2]
+        for arr in (dyn.a, dyn.b, dyn.w_bounds, dyn.v_bounds):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_dynamics_promote_low_rank_inputs(self):
+        scalar = LtiDynamics(a=0.5, b=0.0, w_bounds=0.01, v_bounds=0.1, input_bound=1)
+        assert scalar.a.shape == (1, 1) and scalar.b.shape == (1, 1)
+        assert scalar.w_bounds.shape == scalar.v_bounds.shape == (1,)
+        assert isinstance(scalar.input_bound, float)
+        row = LtiDynamics(a=[[0.5]], b=[0.1, 0.2], w_bounds=[0.01], v_bounds=[0.1], input_bound=1.0)
+        assert row.b.shape == (1, 2) and row.n_inputs == 2
 
     def test_dynamics_norms(self):
         d = LtiDynamics(
@@ -108,6 +142,47 @@ class TestPrimitives:
     def test_mode_dimension_mismatch(self):
         with pytest.raises(ModelError):
             Mode("m", dyn1(), Invariant(((0.0, 1.0), (0.0, 1.0))))
+
+
+class TestValueEquality:
+    """Models compare and hash by value, through `LtiDynamics`' arrays."""
+
+    def test_fresh_train_gate_models_are_equal(self):
+        first, second = train_gate_model(), train_gate_model()
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+
+    def test_changed_entry_is_unequal(self):
+        model = train_gate_model()
+        a = model.modes[0].dynamics.a.copy()
+        a[0, 1] += 1e-12
+        mode = dataclasses.replace(
+            model.modes[0], dynamics=dataclasses.replace(model.modes[0].dynamics, a=a)
+        )
+        changed = dataclasses.replace(model, modes=(mode,) + model.modes[1:])
+        assert changed != model and model != changed
+        assert changed.modes[0].dynamics != model.modes[0].dynamics
+
+    def test_other_fields_are_compared(self):
+        dyn = dyn1()
+        assert dyn != dataclasses.replace(dyn, input_bound=2.0)
+        assert dyn != dataclasses.replace(dyn, b=[[0.0, 0.0]])
+        assert dyn != dataclasses.replace(dyn, w_bounds=[0.02])
+        assert dyn != dataclasses.replace(dyn, v_bounds=[0.2])
+        assert dyn != "dynamics"
+
+    def test_signed_zeros_are_equal_and_hash_equal(self):
+        plus = LtiDynamics(a=[[0.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0)
+        minus = LtiDynamics(
+            a=[[-0.0]], b=[[-0.0]], w_bounds=[-0.0], v_bounds=[0.1], input_bound=-0.0
+        )
+        assert plus == minus and hash(plus) == hash(minus)
+
+    def test_scenarios_compare_equal(self):
+        assert train_gate_scenario() == train_gate_scenario()
+        assert train_gate_scenario(seed=1) != train_gate_scenario(seed=2)
+        assert len({train_gate_scenario(), train_gate_scenario()}) == 1
 
 
 class TestAutomatonValidation:

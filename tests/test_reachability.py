@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,10 @@ from hybridmon import (
     linear_map,
     reach,
 )
+from hybridmon import guarantees, reachability
 from hybridmon.reachability import (
     compute_all_deltas,
+    guard_axis_hulls,
     separating_normals,
     sigma_sum,
     step_bound,
@@ -333,6 +336,96 @@ def test_import_leaves_the_solver_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False"]
+
+
+def one_mode(a, b, w, mu):
+    """A model of one mode with the given dynamics and no transition."""
+    n = len(a)
+    dyn = LtiDynamics(a=a, b=b, w_bounds=w, v_bounds=[0.1] * n, input_bound=mu)
+    return HybridAutomaton(
+        modes=(Mode(0, dyn, Invariant(((-100.0, 100.0),) * n)),),
+        events=(),
+        transitions=(),
+        dwell_time=1,
+        sampling_period=1.0,
+        theta=0.05,
+    )
+
+
+@st.composite
+def guard_axis_case(draw):
+    """A 1-D to 6-D mode, a box whose guard axis has zero width, and that axis.
+
+    A has entries of magnitude 1e-3 to 10, zeros of both signs and whole
+    rows of -0.0. Half the cases have sigma = 0 (no noise, no input), the
+    others sigma > 0. Other axes of the box have zero width at random.
+    """
+    n = draw(st.integers(1, 6))
+    magnitude = st.floats(1e-3, 10.0)
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0]), magnitude, magnitude.map(lambda x: -x)
+    )
+    a = [
+        [-0.0] * n if draw(st.integers(0, 4)) == 0 else [draw(entry) for _ in range(n)]
+        for _ in range(n)
+    ]
+    b = [[draw(entry)] for _ in range(n)]
+    if draw(st.booleans()):
+        w, mu = [draw(st.sampled_from([0.0, -0.0])) for _ in range(n)], 0.0
+    else:
+        w, mu = [draw(st.floats(1e-3, 1.0)) for _ in range(n)], draw(st.floats(0.0, 2.0))
+    axis = draw(st.integers(0, n - 1))
+    lo = [draw(st.floats(-50.0, 50.0)) for _ in range(n)]
+    hi = [
+        x if i == axis or draw(st.booleans()) else x + draw(st.floats(1e-3, 20.0))
+        for i, x in enumerate(lo)
+    ]
+    return one_mode(a, b, w, mu), lo, hi, axis
+
+
+class TestGuardAxisHulls:
+    """`guard_axis_hulls` has the bits of `reach` and its interval hull on the guard axis."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(guard_axis_case())
+    def test_equals_reach_hull(self, case):
+        model, lo, hi, axis = case
+        hulls = guard_axis_hulls(model, 0, np.array(lo), np.array(hi), axis)
+        for d, got in zip(range(1, 13), hulls):
+            hull = reach(model, 0, box_zonotope(lo, hi), d).interval_hull()
+            want = (hull[0][axis], hull[1][axis])
+            assert all(isinstance(x, float) for x in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), d
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_infinite_sigma_takes_reachs_bounds(self, n):
+        # ||B|| overflows, so sigma is infinite: reach's inflation multiplies
+        # it by the zeros of the identity, which gives NaN for n > 1
+        model = one_mode(np.eye(n), [[1e308, 1e308]] * n, [0.0] * n, 1.0)
+        lo = hi = np.zeros(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = list(islice(guard_axis_hulls(model, 0, lo, hi, 0), 2))
+            for d, bounds in enumerate(got, start=1):
+                hull = reach(model, 0, box_zonotope(lo, hi), d).interval_hull()
+                assert np.array(bounds).tobytes() == np.array([hull[0][0], hull[1][0]]).tobytes()
+        assert np.isnan(got[0][1]) if n > 1 else got[0] == (-np.inf, np.inf)
+
+    def test_inverted_box_rejected(self):
+        model = one_mode([[1.0]], [[0.0]], [0.0], 0.0)
+        with pytest.raises(ValueError, match="lo > hi"):
+            next(guard_axis_hulls(model, 0, np.array([1.0]), np.array([0.0]), 0))
+
+    def test_analyses_call_no_reach(self, tg_model, tg_regions, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reach called")
+
+        monkeypatch.setattr(reachability, "reach", refuse)
+        deltas = compute_all_deltas(tg_model, tg_regions)
+        mirrored = guarantees._reflect_model(tg_model, 0)
+        for model in (tg_model, mirrored):
+            hybridmon.state_guarantees(model)
+            hybridmon.Detector(model)
+        assert deltas == {1: 8, 2: 8, 3: 0}
 
 
 class TestComputeDelta:
