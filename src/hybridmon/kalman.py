@@ -4,7 +4,19 @@ Gains come from iterating the discrete Riccati recursion on the predicted
 error covariance to a fixed point. Noise covariances are diagonal with
 standard deviation bound/3, matching the truncated-Gaussian noise model
 (the bound is a three-sigma clip). A solve takes A' once and keeps the
-order of the products in K = P (P + R)^-1 and P+ = A (P - K P) A' + Q.
+order of the products in K = P (P + R)^-1 and P+ = (A (P - K P)) A' + Q.
+
+A solve gives the bits of `np.linalg.inv` and `@` without their per-call
+cost. It calls `numpy.linalg._umath_linalg.inv` with signature "d->d", the
+gufunc that `np.linalg.inv` wraps, inside one `np.errstate` per solve
+instead of one per inversion. It takes the products with `ndarray.dot`,
+which gives the bits of `@` except for the sign of a zero from a 1 x 1
+product: there `dot` can keep a -0.0 that `@` turns into +0.0. That case
+cannot reach a result. Every P is a sum with Q, whose entries are +0.0 or
+positive, and in one dimension K is the product of P >= 0 and
+1 / (P + R) > 0. A solve raises `RiccatiError` naming the mode when an axis
+has neither process nor measurement noise (P + R is then singular), when
+an increment is not finite, and when any step yields an invalid value.
 
 `step_rows` is the update: it takes one mode's A and gain as arrays and
 B u as a vector, and steps a range of rows of an estimate buffer, each from
@@ -17,19 +29,24 @@ keeps the residual and the settling count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import HybridAutomaton, LtiDynamics, ModeId
 
 RICCATI_TOL = 1e-9
 RICCATI_MAX_ITER = 100_000
 
+# the gufunc np.linalg.inv wraps; called directly it gives the same bits
+_inv = _umath_linalg.inv
+
 
 class RiccatiError(RuntimeError):
-    """Riccati iteration failed to converge for a mode."""
+    """Riccati iteration failed for a mode: a noiseless axis, a non-finite step or no convergence."""
 
 
 class GainInstabilityError(RuntimeError):
@@ -94,24 +111,50 @@ def _solve_riccati(
     """Riccati fixed point and gain of one dynamics; errors name mode_id."""
     n = dyn.dim
     a, a_t = dyn.a, dyn.a.T
-    q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
-    r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
+    q_var = (dyn.w_bounds / 3.0) ** 2
+    r_var = (dyn.v_bounds / 3.0) ** 2
+    # P >= Q on every step, so P + R can only be singular on an axis where
+    # both variances are zero, and there it is singular on the first step
+    silent = np.flatnonzero((q_var == 0.0) & (r_var == 0.0))
+    if silent.size:
+        axis = int(silent[0])
+        raise RiccatiError(
+            f"mode {mode_id!r}: axis {axis} has zero process and measurement "
+            f"noise variance (w = {dyn.w_bounds[axis]:g}, v = {dyn.v_bounds[axis]:g}), "
+            "so P + R is singular"
+        )
+    q_cov = np.diag(q_var)
+    r_cov = np.diag(r_var)
     p = q_cov.copy()
     increment = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        k = p @ np.linalg.inv(p + r_cov)
-        p_next = a @ (p - k @ p) @ a_t + q_cov
-        increment = float(abs(p_next - p).max())
-        p = p_next
-        if increment < tol:
-            break
-    else:
-        raise RiccatiError(
-            f"mode {mode_id!r}: Riccati iteration did not converge "
-            f"within {max_iter} steps (last increment {increment:.3e})"
-        )
-    k = p @ np.linalg.inv(p + r_cov)
+    # over, divide and under as np.linalg.inv sets them around its gufunc.
+    # A singular P + R makes the gufunc flag an invalid value, but so can
+    # any other ufunc of a step, so the error names the ufunc that raised.
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            for iterations in range(1, max_iter + 1):
+                k = p.dot(_inv(p + r_cov, signature="d->d"))
+                p_next = a.dot(p - k.dot(p)).dot(a_t) + q_cov
+                increment = float(abs(p_next - p).max())
+                p = p_next
+                if increment < tol:
+                    break
+                if not math.isfinite(increment):
+                    raise RiccatiError(
+                        f"mode {mode_id!r}: Riccati increment {increment} "
+                        f"is not finite at step {iterations}"
+                    )
+            else:
+                raise RiccatiError(
+                    f"mode {mode_id!r}: Riccati iteration did not converge "
+                    f"within {max_iter} steps (last increment {increment:.3e})"
+                )
+            k = p.dot(_inv(p + r_cov, signature="d->d"))
+        except FloatingPointError as error:
+            raise RiccatiError(
+                f"mode {mode_id!r}: {error} at Riccati step {iterations}"
+            ) from error
     closed = (np.eye(n) - k) @ a
     radius = float(abs(np.linalg.eigvals(closed)).max()) if n else 0.0
     if radius >= 1.0:

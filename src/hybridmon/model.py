@@ -429,9 +429,15 @@ def validate_model(model: HybridAutomaton) -> list[str]:
                 f"observability: event {event.name!r} is unobservable, and the "
                 "discrete observer has no closure over unobservable events"
             )
+    # one eigenvalue solve per bitwise-distinct A, as synthesize_gains keys its solves
+    moduli: dict[tuple, float] = {}
     for mode in model.modes:
-        eigs = np.linalg.eigvals(mode.dynamics.a)
-        worst = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+        a = mode.dynamics.a
+        key = (a.shape, a.tobytes())
+        if key not in moduli:
+            eigs = np.linalg.eigvals(a)
+            moduli[key] = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+        worst = moduli[key]
         if worst > 1.0 + EIG_TOL:
             violations.append(
                 f"stability: mode {mode.mode_id!r} has eigenvalue modulus {worst:.6g} > 1"

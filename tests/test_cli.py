@@ -149,6 +149,20 @@ class TestRun:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_axis_without_noise_names_mode_and_axis(self, capsys, tmp_path):
+        # validate_model accepts w = v = 0 on an axis; the Riccati solve
+        # refuses it, where numpy alone would say only "Singular matrix"
+        doc = model_to_dict(train_gate_model())
+        doc["noise"] = {"w": [0.01, 0.0], "v": [0.1, 0.0]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "run", str(path), "--duration", "1")
+        assert code == 1
+        assert err == (
+            "error: mode 1: axis 1 has zero process and measurement noise variance "
+            "(w = 0, v = 0), so P + R is singular\n"
+        )
+
 
 class TestSweep:
     def test_sweep_prints_per_seed_lines(self, capsys):

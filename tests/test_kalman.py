@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import analysis_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,13 @@ from hybridmon import (
     step_continuous,
     synthesize_gains,
 )
-from hybridmon.kalman import GainInstabilityError, step_rows
+from hybridmon.kalman import (
+    RICCATI_TOL,
+    GainInstabilityError,
+    _inv,
+    _solve_riccati,
+    step_rows,
+)
 
 # fixed point of the builtin crossing model's Riccati recursion, frozen from
 # a converged run; all three modes share one dynamics matrix so one gain
@@ -100,6 +107,35 @@ class TestSynthesizeGains:
         with pytest.raises(RiccatiError, match="did not converge"):
             synthesize_gains(tg_model, max_iter=1)
 
+    def test_axis_without_noise_is_named(self):
+        # w = v = 0 on axis 1 leaves P + R singular on the first step
+        model = single_mode([[0.5, 0.0], [0.0, 0.5]], [0.01, 0.0], [0.1, 0.0])
+        with pytest.raises(
+            RiccatiError,
+            match=r"^mode 's': axis 1 has zero process and measurement noise variance "
+            r"\(w = 0, v = 0\), so P \+ R is singular$",
+        ):
+            synthesize_gains(model)
+
+    def test_non_finite_increment_fails_at_once(self):
+        # the first step overflows P[0, 0]; the solve stops there instead of
+        # running all RICCATI_MAX_ITER steps on NaN
+        model = single_mode([[1e200, 0.0], [0.0, 0.5]], [0.01, 0.01], [0.1, 0.1])
+        with pytest.raises(
+            RiccatiError, match=r"^mode 's': Riccati increment inf is not finite at step 1$"
+        ):
+            synthesize_gains(model)
+
+    def test_singular_inversion_names_the_ufunc(self):
+        # P grows to a rank-one matrix so large that R vanishes next to it:
+        # P + R is singular at step 2 though no axis lacks noise
+        model = single_mode([[1e100, 1e100], [1e100, 1e100]], [0.3, 0.3], [0.3, 0.3])
+        with pytest.raises(
+            RiccatiError, match=r"^mode 's': invalid value encountered in inv at Riccati step 2$"
+        ) as caught:
+            synthesize_gains(model)
+        assert isinstance(caught.value.__cause__, FloatingPointError)
+
     def test_gain_matrices_are_readonly(self, tg_model):
         gain = synthesize_gains(tg_model).gains[1]
         with pytest.raises(ValueError):
@@ -160,6 +196,72 @@ class TestSharedSolves:
         for mode in model.modes:
             alone = dataclasses.replace(model, modes=(mode,))
             assert _same_bits(bank.gains[mode.mode_id], synthesize_gains(alone).gains[mode.mode_id])
+
+
+# entries of A: signed zeros, +-1 and magnitudes up to 1, so that no solve
+# overflows; noise bounds of 0 or up to 1
+_A_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+_BOUNDS = st.floats(1e-3, 1.0)
+# enough steps for every converging draw seen, far fewer than RICCATI_MAX_ITER
+# so that a draw that does not converge fails fast on both sides
+_ORACLE_MAX_ITER = 3_000
+
+
+@st.composite
+def _riccati_dynamics(draw):
+    """1-D to 5-D dynamics with mirrored axes and w or v, never both, zero on some axes."""
+    dim = draw(st.integers(1, 5))
+    a = np.array(draw(st.lists(_A_ENTRIES, min_size=dim * dim, max_size=dim * dim)))
+    a = a.reshape(dim, dim)
+    for axis in draw(st.sets(st.integers(0, dim - 1))):
+        # as guarantees mirrors a model: a 0.0 off the diagonal turns into -0.0
+        a[axis, :] *= -1.0
+        a[:, axis] *= -1.0
+    w, v = [], []
+    for _ in range(dim):
+        silent = draw(st.sampled_from(("w", "v", None)))
+        w.append(0.0 if silent == "w" else draw(_BOUNDS))
+        v.append(0.0 if silent == "v" else draw(_BOUNDS))
+    return LtiDynamics(a=a, b=np.zeros((dim, 1)), w_bounds=w, v_bounds=v, input_bound=0.0)
+
+
+def _outcome(solve, dyn):
+    """The bytes of a solve's result, or the type and text of its error."""
+    try:
+        g = solve("q", dyn, RICCATI_TOL, _ORACLE_MAX_ITER)
+    except (RiccatiError, GainInstabilityError) as error:
+        return type(error), str(error)
+    return (
+        g.gain.tobytes(),
+        g.predicted_covariance.tobytes(),
+        g.iterations,
+        np.float64(g.final_increment).tobytes(),
+    )
+
+
+class TestRiccatiReference:
+    """The solve gives the bits of `tests/analysis_reference.py`'s `np.linalg.inv` and `@` loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_riccati_dynamics())
+    def test_solve_is_the_reference(self, dyn):
+        assert _outcome(_solve_riccati, dyn) == _outcome(analysis_reference.solve_riccati, dyn)
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, -0.5, -1.0, 1.0])
+    @pytest.mark.parametrize("w, v", [(0.0, 0.3), (0.3, 0.0), (0.3, 0.3)])
+    def test_one_dimension_has_the_signs_of_matmul(self, a, w, v):
+        # a 1 x 1 dot can keep a -0.0 where @ gives +0.0; with w = 0 and
+        # A <= -0.0 the solve forms such products, and they must not show
+        dyn = LtiDynamics(a=[[a]], b=[[0.0]], w_bounds=[w], v_bounds=[v], input_bound=0.0)
+        assert _outcome(_solve_riccati, dyn) == _outcome(analysis_reference.solve_riccati, dyn)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_inversion_is_linalg_inv(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((dim, dim))
+        spd = m @ m.T + rng.uniform(1e-6, 1.0) * np.eye(dim)
+        assert _inv(spd, signature="d->d").tobytes() == np.linalg.inv(spd).tobytes()
 
 
 class TestStepContinuous:

@@ -280,6 +280,30 @@ class TestValidateModel:
         assert len(tags) == 1
         assert tags[0].startswith("stability: mode 'a'")
 
+    def test_one_eigenvalue_solve_per_distinct_a(self, monkeypatch):
+        # modes "a" and "b" share A = 1.2 and are flagged one by one; "c" has
+        # A = -0.0, which differs in its bits from the +0.0 of "d" and "e"
+        base = corridor(tie_guard=2.0)
+        box = Invariant(((0.0, 1.0),))
+        model = HybridAutomaton(
+            (
+                Mode("a", dyn1(a=1.2), base.modes[0].invariant),
+                Mode("b", dyn1(a=1.2), base.modes[1].invariant),
+                Mode("c", dyn1(a=-0.0), box),
+                Mode("d", dyn1(a=0.0), box),
+                Mode("e", dyn1(a=0.0), box),
+            ),
+            base.events, base.transitions, 1, 0.1, 0.05,
+        )
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+        assert validate_model(model) == [
+            "stability: mode 'a' has eigenvalue modulus 1.2 > 1",
+            "stability: mode 'b' has eigenvalue modulus 1.2 > 1",
+        ]
+        assert len(calls) == 3
+
     def test_flags_unobservable_event(self, tg_model):
         # built in code, the flag bypasses parse_model; the observer would
         # still move (1,) to (2,) on s_1

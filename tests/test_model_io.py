@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -73,8 +74,17 @@ def test_unknown_key_error_is_a_model_error():
 def test_non_object_where_object_expected():
     doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
     doc["noise"] = [0.01, 0.1]
-    with pytest.raises(ModelError, match="noise: expected an object"):
+    with pytest.raises(ModelError, match="^noise: expected an object, got list$"):
         parse_model(doc)
+
+
+def test_read_only_mapping_sections_accepted(tg_model):
+    # any collections.abc.Mapping is an object, not only a dict
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    doc["noise"] = types.MappingProxyType(doc["noise"])
+    doc["states"] = [types.MappingProxyType(state) for state in doc["states"]]
+    model = parse_model(types.MappingProxyType(doc))
+    assert model_to_dict(model) == model_to_dict(tg_model)
 
 
 def test_file_round_trip(tmp_path, tg_model):
