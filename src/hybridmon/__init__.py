@@ -38,7 +38,6 @@ from .kalman import (
     KalmanGain,
     RiccatiError,
     check_dwell,
-    step_continuous,
     synthesize_gains,
 )
 from .reachability import (
@@ -51,25 +50,15 @@ from .reachability import (
     linear_map,
     reach,
 )
-from .conflicts import (
-    ConflictReport,
-    Detector,
-    UnsupportedShapeError,
-    detect,
-    initial_set,
-    volume,
-    volume_bound,
-)
+from .conflicts import Detector, volume_bound
 from .guarantees import (
     EmptyGeometryError,
     FdiaClassification,
     GuaranteeBound,
     NoGuaranteeError,
-    OracleScaleError,
     detection_threshold,
     box_max,
     classify_fdia,
-    oracle_box_optimum,
     solve_d_star,
     solve_z_star,
     state_guarantees,
@@ -92,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackSpec",
-    "ConflictReport",
     "ConstantController",
     "DegenerateModelError",
     "Detector",
@@ -101,8 +89,8 @@ __all__ = [
     "Event",
     "FdiaClassification",
     "Fsm",
-    "Guard",
     "GuaranteeBound",
+    "Guard",
     "HorizonError",
     "HybridAutomaton",
     "Invariant",
@@ -114,14 +102,12 @@ __all__ = [
     "NoGuaranteeError",
     "ObservabilityResult",
     "ObserverFsm",
-    "OracleScaleError",
     "RegionDecomposition",
     "RiccatiError",
     "ScenarioConfig",
     "SimulationResult",
     "SimulationSummary",
     "Transition",
-    "UnsupportedShapeError",
     "ZoneController",
     "ZoneSpeedLimit",
     "Zonotope",
@@ -133,17 +119,14 @@ __all__ = [
     "classify_fdia",
     "compute_delta",
     "decompose_regions",
-    "detect",
     "detection_threshold",
     "dump_model",
     "extract_fsm",
     "inflate",
-    "initial_set",
     "intersects_box",
     "linear_map",
     "load_model",
     "model_to_dict",
-    "oracle_box_optimum",
     "parse_model",
     "ramp_attack",
     "reach",
@@ -152,13 +135,11 @@ __all__ = [
     "solve_d_star",
     "solve_z_star",
     "state_guarantees",
-    "step_continuous",
     "step_discrete",
     "sweep",
     "synthesize_gains",
     "train_gate_model",
     "train_gate_scenario",
     "validate_model",
-    "volume",
     "volume_bound",
 ]

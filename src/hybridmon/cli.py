@@ -257,6 +257,8 @@ def _cmd_compute_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_theta(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     model = _load(args.model)
     base = _scenario(args.model, model, args.seed, args.duration, None)
     results = sweep(base, range(args.seed, args.seed + args.runs))

@@ -18,14 +18,13 @@ N of A^delta X_I + sigma-ball + (-invariant) are cross products of
 widths, so each mode computes N, M = N A^delta, |M|,
 s = sigma ||N||_1 + |N| rho_inv and N mid_inv once, and a sample leaves the
 invariant exactly when any(|M c - N mid_inv| > |M| h + s). Contact counts as
-meeting. No zonotope is built per sample; `ConflictReport.initial_set` and
-`reach_set` build theirs on demand.
+meeting. A mode with a table builds no zonotope per sample.
 
 Nothing the detector returns feeds back into the plant, the controller or
 the observers, so `Detector.evaluate_rows` decides a block of samples in one
-pass: interval tests on (k, n) arrays and one stacked product per mode.
-`simulate` calls it once per 128 samples; `Detector.evaluate` is the same
-pass on a block of one row.
+pass: interval tests on (k, n) arrays and one stacked product per mode. It
+is the one way to ask the detector: `simulate` calls it once per 128
+samples, and the verdict for a single sample is a block of one row.
 """
 
 from __future__ import annotations
@@ -48,47 +47,6 @@ from .reachability import (
 )
 
 
-class UnsupportedShapeError(ValueError):
-    """Volume is only defined here for axis-aligned zonotopes."""
-
-
-@dataclass(frozen=True)
-class ConflictReport:
-    """Per-sample detector verdict plus the geometry behind it.
-
-    The geometry is kept as the box centre and half-widths, plus the mode's
-    (A^delta, sigma) when the horizon check ran; `initial_set` and
-    `reach_set` build the zonotopes from them when asked.
-    """
-
-    time_index: int
-    estimated_mode: ModeId | None
-    warming_up: bool
-    conflict_a: bool
-    conflict_b: bool
-    conflict_c: bool
-    center: np.ndarray
-    half_widths: np.ndarray
-    volume: float
-    volume_bound: float
-    horizon: tuple[np.ndarray, float] | None = None
-
-    @property
-    def alarm(self) -> bool:
-        return self.conflict_a or self.conflict_b or self.conflict_c
-
-    @property
-    def initial_set(self) -> Zonotope:
-        return Zonotope(center=self.center, generators=np.diag(self.half_widths))
-
-    @property
-    def reach_set(self) -> Zonotope | None:
-        """A^delta X_I plus the sigma-ball, or None when no horizon check ran."""
-        if self.horizon is None:
-            return None
-        return _reach_set(self.horizon, self.center, self.half_widths)
-
-
 @dataclass(frozen=True)
 class ConflictRows:
     """Verdict columns of a block of samples, one entry per row."""
@@ -98,7 +56,6 @@ class ConflictRows:
     conflict_a: np.ndarray
     conflict_b: np.ndarray
     conflict_c: np.ndarray
-    half_widths: np.ndarray
     volume: np.ndarray
 
     @property
@@ -111,30 +68,6 @@ def _reach_set(
 ) -> Zonotope:
     a_power, sigma = horizon
     return inflate(linear_map(a_power, Zonotope(center, np.diag(half))), sigma)
-
-
-def initial_set(
-    x_est: Sequence[float], residual: Sequence[float], v_bounds: Sequence[float]
-) -> Zonotope:
-    """Axis-aligned box of states consistent with the current measurement.
-
-    Centered at the estimate with per-axis half-width |r_i| + v_i.
-    """
-    x_est = np.asarray(x_est, dtype=float)
-    residual = np.asarray(residual, dtype=float)
-    v_bounds = np.asarray(v_bounds, dtype=float)
-    if residual.shape != x_est.shape or v_bounds.shape != x_est.shape:
-        raise ValueError("residual/noise dimensions do not match the estimate")
-    half = np.abs(residual) + v_bounds
-    return Zonotope(center=x_est, generators=np.diag(half))
-
-
-def volume(z: Zonotope) -> float:
-    """Box volume of an axis-aligned zonotope."""
-    if not z.is_axis_aligned():
-        raise UnsupportedShapeError("volume requires an axis-aligned zonotope")
-    half = np.sum(np.abs(z.generators), axis=0)
-    return float(np.prod(2.0 * half))
 
 
 def volume_bound(model: HybridAutomaton) -> float:
@@ -189,24 +122,6 @@ class _HorizonTable:
         gap = np.abs((self.m @ centers[..., None])[..., 0] - self.n_mid)
         reach = (self.m_abs @ half[..., None])[..., 0] + self.slack
         return (gap > reach).any(axis=1)
-
-
-def detect(
-    model: HybridAutomaton,
-    regions: RegionDecomposition,
-    deltas: Mapping[ModeId, int],
-    node: Sequence[ModeId],
-    x_est: Sequence[float],
-    residual: Sequence[float],
-    time_index: int = 0,
-) -> ConflictReport:
-    """One-shot conflict evaluation; requires a settled singleton mode estimate."""
-    if len(node) != 1:
-        raise ValueError(
-            f"conflict detection needs a singleton mode estimate, got {tuple(node)!r}"
-        )
-    detector = Detector(model, regions=regions, deltas=deltas)
-    return detector.evaluate(time_index, tuple(node), True, x_est, residual)
 
 
 class Detector:
@@ -265,45 +180,6 @@ class Detector:
             self._slabs.setdefault((tr.input_event, tr.output_event), []).append(
                 (tr.source, tr.guard.axis, min(c_g, far), max(c_g, far))
             )
-
-    def evaluate(
-        self,
-        time_index: int,
-        node: tuple[ModeId, ...],
-        steady: bool,
-        x_est: Sequence[float],
-        residual: Sequence[float],
-        event: tuple[str, str] | None = None,
-    ) -> ConflictReport:
-        """Verdict for one sample: `evaluate_rows` on a block of one row.
-
-        `event` is the (input, output) event pair observed at this sample, if
-        any; see `evaluate_rows` for what each verdict means.
-        """
-        node = tuple(node)
-        center = np.array(x_est, dtype=float)
-        rows = self.evaluate_rows(
-            (node,),
-            np.array([bool(steady)]),
-            center[None],
-            np.asarray(residual, dtype=float)[None],
-            (event,),
-        )
-        armed = not rows.warming_up[0]
-        mode_id = rows.estimated_mode[0]
-        return ConflictReport(
-            time_index=time_index,
-            estimated_mode=mode_id,
-            warming_up=not armed,
-            conflict_a=bool(rows.conflict_a[0]),
-            conflict_b=bool(rows.conflict_b[0]),
-            conflict_c=bool(rows.conflict_c[0]),
-            center=center,
-            half_widths=rows.half_widths[0],
-            volume=float(rows.volume[0]),
-            volume_bound=self.volume_bound,
-            horizon=self._horizon.get(mode_id) if armed else None,
-        )
 
     def evaluate_rows(
         self,
@@ -392,6 +268,5 @@ class Detector:
             conflict_a=armed & (vol > self.volume_bound),
             conflict_b=conflict_b,
             conflict_c=conflict_c,
-            half_widths=half,
             volume=vol,
         )

@@ -44,10 +44,6 @@ class NoGuaranteeError(RuntimeError):
     """Neither threshold arm is available for the state."""
 
 
-class OracleScaleError(ValueError):
-    """Vertex enumeration refused: too many box corners."""
-
-
 @dataclass(frozen=True)
 class GuardGuarantee:
     """Solved quantities for one outgoing guard."""
@@ -83,25 +79,6 @@ def box_max(a: Sequence[float], lo: Sequence[float], hi: Sequence[float]) -> flo
 
 def _box_min(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     return -box_max(-np.asarray(a, dtype=float), lo, hi)
-
-
-def oracle_box_optimum(a: Sequence[float], box: Sequence[tuple[float, float]]) -> float:
-    """Max of a.x over a box by brute-force vertex enumeration."""
-    a = np.asarray(a, dtype=float)
-    if len(box) != a.size:
-        raise ValueError("vector and box dimensions differ")
-    if a.size > 10:
-        raise OracleScaleError(f"{a.size} axes means {2**a.size} vertices; capped at 10")
-    for lo, hi in box:
-        if lo > hi:
-            raise ValueError("box has lo > hi")
-    best = -math.inf
-    for mask in range(2 ** a.size):
-        vertex = np.array(
-            [box[i][1] if mask >> i & 1 else box[i][0] for i in range(a.size)]
-        )
-        best = max(best, float(a @ vertex))
-    return best
 
 
 def _reflect_model(model: HybridAutomaton, axis: int) -> HybridAutomaton:

@@ -15,16 +15,17 @@ product: there `dot` can keep a -0.0 that `@` turns into +0.0. That case
 cannot reach a result. Every P is a sum with Q, whose entries are +0.0 or
 positive, and in one dimension K is the product of P >= 0 and
 1 / (P + R) > 0. A solve raises `RiccatiError` naming the mode when an axis
-has neither process nor measurement noise (P + R is then singular), when
-an increment is not finite, and when any step yields an invalid value.
+has process and measurement noise too small for 1 / (Q + R) to be finite
+(both zero, say: P + R is then singular), when an increment is not finite,
+and when any step yields an invalid value.
 
 `step_rows` is the update: it takes one mode's A and gain as arrays and
 B u as a vector, and steps a range of rows of an estimate buffer, each from
 the row before and its measurement, with no model lookup, copy or
 validation. `simulate`'s monitor pass calls it once per stretch of samples
 that share the predicting mode and the input, after the plant loop has
-filled the measurements. `step_continuous` is its one-row case. The caller
-keeps the residual and the settling count.
+filled the measurements; one step is a range of one row. The caller keeps
+the residual and the settling count.
 """
 
 from __future__ import annotations
@@ -109,20 +110,24 @@ def _solve_riccati(
     mode_id: ModeId, dyn: LtiDynamics, tol: float, max_iter: int
 ) -> KalmanGain:
     """Riccati fixed point and gain of one dynamics; errors name mode_id."""
-    n = dyn.dim
     a, a_t = dyn.a, dyn.a.T
     q_var = (dyn.w_bounds / 3.0) ** 2
     r_var = (dyn.v_bounds / 3.0) ** 2
-    # P >= Q on every step, so P + R can only be singular on an axis where
-    # both variances are zero, and there it is singular on the first step
-    silent = np.flatnonzero((q_var == 0.0) & (r_var == 0.0))
-    if silent.size:
-        axis = int(silent[0])
-        raise RiccatiError(
-            f"mode {mode_id!r}: axis {axis} has zero process and measurement "
-            f"noise variance (w = {dyn.w_bounds[axis]:g}, v = {dyn.v_bounds[axis]:g}), "
-            "so P + R is singular"
-        )
+    # P starts at Q, so the first inversion is singular or overflows on an
+    # axis where 1 / (Q + R) is not finite
+    with np.errstate(divide="ignore", over="ignore"):
+        unbounded = np.flatnonzero(~np.isfinite(1.0 / (q_var + r_var)))
+    if unbounded.size:
+        axis = int(unbounded[0])
+        noise = f"(w = {dyn.w_bounds[axis]:g}, v = {dyn.v_bounds[axis]:g})"
+        if q_var[axis] == 0.0 and r_var[axis] == 0.0:
+            problem = f"zero process and measurement noise variance {noise}, so P + R is singular"
+        else:
+            problem = (
+                f"process and measurement noise variances {noise} too small "
+                "to invert: 1 / (Q + R) is not finite"
+            )
+        raise RiccatiError(f"mode {mode_id!r}: axis {axis} has {problem}")
     q_cov = np.diag(q_var)
     r_cov = np.diag(r_var)
     p = q_cov.copy()
@@ -155,18 +160,18 @@ def _solve_riccati(
             raise RiccatiError(
                 f"mode {mode_id!r}: {error} at Riccati step {iterations}"
             ) from error
-    closed = (np.eye(n) - k) @ a
-    radius = float(abs(np.linalg.eigvals(closed)).max()) if n else 0.0
-    if radius >= 1.0:
-        raise GainInstabilityError(
-            f"mode {mode_id!r}: closed-loop spectral radius {radius:.6g} >= 1"
-        )
-    return KalmanGain(
+    gain = KalmanGain(
         gain=k,
         predicted_covariance=p,
         iterations=iterations,
         final_increment=increment,
     )
+    radius = float(abs(np.linalg.eigvals(gain.closed_loop(a))).max()) if dyn.dim else 0.0
+    if radius >= 1.0:
+        raise GainInstabilityError(
+            f"mode {mode_id!r}: closed-loop spectral radius {radius:.6g} >= 1"
+        )
+    return gain
 
 
 def step_rows(
@@ -200,24 +205,6 @@ def step_rows(
         gain.dot(innovation, out=correction)
         out += correction
         prev = out
-
-
-def step_continuous(
-    a: np.ndarray,
-    gain: np.ndarray,
-    x_est: np.ndarray,
-    bu: np.ndarray,
-    y: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """One predict/update step, the one-row case of `step_rows`, written into `out`.
-
-    out = A x_est + B u, then out + K (y - out); returns `out`.
-    """
-    rows = np.array((x_est, x_est), dtype=float)
-    step_rows(a, gain, bu, rows, np.array((y, y), dtype=float), 0, 1, np.empty_like(rows))
-    out[...] = rows[1]
-    return out
 
 
 def check_dwell(model: HybridAutomaton, event_samples: Sequence[int]) -> bool:

@@ -110,11 +110,6 @@ def inflate(z: Zonotope, sigma: float) -> Zonotope:
     return Zonotope(center=z.center, generators=np.vstack([z.generators, extra]))
 
 
-def step_bound(model: HybridAutomaton, mode_id: ModeId) -> float:
-    """Per-step inflation radius: ||B|| mu + w in the infinity norm."""
-    return model.dynamics(mode_id).step_bound
-
-
 def sigma_sum(a_norm: float, steps: int, per_step: float) -> float:
     """Geometric sum of per-step inflation over the horizon.
 

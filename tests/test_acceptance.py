@@ -9,6 +9,7 @@ happen once.
 import time
 
 import numpy as np
+from vertex_reference import oracle_box_optimum
 
 from hybridmon import (
     HybridAutomaton,
@@ -19,7 +20,6 @@ from hybridmon import (
     box_max,
     decompose_regions,
     intersects_box,
-    oracle_box_optimum,
     reach,
 )
 from hybridmon.reachability import compute_all_deltas

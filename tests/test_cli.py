@@ -228,6 +228,13 @@ class TestStaticCommands:
         assert out[1].startswith("max_steady_estimation_error: 0.0")
         assert out[2] == "theta: 0.05"
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_calibrate_theta_refuses_no_runs(self, capsys, runs):
+        code, out, err = run_cli(capsys, "calibrate-theta", "train-gate", "--runs", runs)
+        assert code == 1
+        assert out == []
+        assert err == f"error: --runs must be at least 1, got {runs}\n"
+
 
 def test_module_entry_point():
     proc = subprocess.run(

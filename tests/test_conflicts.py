@@ -8,7 +8,6 @@ from loop_reference import reference_verdict
 from lp_reference import box_distance, corner_box, touching_box
 
 from hybridmon import (
-    ConflictReport,
     Detector,
     Event,
     Guard,
@@ -17,20 +16,17 @@ from hybridmon import (
     LtiDynamics,
     Mode,
     Transition,
-    UnsupportedShapeError,
     Zonotope,
     decompose_regions,
-    detect,
     detection_threshold,
     inflate,
-    initial_set,
     intersects_box,
     linear_map,
-    volume,
     volume_bound,
 )
+from hybridmon.conflicts import ConflictRows
 from hybridmon.guarantees import facet_epsilon
-from hybridmon.reachability import sigma_sum, step_bound
+from hybridmon.reachability import sigma_sum
 
 
 @pytest.fixture(scope="module")
@@ -59,139 +55,154 @@ def rotation_model():
     )
 
 
-class TestInitialSet:
-    def test_box_geometry(self):
-        z = initial_set([1.0, 2.0], [0.1, -0.2], [0.1, 0.1])
-        lo, hi = z.interval_hull()
-        np.testing.assert_allclose(lo, [0.8, 1.7])
-        np.testing.assert_allclose(hi, [1.2, 2.3])
-        assert z.is_axis_aligned()
+def one_row(detector, node, steady, x_est, residual, event=None):
+    """Verdict columns of one sample: `evaluate_rows` on a block of one row."""
+    return detector.evaluate_rows(
+        (tuple(node),),
+        np.array([steady]),
+        np.array([x_est], dtype=float),
+        np.array([residual], dtype=float),
+        (event,),
+    )
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="do not match"):
-            initial_set([1.0, 2.0], [0.1], [0.1, 0.1])
+
+@pytest.fixture(scope="module")
+def box_detector():
+    # horizon 0, so C has no part in its verdicts
+    model = _one_mode([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [0.125, 0.0], [(0.0, 1.0), (0.0, 2.0)])
+    return Detector(model, regions=decompose_regions(model), deltas={1: 0})
+
+
+class TestInitialSet:
+    """The box c +/- (|r| + v) behind A and B."""
+
+    def test_box_geometry(self, box_detector):
+        # |r| + v on axis 0, |r| alone on axis 1: the box [0.25, 0.75] x [0.625, 1.375]
+        assert not one_row(box_detector, (1,), True, (0.5, 1.0), (-0.125, -0.375)).conflict_b[0]
+        # a face of the box on an invariant face meets it; a hair past, it misses
+        for center, residual in (((1.25, 1.0), (0.125, 0.0)), ((0.5, -0.25), (0.0, -0.25))):
+            assert not one_row(box_detector, (1,), True, center, residual).conflict_b[0]
+            past = np.nextafter(center, (np.inf, -np.inf))
+            assert one_row(box_detector, (1,), True, past, residual).conflict_b[0]
+
+    def test_shape_mismatch_rejected(self, tg_machinery):
+        # one node, so one row, of the model's dimension 2
+        for shape in ((2, 2), (1, 3), (1, 1)):
+            with pytest.raises(ValueError, match="do not match"):
+                tg_machinery[0].evaluate_rows(
+                    ((1,),), np.array([True]), np.zeros(shape), np.zeros(shape), (None,)
+                )
 
 
 class TestVolume:
-    def test_box_volume(self):
-        from hybridmon import box_zonotope
+    def test_box_volume(self, box_detector):
+        rows = one_row(box_detector, (1,), True, (0.5, 1.0), (-0.125, -0.375))
+        assert rows.volume[0] == 0.5 * 0.75
 
-        assert volume(box_zonotope([0.0, 0.0], [1.0, 2.0])) == pytest.approx(2.0)
-
-    def test_zero_width_axis_gives_zero(self):
-        from hybridmon import box_zonotope
-
-        assert volume(box_zonotope([1.0, 2.0], [1.0, 4.0])) == 0.0
-
-    def test_rotated_set_rejected(self):
-        z = Zonotope([0.0, 0.0], [[1.0, 1.0]])
-        with pytest.raises(UnsupportedShapeError):
-            volume(z)
+    def test_zero_width_axis_gives_zero(self, box_detector):
+        assert one_row(box_detector, (1,), True, (0.5, 1.0), (0.25, 0.0)).volume[0] == 0.0
 
     def test_train_gate_bound(self, tg_model):
         # prod over axes of 2*theta + 4*v = (0.1 + 0.4)^2
         assert volume_bound(tg_model) == pytest.approx(0.25, abs=1e-15)
 
 
-class TestDetect:
-    def test_requires_singleton_node(self, tg_model, tg_regions, tg_deltas):
-        with pytest.raises(ValueError, match="singleton"):
-            detect(tg_model, tg_regions, tg_deltas, (1, 2), (50.0, 0.2), (0.0, 0.0))
+@pytest.fixture(scope="module")
+def tg_detector(tg_model, tg_regions, tg_deltas):
+    return Detector(tg_model, regions=tg_regions, deltas=tg_deltas)
 
-    def test_estimate_far_outside_invariant(self, tg_model, tg_regions, tg_deltas):
+
+class TestDetect:
+    def test_estimate_far_outside_invariant(self, tg_detector):
         # estimated mode 1 but the estimate sits deep in mode 2 territory:
         # the initial set misses the invariant now (B) and after the horizon (C)
-        report = detect(tg_model, tg_regions, tg_deltas, (1,), (50.0, 0.2), (0.05, 0.0))
-        assert report.estimated_mode == 1
-        assert not report.warming_up
-        assert not report.conflict_a
-        assert report.conflict_b
-        assert report.conflict_c
-        assert report.alarm
-        assert report.volume == pytest.approx(0.3 * 0.2)
-        assert report.volume_bound == pytest.approx(0.25)
+        rows = one_row(tg_detector, (1,), True, (50.0, 0.2), (0.05, 0.0))
+        assert rows.estimated_mode == (1,)
+        assert not rows.warming_up[0]
+        assert not rows.conflict_a[0]
+        assert rows.conflict_b[0]
+        assert rows.conflict_c[0]
+        assert rows.alarm[0]
+        assert rows.volume[0] == pytest.approx(0.3 * 0.2)
+        assert tg_detector.volume_bound == pytest.approx(0.25)
 
-    def test_nominal_estimate_is_silent(self, tg_model, tg_regions, tg_deltas):
-        report = detect(tg_model, tg_regions, tg_deltas, (1,), (10.0, 1.0), (0.02, -0.01))
-        assert not report.alarm
-        assert report.reach_set is not None  # horizon 8 still evaluated
+    def test_nominal_estimate_is_silent(self, tg_detector):
+        # armed, with the horizon of 8 checked, and quiet
+        assert tg_detector.deltas[1] == 8
+        rows = one_row(tg_detector, (1,), True, (10.0, 1.0), (0.02, -0.01))
+        assert not rows.warming_up[0]
+        assert not rows.alarm[0]
 
-    def test_inflated_residual_trips_volume_only(self, tg_model, tg_regions, tg_deltas):
-        report = detect(tg_model, tg_regions, tg_deltas, (1,), (10.0, 0.5), (10.0, 10.0))
-        assert report.conflict_a
-        assert not report.conflict_b
-        assert report.volume > report.volume_bound
+    def test_inflated_residual_trips_volume_only(self, tg_detector):
+        rows = one_row(tg_detector, (1,), True, (10.0, 0.5), (10.0, 10.0))
+        assert rows.conflict_a[0]
+        assert not rows.conflict_b[0]
+        assert rows.volume[0] > tg_detector.volume_bound
 
     def test_rotation_trips_reach_only(self, rotation_model):
         regions = decompose_regions(rotation_model)
-        report = detect(rotation_model, regions, {1: 1}, (1,), (0.9, 0.0), (0.1, 0.1))
-        assert not report.conflict_a
-        assert not report.conflict_b
-        assert report.conflict_c
-
-    def test_time_index_passthrough(self, tg_model, tg_regions, tg_deltas):
-        report = detect(
-            tg_model, tg_regions, tg_deltas, (1,), (10.0, 1.0), (0.0, 0.0), time_index=77
-        )
-        assert report.time_index == 77
+        detector = Detector(rotation_model, regions=regions, deltas={1: 1})
+        rows = one_row(detector, (1,), True, (0.9, 0.0), (0.1, 0.1))
+        assert not rows.conflict_a[0]
+        assert not rows.conflict_b[0]
+        assert rows.conflict_c[0]
 
 
 class TestDetector:
-    def test_precomputed_matches_one_shot(self, tg_model, tg_regions, tg_deltas):
-        detector = Detector(tg_model, regions=tg_regions, deltas=tg_deltas)
-        for x_est, residual in (
-            ((10.0, 1.0), (0.02, -0.01)),
-            ((50.0, 0.2), (0.05, 0.0)),
-            ((75.5, 0.2), (0.01, 0.01)),
-        ):
-            a = detect(tg_model, tg_regions, tg_deltas, (2,), x_est, residual)
-            b = detector.evaluate(0, (2,), True, x_est, residual)
-            assert (a.conflict_a, a.conflict_b, a.conflict_c) == (
-                b.conflict_a,
-                b.conflict_b,
-                b.conflict_c,
-            )
-            assert a.volume == b.volume
-            np.testing.assert_array_equal(a.initial_set.center, b.initial_set.center)
+    def test_precomputed_matches_one_shot(self, tg_model, tg_detector):
+        # one detector for a block, or a fresh one that builds its own
+        # geometry for each row
+        x_est = np.array([[10.0, 1.0], [50.0, 0.2], [75.5, 0.2]])
+        residual = np.array([[0.02, -0.01], [0.05, 0.0], [0.01, 0.01]])
+        steady, events = np.ones(3, dtype=bool), (None,) * 3
+        block = tg_detector.evaluate_rows(((2,),) * 3, steady, x_est, residual, events)
+        one_shot = [
+            _rows(one_row(Detector(tg_model), (2,), True, x_est[i], residual[i]))[0]
+            for i in range(3)
+        ]
+        assert _rows(block) == one_shot
 
     def test_defaults_build_geometry(self, tg_model, tg_deltas):
         detector = Detector(tg_model)
         assert detector.deltas == tg_deltas
         assert detector.volume_bound == pytest.approx(0.25)
 
-    def test_non_singleton_node_warms_up(self, tg_model, tg_regions, tg_deltas):
-        detector = Detector(tg_model, regions=tg_regions, deltas=tg_deltas)
-        report = detector.evaluate(3, (1, 2, 3), True, (50.0, 0.2), (0.05, 0.0))
-        assert report.warming_up
-        assert report.estimated_mode is None
-        assert not report.alarm
-        assert report.volume == pytest.approx(0.3 * 0.2)  # still reported
+    def test_non_singleton_node_warms_up(self, tg_detector):
+        rows = one_row(tg_detector, (1, 2, 3), True, (50.0, 0.2), (0.05, 0.0))
+        assert rows.warming_up[0]
+        assert rows.estimated_mode == (None,)
+        assert not rows.alarm[0]
+        assert rows.volume[0] == pytest.approx(0.3 * 0.2)  # still reported
 
-    def test_unsettled_estimate_warms_up(self, tg_model, tg_regions, tg_deltas):
-        detector = Detector(tg_model, regions=tg_regions, deltas=tg_deltas)
-        report = detector.evaluate(3, (1,), False, (50.0, 0.2), (0.05, 0.0))
-        assert report.warming_up
-        assert report.estimated_mode == 1
-        assert not report.alarm
-        assert report.reach_set is None
+    def test_unsettled_estimate_warms_up(self, tg_detector):
+        rows = one_row(tg_detector, (1,), False, (50.0, 0.2), (0.05, 0.0))
+        assert rows.warming_up[0]
+        assert rows.estimated_mode == (1,)
+        assert not rows.alarm[0]
 
     def test_verdicts_are_deterministic(self, tg_model):
-        d1 = Detector(tg_model)
-        d2 = Detector(tg_model)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            x_est = rng.uniform([0.0, 0.0], [80.0, 1.5])
-            residual = rng.uniform(-0.3, 0.3, size=2)
-            node = ([1], [2], [3])[rng.integers(0, 3)]
-            a = d1.evaluate(0, tuple(node), True, x_est, residual)
-            b = d2.evaluate(0, tuple(node), True, x_est, residual)
-            assert (a.conflict_a, a.conflict_b, a.conflict_c, a.volume) == (
-                b.conflict_a,
-                b.conflict_b,
-                b.conflict_c,
-                b.volume,
-            )
-            np.testing.assert_array_equal(a.initial_set.generators, b.initial_set.generators)
+        nodes = tuple(((1,), (2,), (3,))[i] for i in rng.integers(0, 3, size=20))
+        x_est = rng.uniform([0.0, 0.0], [80.0, 1.5], size=(20, 2))
+        residual = rng.uniform(-0.3, 0.3, size=(20, 2))
+        args = (nodes, np.ones(20, dtype=bool), x_est, residual, (None,) * 20)
+        first, second = (Detector(tg_model).evaluate_rows(*args) for _ in range(2))
+        assert _rows(first) == _rows(second)
+
+
+def test_report_alarm_property():
+    flags = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=bool)
+    rows = ConflictRows((1,) * 5, np.zeros(5, dtype=bool), *flags.T, np.zeros(5))
+    assert rows.alarm.tolist() == [False, True, True, True, True]
+
+
+def _rows(rows):
+    """Each row's verdicts, with the bytes of its volume."""
+    columns = (rows.warming_up, rows.conflict_a, rows.conflict_b, rows.conflict_c)
+    return [
+        (mode, *(bool(column[i]) for column in columns), rows.volume[i].tobytes())
+        for i, mode in enumerate(rows.estimated_mode)
+    ]
 
 
 def _one_mode(a, w, v, invariant) -> HybridAutomaton:
@@ -215,9 +226,9 @@ def _one_mode(a, w, v, invariant) -> HybridAutomaton:
 def _reference_reach(model, delta, x_est, residual):
     """The horizon set built explicitly: inflate(linear_map(A^delta, X_I), sigma)."""
     dyn = model.dynamics(1)
-    x_i = initial_set(x_est, residual, dyn.v_bounds)
+    x_i = Zonotope(x_est, np.diag(np.abs(residual) + dyn.v_bounds))
     a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
-    sigma = sigma_sum(a_norm, delta, step_bound(model, 1))
+    sigma = sigma_sum(a_norm, delta, dyn.step_bound)
     return x_i, inflate(linear_map(np.linalg.matrix_power(dyn.a, delta), x_i), sigma)
 
 
@@ -272,7 +283,7 @@ class TestHorizonTable:
     @staticmethod
     def _evaluate(model, delta, x_est, residual):
         detector = Detector(model, regions=decompose_regions(model), deltas={1: delta})
-        return detector.evaluate(0, (1,), True, x_est, residual)
+        return one_row(detector, (1,), True, x_est, residual)
 
     @settings(max_examples=300, deadline=None)
     @given(horizon_case())
@@ -282,12 +293,10 @@ class TestHorizonTable:
         invariant = model.invariant(1).intervals
         distance = box_distance(reach_set, invariant)
         assume(abs(distance) > 1e-6)  # the program's own tolerance decides contact
-        report = self._evaluate(model, delta, x_est, residual)
-        assert report.conflict_c == (distance > 0.0)
-        assert report.conflict_b == (not intersects_box(x_i, invariant))
-        assert report.volume == volume(x_i)
-        np.testing.assert_array_equal(report.reach_set.center, reach_set.center)
-        np.testing.assert_array_equal(report.reach_set.generators, reach_set.generators)
+        rows = self._evaluate(model, delta, x_est, residual)
+        assert rows.conflict_c[0] == (distance > 0.0)
+        assert rows.conflict_b[0] == (not intersects_box(x_i, invariant))
+        assert rows.volume[0] == np.prod(2.0 * np.diag(x_i.generators))
 
     @settings(max_examples=300, deadline=None)
     @given(touching_case())
@@ -295,7 +304,7 @@ class TestHorizonTable:
         model, x_est, residual = case
         _, reach_set = _reference_reach(model, 1, x_est, residual)
         assert box_distance(reach_set, model.invariant(1).intervals) <= 1e-9
-        assert not self._evaluate(model, 1, x_est, residual).conflict_c
+        assert not self._evaluate(model, 1, x_est, residual).conflict_c[0]
 
 
 TG_NODES = ((1,), (2,), (3,), (1, 2, 3), (2, 3))
@@ -344,27 +353,12 @@ def mode_block(draw):
 
 
 def _assert_block_equals_rows(detector, nodes, steady, centers, residuals, events):
-    rows = detector.evaluate_rows(nodes, steady, centers, residuals, events)
+    block = _rows(detector.evaluate_rows(nodes, steady, centers, residuals, events))
     for i, node in enumerate(nodes):
         args = (node, steady[i], centers[i], residuals[i], events[i])
-        one = detector.evaluate(i, *args)
         mode, warming, a, b, c, vol = reference_verdict(detector, *args)
-        assert (
-            rows.estimated_mode[i],
-            rows.warming_up[i],
-            rows.conflict_a[i],
-            rows.conflict_b[i],
-            rows.conflict_c[i],
-        ) == (one.estimated_mode, one.warming_up, one.conflict_a, one.conflict_b, one.conflict_c)
-        assert (one.estimated_mode, one.warming_up, one.conflict_a, one.conflict_b) == (
-            mode,
-            warming,
-            a,
-            b,
-        )
-        assert one.conflict_c == c
-        assert rows.volume[i].tobytes() == np.float64(one.volume).tobytes()
-        assert np.float64(vol).tobytes() == np.float64(one.volume).tobytes()
+        reference = (mode, warming, a, b, c, np.float64(vol).tobytes())
+        assert block[i] == _rows(one_row(detector, *args))[0] == reference
 
 
 class TestEvaluateRows:
@@ -413,18 +407,18 @@ class TestEventCheck:
     def test_late_crossing_flags_c(self, detector):
         # the box [45.58, 45.82] lies past the overshoot slab [45, 45.21]
         x_est, r = (45.7, 0.2), (0.02, 0.01)
-        assert not detector.evaluate(0, (1,), True, x_est, r).alarm
-        report = detector.evaluate(0, (1,), True, x_est, r, self.EVENT)
-        assert report.conflict_c
-        assert not (report.conflict_a or report.conflict_b)
+        assert not one_row(detector, (1,), True, x_est, r).alarm[0]
+        rows = one_row(detector, (1,), True, x_est, r, self.EVENT)
+        assert rows.conflict_c[0]
+        assert not (rows.conflict_a[0] or rows.conflict_b[0])
 
     def test_early_crossing_flags_c(self, detector):
         # the box [44.18, 44.42] lies short of the guard
         x_est, r = (44.3, 1.0), (0.02, 0.01)
-        assert not detector.evaluate(0, (1,), True, x_est, r).alarm
-        report = detector.evaluate(0, (1,), True, x_est, r, self.EVENT)
-        assert report.conflict_c
-        assert not (report.conflict_a or report.conflict_b)
+        assert not one_row(detector, (1,), True, x_est, r).alarm[0]
+        rows = one_row(detector, (1,), True, x_est, r, self.EVENT)
+        assert rows.conflict_c[0]
+        assert not (rows.conflict_a[0] or rows.conflict_b[0])
 
     def test_nominal_crossing_is_silent(self, tg_model, detector, epsilon):
         # without an attack the box holds the true state, and a firing state
@@ -435,20 +429,20 @@ class TestEventCheck:
             x = np.array([rng.uniform(45.0, epsilon), rng.uniform(0.0, 1.5)])
             y = x + rng.uniform(-v, v)
             x_est = x + rng.uniform(-0.3, 0.3, size=2)
-            report = detector.evaluate(0, (1, 2, 3), True, x_est, y - x_est, self.EVENT)
-            assert not report.conflict_c
+            rows = one_row(detector, (1, 2, 3), True, x_est, y - x_est, self.EVENT)
+            assert not rows.conflict_c[0]
 
     def test_ambiguous_node_names_the_source(self, detector):
         # before the first event the node is still (1, 2, 3); the event pair
         # alone picks the transition, so the check runs and names state 1
-        report = detector.evaluate(0, (1, 2, 3), True, (44.3, 1.0), (0.02, 0.01), self.EVENT)
-        assert report.warming_up
-        assert report.conflict_c
-        assert report.estimated_mode == 1
+        rows = one_row(detector, (1, 2, 3), True, (44.3, 1.0), (0.02, 0.01), self.EVENT)
+        assert rows.warming_up[0]
+        assert rows.conflict_c[0]
+        assert rows.estimated_mode == (1,)
 
     def test_unsettled_estimate_skips_the_check(self, detector):
-        report = detector.evaluate(0, (1,), False, (44.3, 1.0), (0.02, 0.01), self.EVENT)
-        assert not report.alarm
+        rows = one_row(detector, (1,), False, (44.3, 1.0), (0.02, 0.01), self.EVENT)
+        assert not rows.alarm[0]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_offset_above_threshold_is_flagged(self, tg_model, detector, epsilon, sign):
@@ -460,10 +454,8 @@ class TestEventCheck:
         x = 45.0 if sign > 0 else epsilon
         y = x + offset + sign * v
         x_est = x + offset - sign * theta
-        report = detector.evaluate(
-            0, (1, 2, 3), True, (x_est, 1.0), (y - x_est, 0.0), self.EVENT
-        )
-        assert report.conflict_c
+        rows = one_row(detector, (1, 2, 3), True, (x_est, 1.0), (y - x_est, 0.0), self.EVENT)
+        assert rows.conflict_c[0]
 
 
 class TestVolumeResidualLink:
@@ -493,21 +485,3 @@ class TestVolumeResidualLink:
         assert vol > bound
         assert np.max(np.abs(r)) <= theta + 2.0 * np.min(v)
         assert np.max(np.abs(r)) > theta + np.min(v)
-
-
-def test_report_alarm_property():
-    base = dict(
-        time_index=0,
-        estimated_mode=1,
-        warming_up=False,
-        center=np.array([0.0]),
-        half_widths=np.array([0.1]),
-        volume=0.0,
-        volume_bound=1.0,
-    )
-    quiet = ConflictReport(conflict_a=False, conflict_b=False, conflict_c=False, **base)
-    loud = ConflictReport(conflict_a=False, conflict_b=True, conflict_c=False, **base)
-    assert not quiet.alarm
-    assert loud.alarm
-    np.testing.assert_array_equal(quiet.initial_set.generators, [[0.1]])
-    assert quiet.reach_set is None

@@ -8,6 +8,7 @@ from pathlib import Path
 import analysis_reference
 import numpy as np
 import pytest
+from vertex_reference import oracle_box_optimum
 
 from hybridmon import (
     Detector,
@@ -19,13 +20,11 @@ from hybridmon import (
     LtiDynamics,
     Mode,
     NoGuaranteeError,
-    OracleScaleError,
     Transition,
     box_max,
     compute_delta,
     decompose_regions,
     detection_threshold,
-    oracle_box_optimum,
     solve_d_star,
     solve_z_star,
     state_guarantees,
@@ -116,7 +115,7 @@ class TestBoxMax:
             box_max([1.0], [1.0], [0.0])
 
     def test_oracle_refuses_large_boxes(self):
-        with pytest.raises(OracleScaleError):
+        with pytest.raises(ValueError, match="11 axes means 2048 vertices; capped at 10"):
             oracle_box_optimum(np.ones(11), [(0.0, 1.0)] * 11)
 
     def test_oracle_dimension_check(self):

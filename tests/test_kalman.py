@@ -20,8 +20,8 @@ from hybridmon import (
     RiccatiError,
     Transition,
     check_dwell,
-    step_continuous,
     synthesize_gains,
+    validate_model,
 )
 from hybridmon.kalman import (
     RICCATI_TOL,
@@ -114,6 +114,19 @@ class TestSynthesizeGains:
             RiccatiError,
             match=r"^mode 's': axis 1 has zero process and measurement noise variance "
             r"\(w = 0, v = 0\), so P \+ R is singular$",
+        ):
+            synthesize_gains(model)
+
+    @pytest.mark.parametrize("w, v", [(1e-155, 1e-155), (0.0, 1e-160), (1e-160, 0.0)])
+    def test_axis_with_underflowing_noise_is_named(self, w, v):
+        # the variances are subnormal, not zero, so the model is valid; but
+        # 1 / (Q + R) overflows, and the first step would turn P into NaN
+        model = single_mode([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]], [w] * 3, [v] * 3)
+        assert validate_model(model) == []
+        with pytest.raises(
+            RiccatiError,
+            match=rf"^mode 's': axis 0 has process and measurement noise variances "
+            rf"\(w = {w:g}, v = {v:g}\) too small to invert: 1 / \(Q \+ R\) is not finite$",
         ):
             synthesize_gains(model)
 
@@ -264,7 +277,17 @@ class TestRiccatiReference:
         assert _inv(spd, signature="d->d").tobytes() == np.linalg.inv(spd).tobytes()
 
 
+def one_step(a, gain, bu, x_est, y):
+    """One predict/update step: `step_rows` on a fresh block of one row."""
+    rows = np.array((x_est, np.full_like(x_est, np.nan)))
+    meas = np.array((np.full_like(y, np.nan), y))
+    step_rows(a, gain, bu, rows, meas, 0, 1, np.empty_like(rows))
+    return rows[1]
+
+
 class TestStepContinuous:
+    """One step of the continuous estimate."""
+
     def test_predict_update_by_hand(self, tg_model):
         # predict, then correct, in this order: (I - K) A is the same map in
         # exact arithmetic but not in floating point, and traces pin the bits
@@ -274,9 +297,7 @@ class TestStepContinuous:
         u = np.array([0.5])
         y = np.array([10.2, 0.9])
         predicted = dyn.a @ x_est + dyn.b @ u
-        out = np.full(2, np.nan)
-        est = step_continuous(dyn.a, gain, x_est, dyn.b @ u, y, out)
-        assert est is out
+        est = one_step(dyn.a, gain, dyn.b @ u, x_est, y)
         assert est.tobytes() == (predicted + gain @ (y - predicted)).tobytes()
         np.testing.assert_allclose(est, predicted + TG_GAIN @ (y - predicted), atol=1e-12)
 
@@ -320,7 +341,7 @@ class TestStepRows:
         est = start
         for lo, hi, a, gain, bu in segments:
             for r in range(lo + 1, hi + 1):
-                prev, est = est, step_continuous(a, gain, est, bu, y[r], np.empty_like(est))
+                prev, est = est, one_step(a, gain, bu, est, y[r])
                 fresh = a.dot(prev)
                 fresh += bu
                 fresh += gain.dot(y[r] - fresh)

@@ -36,7 +36,6 @@ from hybridmon.reachability import (
     guard_axis_hulls,
     separating_normals,
     sigma_sum,
-    step_bound,
 )
 
 
@@ -139,7 +138,7 @@ class TestLinearMapInflate:
 class TestSigmaSum:
     def test_train_gate_per_step_bound(self, tg_model):
         # ||B|| mu + w = 0.05 * 1.0 + 0.01
-        assert step_bound(tg_model, 1) == pytest.approx(0.06, abs=1e-15)
+        assert tg_model.dynamics(1).step_bound == pytest.approx(0.06, abs=1e-15)
 
     def test_geometric_sum_frozen(self):
         # 0.06 * (1.1^d - 1) / 0.1 for the crossing model's row-sum norm
@@ -324,7 +323,7 @@ def test_import_leaves_the_solver_unloaded():
         "import hybridmon\n"
         "loaded = 'scipy.optimize' in sys.modules\n"
         "detector = hybridmon.Detector(hybridmon.train_gate_model())\n"
-        "detector.evaluate(0, (1,), True, (10.0, 1.0), (0.02, -0.01))\n"
+        "detector.evaluate_rows(((1,),), [True], [[10.0, 1.0]], [[0.02, -0.01]], (None,))\n"
         "print(loaded, 'scipy.optimize' in sys.modules)\n"
     )
     done = subprocess.run(
