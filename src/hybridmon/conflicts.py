@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .guarantees import _epsilon, _Mirrors, _rising
+from .guarantees import facet_epsilon
 from .model import HybridAutomaton, ModeId, RegionDecomposition, decompose_regions
 from .reachability import (
     Zonotope,
@@ -169,14 +169,12 @@ class Detector:
             self._tables[mode_id] = _HorizonTable.build(a_power, sigma, inv_lo, inv_hi)
         # guard-axis slab a firing state lies in: from the guard to the
         # farthest one-step overshoot (`facet_epsilon`), the geometry behind
-        # the z* threshold; falling guards share one mirror per axis
+        # the z* threshold
         self._slabs: dict[tuple[str, str], list[tuple[ModeId, int, float, float]]] = {}
-        mirrors: _Mirrors = {}
         for tr in model.transitions:
             c_g = tr.guard.threshold
-            view, _, view_tr = _rising(model, self.regions, tr, mirrors)
-            far = _epsilon(view, view_tr)
-            far = max(far, c_g) if tr.guard.sign > 0 else min(-far, c_g)
+            far = facet_epsilon(model, tr)
+            far = max(far, c_g) if tr.guard.sign > 0 else min(far, c_g)
             self._slabs.setdefault((tr.input_event, tr.output_event), []).append(
                 (tr.source, tr.guard.axis, min(c_g, far), max(c_g, far))
             )
@@ -203,10 +201,13 @@ class Detector:
         mode. A, B and the horizon part of C wait for a settled singleton
         node; until then the row is marked warming up.
         """
+        k = len(nodes)
+        for name, column in (("steady", steady), ("events", events)):
+            if len(column) != k:
+                raise ValueError(f"{name} has length {len(column)}, but the block has {k} rows")
         centers = np.asarray(centers, dtype=float)
         residuals = np.asarray(residuals, dtype=float)
         steady = np.asarray(steady, dtype=bool)
-        k = len(nodes)
         if centers.shape != (k, self.model.dim) or residuals.shape != centers.shape:
             raise ValueError("residual/noise dimensions do not match the estimate")
         if k and nodes.count(nodes[0]) == k:

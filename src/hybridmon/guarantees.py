@@ -7,7 +7,12 @@ whole horizon-step reachable band past the neighbor hyperplane). The
 per-state detection threshold is the larger available arm plus the
 measurement uncertainty margin. All inner optimizations are over boxes,
 so maxima and minima are closed-form; a vertex-enumeration oracle
-cross-checks the closed form in tests. `classify_fdia` asks the static
+cross-checks the closed form in tests. A falling guard is solved in its
+own sign on the model as given: its overshoot is the low end of the
+one-step guard-axis hull, and its arms read the guard axis negated, which
+is the model mirrored on that axis. The neighbor face's tie rule
+(`model.neighbor_value`) picks mirrored faces in a model and its mirror,
+so both give the same thresholds. `classify_fdia` asks the static
 question the residual monitor leaves open: whether an attack on a set of
 sensors can stay invisible to it.
 """
@@ -15,22 +20,12 @@ sensors can stay invisible to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import (
-    Guard,
-    HybridAutomaton,
-    Invariant,
-    LtiDynamics,
-    Mode,
-    ModeId,
-    RegionDecomposition,
-    Transition,
-    decompose_regions,
-)
+from .model import HybridAutomaton, ModeId, RegionDecomposition, Transition, decompose_regions
 from .reachability import compute_all_deltas, guard_axis_hulls, sigma_sum
 
 BISECT_TOL = 1e-9
@@ -81,100 +76,32 @@ def _box_min(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     return -box_max(-np.asarray(a, dtype=float), lo, hi)
 
 
-def _reflect_model(model: HybridAutomaton, axis: int) -> HybridAutomaton:
-    """Mirror the whole state space on one axis so a falling guard rises."""
-    modes = []
-    for mode_id in model.mode_ids:
-        mode = model.mode(mode_id)
-        dyn = mode.dynamics
-        a = dyn.a.copy()
-        a[axis, :] *= -1.0
-        a[:, axis] *= -1.0
-        b = dyn.b.copy()
-        b[axis, :] *= -1.0
-        intervals = list(mode.invariant.intervals)
-        lo, hi = intervals[axis]
-        intervals[axis] = (-hi, -lo)
-        modes.append(
-            Mode(
-                mode_id=mode.mode_id,
-                dynamics=replace(dyn, a=a, b=b),
-                invariant=Invariant(intervals=tuple(intervals)),
-            )
-        )
-    transitions = []
-    for tr in model.transitions:
-        guard = tr.guard
-        if guard.axis == axis:
-            guard = Guard(axis=axis, sign=-guard.sign, threshold=-guard.threshold)
-        transitions.append(replace(tr, guard=guard))
-    return replace(model, modes=tuple(modes), transitions=tuple(transitions))
-
-
-def _matching_transition(model: HybridAutomaton, transition: Transition) -> Transition:
-    for tr in model.transitions_from(transition.source):
-        if tr.input_event == transition.input_event:
-            return tr
-    raise KeyError(f"transition {transition.input_event!r} not found after reflection")
-
-
-_Mirrors = dict[int, tuple[HybridAutomaton, RegionDecomposition]]
-
-
-def _rising(
-    model: HybridAutomaton,
-    regions: RegionDecomposition,
-    transition: Transition,
-    mirrors: _Mirrors,
-) -> tuple[HybridAutomaton, RegionDecomposition, Transition]:
-    """The model, regions and transition in which the guard rises.
-
-    A falling guard is solved on the model mirrored on its axis, which
-    `mirrors` holds, with its regions, once per axis. The mirror is exact,
-    and the region decomposition breaks ties toward the lower face, which
-    negation does not preserve, so the mirrored regions are decomposed
-    afresh rather than derived by sign algebra.
-    """
-    guard = transition.guard
-    if guard.sign > 0:
-        return model, regions, transition
-    if guard.axis not in mirrors:
-        reflected = _reflect_model(model, guard.axis)
-        mirrors[guard.axis] = (reflected, decompose_regions(reflected))
-    reflected, reflected_regions = mirrors[guard.axis]
-    return reflected, reflected_regions, _matching_transition(reflected, transition)
-
-
 def _margin(model: HybridAutomaton) -> float:
     """Measurement uncertainty margin theta + 2 v."""
     return model.theta + 2.0 * float(np.max(model.max_v_bounds))
 
 
-def _epsilon(model: HybridAutomaton, transition: Transition) -> float:
-    """`facet_epsilon` of a rising guard, from the one-step guard-axis hull."""
-    guard = transition.guard
-    lo, hi = model.invariant(transition.source).bounds()
-    lo[guard.axis] = hi[guard.axis] = guard.threshold
-    return next(guard_axis_hulls(model, transition.source, lo, hi, guard.axis))[1]
-
-
 def _z_star(
     model: HybridAutomaton, transition: Transition, epsilon: float, margin: float
 ) -> float:
-    """`solve_z_star` of a rising guard whose `facet_epsilon` is epsilon."""
+    """`solve_z_star` of a guard whose `facet_epsilon` is epsilon."""
     guard = transition.guard
-    c_g = guard.threshold
-    if epsilon < c_g:
+    axis, sign, c_g = guard.axis, guard.sign, guard.threshold
+    if sign * epsilon < sign * c_g:
+        tops, below = ("tops", "below") if sign > 0 else ("bottoms", "above")
         raise EmptyGeometryError(
-            f"one-step overshoot tops out at {epsilon}, below the guard {c_g}"
+            f"one-step overshoot {tops} out at {epsilon}, {below} the guard {c_g}"
         )
     lo, hi = model.invariant(transition.source).bounds()
-    lo[guard.axis] = max(lo[guard.axis], c_g)
-    hi[guard.axis] = min(hi[guard.axis], epsilon)
-    if lo[guard.axis] > hi[guard.axis]:
+    slab_lo, slab_hi = (c_g, epsilon) if sign > 0 else (epsilon, c_g)
+    lo[axis] = max(lo[axis], slab_lo)
+    hi[axis] = min(hi[axis], slab_hi)
+    if lo[axis] > hi[axis]:
         raise EmptyGeometryError("overshoot slab misses the source invariant")
     dyn_t = model.dynamics(transition.target)
-    return max(0.0, box_max(dyn_t.a[guard.axis], lo, hi) + dyn_t.step_bound + margin - c_g)
+    return max(
+        0.0, box_max(sign * dyn_t.a[axis], lo, hi) + dyn_t.step_bound + margin - sign * c_g
+    )
 
 
 def _d_star(
@@ -184,37 +111,48 @@ def _d_star(
     delta_q: int,
     margin: float,
 ) -> float:
-    """`solve_d_star` of a rising guard."""
+    """`solve_d_star`; a falling guard is solved as a rising one on the guard axis negated.
+
+    Negating the guard axis changes only the off-diagonal entries of the
+    guard-axis row of A^delta_q, the invariant's guard-axis interval, the
+    guard and the neighbor value, so only those are negated.
+    """
     guard = transition.guard
+    axis, sign = guard.axis, guard.sign
     dyn = model.dynamics(transition.source)
-    a_row = np.linalg.matrix_power(dyn.a, delta_q)[guard.axis]
-    coefficient = float(a_row[guard.axis])
+    a_row = np.linalg.matrix_power(dyn.a, delta_q)[axis]
+    coefficient = float(a_row[axis])
     if coefficient < 0.0:
         raise NoGuaranteeError(
             f"mode {transition.source!r}, guard {transition.input_event!r} on axis "
-            f"{guard.axis}: the horizon-step coefficient A^{delta_q}[{guard.axis}, "
-            f"{guard.axis}] = {coefficient!r} is negative, so the band minimum "
+            f"{axis}: the horizon-step coefficient A^{delta_q}[{axis}, "
+            f"{axis}] = {coefficient!r} is negative, so the band minimum "
             "is not monotone in the offset and bisection cannot find d*"
         )
     sigma = sigma_sum(dyn.a_norm, delta_q, dyn.step_bound)
     inv_lo, inv_hi = model.invariant(transition.source).bounds()
     c_l = regions.neighbor_values[(transition.source, transition.input_event)]
+    if sign < 0:
+        a_row = -a_row
+        a_row[axis] = coefficient
+        inv_lo[axis], inv_hi[axis] = -inv_hi[axis], -inv_lo[axis]
     return _d_star_raw(
-        a_row, inv_lo, inv_hi, guard.axis, guard.threshold, c_l, sigma, margin
+        a_row, inv_lo, inv_hi, axis, sign * guard.threshold, sign * c_l, sigma, margin
     )
 
 
 def facet_epsilon(model: HybridAutomaton, transition: Transition) -> float:
     """Farthest coordinate past the guard one step after it fires.
 
-    Max of the guard-axis coordinate over the one-step reachable set of the
+    The guard-axis extreme, in the guard's direction (the max when it
+    rises, the min when it falls), of the one-step reachable set of the
     guard hyperplane clipped to the source invariant.
     """
     guard = transition.guard
-    if guard.sign < 0:
-        reflected = _reflect_model(model, guard.axis)
-        return -_epsilon(reflected, _matching_transition(reflected, transition))
-    return _epsilon(model, transition)
+    lo, hi = model.invariant(transition.source).bounds()
+    lo[guard.axis] = hi[guard.axis] = guard.threshold
+    hull = next(guard_axis_hulls(model, transition.source, lo, hi, guard.axis))
+    return hull[1] if guard.sign > 0 else hull[0]
 
 
 def solve_z_star(
@@ -226,10 +164,10 @@ def solve_z_star(
 
     Closed form: worst one-step image of the overshoot slab on the guard
     axis, plus one step of input and noise inflation and the measurement
-    margin, minus the guard threshold; floored at zero.
+    margin, minus the guard threshold; floored at zero. A falling guard
+    reads each term with the guard axis negated.
     """
-    model, _, transition = _rising(model, regions, transition, {})
-    return _z_star(model, transition, _epsilon(model, transition), _margin(model))
+    return _z_star(model, transition, facet_epsilon(model, transition), _margin(model))
 
 
 def _d_star_raw(
@@ -244,7 +182,8 @@ def _d_star_raw(
 ) -> float:
     """Least offset d whose measurement band reaches past the neighbor value.
 
-    The band pins the guard axis to [c_g + d - margin, c_g + d + margin];
+    All arguments are those of a rising guard (`_d_star` negates a falling
+    one). The band pins the guard axis to [c_g + d - margin, c_g + d + margin];
     an offset whose band misses the invariant entirely proves nothing and
     fails. The band minimum is nondecreasing in d when the guard-axis
     coefficient a_row[axis] is nonnegative, which the caller checks, so the
@@ -291,7 +230,6 @@ def solve_d_star(
     Raises NoGuaranteeError when the guard-axis coefficient of A^delta_q is
     negative, since the bisection behind d* needs it nonnegative.
     """
-    model, regions, transition = _rising(model, regions, transition, {})
     return _d_star(model, regions, transition, delta_q, _margin(model))
 
 
@@ -303,8 +241,7 @@ def state_guarantees(
     """Solve both arms for every guard and aggregate per state.
 
     Each guard gives the values of `solve_z_star`, `solve_d_star` and
-    `facet_epsilon`, from one epsilon per guard and one mirrored model per
-    falling guard axis.
+    `facet_epsilon`, from one epsilon per guard.
     """
     if regions is None:
         regions = decompose_regions(model)
@@ -312,24 +249,21 @@ def state_guarantees(
         deltas = compute_all_deltas(model, regions)
     out: dict[ModeId, GuaranteeBound] = {}
     margin = _margin(model)
-    mirrors: _Mirrors = {}
     for mode_id in model.mode_ids:
         guards = []
         for tr in model.transitions_from(mode_id):
-            view, view_regions, view_tr = _rising(model, regions, tr, mirrors)
-            epsilon = _epsilon(view, view_tr)
-            z = _z_star(view, view_tr, epsilon, margin)
+            epsilon = facet_epsilon(model, tr)
             d = (
-                _d_star(view, view_regions, view_tr, deltas[mode_id], margin)
+                _d_star(model, regions, tr, deltas[mode_id], margin)
                 if deltas[mode_id] > 0
                 else math.inf
             )
             guards.append(
                 GuardGuarantee(
                     input_event=tr.input_event,
-                    z_star=z,
+                    z_star=_z_star(model, tr, epsilon, margin),
                     d_star=d,
-                    epsilon=epsilon if tr.guard.sign > 0 else -epsilon,
+                    epsilon=epsilon,
                 )
             )
         z_arm = max((g.z_star for g in guards), default=None)

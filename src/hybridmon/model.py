@@ -30,7 +30,7 @@ class DegenerateModelError(ModelError):
     """Two modes share an identical invariant; regions cannot be separated."""
 
 
-def _readonly(a: np.ndarray, ndmin: int = 0) -> np.ndarray:
+def readonly(a: np.ndarray, ndmin: int = 0) -> np.ndarray:
     out = np.array(a, dtype=float, ndmin=ndmin)
     out.flags.writeable = False
     return out
@@ -106,8 +106,8 @@ class LtiDynamics:
     input_bound: float
 
     def __post_init__(self) -> None:
-        a, b = _readonly(self.a, ndmin=2), _readonly(self.b, ndmin=2)
-        w, v = _readonly(self.w_bounds, ndmin=1), _readonly(self.v_bounds, ndmin=1)
+        a, b = readonly(self.a, ndmin=2), readonly(self.b, ndmin=2)
+        w, v = readonly(self.w_bounds, ndmin=1), readonly(self.v_bounds, ndmin=1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ModelError(f"A must be square, got shape {a.shape}")
         n = a.shape[0]
@@ -289,7 +289,7 @@ class HybridAutomaton:
         max is the scalar bound. A max returns one of its arguments, so both
         keep the bits of the bound they pick.
         """
-        return _readonly(np.max([m.dynamics.v_bounds for m in self.modes], axis=0))
+        return readonly(np.max([m.dynamics.v_bounds for m in self.modes], axis=0))
 
     def mode(self, mode_id: ModeId) -> Mode:
         for m in self.modes:
@@ -492,13 +492,14 @@ def neighbor_value(model: HybridAutomaton, transition: Transition) -> float:
 
     The neighbor hyperplane is whichever of the two invariant faces on the
     guard axis minimizes the distance to the guard threshold; ties pick the
-    lower face. A guard sitting exactly on a face yields that face, making
-    the band between guard and neighbor hyperplane empty.
+    face behind the guard, the lower face for a rising guard and the upper
+    for a falling one, so a model and its mirror image on the guard axis
+    pick mirrored faces. A guard sitting exactly on a face yields that
+    face, making the band between guard and neighbor hyperplane empty.
     """
-    inv = model.invariant(transition.source)
-    lo, hi = inv.intervals[transition.guard.axis]
-    c_g = transition.guard.threshold
-    return min((lo, hi), key=lambda c: (abs(c - c_g), c))
+    guard = transition.guard
+    lo, hi = model.invariant(transition.source).intervals[guard.axis]
+    return min((lo, hi), key=lambda c: (abs(c - guard.threshold), guard.sign * c))
 
 
 def decompose_regions(model: HybridAutomaton) -> RegionDecomposition:

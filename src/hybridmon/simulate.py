@@ -46,8 +46,8 @@ from .model import (
     ModeId,
     ModelError,
     Transition,
-    _readonly,
     extract_fsm,
+    readonly,
     validate_model,
 )
 from .observer import (
@@ -154,8 +154,8 @@ class ZoneController:
 
     def __post_init__(self) -> None:
         # not fields, so eq, hash and repr are the dataclass's own
-        object.__setattr__(self, "_inside", _readonly((self.inside_value,)))
-        object.__setattr__(self, "_outside", _readonly((self.outside_value,)))
+        object.__setattr__(self, "_inside", readonly((self.inside_value,)))
+        object.__setattr__(self, "_outside", readonly((self.outside_value,)))
 
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
         inside = abs(float(y[self.axis]) - self.center) <= self.half_width
@@ -169,7 +169,7 @@ class ConstantController:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_output", _readonly(self.values))
+        object.__setattr__(self, "_output", readonly(self.values))
 
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
         return self._output

@@ -4,14 +4,26 @@ It keeps the horizon search, the one-step overshoot and the Riccati loop
 as they were before the analyses read the guard-axis hull straight from
 A^d: every candidate horizon builds the facet box as a zonotope, maps and
 inflates it with `reach` and takes its whole interval hull, and the Riccati
-loop transposes A on every step and reduces with numpy's functions. The
-package must give the same horizons, overshoots, gains, covariances,
+loop transposes A on every step and reduces with numpy's functions. A
+falling guard is solved as it was before the analyses took each guard in
+its own sign: on the whole model mirrored on the guard axis, whose regions
+are decomposed afresh, where the guard rises. The package must give the
+same horizons, overshoots, thresholds, detector slabs, gains, covariances,
 iteration counts and final increments, bit for bit.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
-from hybridmon.guarantees import _matching_transition, _reflect_model
+from hybridmon.guarantees import (
+    EmptyGeometryError,
+    GuaranteeBound,
+    GuardGuarantee,
+    box_max,
+    solve_d_star,
+)
 from hybridmon.kalman import (
     RICCATI_MAX_ITER,
     RICCATI_TOL,
@@ -19,7 +31,7 @@ from hybridmon.kalman import (
     KalmanGain,
     RiccatiError,
 )
-from hybridmon.model import GEOM_TOL
+from hybridmon.model import GEOM_TOL, Guard, Invariant, Mode, decompose_regions
 from hybridmon.reachability import MAX_DELTA, HorizonError, _facet_box, box_zonotope, reach
 
 
@@ -69,12 +81,117 @@ def epsilon(model, transition):
     return float(hull_hi[guard.axis])
 
 
+def reflect_model(model, axis):
+    """Mirror the whole state space on one axis so a falling guard rises."""
+    modes = []
+    for mode_id in model.mode_ids:
+        mode = model.mode(mode_id)
+        dyn = mode.dynamics
+        a = dyn.a.copy()
+        a[axis, :] *= -1.0
+        a[:, axis] *= -1.0
+        b = dyn.b.copy()
+        b[axis, :] *= -1.0
+        intervals = list(mode.invariant.intervals)
+        lo, hi = intervals[axis]
+        intervals[axis] = (-hi, -lo)
+        modes.append(
+            Mode(
+                mode_id=mode.mode_id,
+                dynamics=replace(dyn, a=a, b=b),
+                invariant=Invariant(intervals=tuple(intervals)),
+            )
+        )
+    transitions = []
+    for tr in model.transitions:
+        guard = tr.guard
+        if guard.axis == axis:
+            guard = Guard(axis=axis, sign=-guard.sign, threshold=-guard.threshold)
+        transitions.append(replace(tr, guard=guard))
+    return replace(model, modes=tuple(modes), transitions=tuple(transitions))
+
+
+def matching_transition(model, transition):
+    for tr in model.transitions_from(transition.source):
+        if tr.input_event == transition.input_event:
+            return tr
+    raise KeyError(f"transition {transition.input_event!r} not found after reflection")
+
+
+def rising_view(model, regions, transition):
+    """The model, regions and transition in which the guard rises."""
+    if transition.guard.sign > 0:
+        return model, regions, transition
+    reflected = reflect_model(model, transition.guard.axis)
+    return reflected, decompose_regions(reflected), matching_transition(reflected, transition)
+
+
 def facet_epsilon(model, transition):
+    view, _, view_tr = rising_view(model, None, transition)
+    far = epsilon(view, view_tr)
+    return far if transition.guard.sign > 0 else -far
+
+
+def z_star(model, transition, eps, margin):
+    """`solve_z_star` of a rising guard whose overshoot is eps."""
     guard = transition.guard
-    if guard.sign < 0:
-        reflected = _reflect_model(model, guard.axis)
-        return -epsilon(reflected, _matching_transition(reflected, transition))
-    return epsilon(model, transition)
+    c_g = guard.threshold
+    if eps < c_g:
+        raise EmptyGeometryError(f"one-step overshoot tops out at {eps}, below the guard {c_g}")
+    lo, hi = model.invariant(transition.source).bounds()
+    lo[guard.axis] = max(lo[guard.axis], c_g)
+    hi[guard.axis] = min(hi[guard.axis], eps)
+    if lo[guard.axis] > hi[guard.axis]:
+        raise EmptyGeometryError("overshoot slab misses the source invariant")
+    dyn_t = model.dynamics(transition.target)
+    return max(0.0, box_max(dyn_t.a[guard.axis], lo, hi) + dyn_t.step_bound + margin - c_g)
+
+
+def state_guarantees(model, regions, deltas):
+    """`state_guarantees`, each falling guard solved as a rising one on the mirrored model."""
+    margin = model.theta + 2.0 * float(np.max(model.max_v_bounds))
+    out = {}
+    for mode_id in model.mode_ids:
+        guards = []
+        for tr in model.transitions_from(mode_id):
+            view, view_regions, view_tr = rising_view(model, regions, tr)
+            eps = epsilon(view, view_tr)
+            d = math.inf
+            if deltas[mode_id] > 0:
+                d = solve_d_star(view, view_regions, view_tr, deltas[mode_id])
+            guards.append(
+                GuardGuarantee(
+                    input_event=tr.input_event,
+                    z_star=z_star(view, view_tr, eps, margin),
+                    d_star=d,
+                    epsilon=eps if tr.guard.sign > 0 else -eps,
+                )
+            )
+        z_arm = max((g.z_star for g in guards), default=None)
+        d_values = [g.d_star for g in guards]
+        d_arm = max(d_values) if d_values and all(math.isfinite(d) for d in d_values) else None
+        arms = [a for a in (z_arm, d_arm) if a is not None]
+        out[mode_id] = GuaranteeBound(
+            mode_id=mode_id,
+            guards=tuple(guards),
+            z_star=z_arm,
+            d_star=d_arm,
+            threshold=max(arms) + margin if arms else None,
+        )
+    return out
+
+
+def slabs(model):
+    """`Detector._slabs`: each guard's slab from the guard to its one-step overshoot."""
+    out = {}
+    for tr in model.transitions:
+        c_g = tr.guard.threshold
+        far = facet_epsilon(model, tr)
+        far = max(far, c_g) if tr.guard.sign > 0 else min(far, c_g)
+        out.setdefault((tr.input_event, tr.output_event), []).append(
+            (tr.source, tr.guard.axis, min(c_g, far), max(c_g, far))
+        )
+    return out
 
 
 def solve_riccati(mode_id, dyn, tol=RICCATI_TOL, max_iter=RICCATI_MAX_ITER):

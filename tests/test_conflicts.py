@@ -93,6 +93,24 @@ class TestInitialSet:
                     ((1,),), np.array([True]), np.zeros(shape), np.zeros(shape), (None,)
                 )
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_ragged_steady_rejected(self, tg_machinery, length):
+        x = np.array([[10.0, 1.0], [20.0, 1.0]])
+        with pytest.raises(ValueError) as caught:
+            tg_machinery[0].evaluate_rows(
+                ((1,),) * 2, [True] * length, x, np.zeros_like(x), (None,) * 2
+            )
+        assert str(caught.value) == f"steady has length {length}, but the block has 2 rows"
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_ragged_events_rejected(self, tg_machinery, length):
+        x = np.array([[10.0, 1.0], [20.0, 1.0]])
+        with pytest.raises(ValueError) as caught:
+            tg_machinery[0].evaluate_rows(
+                ((1,),) * 2, [True] * 2, x, np.zeros_like(x), (("c_down", "s_1"),) * length
+            )
+        assert str(caught.value) == f"events has length {length}, but the block has 2 rows"
+
 
 class TestVolume:
     def test_box_volume(self, box_detector):

@@ -30,8 +30,7 @@ from hybridmon import (
     state_guarantees,
     validate_model,
 )
-from hybridmon import guarantees
-from hybridmon.guarantees import EmptyGeometryError, _reflect_model, facet_epsilon
+from hybridmon.guarantees import EmptyGeometryError, facet_epsilon
 from hybridmon.kalman import synthesize_gains
 from hybridmon.model_io import load_model, parse_model
 from hybridmon.reachability import compute_all_deltas
@@ -393,7 +392,7 @@ class TestStateGuaranteesOracle:
             for tr in model.transitions_from(q):
                 epsilon = facet_epsilon(model, tr)
                 if tr.guard.sign < 0:
-                    reflected = _reflect_model(model, tr.guard.axis)
+                    reflected = analysis_reference.reflect_model(model, tr.guard.axis)
                     mirrored = reflected.transitions[model.transitions.index(tr)]
                     assert epsilon == -facet_epsilon(reflected, mirrored)
                 d = solve_d_star(model, regions, tr, deltas[q]) if deltas[q] > 0 else math.inf
@@ -414,7 +413,7 @@ class TestStateGuaranteesOracle:
 SLAB_MODELS = {
     **ORACLE_MODELS,
     "train-gate": train_gate_model,
-    "train-gate-mirrored": lambda: _reflect_model(train_gate_model(), 0),
+    "train-gate-mirrored": lambda: analysis_reference.reflect_model(train_gate_model(), 0),
 }
 
 
@@ -436,17 +435,19 @@ class TestDetectorSlabs:
         assert detector._slabs == want
 
     @pytest.mark.parametrize("name", sorted(SLAB_MODELS))
-    def test_one_mirror_per_falling_axis(self, name, monkeypatch):
+    def test_one_mirror_per_falling_axis(self, name):
+        # the model mirrored on an axis that carries a falling guard has the
+        # same slabs, negated and swapped on that axis
         model = SLAB_MODELS[name]()
-        axes = []
-
-        def counted(model, axis):
-            axes.append(axis)
-            return _reflect_model(model, axis)
-
-        monkeypatch.setattr(guarantees, "_reflect_model", counted)
-        Detector(model)
-        assert sorted(axes) == sorted({tr.guard.axis for tr in model.transitions if tr.guard.sign < 0})
+        slabs = Detector(model)._slabs
+        for axis in {tr.guard.axis for tr in model.transitions if tr.guard.sign < 0}:
+            mirrored = Detector(analysis_reference.reflect_model(model, axis))._slabs
+            assert list(mirrored) == list(slabs)
+            for key, want in slabs.items():
+                want = [
+                    (q, i, -hi, -lo) if i == axis else (q, i, lo, hi) for q, i, lo, hi in want
+                ]
+                assert repr(mirrored[key]) == repr(want)
 
 
 MONBENCH = Path(__file__).resolve().parents[1] / "monbench"
@@ -486,11 +487,27 @@ def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
 
+def assert_guarantees_equal_reference(model, regions, deltas):
+    """ε, z*, d*, thresholds and detector slabs have the bits of the mirror-based reference."""
+    for tr in model.transitions:
+        want = analysis_reference.facet_epsilon(model, tr)
+        assert _bits(facet_epsilon(model, tr)) == _bits(want)
+    got = state_guarantees(model, regions, deltas)
+    want = analysis_reference.state_guarantees(model, regions, deltas)
+    assert list(got) == list(want)
+    for q, bound in got.items():
+        assert repr(bound) == repr(want[q])  # a float's repr tells -0.0 from 0.0
+        for mine, theirs in zip(bound.guards, want[q].guards):
+            for field in ("z_star", "d_star", "epsilon"):
+                assert _bits(getattr(mine, field)) == _bits(getattr(theirs, field))
+    assert repr(Detector(model, regions, deltas)._slabs) == repr(analysis_reference.slabs(model))
+
+
 class TestAnalysisReference:
     """The analyses equal the zonotope-based ones of `tests/analysis_reference.py` bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
-    def test_equals_reference(self, name, monkeypatch):
+    def test_equals_reference(self, name):
         model = REFERENCE_MODELS[name]()
         regions = decompose_regions(model)
         deltas = compute_all_deltas(model, regions)
@@ -498,19 +515,7 @@ class TestAnalysisReference:
         for q in model.mode_ids:
             want = analysis_reference.compute_delta(model, regions, q)
             assert compute_delta(model, regions, q) == want
-        for tr in model.transitions:
-            want = analysis_reference.facet_epsilon(model, tr)
-            assert _bits(facet_epsilon(model, tr)) == _bits(want)
-        got = state_guarantees(model, regions, deltas)
-        monkeypatch.setattr(guarantees, "_epsilon", analysis_reference.epsilon)
-        want = state_guarantees(model, regions, analysis_reference.compute_all_deltas(model, regions))
-        monkeypatch.undo()
-        assert list(got) == list(want)
-        for q, bound in got.items():
-            assert repr(bound) == repr(want[q])
-            for mine, theirs in zip(bound.guards, want[q].guards):
-                for field in ("z_star", "d_star", "epsilon"):
-                    assert _bits(getattr(mine, field)) == _bits(getattr(theirs, field))
+        assert_guarantees_equal_reference(model, regions, deltas)
         bank = synthesize_gains(model)
         for mode in model.modes:
             mine = bank.gains[mode.mode_id]
@@ -526,3 +531,130 @@ class TestAnalysisReference:
         assert any(tr.guard.sign < 0 for m in models for tr in m.transitions)
         bounds = [b for m in models for b in state_guarantees(m).values()]
         assert any(b.d_star is not None for b in bounds)
+
+
+def _entry(rng, scale):
+    """0.0, -0.0 or a uniform draw, a quarter, a quarter and half the time."""
+    r = rng.random()
+    return 0.0 if r < 0.25 else -0.0 if r < 0.5 else float(rng.uniform(-scale, scale))
+
+
+def one_guard_pair(dyn, source, target, guard):
+    """Modes 0 and 1 sharing dyn, with these invariants, and one transition 0 -> 1 on guard."""
+    return HybridAutomaton(
+        modes=(Mode(0, dyn, Invariant(tuple(source))), Mode(1, dyn, Invariant(tuple(target)))),
+        events=(Event("go", "input"), Event("seen", "output")),
+        transitions=(Transition(0, "go", "seen", 1, guard),),
+        dwell_time=1,
+        sampling_period=1.0,
+        theta=0.05,
+    )
+
+
+def generated_pair(rng):
+    """A 1-D to 3-D `one_guard_pair` with a guard of either sign, and whether it ties.
+
+    Half the guards sit at the exact midpoint of the source invariant's
+    guard-axis interval, where both faces are nearest. The guard-axis
+    diagonal of A is 1.0, 0.99 or 0.95 and w is at least 0.25, so the
+    horizon search meets the neighbor face within a few hundred steps and
+    the horizon arm is often finite. Off-diagonal entries of A, the entries
+    of B and some invariant faces are 0.0 or -0.0.
+    """
+    dim = int(rng.integers(1, 4))
+    axis = int(rng.integers(dim))
+    sign = int(rng.choice([-1, 1]))
+    a = np.array([[_entry(rng, 0.05) for _ in range(dim)] for _ in range(dim)])
+    a[np.diag_indices(dim)] = rng.uniform(0.8, 1.0, size=dim)
+    a[axis, axis] = rng.choice([1.0, 0.99, 0.95])
+    b = np.array([[_entry(rng, 0.1)] for _ in range(dim)])
+    dyn = LtiDynamics(
+        a=a,
+        b=b,
+        w_bounds=rng.uniform(0.25, 0.5, size=dim),
+        v_bounds=rng.uniform(0.02, 0.1, size=dim),
+        input_bound=1.0,
+    )
+    box = [(_entry(rng, 0.0) if rng.random() < 0.5 else -1.0, 1.0) for _ in range(dim)]
+    lo = float(rng.uniform(-3.0, 1.0))
+    hi = lo + float(rng.uniform(1.0, 4.0))
+    tie = bool(rng.random() < 0.5)
+    c_g = (lo + hi) / 2.0 if tie else float(rng.uniform(lo, hi))
+    source, target = list(box), list(box)
+    source[axis] = (lo, hi)
+    target[axis] = (c_g, hi + 5.0) if sign > 0 else (lo - 5.0, c_g)
+    return one_guard_pair(dyn, source, target, Guard(axis, sign, c_g)), tie
+
+
+def _mirror_view(bounds, sign=1):
+    """z*, d*, thresholds and sign * ε of every state, by repr, so -0.0 counts."""
+    return repr(
+        [
+            (q, b.z_star, b.d_star, b.threshold)
+            + tuple((g.z_star, g.d_star, sign * g.epsilon) for g in b.guards)
+            for q, b in bounds.items()
+        ]
+    )
+
+
+def tie_pair(sign):
+    """a = 0.99, w = 0.3 and the guard at the midpoint of [0, 10], rising, or its mirror image."""
+    dyn = LtiDynamics(a=[[0.99]], b=[[0.0]], w_bounds=[0.3], v_bounds=[0.1], input_bound=0.0)
+    return one_guard_pair(
+        dyn,
+        [sorted((0.0, sign * 10.0))],
+        [sorted((sign * 5.0, sign * 15.0))],
+        Guard(axis=0, sign=sign, threshold=sign * 5.0),
+    )
+
+
+class TestSignAwareGuards:
+    """A falling guard gives the bits of its mirror image, where it rises."""
+
+    def test_generated_pairs_equal_mirror_reference(self):
+        rng = np.random.default_rng(16)
+        falling_finite = ties = 0
+        for _ in range(300):
+            model, tie = generated_pair(rng)
+            regions = decompose_regions(model)
+            deltas = compute_all_deltas(model, regions)
+            assert deltas == analysis_reference.compute_all_deltas(model, regions)
+            assert_guarantees_equal_reference(model, regions, deltas)
+            # the whole model mirrored on the guard axis: the guard flips sign
+            guard = model.transitions[0].guard
+            mirror = analysis_reference.reflect_model(model, guard.axis)
+            assert compute_all_deltas(mirror, decompose_regions(mirror)) == deltas
+            bounds = state_guarantees(model, regions, deltas)
+            assert _mirror_view(state_guarantees(mirror), -1) == _mirror_view(bounds)
+            falling_finite += guard.sign < 0 and math.isfinite(bounds[0].guards[0].d_star)
+            ties += tie
+        assert falling_finite >= 60
+        assert ties >= 120
+
+    def test_zero_overshoot_is_positive_zero(self):
+        # the one-step hull of a falling guard at 1 with w = 1 bottoms out at
+        # 1 - 1 = 0.0; negating the mirror's top end, -1 + 1, gives -0.0
+        # instead, the one place where the two ways differ in bits
+        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[1.0], v_bounds=[0.1], input_bound=0.0)
+        model = one_guard_pair(dyn, [(-5.0, 5.0)], [(-10.0, 1.0)], Guard(0, -1, 1.0))
+        tr = model.transitions[0]
+        assert _bits(facet_epsilon(model, tr)) == _bits(0.0)
+        assert _bits(analysis_reference.facet_epsilon(model, tr)) == _bits(-0.0)
+        regions = decompose_regions(model)
+        deltas = compute_all_deltas(model, regions)
+        got = state_guarantees(model, regions, deltas)[0]
+        want = analysis_reference.state_guarantees(model, regions, deltas)[0]
+        assert repr(got) == repr(want).replace("epsilon=-0.0", "epsilon=0.0")
+
+    def test_tie_pair_reads_as_its_mirror(self):
+        rising, falling = tie_pair(1), tie_pair(-1)
+        deltas = [compute_all_deltas(m, decompose_regions(m)) for m in (rising, falling)]
+        assert deltas == [{0: 15, 1: 0}] * 2
+        assert _mirror_view(state_guarantees(falling), -1) == _mirror_view(state_guarantees(rising))
+        bound = state_guarantees(falling)[0]
+        assert bound.d_star == pytest.approx(0.131354, abs=1e-6)
+        assert bound.threshold == pytest.approx(0.9975, abs=1e-12)
+        # both flag the overlap band, which the neighbor face behind the guard does not delimit
+        for model in (rising, falling):
+            (violation,) = validate_model(model)
+            assert violation.startswith("intermediate-region: transition 0->1 overlap band")

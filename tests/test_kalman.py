@@ -227,7 +227,7 @@ def _riccati_dynamics(draw):
     a = np.array(draw(st.lists(_A_ENTRIES, min_size=dim * dim, max_size=dim * dim)))
     a = a.reshape(dim, dim)
     for axis in draw(st.sets(st.integers(0, dim - 1))):
-        # as guarantees mirrors a model: a 0.0 off the diagonal turns into -0.0
+        # as mirroring a model on an axis does: a 0.0 off the diagonal turns into -0.0
         a[axis, :] *= -1.0
         a[:, axis] *= -1.0
     w, v = [], []

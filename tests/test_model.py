@@ -28,7 +28,7 @@ def dyn1(a=0.5, w=0.01, v=0.1):
     return LtiDynamics(a=[[a]], b=[[0.0]], w_bounds=[w], v_bounds=[v], input_bound=1.0)
 
 
-def corridor(lo_a=0.0, hi_a=2.0, lo_b=1.0, hi_b=3.0, guard_at=1.0, tie_guard=None):
+def corridor(lo_a=0.0, hi_a=2.0, lo_b=1.0, hi_b=3.0, guard_at=1.0, tie_guard=None, sign=1):
     """Two 1-D modes whose invariants overlap on [lo_b, hi_a]."""
     threshold = guard_at if tie_guard is None else tie_guard
     return HybridAutomaton(
@@ -38,7 +38,7 @@ def corridor(lo_a=0.0, hi_a=2.0, lo_b=1.0, hi_b=3.0, guard_at=1.0, tie_guard=Non
         ),
         events=(Event("go", "input", True), Event("went", "output", True)),
         transitions=(
-            Transition("a", "go", "went", "b", Guard(axis=0, sign=1, threshold=threshold)),
+            Transition("a", "go", "went", "b", Guard(axis=0, sign=sign, threshold=threshold)),
         ),
         dwell_time=1,
         sampling_period=0.1,
@@ -344,6 +344,12 @@ class TestNeighborValue:
         model = corridor(tie_guard=1.0)  # equidistant from faces 0 and 2
         tr = model.transitions[0]
         assert neighbor_value(model, tr) == 0.0
+
+    def test_falling_tie_picks_upper_face(self):
+        # the face behind a falling guard is the upper one, as in the mirror
+        model = corridor(tie_guard=1.0, sign=-1)
+        tr = model.transitions[0]
+        assert neighbor_value(model, tr) == 2.0
 
 
 class TestDecomposeRegions:

@@ -95,3 +95,18 @@ def test_readme_library_example(capsys):
     assert re.fullmatch(r"SafetyViolation\(time=180\.0, state=\(\S+, \S+\)\)", violation)
     assert float(threshold) == pytest.approx(0.7, abs=1e-9)
     assert ast.literal_eval(z_stars) == pytest.approx({1: 0.67, 2: 0.45, 3: 0.46}, abs=1e-9)
+
+
+def test_modules_import_no_private_names():
+    # a module reaches into no other module's underscore names; imports from
+    # outside the package (numpy's `_umath_linalg` in kalman) are theirs
+    package = Path(hybridmon.__file__).resolve().parent
+    private = [
+        f"{path.name}:{node.lineno} imports {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import analysis_reference
 from lp_reference import box_distance, corner_box, touching_box
 
 import hybridmon
@@ -30,7 +31,7 @@ from hybridmon import (
     linear_map,
     reach,
 )
-from hybridmon import guarantees, reachability
+from hybridmon import reachability
 from hybridmon.reachability import (
     compute_all_deltas,
     guard_axis_hulls,
@@ -420,7 +421,7 @@ class TestGuardAxisHulls:
 
         monkeypatch.setattr(reachability, "reach", refuse)
         deltas = compute_all_deltas(tg_model, tg_regions)
-        mirrored = guarantees._reflect_model(tg_model, 0)
+        mirrored = analysis_reference.reflect_model(tg_model, 0)
         for model in (tg_model, mirrored):
             hybridmon.state_guarantees(model)
             hybridmon.Detector(model)
