@@ -59,8 +59,6 @@ from .guarantees import (
     detection_threshold,
     box_max,
     classify_fdia,
-    solve_d_star,
-    solve_z_star,
     state_guarantees,
 )
 from .simulate import (
@@ -132,8 +130,6 @@ __all__ = [
     "reach",
     "residual_baseline",
     "simulate",
-    "solve_d_star",
-    "solve_z_star",
     "state_guarantees",
     "step_discrete",
     "sweep",

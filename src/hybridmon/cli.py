@@ -15,8 +15,8 @@ import os
 import sys
 from typing import Sequence
 
-from .guarantees import state_guarantees
-from .model import HybridAutomaton, decompose_regions, extract_fsm
+from .guarantees import EmptyGeometryError, NoGuaranteeError, state_guarantees
+from .model import HybridAutomaton, decompose_regions, extract_fsm, refuse_invalid, validate_model
 from .model_io import load_model
 from .observer import build_observer, check_current_state_observability
 from .reachability import compute_delta
@@ -139,7 +139,12 @@ def _summary_lines(summary: SimulationSummary, model: HybridAutomaton) -> list[s
     lines.append(f"max_residual: {_format_number(summary.max_residual)}")
     lines.append(f"max_estimation_error: {_format_number(summary.max_estimation_error)}")
     lines.append(f"max_volume: {_format_number(summary.max_volume)}")
-    for mode_id, bound in state_guarantees(model).items():
+    try:
+        bounds = state_guarantees(model)
+    except (EmptyGeometryError, NoGuaranteeError) as error:
+        lines.append(f"detection_threshold: unavailable ({error})")
+        return lines
+    for mode_id, bound in bounds.items():
         shown = "n/a" if bound.threshold is None else f"{bound.threshold:.6g}"
         lines.append(f"detection_threshold[{mode_id}]: {shown}")
     return lines
@@ -164,7 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     attack = parse_attack(args.attack) if args.attack else None
     config = _scenario(args.model, model, args.seed, args.duration, attack)
     write = _trace_writer(args.out) if args.out else None
-    result = simulate(config)
+    result = simulate(config, keep_trace=write is not None)
     if write is not None:
         write(result.trace, args.out)
     for line in _summary_lines(result.summary, model):
@@ -230,6 +235,7 @@ def _cmd_check_observability(args: argparse.Namespace) -> int:
 
 def _cmd_compute_delta(args: argparse.Namespace) -> int:
     model = _load(args.model)
+    refuse_invalid(validate_model(model))
     regions = decompose_regions(model)
     for mode_id in model.mode_ids:
         delta, per_guard = compute_delta(model, regions, mode_id)
@@ -243,6 +249,7 @@ def _cmd_compute_delta(args: argparse.Namespace) -> int:
 
 def _cmd_compute_bounds(args: argparse.Namespace) -> int:
     model = _load(args.model)
+    refuse_invalid(validate_model(model))
     for mode_id, bound in state_guarantees(model).items():
         z = "n/a" if bound.z_star is None else f"{bound.z_star:.6g}"
         if bound.d_star is None:

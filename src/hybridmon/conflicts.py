@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .guarantees import facet_epsilon
-from .model import HybridAutomaton, ModeId, RegionDecomposition, decompose_regions
+from .model import HybridAutomaton, ModeId, decompose_regions
 from .reachability import (
     Zonotope,
     compute_all_deltas,
@@ -140,16 +140,12 @@ class Detector:
     """
 
     def __init__(
-        self,
-        model: HybridAutomaton,
-        regions: RegionDecomposition | None = None,
-        deltas: Mapping[ModeId, int] | None = None,
+        self, model: HybridAutomaton, deltas: Mapping[ModeId, int] | None = None
     ) -> None:
         self.model = model
-        self.regions = regions if regions is not None else decompose_regions(model)
-        self.deltas = (
-            dict(deltas) if deltas is not None else compute_all_deltas(model, self.regions)
-        )
+        if deltas is None:
+            deltas = compute_all_deltas(model, decompose_regions(model))
+        self.deltas = dict(deltas)
         self.volume_bound = volume_bound(model)
         self._v = {q: model.dynamics(q).v_bounds for q in model.mode_ids}
         self._fallback_v = model.max_v_bounds

@@ -1,8 +1,10 @@
 """Guaranteed-detection thresholds for each guard and state.
 
-Two arms per guard: the measurement arm (least offset past the guard
-that pushes every consistent measurement outside the invariant one step
-after the switch) and the horizon arm (least offset that drives the
+`state_guarantees` is the one entry: it solves every guard of the model and
+aggregates per state, and `detection_threshold` reads one state's number
+off it. Two arms per guard: the measurement arm z* (least offset past the
+guard that pushes every consistent measurement outside the invariant one
+step after the switch) and the horizon arm d* (least offset that drives the
 whole horizon-step reachable band past the neighbor hyperplane). The
 per-state detection threshold is the larger available arm plus the
 measurement uncertainty margin. All inner optimizations are over boxes,
@@ -84,7 +86,13 @@ def _margin(model: HybridAutomaton) -> float:
 def _z_star(
     model: HybridAutomaton, transition: Transition, epsilon: float, margin: float
 ) -> float:
-    """`solve_z_star` of a guard whose `facet_epsilon` is epsilon."""
+    """Least measurement offset past the guard that escapes the invariant.
+
+    epsilon is the guard's `facet_epsilon`. Closed form: worst one-step image
+    of the overshoot slab on the guard axis, plus one step of input and noise
+    inflation and the measurement margin, minus the guard threshold; floored
+    at zero. A falling guard reads each term with the guard axis negated.
+    """
     guard = transition.guard
     axis, sign, c_g = guard.axis, guard.sign, guard.threshold
     if sign * epsilon < sign * c_g:
@@ -111,11 +119,14 @@ def _d_star(
     delta_q: int,
     margin: float,
 ) -> float:
-    """`solve_d_star`; a falling guard is solved as a rising one on the guard axis negated.
+    """Horizon-arm threshold for one guard; +inf when no offset works.
 
-    Negating the guard axis changes only the off-diagonal entries of the
-    guard-axis row of A^delta_q, the invariant's guard-axis interval, the
-    guard and the neighbor value, so only those are negated.
+    Raises NoGuaranteeError when the guard-axis coefficient of A^delta_q is
+    negative, since the bisection behind d* needs it nonnegative. A falling
+    guard is solved as a rising one on the guard axis negated, which changes
+    only the off-diagonal entries of the guard-axis row of A^delta_q, the
+    invariant's guard-axis interval, the guard and the neighbor value, so
+    only those are negated.
     """
     guard = transition.guard
     axis, sign = guard.axis, guard.sign
@@ -153,21 +164,6 @@ def facet_epsilon(model: HybridAutomaton, transition: Transition) -> float:
     lo[guard.axis] = hi[guard.axis] = guard.threshold
     hull = next(guard_axis_hulls(model, transition.source, lo, hi, guard.axis))
     return hull[1] if guard.sign > 0 else hull[0]
-
-
-def solve_z_star(
-    model: HybridAutomaton,
-    regions: RegionDecomposition,
-    transition: Transition,
-) -> float:
-    """Least measurement offset past the guard that escapes the invariant.
-
-    Closed form: worst one-step image of the overshoot slab on the guard
-    axis, plus one step of input and noise inflation and the measurement
-    margin, minus the guard threshold; floored at zero. A falling guard
-    reads each term with the guard axis negated.
-    """
-    return _z_star(model, transition, facet_epsilon(model, transition), _margin(model))
 
 
 def _d_star_raw(
@@ -219,20 +215,6 @@ def _d_star_raw(
     return hi_d
 
 
-def solve_d_star(
-    model: HybridAutomaton,
-    regions: RegionDecomposition,
-    transition: Transition,
-    delta_q: int,
-) -> float:
-    """Horizon-arm threshold for one guard; +inf when no offset works.
-
-    Raises NoGuaranteeError when the guard-axis coefficient of A^delta_q is
-    negative, since the bisection behind d* needs it nonnegative.
-    """
-    return _d_star(model, regions, transition, delta_q, _margin(model))
-
-
 def state_guarantees(
     model: HybridAutomaton,
     regions: RegionDecomposition | None = None,
@@ -240,8 +222,9 @@ def state_guarantees(
 ) -> dict[ModeId, GuaranteeBound]:
     """Solve both arms for every guard and aggregate per state.
 
-    Each guard gives the values of `solve_z_star`, `solve_d_star` and
-    `facet_epsilon`, from one epsilon per guard.
+    Each guard gives its z* (`_z_star`), d* (`_d_star`) and `facet_epsilon`,
+    from one epsilon per guard. regions and deltas default to the model's
+    own, decomposed and searched here.
     """
     if regions is None:
         regions = decompose_regions(model)
@@ -269,26 +252,18 @@ def state_guarantees(
         z_arm = max((g.z_star for g in guards), default=None)
         d_values = [g.d_star for g in guards]
         d_arm = max(d_values) if d_values and all(math.isfinite(d) for d in d_values) else None
-        threshold = None
         arms = [a for a in (z_arm, d_arm) if a is not None]
-        if arms:
-            threshold = max(arms) + margin
         out[mode_id] = GuaranteeBound(
             mode_id=mode_id,
             guards=tuple(guards),
             z_star=z_arm,
             d_star=d_arm,
-            threshold=threshold,
+            threshold=max(arms) + margin if arms else None,
         )
     return out
 
 
-def detection_threshold(
-    model: HybridAutomaton,
-    mode_id: ModeId,
-    regions: RegionDecomposition | None = None,
-    deltas: Mapping[ModeId, int] | None = None,
-) -> float:
+def detection_threshold(model: HybridAutomaton, mode_id: ModeId) -> float:
     """Sensor offset above which detection is guaranteed at this state's exit.
 
     While the settled estimate stays within theta of the attacked
@@ -297,7 +272,7 @@ def detection_threshold(
     the guard, when the exit event fires, so the detector raises conflict
     C on that sample.
     """
-    bound = state_guarantees(model, regions, deltas)[mode_id]
+    bound = state_guarantees(model)[mode_id]
     if bound.threshold is None:
         raise NoGuaranteeError(f"state {mode_id!r}: no threshold arm is available")
     return bound.threshold

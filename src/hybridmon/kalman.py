@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import HybridAutomaton, LtiDynamics, ModeId
+from .model import HybridAutomaton, LtiDynamics, ModeId, noise_problem
 
 RICCATI_TOL = 1e-9
 RICCATI_MAX_ITER = 100_000
@@ -82,11 +82,7 @@ class KalmanBank:
     gains: Mapping[ModeId, KalmanGain]
 
 
-def synthesize_gains(
-    model: HybridAutomaton,
-    tol: float = RICCATI_TOL,
-    max_iter: int = RICCATI_MAX_ITER,
-) -> KalmanBank:
+def synthesize_gains(model: HybridAutomaton, max_iter: int = RICCATI_MAX_ITER) -> KalmanBank:
     """Iterate the Riccati recursion per distinct dynamics and check stability.
 
     With the identity output map the update is K = P (P + R)^-1 on the
@@ -101,35 +97,21 @@ def synthesize_gains(
         dyn = mode.dynamics
         key = (dyn.a.shape, dyn.a.tobytes(), dyn.w_bounds.tobytes(), dyn.v_bounds.tobytes())
         if key not in solved:
-            solved[key] = _solve_riccati(mode.mode_id, dyn, tol, max_iter)
+            solved[key] = _solve_riccati(mode.mode_id, dyn, max_iter)
         gains[mode.mode_id] = solved[key]
     return KalmanBank(gains=gains)
 
 
-def _solve_riccati(
-    mode_id: ModeId, dyn: LtiDynamics, tol: float, max_iter: int
-) -> KalmanGain:
+def _solve_riccati(mode_id: ModeId, dyn: LtiDynamics, max_iter: int) -> KalmanGain:
     """Riccati fixed point and gain of one dynamics; errors name mode_id."""
-    a, a_t = dyn.a, dyn.a.T
-    q_var = (dyn.w_bounds / 3.0) ** 2
-    r_var = (dyn.v_bounds / 3.0) ** 2
     # P starts at Q, so the first inversion is singular or overflows on an
     # axis where 1 / (Q + R) is not finite
-    with np.errstate(divide="ignore", over="ignore"):
-        unbounded = np.flatnonzero(~np.isfinite(1.0 / (q_var + r_var)))
-    if unbounded.size:
-        axis = int(unbounded[0])
-        noise = f"(w = {dyn.w_bounds[axis]:g}, v = {dyn.v_bounds[axis]:g})"
-        if q_var[axis] == 0.0 and r_var[axis] == 0.0:
-            problem = f"zero process and measurement noise variance {noise}, so P + R is singular"
-        else:
-            problem = (
-                f"process and measurement noise variances {noise} too small "
-                "to invert: 1 / (Q + R) is not finite"
-            )
-        raise RiccatiError(f"mode {mode_id!r}: axis {axis} has {problem}")
-    q_cov = np.diag(q_var)
-    r_cov = np.diag(r_var)
+    problem = noise_problem(mode_id, dyn)
+    if problem is not None:
+        raise RiccatiError(problem)
+    a, a_t = dyn.a, dyn.a.T
+    q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
+    r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
     p = q_cov.copy()
     increment = np.inf
     iterations = 0
@@ -143,7 +125,7 @@ def _solve_riccati(
                 p_next = a.dot(p - k.dot(p)).dot(a_t) + q_cov
                 increment = float(abs(p_next - p).max())
                 p = p_next
-                if increment < tol:
+                if increment < RICCATI_TOL:
                     break
                 if not math.isfinite(increment):
                     raise RiccatiError(

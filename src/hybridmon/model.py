@@ -78,9 +78,9 @@ class Invariant:
         lo, hi = self.intervals[axis]
         return hi - lo
 
-    def contains(self, x: Sequence[float], tol: float = 0.0) -> bool:
+    def contains(self, x: Sequence[float]) -> bool:
         return all(
-            lo - tol <= xi <= hi + tol
+            lo <= xi <= hi
             for xi, (lo, hi) in zip(np.asarray(x, dtype=float), self.intervals)
         )
 
@@ -413,13 +413,45 @@ def _box_subtract(base: Box, cut: Box) -> list[Box]:
     return pieces
 
 
+def refuse_invalid(problems: Sequence[str]) -> None:
+    """Raise ModelError listing these `validate_model` violations, if any."""
+    if problems:
+        raise ModelError("model failed validation: " + "; ".join(problems))
+
+
+def noise_problem(mode_id: ModeId, dynamics: LtiDynamics) -> str | None:
+    """Why the filter cannot invert a mode's noise, or None when it can.
+
+    Names the first axis where 1 / (Q + R) is not finite, with Q and R the
+    process and measurement noise variances (bound / 3)^2: both zero leaves
+    P + R singular, and subnormal ones overflow it.
+    """
+    q_var = (dynamics.w_bounds / 3.0) ** 2
+    r_var = (dynamics.v_bounds / 3.0) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        unbounded = np.flatnonzero(~np.isfinite(1.0 / (q_var + r_var)))
+    if not unbounded.size:
+        return None
+    axis = int(unbounded[0])
+    noise = f"(w = {dynamics.w_bounds[axis]:g}, v = {dynamics.v_bounds[axis]:g})"
+    if q_var[axis] == 0.0 and r_var[axis] == 0.0:
+        problem = f"zero process and measurement noise variance {noise}, so P + R is singular"
+    else:
+        problem = (
+            f"process and measurement noise variances {noise} too small "
+            "to invert: 1 / (Q + R) is not finite"
+        )
+    return f"mode {mode_id!r}: axis {axis} has {problem}"
+
+
 def validate_model(model: HybridAutomaton) -> list[str]:
     """Check the modeling assumptions; return one descriptor per violation.
 
     Structural problems (bad shapes, dangling ids) raise ModelError at
     construction time; this function reports semantic assumption violations:
-    eigenvalue moduli above 1, unobservable events (the discrete observer
-    has no closure over them), guards outside their source invariant, and
+    eigenvalue moduli above 1, noise the filter cannot invert
+    (`noise_problem`), unobservable events (the discrete observer has no
+    closure over them), guards outside their source invariant, and
     intermediate bands not delimited by the guard and neighbor hyperplanes.
     """
     violations: list[str] = []
@@ -431,17 +463,25 @@ def validate_model(model: HybridAutomaton) -> list[str]:
             )
     # one eigenvalue solve per bitwise-distinct A, as synthesize_gains keys its solves
     moduli: dict[tuple, float] = {}
+    noise_checked: set[tuple[bytes, bytes]] = set()
     for mode in model.modes:
-        a = mode.dynamics.a
-        key = (a.shape, a.tobytes())
+        dyn = mode.dynamics
+        key = (dyn.a.shape, dyn.a.tobytes())
         if key not in moduli:
-            eigs = np.linalg.eigvals(a)
+            eigs = np.linalg.eigvals(dyn.a)
             moduli[key] = float(np.max(np.abs(eigs))) if eigs.size else 0.0
         worst = moduli[key]
         if worst > 1.0 + EIG_TOL:
             violations.append(
                 f"stability: mode {mode.mode_id!r} has eigenvalue modulus {worst:.6g} > 1"
             )
+        # named once per distinct pair of noise bounds, by its first mode
+        noise_key = (dyn.w_bounds.tobytes(), dyn.v_bounds.tobytes())
+        if noise_key not in noise_checked:
+            noise_checked.add(noise_key)
+            noise = noise_problem(mode.mode_id, dyn)
+            if noise is not None:
+                violations.append(f"noise: {noise}")
     for tr in model.transitions:
         inv = model.invariant(tr.source)
         lo, hi = inv.intervals[tr.guard.axis]

@@ -296,7 +296,6 @@ def compute_delta(
     model: HybridAutomaton,
     regions: RegionDecomposition,
     mode_id: ModeId,
-    max_delta: int = MAX_DELTA,
 ) -> tuple[int, dict[tuple[ModeId, str], int]]:
     """Per-mode reachability horizon and the per-guard horizons behind it.
 
@@ -318,14 +317,14 @@ def compute_delta(
             continue
         hulls = guard_axis_hulls(model, mode_id, *_facet_box(model, tr), tr.guard.axis)
         found: int | None = None
-        for delta, (hull_lo, hull_hi) in zip(range(max_delta + 1), hulls):
+        for delta, (hull_lo, hull_hi) in zip(range(MAX_DELTA + 1), hulls):
             if hull_lo <= c_l <= hull_hi:
                 found = delta
                 break
         if found is None:
             raise HorizonError(
                 f"mode {mode_id!r}, guard at {c_g} on axis {tr.guard.axis}: no "
-                f"contact with neighbor value {c_l} within {max_delta} steps"
+                f"contact with neighbor value {c_l} within {MAX_DELTA} steps"
             )
         per_guard[key] = found
     delta_q = min(per_guard.values()) if per_guard else 0
@@ -333,12 +332,7 @@ def compute_delta(
 
 
 def compute_all_deltas(
-    model: HybridAutomaton,
-    regions: RegionDecomposition,
-    max_delta: int = MAX_DELTA,
+    model: HybridAutomaton, regions: RegionDecomposition
 ) -> dict[ModeId, int]:
     """Horizon table for every mode."""
-    return {
-        mode_id: compute_delta(model, regions, mode_id, max_delta=max_delta)[0]
-        for mode_id in model.mode_ids
-    }
+    return {mode_id: compute_delta(model, regions, mode_id)[0] for mode_id in model.mode_ids}

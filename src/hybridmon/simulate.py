@@ -44,10 +44,10 @@ from .kalman import KalmanBank, check_dwell, step_rows, synthesize_gains
 from .model import (
     HybridAutomaton,
     ModeId,
-    ModelError,
     Transition,
     extract_fsm,
     readonly,
+    refuse_invalid,
     validate_model,
 )
 from .observer import (
@@ -112,10 +112,6 @@ class AttackSpec:
         for axis in self.axes:
             if axis >= dim:
                 raise ValueError(f"attack axis {axis} outside a {dim}-dimensional output")
-
-    def gamma(self, sample: int, sampling_period: float, dim: int) -> np.ndarray:
-        """Additive output corruption vector at a sample index."""
-        return self.gamma_rows(sample, 1, sampling_period, dim)[0]
 
     def gamma_rows(
         self, first: int, count: int, sampling_period: float, dim: int
@@ -607,8 +603,7 @@ def simulate(
     """
     model = config.model
     machinery = _machinery(model)
-    if machinery.problems:
-        raise ModelError("model failed validation: " + "; ".join(machinery.problems))
+    refuse_invalid(machinery.problems)
     x = np.array(config.initial_state, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(
@@ -662,7 +657,7 @@ def simulate(
     # nothing, and the loop skips it.
     gammas = None
 
-    gamma0 = attack.gamma(0, h, dim) if attack else np.zeros(dim)
+    gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
     v = _truncated_gaussian(rng.standard_normal(dim), step.sigma[1], step.bound[1])
     xs[0] = x
     ys[0] = x + v + gamma0

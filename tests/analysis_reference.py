@@ -21,8 +21,8 @@ from hybridmon.guarantees import (
     EmptyGeometryError,
     GuaranteeBound,
     GuardGuarantee,
+    _d_star,
     box_max,
-    solve_d_star,
 )
 from hybridmon.kalman import (
     RICCATI_MAX_ITER,
@@ -35,7 +35,7 @@ from hybridmon.model import GEOM_TOL, Guard, Invariant, Mode, decompose_regions
 from hybridmon.reachability import MAX_DELTA, HorizonError, _facet_box, box_zonotope, reach
 
 
-def compute_delta(model, regions, mode_id, max_delta=MAX_DELTA):
+def compute_delta(model, regions, mode_id):
     """Per-mode horizon and per-guard horizons, one zonotope per candidate."""
     per_guard = {}
     for tr in model.transitions_from(mode_id):
@@ -48,7 +48,7 @@ def compute_delta(model, regions, mode_id, max_delta=MAX_DELTA):
         lo, hi = _facet_box(model, tr)
         facet = box_zonotope(lo, hi)
         found = None
-        for delta in range(max_delta + 1):
+        for delta in range(MAX_DELTA + 1):
             hull_lo, hull_hi = reach(model, mode_id, facet, delta + 1).interval_hull()
             if hull_lo[tr.guard.axis] <= c_l <= hull_hi[tr.guard.axis]:
                 found = delta
@@ -56,18 +56,15 @@ def compute_delta(model, regions, mode_id, max_delta=MAX_DELTA):
         if found is None:
             raise HorizonError(
                 f"mode {mode_id!r}, guard at {c_g} on axis {tr.guard.axis}: no "
-                f"contact with neighbor value {c_l} within {max_delta} steps"
+                f"contact with neighbor value {c_l} within {MAX_DELTA} steps"
             )
         per_guard[key] = found
     delta_q = min(per_guard.values()) if per_guard else 0
     return delta_q, per_guard
 
 
-def compute_all_deltas(model, regions, max_delta=MAX_DELTA):
-    return {
-        mode_id: compute_delta(model, regions, mode_id, max_delta=max_delta)[0]
-        for mode_id in model.mode_ids
-    }
+def compute_all_deltas(model, regions):
+    return {mode_id: compute_delta(model, regions, mode_id)[0] for mode_id in model.mode_ids}
 
 
 def epsilon(model, transition):
@@ -133,7 +130,7 @@ def facet_epsilon(model, transition):
 
 
 def z_star(model, transition, eps, margin):
-    """`solve_z_star` of a rising guard whose overshoot is eps."""
+    """z* of a rising guard whose overshoot is eps."""
     guard = transition.guard
     c_g = guard.threshold
     if eps < c_g:
@@ -158,7 +155,7 @@ def state_guarantees(model, regions, deltas):
             eps = epsilon(view, view_tr)
             d = math.inf
             if deltas[mode_id] > 0:
-                d = solve_d_star(view, view_regions, view_tr, deltas[mode_id])
+                d = _d_star(view, view_regions, view_tr, deltas[mode_id], margin)
             guards.append(
                 GuardGuarantee(
                     input_event=tr.input_event,
@@ -194,7 +191,7 @@ def slabs(model):
     return out
 
 
-def solve_riccati(mode_id, dyn, tol=RICCATI_TOL, max_iter=RICCATI_MAX_ITER):
+def solve_riccati(mode_id, dyn, max_iter=RICCATI_MAX_ITER):
     """Riccati fixed point and gain of one dynamics; errors name mode_id."""
     n = dyn.dim
     q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
@@ -207,7 +204,7 @@ def solve_riccati(mode_id, dyn, tol=RICCATI_TOL, max_iter=RICCATI_MAX_ITER):
         p_next = dyn.a @ (p - k @ p) @ dyn.a.T + q_cov
         increment = float(np.max(np.abs(p_next - p)))
         p = p_next
-        if increment < tol:
+        if increment < RICCATI_TOL:
             break
     else:
         raise RiccatiError(

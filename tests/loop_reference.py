@@ -98,7 +98,7 @@ def reference_simulate(config, detector, bank, observer):
     steady_timer = 0
     dim = x.size
 
-    gamma0 = config.attack.gamma(0, h, dim) if config.attack else np.zeros(dim)
+    gamma0 = config.attack.gamma_rows(0, 1, h, dim)[0] if config.attack else np.zeros(dim)
     v = truncated_gaussian(rng, model.dynamics(q).v_bounds)
     y = x + v + gamma0
     x_est = y.copy()
@@ -174,7 +174,7 @@ def reference_simulate(config, detector, bank, observer):
             steady_timer += 1
 
         v = truncated_gaussian(rng, model.dynamics(q).v_bounds)
-        gamma = config.attack.gamma(t + 1, h, dim) if config.attack else np.zeros(dim)
+        gamma = config.attack.gamma_rows(t + 1, 1, h, dim)[0] if config.attack else np.zeros(dim)
         y = x + v + gamma
         x_est = reference_step(bank, model, predict_mode, x_est, u, y)
 

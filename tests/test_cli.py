@@ -3,12 +3,62 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hybridmon import model_to_dict
 from hybridmon.cli import _parse_seed_range, main, parse_attack
-from hybridmon.train_gate import train_gate_model
+from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT, train_gate_model
+
+ND_ACTUATOR = Path(__file__).resolve().parents[1] / "monbench" / "nd_actuator.json"
+
+# d* of mode 1 cannot be solved: its guard-axis coefficient A[0, 0] = -0.5 is
+# negative. The model is valid and runs.
+UNSOLVABLE_MODEL = {
+    "states": [
+        {
+            "id": 1,
+            "A": [[-0.5, 0.0], [0.0, 0.9]],
+            "B": [[0.0], [0.0]],
+            "invariant": [[0.0, 6.0], [-5.0, 5.0]],
+        },
+        {
+            "id": 2,
+            "A": [[0.9, 0.0], [0.0, 0.9]],
+            "B": [[0.0], [0.0]],
+            "invariant": [[5.0, 10.0], [-5.0, 5.0]],
+        },
+    ],
+    "events": [
+        {"id": "go", "kind": "input", "observable": True},
+        {"id": "seen", "kind": "output", "observable": True},
+    ],
+    "transitions": [
+        {
+            "source": 1,
+            "input_event": "go",
+            "output_event": "seen",
+            "target": 2,
+            "guard": {"axis": 0, "sign": 1, "threshold": 5.0},
+        }
+    ],
+    "noise": {"w": [3.0, 0.1], "v": [0.1, 0.1]},
+    "input_bound": 0.0,
+    "sampling_period": 0.1,
+    "dwell_time": 5,
+    "theta": 0.5,
+}
+UNSOLVABLE_REASON = (
+    "mode 1, guard 'go' on axis 0: the horizon-step coefficient A^1[0, 0] = -0.5 is "
+    "negative, so the band minimum is not monotone in the offset and bisection cannot find d*"
+)
+
+
+def write_model(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def run_cli(capsys, *argv):
@@ -149,9 +199,40 @@ class TestRun:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_unsolvable_threshold_keeps_the_summary(self, capsys, tmp_path):
+        from hybridmon import validate_model
+        from hybridmon.model_io import parse_model
+
+        assert validate_model(parse_model(UNSOLVABLE_MODEL)) == []
+        model, trace = write_model(tmp_path, UNSOLVABLE_MODEL), tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "run", model, "--duration", "2", "--out", str(trace))
+        assert (code, err) == (0, "")
+        assert len(trace.read_text().splitlines()) == 21
+        assert out[1] == "samples: 20"
+        assert out[-2].startswith("max_volume: ")
+        assert out[-1] == f"detection_threshold: unavailable ({UNSOLVABLE_REASON})"
+
+    def test_without_out_keeps_no_trace(self, capsys, tmp_path, monkeypatch):
+        from hybridmon import cli
+
+        seen = []
+
+        def spy(config, **kwargs):
+            seen.append(kwargs["keep_trace"])
+            return simulate(config, **kwargs)
+
+        simulate = cli.simulate
+        monkeypatch.setattr(cli, "simulate", spy)
+        argv = ("run", "train-gate", "--duration", "60", "--attack", "ramp:slope=0.05,start=1.5")
+        code, out, _ = run_cli(capsys, *argv)
+        traced_code, traced_out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "t.csv"))
+        assert seen == [False, True]
+        assert code == traced_code == 2
+        assert out == traced_out
+
     def test_axis_without_noise_names_mode_and_axis(self, capsys, tmp_path):
-        # validate_model accepts w = v = 0 on an axis; the Riccati solve
-        # refuses it, where numpy alone would say only "Singular matrix"
+        # validate_model refuses w = v = 0 on an axis with the Riccati solve's
+        # words, where numpy alone would say only "Singular matrix"
         doc = model_to_dict(train_gate_model())
         doc["noise"] = {"w": [0.01, 0.0], "v": [0.1, 0.0]}
         path = tmp_path / "model.json"
@@ -159,8 +240,8 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path), "--duration", "1")
         assert code == 1
         assert err == (
-            "error: mode 1: axis 1 has zero process and measurement noise variance "
-            "(w = 0, v = 0), so P + R is singular\n"
+            "error: model failed validation: noise: mode 1: axis 1 has zero process and "
+            "measurement noise variance (w = 0, v = 0), so P + R is singular\n"
         )
 
 
@@ -218,6 +299,30 @@ class TestStaticCommands:
             "state 2: z* = 0.45, d* = n/a, threshold = 0.7",
             "state 3: z* = 0.46, d* = n/a, threshold = 0.71",
         ]
+
+    @pytest.mark.parametrize("command", ["compute-delta", "compute-bounds"])
+    def test_invalid_model_refused_as_run_refuses_it(self, capsys, tmp_path, command):
+        doc = json.loads(json.dumps(TRAIN_GATE_MODEL_DICT))
+        doc["states"][0]["A"][0][0] = 1.2
+        model = write_model(tmp_path, doc)
+        want = "error: model failed validation: stability: mode 1 has eigenvalue modulus 1.2 > 1\n"
+        assert run_cli(capsys, "run", model, "--duration", "1") == (1, [], want)
+        assert run_cli(capsys, command, model) == (1, [], want)
+
+    @pytest.mark.parametrize("command", ["compute-delta", "compute-bounds"])
+    def test_noiseless_axis_refused(self, capsys, tmp_path, command):
+        doc = json.loads(ND_ACTUATOR.read_text())
+        doc["noise"]["w"][0] = doc["noise"]["v"][0] = 0.0
+        code, out, err = run_cli(capsys, command, write_model(tmp_path, doc))
+        assert (code, out) == (1, [])
+        assert err == (
+            "error: model failed validation: noise: mode 1: axis 0 has zero process and "
+            "measurement noise variance (w = 0, v = 0), so P + R is singular\n"
+        )
+
+    def test_unsolvable_threshold_stays_an_error_in_compute_bounds(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "compute-bounds", write_model(tmp_path, UNSOLVABLE_MODEL))
+        assert (code, out, err) == (1, [], f"error: {UNSOLVABLE_REASON}\n")
 
     def test_calibrate_theta(self, capsys):
         code, out, _ = run_cli(

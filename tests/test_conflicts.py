@@ -17,7 +17,6 @@ from hybridmon import (
     Mode,
     Transition,
     Zonotope,
-    decompose_regions,
     detection_threshold,
     inflate,
     intersects_box,
@@ -70,7 +69,7 @@ def one_row(detector, node, steady, x_est, residual, event=None):
 def box_detector():
     # horizon 0, so C has no part in its verdicts
     model = _one_mode([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [0.125, 0.0], [(0.0, 1.0), (0.0, 2.0)])
-    return Detector(model, regions=decompose_regions(model), deltas={1: 0})
+    return Detector(model, deltas={1: 0})
 
 
 class TestInitialSet:
@@ -126,8 +125,8 @@ class TestVolume:
 
 
 @pytest.fixture(scope="module")
-def tg_detector(tg_model, tg_regions, tg_deltas):
-    return Detector(tg_model, regions=tg_regions, deltas=tg_deltas)
+def tg_detector(tg_model, tg_deltas):
+    return Detector(tg_model, deltas=tg_deltas)
 
 
 class TestDetect:
@@ -157,9 +156,12 @@ class TestDetect:
         assert not rows.conflict_b[0]
         assert rows.volume[0] > tg_detector.volume_bound
 
+    def test_given_horizons_skip_the_region_decomposition(self, tg_model, tg_deltas, monkeypatch):
+        monkeypatch.setattr("hybridmon.conflicts.decompose_regions", pytest.fail)
+        assert Detector(tg_model, tg_deltas).deltas == tg_deltas
+
     def test_rotation_trips_reach_only(self, rotation_model):
-        regions = decompose_regions(rotation_model)
-        detector = Detector(rotation_model, regions=regions, deltas={1: 1})
+        detector = Detector(rotation_model, deltas={1: 1})
         rows = one_row(detector, (1,), True, (0.9, 0.0), (0.1, 0.1))
         assert not rows.conflict_a[0]
         assert not rows.conflict_b[0]
@@ -300,7 +302,7 @@ class TestHorizonTable:
 
     @staticmethod
     def _evaluate(model, delta, x_est, residual):
-        detector = Detector(model, regions=decompose_regions(model), deltas={1: delta})
+        detector = Detector(model, deltas={1: delta})
         return one_row(detector, (1,), True, x_est, residual)
 
     @settings(max_examples=300, deadline=None)
@@ -366,7 +368,7 @@ def mode_block(draw):
     steady = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
     centers = np.asarray(x_est) + offsets.reshape(k, n)
     residuals = np.asarray(residual) * scales.reshape(k, n)
-    detector = Detector(model, regions=decompose_regions(model), deltas={1: delta})
+    detector = Detector(model, deltas={1: delta})
     return detector, ((1,),) * k, steady, centers, residuals, (None,) * k
 
 
@@ -395,7 +397,7 @@ class TestEvaluateRows:
     def test_fallback_mode_block(self):
         # sigma = 0 with a zero-width invariant axis has no table
         model = _one_mode([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0], [0.1, 0.1], [(0.0, 1.0), (0.5, 0.5)])
-        detector = Detector(model, regions=decompose_regions(model), deltas={1: 2})
+        detector = Detector(model, deltas={1: 2})
         assert detector._tables[1] is None
         centers = np.array([[0.5, 0.5], [0.2, 0.5], [3.0, 0.5]])
         _assert_block_equals_rows(
@@ -415,8 +417,8 @@ class TestEventCheck:
     EVENT = ("c_down", "s_1")  # exit of state 1: guard at 45 m on the position axis
 
     @pytest.fixture(scope="class")
-    def detector(self, tg_model, tg_regions, tg_deltas):
-        return Detector(tg_model, regions=tg_regions, deltas=tg_deltas)
+    def detector(self, tg_model, tg_deltas):
+        return Detector(tg_model, deltas=tg_deltas)
 
     @pytest.fixture(scope="class")
     def epsilon(self, tg_model):

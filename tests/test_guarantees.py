@@ -25,12 +25,10 @@ from hybridmon import (
     compute_delta,
     decompose_regions,
     detection_threshold,
-    solve_d_star,
-    solve_z_star,
     state_guarantees,
     validate_model,
 )
-from hybridmon.guarantees import EmptyGeometryError, facet_epsilon
+from hybridmon.guarantees import EmptyGeometryError, _d_star, _margin, _z_star, facet_epsilon
 from hybridmon.kalman import synthesize_gains
 from hybridmon.model_io import load_model, parse_model
 from hybridmon.reachability import compute_all_deltas
@@ -90,8 +88,13 @@ def mono_model(w, falling=False):
 
 
 def solve_on(model):
-    regions = decompose_regions(model)
-    return solve_z_star(model, regions, model.transitions[0])
+    """z* of the first guard, which leaves mode 1."""
+    return state_guarantees(model)[1].guards[0].z_star
+
+
+def d_star_on(model, delta):
+    """d* of the first guard, which leaves mode 1, at horizon delta."""
+    return state_guarantees(model, decompose_regions(model), {1: delta})[1].guards[0].d_star
 
 
 class TestBoxMax:
@@ -129,10 +132,7 @@ class TestFaceModelAnchors:
         assert solve_on(face_model()) == pytest.approx(0.25, abs=1e-12)
 
     def test_d_star_anchor(self):
-        model = face_model()
-        regions = decompose_regions(model)
-        d = solve_d_star(model, regions, model.transitions[0], 1)
-        assert d == pytest.approx(0.25, abs=1e-6)
+        assert d_star_on(face_model(), 1) == pytest.approx(0.25, abs=1e-6)
 
     def test_z_star_grows_with_theta(self):
         assert solve_on(face_model(theta=0.06)) == pytest.approx(0.26, abs=1e-12)
@@ -161,14 +161,12 @@ class TestDStarBisection:
         model = mono_model(0.0)
         regions = decompose_regions(model)
         assert regions.neighbor_values[(1, "go")] == 0.0
-        assert solve_d_star(model, regions, model.transitions[0], 1) == 0.0
+        assert d_star_on(model, 1) == 0.0
 
     def test_grows_with_process_noise(self):
         values = []
         for w in (0.0, 1.8, 1.9):
-            model = mono_model(w)
-            regions = decompose_regions(model)
-            values.append(solve_d_star(model, regions, model.transitions[0], 1))
+            values.append(d_star_on(mono_model(w), 1))
         assert values[0] == 0.0
         assert values[1] == pytest.approx(0.05, abs=1e-6)
         assert values[2] == pytest.approx(0.15, abs=1e-6)
@@ -178,19 +176,19 @@ class TestDStarBisection:
         # A = -0.5: A^1 flips the guard axis, so the band minimum falls as the
         # offset grows and bisection would return a wrong threshold
         model = face_model(a_source=-0.5)
-        regions = decompose_regions(model)
-        tr = model.transitions[0]
         with pytest.raises(NoGuaranteeError, match=r"mode 1, guard 'go'.*= -0\.5 is negative"):
-            solve_d_star(model, regions, tr, 1)
+            d_star_on(model, 1)
         # A^2 = 0.25 is nonnegative, so the search runs; a quarter of the
-        # band never reaches the neighbor face at 10, so no offset works
-        assert solve_d_star(model, regions, tr, 2) == math.inf
+        # band never reaches the neighbor face at 10, so no offset works.
+        # The z* arm has no overshoot here, so the d* arm is called alone.
+        regions, tr = decompose_regions(model), model.transitions[0]
+        assert _d_star(model, regions, tr, 2, _margin(model)) == math.inf
 
-    def test_infeasible_offset_returns_inf(self, tg_model, tg_regions, tg_deltas):
+    def test_infeasible_offset_returns_inf(self, tg_bounds, tg_deltas):
         # crossing model: the horizon-step band never clears the neighbor
         # face, so the horizon arm has no witness for any offset
-        tr = tg_model.transitions_from(1)[0]
-        assert solve_d_star(tg_model, tg_regions, tr, tg_deltas[1]) == math.inf
+        assert tg_deltas[1] > 0
+        assert tg_bounds[1].guards[0].d_star == math.inf
 
 
 class TestTrainGateGuarantees:
@@ -252,10 +250,7 @@ class TestReflection:
             sampling_period=1.0,
             theta=0.05,
         )
-        regions = decompose_regions(model)
-        assert solve_z_star(model, regions, model.transitions[0]) == pytest.approx(
-            0.25, abs=1e-12
-        )
+        assert solve_on(model) == pytest.approx(0.25, abs=1e-12)
         assert facet_epsilon(model, model.transitions[0]) == pytest.approx(-10.0, abs=1e-12)
 
     def test_mirrored_crossing_model_matches(self, tg_bounds):
@@ -376,7 +371,7 @@ ORACLE_MODELS = {
 
 
 class TestStateGuaranteesOracle:
-    """`state_guarantees` gives, field for field, what the per-guard entry points give."""
+    """`state_guarantees` gives, field for field, what its per-guard helpers give."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     def test_equals_per_guard_solutions(self, name):
@@ -395,8 +390,9 @@ class TestStateGuaranteesOracle:
                     reflected = analysis_reference.reflect_model(model, tr.guard.axis)
                     mirrored = reflected.transitions[model.transitions.index(tr)]
                     assert epsilon == -facet_epsilon(reflected, mirrored)
-                d = solve_d_star(model, regions, tr, deltas[q]) if deltas[q] > 0 else math.inf
-                guards.append((tr.input_event, solve_z_star(model, regions, tr), d, epsilon))
+                margin = _margin(model)
+                d = _d_star(model, regions, tr, deltas[q], margin) if deltas[q] > 0 else math.inf
+                guards.append((tr.input_event, _z_star(model, tr, epsilon, margin), d, epsilon))
             got = [(g.input_event, g.z_star, g.d_star, g.epsilon) for g in bounds[q].guards]
             assert got == guards
 
@@ -500,7 +496,7 @@ def assert_guarantees_equal_reference(model, regions, deltas):
         for mine, theirs in zip(bound.guards, want[q].guards):
             for field in ("z_star", "d_star", "epsilon"):
                 assert _bits(getattr(mine, field)) == _bits(getattr(theirs, field))
-    assert repr(Detector(model, regions, deltas)._slabs) == repr(analysis_reference.slabs(model))
+    assert repr(Detector(model, deltas)._slabs) == repr(analysis_reference.slabs(model))
 
 
 class TestAnalysisReference:

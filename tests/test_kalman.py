@@ -1,6 +1,7 @@
 """Steady-state filter synthesis and the per-step estimate update."""
 
 import dataclasses
+import re
 
 import analysis_reference
 import numpy as np
@@ -24,7 +25,6 @@ from hybridmon import (
     validate_model,
 )
 from hybridmon.kalman import (
-    RICCATI_TOL,
     GainInstabilityError,
     _inv,
     _solve_riccati,
@@ -119,15 +119,17 @@ class TestSynthesizeGains:
 
     @pytest.mark.parametrize("w, v", [(1e-155, 1e-155), (0.0, 1e-160), (1e-160, 0.0)])
     def test_axis_with_underflowing_noise_is_named(self, w, v):
-        # the variances are subnormal, not zero, so the model is valid; but
-        # 1 / (Q + R) overflows, and the first step would turn P into NaN
+        # the variances are subnormal, not zero; but 1 / (Q + R) overflows,
+        # and the first step would turn P into NaN. validate_model names the
+        # axis in the words of the solve.
         model = single_mode([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]], [w] * 3, [v] * 3)
-        assert validate_model(model) == []
-        with pytest.raises(
-            RiccatiError,
-            match=rf"^mode 's': axis 0 has process and measurement noise variances "
-            rf"\(w = {w:g}, v = {v:g}\) too small to invert: 1 / \(Q \+ R\) is not finite$",
-        ):
+        named = (
+            rf"mode 's': axis 0 has process and measurement noise variances "
+            rf"\(w = {w:g}, v = {v:g}\) too small to invert: 1 / \(Q \+ R\) is not finite$"
+        )
+        (problem,) = validate_model(model)
+        assert re.fullmatch("noise: " + named, problem)
+        with pytest.raises(RiccatiError, match="^" + named):
             synthesize_gains(model)
 
     def test_non_finite_increment_fails_at_once(self):
@@ -241,7 +243,7 @@ def _riccati_dynamics(draw):
 def _outcome(solve, dyn):
     """The bytes of a solve's result, or the type and text of its error."""
     try:
-        g = solve("q", dyn, RICCATI_TOL, _ORACLE_MAX_ITER)
+        g = solve("q", dyn, _ORACLE_MAX_ITER)
     except (RiccatiError, GainInstabilityError) as error:
         return type(error), str(error)
     return (

@@ -15,9 +15,11 @@ from hybridmon import (
     LtiDynamics,
     Mode,
     ModelError,
+    RiccatiError,
     Transition,
     decompose_regions,
     extract_fsm,
+    synthesize_gains,
     validate_model,
 )
 from hybridmon.model import neighbor_value
@@ -63,7 +65,6 @@ class TestPrimitives:
         inv = Invariant(((0.0, 1.0),))
         assert inv.contains([1.0])
         assert not inv.contains([1.0 + 1e-6])
-        assert inv.contains([1.0 + 1e-6], tol=1e-5)
 
     def test_invariant_rejects_bad_bounds(self):
         with pytest.raises(ModelError):
@@ -303,6 +304,27 @@ class TestValidateModel:
             "stability: mode 'b' has eigenvalue modulus 1.2 > 1",
         ]
         assert len(calls) == 3
+
+    def test_flags_noise_the_filter_cannot_invert(self):
+        # "a" and "b" share w = v = 0, which leaves P + R singular, and are
+        # named once, by "a"; "c" has noise of its own and is clean
+        base = corridor(tie_guard=2.0)
+        silent = dyn1(w=0.0, v=0.0)
+        model = HybridAutomaton(
+            (
+                Mode("a", silent, base.modes[0].invariant),
+                Mode("b", silent, base.modes[1].invariant),
+                Mode("c", dyn1(), Invariant(((0.0, 1.0),))),
+            ),
+            base.events, base.transitions, 1, 0.1, 0.05,
+        )
+        text = (
+            "mode 'a': axis 0 has zero process and measurement noise variance "
+            "(w = 0, v = 0), so P + R is singular"
+        )
+        assert validate_model(model) == ["noise: " + text]
+        with pytest.raises(RiccatiError, match="^" + re.escape(text) + "$"):
+            synthesize_gains(model)
 
     def test_flags_unobservable_event(self, tg_model):
         # built in code, the flag bypasses parse_model; the observer would

@@ -1,6 +1,8 @@
-"""The public surface: the names `hybridmon` exports and the README's library example."""
+"""The public surface: the names `hybridmon` exports, their call signatures and the README's library example."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 import hybridmon
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "monbench" / "workloads.py"
 
 # adding or removing a public name is a deliberate edit of this list
 PUBLIC_NAMES = [
@@ -64,8 +67,6 @@ PUBLIC_NAMES = [
     "reach",
     "residual_baseline",
     "simulate",
-    "solve_d_star",
-    "solve_z_star",
     "state_guarantees",
     "step_discrete",
     "sweep",
@@ -83,6 +84,154 @@ def test_public_names():
     assert [name for name in names if not hasattr(hybridmon, name)] == []
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert names == PUBLIC_NAMES
+
+
+# parameter names and defaults of each public callable, with annotations left
+# out; None for an exception class, which has the builtin signature. Adding,
+# removing or renaming an option is a deliberate edit of this table.
+PUBLIC_SIGNATURES = {
+    "AttackSpec": "(axes, kind='ramp', slope=0.0, magnitude=0.0, start_time=0.0, samples=())",
+    "ConstantController": '(values)',
+    "DegenerateModelError": None,
+    "Detector": '(model, deltas=None)',
+    "DiscreteInconsistencyError": '(node, pair)',
+    "EmptyGeometryError": None,
+    "Event": '(name, kind, observable=True)',
+    "FdiaClassification": '(feasible, indeterminate, eigenvalue, eigenvector, reason)',
+    "Fsm": '(states, transitions, outputs)',
+    "GuaranteeBound": '(mode_id, guards, z_star, d_star, threshold)',
+    "Guard": '(axis, sign, threshold)',
+    "HorizonError": None,
+    "HybridAutomaton": '(modes, events, transitions, dwell_time, sampling_period, theta)',
+    "Invariant": '(intervals)',
+    "KalmanBank": '(gains)',
+    "KalmanGain": '(gain, predicted_covariance, iterations, final_increment)',
+    "LtiDynamics": '(a, b, w_bounds, v_bounds, input_bound)',
+    "Mode": '(mode_id, dynamics, invariant)',
+    "ModelError": None,
+    "NoGuaranteeError": None,
+    "ObservabilityResult": '(observable, k, witness)',
+    "ObserverFsm": '(root, nodes, transitions)',
+    "RegionDecomposition": '(intermediate, normal, neighbor_values)',
+    "RiccatiError": None,
+    "ScenarioConfig": '(model, controller, initial_state, initial_mode, duration, seed=0, attack=None, safety=None, stop_events=frozenset())',
+    "SimulationResult": '(summary, trace)',
+    "SimulationSummary": '(seed, completed, end_time, samples, stop_event, events, first_conflict, first_baseline_alarm, baseline_threshold, safety_violation, dwell_ok, discrete_inconsistency, max_residual, max_estimation_error, max_volume)',
+    "Transition": '(source, input_event, output_event, target, guard)',
+    "ZoneController": '(axis, center, half_width, inside_value, outside_value)',
+    "ZoneSpeedLimit": '(position_axis, center, half_width, speed_axis, limit)',
+    "Zonotope": '(center, generators)',
+    "box_max": '(a, lo, hi)',
+    "box_zonotope": '(lo, hi)',
+    "build_observer": '(fsm)',
+    "check_current_state_observability": '(obs)',
+    "check_dwell": '(model, event_samples)',
+    "classify_fdia": '(model, mode_id, gamma_axes)',
+    "compute_delta": '(model, regions, mode_id)',
+    "decompose_regions": '(model)',
+    "detection_threshold": '(model, mode_id)',
+    "dump_model": '(model, path)',
+    "extract_fsm": '(model)',
+    "inflate": '(z, sigma)',
+    "intersects_box": '(z, box)',
+    "linear_map": '(matrix, z)',
+    "load_model": '(path)',
+    "model_to_dict": '(model)',
+    "parse_model": '(doc)',
+    "ramp_attack": '(slope, start_time=1.5)',
+    "reach": '(model, mode_id, z, delta)',
+    "residual_baseline": '(trace, threshold)',
+    "simulate": '(config, *, keep_trace=True, detector=None, bank=None, observer=None)',
+    "state_guarantees": '(model, regions=None, deltas=None)',
+    "step_discrete": '(obs, node, pair)',
+    "sweep": '(base, seeds, *, keep_traces=False)',
+    "synthesize_gains": '(model, max_iter=100000)',
+    "train_gate_model": '()',
+    "train_gate_scenario": '(seed=0, duration=200.0, attack=None, model=None)',
+    "validate_model": '(model)',
+    "volume_bound": '(model)',
+    "reachability.compute_all_deltas": '(model, regions)',
+}
+
+
+def _plain_signature(obj):
+    try:
+        signature = inspect.signature(obj)
+    except ValueError:
+        return None
+    params = [p.replace(annotation=inspect.Parameter.empty) for p in signature.parameters.values()]
+    return str(signature.replace(parameters=params, return_annotation=inspect.Signature.empty))
+
+
+def test_public_signatures():
+    public = {name: getattr(hybridmon, name) for name in hybridmon.__all__}
+    public["reachability.compute_all_deltas"] = hybridmon.reachability.compute_all_deltas
+    assert {name: _plain_signature(obj) for name, obj in public.items()} == PUBLIC_SIGNATURES
+
+
+def _workload_calls():
+    """(callable, positional count, keyword names) of each package call in the benchmark.
+
+    A call is `hm.f(...)`, `self.hm.f(...)` or `self.<attr>(...)` for the
+    package functions the workloads keep as attributes, made directly or
+    through a tracer's `call(name, f, *args, **kwargs)`.
+    """
+    # the package exports a function named simulate, which hides the module
+    simulate = importlib.import_module("hybridmon.simulate")
+    kept = {
+        "compute_all_deltas": hybridmon.reachability.compute_all_deltas,
+        "write_csv": simulate.write_trace_csv,
+        "write_jsonl": simulate.write_trace_jsonl,
+    }
+
+    def resolve(node):
+        if not isinstance(node, ast.Attribute):
+            return None
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id == "hm":
+            return getattr(hybridmon, node.attr)
+        if isinstance(owner, ast.Attribute) and owner.attr == "hm":
+            return getattr(hybridmon, node.attr)
+        if isinstance(owner, ast.Name) and owner.id == "self":
+            return kept.get(node.attr)
+        return None
+
+    calls = []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args = resolve(node.func), node.args
+        traced = isinstance(node.func, (ast.Name, ast.Attribute)) and (
+            getattr(node.func, "id", None) == "call" or getattr(node.func, "attr", None) == "call"
+        )
+        if fn is None and traced and len(args) >= 2:
+            fn, args = resolve(args[1]), args[2:]
+        if fn is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in args), ast.unparse(node)
+        assert all(kw.arg is not None for kw in node.keywords), ast.unparse(node)
+        calls.append((fn, len(args), tuple(kw.arg for kw in node.keywords), ast.unparse(node)))
+    return calls
+
+
+def test_benchmark_calls_bind():
+    calls = _workload_calls()
+    reached = {fn.__name__ for fn, *_ in calls}
+    # the entry points the benchmark's operations stand on
+    assert {
+        "Detector",
+        "compute_all_deltas",
+        "decompose_regions",
+        "simulate",
+        "state_guarantees",
+        "sweep",
+        "synthesize_gains",
+    } <= reached
+    for fn, positional, keywords, source in calls:
+        try:
+            inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as error:
+            raise AssertionError(f"{source}: {error}") from error
 
 
 def test_readme_library_example(capsys):

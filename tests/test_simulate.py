@@ -15,6 +15,7 @@ from trace_io_reference import reference_write_csv, reference_write_jsonl
 from hybridmon import (
     AttackSpec,
     ConstantController,
+    DegenerateModelError,
     Event,
     Guard,
     HybridAutomaton,
@@ -36,6 +37,7 @@ from hybridmon import (
     simulate,
     sweep,
     synthesize_gains,
+    validate_model,
 )
 from hybridmon.observer import ObserverFsm
 from hybridmon.simulate import (
@@ -112,7 +114,7 @@ class TestAttackSpec:
 
     def test_gamma_hits_selected_axes(self):
         spec = AttackSpec(axes=(1,), kind="step", magnitude=0.5, start_time=0.0)
-        np.testing.assert_allclose(spec.gamma(3, 0.1, 2), [0.0, 0.5])
+        np.testing.assert_allclose(spec.gamma_rows(3, 1, 0.1, 2)[0], [0.0, 0.5])
 
     @pytest.mark.parametrize(
         "attack",
@@ -142,7 +144,7 @@ class TestAttackSpec:
     def test_gamma_axis_out_of_range(self):
         spec = AttackSpec(axes=(3,), kind="step", magnitude=0.5)
         with pytest.raises(ValueError, match="outside"):
-            spec.gamma(0, 0.1, 2)
+            spec.gamma_rows(0, 1, 0.1, 2)
 
     def test_axis_out_of_range_refused_at_construction(self):
         attack = AttackSpec(axes=(2,), kind="step", magnitude=0.5, start_time=1.5)
@@ -288,6 +290,30 @@ class TestSimulateValidation:
             duration=1.0,
         )
         with pytest.raises(ModelError, match="stability"):
+            simulate(config)
+
+    def test_rejects_modes_with_identical_invariants(self):
+        # two guardless modes on the same box pass validate_model, but the
+        # detector's horizons need their regions told apart
+        dyn = LtiDynamics(a=[[0.5]], b=[[0.0]], w_bounds=[0.01], v_bounds=[0.1], input_bound=0.0)
+        box = Invariant(((0.0, 10.0),))
+        model = HybridAutomaton(
+            modes=(Mode("a", dyn, box), Mode("b", dyn, box)),
+            events=(),
+            transitions=(),
+            dwell_time=1,
+            sampling_period=0.1,
+            theta=0.05,
+        )
+        assert validate_model(model) == []
+        config = ScenarioConfig(
+            model=model,
+            controller=ConstantController(values=(0.0,)),
+            initial_state=(5.0,),
+            initial_mode="a",
+            duration=1.0,
+        )
+        with pytest.raises(DegenerateModelError, match="modes 'a' and 'b' have identical invariants"):
             simulate(config)
 
     def test_rejects_attack_before_settling(self):
