@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .guarantees import EmptyGeometryError, NoGuaranteeError, state_guarantees
+from .guarantees import EmptyGeometryError, state_guarantees
 from .model import HybridAutomaton, decompose_regions, extract_fsm, refuse_invalid, validate_model
 from .model_io import load_model
 from .observer import build_observer, check_current_state_observability
@@ -141,7 +141,7 @@ def _summary_lines(summary: SimulationSummary, model: HybridAutomaton) -> list[s
     lines.append(f"max_volume: {_format_number(summary.max_volume)}")
     try:
         bounds = state_guarantees(model)
-    except (EmptyGeometryError, NoGuaranteeError) as error:
+    except EmptyGeometryError as error:
         lines.append(f"detection_threshold: unavailable ({error})")
         return lines
     for mode_id, bound in bounds.items():

@@ -18,7 +18,10 @@ N of A^delta X_I + sigma-ball + (-invariant) are cross products of
 widths, so each mode computes N, M = N A^delta, |M|,
 s = sigma ||N||_1 + |N| rho_inv and N mid_inv once, and a sample leaves the
 invariant exactly when any(|M c - N mid_inv| > |M| h + s). Contact counts as
-meeting. A mode with a table builds no zonotope per sample.
+meeting. That is exact only while the sum is full-dimensional for every box
+the mode can see, so a mode whose sum can be flat, or whose table is too
+large to build, is refused when the detector is built (`HorizonError`); the
+detector builds no zonotope and solves no linear program.
 
 Nothing the detector returns feeds back into the plant, the controller or
 the observers, so `Detector.evaluate_rows` decides a block of samples in one
@@ -37,13 +40,11 @@ import numpy as np
 from .guarantees import facet_epsilon
 from .model import HybridAutomaton, ModeId, decompose_regions
 from .reachability import (
-    Zonotope,
+    MAX_NORMAL_SUBSETS,
+    HorizonError,
     compute_all_deltas,
-    inflate,
-    intersects_box,
-    linear_map,
+    reach_operator,
     separating_normals,
-    sigma_sum,
 )
 
 
@@ -63,13 +64,6 @@ class ConflictRows:
         return self.conflict_a | self.conflict_b | self.conflict_c
 
 
-def _reach_set(
-    horizon: tuple[np.ndarray, float], center: np.ndarray, half: np.ndarray
-) -> Zonotope:
-    a_power, sigma = horizon
-    return inflate(linear_map(a_power, Zonotope(center, np.diag(half))), sigma)
-
-
 def volume_bound(model: HybridAutomaton) -> float:
     """Largest initial-set volume bounded noise can produce: prod(2*theta + 4*v_i)."""
     return float(np.prod(2.0 * model.theta + 4.0 * model.max_v_bounds))
@@ -85,24 +79,36 @@ class _HorizonTable:
     n_mid: np.ndarray  # N mid_inv
 
     @classmethod
-    def build(
-        cls, a_power: np.ndarray, sigma: float, inv_lo: np.ndarray, inv_hi: np.ndarray
-    ) -> _HorizonTable | None:
-        """The table, or None when A^delta X_I + sigma-ball + (-invariant) can be flat.
+    def build(cls, model: HybridAutomaton, mode_id: ModeId, delta: int) -> _HorizonTable:
+        """The table of the mode's horizon check at horizon delta.
 
-        The sum always has the coordinate axes among its generators when
-        sigma > 0 or every invariant axis has positive width; then it is
-        full-dimensional for every box, and the normals over {A^delta e_i}
-        and the axes include all its facet normals. Otherwise a box with
-        zero half-widths could make it flat, and the test needs
-        `intersects_box` and its linear program.
+        The test is exact when A^delta X_I + sigma-ball + (-invariant) is
+        full-dimensional for every box X_I = c +/- (|r| + v) the mode can
+        see: then the normals over {A^delta e_i} and the axes include all
+        its facet normals. That holds when sigma > 0, or when the columns of
+        A^delta on the axes with v > 0 and the invariant's positive-width
+        axes span the space. Raises HorizonError otherwise, and when the
+        table needs more than MAX_NORMAL_SUBSETS normal subsets.
         """
+        dyn = model.dynamics(mode_id)
+        inv_lo, inv_hi = model.invariant(mode_id).bounds()
+        a_power, sigma = reach_operator(dyn, delta)
+        n = a_power.shape[0]
         rho = (inv_hi - inv_lo) / 2.0
-        if sigma <= 0.0 and not np.all(rho > 0.0):
-            return None
-        normals = separating_normals(np.vstack([a_power.T, np.eye(a_power.shape[0])]))
+        where = f"mode {mode_id!r}, horizon {delta}"
+        spans = np.vstack([a_power.T[dyn.v_bounds > 0.0], np.eye(n)[rho > 0.0]])
+        if sigma <= 0.0 and (rank := np.linalg.matrix_rank(spans)) < n:
+            raise HorizonError(
+                f"{where}: sigma = 0, and the columns of A^{delta} on the axes with measurement "
+                f"noise and the invariant's positive-width axes span {rank} of {n} dimensions, "
+                "so the reach set less the invariant can be flat"
+            )
+        normals = separating_normals(np.vstack([a_power.T, np.eye(n)]))
         if normals is None:
-            return None
+            raise HorizonError(
+                f"{where}: the separating-axis table in {n} dimensions needs more than "
+                f"MAX_NORMAL_SUBSETS = {MAX_NORMAL_SUBSETS} normal subsets"
+            )
         m = normals @ a_power
         return cls(
             m=m,
@@ -127,16 +133,14 @@ class _HorizonTable:
 class Detector:
     """Conflict evaluator with per-mode geometry precomputed once.
 
-    Holds each mode's invariant bounds, noise bounds, horizon, matrix power
-    over the horizon and accumulated inflation radius, each guard's
+    Holds each mode's invariant bounds and noise bounds, each guard's
     overshoot slab, and, for each mode with a positive horizon, the
     separating-axis table of its horizon check. A block of samples costs a
     handful of interval comparisons and one stacked matrix-vector product
-    per mode.
-    A mode whose table cannot be exact (sigma = 0 and a zero-width
-    invariant axis) builds its reach set per settled sample and decides it
-    with `intersects_box`, which solves a linear program if that set minus
-    the invariant is flat.
+    per mode. Raises HorizonError, naming the mode and its horizon, for a
+    mode whose table cannot be exact (sigma = 0 and a reach set less the
+    invariant that can be flat) or is too large (more than
+    MAX_NORMAL_SUBSETS normal subsets, first at n = 8).
     """
 
     def __init__(
@@ -149,20 +153,12 @@ class Detector:
         self.volume_bound = volume_bound(model)
         self._v = {q: model.dynamics(q).v_bounds for q in model.mode_ids}
         self._fallback_v = model.max_v_bounds
-        self._inv: dict[ModeId, tuple[np.ndarray, np.ndarray]] = {}
-        self._horizon: dict[ModeId, tuple[np.ndarray, float]] = {}
-        self._tables: dict[ModeId, _HorizonTable | None] = {}
-        for mode_id in model.mode_ids:
-            inv_lo, inv_hi = model.invariant(mode_id).bounds()
-            self._inv[mode_id] = (inv_lo, inv_hi)
-            delta = self.deltas[mode_id]
-            if delta <= 0:
-                continue
-            dyn = model.dynamics(mode_id)
-            a_power = np.linalg.matrix_power(dyn.a, delta)
-            sigma = sigma_sum(dyn.a_norm, delta, dyn.step_bound)
-            self._horizon[mode_id] = (a_power, sigma)
-            self._tables[mode_id] = _HorizonTable.build(a_power, sigma, inv_lo, inv_hi)
+        self._inv = {q: model.invariant(q).bounds() for q in model.mode_ids}
+        self._tables = {
+            q: _HorizonTable.build(model, q, self.deltas[q])
+            for q in model.mode_ids
+            if self.deltas[q] > 0
+        }
         # guard-axis slab a firing state lies in: from the guard to the
         # farthest one-step overshoot (`facet_epsilon`), the geometry behind
         # the z* threshold
@@ -247,18 +243,10 @@ class Detector:
             inv_lo, inv_hi = self._inv[mode_id]
             outside = ((hi[rows] < inv_lo) | (lo[rows] > inv_hi)).any(axis=1)
             conflict_b[rows] = settled & outside
-            horizon = self._horizon.get(mode_id)
-            if horizon is None:
-                continue
-            checked = settled & ~unexplained[rows]
-            table = self._tables[mode_id]
+            table = self._tables.get(mode_id)
             if table is not None:
+                checked = settled & ~unexplained[rows]
                 conflict_c[rows] |= checked & table.misses(centers[rows], half[rows])
-                continue
-            invariant = tuple(zip(inv_lo, inv_hi))
-            for i in np.arange(k)[rows][checked]:
-                reach_set = _reach_set(horizon, centers[i], half[i])
-                conflict_c[i] = not intersects_box(reach_set, invariant)
         return ConflictRows(
             estimated_mode=tuple(estimated),
             warming_up=~armed,

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import HybridAutomaton, ModeId, RegionDecomposition, Transition, decompose_regions
-from .reachability import compute_all_deltas, guard_axis_hulls, sigma_sum
+from .reachability import compute_all_deltas, guard_axis_hulls, reach_operator
 
 BISECT_TOL = 1e-9
 
@@ -119,10 +119,11 @@ def _d_star(
     delta_q: int,
     margin: float,
 ) -> float:
-    """Horizon-arm threshold for one guard; +inf when no offset works.
+    """Horizon-arm threshold for one guard; +inf when the arm is unavailable.
 
-    Raises NoGuaranteeError when the guard-axis coefficient of A^delta_q is
-    negative, since the bisection behind d* needs it nonnegative. A falling
+    The arm is unavailable when no offset works, and when the guard-axis
+    coefficient of A^delta_q is negative, since the bisection behind d*
+    needs it nonnegative; the z* arm alone then decides. A falling
     guard is solved as a rising one on the guard axis negated, which changes
     only the off-diagonal entries of the guard-axis row of A^delta_q, the
     invariant's guard-axis interval, the guard and the neighbor value, so
@@ -130,17 +131,11 @@ def _d_star(
     """
     guard = transition.guard
     axis, sign = guard.axis, guard.sign
-    dyn = model.dynamics(transition.source)
-    a_row = np.linalg.matrix_power(dyn.a, delta_q)[axis]
+    a_power, sigma = reach_operator(model.dynamics(transition.source), delta_q)
+    a_row = a_power[axis]
     coefficient = float(a_row[axis])
     if coefficient < 0.0:
-        raise NoGuaranteeError(
-            f"mode {transition.source!r}, guard {transition.input_event!r} on axis "
-            f"{axis}: the horizon-step coefficient A^{delta_q}[{axis}, "
-            f"{axis}] = {coefficient!r} is negative, so the band minimum "
-            "is not monotone in the offset and bisection cannot find d*"
-        )
-    sigma = sigma_sum(dyn.a_norm, delta_q, dyn.step_bound)
+        return math.inf
     inv_lo, inv_hi = model.invariant(transition.source).bounds()
     c_l = regions.neighbor_values[(transition.source, transition.input_event)]
     if sign < 0:

@@ -6,7 +6,7 @@ A^d Z plus an infinity-ball whose radius is the geometric sum of the
 per-step input and noise bound, so generators never accumulate with the
 horizon. Zonotope-box intersection is decided by separating axes, the
 facet normals of their Minkowski difference (Girard, HSCC 2005; Guibas et
-al., SODA 2003); scipy's LP solver is imported only for the flat cases.
+al., SODA 2003); scipy's LP solver is imported only for flat or high-order sets.
 
 The horizon search and the one-step overshoot read only the guard axis of a
 box's reach hull. `guard_axis_hulls` takes it straight from one A^d: the
@@ -15,6 +15,8 @@ the box's wide axes in order, then sigma. That has the bits of `reach`: an
 entry of a mapped box generator is one exact product (FMA or not), the hull
 adds generator rows left to right with sigma's row last, and zero entries,
 like a zero sigma that `inflate` leaves out, change no sum of |entries|.
+Every reach-set bound reads its (A^d, sigma_d) from `reach_operator`; the
+analyses and the monitor build no zonotope and solve no linear program.
 """
 
 from __future__ import annotations
@@ -26,15 +28,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import GEOM_TOL, HybridAutomaton, ModeId, RegionDecomposition, Transition
+from .model import GEOM_TOL, HybridAutomaton, LtiDynamics, ModeId, RegionDecomposition, Transition
 
 NORM_ONE_TOL = 1e-12  # treat the matrix norm as exactly one inside this slack
 MAX_DELTA = 10_000
-MAX_NORMAL_SUBSETS = 4096  # beyond this many generator subsets, solve a linear program
+MAX_NORMAL_SUBSETS = 4096  # past this many subsets `intersects_box` solves an LP; `Detector` refuses
 
 
 class HorizonError(RuntimeError):
-    """No contact with the neighbor hyperplane within the search cap."""
+    """A mode's horizon cannot be searched or checked: no contact with the
+    neighbor hyperplane within MAX_DELTA steps, a guard-axis reach hull that
+    is not finite, or no exact separating-axis table for the detector, whose
+    reach set less the invariant can be flat or needs more than
+    MAX_NORMAL_SUBSETS normal subsets."""
 
 
 @dataclass(frozen=True)
@@ -114,13 +120,19 @@ def sigma_sum(a_norm: float, steps: int, per_step: float) -> float:
     """Geometric sum of per-step inflation over the horizon.
 
     (1 - a_norm^steps) / (1 - a_norm) * per_step, with the analytic limit
-    steps * per_step when the norm is one.
+    steps * per_step when the norm is one; zero when per_step is, so a_norm^steps cannot overflow.
     """
-    if steps <= 0:
+    if steps <= 0 or per_step == 0.0:
         return 0.0
     if abs(a_norm - 1.0) <= NORM_ONE_TOL:
         return steps * per_step
     return (1.0 - a_norm**steps) / (1.0 - a_norm) * per_step
+
+
+def reach_operator(dyn: LtiDynamics, steps: int) -> tuple[np.ndarray, float]:
+    """A^steps and sigma_steps: the reach set of Z after `steps` steps is
+    A^steps Z plus the infinity-ball of radius sigma_steps."""
+    return np.linalg.matrix_power(dyn.a, steps), sigma_sum(dyn.a_norm, steps, dyn.step_bound)
 
 
 def reach(model: HybridAutomaton, mode_id: ModeId, z: Zonotope, delta: int) -> Zonotope:
@@ -129,10 +141,8 @@ def reach(model: HybridAutomaton, mode_id: ModeId, z: Zonotope, delta: int) -> Z
         raise ValueError("delta must be nonnegative")
     if delta == 0:
         return z
-    dyn = model.dynamics(mode_id)
-    sigma = sigma_sum(dyn.a_norm, delta, dyn.step_bound)
-    mapped = linear_map(np.linalg.matrix_power(dyn.a, delta), z)
-    return inflate(mapped, sigma)
+    a_power, sigma = reach_operator(model.dynamics(mode_id), delta)
+    return inflate(linear_map(a_power, z), sigma)
 
 
 def guard_axis_hulls(
@@ -140,7 +150,7 @@ def guard_axis_hulls(
 ) -> Iterator[tuple[float, float]]:
     """For d = 1, 2, ...: the axis entries of `reach(..., box_zonotope(lo, hi), d).interval_hull()`.
 
-    Bounds that are not finite come from `reach`, where 0 * inf gives NaN.
+    Raises HorizonError at the first step whose bounds are not finite.
     """
     if np.any(lo > hi):
         raise ValueError("box has lo > hi")
@@ -148,17 +158,19 @@ def guard_axis_hulls(
     center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     wide = np.flatnonzero(half > 0.0)
     for d in count(1):
-        power = np.linalg.matrix_power(dyn.a, d)
+        power, sigma = reach_operator(dyn, d)
         radius = 0.0
         for h, entry in zip(half[wide].tolist(), power[axis, wide].tolist()):
             radius += abs(h * entry)
-        radius += sigma_sum(dyn.a_norm, d, dyn.step_bound)
+        radius += sigma
         mid = float((power @ center)[axis])
-        if isfinite(mid - radius) and isfinite(mid + radius):
-            yield mid - radius, mid + radius
-        else:
-            hull = reach(model, mode_id, box_zonotope(lo, hi), d).interval_hull()
-            yield float(hull[0][axis]), float(hull[1][axis])
+        bounds = (mid - radius, mid + radius)
+        if not (isfinite(bounds[0]) and isfinite(bounds[1])):
+            raise HorizonError(
+                f"mode {mode_id!r}, axis {axis}: the reach hull at step {d} is "
+                f"[{bounds[0]}, {bounds[1]}], which is not finite"
+            )
+        yield bounds
 
 
 def _det(m: np.ndarray) -> np.ndarray:

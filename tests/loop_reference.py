@@ -9,10 +9,8 @@ tables. `simulate` must give the same summaries and byte-identical traces.
 
 import numpy as np
 
-from hybridmon.conflicts import _reach_set
 from hybridmon.kalman import check_dwell
 from hybridmon.observer import DiscreteInconsistencyError, step_discrete
-from hybridmon.reachability import intersects_box
 from hybridmon.simulate import (
     ConflictAlarm,
     EventRecord,
@@ -64,15 +62,10 @@ def reference_verdict(detector, node, steady, x_est, residual, event=None):
         return mode_id, True, False, False, unexplained, vol
     inv_lo, inv_hi = detector._inv[mode_id]
     conflict_c = unexplained
-    horizon = detector._horizon.get(mode_id)
-    if horizon is not None and not conflict_c:
-        table = detector._tables[mode_id]
-        if table is not None:
-            gap = abs(table.m @ center - table.n_mid)
-            conflict_c = bool((gap > table.m_abs @ half + table.slack).any())
-        else:
-            reach_set = _reach_set(horizon, center, half)
-            conflict_c = not intersects_box(reach_set, tuple(zip(inv_lo, inv_hi)))
+    table = detector._tables.get(mode_id)
+    if table is not None and not conflict_c:
+        gap = abs(table.m @ center - table.n_mid)
+        conflict_c = bool((gap > table.m_abs @ half + table.slack).any())
     conflict_b = bool((hi < inv_lo).any() or (lo > inv_hi).any())
     return mode_id, False, vol > detector.volume_bound, conflict_b, conflict_c, vol
 

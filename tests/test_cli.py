@@ -13,8 +13,10 @@ from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT, train_gate_model
 
 ND_ACTUATOR = Path(__file__).resolve().parents[1] / "monbench" / "nd_actuator.json"
 
-# d* of mode 1 cannot be solved: its guard-axis coefficient A[0, 0] = -0.5 is
-# negative. The model is valid and runs.
+# mode 1 has no threshold arm: its guard-axis coefficient A[0, 0] = -0.5 is
+# negative, so d* cannot be bisected, and it maps the guard at 5 to -2.5,
+# which the noise w = 3 lifts only to 0.5, so z* has no overshoot. The model
+# is valid and runs.
 UNSOLVABLE_MODEL = {
     "states": [
         {
@@ -49,10 +51,7 @@ UNSOLVABLE_MODEL = {
     "dwell_time": 5,
     "theta": 0.5,
 }
-UNSOLVABLE_REASON = (
-    "mode 1, guard 'go' on axis 0: the horizon-step coefficient A^1[0, 0] = -0.5 is "
-    "negative, so the band minimum is not monotone in the offset and bisection cannot find d*"
-)
+UNSOLVABLE_REASON = "one-step overshoot tops out at 0.5, below the guard 5.0"
 
 
 def write_model(tmp_path, doc):
@@ -323,6 +322,32 @@ class TestStaticCommands:
     def test_unsolvable_threshold_stays_an_error_in_compute_bounds(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "compute-bounds", write_model(tmp_path, UNSOLVABLE_MODEL))
         assert (code, out, err) == (1, [], f"error: {UNSOLVABLE_REASON}\n")
+
+    def test_unbisectable_d_star_leaves_the_z_star_arm(self, capsys, tmp_path):
+        # A[0, 1] = 0.9 lifts mode 1's overshoot to 5.0, so z* = 3.2 stands
+        # alone while d* cannot be bisected
+        doc = json.loads(json.dumps(UNSOLVABLE_MODEL))
+        doc["states"][0]["A"] = [[-0.5, 0.9], [0.0, 0.9]]
+        code, out, err = run_cli(capsys, "compute-bounds", write_model(tmp_path, doc))
+        assert (code, err) == (0, "")
+        assert out == [
+            "state 1: z* = 3.2, d* = n/a, threshold = 3.9",
+            "state 2: z* = n/a, d* = n/a, threshold = n/a",
+        ]
+
+    @pytest.mark.parametrize("command", ["compute-delta", "run"])
+    def test_horizon_without_inflation_names_the_guard(self, capsys, tmp_path, command):
+        # without process noise or input the reach hull never grows, and the
+        # horizon search gives up at its cap instead of overflowing a_norm^d
+        doc = json.loads(json.dumps(TRAIN_GATE_MODEL_DICT))
+        doc["noise"]["w"] = [0.0, 0.0]
+        doc["input_bound"] = 0.0
+        code, out, err = run_cli(capsys, command, write_model(tmp_path, doc))
+        assert (code, out) == (1, [])
+        assert err == (
+            "error: mode 1, guard at 45.0 on axis 0: no contact with neighbor value "
+            "46.0 within 10000 steps\n"
+        )
 
     def test_calibrate_theta(self, capsys):
         code, out, _ = run_cli(

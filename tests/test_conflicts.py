@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from loop_reference import reference_verdict
 from lp_reference import box_distance, corner_box, touching_box
 
+import hybridmon.conflicts
+import hybridmon.reachability
 from hybridmon import (
+    ConstantController,
     Detector,
     Event,
     Guard,
@@ -21,11 +24,13 @@ from hybridmon import (
     inflate,
     intersects_box,
     linear_map,
+    simulate,
     volume_bound,
 )
-from hybridmon.conflicts import ConflictRows
+from hybridmon.conflicts import ConflictRows, _HorizonTable
 from hybridmon.guarantees import facet_epsilon
-from hybridmon.reachability import sigma_sum
+from hybridmon.reachability import HorizonError, sigma_sum
+from hybridmon.simulate import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +263,8 @@ def horizon_case(draw):
 
     The invariant sits at a corner of the reach set's hull, where hull
     overlap and set overlap part ways. Zero noise and zero-width invariant
-    axes come up often, so the modes whose table cannot be exact (and fall
-    back per sample) are drawn too.
+    axes come up often, so modes whose reach set less the invariant can be
+    flat, which the detector refuses, are drawn too.
     """
     n = draw(st.sampled_from([2, 3]))
     vec = lambda lo, hi: [draw(st.floats(lo, hi)) for _ in range(n)]  # noqa: E731
@@ -297,23 +302,43 @@ def touching_case(draw):
     return _one_mode(a, w, v, invariant), x_est, residual
 
 
+def detector_unless_flat(model, delta):
+    """The one-mode model's detector at horizon delta, or None when it is refused.
+
+    A refusal holds only for a mode that is flat at zero residual: the
+    explicit reach set of the box c +/- v, with the invariant's
+    positive-width axes, spans fewer than n dimensions.
+    """
+    try:
+        detector = Detector(model, deltas={1: delta})
+    except HorizonError as error:
+        n = model.dim
+        _, reach_set = _reference_reach(model, delta, np.zeros(n), np.zeros(n))
+        lo, hi = model.invariant(1).bounds()
+        spans = np.vstack([reach_set.generators, np.eye(n)[hi > lo]])
+        assert np.linalg.matrix_rank(spans) < n, error
+        assert "can be flat" in str(error)
+        event("refused: flat at zero residual")
+        return None
+    event("table")
+    return detector
+
+
 class TestHorizonTable:
     """Detector verdicts against the explicit reach set decided by a linear program."""
-
-    @staticmethod
-    def _evaluate(model, delta, x_est, residual):
-        detector = Detector(model, deltas={1: delta})
-        return one_row(detector, (1,), True, x_est, residual)
 
     @settings(max_examples=300, deadline=None)
     @given(horizon_case())
     def test_verdicts_match_reference(self, case):
         model, delta, x_est, residual = case
+        detector = detector_unless_flat(model, delta)
+        if detector is None:
+            return
         x_i, reach_set = _reference_reach(model, delta, x_est, residual)
         invariant = model.invariant(1).intervals
         distance = box_distance(reach_set, invariant)
         assume(abs(distance) > 1e-6)  # the program's own tolerance decides contact
-        rows = self._evaluate(model, delta, x_est, residual)
+        rows = one_row(detector, (1,), True, x_est, residual)
         assert rows.conflict_c[0] == (distance > 0.0)
         assert rows.conflict_b[0] == (not intersects_box(x_i, invariant))
         assert rows.volume[0] == np.prod(2.0 * np.diag(x_i.generators))
@@ -324,7 +349,33 @@ class TestHorizonTable:
         model, x_est, residual = case
         _, reach_set = _reference_reach(model, 1, x_est, residual)
         assert box_distance(reach_set, model.invariant(1).intervals) <= 1e-9
-        assert not self._evaluate(model, 1, x_est, residual).conflict_c[0]
+        detector = detector_unless_flat(model, 1)
+        if detector is not None:
+            assert not one_row(detector, (1,), True, x_est, residual).conflict_c[0]
+
+    def test_flat_mode_refused(self):
+        # sigma = 0, and A^2 maps every box onto the axis-0 line, which the
+        # invariant's one wide axis does not leave
+        model = _one_mode([[0.9, 0.3], [0.0, 0.0]], [0.0, 0.0], [0.1, 0.1], [(0.0, 1.0), (0.0, 0.0)])
+        with pytest.raises(HorizonError) as refused:
+            Detector(model, deltas={1: 2})
+        assert str(refused.value) == (
+            "mode 1, horizon 2: sigma = 0, and the columns of A^2 on the axes with "
+            "measurement noise and the invariant's positive-width axes span 1 of 2 "
+            "dimensions, so the reach set less the invariant can be flat"
+        )
+
+    def test_eight_dimensional_mode_refused(self):
+        # 8 columns of A and 8 axes give C(16, 7) = 11,440 normal subsets
+        model = _one_mode(
+            (0.5 * np.eye(8)).tolist(), [0.01] * 8, [0.1] * 8, [(-1.0, 1.0)] * 8
+        )
+        with pytest.raises(HorizonError) as refused:
+            Detector(model, deltas={1: 1})
+        assert str(refused.value) == (
+            "mode 1, horizon 1: the separating-axis table in 8 dimensions needs more "
+            "than MAX_NORMAL_SUBSETS = 4096 normal subsets"
+        )
 
 
 TG_NODES = ((1,), (2,), (3,), (1, 2, 3), (2, 3))
@@ -359,7 +410,10 @@ def tg_block(draw):
 
 @st.composite
 def mode_block(draw):
-    """Rows of one random 2-D or 3-D mode, zero-noise and flat invariants included."""
+    """A random 2-D or 3-D mode and horizon, and a block of its rows.
+
+    Zero-noise modes and zero-width invariant axes are included.
+    """
     model, delta, x_est, residual = draw(horizon_case())
     n = model.dim
     k = draw(st.integers(1, 12))
@@ -368,8 +422,7 @@ def mode_block(draw):
     steady = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
     centers = np.asarray(x_est) + offsets.reshape(k, n)
     residuals = np.asarray(residual) * scales.reshape(k, n)
-    detector = Detector(model, deltas={1: delta})
-    return detector, ((1,),) * k, steady, centers, residuals, (None,) * k
+    return model, delta, ((1,),) * k, steady, centers, residuals, (None,) * k
 
 
 def _assert_block_equals_rows(detector, nodes, steady, centers, residuals, events):
@@ -392,17 +445,51 @@ class TestEvaluateRows:
     @settings(max_examples=150, deadline=None)
     @given(mode_block())
     def test_random_mode_block(self, block):
-        _assert_block_equals_rows(*block)
+        model, delta, *rows = block
+        detector = detector_unless_flat(model, delta)
+        if detector is not None:
+            _assert_block_equals_rows(detector, *rows)
 
     def test_fallback_mode_block(self):
-        # sigma = 0 with a zero-width invariant axis has no table
+        # sigma = 0 with a zero-width invariant axis, which the detector once
+        # decided per sample with `intersects_box`: A^2 is invertible, so the
+        # reach set less the invariant is never flat and the mode has a table
         model = _one_mode([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0], [0.1, 0.1], [(0.0, 1.0), (0.5, 0.5)])
         detector = Detector(model, deltas={1: 2})
-        assert detector._tables[1] is None
+        assert isinstance(detector._tables[1], _HorizonTable)
         centers = np.array([[0.5, 0.5], [0.2, 0.5], [3.0, 0.5]])
         _assert_block_equals_rows(
             detector, ((1,),) * 3, np.ones(3, dtype=bool), centers, np.zeros((3, 2)), (None,) * 3
         )
+        rows = detector.evaluate_rows(((1,),) * 3, [True] * 3, centers, np.zeros((3, 2)), (None,) * 3)
+        invariant = model.invariant(1).intervals
+        for center, flagged in zip(centers, rows.conflict_c):
+            _, reach_set = _reference_reach(model, 2, center, np.zeros(2))
+            assert flagged == (not intersects_box(reach_set, invariant))
+        assert rows.conflict_c.tolist() == [False, False, True]
+
+    def test_run_builds_no_zonotope(self, monkeypatch):
+        # sigma = 0 and a pinned invariant axis: the run decides every horizon
+        # check from the table, with no zonotope, reach set or linear program
+        model = _one_mode([[0.5, 0.0], [0.5, 0.5]], [0.0, 0.0], [0.1, 0.1], [(-1.0, 1.0), (0.0, 0.0)])
+        config = ScenarioConfig(
+            model=model, controller=ConstantController((0.0,)), initial_state=(0.8, 0.0),
+            initial_mode=1, duration=30.0, seed=1,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("zonotope machinery called")
+
+        for module in (hybridmon.reachability, hybridmon.conflicts):
+            for name in ("Zonotope", "reach", "intersects_box", "linprog"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        trace = simulate(config, detector=Detector(model, deltas={1: 2})).trace
+        monkeypatch.undo()
+        settled = np.flatnonzero(trace.steady)
+        assert len(settled) == 29 and 0 < trace.conflict_c[settled].sum() < 29
+        for i in settled:
+            _, reach_set = _reference_reach(model, 2, trace.x_est[i], trace.residual[i])
+            assert trace.conflict_c[i] == (not intersects_box(reach_set, model.invariant(1).intervals))
 
     def test_shape_mismatch_rejected(self, tg_machinery):
         with pytest.raises(ValueError, match="do not match"):

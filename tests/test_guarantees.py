@@ -174,14 +174,14 @@ class TestDStarBisection:
 
     def test_negative_guard_axis_coefficient_refused(self):
         # A = -0.5: A^1 flips the guard axis, so the band minimum falls as the
-        # offset grows and bisection would return a wrong threshold
+        # offset grows and bisection would return a wrong threshold; the arm
+        # is unavailable instead. The z* arm has no overshoot here, so the
+        # d* arm is called alone.
         model = face_model(a_source=-0.5)
-        with pytest.raises(NoGuaranteeError, match=r"mode 1, guard 'go'.*= -0\.5 is negative"):
-            d_star_on(model, 1)
+        regions, tr = decompose_regions(model), model.transitions[0]
+        assert _d_star(model, regions, tr, 1, _margin(model)) == math.inf
         # A^2 = 0.25 is nonnegative, so the search runs; a quarter of the
         # band never reaches the neighbor face at 10, so no offset works.
-        # The z* arm has no overshoot here, so the d* arm is called alone.
-        regions, tr = decompose_regions(model), model.transitions[0]
         assert _d_star(model, regions, tr, 2, _margin(model)) == math.inf
 
     def test_infeasible_offset_returns_inf(self, tg_bounds, tg_deltas):

@@ -259,3 +259,22 @@ def test_modules_import_no_private_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_run_time_modules_import_no_zonotope_or_solver():
+    # the monitor's path and the static analyses decide from tables and
+    # guard-axis hulls; the zonotope algebra is the reference they are
+    # tested against, and the solver is reached only through it
+    package = Path(hybridmon.__file__).resolve().parent
+    banned = {
+        "Zonotope", "box_zonotope", "linear_map", "inflate", "reach", "intersects_box", "linprog"
+    }
+    found = [
+        f"{name}.py:{node.lineno} imports {alias.name}"
+        for name in ("conflicts", "guarantees", "simulate", "kalman", "cli")
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in banned
+    ]
+    assert found == []

@@ -2,7 +2,6 @@
 
 import subprocess
 import sys
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +151,10 @@ class TestSigmaSum:
 
     def test_zero_steps(self):
         assert sigma_sum(1.1, 0, 0.06) == 0.0
+
+    def test_no_inflation_never_overflows(self):
+        # 1.1 ** 7448 overflows a float; without inflation nothing is summed
+        assert sigma_sum(1.1, 10_000, 0.0) == 0.0
 
 
 class TestReach:
@@ -399,16 +402,16 @@ class TestGuardAxisHulls:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_infinite_sigma_takes_reachs_bounds(self, n):
-        # ||B|| overflows, so sigma is infinite: reach's inflation multiplies
-        # it by the zeros of the identity, which gives NaN for n > 1
+        # ||B|| overflows, so sigma is infinite: the step-1 hull is not finite
+        # (reach's inflation gives NaN for n > 1, from 0 * inf), and the
+        # search stops there instead of computing it
         model = one_mode(np.eye(n), [[1e308, 1e308]] * n, [0.0] * n, 1.0)
         lo = hi = np.zeros(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = list(islice(guard_axis_hulls(model, 0, lo, hi, 0), 2))
-            for d, bounds in enumerate(got, start=1):
-                hull = reach(model, 0, box_zonotope(lo, hi), d).interval_hull()
-                assert np.array(bounds).tobytes() == np.array([hull[0][0], hull[1][0]]).tobytes()
-        assert np.isnan(got[0][1]) if n > 1 else got[0] == (-np.inf, np.inf)
+        with np.errstate(over="ignore"), pytest.raises(HorizonError) as refused:
+            next(guard_axis_hulls(model, 0, lo, hi, 0))
+        assert str(refused.value) == (
+            "mode 0, axis 0: the reach hull at step 1 is [-inf, inf], which is not finite"
+        )
 
     def test_inverted_box_rejected(self):
         model = one_mode([[1.0]], [[0.0]], [0.0], 0.0)
