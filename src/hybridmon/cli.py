@@ -267,6 +267,13 @@ def _cmd_calibrate_theta(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
     model = _load(args.model)
+    # a duration with no sample at all keeps `simulate`'s own refusal
+    samples = args.duration / model.sampling_period
+    if math.isfinite(samples) and 0 < round(samples) <= model.dwell_time:
+        raise ValueError(
+            f"--duration {args.duration:g} s gives {round(samples)} samples, but a sample settles "
+            f"only after the dwell time of {model.dwell_time} samples"
+        )
     base = _scenario(args.model, model, args.seed, args.duration, None)
     results = sweep(base, range(args.seed, args.seed + args.runs))
     worst = max(result.summary.max_estimation_error for result in results)

@@ -103,7 +103,7 @@ class _HorizonTable:
                 f"noise and the invariant's positive-width axes span {rank} of {n} dimensions, "
                 "so the reach set less the invariant can be flat"
             )
-        normals = separating_normals(np.vstack([a_power.T, np.eye(n)]))
+        normals = separating_normals(a_power.T)
         if normals is None:
             raise HorizonError(
                 f"{where}: the separating-axis table in {n} dimensions needs more than "

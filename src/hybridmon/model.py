@@ -232,6 +232,8 @@ class HybridAutomaton:
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "transitions", tuple(self.transitions))
+        if isinstance(self.dwell_time, bool) or not float(self.dwell_time).is_integer():
+            raise ModelError(f"dwell_time must be a whole number of samples, got {self.dwell_time!r}")
         object.__setattr__(self, "dwell_time", int(self.dwell_time))
         object.__setattr__(self, "sampling_period", float(self.sampling_period))
         object.__setattr__(self, "theta", float(self.theta))
@@ -245,10 +247,10 @@ class HybridAutomaton:
             raise ModelError("duplicate event names")
         if self.dwell_time < 1:
             raise ModelError("dwell_time must be a positive number of samples")
-        if self.sampling_period <= 0:
-            raise ModelError("sampling_period must be positive")
-        if self.theta <= 0:
-            raise ModelError("theta must be positive")
+        for name in ("sampling_period", "theta"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ModelError(f"{name} must be finite and positive, got {value!r}")
         dims = {m.dynamics.dim for m in self.modes}
         if len(dims) != 1:
             raise ModelError("all modes must share one continuous dimension")

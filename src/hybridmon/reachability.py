@@ -6,7 +6,8 @@ A^d Z plus an infinity-ball whose radius is the geometric sum of the
 per-step input and noise bound, so generators never accumulate with the
 horizon. Zonotope-box intersection is decided by separating axes, the
 facet normals of their Minkowski difference (Girard, HSCC 2005; Guibas et
-al., SODA 2003); scipy's LP solver is imported only for flat or high-order sets.
+al., SODA 2003), with the coordinate axes among the directions so that one
+rule covers flat differences too. numpy is the only dependency.
 
 The horizon search and the one-step overshoot read only the guard axis of a
 box's reach hull. `guard_axis_hulls` takes it straight from one A^d: the
@@ -16,7 +17,7 @@ entry of a mapped box generator is one exact product (FMA or not), the hull
 adds generator rows left to right with sigma's row last, and zero entries,
 like a zero sigma that `inflate` leaves out, change no sum of |entries|.
 Every reach-set bound reads its (A^d, sigma_d) from `reach_operator`; the
-analyses and the monitor build no zonotope and solve no linear program.
+analyses and the monitor build no zonotope.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .model import GEOM_TOL, HybridAutomaton, LtiDynamics, ModeId, RegionDecompo
 
 NORM_ONE_TOL = 1e-12  # treat the matrix norm as exactly one inside this slack
 MAX_DELTA = 10_000
-MAX_NORMAL_SUBSETS = 4096  # past this many subsets `intersects_box` solves an LP; `Detector` refuses
+MAX_NORMAL_SUBSETS = 4096  # past this many subsets `intersects_box` and `Detector` refuse
 
 
 class HorizonError(RuntimeError):
@@ -189,23 +190,23 @@ def _det(m: np.ndarray) -> np.ndarray:
 
 
 def separating_normals(directions: np.ndarray) -> np.ndarray | None:
-    """Facet-normal candidates of a zonotope whose generators lie along `directions`.
+    """Facet-normal candidates of a zonotope whose generators lie along
+    `directions` and the coordinate axes.
 
     Rows of the result are the generalized cross products of every
-    (n-1)-subset of the nonzero (p, n) rows, with zero vectors and +/-
-    duplicates dropped: perpendiculars in 2-D, pairwise cross products in 3-D. A
-    full-dimensional zonotope's facet normals are among them, so two convex
-    sets whose Minkowski difference is such a zonotope are disjoint exactly
-    when one of these directions separates their projections. Returns None
-    when the rows do not span the space (the zonotope is flat and its normal
-    is not among the cross products) or when there are more than
+    (n-1)-subset of the nonzero (p, n) rows followed by the n axes, with
+    zero vectors and +/- duplicates dropped: perpendiculars in 2-D, pairwise
+    cross products in 3-D. The axes span the space, so a zonotope along
+    these rows plus a small cube is full-dimensional, and its facet normals
+    are among the result whatever the cube's size. Two convex sets whose
+    Minkowski difference is a zonotope along `directions` are therefore
+    disjoint exactly when one of these directions separates their
+    projections, flat or not. Returns None when there are more than
     MAX_NORMAL_SUBSETS subsets.
     """
     directions = np.asarray(directions, dtype=float)
-    directions = directions[np.any(directions != 0.0, axis=1)]
     n = directions.shape[1]
-    if np.linalg.matrix_rank(directions) < n:
-        return None
+    directions = np.vstack([directions[np.any(directions != 0.0, axis=1)], np.eye(n)])
     if comb(len(directions), n - 1) > MAX_NORMAL_SUBSETS:
         return None
     if n == 1:
@@ -224,29 +225,19 @@ def separating_normals(directions: np.ndarray) -> np.ndarray | None:
     return normals[np.sort(first)]
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use.
-
-    The solver package is most of the import time of this one, and only
-    flat or very high-order intersection tests need it.
-    """
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
-
-
 def intersects_box(z: Zonotope, box: Sequence[tuple[float, float]]) -> bool:
-    """Exact emptiness decision for a zonotope against an axis-aligned box.
+    """Emptiness decision for a zonotope against an axis-aligned box.
 
     Boundary contact counts as intersection. Fast paths: disjoint interval
     hulls (always correct as a negative) and axis-aligned zonotopes (the
     hull is the set). Otherwise the sets meet exactly when no direction of
-    `separating_normals` over the zonotope's generators and the box's
-    positive-width axes separates their projections, because those are the
-    facet normals of Z + (-box). The test falls back to linear-program
-    feasibility over the generator coefficients only when that sum is not
-    full-dimensional (its generators do not span the space) or has more than
-    MAX_NORMAL_SUBSETS generator subsets.
+    `separating_normals` over the zonotope's generators separates their
+    projections: Z + (-box) lies along those generators and the axes. The
+    rule is exact in exact arithmetic, flat differences included; where the
+    difference is flat every common point is on its boundary, so a contact
+    there, such as a point computed onto a segment, turns on rounding.
+    Generators along one axis add no normal and are left out. Raises
+    ValueError when the check needs more than MAX_NORMAL_SUBSETS subsets.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     if len(box) != z.dim:
@@ -258,26 +249,17 @@ def intersects_box(z: Zonotope, box: Sequence[tuple[float, float]]) -> bool:
         return False
     if z.is_axis_aligned():
         return True  # hull overlap is exact for interval sets
-    normals = separating_normals(np.vstack([z.generators, np.eye(z.dim)[box_hi > box_lo]]))
-    if normals is not None:
-        gap = np.abs(normals @ z.center - normals @ ((box_lo + box_hi) / 2.0))
-        room = np.sum(np.abs(z.generators @ normals.T), axis=0)
-        room += np.abs(normals) @ ((box_hi - box_lo) / 2.0)
-        return not bool(np.any(gap > room))
-    # feasibility of: box_lo <= c + G' b <= box_hi, b in [-1, 1]^p
-    g = z.generators.T
-    result = linprog(
-        c=np.zeros(z.order),
-        A_ub=np.vstack([g, -g]),
-        b_ub=np.concatenate([box_hi - z.center, z.center - box_lo]),
-        bounds=[(-1.0, 1.0)] * z.order,
-        method="highs",
-    )
-    if result.status == 0:
-        return True
-    if result.status == 2:
-        return False
-    raise RuntimeError(f"intersection solve failed: {result.message}")
+    slanted = z.generators[np.count_nonzero(z.generators, axis=1) > 1]
+    normals = separating_normals(slanted)
+    if normals is None:
+        raise ValueError(
+            f"{z.dim}-D zonotope: the separating-axis check over {len(slanted) + z.dim} "
+            f"directions needs more than MAX_NORMAL_SUBSETS = {MAX_NORMAL_SUBSETS} normal subsets"
+        )
+    gap = np.abs(normals @ z.center - normals @ ((box_lo + box_hi) / 2.0))
+    room = np.sum(np.abs(z.generators @ normals.T), axis=0)
+    room += np.abs(normals) @ ((box_hi - box_lo) / 2.0)
+    return not bool(np.any(gap > room))
 
 
 def _facet_box(

@@ -205,6 +205,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # initial_state is not checked here: callers build a config for one
         # model and `replace` the start to fit it
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.attack is not None:
             self.attack.check_axes(self.model.dim)
 

@@ -269,6 +269,15 @@ class TestSweep:
         assert code == 2
         assert out[-1] == "alarms: 1/1"
 
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [(("run", "train-gate", "--seed", "-1"), -1), (("sweep", "train-gate", "--seeds=-2..1"), -2)],
+    )
+    def test_negative_seed_refused(self, capsys, argv, seed):
+        code, out, err = run_cli(capsys, *argv, "--duration", "5")
+        assert (code, out) == (1, [])
+        assert err == f"error: seed must be nonnegative, got {seed}\n"
+
     def test_empty_seed_range_errors(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "train-gate", "--seeds", "5..4")
         assert code == 1
@@ -364,6 +373,17 @@ class TestStaticCommands:
         assert code == 1
         assert out == []
         assert err == f"error: --runs must be at least 1, got {runs}\n"
+
+    @pytest.mark.parametrize("duration, samples", [("1", 10), ("1.5", 15)])
+    def test_calibrate_theta_refuses_durations_that_never_settle(self, capsys, duration, samples):
+        code, out, err = run_cli(
+            capsys, "calibrate-theta", "train-gate", "--runs", "2", "--duration", duration
+        )
+        assert (code, out) == (1, [])
+        assert err == (
+            f"error: --duration {duration} s gives {samples} samples, but a sample settles "
+            "only after the dwell time of 15 samples\n"
+        )
 
 
 def test_module_entry_point():

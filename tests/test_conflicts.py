@@ -470,7 +470,7 @@ class TestEvaluateRows:
 
     def test_run_builds_no_zonotope(self, monkeypatch):
         # sigma = 0 and a pinned invariant axis: the run decides every horizon
-        # check from the table, with no zonotope, reach set or linear program
+        # check from the table, with no zonotope or reach set
         model = _one_mode([[0.5, 0.0], [0.5, 0.5]], [0.0, 0.0], [0.1, 0.1], [(-1.0, 1.0), (0.0, 0.0)])
         config = ScenarioConfig(
             model=model, controller=ConstantController((0.0,)), initial_state=(0.8, 0.0),
@@ -481,7 +481,7 @@ class TestEvaluateRows:
             raise AssertionError("zonotope machinery called")
 
         for module in (hybridmon.reachability, hybridmon.conflicts):
-            for name in ("Zonotope", "reach", "intersects_box", "linprog"):
+            for name in ("Zonotope", "reach", "intersects_box"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         trace = simulate(config, detector=Detector(model, deltas={1: 2})).trace
         monkeypatch.undo()

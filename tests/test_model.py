@@ -206,6 +206,28 @@ class TestAutomatonValidation:
         with pytest.raises(ModelError):
             HybridAutomaton(base.modes, base.events, base.transitions, 1, 0.1, 0.0)
 
+    def test_refuses_header_values_that_disarm_the_monitor(self):
+        base = corridor()
+        refusals = [
+            ((1, 0.1, np.nan), "theta must be finite and positive, got nan"),
+            ((1, 0.1, np.inf), "theta must be finite and positive, got inf"),
+            ((1, 0.1, -0.05), "theta must be finite and positive, got -0.05"),
+            ((1, np.nan, 0.05), "sampling_period must be finite and positive, got nan"),
+            ((1, np.inf, 0.05), "sampling_period must be finite and positive, got inf"),
+            ((1, 0.0, 0.05), "sampling_period must be finite and positive, got 0.0"),
+            ((15.7, 0.1, 0.05), "dwell_time must be a whole number of samples, got 15.7"),
+            ((True, 0.1, 0.05), "dwell_time must be a whole number of samples, got True"),
+            ((np.nan, 0.1, 0.05), "dwell_time must be a whole number of samples, got nan"),
+        ]
+        for header, message in refusals:
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                HybridAutomaton(base.modes, base.events, base.transitions, *header)
+
+    def test_integral_float_dwell_accepted(self):
+        base = corridor()
+        model = HybridAutomaton(base.modes, base.events, base.transitions, 15.0, 0.1, 0.05)
+        assert model.dwell_time == 15 and type(model.dwell_time) is int
+
     def test_rejects_zero_dwell(self):
         base = corridor()
         with pytest.raises(ModelError):

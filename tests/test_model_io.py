@@ -130,3 +130,23 @@ def test_unobservable_event_rejected():
     doc["events"][1]["observable"] = False
     with pytest.raises(ModelError, match=r"events\[1\] \('s_1'\): unobservable"):
         parse_model(doc)
+
+
+@pytest.mark.parametrize(
+    "field, text, message",
+    [
+        ("theta", "NaN", "theta must be finite and positive, got nan"),
+        ("theta", "Infinity", "theta must be finite and positive, got inf"),
+        ("sampling_period", "NaN", "sampling_period must be finite and positive, got nan"),
+        ("dwell_time", "15.7", "dwell_time must be a whole number of samples, got 15.7"),
+        ("dwell_time", "true", "dwell_time must be a whole number of samples, got True"),
+    ],
+)
+def test_header_values_that_disarm_the_monitor_refused(tmp_path, field, text, message):
+    # Python's json reads NaN and Infinity, so a document can carry them
+    path = tmp_path / "model.json"
+    doc = json.dumps({**TRAIN_GATE_MODEL_DICT, field: 0})
+    path.write_text(doc.replace(f'"{field}": 0', f'"{field}": {text}'))
+    with pytest.raises(ModelError) as refused:
+        load_model(path)
+    assert str(refused.value) == message

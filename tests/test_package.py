@@ -278,3 +278,20 @@ def test_run_time_modules_import_no_zonotope_or_solver():
         if alias.name in banned
     ]
     assert found == []
+
+
+def test_package_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is the tests' reference solver
+    package = Path(hybridmon.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno} imports {name}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.partition(".")[0] == "scipy"
+    ]
+    assert found == []

@@ -223,18 +223,42 @@ class TestIntersectsBox:
         assert not intersects_box(z, [(0.5, 1.0), (-0.2, -0.1)])
         assert intersects_box(z, [(0.4, 0.6), (0.4, 0.6)])
 
-    def test_three_dimensional_lp_fallback(self):
+    def test_three_dimensional_segment(self):
         z = Zonotope([0.0, 0.0, 0.0], [[1.0, 1.0, 1.0]])
         assert intersects_box(z, [(0.9, 1.1), (0.9, 1.1), (0.9, 1.1)])
         assert not intersects_box(z, [(0.9, 1.1), (0.9, 1.1), (-1.1, -0.9)])
 
-    def test_flat_difference_solves_the_program(self):
+    def test_flat_difference_takes_the_axes(self):
         # a segment against single points: Z + (-box) is the segment itself,
-        # whose normals are not cross products of its one generator
+        # whose normals are cross products of its generator with the axes
         z = Zonotope([0.0, 0.0, 0.0], [[1.0, 1.0, 1.0]])
         assert intersects_box(z, [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5)])
         assert intersects_box(z, [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)])  # end point
         assert not intersects_box(z, [(0.5, 0.5), (0.5, 0.5), (0.4, 0.4)])
+
+    def test_axis_generators_add_no_direction(self):
+        # the reach set of a 7-D box: six slanted generators, one along an
+        # axis and the sigma-ball's seven axis rows; only the slanted ones
+        # and the axes count, C(13, 6) = 1716 subsets where 14 rows and the
+        # axes would need C(21, 6) = 54264
+        a = np.eye(7) + np.diag(np.full(6, 0.5), k=1)
+        z = inflate(linear_map(a, box_zonotope(np.zeros(7), np.ones(7))), 0.25)
+        assert z.order == 14
+        assert intersects_box(z, [(0.5, 1.0)] * 7)
+        assert intersects_box(z, [(-0.25, -0.25)] * 7)  # a vertex
+        assert not intersects_box(z, [(1.5, 1.5)] * 7)  # inside the hull
+        assert not intersects_box(z, [(1.5, 1.5)] * 6 + [(-0.25, -0.25)])
+
+    def test_too_many_directions_refused(self):
+        # eight slanted generators and the eight axes: C(16, 7) = 11440 subsets
+        generators = np.eye(8) + np.roll(np.eye(8), 1, axis=1)
+        z = Zonotope(np.zeros(8), generators)
+        with pytest.raises(ValueError) as refused:
+            intersects_box(z, [(0.5, 0.5)] * 8)
+        assert str(refused.value) == (
+            "8-D zonotope: the separating-axis check over 16 directions needs more "
+            "than MAX_NORMAL_SUBSETS = 4096 normal subsets"
+        )
 
 
 class TestSeparatingNormals:
@@ -259,8 +283,16 @@ class TestSeparatingNormals:
         normals = separating_normals(np.vstack([np.eye(3), [[2.0, 0.0, 0.0]]]))
         assert normals.tolist() == [[0.0, 0.0, 0.5], [0.0, -0.5, 0.0], [0.5, 0.0, 0.0]]
 
-    def test_flat_directions_give_none(self):
-        assert separating_normals(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])) is None
+    def test_flat_directions_get_the_axes_normals(self):
+        # collinear rows span one dimension; with the axes appended they give
+        # (1, 1, 0) x e1, (1, 1, 0) x e3, e1 x e3 and e2 x e3, the normals
+        # of the segment thickened by a small cube
+        normals = separating_normals(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))
+        assert normals.tolist() == [[0.0, 0.0, -0.5], [0.5, -0.5, 0.0], [0.0, -0.5, 0.0], [0.5, 0.0, 0.0]]
+
+    def test_past_the_cap_gives_none(self):
+        assert separating_normals(np.ones((9, 8))) is None  # C(17, 7) = 19448 subsets
+        assert separating_normals(np.ones((6, 8))) is not None  # C(14, 7) = 3432
 
 
 def _zonotope(draw, n: int) -> Zonotope:
@@ -298,6 +330,24 @@ def dyadic_zonotope_and_direction(draw):
     return z, direction, widths
 
 
+@st.composite
+def dyadic_flat_case(draw):
+    """A dyadic segment or plane in 3-D or 4-D and a dyadic point on it.
+
+    Sixteenths times eighths sum exactly, so the point lies on the set in
+    floating point too.
+    """
+    n = draw(st.sampled_from([3, 4]))
+    sixteenths = st.integers(-16, 16).map(lambda k: k / 16.0)
+    order = draw(st.integers(1, 2))
+    z = Zonotope(
+        center=[draw(sixteenths) for _ in range(n)],
+        generators=[[draw(sixteenths) for _ in range(n)] for _ in range(order)],
+    )
+    alpha = np.array([draw(st.integers(-8, 8)) / 8.0 for _ in range(order)])
+    return z, z.center + alpha @ z.generators
+
+
 class TestIntersectsBoxAgainstProgram:
     """The separating-axis decision against an independent linear program."""
 
@@ -317,18 +367,32 @@ class TestIntersectsBoxAgainstProgram:
         assert box_distance(z, box) <= 1e-9
         assert intersects_box(z, box)
 
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_flat_case())
+    def test_points_on_flat_sets_meet(self, case):
+        z, point = case
+        assert intersects_box(z, [(x, x) for x in point.tolist()])
+
 
 def test_import_leaves_the_solver_unloaded():
-    # the solver package is most of the import time; only flat or very
-    # high-order intersection tests load it, and the detector never does
+    # numpy is the only runtime dependency: with scipy refused by the import
+    # system, a run, the analyses and a flat intersection test still work
     src = str(Path(hybridmon.__file__).resolve().parents[1])
     code = (
         "import sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
         "import hybridmon\n"
-        "loaded = 'scipy.optimize' in sys.modules\n"
-        "detector = hybridmon.Detector(hybridmon.train_gate_model())\n"
-        "detector.evaluate_rows(((1,),), [True], [[10.0, 1.0]], [[0.02, -0.01]], (None,))\n"
-        "print(loaded, 'scipy.optimize' in sys.modules)\n"
+        "model = hybridmon.train_gate_model()\n"
+        "result = hybridmon.simulate(hybridmon.train_gate_scenario(seed=0, duration=20.0))\n"
+        "hybridmon.state_guarantees(model)\n"
+        "hybridmon.synthesize_gains(model)\n"
+        "segment = hybridmon.Zonotope([0.0, 0.0, 0.0], [[1.0, 1.0, 1.0]])\n"
+        "print(result.summary.samples, hybridmon.intersects_box(segment, [(0.5, 0.5)] * 3))\n"
+        "print(any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -338,7 +402,7 @@ def test_import_leaves_the_solver_unloaded():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["200", "True", "False"]
 
 
 def one_mode(a, b, w, mu):

@@ -267,6 +267,13 @@ class TestBlockSafety:
 
 
 class TestSimulateValidation:
+    def test_negative_seed_refused_also_through_replace(self):
+        config = train_gate_scenario(seed=0, duration=1.0)
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            dataclasses.replace(config, seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -3$"):
+            sweep(config, [2, -3])
+
     def test_rejects_model_with_assumption_violations(self):
         model = HybridAutomaton(
             modes=(
