@@ -252,12 +252,7 @@ def _cmd_compute_bounds(args: argparse.Namespace) -> int:
     refuse_invalid(validate_model(model))
     for mode_id, bound in state_guarantees(model).items():
         z = "n/a" if bound.z_star is None else f"{bound.z_star:.6g}"
-        if bound.d_star is None:
-            d = "n/a"
-        elif math.isinf(bound.d_star):
-            d = "unbounded"
-        else:
-            d = f"{bound.d_star:.6g}"
+        d = "n/a" if bound.d_star is None else f"{bound.d_star:.6g}"
         threshold = "n/a" if bound.threshold is None else f"{bound.threshold:.6g}"
         print(f"state {mode_id}: z* = {z}, d* = {d}, threshold = {threshold}")
     return 0

@@ -9,14 +9,15 @@ whole horizon-step reachable band past the neighbor hyperplane). The
 per-state detection threshold is the larger available arm plus the
 measurement uncertainty margin. All inner optimizations are over boxes,
 so maxima and minima are closed-form; a vertex-enumeration oracle
-cross-checks the closed form in tests. A falling guard is solved in its
-own sign on the model as given: its overshoot is the low end of the
-one-step guard-axis hull, and its arms read the guard axis negated, which
-is the model mirrored on that axis. The neighbor face's tie rule
-(`model.neighbor_value`) picks mirrored faces in a model and its mirror,
-so both give the same thresholds. `classify_fdia` asks the static
-question the residual monitor leaves open: whether an attack on a set of
-sensors can stay invisible to it.
+cross-checks the closed form in tests. The band minimum behind d* is
+piecewise linear in the offset, so d* is one division, rounded up, not a
+search. A falling guard is solved in its own sign on the model as given:
+its overshoot is the low end of the one-step guard-axis hull, and its arms
+read the guard axis negated, which is the model mirrored on that axis.
+The neighbor face's tie rule (`model.neighbor_value`) picks mirrored faces
+in a model and its mirror, so both give the same thresholds.
+`classify_fdia` asks the static question the residual monitor leaves
+open: whether an attack on a set of sensors can stay invisible to it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ import numpy as np
 
 from .model import HybridAutomaton, ModeId, RegionDecomposition, Transition, decompose_regions
 from .reachability import compute_all_deltas, guard_axis_hulls, reach_operator
-
-BISECT_TOL = 1e-9
-
 
 class EmptyGeometryError(RuntimeError):
     """The one-step overshoot slab does not reach past the guard."""
@@ -121,30 +119,45 @@ def _d_star(
 ) -> float:
     """Horizon-arm threshold for one guard; +inf when the arm is unavailable.
 
-    The arm is unavailable when no offset works, and when the guard-axis
-    coefficient of A^delta_q is negative, since the bisection behind d*
-    needs it nonnegative; the z* arm alone then decides. A falling
-    guard is solved as a rising one on the guard axis negated, which changes
-    only the off-diagonal entries of the guard-axis row of A^delta_q, the
-    invariant's guard-axis interval, the guard and the neighbor value, so
-    only those are negated.
+    d* is the least offset d whose band, the guard axis pinned to
+    [c_g + d - margin, c_g + d + margin] within the invariant, has every
+    delta_q-step image at least sigma past the neighbor value c_l. View the
+    guard as rising: a falling one is read on its guard axis negated, which
+    negates the off-diagonal entries of the guard-axis row of A^delta_q, the
+    invariant's guard-axis interval, the guard and the neighbor value. With
+    a the guard-axis entry of that row and rest the box minimum of the row's
+    other entries over the invariant, the band minimum is
+    rest + a * max(inv_lo, c_g + d - margin). So with need = c_l + sigma - rest,
+    d* is the first offset whose band meets the invariant when
+    a * inv_lo >= need, +inf when a * inv_hi < need, and need / a - c_g + margin
+    otherwise, floored at 0. That last value is rounded up by eight units of
+    roundoff on its terms, since c_g + d - margin cancels, so that the band
+    at d* clears in floats too.
+
+    The arm is also unavailable when a < 0: the band minimum then falls as
+    the offset grows, so an offset that clears says nothing of larger ones,
+    and the z* arm alone decides.
     """
     guard = transition.guard
     axis, sign = guard.axis, guard.sign
     a_power, sigma = reach_operator(model.dynamics(transition.source), delta_q)
-    a_row = a_power[axis]
-    coefficient = float(a_row[axis])
-    if coefficient < 0.0:
+    a = float(a_power[axis, axis])
+    if a < 0.0:
         return math.inf
     inv_lo, inv_hi = model.invariant(transition.source).bounds()
-    c_l = regions.neighbor_values[(transition.source, transition.input_event)]
     if sign < 0:
-        a_row = -a_row
-        a_row[axis] = coefficient
         inv_lo[axis], inv_hi[axis] = -inv_hi[axis], -inv_lo[axis]
-    return _d_star_raw(
-        a_row, inv_lo, inv_hi, axis, sign * guard.threshold, sign * c_l, sigma, margin
-    )
+    rest_row = sign * a_power[axis]
+    rest_row[axis] = 0.0
+    c_g = sign * guard.threshold
+    c_l = sign * regions.neighbor_values[(transition.source, transition.input_event)]
+    need = c_l + sigma - _box_min(rest_row, inv_lo, inv_hi)
+    if a * inv_hi[axis] < need:
+        return math.inf
+    if a * inv_lo[axis] >= need:
+        return max(0.0, inv_lo[axis] - c_g - margin)
+    d = need / a - c_g + margin
+    return max(0.0, d + 8.0 * math.ulp(1.0) * (abs(need / a) + abs(c_g) + margin))
 
 
 def facet_epsilon(model: HybridAutomaton, transition: Transition) -> float:
@@ -159,55 +172,6 @@ def facet_epsilon(model: HybridAutomaton, transition: Transition) -> float:
     lo[guard.axis] = hi[guard.axis] = guard.threshold
     hull = next(guard_axis_hulls(model, transition.source, lo, hi, guard.axis))
     return hull[1] if guard.sign > 0 else hull[0]
-
-
-def _d_star_raw(
-    a_row: np.ndarray,
-    inv_lo: np.ndarray,
-    inv_hi: np.ndarray,
-    axis: int,
-    c_g: float,
-    c_l: float,
-    sigma: float,
-    margin: float,
-) -> float:
-    """Least offset d whose measurement band reaches past the neighbor value.
-
-    All arguments are those of a rising guard (`_d_star` negates a falling
-    one). The band pins the guard axis to [c_g + d - margin, c_g + d + margin];
-    an offset whose band misses the invariant entirely proves nothing and
-    fails. The band minimum is nondecreasing in d when the guard-axis
-    coefficient a_row[axis] is nonnegative, which the caller checks, so the
-    least satisfying d is found by bisection.
-    """
-
-    def band_min(d: float) -> float | None:
-        blo = max(inv_lo[axis], c_g + d - margin)
-        bhi = min(inv_hi[axis], c_g + d + margin)
-        if blo > bhi:
-            return None
-        lo = inv_lo.copy()
-        hi = inv_hi.copy()
-        lo[axis], hi[axis] = blo, bhi
-        return _box_min(a_row, lo, hi)
-
-    def holds(d: float) -> bool:
-        m = band_min(d)
-        return m is not None and m - sigma >= c_l
-
-    d_cap = inv_hi[axis] - c_g + margin  # largest d whose band still meets the invariant
-    if not holds(d_cap):
-        return math.inf
-    if holds(0.0):
-        return 0.0
-    lo_d, hi_d = 0.0, d_cap
-    while hi_d - lo_d > BISECT_TOL:
-        mid = (lo_d + hi_d) / 2.0
-        if holds(mid):
-            hi_d = mid
-        else:
-            lo_d = mid
-    return hi_d
 
 
 def state_guarantees(

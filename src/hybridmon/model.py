@@ -180,9 +180,12 @@ class Guard:
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ModelError(f"guard sign must be -1 or +1, got {self.sign}")
+        if isinstance(self.sign, (bool, np.bool_)) or self.sign not in (-1, 1):
+            raise ModelError(f"guard sign must be -1 or +1, got {self.sign!r}")
+        if isinstance(self.axis, (bool, np.bool_)) or not float(self.axis).is_integer():
+            raise ModelError(f"guard axis must be a whole number, got {self.axis!r}")
         object.__setattr__(self, "axis", int(self.axis))
+        object.__setattr__(self, "sign", int(self.sign))
         object.__setattr__(self, "threshold", float(self.threshold))
 
     def satisfied(self, x: Sequence[float]) -> bool:
@@ -232,9 +235,10 @@ class HybridAutomaton:
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        if isinstance(self.dwell_time, bool) or not float(self.dwell_time).is_integer():
-            raise ModelError(f"dwell_time must be a whole number of samples, got {self.dwell_time!r}")
-        object.__setattr__(self, "dwell_time", int(self.dwell_time))
+        dwell = self.dwell_time
+        if isinstance(dwell, (bool, np.bool_)) or not float(dwell).is_integer():
+            raise ModelError(f"dwell_time must be a whole number of samples, got {dwell!r}")
+        object.__setattr__(self, "dwell_time", int(dwell))
         object.__setattr__(self, "sampling_period", float(self.sampling_period))
         object.__setattr__(self, "theta", float(self.theta))
         if not self.modes:

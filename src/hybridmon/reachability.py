@@ -174,18 +174,26 @@ def guard_axis_hulls(
         yield bounds
 
 
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack (..., k, k) by cofactor expansion along the first row.
+def _cross_products(stacks: np.ndarray) -> np.ndarray:
+    """Generalized cross products of a stack (m, n-1, n): the n signed cofactors of each.
 
-    Products and sums only, so small dyadic entries give exact results
-    (LU does not); the stacks here are at most a few rows wide.
+    Each minor is a determinant by cofactor expansion along its first row,
+    products and sums only, so small dyadic entries give exact results (LU
+    does not). The minor on the last s rows and a column set C recurs across
+    the cofactors, so each is computed once, bottom-up over s, into a table
+    keyed by C: 2^n - 1 minors instead of n! products per cofactor.
     """
-    k = m.shape[-1]
-    if k == 0:
-        return np.ones(m.shape[:-2])
-    return sum(
-        (-1.0) ** j * m[..., 0, j] * _det(np.delete(m[..., 1:, :], j, axis=-1))
-        for j in range(k)
+    n = stacks.shape[-1]
+    minors = {(): np.ones(len(stacks))}
+    for size in range(1, n):
+        row = stacks[:, n - 1 - size]
+        for cols in combinations(range(n), size):
+            minors[cols] = sum(
+                (-1.0) ** j * row[:, c] * minors[cols[:j] + cols[j + 1 :]]
+                for j, c in enumerate(cols)
+            )
+    return np.stack(
+        [(-1.0) ** k * minors[tuple(c for c in range(n) if c != k)] for k in range(n)], axis=-1
     )
 
 
@@ -201,8 +209,9 @@ def separating_normals(directions: np.ndarray) -> np.ndarray | None:
     are among the result whatever the cube's size. Two convex sets whose
     Minkowski difference is a zonotope along `directions` are therefore
     disjoint exactly when one of these directions separates their
-    projections, flat or not. Returns None when there are more than
-    MAX_NORMAL_SUBSETS subsets.
+    projections, flat or not. `_cross_products` reads each subset's n
+    cofactors from one table of minors shared by all of them. Returns None
+    when there are more than MAX_NORMAL_SUBSETS subsets.
     """
     directions = np.asarray(directions, dtype=float)
     n = directions.shape[1]
@@ -211,10 +220,7 @@ def separating_normals(directions: np.ndarray) -> np.ndarray | None:
         return None
     if n == 1:
         return np.ones((1, 1))
-    subsets = directions[list(combinations(range(len(directions)), n - 1))]
-    normals = np.stack(
-        [(-1.0) ** k * _det(np.delete(subsets, k, axis=-1)) for k in range(n)], axis=-1
-    )
+    normals = _cross_products(directions[list(combinations(range(len(directions)), n - 1))])
     normals = normals[np.any(normals != 0.0, axis=1)]
     # scale by a power of two, which is exact, to a largest entry in [0.5, 1)
     largest = np.max(np.abs(normals), axis=1)

@@ -9,7 +9,10 @@ falling guard is solved as it was before the analyses took each guard in
 its own sign: on the whole model mirrored on the guard axis, whose regions
 are decomposed afresh, where the guard rises. The package must give the
 same horizons, overshoots, thresholds, detector slabs, gains, covariances,
-iteration counts and final increments, bit for bit.
+iteration counts and final increments, bit for bit. It also keeps the
+bisection that found d* before the closed form, with the float band test it
+bisected on: the closed form must pass that test and stay within
+BISECT_TOL below the bisection.
 """
 
 import math
@@ -21,6 +24,7 @@ from hybridmon.guarantees import (
     EmptyGeometryError,
     GuaranteeBound,
     GuardGuarantee,
+    _box_min,
     _d_star,
     box_max,
 )
@@ -32,7 +36,16 @@ from hybridmon.kalman import (
     RiccatiError,
 )
 from hybridmon.model import GEOM_TOL, Guard, Invariant, Mode, decompose_regions
-from hybridmon.reachability import MAX_DELTA, HorizonError, _facet_box, box_zonotope, reach
+from hybridmon.reachability import (
+    MAX_DELTA,
+    HorizonError,
+    _facet_box,
+    box_zonotope,
+    reach,
+    reach_operator,
+)
+
+BISECT_TOL = 1e-9
 
 
 def compute_delta(model, regions, mode_id):
@@ -142,6 +155,83 @@ def z_star(model, transition, eps, margin):
         raise EmptyGeometryError("overshoot slab misses the source invariant")
     dyn_t = model.dynamics(transition.target)
     return max(0.0, box_max(dyn_t.a[guard.axis], lo, hi) + dyn_t.step_bound + margin - c_g)
+
+
+def rising_band(model, regions, transition, delta_q):
+    """(a_row, inv_lo, inv_hi, c_g, c_l, sigma) of the horizon arm, the guard read as rising.
+
+    None when the guard-axis entry of A^delta_q is negative.
+    """
+    guard = transition.guard
+    axis, sign = guard.axis, guard.sign
+    a_power, sigma = reach_operator(model.dynamics(transition.source), delta_q)
+    a_row = a_power[axis]
+    coefficient = float(a_row[axis])
+    if coefficient < 0.0:
+        return None
+    inv_lo, inv_hi = model.invariant(transition.source).bounds()
+    c_l = regions.neighbor_values[(transition.source, transition.input_event)]
+    if sign < 0:
+        a_row = -a_row
+        a_row[axis] = coefficient
+        inv_lo[axis], inv_hi[axis] = -inv_hi[axis], -inv_lo[axis]
+    return a_row, inv_lo, inv_hi, sign * guard.threshold, sign * c_l, sigma
+
+
+def band_minimum(band, axis, margin, d):
+    """Least delta-step image of the band at offset d, in floats.
+
+    None when the band misses the invariant.
+    """
+    a_row, inv_lo, inv_hi, c_g, _, _ = band
+    blo = max(inv_lo[axis], c_g + d - margin)
+    bhi = min(inv_hi[axis], c_g + d + margin)
+    if blo > bhi:
+        return None
+    lo, hi = inv_lo.copy(), inv_hi.copy()
+    lo[axis], hi[axis] = blo, bhi
+    return _box_min(a_row, lo, hi)
+
+
+def band_clears(band, axis, margin, d):
+    """Whether the band at offset d meets the invariant and clears the neighbor value by sigma."""
+    m = band_minimum(band, axis, margin, d)
+    return m is not None and m - band[5] >= band[4]
+
+
+def d_cap(band, axis, margin):
+    """The largest offset whose band meets the invariant, in exact arithmetic."""
+    _, _, inv_hi, c_g, _, _ = band
+    return inv_hi[axis] - c_g + margin
+
+
+def d_star_bisection(model, regions, transition, delta_q, margin):
+    """d* as a bisection on `band_clears` to BISECT_TOL, returning the bracket's upper end.
+
+    +inf when the band fails at `d_cap`, which rounding can leave empty
+    although smaller offsets pass.
+    """
+    band = rising_band(model, regions, transition, delta_q)
+    if band is None:
+        return math.inf
+    axis = transition.guard.axis
+
+    def holds(d):
+        return band_clears(band, axis, margin, d)
+
+    hi_d = d_cap(band, axis, margin)
+    if not holds(hi_d):
+        return math.inf
+    if holds(0.0):
+        return 0.0
+    lo_d = 0.0
+    while hi_d - lo_d > BISECT_TOL:
+        mid = (lo_d + hi_d) / 2.0
+        if holds(mid):
+            hi_d = mid
+        else:
+            lo_d = mid
+    return hi_d
 
 
 def state_guarantees(model, regions, deltas):

@@ -14,7 +14,7 @@ from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT, train_gate_model
 ND_ACTUATOR = Path(__file__).resolve().parents[1] / "monbench" / "nd_actuator.json"
 
 # mode 1 has no threshold arm: its guard-axis coefficient A[0, 0] = -0.5 is
-# negative, so d* cannot be bisected, and it maps the guard at 5 to -2.5,
+# negative, so the d* arm is unavailable, and it maps the guard at 5 to -2.5,
 # which the noise w = 3 lifts only to 0.5, so z* has no overshoot. The model
 # is valid and runs.
 UNSOLVABLE_MODEL = {
@@ -334,7 +334,7 @@ class TestStaticCommands:
 
     def test_unbisectable_d_star_leaves_the_z_star_arm(self, capsys, tmp_path):
         # A[0, 1] = 0.9 lifts mode 1's overshoot to 5.0, so z* = 3.2 stands
-        # alone while d* cannot be bisected
+        # alone while the d* arm is unavailable
         doc = json.loads(json.dumps(UNSOLVABLE_MODEL))
         doc["states"][0]["A"] = [[-0.5, 0.9], [0.0, 0.9]]
         code, out, err = run_cli(capsys, "compute-bounds", write_model(tmp_path, doc))

@@ -174,13 +174,13 @@ class TestDStarBisection:
 
     def test_negative_guard_axis_coefficient_refused(self):
         # A = -0.5: A^1 flips the guard axis, so the band minimum falls as the
-        # offset grows and bisection would return a wrong threshold; the arm
-        # is unavailable instead. The z* arm has no overshoot here, so the
-        # d* arm is called alone.
+        # offset grows and a least clearing offset would be a wrong threshold;
+        # the arm is unavailable instead. The z* arm has no overshoot here, so
+        # the d* arm is called alone.
         model = face_model(a_source=-0.5)
         regions, tr = decompose_regions(model), model.transitions[0]
         assert _d_star(model, regions, tr, 1, _margin(model)) == math.inf
-        # A^2 = 0.25 is nonnegative, so the search runs; a quarter of the
+        # A^2 = 0.25 is nonnegative, so the arm is solved; a quarter of the
         # band never reaches the neighbor face at 10, so no offset works.
         assert _d_star(model, regions, tr, 2, _margin(model)) == math.inf
 
@@ -602,6 +602,91 @@ def tie_pair(sign):
         [sorted((sign * 5.0, sign * 15.0))],
         Guard(axis=0, sign=sign, threshold=sign * 5.0),
     )
+
+
+def draw(index):
+    """The generated pair at this index of the `default_rng(16)` sequence."""
+    rng = np.random.default_rng(16)
+    for _ in range(index + 1):
+        model, _ = generated_pair(rng)
+    return model
+
+
+def d_star_and_bisection(model):
+    """d* of the first guard, the bisection's d* and the rising band, at the model's horizon.
+
+    None when the horizon is 0, where the arm is not solved.
+    """
+    regions = decompose_regions(model)
+    delta = compute_all_deltas(model, regions)[0]
+    if delta == 0:
+        return None
+    tr, margin = model.transitions[0], _margin(model)
+    return (
+        _d_star(model, regions, tr, delta, margin),
+        analysis_reference.d_star_bisection(model, regions, tr, delta, margin),
+        analysis_reference.rising_band(model, regions, tr, delta),
+    )
+
+
+class TestDStarClosedForm:
+    """d* in closed form against the bisection it replaced (`analysis_reference`)."""
+
+    def test_generated_pairs_bracket_the_bisection(self):
+        rng = np.random.default_rng(16)
+        calls = finite = rescued = 0
+        for _ in range(3000):
+            model, _ = generated_pair(rng)
+            solved = d_star_and_bisection(model)
+            if solved is None:
+                continue
+            got, want, band = solved
+            axis, margin = model.transitions[0].guard.axis, _margin(model)
+            calls += 1
+            if math.isfinite(want):
+                assert want - 1e-9 <= got <= want
+            if math.isfinite(got):
+                assert analysis_reference.band_clears(band, axis, margin, got)
+                finite += 1
+                rescued += not math.isfinite(want)
+            elif band is not None:
+                # the band minimum grows with the offset, so the offsets just
+                # below the cap, whose bands still meet the invariant, fall
+                # short of the neighbor value if any offset does
+                cap = analysis_reference.d_cap(band, axis, margin)
+                step = math.ulp(abs(cap) + abs(band[3]) + abs(band[2][axis]) + margin)
+                tops = [
+                    analysis_reference.band_minimum(band, axis, margin, cap - k * step)
+                    for k in range(4)
+                ]
+                tops = [m for m in tops if m is not None]
+                assert tops and all(m - band[5] < band[4] for m in tops)
+        assert (calls, finite, rescued) == (2361, 1883, 343)
+
+    def test_band_empty_at_the_cap_keeps_the_arm(self):
+        # draw 24: 1-D, rising, the guard at the midpoint of the source
+        # invariant. c_g + d_cap - margin rounds one ulp above inv_hi, so the
+        # band is empty at d_cap and the bisection read the arm as unavailable
+        model = draw(24)
+        got, want, band = d_star_and_bisection(model)
+        cap = analysis_reference.d_cap(band, 0, _margin(model))
+        assert analysis_reference.band_minimum(band, 0, _margin(model), cap) is None
+        assert want == math.inf
+        assert got == pytest.approx(0.0277030600, abs=1e-9)
+        assert state_guarantees(model)[0].d_star == got
+
+    def test_guard_below_the_invariant_waits_for_the_band_to_meet_it(self):
+        # the rising guard at -1 lies below the source invariant [0, 10]; the
+        # band at d = 0 misses the invariant and proves nothing, so d* is the
+        # first offset whose band meets it, 0 + 1 - margin, where the
+        # bisection stops just above
+        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0)
+        model = one_guard_pair(dyn, [(0.0, 10.0)], [(-1.0, 15.0)], Guard(0, 1, -1.0))
+        regions, tr, margin = decompose_regions(model), model.transitions[0], _margin(model)
+        assert margin == 0.25
+        assert _d_star(model, regions, tr, 1, margin) == 0.75
+        want = analysis_reference.d_star_bisection(model, regions, tr, 1, margin)
+        assert want - 1e-9 <= 0.75 <= want
 
 
 class TestSignAwareGuards:

@@ -140,6 +140,26 @@ class TestPrimitives:
         with pytest.raises(ModelError):
             Guard(axis=0, sign=0, threshold=1.0)
 
+    def test_guard_refuses_fractional_and_bool_fields(self):
+        refusals = [
+            ((0.5, 1), "guard axis must be a whole number, got 0.5"),
+            ((True, 1), "guard axis must be a whole number, got True"),
+            ((np.nan, 1), "guard axis must be a whole number, got nan"),
+            ((np.True_, 1), "guard axis must be a whole number, got np.True_"),
+            ((0, True), "guard sign must be -1 or +1, got True"),
+            ((0, np.True_), "guard sign must be -1 or +1, got np.True_"),
+            ((0, 0.5), "guard sign must be -1 or +1, got 0.5"),
+        ]
+        for (axis, sign), message in refusals:
+            with pytest.raises(ModelError) as refused:
+                Guard(axis=axis, sign=sign, threshold=1.0)
+            assert str(refused.value) == message
+
+    def test_guard_integral_floats_become_ints(self):
+        guard = Guard(axis=1.0, sign=-1.0, threshold=1.0)
+        assert (guard.axis, guard.sign) == (1, -1)
+        assert type(guard.axis) is int and type(guard.sign) is int
+
     def test_mode_dimension_mismatch(self):
         with pytest.raises(ModelError):
             Mode("m", dyn1(), Invariant(((0.0, 1.0), (0.0, 1.0))))
@@ -217,6 +237,7 @@ class TestAutomatonValidation:
             ((1, 0.0, 0.05), "sampling_period must be finite and positive, got 0.0"),
             ((15.7, 0.1, 0.05), "dwell_time must be a whole number of samples, got 15.7"),
             ((True, 0.1, 0.05), "dwell_time must be a whole number of samples, got True"),
+            ((np.True_, 0.1, 0.05), "dwell_time must be a whole number of samples, got np.True_"),
             ((np.nan, 0.1, 0.05), "dwell_time must be a whole number of samples, got nan"),
         ]
         for header, message in refusals:

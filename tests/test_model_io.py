@@ -150,3 +150,20 @@ def test_header_values_that_disarm_the_monitor_refused(tmp_path, field, text, me
     with pytest.raises(ModelError) as refused:
         load_model(path)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("axis", 0.5, "guard axis must be a whole number, got 0.5"),
+        ("axis", True, "guard axis must be a whole number, got True"),
+        ("sign", True, "guard sign must be -1 or +1, got True"),
+    ],
+)
+def test_fractional_or_bool_guard_fields_refused(field, value, message):
+    # 0.5 would read as axis 0, and true as sign +1, since True == 1
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    doc["transitions"][0]["guard"][field] = value
+    with pytest.raises(ModelError) as refused:
+        parse_model(doc)
+    assert str(refused.value) == message

@@ -32,6 +32,7 @@ from hybridmon import (
 )
 from hybridmon import reachability
 from hybridmon.reachability import (
+    _cross_products,
     compute_all_deltas,
     guard_axis_hulls,
     separating_normals,
@@ -261,7 +262,42 @@ class TestIntersectsBox:
         )
 
 
+def _det(m):
+    """Determinants of a stack (..., k, k) by recursive cofactor expansion along the first row."""
+    k = m.shape[-1]
+    if k == 0:
+        return np.ones(m.shape[:-2])
+    return sum(
+        (-1.0) ** j * m[..., 0, j] * _det(np.delete(m[..., 1:, :], j, axis=-1))
+        for j in range(k)
+    )
+
+
+def reference_cross_products(stacks):
+    """The n signed cofactors of each (n-1, n) stack, every minor expanded afresh."""
+    n = stacks.shape[-1]
+    return np.stack(
+        [(-1.0) ** k * _det(np.delete(stacks, k, axis=-1)) for k in range(n)], axis=-1
+    )
+
+
 class TestSeparatingNormals:
+    def test_minor_table_has_the_bits_of_the_recursion(self):
+        # 2-D to 6-D stacks of dyadic or uniform entries with 0.0 and -0.0
+        # scattered in: the table does the recursion's products and sums in
+        # its order, so even the sign of a zero agrees
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            stacks = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 20)), n - 1, n))
+            if rng.random() < 0.5:
+                stacks = np.round(stacks * 16.0) / 16.0
+            zeros = rng.random(stacks.shape)
+            stacks[zeros < 0.2] = 0.0
+            stacks[zeros > 0.85] = -0.0
+            got = _cross_products(stacks)
+            assert got.tobytes() == reference_cross_products(stacks).tobytes()
+
     def test_plane_gives_perpendiculars(self):
         normals = separating_normals(np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 1.0]]))
         assert normals.tolist() == [[0.5, -0.25], [0.0, -0.5], [0.5, 0.0]]  # powers of two apart
