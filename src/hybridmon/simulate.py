@@ -29,10 +29,9 @@ built on its first run and kept on the model object for the next.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, TextIO
@@ -80,6 +79,13 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("ramp", "step", "custom"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        for axis in self.axes:
+            whole = isinstance(axis, numbers.Real) and float(axis).is_integer()
+            if isinstance(axis, bool) or not whole:
+                raise ValueError(f"attack axis must be a whole number, got {axis!r}")
+        # whole floats and numpy integers become ints; a tuple of ints is kept as passed
+        if any(type(axis) is not int for axis in self.axes):
+            object.__setattr__(self, "axes", tuple(map(int, self.axes)))
         if len(set(self.axes)) != len(self.axes):
             raise ValueError("attack axes repeat")
         if any(a < 0 for a in self.axes):
@@ -819,46 +825,73 @@ def _write_rows(
     mode_cell: Callable[[ModeId], str],
     node_cell: Callable[[Node], str],
 ) -> None:
-    """Write each row of the trace as row_format % cells, one write per BLOCK rows.
+    """Write each row of the trace as row_format % cells, BLOCK rows of cells at a time.
 
     A row's cells come in the column order both formats share: time, state,
     output, estimate, residual, then `_VERDICT_COLUMNS`. `numbers` turns a
     list of floats into cells and `flags` is the (false, true) cell pair;
     `mode_cell` and `node_cell` encode a mode id and an observer node, once
-    per distinct value per file. Only one block of cells is alive at a time,
-    so memory stays flat whatever the trace length.
+    per distinct value per file. Each run of adjacent flag columns, the
+    conflicts with the alarm and the two settling flags, fills its slots as
+    one cell looked up by the bit code of its flags: the flags' cells joined
+    by the text row_format has between their slots. A block's rows go to the
+    file one at a time, and its cells are gone before the next block's are
+    built, so a writer holds one block of cells beyond the trace whatever
+    its length.
     """
+    pieces = row_format.split("%s")
+    first_verdict = len(pieces) - 1 - len(_VERDICT_COLUMNS)
+    runs = []
+    # the last run first, so dropping its joints leaves the earlier slots in place
+    for names in (("steady", "warming_up"), ("conflict_a", "conflict_b", "conflict_c", "alarm")):
+        start = first_verdict + _VERDICT_COLUMNS.index(names[0])
+        joints = pieces[start + 1 : start + len(names)]
+        del pieces[start + 1 : start + len(names)]
+        table = [
+            flags[code & 1]
+            + "".join(joint + flags[code >> j & 1] for j, joint in enumerate(joints, 1))
+            for code in range(1 << len(names))
+        ]
+        runs.append(([getattr(trace, name) for name in names], table))
+    row_format = "%s".join(pieces)
     floats = (trace.times[:, None], trace.x_true, trace.y, trace.x_est, trace.residual)
     labels = ((trace.mode_true, mode_cell, {}), (trace.node, node_cell, {}))
-    flag_columns = (
-        trace.conflict_a, trace.conflict_b, trace.conflict_c, trace.alarm,
-        trace.steady, trace.warming_up,
-    )
-    for lo in range(0, len(trace), BLOCK):
-        rows = slice(lo, lo + BLOCK)
+
+    def block(rows: slice) -> Iterable[tuple[str, ...]]:
         cells = [numbers(col.tolist()) for group in floats for col in group[rows].T]
         for values, encode, cache in labels:
             values = values[rows]
             for value in set(values).difference(cache):
                 cache[value] = encode(value)
             cells.append(map(cache.__getitem__, values))
-        flag_cells = [map(flags.__getitem__, col[rows].tolist()) for col in flag_columns]
-        cells += flag_cells[:4] + [numbers(trace.volume[rows].tolist())] + flag_cells[4:]
-        handle.write("".join(map(row_format.__mod__, zip(*cells))))
+        settling, conflicts = (
+            map(table.__getitem__, sum(col[rows] << j for j, col in enumerate(columns)).tolist())
+            for columns, table in runs
+        )
+        return zip(*cells, conflicts, numbers(trace.volume[rows].tolist()), settling)
+
+    for lo in range(0, len(trace), BLOCK):
+        handle.writelines(map(row_format.__mod__, block(slice(lo, lo + BLOCK))))
 
 
 def _csv_cell(text: str) -> str:
-    """The cell `csv.writer` writes for text inside a row, quoted if it must be."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow([text, ""])
-    return buffer.getvalue()[: -len(",\r\n")]
+    """The cell `csv.writer`'s excel dialect writes for text inside a row.
+
+    Minimal quoting: text that holds a comma, a double quote, CR or LF is
+    put in double quotes, with each double quote inside doubled; any other
+    text is written as it is.
+    """
+    if any(special in text for special in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Fixed column order: time, state, output, estimate, residual, modes, verdicts.
 
     Floats are written as their repr, flags as 0/1, the node as its mode ids
-    joined by "|", with `csv.writer`'s quoting and CRLF line ends.
+    joined by "|", with `_csv_cell`'s quoting of the two labels and CRLF line
+    ends. The file is UTF-8 whatever the locale.
     """
     dim = trace.x_true.shape[1]
     header = (
@@ -866,7 +899,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         + [f"{name}_{i}" for name in ("x", "y", "xest", "r") for i in range(dim)]
         + list(_VERDICT_COLUMNS)
     )
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
         _write_rows(
             trace,
@@ -880,11 +913,11 @@ def write_trace_csv(trace: Trace, path: str) -> None:
 
 
 def write_trace_jsonl(trace: Trace, path: str) -> None:
-    """Same records as the CSV, one JSON object per line, as `json.dumps` writes them."""
+    """Same records as the CSV, one JSON object per line, as `json.dumps` writes them, in UTF-8."""
     vector = "[" + ", ".join(["%s"] * trace.x_true.shape[1]) + "]"
     fields = [("t", "%s")] + [(name, vector) for name in ("x", "y", "xest", "r")]
     fields += [(name, "%s") for name in _VERDICT_COLUMNS]
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         _write_rows(
             trace,
             handle,

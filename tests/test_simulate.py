@@ -2,16 +2,24 @@
 
 import dataclasses
 import importlib
+import itertools
 import json
+import os
+import pickle
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_reference import reference_simulate
-from trace_io_reference import reference_write_csv, reference_write_jsonl
+from trace_io_reference import reference_csv_cell, reference_write_csv, reference_write_jsonl
 
+import hybridmon
 from hybridmon import (
     AttackSpec,
     ConstantController,
@@ -43,6 +51,7 @@ from hybridmon.observer import ObserverFsm
 from hybridmon.simulate import (
     BLOCK,
     Trace,
+    _csv_cell,
     baseline_threshold,
     write_trace_csv,
     write_trace_jsonl,
@@ -75,6 +84,27 @@ class TestAttackSpec:
             AttackSpec(axes=(0, 0))
         with pytest.raises(ValueError, match="nonnegative"):
             AttackSpec(axes=(-1,))
+
+    def test_axes_must_be_whole_numbers(self):
+        refusals = [
+            (True, "attack axis must be a whole number, got True"),
+            (np.True_, "attack axis must be a whole number, got np.True_"),
+            (0.5, "attack axis must be a whole number, got 0.5"),
+            (np.nan, "attack axis must be a whole number, got nan"),
+            (np.inf, "attack axis must be a whole number, got inf"),
+            ("1", "attack axis must be a whole number, got '1'"),
+            (None, "attack axis must be a whole number, got None"),
+        ]
+        for axis, message in refusals:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                AttackSpec(axes=(0, axis))
+
+    def test_whole_axes_become_ints(self):
+        spec = AttackSpec(axes=(1.0, np.int64(0)), kind="step", magnitude=0.5)
+        assert spec.axes == (1, 0) and all(type(axis) is int for axis in spec.axes)
+        want = AttackSpec(axes=(1, 0), kind="step", magnitude=0.5)
+        assert spec == want
+        assert spec.gamma_rows(0, 3, 0.1, 2).tobytes() == want.gamma_rows(0, 3, 0.1, 2).tobytes()
 
     def test_custom_needs_samples(self):
         with pytest.raises(ValueError, match="sample sequence"):
@@ -1250,6 +1280,62 @@ class TestBlockWriters:
             tracemalloc.stop()
         assert len(result.trace) == 2_000
         assert peak <= 1.5 * retained
+
+    def test_writer_peak_is_one_block_beyond_the_trace(self, tg_machinery, tmp_path):
+        """Each writer peaks under 100 KB above the live 2,000-row ramp trace."""
+        detector, bank, observer = tg_machinery
+        config = train_gate_scenario(seed=5, attack=ramp_attack(-0.06))
+        trace = simulate(config, detector=detector, bank=bank, observer=observer).trace
+        assert len(trace) == 2_000
+        peaks = {}
+        for writer, _, suffix in WRITERS:
+            path = str(tmp_path / f"trace.{suffix}")
+            writer(trace, path)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                writer(trace, path)
+                peaks[suffix] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 100_000, peaks
+
+    def test_csv_cell_quotes_as_csv_writer(self):
+        """Every label of up to 3 characters over the awkward ones is quoted as csv.writer does."""
+        alphabet = ("a", ",", '"', "\r", "\n", " ", "|", "\t", "'", "\\", "é", "\0", "%")
+        texts = ["".join(chars) for n in range(4) for chars in itertools.product(alphabet, repeat=n)]
+        assert len(texts) == 2_380
+        assert [text for text in texts if _csv_cell(text) != reference_csv_cell(text)] == []
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """Under an ASCII locale both writers give the reference's UTF-8 bytes."""
+        trace = dataclasses.replace(
+            _hand_trace(6, 2, seed=2),
+            mode_true=("zone-é",) * 3 + ('é,"q"',) * 3,
+            node=(("zone-é", 1),) * 6,
+        )
+        (tmp_path / "trace.pickle").write_bytes(pickle.dumps(trace))
+        script = (
+            "import pickle, sys\n"
+            "from hybridmon.simulate import write_trace_csv, write_trace_jsonl\n"
+            "with open(sys.argv[1], 'rb') as handle:\n"
+            "    trace = pickle.load(handle)\n"
+            "write_trace_csv(trace, sys.argv[2])\n"
+            "write_trace_jsonl(trace, sys.argv[3])\n"
+        )
+        src = str(Path(hybridmon.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        paths = [str(tmp_path / name) for name in ("trace.pickle", "got.csv", "got.jsonl")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *paths], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        for _, reference, suffix in WRITERS:
+            reference(trace, str(tmp_path / f"want.{suffix}"))
+            want = (tmp_path / f"want.{suffix}").read_bytes()
+            assert (tmp_path / f"got.{suffix}").read_bytes() == want, suffix
+        assert "zone-é".encode() in (tmp_path / "got.csv").read_bytes()
 
     def test_memory_stays_flat(self, tmp_path):
         """A writer's peak above the live trace does not grow with its length."""

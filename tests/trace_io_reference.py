@@ -2,12 +2,21 @@
 
 It keeps the CSV and JSONL writers as they were before they formatted a
 block of rows at a time: one `float()` per numpy scalar and one list or
-dict of cells per row, written through `csv.writer` and `json.dumps`.
-`write_trace_csv` and `write_trace_jsonl` must write the same bytes.
+dict of cells per row, written through `csv.writer` and `json.dumps`, into
+UTF-8 files. `write_trace_csv` and `write_trace_jsonl` must write the same
+bytes, and `_csv_cell` must quote a label as `reference_csv_cell` does.
 """
 
 import csv
+import io
 import json
+
+
+def reference_csv_cell(text):
+    """The cell `csv.writer` writes for text inside a row, quoted if it must be."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
 
 
 def reference_write_csv(trace, path):
@@ -22,7 +31,7 @@ def reference_write_csv(trace, path):
         + ["q", "q_node", "conflict_a", "conflict_b", "conflict_c", "alarm",
            "volume", "steady", "warming_up"]
     )
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for i in range(len(trace)):
@@ -48,7 +57,7 @@ def reference_write_csv(trace, path):
 
 def reference_write_jsonl(trace, path):
     """Same records as the CSV, one JSON object per line."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         for i in range(len(trace)):
             record = {
                 "t": float(trace.times[i]),
