@@ -9,6 +9,7 @@ single state variable. Measurements are y = x + v (identity output map).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
@@ -167,6 +168,23 @@ class LtiDynamics:
         return b_norm * self.input_bound + self.w_norm
 
 
+def real_number(value: object) -> bool:
+    """Whether value is a real number; a bool, text or None is not."""
+    # int and float first: the abstract-class check costs a microsecond
+    if type(value) in (int, float):
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def whole_number(value: object) -> bool:
+    """Whether value is a real number with no fractional part; nan and inf are not."""
+    if type(value) is int:
+        return True
+    return real_number(value) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    )
+
+
 @dataclass(frozen=True)
 class Guard:
     """Closed half-space past the hyperplane x[axis] = threshold.
@@ -182,8 +200,10 @@ class Guard:
     def __post_init__(self) -> None:
         if isinstance(self.sign, (bool, np.bool_)) or self.sign not in (-1, 1):
             raise ModelError(f"guard sign must be -1 or +1, got {self.sign!r}")
-        if isinstance(self.axis, (bool, np.bool_)) or not float(self.axis).is_integer():
+        if not whole_number(self.axis):
             raise ModelError(f"guard axis must be a whole number, got {self.axis!r}")
+        if not real_number(self.threshold):
+            raise ModelError(f"guard threshold must be a real number, got {self.threshold!r}")
         object.__setattr__(self, "axis", int(self.axis))
         object.__setattr__(self, "sign", int(self.sign))
         object.__setattr__(self, "threshold", float(self.threshold))

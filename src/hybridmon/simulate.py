@@ -6,34 +6,47 @@ observers, evaluates the conflict detector and the residual baseline, and
 reports first-alarm times against the safety-violation time. A
 counter-based generator keyed by the seed makes traces bit-reproducible.
 
-A run has two parts. The plant loop steps per sample only what feeds back
-into the plant: the controller, the guards, x = A x + B u + w and the
-measurement, with each mode's matrices, noise scales and guards looked up
-once per run and the standard normals drawn once per block of samples. A
-controller output is checked, and multiplied by each distinct B, once per
-distinct value: while its bytes match the last output's, the loop reuses
-that output's B u. The observer steps only on events. Of the rest, the loop
-records change points: the row of each event, with the new mode and node,
-and the row of each new controller output, with its B u. The monitor pass
-then takes a block of samples at a time. It rebuilds the mode, node,
-settled and event columns from the change points, steps the Kalman
-estimate one stretch of equal A, K and B u at a time (`step_rows`), and
-decides the safety predicate, the detector, the baseline monitor and the
-steady maxima with `ZoneSpeedLimit.violated` and `Detector.evaluate_rows`.
-The monitor feeds nothing back, so this gives the bits of deciding each
-sample as it comes. Products and sums are written with `out=` straight
-into buffer rows, in the operation order that fixes the bits. A model's
-validation verdict, detector, filter bank, observer and mode steps are
-built on its first run and kept on the model object for the next.
+Runs of one model are stepped together: one loop steps S seeds in
+lockstep, `sweep` hands it its seeds GROUP at a time, and `simulate` is the
+one-seed case. A run has two parts. The plant loop steps per sample only
+what feeds back into the plant: the controller, the guards, x = A x + B u +
+w and the measurement, with each mode's matrices, noise scales and guards
+looked up once per run and the standard normals drawn once per block of
+samples. Per seed, the loop calls the controller, checks the guards on the
+seed's state, read from one `tolist` of the row of all seeds, and takes A x
+with one `ndarray.dot` into the seed's row; the sums with B u and w, the
+measurement y = x + v and the attack are one elementwise call each on the
+(S, n) row of all seeds. A controller output is checked, and multiplied by
+each distinct B, once per distinct value: while its bytes match the seed's
+last output's, the loop reuses that output's B u. The observer steps only
+on events. Of the rest, the loop records change points per seed: the row of
+each event, with the new mode and node, and the row of each new controller
+output, with its B u. The monitor pass then takes a block of samples at a
+time. Per seed it rebuilds the mode, node, settled and event columns from
+the change points; `step_rows` steps the Kalman estimate of all seeds
+together, one stretch of rows at a time between the rows where some seed's
+A, K or B u changes, with one `dot` per seed and the sums shared; and per
+seed it decides the safety predicate, the detector, the baseline monitor
+and the steady maxima with `ZoneSpeedLimit.violated` and
+`Detector.evaluate_rows`. The monitor feeds nothing back, so this gives the
+bits of deciding each sample as it comes. Each product is the same `dot` on
+a C-contiguous row that a seed stepped alone would take, and every other
+step is elementwise, so each seed keeps its bits whatever runs beside it.
+Products and sums are written straight into buffer rows, in the operation
+order that fixes the bits. A seed that ends, at a stop event or a discrete
+inconsistency, is no longer stepped; its rows leave the buffers at the end
+of the block. A model's validation verdict, detector, filter bank, observer
+and mode steps are built on its first run and kept on the model object for
+the next.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -48,6 +61,7 @@ from .model import (
     readonly,
     refuse_invalid,
     validate_model,
+    whole_number,
 )
 from .observer import (
     DiscreteInconsistencyError,
@@ -80,8 +94,7 @@ class AttackSpec:
         if self.kind not in ("ramp", "step", "custom"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
         for axis in self.axes:
-            whole = isinstance(axis, numbers.Real) and float(axis).is_integer()
-            if isinstance(axis, bool) or not whole:
+            if not whole_number(axis):
                 raise ValueError(f"attack axis must be a whole number, got {axis!r}")
         # whole floats and numpy integers become ints; a tuple of ints is kept as passed
         if any(type(axis) is not int for axis in self.axes):
@@ -194,9 +207,22 @@ class ZoneSpeedLimit:
         return near & (x[..., self.speed_axis] > self.limit)
 
 
+def _whole_seed(seed: object) -> int:
+    """seed as an int; ValueError naming it unless it is a nonnegative whole number."""
+    if not whole_number(seed):
+        raise ValueError(f"seed must be a whole number, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {int(seed)}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything that determines one run; the seed fixes the trace bits."""
+    """Everything that determines one run; the seed fixes the trace bits.
+
+    The seed must be a nonnegative whole number, or ValueError names it;
+    whole floats and numpy integers are stored as int.
+    """
 
     model: HybridAutomaton
     controller: object
@@ -211,8 +237,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # initial_state is not checked here: callers build a config for one
         # model and `replace` the start to fit it
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", _whole_seed(self.seed))
         if self.attack is not None:
             self.attack.check_axes(self.model.dim)
 
@@ -308,6 +333,11 @@ def baseline_threshold(model: HybridAutomaton) -> float:
 # rows whatever its length; a larger block spends less NumPy call overhead
 # per sample and keeps more rows.
 BLOCK = 128
+
+# Seeds that `sweep` steps together. A group keeps BLOCK + 1 rows of each
+# buffer per seed; a larger group spends less NumPy call overhead per
+# seed-sample and keeps more rows.
+GROUP = 16
 
 
 def _truncated_gaussian(z: np.ndarray, sigma: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -436,24 +466,28 @@ def _machinery(model: HybridAutomaton) -> _Machinery:
     return machinery
 
 
-class _Recorder:
-    """The monitor: what does not feed back into the plant, a block at a time.
+class _Run:
+    """One seed of a lockstep group: its plant state, change points and monitor.
 
-    The loop reads sample t from row i = t % BLOCK of the buffers and steps
-    x and y of sample t + 1 straight into row i + 1, so x, y and x_est have
-    one row past the block; after a flush, the loop moves that row to row 0.
-    Of the rest, the loop records only change points: `event_rows` holds
-    (row, event pair, mode, node) for each event, the mode and node being
-    those of the next row, and `input_rows` holds (row, B u list) for each
-    row whose controller output differs from the last. `flush` is the
-    monitor pass: it rebuilds the labels from them, steps the Kalman
-    estimate, hands the block to the detector and folds its verdicts into
-    the summary figures, and, when the trace is kept, writes its columns in
+    `_Group` gives the run its index s in the group's buffers, and its rows
+    of A x and B u. The loop reads sample t from row i = t % BLOCK and
+    steps x and y of sample t + 1 straight into row i + 1, so the buffers
+    have one row past the block; after a flush, the group moves that row to
+    row 0. Of the rest, the loop records only change points: `event_rows`
+    holds (row, event pair, mode, node) for each event, the mode and node
+    being those of the next row, and `input_rows` holds (row, B u list) for
+    each row whose controller output differs from the last. The monitor pass
+    (`_flush`) has three parts: `label` rebuilds the labels from the change
+    points and marks the rows where the seed's A, K and B u change,
+    `step_rows` steps the Kalman estimate of every seed of the group, and
+    `monitor` hands the block to the detector, folds its verdicts into the
+    summary figures and, when the trace is kept, writes its columns in
     place into columns allocated for all n samples at the start.
     """
 
     def __init__(
         self,
+        seed: int,
         model: HybridAutomaton,
         detector: Detector,
         steps: dict[ModeId, _ModeStep],
@@ -462,19 +496,28 @@ class _Recorder:
         node: Node,
         n: int | None,
     ) -> None:
-        self.detector, self.steps, self.safety = detector, steps, safety
+        self.seed = seed
+        self.rng = np.random.Generator(np.random.Philox(key=seed))
+        self.model, self.detector, self.steps, self.safety = model, detector, steps, safety
         self.threshold = baseline_threshold(model)
         self.h, self.dwell, dim = model.sampling_period, model.dwell_time, model.dim
-        self.x = np.empty((BLOCK + 1, dim))
-        self.y = np.empty((BLOCK + 1, dim))
-        self.x_est = np.empty((BLOCK + 1, dim))
-        self.scratch = np.empty((2, dim))
-        self.steady = np.zeros(BLOCK, dtype=bool)
+        # the plant: the mode's step and the observer node; the last
+        # controller output that passed the check, as bytes, which tell -0.0
+        # from 0.0 and see an array rewritten in place, and its B u for each
+        # distinct B; and, once the run has ended, its last sample
+        self.step, self.node = steps[mode], node
+        self.u_bytes: bytes | None = None
+        self.bus: list[np.ndarray] = []
+        self.events: list[EventRecord] = []
+        self.stop_event: str | None = None
+        self.inconsistency: float | None = None
+        self.end: int | None = None
+        # the monitor: the change points, the labels of the next row to
+        # flush, the first sample of the current settling count, and the
+        # B u list in force for the estimate
         self.event_rows: list[tuple[int, tuple[str, str], ModeId, Node]] = []
         self.input_rows: list[tuple[int, list[np.ndarray]]] = []
-        # the labels of the next row to flush, the first sample of the
-        # current settling count, and the B u list in force
-        self.mode, self.node, self.since, self.bus = mode, node, 0, []
+        self.label_mode, self.label_node, self.since, self.est_bus = mode, node, 0, []
         self.columns: dict[str, np.ndarray] | None = None
         self.mode_column: list = []
         self.node_column: list = []
@@ -490,46 +533,74 @@ class _Recorder:
         self.first_conflict: ConflictAlarm | None = None
         self.violation: SafetyViolation | None = None
 
-    def flush(self, first: int, k: int, carry: bool) -> None:
-        """Monitor rows 0 .. k - 1, which hold samples first .. first + k - 1.
+    def draw(self, k: int) -> None:
+        """Draw the block's standard normals and lay their noise into rows 1 .. k."""
+        # row j: w of sample t + j, then v and the attack of sample t + j + 1
+        self.z = self.rng.standard_normal((k, 2, self.model.dim))
+        self.lay(0, spent=0)
 
-        With carry the run goes on, and the estimate of row k is stepped too.
+    def lay(self, i: int, spent: int) -> None:
+        """Lay the current mode's noise from row i of the block's normals on.
+
+        w of sample t + j goes into x's row j + 1 and v of sample t + j + 1
+        into y's row j + 1, where the loop adds the rest of each sum. With
+        spent=1, row i's w was used already and is not laid again.
         """
-        steady = self.steady[:k]
+        noise = _truncated_gaussian(self.z[i:], self.step.sigma, self.step.bound)
+        k, group, s = len(self.z), self.group, self.s
+        group.x[i + 1 + spent : k + 1, s] = noise[spent:, 0]
+        group.y[i + 1 : k + 1, s] = noise[:, 1]
+
+    def label(self, first: int, k: int, carry: bool, marks: dict[int, list]) -> int:
+        """Rebuild the labels of rows 0 .. k - 1, which hold samples first .. first + k - 1.
+
+        Adds (seed index, step, B u) to marks at each row where the estimate
+        changes its A, K or B u, and returns the last row whose estimate is
+        stepped: k with carry, as the run goes on, else k - 1.
+        """
+        self.k = k
+        steady = self.group.steady[self.s, :k]
         nodes: list[Node] = []
         modes: list[ModeId] = []
         events: list[tuple[str, str] | None] = [None] * k
 
-        def label(lo: int, hi: int) -> None:
-            nodes.extend([self.node] * (hi - lo))
-            modes.extend([self.mode] * (hi - lo))
+        def fill(lo: int, hi: int) -> None:
+            nodes.extend([self.label_node] * (hi - lo))
+            modes.extend([self.label_mode] * (hi - lo))
             steady[lo:hi] = False
             steady[max(lo, self.since + self.dwell - first) : hi] = True
 
         row = 0
         for at, pair, mode, node in self.event_rows:
             events[at] = pair
-            label(row, at + 1)
-            self.mode, self.node, self.since, row = mode, node, first + at + 1, at + 1
-        label(row, k)
+            fill(row, at + 1)
+            self.label_mode, self.label_node, self.since, row = mode, node, first + at + 1, at + 1
+        fill(row, k)
+        self.labels = nodes, modes, events
 
         # row r + 1's estimate is stepped with row r's node and B u, so one
         # stretch of rows shares A, K and B u between those change points
         stop = k if carry else k - 1
         inputs = dict(self.input_rows)
         changes = [at + 1 for at, *_ in self.event_rows] + list(inputs)
-        cuts = sorted({0, stop, *(c for c in changes if c < stop)})
-        for lo, hi in zip(cuts, cuts[1:]):
-            self.bus = inputs.get(lo, self.bus)
+        for lo in sorted({0, *(c for c in changes if c < stop)}):
+            self.est_bus = inputs.get(lo, self.est_bus)
             step = self.steps[nodes[lo][0]]
-            step_rows(
-                step.a, step.gain, self.bus[step.b_index], self.x_est, self.y, lo, hi, self.scratch
-            )
+            marks.setdefault(lo, []).append((self.s, step, self.est_bus[step.b_index]))
         self.event_rows.clear()
         self.input_rows.clear()
+        return stop
 
-        x, y, x_est = self.x[:k], self.y[:k], self.x_est[:k]
-        # the safety predicate is handed these rows, which it must not change
+    def monitor(self, first: int) -> None:
+        """Decide the labelled rows, their estimates stepped, and fold the verdicts in."""
+        k, group, s = self.k, self.group, self.s
+        nodes, modes, events = self.labels
+        steady = group.steady[s, :k]
+        # the seed's rows, C-contiguous (copies when the group has more
+        # than one seed); the safety predicate must not change x
+        x, y, x_est = (
+            np.ascontiguousarray(rows[:k, s]) for rows in (group.x, group.y, group.x_est)
+        )
         x.flags.writeable = False
         # sample t's time has the bits of t * h
         times = np.arange(first, first + k) * self.h
@@ -564,13 +635,270 @@ class _Recorder:
             self.mode_column += modes
             self.node_column += nodes
 
-    def trace(self, samples: int) -> Trace:
-        """The first `samples` rows, the samples the run reached."""
-        return Trace(
+    def result(self) -> SimulationResult:
+        """The run's summary, and its trace when kept, once it has ended."""
+        samples = self.end + 1
+        summary = SimulationSummary(
+            seed=self.seed,
+            completed=self.inconsistency is None,
+            end_time=self.end * self.h,
+            samples=samples,
+            stop_event=self.stop_event,
+            events=tuple(self.events),
+            first_conflict=self.first_conflict,
+            first_baseline_alarm=self.first_baseline,
+            baseline_threshold=self.threshold,
+            safety_violation=self.violation,
+            dwell_ok=bool(check_dwell(self.model, [e.sample for e in self.events])),
+            discrete_inconsistency=self.inconsistency,
+            max_residual=self.max_residual,
+            max_estimation_error=self.max_error,
+            max_volume=self.max_volume,
+        )
+        if self.columns is None:
+            return SimulationResult(summary=summary, trace=None)
+        trace = Trace(
             mode_true=tuple(self.mode_column),
             node=tuple(self.node_column),
             **{name: column[:samples] for name, column in self.columns.items()},
         )
+        return SimulationResult(summary=summary, trace=trace)
+
+
+class _Group:
+    """The buffers of the seeds stepped together, one (S, n) array per row.
+
+    Row r of seed s is [r, s] of x, y and x_est, which have BLOCK + 1
+    rows. So [r] is row r of every seed, one C-contiguous (S, n) array that
+    each shared elementwise step takes in one call, and [r, s] one seed's
+    C-contiguous row. ax holds each seed's A x, and bu its B u in force.
+    The buffers start as zeros: a run that ends leaves its rows, unread, to
+    the shared steps for the rest of the block, and they stay finite.
+    """
+
+    def __init__(self, runs: list[_Run], dim: int) -> None:
+        count = len(runs)
+        self.x, self.y, self.x_est = (np.zeros((BLOCK + 1, count, dim)) for _ in range(3))
+        self.ax, self.bu = np.zeros((2, count, dim))
+        self.steady = np.zeros((count, BLOCK), dtype=bool)
+        # what `control` is handed: read-only rows, which the loop
+        # overwrites one block later
+        self.y_seen = self.y.view()
+        self.y_seen.flags.writeable = False
+        for s, run in enumerate(runs):
+            run.group, run.s, run.ax, run.bu = self, s, self.ax[s], self.bu[s]
+
+    def carry(self, runs: list[_Run]) -> tuple[list[_Run], _Group]:
+        """The runs that go on, and their buffers, with row BLOCK moved to row 0."""
+        kept = [s for s, run in enumerate(runs) if run.end is None]
+        if len(kept) == len(runs):
+            for rows in (self.x, self.y, self.x_est):
+                rows[0] = rows[BLOCK]
+            return runs, self
+        runs = [runs[s] for s in kept]
+        group = _Group(runs, self.bu.shape[1])
+        for new, old in ((group.x, self.x), (group.y, self.y), (group.x_est, self.x_est)):
+            new[0] = old[BLOCK, kept]
+        group.bu[...] = self.bu[kept]
+        return runs, group
+
+
+def _flush(runs: list[_Run], group: _Group, first: int, k: int, carry: bool) -> None:
+    """The monitor pass over a block whose rows 0 .. k - 1 hold samples first .. first + k - 1.
+
+    With carry the runs go on, and the estimate of row k is stepped too. A
+    run that ended in the block is flushed up to its last sample. The
+    estimate's bookkeeping is gone before the detector runs, which sets the
+    peak of a summary-only run.
+    """
+    _estimate(runs, group, first, k, carry)
+    for run in runs:
+        run.monitor(first)
+
+
+def _estimate(runs: list[_Run], group: _Group, first: int, k: int, carry: bool) -> None:
+    """Label each run's rows and step the Kalman estimates of all runs together.
+
+    The estimates go one stretch of rows at a time, between the rows where
+    some seed's A, K or B u changes.
+    """
+    marks: dict[int, list] = {}
+    top = 0
+    for run in runs:
+        if run.end is None:
+            stop = run.label(first, k, carry, marks)
+        else:
+            stop = run.label(first, run.end - first + 1, False, marks)
+        top = max(top, stop)
+    a: list = [None] * len(runs)
+    gain: list = [None] * len(runs)
+    # each seed's B u in force for the estimate, and step_rows' scratch
+    bu_est, *scratch = np.zeros((4,) + group.bu.shape)
+    cuts = sorted({*marks, top})
+    for lo, hi in zip(cuts, cuts[1:]):
+        for s, step, bu in marks[lo]:
+            a[s], gain[s] = step.a, step.gain
+            bu_est[s] = bu
+        step_rows(a, gain, bu_est, group.x_est, group.y, lo, hi, scratch)
+
+
+def _lockstep(
+    config: ScenarioConfig,
+    seeds: list[int],
+    keep_trace: bool,
+    detector: Detector | None = None,
+    bank: KalmanBank | None = None,
+    observer: ObserverFsm | None = None,
+) -> list[SimulationResult]:
+    """Run config once per seed, all seeds stepped together; see `simulate` and `sweep`."""
+    model = config.model
+    machinery = _machinery(model)
+    refuse_invalid(machinery.problems)
+    x = np.array(config.initial_state, dtype=float)
+    if x.shape != (model.dim,):
+        raise ValueError(
+            f"initial_state has shape {x.shape}, not the model's ({model.dim},)"
+        )
+    if not math.isfinite(config.duration):
+        raise ValueError(f"duration must be finite, got {config.duration!r}")
+    h = model.sampling_period
+    attack = config.attack
+    if attack is not None:
+        settle = model.dwell_time * h
+        if attack.start_time < settle - 1e-12:
+            raise ValueError(
+                f"attack starts at {attack.start_time} s but the observer "
+                f"only settles at {settle} s"
+            )
+    n = int(round(config.duration / h))
+    if n <= 0:
+        raise ValueError("duration too short for one sample")
+    if detector is None:
+        detector = machinery.detector
+    if observer is None:
+        observer = machinery.observer
+
+    q: ModeId = config.initial_mode
+    if not model.invariant(q).contains(x):
+        raise ValueError("initial state lies outside the initial mode's invariant")
+    node: Node = observer.root
+    if q not in node:
+        raise ValueError("initial mode is missing from the observer root")
+    dim = x.size
+    steps, bs = machinery.steps if bank is None else _mode_steps(model, bank)
+    control = config.controller.control
+    stop_events = config.stop_events
+    keep = n if keep_trace else None
+    everyone = [_Run(seed, model, detector, steps, config.safety, q, node, keep) for seed in seeds]
+    runs, group = everyone, _Group(everyone, dim)
+    # Products are taken with `ndarray.dot(..., out=row)`, which gives the
+    # bits of `@` but for the sign of a zero: a product with one column has
+    # no sum, and keeps a -0.0 that `@` turns into +0.0. A sum is -0.0 only
+    # if both terms are, so A x + B u and A x_est + B u keep the bits of `@`
+    # when B u is not -0.0 or A x is not: A x never is for dim >= 2, and for
+    # dim 1 `_b_products` adds 0.0 to B u. So x past sample 0 is never -0.0,
+    # nor is x + v; adding the zero row of a run without attack would change
+    # nothing, and the loop skips it.
+    gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
+    step = steps[q]
+    group.x[0] = x
+    for s, run in enumerate(runs):
+        v = _truncated_gaussian(run.rng.standard_normal(dim), step.sigma[1], step.bound[1])
+        group.y[0, s] = x + v + gamma0
+    group.x_est[0] = group.y[0]
+    # (run, transition, state) of each guard that fired at this sample
+    fired: list[tuple[_Run, Transition, list[float]]] = []
+    asarray = np.asarray
+
+    t = i = first = 0
+    for first in range(0, n, BLOCK):
+        if first:
+            _flush(runs, group, first - BLOCK, BLOCK, carry=True)
+            runs, group = group.carry(runs)
+        k = min(BLOCK, n - first)
+        for run in runs:
+            run.draw(k)
+        gammas = attack.gamma_rows(first + 1, k, h, dim) if attack else repeat(None, k)
+        xs, ys, y_seen, ax, bu = group.x, group.y, group.y_seen, group.ax, group.bu
+        x_now = xs[0]
+        # the runs still going, in seed order; a run that ends leaves it
+        active = runs[:]
+        for i, (x_next, y_next, gamma) in enumerate(zip(xs[1 : k + 1], ys[1 : k + 1], gammas)):
+            t = first + i
+            now = t * h
+            states = x_now.tolist()
+            for run in active:
+                s = run.s
+                state = states[s]
+                u = asarray(control(y_seen[i, s], now), float)
+                if u.ndim != 1 or u.tobytes() != run.u_bytes:
+                    if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
+                        raise ValueError(
+                            f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
+                        )
+                    run.u_bytes = u.tobytes()
+                    run.bus = _b_products(bs, u)
+                    run.input_rows.append((i, run.bus))
+                    run.bu[...] = run.bus[run.step.b_index]
+                step = run.step
+                for axis, sign, guard_at, tr in step.guards:
+                    if sign * (state[axis] - guard_at) >= 0.0:
+                        fired.append((run, tr, state))
+                        break
+                step.a.dot(x_now[s], run.ax)
+
+            # x of sample t + 1 = A x + B u + w: row i + 1 holds w, and a
+            # sum of two terms has the same bits in either order
+            ax += bu
+            x_next += ax
+
+            if fired:
+                for run, tr, state in fired:
+                    pair = (tr.input_event, tr.output_event)
+                    run.events.append(
+                        EventRecord(
+                            sample=t,
+                            time=now,
+                            source=tr.source,
+                            target=tr.target,
+                            input_event=tr.input_event,
+                            output_event=tr.output_event,
+                            state=tuple(state),
+                        )
+                    )
+                    if tr.output_event in stop_events:
+                        run.stop_event = tr.output_event
+                    else:
+                        try:
+                            run.node = step_discrete(observer, run.node, pair)
+                        except DiscreteInconsistencyError:
+                            run.inconsistency = (t + 1) * h
+                    run.event_rows.append((i, pair, tr.target, run.node))
+                    if run.stop_event is not None or run.inconsistency is not None:
+                        run.end = t
+                        active.remove(run)
+                        continue
+                    run.step = step = steps[tr.target]
+                    run.bu[...] = run.bus[step.b_index]
+                    # row i's w is spent; its v, and the rows after, are the new mode's
+                    run.lay(i, spent=1)
+                fired.clear()
+                if not active:
+                    break
+
+            # y = x + v + gamma, where row i + 1 of y holds v
+            y_next += x_next
+            if gamma is not None:
+                y_next += gamma
+            x_now = x_next
+        if not active:
+            break
+
+    for run in runs:
+        if run.end is None:
+            run.end = t
+    _flush(runs, group, first, i + 1, carry=False)
+    return [run.result() for run in everyone]
 
 
 def simulate(
@@ -608,170 +936,11 @@ def simulate(
     safety predicate does not feed back: `safety.violated(x)` is handed a
     read-only block of up to BLOCK states, one per row, and returns one bool
     per row; it is not called past the block of the first violation.
+
+    This is the one-seed case of the loop that `sweep` runs for many seeds
+    at once.
     """
-    model = config.model
-    machinery = _machinery(model)
-    refuse_invalid(machinery.problems)
-    x = np.array(config.initial_state, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(
-            f"initial_state has shape {x.shape}, not the model's ({model.dim},)"
-        )
-    if not math.isfinite(config.duration):
-        raise ValueError(f"duration must be finite, got {config.duration!r}")
-    h = model.sampling_period
-    attack = config.attack
-    if attack is not None:
-        settle = model.dwell_time * h
-        if attack.start_time < settle - 1e-12:
-            raise ValueError(
-                f"attack starts at {attack.start_time} s but the observer "
-                f"only settles at {settle} s"
-            )
-    n = int(round(config.duration / h))
-    if n <= 0:
-        raise ValueError("duration too short for one sample")
-    if detector is None:
-        detector = machinery.detector
-    if observer is None:
-        observer = machinery.observer
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-
-    q: ModeId = config.initial_mode
-    if not model.invariant(q).contains(x):
-        raise ValueError("initial state lies outside the initial mode's invariant")
-    node: Node = observer.root
-    if q not in node:
-        raise ValueError("initial mode is missing from the observer root")
-    dim = x.size
-    steps, bs = machinery.steps if bank is None else _mode_steps(model, bank)
-    step = steps[q]
-    control = config.controller.control
-
-    record = _Recorder(model, detector, steps, config.safety, q, node, n if keep_trace else None)
-    xs, ys = record.x, record.y
-    mark_event, mark_input = record.event_rows.append, record.input_rows.append
-    # what `control` is handed: read-only rows, which the loop overwrites
-    # one block later
-    ys_seen = ys.view()
-    ys_seen.flags.writeable = False
-    # Products are taken with `ndarray.dot(..., out=row)`, which gives the
-    # bits of `@` but for the sign of a zero: a product with one column has
-    # no sum, and keeps a -0.0 that `@` turns into +0.0. A sum is -0.0 only
-    # if both terms are, so A x + B u and A x_est + B u keep the bits of `@`
-    # when B u is not -0.0 or A x is not: A x never is for dim >= 2, and for
-    # dim 1 `_b_products` adds 0.0 to B u. So x past sample 0 is never -0.0,
-    # nor is x + v; adding the zero row of a run without attack would change
-    # nothing, and the loop skips it.
-    gammas = None
-
-    gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
-    v = _truncated_gaussian(rng.standard_normal(dim), step.sigma[1], step.bound[1])
-    xs[0] = x
-    ys[0] = x + v + gamma0
-    record.x_est[0] = ys[0]
-    # the last controller output that passed the check, as bytes, which
-    # tell -0.0 from 0.0 and see an array rewritten in place; and its B u
-    # for each distinct B
-    u_bytes: bytes | None = None
-    bus: list[np.ndarray] = []
-
-    events: list[EventRecord] = []
-    inconsistency_time: float | None = None
-    stop_event: str | None = None
-
-    t, i, now = 0, 0, 0.0
-    for t in range(n):
-        i = t % BLOCK
-        if i == 0:
-            if t:
-                record.flush(t - BLOCK, BLOCK, carry=True)
-                for rows in (xs, ys, record.x_est):
-                    rows[0] = rows[BLOCK]
-            k = min(BLOCK, n - t)
-            # row j: w of sample t + j, then v and the attack of sample t + j + 1
-            z = rng.standard_normal((k, 2, dim))
-            noise = {q: _truncated_gaussian(z, step.sigma, step.bound)}
-            mode_noise = noise[q]
-            if attack is not None:
-                gammas = attack.gamma_rows(t + 1, k, h, dim)
-        now = t * h
-        u = np.asarray(control(ys_seen[i], now), dtype=float)
-        if u.ndim != 1 or u.tobytes() != u_bytes:
-            if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
-                raise ValueError(
-                    f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
-                )
-            u_bytes = u.tobytes()
-            bus = _b_products(bs, u)
-            mark_input((i, bus))
-        x = xs[i]
-        state = x.tolist()
-        fired = None
-        for axis, sign, guard_at, tr in step.guards:
-            if sign * (state[axis] - guard_at) >= 0.0:
-                fired = tr
-                break
-
-        # x of sample t + 1 = A x + B u + w, summed in this order in row i + 1
-        x_next = xs[i + 1]
-        step.a.dot(x, out=x_next)
-        x_next += bus[step.b_index]
-        x_next += mode_noise[i, 0]
-
-        if fired is not None:
-            pair = (fired.input_event, fired.output_event)
-            events.append(
-                EventRecord(
-                    sample=t,
-                    time=now,
-                    source=fired.source,
-                    target=fired.target,
-                    input_event=fired.input_event,
-                    output_event=fired.output_event,
-                    state=tuple(state),
-                )
-            )
-            if fired.output_event in config.stop_events:
-                stop_event = fired.output_event
-            else:
-                try:
-                    node = step_discrete(observer, node, pair)
-                except DiscreteInconsistencyError:
-                    inconsistency_time = (t + 1) * h
-            q = fired.target
-            mark_event((i, pair, q, node))
-            if stop_event is not None or inconsistency_time is not None:
-                break
-            step = steps[q]
-            mode_noise = noise.get(q)
-            if mode_noise is None:
-                mode_noise = noise[q] = _truncated_gaussian(z, step.sigma, step.bound)
-
-        y_next = ys[i + 1]
-        np.add(x_next, mode_noise[i, 1], out=y_next)
-        if gammas is not None:
-            y_next += gammas[i]
-
-    record.flush(t - i, i + 1, carry=False)
-    summary = SimulationSummary(
-        seed=config.seed,
-        completed=inconsistency_time is None,
-        end_time=now,
-        samples=t + 1,
-        stop_event=stop_event,
-        events=tuple(events),
-        first_conflict=record.first_conflict,
-        first_baseline_alarm=record.first_baseline,
-        baseline_threshold=record.threshold,
-        safety_violation=record.violation,
-        dwell_ok=bool(check_dwell(model, [e.sample for e in events])),
-        discrete_inconsistency=inconsistency_time,
-        max_residual=record.max_residual,
-        max_estimation_error=record.max_error,
-        max_volume=record.max_volume,
-    )
-    return SimulationResult(summary=summary, trace=record.trace(t + 1) if keep_trace else None)
+    return _lockstep(config, [config.seed], keep_trace, detector, bank, observer)[0]
 
 
 def residual_baseline(trace: Trace, threshold: float) -> float | None:
@@ -786,11 +955,32 @@ def sweep(
     *,
     keep_traces: bool = False,
 ) -> tuple[SimulationResult, ...]:
-    """Run the same scenario across seeds; the model's machinery is built once."""
-    return tuple(
-        simulate(replace(base, seed=seed), keep_trace=keep_traces)
-        for seed in sorted(set(int(s) for s in seeds))
-    )
+    """Run the same scenario across seeds, in seed order, each seed once.
+
+    The seeds are stepped together, GROUP at a time, through the loop that
+    `simulate` runs for one, so the model's machinery is built once and each
+    seed gets the bits of its own `simulate` run. A group keeps BLOCK + 1
+    rows of each buffer per seed, so GROUP bounds the buffers whatever the
+    seed count; with keep_traces every seed's trace is returned.
+    Within a sample the controller is called once per seed that is still
+    running, in seed order, so a controller that keeps state between calls
+    sees the seeds' calls interleaved, not one run after another.
+
+    A seed that is not a whole number raises ValueError naming it before
+    any run; whole floats and numpy integers count as ints. When several
+    seeds would raise, the sweep raises the error, with the message a run
+    alone gives, that comes first as the groups are stepped: an earlier
+    group's first; within a group, the first sample's, and in one sample
+    the lowest seed's. An error of the monitor pass, such as a safety
+    predicate that does not return one bool per row, comes at the end of
+    its block, after the plant errors of that block's samples.
+    """
+    seeds = sorted({_whole_seed(seed) for seed in seeds})
+    results: list[SimulationResult] = []
+    for lo in range(0, len(seeds), GROUP):
+        results += _lockstep(base, seeds[lo : lo + GROUP], keep_traces)
+    return tuple(results)
+
 
 
 # Verdict columns after the four float groups, in the order both trace formats

@@ -280,11 +280,12 @@ class TestRiccatiReference:
 
 
 def one_step(a, gain, bu, x_est, y):
-    """One predict/update step: `step_rows` on a fresh block of one row."""
-    rows = np.array((x_est, np.full_like(x_est, np.nan)))
-    meas = np.array((np.full_like(y, np.nan), y))
-    step_rows(a, gain, bu, rows, meas, 0, 1, np.empty_like(rows))
-    return rows[1]
+    """One predict/update step: `step_rows` on a fresh block of one row of one seed."""
+    rows = np.array((x_est, np.full_like(x_est, np.nan)))[:, None]
+    meas = np.array((np.full_like(y, np.nan), y))[:, None]
+    bu = np.array(bu, dtype=float)[None]
+    step_rows([a], [gain], bu, rows, meas, 0, 1, np.empty((3, 1, len(y))))
+    return rows[1, 0]
 
 
 class TestStepContinuous:
@@ -310,7 +311,8 @@ _STEP_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-100
 
 @st.composite
 def _segmented_block(draw):
-    """A block of rows cut into segments, each with its own A, K and B u."""
+    """A block of rows of 1-5 seeds cut into segments, each seed with its own A, K and B u."""
+    seeds = draw(st.integers(1, 5))
     dim = draw(st.integers(1, 4))
     rows = draw(st.integers(1, 10))
     vectors = st.lists(_STEP_FLOATS, min_size=dim, max_size=dim).map(np.array)
@@ -319,35 +321,42 @@ def _segmented_block(draw):
     )
     cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=3)) if rows > 1 else set())
     bounds = [0, *cuts, rows]
+    per_seed = (matrices, matrices, vectors)
     segments = [
-        (lo, hi, draw(matrices), draw(matrices), draw(vectors))
+        (lo, hi, *(np.array([draw(kind) for _ in range(seeds)]) for kind in per_seed))
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    y = np.array([draw(vectors) for _ in range(rows + 1)])
-    return draw(vectors), y, segments
+    count = (rows + 2) * seeds * dim
+    values = np.array(draw(st.lists(_STEP_FLOATS, min_size=count, max_size=count)))
+    starts, y = values[: seeds * dim].reshape(seeds, dim), values[seeds * dim :]
+    return starts, y.reshape(rows + 1, seeds, dim), segments
 
 
 class TestStepRows:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(_segmented_block())
     def test_rows_are_repeated_one_row_steps(self, case):
-        # the monitor pass steps a block one (A, K, B u) segment at a time;
-        # row for row it must give the bits of one step per sample, and of
-        # the formula with a fresh innovation and correction per step
-        start, y, segments = case
-        rows = np.full_like(y, np.nan)
-        rows[0] = start
-        scratch = np.empty((2, y.shape[1]))
+        # the monitor pass steps a block of every seed one (A, K, B u)
+        # segment at a time; row for row and seed for seed it must give the
+        # bits of one step per sample of that seed alone, and of the formula
+        # with a fresh innovation and correction per step
+        starts, y, segments = case
+        seeds, dim = starts.shape
+        # row r of every seed at [r], as the loop's buffers hold them
+        rows = np.full((y.shape[0], seeds, dim), np.nan)
+        rows[0] = starts
+        scratch = np.empty((3, seeds, dim))
         for lo, hi, a, gain, bu in segments:
-            step_rows(a, gain, bu, rows, y, lo, hi, scratch)
-        est = start
-        for lo, hi, a, gain, bu in segments:
-            for r in range(lo + 1, hi + 1):
-                prev, est = est, one_step(a, gain, bu, est, y[r])
-                fresh = a.dot(prev)
-                fresh += bu
-                fresh += gain.dot(y[r] - fresh)
-                assert rows[r].tobytes() == est.tobytes() == fresh.tobytes()
+            step_rows(list(a), list(gain), bu, rows, y, lo, hi, scratch)
+        for s in range(seeds):
+            est = starts[s]
+            for lo, hi, a, gain, bu in segments:
+                for r in range(lo + 1, hi + 1):
+                    prev, est = est, one_step(a[s], gain[s], bu[s], est, y[r, s])
+                    fresh = a[s].dot(prev)
+                    fresh += bu[s]
+                    fresh += gain[s].dot(y[r, s] - fresh)
+                    assert rows[r, s].tobytes() == est.tobytes() == fresh.tobytes()
 
 
 class TestCheckDwell:

@@ -155,6 +155,26 @@ class TestPrimitives:
                 Guard(axis=axis, sign=sign, threshold=1.0)
             assert str(refused.value) == message
 
+    def test_guard_refuses_text_and_other_non_numbers(self):
+        refusals = [
+            (dict(axis="0"), "guard axis must be a whole number, got '0'"),
+            (dict(axis=None), "guard axis must be a whole number, got None"),
+            (dict(sign="1"), "guard sign must be -1 or +1, got '1'"),
+            (dict(threshold="45.0"), "guard threshold must be a real number, got '45.0'"),
+            (dict(threshold=None), "guard threshold must be a real number, got None"),
+            (dict(threshold=True), "guard threshold must be a real number, got True"),
+            (dict(threshold=[1.0]), "guard threshold must be a real number, got [1.0]"),
+        ]
+        for fields, message in refusals:
+            with pytest.raises(ModelError) as refused:
+                Guard(**{"axis": 0, "sign": 1, "threshold": 1.0, **fields})
+            assert str(refused.value) == message
+
+    def test_guard_numpy_numbers_become_python_numbers(self):
+        guard = Guard(axis=np.int64(1), sign=np.int64(-1), threshold=np.float32(0.5))
+        assert (guard.axis, guard.sign, guard.threshold) == (1, -1, 0.5)
+        assert (type(guard.axis), type(guard.sign), type(guard.threshold)) == (int, int, float)
+
     def test_guard_integral_floats_become_ints(self):
         guard = Guard(axis=1.0, sign=-1.0, threshold=1.0)
         assert (guard.axis, guard.sign) == (1, -1)

@@ -167,3 +167,23 @@ def test_fractional_or_bool_guard_fields_refused(field, value, message):
     with pytest.raises(ModelError) as refused:
         parse_model(doc)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("axis", "0", "guard axis must be a whole number, got '0'"),
+        ("sign", "1", "guard sign must be -1 or +1, got '1'"),
+        ("threshold", "45.0", "guard threshold must be a real number, got '45.0'"),
+        ("threshold", None, "guard threshold must be a real number, got None"),
+        ("threshold", False, "guard threshold must be a real number, got False"),
+    ],
+)
+def test_text_guard_fields_refused(field, value, message):
+    # float() reads "0" and "45.0", and model_to_dict would write them back
+    # as numbers, so a document that carried them would not round-trip
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    doc["transitions"][0]["guard"][field] = value
+    with pytest.raises(ModelError) as refused:
+        parse_model(doc)
+    assert str(refused.value) == message

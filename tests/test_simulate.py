@@ -50,7 +50,9 @@ from hybridmon import (
 from hybridmon.observer import ObserverFsm
 from hybridmon.simulate import (
     BLOCK,
+    GROUP,
     Trace,
+    _lockstep,
     _csv_cell,
     baseline_threshold,
     write_trace_csv,
@@ -62,6 +64,7 @@ from hybridmon.train_gate import (
     SLOW_SPEED,
     SLOW_ZONE_HALF_WIDTH,
     ramp_attack,
+    train_gate_model,
     train_gate_scenario,
 )
 
@@ -304,6 +307,29 @@ class TestSimulateValidation:
         with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -3$"):
             sweep(config, [2, -3])
 
+    def test_seeds_must_be_whole_numbers(self):
+        config = train_gate_scenario(seed=0, duration=1.0)
+        for seed in (1.5, True, np.True_, "3", None, float("nan"), float("inf")):
+            message = f"seed must be a whole number, got {seed!r}"
+            with pytest.raises(ValueError) as refused:
+                dataclasses.replace(config, seed=seed)
+            assert str(refused.value) == message
+            with pytest.raises(ValueError) as refused:
+                sweep(config, [2, seed])
+            assert str(refused.value) == message
+        with pytest.raises(ValueError) as refused:
+            sweep(config, [1.7, True])
+        assert str(refused.value) == "seed must be a whole number, got 1.7"
+
+    def test_whole_seeds_become_ints(self):
+        config = train_gate_scenario(seed=0, duration=1.0)
+        for seed in (2.0, np.int64(2), np.float64(2.0), np.uint8(2)):
+            converted = dataclasses.replace(config, seed=seed)
+            assert type(converted.seed) is int and converted == dataclasses.replace(config, seed=2)
+        results = sweep(config, [2.0, np.int64(2), 2, np.int32(1)])
+        assert [(type(r.summary.seed), r.summary.seed) for r in results] == [(int, 1), (int, 2)]
+        assert results[1].summary == simulate(dataclasses.replace(config, seed=2)).summary
+
     def test_rejects_model_with_assumption_violations(self):
         model = HybridAutomaton(
             modes=(
@@ -448,6 +474,41 @@ class TestInPlaceStep:
         assert (rows[1] + 0.0).tobytes() == want.tobytes()
         if matrix.shape[1] > 1:
             assert rows[1].tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_seed_rows_keep_the_bits_of_one_seed_steps(self, data):
+        # the loop steps S seeds with one `dot` per seed into its row of the
+        # (S, n) row of all seeds, then adds B u and w and forms y = x + v
+        # and the attack for all seeds in one call each; every seed must get
+        # the bytes of stepping it alone
+        seeds, dim = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+
+        def arrays(*shape):
+            count = int(np.prod(shape))
+            values = data.draw(st.lists(_EDGE_FLOATS, min_size=count, max_size=count))
+            return np.array(values).reshape(shape)
+
+        a, x = arrays(seeds, dim, dim), arrays(seeds, dim)
+        bu, w, v, gamma = arrays(seeds, dim), arrays(seeds, dim), arrays(seeds, dim), arrays(dim)
+        # rows of all seeds, as the loop's buffers hold them: x_next holds
+        # w and y_next holds v before the sums, as the loop lays them
+        xs, ys = (np.full((3, seeds, dim), np.nan) for _ in range(2))
+        ax, x_next, y_next = np.empty((seeds, dim)), xs[2], ys[2]
+        x_next[...], y_next[...] = w, v
+        for matrix, state, into in zip(a, x, ax):
+            matrix.dot(state, into)
+        ax += bu
+        x_next += ax
+        y_next += x_next
+        y_next += gamma
+        for s in range(seeds):
+            alone = np.empty(dim)
+            a[s].dot(x[s], out=alone)
+            alone += bu[s]
+            alone += w[s]
+            assert xs[2, s].tobytes() == alone.tobytes()
+            assert ys[2, s].tobytes() == (alone + v[s] + gamma).tobytes()
 
     def test_controller_cannot_write_into_y(self, tg_machinery):
         class Scribbler:
@@ -1180,6 +1241,56 @@ class TestBlockBoundaries:
             config, keep_trace=False, detector=detector, bank=bank, observer=observer
         )
         assert summary_only.summary == want.summary
+
+
+# (base scenario, seeds) that `sweep` steps together
+LOCKSTEP_CASES = {
+    "train-gate": (lambda: train_gate_scenario(duration=60.0), (0, 1, 5)),
+    "nd-nominal": (LOOP_CASES["nd-nominal"], (6, 9, 13)),
+    "nd-ramp-falling": (LOOP_CASES["nd-ramp-falling"], (8, 11)),
+    "nd-noiseless-actuator": (LOOP_CASES["nd-noiseless-actuator"], (9, 12, 14)),
+    "nd-distinct-b": (LOOP_CASES["nd-distinct-b"], (10, 15, 16)),
+    # seeds stop on s_1 at samples 125, 126 and 127, the last of block 0
+    "stop-on-block-end": (LOOP_CASES["stop-on-block-end"], range(6)),
+    "ramp-shared": (
+        lambda: train_gate_scenario(attack=ramp_attack(-0.06), duration=60.0), (2, 3, 4)
+    ),
+    "past-the-group": (lambda: train_gate_scenario(duration=20.0), range(GROUP + 3)),
+}
+
+
+class TestLockstep:
+    """Seeds stepped together give each seed the bits of its own run."""
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_sweep_is_separate_runs(self, name, tmp_path):
+        make, seeds = LOCKSTEP_CASES[name]
+        base = make()
+        results = sweep(base, seeds, keep_traces=True)
+        assert [r.summary.seed for r in results] == sorted(seeds)
+        for got in results:
+            want = simulate(dataclasses.replace(base, seed=got.summary.seed))
+            _assert_bit_equal(got, want, tmp_path)
+        if name == "stop-on-block-end":
+            assert {r.summary.samples for r in results} == {126, 127, 128}
+
+    def test_one_seed_inconsistent_while_others_run_on(self, tmp_path):
+        # an observer that misses the second event pair: a seed is
+        # inconsistent at its s_2, which seeds 2 and 8 reach before the end
+        model = train_gate_model()
+        full = build_observer(extract_fsm(model))
+        transitions = {key: node for key, node in full.transitions.items() if key[1][1] != "s_2"}
+        observer = ObserverFsm(root=full.root, nodes=full.nodes, transitions=transitions)
+        detector, bank = Detector(model), synthesize_gains(model)
+        base = train_gate_scenario(duration=193.0, model=model)
+        results = _lockstep(base, [0, 2, 3, 8], True, detector, bank, observer)
+        ends = {r.summary.seed: r.summary.discrete_inconsistency for r in results}
+        assert ends[0] is None and ends[3] is None
+        assert ends[2] is not None and ends[8] is not None
+        for got in results:
+            config = dataclasses.replace(base, seed=got.summary.seed)
+            want = simulate(config, detector=detector, bank=bank, observer=observer)
+            _assert_bit_equal(got, want, tmp_path)
 
 
 WRITER_CASES = (
