@@ -262,7 +262,7 @@ def _cmd_calibrate_theta(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
     model = _load(args.model)
-    # a duration with no sample at all keeps `simulate`'s own refusal
+    # a duration with no sample at all keeps `ScenarioConfig`'s own refusal
     samples = args.duration / model.sampling_period
     if math.isfinite(samples) and 0 < round(samples) <= model.dwell_time:
         raise ValueError(

@@ -69,16 +69,6 @@ class Invariant:
     def dim(self) -> int:
         return len(self.intervals)
 
-    def lower(self, axis: int) -> float:
-        return self.intervals[axis][0]
-
-    def upper(self, axis: int) -> float:
-        return self.intervals[axis][1]
-
-    def span(self, axis: int) -> float:
-        lo, hi = self.intervals[axis]
-        return hi - lo
-
     def contains(self, x: Sequence[float]) -> bool:
         return all(
             lo <= xi <= hi
@@ -122,6 +112,8 @@ class LtiDynamics:
             raise ModelError("noise bounds must be nonnegative")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ModelError("system matrices must be finite")
+        if not real_number(self.input_bound):
+            raise ModelError(f"input_bound must be a real number, got {self.input_bound!r}")
         mu = float(self.input_bound)
         if not isfinite(mu) or mu < 0:
             raise ModelError("input bound must be finite and nonnegative")
@@ -255,12 +247,16 @@ class HybridAutomaton:
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        dwell = self.dwell_time
-        if isinstance(dwell, (bool, np.bool_)) or not float(dwell).is_integer():
-            raise ModelError(f"dwell_time must be a whole number of samples, got {dwell!r}")
-        object.__setattr__(self, "dwell_time", int(dwell))
-        object.__setattr__(self, "sampling_period", float(self.sampling_period))
-        object.__setattr__(self, "theta", float(self.theta))
+        if not whole_number(self.dwell_time):
+            raise ModelError(
+                f"dwell_time must be a whole number of samples, got {self.dwell_time!r}"
+            )
+        object.__setattr__(self, "dwell_time", int(self.dwell_time))
+        for name in ("sampling_period", "theta"):
+            value = getattr(self, name)
+            if not real_number(value):
+                raise ModelError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not self.modes:
             raise ModelError("model must declare at least one mode")
         ids = [m.mode_id for m in self.modes]
@@ -329,12 +325,6 @@ class HybridAutomaton:
     def invariant(self, mode_id: ModeId) -> Invariant:
         return self.mode(mode_id).invariant
 
-    def event(self, name: str) -> Event:
-        for e in self.events:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def transitions_from(self, mode_id: ModeId) -> tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.source == mode_id)
 
@@ -364,44 +354,12 @@ Box = tuple[tuple[float, float], ...]
 class RegionDecomposition:
     """Intermediate region, per-mode normal regions, and neighbor hyperplanes.
 
-    All boxes are stored as closed intervals (the closures of the regions);
-    membership queries realize the strict inequalities of the open region
-    descriptions by testing the intermediate region first.
+    All boxes are stored as closed intervals (the closures of the regions).
     """
 
     intermediate: tuple[tuple[tuple[ModeId, ModeId], Box], ...]
     normal: Mapping[ModeId, tuple[Box, ...]]
     neighbor_values: Mapping[tuple[ModeId, str], float]
-
-    def intermediate_boxes(self) -> tuple[Box, ...]:
-        return tuple(box for _, box in self.intermediate)
-
-    def in_intermediate(self, x: Sequence[float]) -> bool:
-        pt = np.asarray(x, dtype=float)
-        return any(_box_contains(box, pt) for box in self.intermediate_boxes())
-
-    def in_normal(self, mode_id: ModeId, x: Sequence[float]) -> bool:
-        """Membership in the normal region of a mode (intermediate excluded)."""
-        if self.in_intermediate(x):
-            return False
-        pt = np.asarray(x, dtype=float)
-        return any(_box_contains(box, pt) for box in self.normal[mode_id])
-
-    def classify(self, x: Sequence[float]) -> tuple[str, object] | None:
-        """Return ("intermediate", pair) or ("normal", mode id) or None."""
-        pt = np.asarray(x, dtype=float)
-        for pair, box in self.intermediate:
-            if _box_contains(box, pt):
-                return ("intermediate", pair)
-        for mode_id in sorted(self.normal, key=str):
-            for box in self.normal[mode_id]:
-                if _box_contains(box, pt):
-                    return ("normal", mode_id)
-        return None
-
-
-def _box_contains(box: Box, pt: np.ndarray) -> bool:
-    return all(lo <= xi <= hi for xi, (lo, hi) in zip(pt, box))
 
 
 def _box_intersect(a: Box, b: Box) -> Box | None:
@@ -524,16 +482,16 @@ def validate_model(model: HybridAutomaton) -> list[str]:
             # guard sits on the invariant face: the band between the guard
             # hyperplane and its neighbor is empty, nothing to delimit
             continue
-        inv_t = model.invariant(tr.target)
-        band = _interval_intersect(
-            inv.intervals[tr.guard.axis], inv_t.intervals[tr.guard.axis]
+        overlap = _box_intersect(
+            (inv.intervals[tr.guard.axis],), (model.invariant(tr.target).intervals[tr.guard.axis],)
         )
-        if band is None:
+        if overlap is None:
             violations.append(
                 f"intermediate-region: transition {tr.source!r}->{tr.target!r} "
                 f"has disjoint invariants on guard axis {tr.guard.axis}"
             )
             continue
+        band = overlap[0]
         expected = (min(c_g, c_l), max(c_g, c_l))
         if abs(band[0] - expected[0]) > GEOM_TOL or abs(band[1] - expected[1]) > GEOM_TOL:
             violations.append(
@@ -542,15 +500,6 @@ def validate_model(model: HybridAutomaton) -> list[str]:
                 f"{c_g} and its neighbor hyperplane {c_l}"
             )
     return violations
-
-
-def _interval_intersect(
-    a: tuple[float, float], b: tuple[float, float]
-) -> tuple[float, float] | None:
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    if lo > hi:
-        return None
-    return (lo, hi)
 
 
 def neighbor_value(model: HybridAutomaton, transition: Transition) -> float:

@@ -100,12 +100,17 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
     events = []
     for i, ev in enumerate(doc["events"]):
         _check_keys(ev, _EVENT_KEYS, f"events[{i}]")
+        if not isinstance(ev["observable"], bool):
+            raise ModelError(
+                f"events[{i}] ({ev['id']!r}): observable must be true or false, "
+                f"got {ev['observable']!r}"
+            )
         if not ev["observable"]:
             raise ModelError(
                 f"events[{i}] ({ev['id']!r}): unobservable events are not supported; "
                 "the discrete observer has no closure over them"
             )
-        events.append(Event(name=ev["id"], kind=ev["kind"], observable=bool(ev["observable"])))
+        events.append(Event(name=ev["id"], kind=ev["kind"]))
     transitions = []
     for i, tr in enumerate(doc["transitions"]):
         _check_keys(tr, _TRANSITION_KEYS, f"transitions[{i}]")

@@ -39,9 +39,6 @@ class ObserverFsm:
     nodes: frozenset[Node]
     transitions: Mapping[tuple[Node, EventPair], Node]
 
-    def active_pairs(self, node: Node) -> tuple[EventPair, ...]:
-        return tuple(sorted(p for (n, p) in self.transitions if n == node))
-
 
 @dataclass(frozen=True)
 class ObservabilityResult:

@@ -16,28 +16,28 @@ samples. Per seed, the loop calls the controller, checks the guards on the
 seed's state, read from one `tolist` of the row of all seeds, and takes A x
 with one `ndarray.dot` into the seed's row; the sums with B u and w, the
 measurement y = x + v and the attack are one elementwise call each on the
-(S, n) row of all seeds. A controller output is checked, and multiplied by
-each distinct B, once per distinct value: while its bytes match the seed's
-last output's, the loop reuses that output's B u. The observer steps only
-on events. Of the rest, the loop records change points per seed: the row of
+(S, n) row of all seeds. A controller output is checked once per distinct
+value, told apart by its bytes, and B u is taken again with the seed's mode's
+B only when the output or the mode changes. The observer steps only on
+events. Of the rest, the loop records change points per seed: the row of
 each event, with the new mode and node, and the row of each new controller
-output, with its B u. The monitor pass then takes a block of samples at a
+output, with the output. The monitor pass then takes a block of samples at a
 time. Per seed it rebuilds the mode, node, settled and event columns from
 the change points; `step_rows` steps the Kalman estimate of all seeds
 together, one stretch of rows at a time between the rows where some seed's
-A, K or B u changes, with one `dot` per seed and the sums shared; and per
-seed it decides the safety predicate, the detector, the baseline monitor
-and the steady maxima with `ZoneSpeedLimit.violated` and
-`Detector.evaluate_rows`. The monitor feeds nothing back, so this gives the
-bits of deciding each sample as it comes. Each product is the same `dot` on
-a C-contiguous row that a seed stepped alone would take, and every other
-step is elementwise, so each seed keeps its bits whatever runs beside it.
-Products and sums are written straight into buffer rows, in the operation
-order that fixes the bits. A seed that ends, at a stop event or a discrete
-inconsistency, is no longer stepped; its rows leave the buffers at the end
-of the block. A model's validation verdict, detector, filter bank, observer
-and mode steps are built on its first run and kept on the model object for
-the next.
+A, K or B u changes, with the B of the node's mode, one `dot` per seed and
+the sums shared; and per seed it decides the safety predicate, the
+detector, the baseline monitor and the steady maxima with
+`ZoneSpeedLimit.violated` and `Detector.evaluate_rows`. The monitor feeds
+nothing back, so this gives the bits of deciding each sample as it comes.
+Each product is the same `dot` on a C-contiguous row that a seed stepped
+alone would take, and every other step is elementwise, so each seed keeps
+its bits whatever runs beside it. Products and sums are written straight
+into buffer rows, in the operation order that fixes the bits. A seed that
+ends, at a stop event or a discrete inconsistency, is no longer stepped;
+its rows leave the buffers at the end of the block. A model's validation
+verdict, detector, filter bank, observer and mode steps are built on its
+first run and kept on the model object for the next.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .model import (
     Transition,
     extract_fsm,
     readonly,
+    real_number,
     refuse_invalid,
     validate_model,
     whole_number,
@@ -103,16 +104,16 @@ class AttackSpec:
             raise ValueError("attack axes repeat")
         if any(a < 0 for a in self.axes):
             raise ValueError("attack axes must be nonnegative")
-        if self.start_time < 0:
-            raise ValueError("attack start time must be nonnegative")
         if self.kind == "custom" and not self.samples:
             raise ValueError("custom attack needs a sample sequence")
-        for name in ("slope", "magnitude", "start_time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"attack {name} must be finite, got {getattr(self, name)!r}")
-        for i, value in enumerate(self.samples):
+        named = [(name, getattr(self, name)) for name in ("slope", "magnitude", "start_time")]
+        for name, value in named + [(f"samples[{i}]", v) for i, v in enumerate(self.samples)]:
+            if not real_number(value):
+                raise ValueError(f"attack {name} must be a real number, got {value!r}")
             if not math.isfinite(value):
-                raise ValueError(f"attack samples[{i}] must be finite, got {value!r}")
+                raise ValueError(f"attack {name} must be finite, got {value!r}")
+        if self.start_time < 0:
+            raise ValueError("attack start time must be nonnegative")
 
     def magnitude_at(self, sample: int, sampling_period: float) -> float:
         """Signal value at a sample index."""
@@ -221,7 +222,8 @@ class ScenarioConfig:
     """Everything that determines one run; the seed fixes the trace bits.
 
     The seed must be a nonnegative whole number, or ValueError names it;
-    whole floats and numpy integers are stored as int.
+    whole floats and numpy integers are stored as int. The duration must be
+    a finite real number that rounds to at least one sample.
     """
 
     model: HybridAutomaton
@@ -238,6 +240,13 @@ class ScenarioConfig:
         # initial_state is not checked here: callers build a config for one
         # model and `replace` the start to fit it
         object.__setattr__(self, "seed", _whole_seed(self.seed))
+        duration = self.duration
+        if not real_number(duration):
+            raise ValueError(f"duration must be a real number, got {duration!r}")
+        if not math.isfinite(duration):
+            raise ValueError(f"duration must be finite, got {duration!r}")
+        if round(duration / self.model.sampling_period) <= 0:
+            raise ValueError("duration too short for one sample")
         if self.attack is not None:
             self.attack.check_axes(self.model.dim)
 
@@ -354,54 +363,36 @@ class _ModeStep(NamedTuple):
     """What a sample needs of one mode, looked up once per run."""
 
     a: np.ndarray
-    b_index: int  # which of the run's distinct B arrays the mode's B is
+    b: np.ndarray
     gain: np.ndarray
     sigma: np.ndarray  # (2, n): standard deviations of w and v
     bound: np.ndarray  # (2, n): the bounds they are clipped to
     guards: tuple[tuple[int, int, float, Transition], ...]  # (axis, sign, threshold, transition)
 
 
-def _mode_steps(
-    model: HybridAutomaton, bank: KalmanBank
-) -> tuple[dict[ModeId, _ModeStep], list[np.ndarray]]:
-    """Each mode's step, and the distinct B arrays its `b_index` points into.
-
-    Modes whose B has the same bits share one B, so that a controller
-    output costs one product per distinct B.
-    """
+def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeStep]:
+    """Each mode's step."""
+    if len({mode.dynamics.n_inputs for mode in model.modes}) > 1:
+        raise ValueError("modes take different numbers of inputs; one controller cannot drive them")
     guards: dict[ModeId, list] = {q: [] for q in model.mode_ids}
     for tr in model.transitions:
         guards[tr.source].append((tr.guard.axis, tr.guard.sign, tr.guard.threshold, tr))
-    b_index: dict[tuple, int] = {}
-    bs: list[np.ndarray] = []
     steps = {}
     for mode in model.modes:
         dyn = mode.dynamics
-        key = (dyn.b.shape, dyn.b.tobytes())
-        if key not in b_index:
-            b_index[key] = len(bs)
-            bs.append(dyn.b)
         bound = np.stack([dyn.w_bounds, dyn.v_bounds])
         steps[mode.mode_id] = _ModeStep(
-            dyn.a, b_index[key], bank.gains[mode.mode_id].gain, bound / 3.0, bound,
+            dyn.a, dyn.b, bank.gains[mode.mode_id].gain, bound / 3.0, bound,
             tuple(guards[mode.mode_id]),
         )
-    if len({b.shape[1] for b in bs}) > 1:
-        raise ValueError("modes take different numbers of inputs; one controller cannot drive them")
-    return steps, bs
+    return steps
 
 
-def _b_products(bs: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]:
-    """B u for each distinct B, read-only; with one dimension, plus 0.0 (see `simulate`)."""
-    products = []
-    for b in bs:
-        bu = np.empty(b.shape[0])
-        b.dot(u, out=bu)
-        if bu.size == 1:
-            bu += 0.0
-        bu.flags.writeable = False
-        products.append(bu)
-    return products
+def _b_dot(b: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """B u into out; with one dimension, plus 0.0 (see `_lockstep`)."""
+    b.dot(u, out)
+    if out.size == 1:
+        out += 0.0
 
 
 def _first_baseline(
@@ -455,7 +446,7 @@ class _Machinery:
         return build_observer(extract_fsm(self.model))
 
     @cached_property
-    def steps(self) -> tuple[dict[ModeId, _ModeStep], list[np.ndarray]]:
+    def steps(self) -> dict[ModeId, _ModeStep]:
         return _mode_steps(self.model, self.bank)
 
 
@@ -475,8 +466,8 @@ class _Run:
     have one row past the block; after a flush, the group moves that row to
     row 0. Of the rest, the loop records only change points: `event_rows`
     holds (row, event pair, mode, node) for each event, the mode and node
-    being those of the next row, and `input_rows` holds (row, B u list) for
-    each row whose controller output differs from the last. The monitor pass
+    being those of the next row, and `input_rows` holds (row, u) for each
+    row whose controller output u differs from the last. The monitor pass
     (`_flush`) has three parts: `label` rebuilds the labels from the change
     points and marks the rows where the seed's A, K and B u change,
     `step_rows` steps the Kalman estimate of every seed of the group, and
@@ -503,21 +494,21 @@ class _Run:
         self.h, self.dwell, dim = model.sampling_period, model.dwell_time, model.dim
         # the plant: the mode's step and the observer node; the last
         # controller output that passed the check, as bytes, which tell -0.0
-        # from 0.0 and see an array rewritten in place, and its B u for each
-        # distinct B; and, once the run has ended, its last sample
+        # from 0.0 and see an array rewritten in place, and as a read-only
+        # array of those bytes; and, once the run has ended, its last sample
         self.step, self.node = steps[mode], node
         self.u_bytes: bytes | None = None
-        self.bus: list[np.ndarray] = []
+        self.u: np.ndarray | None = None
         self.events: list[EventRecord] = []
         self.stop_event: str | None = None
         self.inconsistency: float | None = None
         self.end: int | None = None
         # the monitor: the change points, the labels of the next row to
         # flush, the first sample of the current settling count, and the
-        # B u list in force for the estimate
+        # controller output in force for the estimate
         self.event_rows: list[tuple[int, tuple[str, str], ModeId, Node]] = []
-        self.input_rows: list[tuple[int, list[np.ndarray]]] = []
-        self.label_mode, self.label_node, self.since, self.est_bus = mode, node, 0, []
+        self.input_rows: list[tuple[int, np.ndarray]] = []
+        self.label_mode, self.label_node, self.since, self.est_u = mode, node, 0, None
         self.columns: dict[str, np.ndarray] | None = None
         self.mode_column: list = []
         self.node_column: list = []
@@ -554,7 +545,7 @@ class _Run:
     def label(self, first: int, k: int, carry: bool, marks: dict[int, list]) -> int:
         """Rebuild the labels of rows 0 .. k - 1, which hold samples first .. first + k - 1.
 
-        Adds (seed index, step, B u) to marks at each row where the estimate
+        Adds (seed index, step, u) to marks at each row where the estimate
         changes its A, K or B u, and returns the last row whose estimate is
         stepped: k with carry, as the run goes on, else k - 1.
         """
@@ -578,15 +569,14 @@ class _Run:
         fill(row, k)
         self.labels = nodes, modes, events
 
-        # row r + 1's estimate is stepped with row r's node and B u, so one
+        # row r + 1's estimate is stepped with row r's node and u, so one
         # stretch of rows shares A, K and B u between those change points
         stop = k if carry else k - 1
         inputs = dict(self.input_rows)
         changes = [at + 1 for at, *_ in self.event_rows] + list(inputs)
         for lo in sorted({0, *(c for c in changes if c < stop)}):
-            self.est_bus = inputs.get(lo, self.est_bus)
-            step = self.steps[nodes[lo][0]]
-            marks.setdefault(lo, []).append((self.s, step, self.est_bus[step.b_index]))
+            self.est_u = inputs.get(lo, self.est_u)
+            marks.setdefault(lo, []).append((self.s, self.steps[nodes[lo][0]], self.est_u))
         self.event_rows.clear()
         self.input_rows.clear()
         return stop
@@ -720,7 +710,8 @@ def _estimate(runs: list[_Run], group: _Group, first: int, k: int, carry: bool) 
     """Label each run's rows and step the Kalman estimates of all runs together.
 
     The estimates go one stretch of rows at a time, between the rows where
-    some seed's A, K or B u changes.
+    some seed's A, K or B u changes; a seed's B u is taken again, with the
+    B of its node's mode, at each of its change points.
     """
     marks: dict[int, list] = {}
     top = 0
@@ -736,9 +727,9 @@ def _estimate(runs: list[_Run], group: _Group, first: int, k: int, carry: bool) 
     bu_est, *scratch = np.zeros((4,) + group.bu.shape)
     cuts = sorted({*marks, top})
     for lo, hi in zip(cuts, cuts[1:]):
-        for s, step, bu in marks[lo]:
+        for s, step, u in marks[lo]:
             a[s], gain[s] = step.a, step.gain
-            bu_est[s] = bu
+            _b_dot(step.b, u, bu_est[s])
         step_rows(a, gain, bu_est, group.x_est, group.y, lo, hi, scratch)
 
 
@@ -759,8 +750,6 @@ def _lockstep(
         raise ValueError(
             f"initial_state has shape {x.shape}, not the model's ({model.dim},)"
         )
-    if not math.isfinite(config.duration):
-        raise ValueError(f"duration must be finite, got {config.duration!r}")
     h = model.sampling_period
     attack = config.attack
     if attack is not None:
@@ -771,8 +760,6 @@ def _lockstep(
                 f"only settles at {settle} s"
             )
     n = int(round(config.duration / h))
-    if n <= 0:
-        raise ValueError("duration too short for one sample")
     if detector is None:
         detector = machinery.detector
     if observer is None:
@@ -785,7 +772,7 @@ def _lockstep(
     if q not in node:
         raise ValueError("initial mode is missing from the observer root")
     dim = x.size
-    steps, bs = machinery.steps if bank is None else _mode_steps(model, bank)
+    steps = machinery.steps if bank is None else _mode_steps(model, bank)
     control = config.controller.control
     stop_events = config.stop_events
     keep = n if keep_trace else None
@@ -796,7 +783,7 @@ def _lockstep(
     # no sum, and keeps a -0.0 that `@` turns into +0.0. A sum is -0.0 only
     # if both terms are, so A x + B u and A x_est + B u keep the bits of `@`
     # when B u is not -0.0 or A x is not: A x never is for dim >= 2, and for
-    # dim 1 `_b_products` adds 0.0 to B u. So x past sample 0 is never -0.0,
+    # dim 1 `_b_dot` adds 0.0 to B u. So x past sample 0 is never -0.0,
     # nor is x + v; adding the zero row of a run without attack would change
     # nothing, and the loop skips it.
     gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
@@ -837,9 +824,9 @@ def _lockstep(
                             f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
                         )
                     run.u_bytes = u.tobytes()
-                    run.bus = _b_products(bs, u)
-                    run.input_rows.append((i, run.bus))
-                    run.bu[...] = run.bus[run.step.b_index]
+                    run.u = np.frombuffer(run.u_bytes)
+                    run.input_rows.append((i, run.u))
+                    _b_dot(run.step.b, run.u, run.bu)
                 step = run.step
                 for axis, sign, guard_at, tr in step.guards:
                     if sign * (state[axis] - guard_at) >= 0.0:
@@ -879,7 +866,7 @@ def _lockstep(
                         active.remove(run)
                         continue
                     run.step = step = steps[tr.target]
-                    run.bu[...] = run.bus[step.b_index]
+                    _b_dot(step.b, run.u, run.bu)
                     # row i's w is spent; its v, and the rows after, are the new mode's
                     run.lay(i, spent=1)
                 fired.clear()
@@ -917,12 +904,12 @@ def simulate(
     detector sees the event pair at sample t, the sample whose state fired
     it. The attack corrupts only the measured output. A stop event ends the
     run at the sample that fired it. An initial state that does not fit the
-    model or a duration that is not finite raises ValueError before the
-    run. A controller output that is not a vector of finite numbers raises
-    it at the sample that produced it, and a model whose modes take
-    different numbers of inputs, which no one output fits, raises it before
-    the first sample. With keep_trace=False the run keeps one block of rows,
-    not a row per sample; the summary is the same either way.
+    model raises ValueError before the run. A controller output that is not
+    a vector of finite numbers raises it at the sample that produced it, and
+    a model whose modes take different numbers of inputs, which no one
+    output fits, raises it before the first sample. With keep_trace=False
+    the run keeps one block of rows, not a row per sample; the summary is
+    the same either way.
 
     The detector, the filter bank and the observer default to the model's
     own, built on its first run and kept for the next; so is the verdict of
@@ -930,12 +917,12 @@ def simulate(
 
     `control(y, t)` is handed a read-only row of the run's buffers, valid
     only for the call: the loop overwrites it BLOCK samples later, so a
-    controller that keeps y must keep a copy. Its output is checked and
-    multiplied by each distinct B once per distinct value, told apart by
-    its bytes, so it may hand out one array and rewrite it in place. The
-    safety predicate does not feed back: `safety.violated(x)` is handed a
-    read-only block of up to BLOCK states, one per row, and returns one bool
-    per row; it is not called past the block of the first violation.
+    controller that keeps y must keep a copy. Its output is checked once per
+    distinct value, told apart by its bytes, and a copy is kept for B u, so
+    it may hand out one array and rewrite it in place. The safety predicate
+    does not feed back: `safety.violated(x)` is handed a read-only block of
+    up to BLOCK states, one per row, and returns one bool per row; it is not
+    called past the block of the first violation.
 
     This is the one-seed case of the loop that `sweep` runs for many seeds
     at once.

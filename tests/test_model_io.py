@@ -155,6 +155,37 @@ def test_header_values_that_disarm_the_monitor_refused(tmp_path, field, text, me
 @pytest.mark.parametrize(
     "field, value, message",
     [
+        ("dwell_time", "15", "dwell_time must be a whole number of samples, got '15'"),
+        ("theta", "0.05", "theta must be a real number, got '0.05'"),
+        ("sampling_period", "0.1", "sampling_period must be a real number, got '0.1'"),
+        ("theta", True, "theta must be a real number, got True"),
+        ("sampling_period", True, "sampling_period must be a real number, got True"),
+        ("input_bound", "1", "input_bound must be a real number, got '1'"),
+        ("input_bound", True, "input_bound must be a real number, got True"),
+    ],
+)
+def test_text_or_bool_header_numbers_refused(field, value, message):
+    # float() reads "15" and true, and model_to_dict would write them back
+    # as numbers, so the document would not round-trip
+    doc = {**copy.deepcopy(TRAIN_GATE_MODEL_DICT), field: value}
+    with pytest.raises(ModelError) as refused:
+        parse_model(doc)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("value", [1, "yes"])
+def test_observable_must_be_a_bool(value):
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    doc["events"][1]["observable"] = value
+    with pytest.raises(ModelError) as refused:
+        parse_model(doc)
+    message = f"events[1] ('s_1'): observable must be true or false, got {value!r}"
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
         ("axis", 0.5, "guard axis must be a whole number, got 0.5"),
         ("axis", True, "guard axis must be a whole number, got True"),
         ("sign", True, "guard sign must be -1 or +1, got True"),

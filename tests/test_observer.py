@@ -34,14 +34,6 @@ class TestBuildObserver:
             ((3,), ("c_next", "s_3")): (1,),
         }
 
-    def test_active_pairs_sorted(self, tg_observer):
-        assert tg_observer.active_pairs((1, 2, 3)) == (
-            ("c_down", "s_1"),
-            ("c_next", "s_3"),
-            ("c_up", "s_2"),
-        )
-        assert tg_observer.active_pairs((2,)) == (("c_up", "s_2"),)
-
     def test_nodes_are_sorted_tuples(self):
         fsm = Fsm(
             states=("b", "a"),

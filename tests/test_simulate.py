@@ -126,6 +126,23 @@ class TestAttackSpec:
         with pytest.raises(ValueError, match=f"attack {field} must be finite"):
             AttackSpec(axes=(0,), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(slope=True), "attack slope must be a real number, got True"),
+            (dict(slope="0.1"), "attack slope must be a real number, got '0.1'"),
+            (dict(kind="step", magnitude=None), "attack magnitude must be a real number, got None"),
+            (dict(start_time="1.5"), "attack start_time must be a real number, got '1.5'"),
+            (
+                dict(kind="custom", samples=(0.1, "0.2")),
+                "attack samples[1] must be a real number, got '0.2'",
+            ),
+        ],
+    )
+    def test_text_and_bool_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AttackSpec(axes=(0,), **kwargs)
+
     def test_ramp_profile(self):
         spec = AttackSpec(axes=(0,), kind="ramp", slope=0.02, start_time=1.5)
         assert spec.magnitude_at(14, 0.1) == 0.0
@@ -404,9 +421,8 @@ class TestSimulateValidation:
             simulate(train_gate_scenario(), detector=detector, bank=bank, observer=crippled)
 
     def test_rejects_too_short_duration(self):
-        config = dataclasses.replace(train_gate_scenario(), duration=0.04)
         with pytest.raises(ValueError, match="duration"):
-            simulate(config)
+            dataclasses.replace(train_gate_scenario(), duration=0.04)
 
     @pytest.mark.parametrize("start", [(0.0,), (0.0, 0.0, 0.0), ((0.0, 0.0),)])
     def test_rejects_initial_state_of_another_shape(self, start):
@@ -416,9 +432,15 @@ class TestSimulateValidation:
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_duration(self, duration):
-        config = dataclasses.replace(train_gate_scenario(), duration=duration)
         with pytest.raises(ValueError, match=r"duration must be finite, got"):
-            simulate(config)
+            dataclasses.replace(train_gate_scenario(), duration=duration)
+
+    @pytest.mark.parametrize("duration", ["20", True, None])
+    def test_rejects_duration_that_is_not_a_number(self, duration):
+        # True / 0.1 would run 10 samples, and text would fail only inside the run
+        message = f"duration must be a real number, got {duration!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(train_gate_scenario(), duration=duration)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_controller_output_stops_the_run(self, tg_machinery):
@@ -1141,6 +1163,12 @@ LOOP_CASES = {
     # a noise bound of zero: every draw on that axis clips to +0.0
     "nd-noiseless-actuator": lambda: _nd_scenario(9, w=[0.01, 0.01, 0.0]),
     "nd-distinct-b": lambda: _distinct_b_scenario(10),
+    # from mode 2, the estimate predicts with the root node's mode 1 and its
+    # B (0.2) while the plant steps with mode 2's (0.3), until s_2 at sample
+    # 176 moves the node to (3,); the run stops on s_3 at sample 278
+    "nd-distinct-b-from-mode-2": lambda: dataclasses.replace(
+        _distinct_b_scenario(11), initial_mode=2, initial_state=(70.0, 0.2, 0.2)
+    ),
     "inconsistency": lambda: _mute(train_gate_scenario(seed=0)),
     **{
         f"samples-{k}": lambda k=k: train_gate_scenario(seed=k, duration=k / 10)
