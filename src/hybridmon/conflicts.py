@@ -87,8 +87,10 @@ class _HorizonTable:
         see: then the normals over {A^delta e_i} and the axes include all
         its facet normals. That holds when sigma > 0, or when the columns of
         A^delta on the axes with v > 0 and the invariant's positive-width
-        axes span the space. Raises HorizonError otherwise, and when the
-        table needs more than MAX_NORMAL_SUBSETS normal subsets.
+        axes span the space. The rank is judged on those columns scaled by
+        v, the generators of the reach set at zero residual, so a refusal
+        means that set is flat to rounding. Raises HorizonError otherwise,
+        and when the table needs more than MAX_NORMAL_SUBSETS normal subsets.
         """
         dyn = model.dynamics(mode_id)
         inv_lo, inv_hi = model.invariant(mode_id).bounds()
@@ -96,7 +98,7 @@ class _HorizonTable:
         n = a_power.shape[0]
         rho = (inv_hi - inv_lo) / 2.0
         where = f"mode {mode_id!r}, horizon {delta}"
-        spans = np.vstack([a_power.T[dyn.v_bounds > 0.0], np.eye(n)[rho > 0.0]])
+        spans = np.vstack([dyn.v_bounds[:, None] * a_power.T, np.eye(n)[rho > 0.0]])
         if sigma <= 0.0 and (rank := np.linalg.matrix_rank(spans)) < n:
             raise HorizonError(
                 f"{where}: sigma = 0, and the columns of A^{delta} on the axes with measurement "
@@ -123,10 +125,15 @@ class _HorizonTable:
 
         The products are stacked, one matrix-vector product per row, so each
         row gets the bits of `m @ centers[i]`; a single `centers @ m.T` sums
-        in another order and can flip a verdict at contact.
+        in another order and can flip a verdict at contact. For k rows and M
+        normals the check holds two k x M float arrays, each product taken
+        further in place, and the k x M bools of their comparison.
         """
-        gap = np.abs((self.m @ centers[..., None])[..., 0] - self.n_mid)
-        reach = (self.m_abs @ half[..., None])[..., 0] + self.slack
+        gap = (self.m @ centers[..., None])[..., 0]
+        gap -= self.n_mid
+        np.abs(gap, out=gap)
+        reach = (self.m_abs @ half[..., None])[..., 0]
+        reach += self.slack
         return (gap > reach).any(axis=1)
 
 
@@ -192,6 +199,11 @@ class Detector:
         needs no singleton node, and a sole source mode becomes the estimated
         mode. A, B and the horizon part of C wait for a settled singleton
         node; until then the row is marked warming up.
+
+        Of its own (k, n) float arrays the pass holds the box half-widths
+        |r| + v for its whole length, and the box bounds c -/+ h only
+        through the event check and B; the horizon checks, each holding two
+        k x M arrays for its mode's M normals, run after those are dropped.
         """
         k = len(nodes)
         for name, column in (("steady", steady), ("events", events)):
@@ -211,10 +223,9 @@ class Detector:
             for i, node in enumerate(nodes):
                 groups.setdefault(node, []).append(i)
             estimated = [node[0] if len(node) == 1 else None for node in nodes]
-        v = np.empty_like(centers)
+        half = np.abs(residuals)
         for node, rows in groups.items():
-            v[rows] = self._v[node[0]] if len(node) == 1 else self._fallback_v
-        half = np.abs(residuals) + v
+            half[rows] += self._v[node[0]] if len(node) == 1 else self._fallback_v
         lo, hi = centers - half, centers + half
         vol = (2.0 * half).prod(axis=1)
         unexplained = np.zeros(k, dtype=bool)
@@ -231,18 +242,23 @@ class Detector:
                 estimated[i] = sources.pop()
         armed = np.zeros(k, dtype=bool)
         conflict_b = np.zeros(k, dtype=bool)
-        conflict_c = unexplained.copy()
+        # B for every settled singleton group first, so that lo and hi are
+        # gone before the horizon checks, whose products set the block's peak
+        decided = []
         for node, rows in groups.items():
             if len(node) != 1:
                 continue
             settled = steady[rows]
             if not np.count_nonzero(settled):
                 continue
-            mode_id = node[0]
             armed[rows] = settled
-            inv_lo, inv_hi = self._inv[mode_id]
+            inv_lo, inv_hi = self._inv[node[0]]
             outside = ((hi[rows] < inv_lo) | (lo[rows] > inv_hi)).any(axis=1)
             conflict_b[rows] = settled & outside
+            decided.append((node[0], rows, settled))
+        del lo, hi
+        conflict_c = unexplained.copy()
+        for mode_id, rows, settled in decided:
             table = self._tables.get(mode_id)
             if table is not None:
                 checked = settled & ~unexplained[rows]

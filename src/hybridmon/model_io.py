@@ -22,6 +22,7 @@ Top-level keys:
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Mapping
 from pathlib import Path
@@ -38,6 +39,7 @@ from .model import (
     Mode,
     ModelError,
     Transition,
+    real_number,
 )
 
 _TOP_KEYS = {
@@ -55,6 +57,7 @@ _EVENT_KEYS = {"id", "kind", "observable"}
 _TRANSITION_KEYS = {"source", "input_event", "output_event", "target", "guard"}
 _GUARD_KEYS = {"axis", "sign", "threshold"}
 _NOISE_KEYS = {"w", "v"}
+_ARRAY_KEYS = ("A", "B", "invariant")
 
 
 class UnknownKeyError(ModelError):
@@ -72,17 +75,58 @@ def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
         raise ModelError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _check_numbers(values: Any, where: str) -> None:
+    """Refuse the first entry of a nested array that is not a real number, naming its path."""
+    if isinstance(values, (list, tuple)):
+        for i, value in enumerate(values):
+            if type(value) is not float:
+                _check_numbers(value, f"{where}[{i}]")
+    elif not real_number(values):
+        raise ModelError(f"{where} must be a real number, got {values!r}")
+
+
+def _check_arrays(states: Any, noise: Mapping[str, Any]) -> None:
+    """Refuse text, bools and other non-numbers among the states' A, B and
+    invariant entries and the noise bounds.
+
+    NumPy reads "1.0" and true as numbers, and model_to_dict would write
+    them back as numbers, so a document that carried them would not
+    round-trip. Matrices and vectors of floats and ints, the usual case,
+    are read in one pass in C; any other document is walked to name its
+    first bad entry.
+    """
+    matrices = [state[key] for state in states for key in _ARRAY_KEYS]
+    try:
+        entries = itertools.chain(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(matrices)),
+            noise["w"],
+            noise["v"],
+        )
+        if set(map(type, entries)) <= {float, int}:
+            return
+    except TypeError:  # an entry where a row belongs
+        pass
+    for key in ("w", "v"):
+        _check_numbers(noise[key], f"noise.{key}")
+    for i, state in enumerate(states):
+        for key in _ARRAY_KEYS:
+            _check_numbers(state[key], f"states[{i}].{key}")
+
+
 def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
     """Build a validated-for-structure automaton from a schema document."""
     _check_keys(doc, _TOP_KEYS, "model")
     noise = doc["noise"]
     _check_keys(noise, _NOISE_KEYS, "noise")
+    states = doc["states"]
+    for i, state in enumerate(states):
+        _check_keys(state, _STATE_KEYS, f"states[{i}]")
+    _check_arrays(states, noise)
     w_bounds = noise["w"]
     v_bounds = noise["v"]
     input_bound = doc["input_bound"]
     modes = []
-    for i, state in enumerate(doc["states"]):
-        _check_keys(state, _STATE_KEYS, f"states[{i}]")
+    for state in states:
         dyn = LtiDynamics(
             a=state["A"],
             b=state["B"],

@@ -169,6 +169,11 @@ class ZoneController:
     outside_value: float
 
     def __post_init__(self) -> None:
+        if not whole_number(self.axis):
+            raise ValueError(f"zone controller axis must be a whole number, got {self.axis!r}")
+        for name in ("center", "half_width", "inside_value", "outside_value"):
+            if not real_number(value := getattr(self, name)):
+                raise ValueError(f"zone controller {name} must be a real number, got {value!r}")
         # not fields, so eq, hash and repr are the dataclass's own
         object.__setattr__(self, "_inside", readonly((self.inside_value,)))
         object.__setattr__(self, "_outside", readonly((self.outside_value,)))
@@ -185,6 +190,11 @@ class ConstantController:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for i, value in enumerate(self.values):
+            if not real_number(value):
+                raise ValueError(
+                    f"constant controller values[{i}] must be a real number, got {value!r}"
+                )
         object.__setattr__(self, "_output", readonly(self.values))
 
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
@@ -469,7 +479,8 @@ class _Run:
     being those of the next row, and `input_rows` holds (row, u) for each
     row whose controller output u differs from the last. The monitor pass
     (`_flush`) has three parts: `label` rebuilds the labels from the change
-    points and marks the rows where the seed's A, K and B u change,
+    points (the true modes only when the trace is kept, as nothing else
+    reads them) and marks the rows where the seed's A, K and B u change,
     `step_rows` steps the Kalman estimate of every seed of the group, and
     `monitor` hands the block to the detector, folds its verdicts into the
     summary figures and, when the trace is kept, writes its columns in
@@ -552,12 +563,12 @@ class _Run:
         self.k = k
         steady = self.group.steady[self.s, :k]
         nodes: list[Node] = []
-        modes: list[ModeId] = []
         events: list[tuple[str, str] | None] = [None] * k
 
         def fill(lo: int, hi: int) -> None:
             nodes.extend([self.label_node] * (hi - lo))
-            modes.extend([self.label_mode] * (hi - lo))
+            if self.columns is not None:
+                self.mode_column.extend([self.label_mode] * (hi - lo))
             steady[lo:hi] = False
             steady[max(lo, self.since + self.dwell - first) : hi] = True
 
@@ -567,7 +578,7 @@ class _Run:
             fill(row, at + 1)
             self.label_mode, self.label_node, self.since, row = mode, node, first + at + 1, at + 1
         fill(row, k)
-        self.labels = nodes, modes, events
+        self.labels = nodes, events
 
         # row r + 1's estimate is stepped with row r's node and u, so one
         # stretch of rows shares A, K and B u between those change points
@@ -584,7 +595,7 @@ class _Run:
     def monitor(self, first: int) -> None:
         """Decide the labelled rows, their estimates stepped, and fold the verdicts in."""
         k, group, s = self.k, self.group, self.s
-        nodes, modes, events = self.labels
+        nodes, events = self.labels
         steady = group.steady[s, :k]
         # the seed's rows, C-contiguous (copies when the group has more
         # than one seed); the safety predicate must not change x
@@ -622,7 +633,6 @@ class _Run:
             }
             for name, values in block.items():
                 self.columns[name][first : first + k] = values
-            self.mode_column += modes
             self.node_column += nodes
 
     def result(self) -> SimulationResult:

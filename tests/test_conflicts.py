@@ -1,5 +1,8 @@
 """Initial-set geometry and the three-way conflict verdicts."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
@@ -24,12 +27,13 @@ from hybridmon import (
     inflate,
     intersects_box,
     linear_map,
+    load_model,
     simulate,
     volume_bound,
 )
 from hybridmon.conflicts import ConflictRows, _HorizonTable
 from hybridmon.guarantees import facet_epsilon
-from hybridmon.reachability import HorizonError, sigma_sum
+from hybridmon.reachability import HorizonError, separating_normals, sigma_sum
 from hybridmon.simulate import ScenarioConfig
 
 
@@ -365,6 +369,15 @@ class TestHorizonTable:
             "dimensions, so the reach set less the invariant can be flat"
         )
 
+    def test_thin_mode_with_scaled_columns_accepted(self):
+        # the columns of A, [0, 1] and [1e-20, 0], read as rank 1 unscaled;
+        # scaled by v the reach set at zero residual is a 1e-20 square, not flat
+        model = _one_mode([[0.0, 1e-20], [1.0, 0.0]], [0.0, 0.0], [1e-20, 1.0], [(0.0, 0.0)] * 2)
+        detector = Detector(model, deltas={1: 1})
+        assert isinstance(detector._tables[1], _HorizonTable)
+        assert not one_row(detector, (1,), True, [0.0, 0.0], [0.0, 0.0]).conflict_c[0]
+        assert one_row(detector, (1,), True, [5.0, 5.0], [0.0, 0.0]).conflict_c[0]
+
     def test_eight_dimensional_mode_refused(self):
         # 8 columns of A and 8 axes give C(16, 7) = 11,440 normal subsets
         model = _one_mode(
@@ -592,3 +605,47 @@ class TestVolumeResidualLink:
         assert vol > bound
         assert np.max(np.abs(r)) <= theta + 2.0 * np.min(v)
         assert np.max(np.abs(r)) > theta + np.min(v)
+
+
+def _peak_above_inputs(call):
+    """Peak bytes that tracemalloc sees call allocate, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    """A block's monitor pass holds only the arrays it still reads."""
+
+    def test_evaluate_rows_peak(self):
+        # a settled 128-row block in mode 2 of the 3-D crossing: 51.3 KB
+        # when the pass kept a per-row noise array and the box bounds
+        # through the horizon check, 33.5 KB without them
+        model = load_model(Path(__file__).resolve().parents[1] / "monbench" / "nd_actuator.json")
+        detector = Detector(model)
+        k = 128
+        rng = np.random.default_rng(0)
+        centers = np.array([60.0, 0.3, 0.2]) + rng.uniform(-0.05, 0.05, (k, 3))
+        residuals = rng.uniform(-0.1, 0.1, (k, 3))
+        args = (((2,),) * k, np.ones(k, dtype=bool), centers, residuals, (None,) * k)
+        rows = detector.evaluate_rows(*args)
+        assert not rows.warming_up.any() and not rows.alarm.any()
+        peak = _peak_above_inputs(lambda: detector.evaluate_rows(*args))
+        assert peak < 42_000, peak
+
+    def test_misses_peak(self):
+        # a 5-D table, M = 210 normals, k = 128 rows: 3.31 k x M float
+        # arrays at peak with four product arrays live, 2.31 with two
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-1.0, 1.0, (5, 5))
+        m = separating_normals(a.T) @ a
+        assert m.shape == (210, 5)
+        table = _HorizonTable(m=m, m_abs=np.abs(m), slack=np.ones(210), n_mid=np.zeros(210))
+        centers, half = rng.normal(size=(128, 5)), np.abs(rng.normal(size=(128, 5)))
+        peak = _peak_above_inputs(lambda: table.misses(centers, half))
+        assert peak < 2.8 * 128 * 210 * 8, peak / (128 * 210 * 8)

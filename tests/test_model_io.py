@@ -218,3 +218,39 @@ def test_text_guard_fields_refused(field, value, message):
     with pytest.raises(ModelError) as refused:
         parse_model(doc)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("states", 0, "A", 0, 0), "1.0", "states[0].A[0][0] must be a real number, got '1.0'"),
+        (("states", 0, "A", 0, 0), True, "states[0].A[0][0] must be a real number, got True"),
+        (("states", 1, "B", 1, 0), "0.05", "states[1].B[1][0] must be a real number, got '0.05'"),
+        (
+            ("states", 2, "invariant", 0, 1),
+            "80",
+            "states[2].invariant[0][1] must be a real number, got '80'",
+        ),
+        (
+            ("states", 1, "invariant", 1, 0),
+            False,
+            "states[1].invariant[1][0] must be a real number, got False",
+        ),
+        (("states", 0, "A", 1), True, "states[0].A[1] must be a real number, got True"),
+        (("noise", "w", 1), "0.01", "noise.w[1] must be a real number, got '0.01'"),
+        (("noise", "v", 0), None, "noise.v[0] must be a real number, got None"),
+    ],
+)
+def test_text_or_bool_array_entries_refused(path, value, message):
+    # NumPy reads "1.0" and true as numbers, even true among floats, and
+    # model_to_dict would write them back as numbers, so the document would
+    # not round-trip
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    *parents, last = path
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(ModelError) as refused:
+        parse_model(doc)
+    assert str(refused.value) == message

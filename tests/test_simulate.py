@@ -243,6 +243,36 @@ class TestControllersAndSafety:
         changed = dataclasses.replace(zone, inside_value=0.1)
         assert changed.control(np.array([60.0, 0.0]), 0.0).tolist() == [0.1]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("axis", 0.5, "zone controller axis must be a whole number, got 0.5"),
+            ("axis", True, "zone controller axis must be a whole number, got True"),
+            ("center", "60", "zone controller center must be a real number, got '60'"),
+            ("half_width", None, "zone controller half_width must be a real number, got None"),
+            ("inside_value", "2", "zone controller inside_value must be a real number, got '2'"),
+            ("outside_value", True, "zone controller outside_value must be a real number, got True"),
+        ],
+    )
+    def test_zone_controller_refuses_text_and_bools(self, field, value, message):
+        # readonly's float array would hand out "2" as [2.] and True as [1.]
+        fields = dict(axis=0, center=60.0, half_width=16.0, inside_value=0.2, outside_value=1.0)
+        with pytest.raises(ValueError) as refused:
+            ZoneController(**{**fields, field: value})
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (("1",), "constant controller values[0] must be a real number, got '1'"),
+            ((0.0, False), "constant controller values[1] must be a real number, got False"),
+        ],
+    )
+    def test_constant_controller_refuses_text_and_bools(self, values, message):
+        with pytest.raises(ValueError) as refused:
+            ConstantController(values=values)
+        assert str(refused.value) == message
+
 
 def _scalar_violated(limit, x):
     """`ZoneSpeedLimit.violated` on one state, as it was written per sample."""
