@@ -2,10 +2,13 @@
 
 The package models hybrid automata with per-mode linear dynamics, builds a
 hybrid observer (discrete-event observer plus per-mode steady-state Kalman
-filters), runs a three-conflict detector over zonotope reachable sets, and
-computes guaranteed-detectable attack magnitudes by robust optimization over
-box uncertainty sets. A train-gate false-data-injection case study ships as
-the built-in scenario.
+filters), runs a three-conflict detector that decides each horizon check from
+separating-axis tables of the forward reachable sets, and computes
+guaranteed-detectable attack magnitudes by robust optimization over box
+uncertainty sets. A train-gate false-data-injection case study ships as the
+built-in scenario. The zonotope algebra the detector and the horizon
+analyses are tested against is the tests' reference, in
+`tests/zonotope_reference.py`.
 """
 
 from .model import (
@@ -40,16 +43,7 @@ from .kalman import (
     check_dwell,
     synthesize_gains,
 )
-from .reachability import (
-    HorizonError,
-    Zonotope,
-    box_zonotope,
-    compute_delta,
-    inflate,
-    intersects_box,
-    linear_map,
-    reach,
-)
+from .reachability import HorizonError, compute_delta
 from .conflicts import Detector, volume_bound
 from .guarantees import (
     EmptyGeometryError,
@@ -69,7 +63,6 @@ from .simulate import (
     SimulationSummary,
     ZoneController,
     ZoneSpeedLimit,
-    residual_baseline,
     simulate,
     sweep,
 )
@@ -108,9 +101,7 @@ __all__ = [
     "Transition",
     "ZoneController",
     "ZoneSpeedLimit",
-    "Zonotope",
     "box_max",
-    "box_zonotope",
     "build_observer",
     "check_current_state_observability",
     "check_dwell",
@@ -120,15 +111,10 @@ __all__ = [
     "detection_threshold",
     "dump_model",
     "extract_fsm",
-    "inflate",
-    "intersects_box",
-    "linear_map",
     "load_model",
     "model_to_dict",
     "parse_model",
     "ramp_attack",
-    "reach",
-    "residual_baseline",
     "simulate",
     "state_guarantees",
     "step_discrete",

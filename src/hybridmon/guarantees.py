@@ -28,7 +28,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import HybridAutomaton, ModeId, RegionDecomposition, Transition, decompose_regions
+from .model import (
+    HybridAutomaton,
+    ModeId,
+    RegionDecomposition,
+    Transition,
+    decompose_regions,
+    whole_number,
+)
 from .reachability import compute_all_deltas, guard_axis_hulls, reach_operator
 
 class EmptyGeometryError(RuntimeError):
@@ -260,6 +267,9 @@ def classify_fdia(
     vector leave the answer indeterminate, since generalized eigenvectors
     could still align.
     """
+    for axis in gamma_axes:
+        if not whole_number(axis):
+            raise ValueError(f"attack axis must be a whole number, got {axis!r}")
     axes = tuple(sorted(set(int(a) for a in gamma_axes)))
     a = model.dynamics(mode_id).a
     n = a.shape[0]

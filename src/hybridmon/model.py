@@ -70,10 +70,11 @@ class Invariant:
         return len(self.intervals)
 
     def contains(self, x: Sequence[float]) -> bool:
-        return all(
-            lo <= xi <= hi
-            for xi, (lo, hi) in zip(np.asarray(x, dtype=float), self.intervals)
-        )
+        """Whether x lies in the box; a vector of another length raises ValueError."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"state of shape {x.shape} against a {self.dim}-axis invariant")
+        return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.intervals))
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(self.intervals, dtype=float)
@@ -144,10 +145,6 @@ class LtiDynamics:
     def w_norm(self) -> float:
         return float(np.max(self.w_bounds)) if self.w_bounds.size else 0.0
 
-    @property
-    def v_norm(self) -> float:
-        return float(np.max(self.v_bounds)) if self.v_bounds.size else 0.0
-
     @cached_property
     def a_norm(self) -> float:
         """||A|| in the infinity norm, the largest absolute row sum."""
@@ -199,10 +196,6 @@ class Guard:
         object.__setattr__(self, "axis", int(self.axis))
         object.__setattr__(self, "sign", int(self.sign))
         object.__setattr__(self, "threshold", float(self.threshold))
-
-    def satisfied(self, x: Sequence[float]) -> bool:
-        value = float(np.asarray(x, dtype=float)[self.axis])
-        return self.sign * (value - self.threshold) >= 0.0
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,26 @@
-"""Zonotope algebra, forward reachable sets, and the per-mode horizon search.
+"""Horizon operators: forward reach sets of boxes and the per-mode horizon search.
 
-A zonotope is a center plus generator segments; the set is
-{c + sum_i b_i g_i : b_i in [-1, 1]}. Reachable sets use the closed form
-A^d Z plus an infinity-ball whose radius is the geometric sum of the
-per-step input and noise bound, so generators never accumulate with the
-horizon. Zonotope-box intersection is decided by separating axes, the
-facet normals of their Minkowski difference (Girard, HSCC 2005; Guibas et
-al., SODA 2003), with the coordinate axes among the directions so that one
-rule covers flat differences too. numpy is the only dependency.
+The reach set of a set Z after d steps in one mode is A^d Z plus an
+infinity-ball whose radius sigma_d is the geometric sum of the per-step
+input and noise bound; `reach_operator` gives (A^d, sigma_d), and every
+reach-set bound reads it from there. The horizon search and the one-step
+overshoot read only the guard axis of a box's reach hull, which
+`guard_axis_hulls` takes straight from one A^d: the midpoint
+(A^d c)[axis] plus or minus the sum of |half_i A^d[axis, i]| over the
+box's wide axes in order, then sigma. `separating_normals` gives the
+directions the detector decides conflict C along (Girard, HSCC 2005;
+Guibas et al., SODA 2003). numpy is the only dependency.
 
-The horizon search and the one-step overshoot read only the guard axis of a
-box's reach hull. `guard_axis_hulls` takes it straight from one A^d: the
-midpoint (A^d c)[axis] plus or minus the sum of |half_i A^d[axis, i]| over
-the box's wide axes in order, then sigma. That has the bits of `reach`: an
-entry of a mapped box generator is one exact product (FMA or not), the hull
-adds generator rows left to right with sigma's row last, and zero entries,
-like a zero sigma that `inflate` leaves out, change no sum of |entries|.
-Every reach-set bound reads its (A^d, sigma_d) from `reach_operator`; the
-analyses and the monitor build no zonotope.
+The analyses and the monitor build no zonotope. The zonotope algebra they
+are tested against, with its own reach sets and box intersection, is the
+tests' reference in `tests/zonotope_reference.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, count
 from math import comb, isfinite
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +28,7 @@ from .model import GEOM_TOL, HybridAutomaton, LtiDynamics, ModeId, RegionDecompo
 
 NORM_ONE_TOL = 1e-12  # treat the matrix norm as exactly one inside this slack
 MAX_DELTA = 10_000
-MAX_NORMAL_SUBSETS = 4096  # past this many subsets `intersects_box` and `Detector` refuse
+MAX_NORMAL_SUBSETS = 4096  # past this many, `separating_normals` gives None and `Detector` refuses
 
 
 class HorizonError(RuntimeError):
@@ -42,79 +37,6 @@ class HorizonError(RuntimeError):
     is not finite, or no exact separating-axis table for the detector, whose
     reach set less the invariant can be flat or needs more than
     MAX_NORMAL_SUBSETS normal subsets."""
-
-
-@dataclass(frozen=True)
-class Zonotope:
-    """Center (n,) and generators as rows of a (p, n) array."""
-
-    center: np.ndarray
-    generators: np.ndarray
-
-    def __post_init__(self) -> None:
-        center = np.array(self.center, dtype=float).reshape(-1)
-        generators = np.array(self.generators, dtype=float)
-        if generators.size == 0:
-            generators = np.zeros((0, center.size))
-        generators = np.atleast_2d(generators)
-        if generators.shape[1] != center.size:
-            raise ValueError(
-                f"generator dimension {generators.shape[1]} != center dimension {center.size}"
-            )
-        center.flags.writeable = False
-        generators.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "generators", generators)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    @property
-    def order(self) -> int:
-        return self.generators.shape[0]
-
-    def interval_hull(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis [lo, hi] of the tightest axis-aligned bounding box."""
-        radius = np.sum(np.abs(self.generators), axis=0)
-        return self.center - radius, self.center + radius
-
-    def is_axis_aligned(self) -> bool:
-        """Every generator has at most one nonzero coordinate."""
-        return bool(np.all(np.count_nonzero(self.generators, axis=1) <= 1))
-
-    def support(self, direction: np.ndarray) -> tuple[float, float]:
-        """Min and max of direction . x over the zonotope."""
-        mid = float(direction @ self.center)
-        radius = float(np.sum(np.abs(self.generators @ direction)))
-        return mid - radius, mid + radius
-
-
-def box_zonotope(lo: Sequence[float], hi: Sequence[float]) -> Zonotope:
-    """Axis-aligned zonotope for the box [lo, hi]; zero-width axes get no generator."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("box has lo > hi")
-    center = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    return Zonotope(center=center, generators=np.diag(half)[half > 0.0])
-
-
-def linear_map(matrix: np.ndarray, z: Zonotope) -> Zonotope:
-    """Exact image of the zonotope under a linear map."""
-    matrix = np.asarray(matrix, dtype=float)
-    return Zonotope(center=matrix @ z.center, generators=z.generators @ matrix.T)
-
-
-def inflate(z: Zonotope, sigma: float) -> Zonotope:
-    """Minkowski sum with the infinity-ball of radius sigma."""
-    if sigma < 0:
-        raise ValueError("inflation radius must be nonnegative")
-    if sigma == 0.0:
-        return z
-    extra = sigma * np.eye(z.dim)
-    return Zonotope(center=z.center, generators=np.vstack([z.generators, extra]))
 
 
 def sigma_sum(a_norm: float, steps: int, per_step: float) -> float:
@@ -136,21 +58,16 @@ def reach_operator(dyn: LtiDynamics, steps: int) -> tuple[np.ndarray, float]:
     return np.linalg.matrix_power(dyn.a, steps), sigma_sum(dyn.a_norm, steps, dyn.step_bound)
 
 
-def reach(model: HybridAutomaton, mode_id: ModeId, z: Zonotope, delta: int) -> Zonotope:
-    """Forward reachable set over-approximation after delta steps in one mode."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta == 0:
-        return z
-    a_power, sigma = reach_operator(model.dynamics(mode_id), delta)
-    return inflate(linear_map(a_power, z), sigma)
-
-
 def guard_axis_hulls(
     model: HybridAutomaton, mode_id: ModeId, lo: np.ndarray, hi: np.ndarray, axis: int
 ) -> Iterator[tuple[float, float]]:
-    """For d = 1, 2, ...: the axis entries of `reach(..., box_zonotope(lo, hi), d).interval_hull()`.
+    """For d = 1, 2, ...: the guard-axis bounds of the d-step reach hull of the box [lo, hi].
 
+    These have the bits of the interval hull of the explicit zonotope reach
+    set, the tests' reference in `tests/zonotope_reference.py`: an entry of
+    a mapped box generator is one exact product (FMA or not), the hull adds
+    generator rows left to right with sigma's row last, and zero entries,
+    like a zero sigma that is left out, change no sum of |entries|.
     Raises HorizonError at the first step whose bounds are not finite.
     """
     if np.any(lo > hi):
@@ -229,43 +146,6 @@ def separating_normals(directions: np.ndarray) -> np.ndarray | None:
     key = np.round(normals / lead[:, None], 12)
     _, first = np.unique(key, axis=0, return_index=True)
     return normals[np.sort(first)]
-
-
-def intersects_box(z: Zonotope, box: Sequence[tuple[float, float]]) -> bool:
-    """Emptiness decision for a zonotope against an axis-aligned box.
-
-    Boundary contact counts as intersection. Fast paths: disjoint interval
-    hulls (always correct as a negative) and axis-aligned zonotopes (the
-    hull is the set). Otherwise the sets meet exactly when no direction of
-    `separating_normals` over the zonotope's generators separates their
-    projections: Z + (-box) lies along those generators and the axes. The
-    rule is exact in exact arithmetic, flat differences included; where the
-    difference is flat every common point is on its boundary, so a contact
-    there, such as a point computed onto a segment, turns on rounding.
-    Generators along one axis add no normal and are left out. Raises
-    ValueError when the check needs more than MAX_NORMAL_SUBSETS subsets.
-    """
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(box) != z.dim:
-        raise ValueError("box dimension does not match zonotope dimension")
-    lo, hi = z.interval_hull()
-    box_lo = np.array([blo for blo, _ in box])
-    box_hi = np.array([bhi for _, bhi in box])
-    if np.any(hi < box_lo) or np.any(lo > box_hi):
-        return False
-    if z.is_axis_aligned():
-        return True  # hull overlap is exact for interval sets
-    slanted = z.generators[np.count_nonzero(z.generators, axis=1) > 1]
-    normals = separating_normals(slanted)
-    if normals is None:
-        raise ValueError(
-            f"{z.dim}-D zonotope: the separating-axis check over {len(slanted) + z.dim} "
-            f"directions needs more than MAX_NORMAL_SUBSETS = {MAX_NORMAL_SUBSETS} normal subsets"
-        )
-    gap = np.abs(normals @ z.center - normals @ ((box_lo + box_hi) / 2.0))
-    room = np.sum(np.abs(z.generators @ normals.T), axis=0)
-    room += np.abs(normals) @ ((box_hi - box_lo) / 2.0)
-    return not bool(np.any(gap > room))
 
 
 def _facet_box(

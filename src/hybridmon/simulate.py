@@ -115,18 +115,6 @@ class AttackSpec:
         if self.start_time < 0:
             raise ValueError("attack start time must be nonnegative")
 
-    def magnitude_at(self, sample: int, sampling_period: float) -> float:
-        """Signal value at a sample index."""
-        start = int(round(self.start_time / sampling_period))
-        if sample < start:
-            return 0.0
-        if self.kind == "ramp":
-            return self.slope * (sample - start) * sampling_period
-        if self.kind == "step":
-            return self.magnitude
-        offset = sample - start
-        return self.samples[offset] if offset < len(self.samples) else 0.0
-
     def check_axes(self, dim: int) -> None:
         """Raise ValueError when an attacked axis lies outside a dim-dimensional output."""
         for axis in self.axes:
@@ -140,7 +128,8 @@ class AttackSpec:
         self.check_axes(dim)
         start = int(round(self.start_time / sampling_period))
         offsets = np.arange(first - start, first - start + count)
-        # each kind in `magnitude_at`'s operation order, so the bits agree
+        # a ramp multiplies slope, offset and period in that order, the bits of
+        # one sample's value, which `tests/loop_reference.py` computes per sample
         if self.kind == "ramp":
             values = self.slope * offsets * sampling_period
         elif self.kind == "step":
@@ -938,12 +927,6 @@ def simulate(
     at once.
     """
     return _lockstep(config, [config.seed], keep_trace, detector, bank, observer)[0]
-
-
-def residual_baseline(trace: Trace, threshold: float) -> float | None:
-    """First settled sample whose residual norm exceeds the threshold."""
-    norms = np.max(np.abs(trace.residual), axis=1)
-    return _first_baseline(trace.times, trace.steady, norms, threshold)
 
 
 def sweep(

@@ -19,6 +19,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from zonotope_reference import box_zonotope, reach
 
 from hybridmon.guarantees import (
     EmptyGeometryError,
@@ -36,14 +37,7 @@ from hybridmon.kalman import (
     RiccatiError,
 )
 from hybridmon.model import GEOM_TOL, Guard, Invariant, Mode, decompose_regions
-from hybridmon.reachability import (
-    MAX_DELTA,
-    HorizonError,
-    _facet_box,
-    box_zonotope,
-    reach,
-    reach_operator,
-)
+from hybridmon.reachability import MAX_DELTA, HorizonError, _facet_box, reach_operator
 
 BISECT_TOL = 1e-9
 

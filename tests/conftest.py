@@ -4,6 +4,14 @@ The heavyweight fixtures run the closed-loop simulation over the canonical
 seed batches once per session and keep only small per-run aggregates, so the
 no-false-alarm, volume-bound, observer-soundness, and attack-ordering checks
 can all read the same data without repeating half a minute of simulation.
+
+Property tests run under a Hypothesis profile loaded here, before any test
+module, so every `@settings` inherits it. "tier1", the default, derives each
+test's draws from the test itself and keeps no example database, so a run
+replays the last one. "thorough" draws afresh and runs ten times the
+examples; pick it with `pytest --hypothesis-profile thorough`. A property
+test asks for a multiple of the profile's `max_examples`, and a draw that
+ever failed is kept as an explicit `@example`.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hybridmon import (
     Detector,
@@ -26,6 +35,10 @@ from hybridmon import (
 )
 from hybridmon.reachability import compute_all_deltas
 from hybridmon.train_gate import ramp_attack, train_gate_model, train_gate_scenario
+
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=50)
+settings.register_profile("thorough", database=None, max_examples=500)
+settings.load_profile("tier1")
 
 NOMINAL_SEEDS = 100
 RAMP_SEEDS = 20

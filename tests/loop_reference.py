@@ -5,6 +5,9 @@ It keeps the loop as it was before the block detector pass: one
 the mode up and validates its inputs, and a detector verdict per sample,
 decided with one matrix-vector product per sample from the detector's
 tables. `simulate` must give the same summaries and byte-identical traces.
+It also keeps the per-sample forms of what the package computes a block
+at a time: an attack's value at one sample, one guard test, and the first
+baseline alarm of a trace.
 """
 
 import numpy as np
@@ -25,6 +28,33 @@ from hybridmon.simulate import (
 def truncated_gaussian(rng, bounds):
     """Gaussian draw with sigma = bound / 3, clipped to the bound."""
     return np.clip(rng.normal(0.0, bounds / 3.0), -bounds, bounds)
+
+
+def magnitude_at(attack, sample, sampling_period):
+    """An attack's signal value at one sample index, the twin of `gamma_rows`."""
+    start = int(round(attack.start_time / sampling_period))
+    if sample < start:
+        return 0.0
+    if attack.kind == "ramp":
+        return attack.slope * (sample - start) * sampling_period
+    if attack.kind == "step":
+        return attack.magnitude
+    offset = sample - start
+    return attack.samples[offset] if offset < len(attack.samples) else 0.0
+
+
+def satisfied(guard, x):
+    """Whether x lies in the guard's closed half-space."""
+    value = float(np.asarray(x, dtype=float)[guard.axis])
+    return guard.sign * (value - guard.threshold) >= 0.0
+
+
+def residual_baseline(trace, threshold):
+    """Time of the first settled sample whose residual norm exceeds the threshold."""
+    for time, steady, residual in zip(trace.times, trace.steady, trace.residual):
+        if steady and float(np.max(np.abs(residual))) > threshold:
+            return float(time)
+    return None
 
 
 def reference_step(bank, model, mode_id, x_est, u, y):
@@ -72,7 +102,7 @@ def reference_verdict(detector, node, steady, x_est, residual, event=None):
 
 def _fired_transition(model, mode_id, x):
     for tr in model.transitions_from(mode_id):
-        if tr.guard.satisfied(x):
+        if satisfied(tr.guard, x):
             return tr
     return None
 

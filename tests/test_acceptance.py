@@ -10,17 +10,15 @@ import time
 
 import numpy as np
 from vertex_reference import oracle_box_optimum
+from zonotope_reference import Zonotope, intersects_box, reach
 
 from hybridmon import (
     HybridAutomaton,
     Invariant,
     LtiDynamics,
     Mode,
-    Zonotope,
     box_max,
     decompose_regions,
-    intersects_box,
-    reach,
 )
 from hybridmon.reachability import compute_all_deltas
 

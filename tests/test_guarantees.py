@@ -206,7 +206,7 @@ class TestTrainGateGuarantees:
             assert bound.guards[0].d_star == math.inf
 
     def test_threshold_is_z_star_plus_margin(self, tg_model, tg_bounds):
-        margin = tg_model.theta + 2.0 * tg_model.dynamics(1).v_norm
+        margin = tg_model.theta + 2.0 * max(tg_model.dynamics(1).v_bounds)
         for bound in tg_bounds.values():
             assert bound.threshold == pytest.approx(bound.z_star + margin, abs=1e-12)
 

