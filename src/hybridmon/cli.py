@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .guarantees import EmptyGeometryError, state_guarantees
 from .model import HybridAutomaton, decompose_regions, extract_fsm, refuse_invalid, validate_model
@@ -56,12 +56,20 @@ def parse_attack(text: str) -> AttackSpec:
     unknown = set(fields) - known
     if unknown:
         raise ValueError(f"unknown attack options: {sorted(unknown)}")
+
+    def option(key: str, parse: Callable[[str], float], what: str) -> float:
+        text = fields.get(key, "0")
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"attack option {key} must be {what}, got {text!r}") from None
+
     return AttackSpec(
-        axes=(int(fields.get("axis", "0")),),
+        axes=(option("axis", int, "a whole number"),),
         kind=kind,
-        slope=float(fields.get("slope", "0")),
-        magnitude=float(fields.get("magnitude", "0")),
-        start_time=float(fields.get("start", "0")),
+        slope=option("slope", float, "a real number"),
+        magnitude=option("magnitude", float, "a real number"),
+        start_time=option("start", float, "a real number"),
     )
 
 

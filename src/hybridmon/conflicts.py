@@ -65,8 +65,11 @@ class ConflictRows:
 
 
 def volume_bound(model: HybridAutomaton) -> float:
-    """Largest initial-set volume bounded noise can produce: prod(2*theta + 4*v_i)."""
-    return float(np.prod(2.0 * model.theta + 4.0 * model.max_v_bounds))
+    """Largest initial-set volume bounded noise can produce: prod(2*theta + 4*v_i).
+
+    v is the model's measurement noise bound, which every mode shares.
+    """
+    return float(np.prod(2.0 * model.theta + 4.0 * np.array(model.v_bounds)))
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,12 @@ class _HorizonTable:
         means that set is flat to rounding. Raises HorizonError otherwise,
         and when the table needs more than MAX_NORMAL_SUBSETS normal subsets.
         """
-        dyn = model.dynamics(mode_id)
         inv_lo, inv_hi = model.invariant(mode_id).bounds()
-        a_power, sigma = reach_operator(dyn, delta)
+        a_power, sigma = reach_operator(model, mode_id, delta)
         n = a_power.shape[0]
         rho = (inv_hi - inv_lo) / 2.0
         where = f"mode {mode_id!r}, horizon {delta}"
-        spans = np.vstack([dyn.v_bounds[:, None] * a_power.T, np.eye(n)[rho > 0.0]])
+        spans = np.vstack([np.array(model.v_bounds)[:, None] * a_power.T, np.eye(n)[rho > 0.0]])
         if sigma <= 0.0 and (rank := np.linalg.matrix_rank(spans)) < n:
             raise HorizonError(
                 f"{where}: sigma = 0, and the columns of A^{delta} on the axes with measurement "
@@ -140,14 +142,14 @@ class _HorizonTable:
 class Detector:
     """Conflict evaluator with per-mode geometry precomputed once.
 
-    Holds each mode's invariant bounds and noise bounds, each guard's
-    overshoot slab, and, for each mode with a positive horizon, the
-    separating-axis table of its horizon check. A block of samples costs a
-    handful of interval comparisons and one stacked matrix-vector product
-    per mode. Raises HorizonError, naming the mode and its horizon, for a
-    mode whose table cannot be exact (sigma = 0 and a reach set less the
-    invariant that can be flat) or is too large (more than
-    MAX_NORMAL_SUBSETS normal subsets, first at n = 8).
+    Holds each mode's invariant bounds, each guard's overshoot slab, and,
+    for each mode with a positive horizon, the separating-axis table of its
+    horizon check. A block of samples costs a handful of interval
+    comparisons and one stacked matrix-vector product per mode. Raises
+    HorizonError, naming the mode and its horizon, for a mode whose table
+    cannot be exact (sigma = 0 and a reach set less the invariant that can
+    be flat) or is too large (more than MAX_NORMAL_SUBSETS normal subsets,
+    first at n = 8).
     """
 
     def __init__(
@@ -158,8 +160,6 @@ class Detector:
             deltas = compute_all_deltas(model, decompose_regions(model))
         self.deltas = dict(deltas)
         self.volume_bound = volume_bound(model)
-        self._v = {q: model.dynamics(q).v_bounds for q in model.mode_ids}
-        self._fallback_v = model.max_v_bounds
         self._inv = {q: model.invariant(q).bounds() for q in model.mode_ids}
         self._tables = {
             q: _HorizonTable.build(model, q, self.deltas[q])
@@ -224,8 +224,7 @@ class Detector:
                 groups.setdefault(node, []).append(i)
             estimated = [node[0] if len(node) == 1 else None for node in nodes]
         half = np.abs(residuals)
-        for node, rows in groups.items():
-            half[rows] += self._v[node[0]] if len(node) == 1 else self._fallback_v
+        half += self.model.v_bounds
         lo, hi = centers - half, centers + half
         vol = (2.0 * half).prod(axis=1)
         unexplained = np.zeros(k, dtype=bool)

@@ -85,7 +85,7 @@ def _box_min(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
 
 def _margin(model: HybridAutomaton) -> float:
     """Measurement uncertainty margin theta + 2 v."""
-    return model.theta + 2.0 * float(np.max(model.max_v_bounds))
+    return model.theta + 2.0 * float(np.max(model.v_bounds))
 
 
 def _z_star(
@@ -111,10 +111,9 @@ def _z_star(
     hi[axis] = min(hi[axis], slab_hi)
     if lo[axis] > hi[axis]:
         raise EmptyGeometryError("overshoot slab misses the source invariant")
-    dyn_t = model.dynamics(transition.target)
-    return max(
-        0.0, box_max(sign * dyn_t.a[axis], lo, hi) + dyn_t.step_bound + margin - sign * c_g
-    )
+    target = transition.target
+    row = sign * model.dynamics(target).a[axis]
+    return max(0.0, box_max(row, lo, hi) + model.step_bounds[target] + margin - sign * c_g)
 
 
 def _d_star(
@@ -147,7 +146,7 @@ def _d_star(
     """
     guard = transition.guard
     axis, sign = guard.axis, guard.sign
-    a_power, sigma = reach_operator(model.dynamics(transition.source), delta_q)
+    a_power, sigma = reach_operator(model, transition.source, delta_q)
     a = float(a_power[axis, axis])
     if a < 0.0:
         return math.inf

@@ -14,10 +14,11 @@ which gives the bits of `@` except for the sign of a zero from a 1 x 1
 product: there `dot` can keep a -0.0 that `@` turns into +0.0. That case
 cannot reach a result. Every P is a sum with Q, whose entries are +0.0 or
 positive, and in one dimension K is the product of P >= 0 and
-1 / (P + R) > 0. A solve raises `RiccatiError` naming the mode when an axis
-has process and measurement noise too small for 1 / (Q + R) to be finite
-(both zero, say: P + R is then singular), when an increment is not finite,
-and when any step yields an invalid value.
+1 / (P + R) > 0. `synthesize_gains` raises `RiccatiError`, in the words
+of `noise_problem`, when the model's noise, one Q and R for every mode,
+leaves 1 / (Q + R) not finite on an axis (both zero, say: P + R is then
+singular); a solve raises it naming the mode when an increment is not
+finite and when any step yields an invalid value.
 
 `step_rows` is the update, for S seeds at once: it takes each seed's A and
 gain as arrays and its B u as a row, and steps a range of rows of an
@@ -38,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import HybridAutomaton, LtiDynamics, ModeId, noise_problem
+from .model import HybridAutomaton, ModeId, noise_problem
 
 RICCATI_TOL = 1e-9
 RICCATI_MAX_ITER = 100_000
@@ -48,7 +49,7 @@ _inv = _umath_linalg.inv
 
 
 class RiccatiError(RuntimeError):
-    """Riccati iteration failed for a mode: a noiseless axis, a non-finite step or no convergence."""
+    """Riccati solve failed: noise it cannot invert, or a mode's non-finite step or no convergence."""
 
 
 class GainInstabilityError(RuntimeError):
@@ -87,32 +88,33 @@ def synthesize_gains(model: HybridAutomaton, max_iter: int = RICCATI_MAX_ITER) -
     """Iterate the Riccati recursion per distinct dynamics and check stability.
 
     With the identity output map the update is K = P (P + R)^-1 on the
-    predicted covariance P, followed by P+ = A (P - K P) A' + Q. The result
-    is deterministic for a given model. Modes whose A, w and v bounds are
-    equal bit for bit (so 0.0 and -0.0 differ) share one solve and one
-    `KalmanGain`; a solve's errors name the first mode that needs it.
+    predicted covariance P, followed by P+ = A (P - K P) A' + Q, with the
+    model's Q and R. The result is deterministic for a given model. Modes
+    whose A is equal bit for bit (so 0.0 and -0.0 differ) share one solve
+    and one `KalmanGain`; a solve's errors name the first mode that needs it.
     """
+    # P starts at Q, so the first inversion is singular or overflows on an
+    # axis where 1 / (Q + R) is not finite
+    problem = noise_problem(model)
+    if problem is not None:
+        raise RiccatiError(problem)
     gains: dict[ModeId, KalmanGain] = {}
     solved: dict[tuple, KalmanGain] = {}
     for mode in model.modes:
-        dyn = mode.dynamics
-        key = (dyn.a.shape, dyn.a.tobytes(), dyn.w_bounds.tobytes(), dyn.v_bounds.tobytes())
+        a = mode.dynamics.a
+        key = (a.shape, a.tobytes())
         if key not in solved:
-            solved[key] = _solve_riccati(mode.mode_id, dyn, max_iter)
+            solved[key] = _solve_riccati(model, mode.mode_id, max_iter)
         gains[mode.mode_id] = solved[key]
     return KalmanBank(gains=gains)
 
 
-def _solve_riccati(mode_id: ModeId, dyn: LtiDynamics, max_iter: int) -> KalmanGain:
-    """Riccati fixed point and gain of one dynamics; errors name mode_id."""
-    # P starts at Q, so the first inversion is singular or overflows on an
-    # axis where 1 / (Q + R) is not finite
-    problem = noise_problem(mode_id, dyn)
-    if problem is not None:
-        raise RiccatiError(problem)
-    a, a_t = dyn.a, dyn.a.T
-    q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
-    r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
+def _solve_riccati(model: HybridAutomaton, mode_id: ModeId, max_iter: int) -> KalmanGain:
+    """Riccati fixed point and gain of one mode, with the model's noise; errors name mode_id."""
+    a = model.dynamics(mode_id).a
+    a_t = a.T
+    q_cov = np.diag((np.array(model.w_bounds) / 3.0) ** 2)
+    r_cov = np.diag((np.array(model.v_bounds) / 3.0) ** 2)
     p = q_cov.copy()
     increment = np.inf
     iterations = 0
@@ -149,7 +151,7 @@ def _solve_riccati(mode_id: ModeId, dyn: LtiDynamics, max_iter: int) -> KalmanGa
         iterations=iterations,
         final_increment=increment,
     )
-    radius = float(abs(np.linalg.eigvals(gain.closed_loop(a))).max()) if dyn.dim else 0.0
+    radius = float(abs(np.linalg.eigvals(gain.closed_loop(a))).max()) if len(a) else 0.0
     if radius >= 1.0:
         raise GainInstabilityError(
             f"mode {mode_id!r}: closed-loop spectral radius {radius:.6g} >= 1"

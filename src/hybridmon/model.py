@@ -4,6 +4,8 @@ A hybrid automaton here is a set of discrete modes, each carrying linear
 time-invariant dynamics x+ = A x + B u + w and a hyperrectangular invariant,
 connected by guarded transitions. Each guard is a closed half-space on a
 single state variable. Measurements are y = x + v (identity output map).
+The bounds on w, v and u are the automaton's, one noise model for every
+mode, as the model file holds them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,55 +86,37 @@ class Invariant:
 
 @dataclass(frozen=True)
 class LtiDynamics:
-    """Per-mode dynamics x+ = A x + B u + w with bounded noise and input.
+    """One mode's dynamics x+ = A x + B u + w.
 
-    w_bounds and v_bounds are per-axis infinity-norm bounds on the process
-    and measurement noise; input_bound is the infinity-norm bound on u.
-    The output map is the identity, so no output matrix is stored. Arrays are
-    read-only copies, compared and hashed by value (0.0 equals -0.0).
+    The noise bounds on w and v and the input bound on u belong to the
+    automaton, which shares them among its modes. The output map is the
+    identity, so no output matrix is stored. Arrays are read-only copies,
+    compared and hashed by value (0.0 equals -0.0).
     """
 
     a: np.ndarray
     b: np.ndarray
-    w_bounds: np.ndarray
-    v_bounds: np.ndarray
-    input_bound: float
 
     def __post_init__(self) -> None:
         a, b = readonly(self.a, ndmin=2), readonly(self.b, ndmin=2)
-        w, v = readonly(self.w_bounds, ndmin=1), readonly(self.v_bounds, ndmin=1)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ModelError(f"A must be square, got shape {a.shape}")
         n = a.shape[0]
         if b.shape[0] != n:
             raise ModelError(f"B must have {n} rows, got shape {b.shape}")
-        if w.shape != (n,):
-            raise ModelError(f"process noise bounds must have length {n}")
-        if v.shape != (n,):
-            raise ModelError(f"measurement noise bounds must have length {n}")
-        if not ((w >= 0).all() and (v >= 0).all()):
-            raise ModelError("noise bounds must be nonnegative")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ModelError("system matrices must be finite")
-        if not real_number(self.input_bound):
-            raise ModelError(f"input_bound must be a real number, got {self.input_bound!r}")
-        mu = float(self.input_bound)
-        if not isfinite(mu) or mu < 0:
-            raise ModelError("input bound must be finite and nonnegative")
-        for name, value in zip(("a", "b", "w_bounds", "v_bounds", "input_bound"), (a, b, w, v, mu)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LtiDynamics):
             return NotImplemented
-        fields = ("a", "b", "w_bounds", "v_bounds")
-        return self.input_bound == other.input_bound and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in fields
-        )
+        return np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)
 
     def __hash__(self) -> int:
-        values = (tuple(m.ravel().tolist()) for m in (self.a, self.b, self.w_bounds, self.v_bounds))
-        return hash((self.a.shape, self.b.shape, self.input_bound, *values))
+        values = (tuple(m.ravel().tolist()) for m in (self.a, self.b))
+        return hash((self.a.shape, self.b.shape, *values))
 
     @property
     def dim(self) -> int:
@@ -141,20 +126,10 @@ class LtiDynamics:
     def n_inputs(self) -> int:
         return self.b.shape[1]
 
-    @property
-    def w_norm(self) -> float:
-        return float(np.max(self.w_bounds)) if self.w_bounds.size else 0.0
-
     @cached_property
     def a_norm(self) -> float:
         """||A|| in the infinity norm, the largest absolute row sum."""
         return float(abs(self.a).sum(axis=1).max())
-
-    @cached_property
-    def step_bound(self) -> float:
-        """Per-step inflation radius of a reach set: ||B|| mu + w, infinity norms."""
-        b_norm = float(abs(self.b).sum(axis=1).max()) if self.b.size else 0.0
-        return b_norm * self.input_bound + self.w_norm
 
 
 def real_number(value: object) -> bool:
@@ -227,11 +202,21 @@ class Mode:
 
 @dataclass(frozen=True)
 class HybridAutomaton:
-    """The full nominal model: modes, events, guarded transitions, timing."""
+    """The full nominal model: modes, events, guarded transitions, noise, timing.
+
+    One noise model serves every mode: w_bounds and v_bounds are per-axis
+    infinity-norm bounds on the process and measurement noise, and
+    input_bound is the infinity-norm bound on u. They are stored as tuples
+    of floats, as `Invariant.intervals` is, so the model compares and
+    hashes by value (0.0 equals -0.0).
+    """
 
     modes: tuple[Mode, ...]
     events: tuple[Event, ...]
     transitions: tuple[Transition, ...]
+    w_bounds: tuple[float, ...]
+    v_bounds: tuple[float, ...]
+    input_bound: float
     dwell_time: int
     sampling_period: float
     theta: float
@@ -267,6 +252,23 @@ class HybridAutomaton:
         dims = {m.dynamics.dim for m in self.modes}
         if len(dims) != 1:
             raise ModelError("all modes must share one continuous dimension")
+        n = self.dim
+        w = np.array(self.w_bounds, dtype=float, ndmin=1)
+        v = np.array(self.v_bounds, dtype=float, ndmin=1)
+        if w.shape != (n,):
+            raise ModelError(f"process noise bounds must have length {n}")
+        if v.shape != (n,):
+            raise ModelError(f"measurement noise bounds must have length {n}")
+        if not ((w >= 0).all() and (v >= 0).all()):
+            raise ModelError("noise bounds must be nonnegative")
+        if not real_number(self.input_bound):
+            raise ModelError(f"input_bound must be a real number, got {self.input_bound!r}")
+        mu = float(self.input_bound)
+        if not isfinite(mu) or mu < 0:
+            raise ModelError("input bound must be finite and nonnegative")
+        object.__setattr__(self, "w_bounds", tuple(w.tolist()))
+        object.__setattr__(self, "v_bounds", tuple(v.tolist()))
+        object.__setattr__(self, "input_bound", mu)
         event_by_name = {e.name: e for e in self.events}
         seen_pairs: set[tuple[ModeId, str]] = set()
         for tr in self.transitions:
@@ -297,14 +299,19 @@ class HybridAutomaton:
         return tuple(m.mode_id for m in self.modes)
 
     @cached_property
-    def max_v_bounds(self) -> np.ndarray:
-        """Per-axis largest measurement noise bound over the modes, read-only.
+    def step_bounds(self) -> Mapping[ModeId, float]:
+        """Each mode's per-step inflation radius of a reach set, read-only.
 
-        What noise alone can put on a residual axis whatever the mode; its
-        max is the scalar bound. A max returns one of its arguments, so both
-        keep the bits of the bound they pick.
+        ||B_q|| mu + ||w|| in infinity norms: the mode's own B, with the
+        model's input and process noise bounds.
         """
-        return readonly(np.max([m.dynamics.v_bounds for m in self.modes], axis=0))
+        w_norm = float(np.max(self.w_bounds)) if self.w_bounds else 0.0
+        bounds = {}
+        for mode in self.modes:
+            b = mode.dynamics.b
+            b_norm = float(abs(b).sum(axis=1).max()) if b.size else 0.0
+            bounds[mode.mode_id] = b_norm * self.input_bound + w_norm
+        return MappingProxyType(bounds)
 
     def mode(self, mode_id: ModeId) -> Mode:
         for m in self.modes:
@@ -396,21 +403,23 @@ def refuse_invalid(problems: Sequence[str]) -> None:
         raise ModelError("model failed validation: " + "; ".join(problems))
 
 
-def noise_problem(mode_id: ModeId, dynamics: LtiDynamics) -> str | None:
-    """Why the filter cannot invert a mode's noise, or None when it can.
+def noise_problem(model: HybridAutomaton) -> str | None:
+    """Why the filters cannot invert the model's noise, or None when they can.
 
     Names the first axis where 1 / (Q + R) is not finite, with Q and R the
     process and measurement noise variances (bound / 3)^2: both zero leaves
-    P + R singular, and subnormal ones overflow it.
+    P + R singular, and subnormal ones overflow it. The noise is the
+    model's, shared by every mode, so the message names no mode.
     """
-    q_var = (dynamics.w_bounds / 3.0) ** 2
-    r_var = (dynamics.v_bounds / 3.0) ** 2
+    w, v = np.array(model.w_bounds), np.array(model.v_bounds)
+    q_var = (w / 3.0) ** 2
+    r_var = (v / 3.0) ** 2
     with np.errstate(divide="ignore", over="ignore"):
         unbounded = np.flatnonzero(~np.isfinite(1.0 / (q_var + r_var)))
     if not unbounded.size:
         return None
     axis = int(unbounded[0])
-    noise = f"(w = {dynamics.w_bounds[axis]:g}, v = {dynamics.v_bounds[axis]:g})"
+    noise = f"(w = {w[axis]:g}, v = {v[axis]:g})"
     if q_var[axis] == 0.0 and r_var[axis] == 0.0:
         problem = f"zero process and measurement noise variance {noise}, so P + R is singular"
     else:
@@ -418,7 +427,7 @@ def noise_problem(mode_id: ModeId, dynamics: LtiDynamics) -> str | None:
             f"process and measurement noise variances {noise} too small "
             "to invert: 1 / (Q + R) is not finite"
         )
-    return f"mode {mode_id!r}: axis {axis} has {problem}"
+    return f"axis {axis} has {problem}"
 
 
 def validate_model(model: HybridAutomaton) -> list[str]:
@@ -440,7 +449,6 @@ def validate_model(model: HybridAutomaton) -> list[str]:
             )
     # one eigenvalue solve per bitwise-distinct A, as synthesize_gains keys its solves
     moduli: dict[tuple, float] = {}
-    noise_checked: set[tuple[bytes, bytes]] = set()
     for mode in model.modes:
         dyn = mode.dynamics
         key = (dyn.a.shape, dyn.a.tobytes())
@@ -452,13 +460,9 @@ def validate_model(model: HybridAutomaton) -> list[str]:
             violations.append(
                 f"stability: mode {mode.mode_id!r} has eigenvalue modulus {worst:.6g} > 1"
             )
-        # named once per distinct pair of noise bounds, by its first mode
-        noise_key = (dyn.w_bounds.tobytes(), dyn.v_bounds.tobytes())
-        if noise_key not in noise_checked:
-            noise_checked.add(noise_key)
-            noise = noise_problem(mode.mode_id, dyn)
-            if noise is not None:
-                violations.append(f"noise: {noise}")
+    noise = noise_problem(model)
+    if noise is not None:
+        violations.append(f"noise: {noise}")
     for tr in model.transitions:
         inv = model.invariant(tr.source)
         lo, hi = inv.intervals[tr.guard.axis]

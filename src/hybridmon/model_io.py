@@ -28,8 +28,6 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .model import (
     Event,
     Guard,
@@ -122,25 +120,14 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
     for i, state in enumerate(states):
         _check_keys(state, _STATE_KEYS, f"states[{i}]")
     _check_arrays(states, noise)
-    w_bounds = noise["w"]
-    v_bounds = noise["v"]
-    input_bound = doc["input_bound"]
-    modes = []
-    for state in states:
-        dyn = LtiDynamics(
-            a=state["A"],
-            b=state["B"],
-            w_bounds=w_bounds,
-            v_bounds=v_bounds,
-            input_bound=input_bound,
+    modes = [
+        Mode(
+            mode_id=state["id"],
+            dynamics=LtiDynamics(a=state["A"], b=state["B"]),
+            invariant=Invariant(tuple((lo, hi) for lo, hi in state["invariant"])),
         )
-        modes.append(
-            Mode(
-                mode_id=state["id"],
-                dynamics=dyn,
-                invariant=Invariant(tuple((lo, hi) for lo, hi in state["invariant"])),
-            )
-        )
+        for state in states
+    ]
     events = []
     for i, ev in enumerate(doc["events"]):
         _check_keys(ev, _EVENT_KEYS, f"events[{i}]")
@@ -177,6 +164,9 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
         modes=tuple(modes),
         events=tuple(events),
         transitions=tuple(transitions),
+        w_bounds=noise["w"],
+        v_bounds=noise["v"],
+        input_bound=doc["input_bound"],
         dwell_time=doc["dwell_time"],
         sampling_period=doc["sampling_period"],
         theta=doc["theta"],
@@ -184,20 +174,7 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
 
 
 def model_to_dict(model: HybridAutomaton) -> dict[str, Any]:
-    """Canonical schema document for a model; inverse of parse_model.
-
-    The schema holds one noise and input bound for all modes, so a model
-    whose modes differ in w_bounds, v_bounds or input_bound is refused with
-    a ModelError naming the first such mode and field.
-    """
-    first = model.modes[0].dynamics
-    for m in model.modes[1:]:
-        for field in ("w_bounds", "v_bounds", "input_bound"):
-            if not np.array_equal(getattr(m.dynamics, field), getattr(first, field)):
-                raise ModelError(
-                    f"mode {m.mode_id!r}: {field} differs from mode "
-                    f"{model.modes[0].mode_id!r}'s, and the schema holds one value for all modes"
-                )
+    """Canonical schema document for a model; inverse of parse_model."""
     return {
         "states": [
             {
@@ -226,11 +203,8 @@ def model_to_dict(model: HybridAutomaton) -> dict[str, Any]:
             }
             for t in model.transitions
         ],
-        "noise": {
-            "w": [float(x) for x in first.w_bounds],
-            "v": [float(x) for x in first.v_bounds],
-        },
-        "input_bound": first.input_bound,
+        "noise": {"w": list(model.w_bounds), "v": list(model.v_bounds)},
+        "input_bound": model.input_bound,
         "sampling_period": model.sampling_period,
         "dwell_time": model.dwell_time,
         "theta": model.theta,

@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import GEOM_TOL, HybridAutomaton, LtiDynamics, ModeId, RegionDecomposition, Transition
+from .model import GEOM_TOL, HybridAutomaton, ModeId, RegionDecomposition, Transition
 
 NORM_ONE_TOL = 1e-12  # treat the matrix norm as exactly one inside this slack
 MAX_DELTA = 10_000
@@ -52,10 +52,14 @@ def sigma_sum(a_norm: float, steps: int, per_step: float) -> float:
     return (1.0 - a_norm**steps) / (1.0 - a_norm) * per_step
 
 
-def reach_operator(dyn: LtiDynamics, steps: int) -> tuple[np.ndarray, float]:
-    """A^steps and sigma_steps: the reach set of Z after `steps` steps is
-    A^steps Z plus the infinity-ball of radius sigma_steps."""
-    return np.linalg.matrix_power(dyn.a, steps), sigma_sum(dyn.a_norm, steps, dyn.step_bound)
+def reach_operator(
+    model: HybridAutomaton, mode_id: ModeId, steps: int
+) -> tuple[np.ndarray, float]:
+    """A^steps and sigma_steps of a mode: the reach set of Z after `steps`
+    steps is A^steps Z plus the infinity-ball of radius sigma_steps."""
+    dyn = model.dynamics(mode_id)
+    sigma = sigma_sum(dyn.a_norm, steps, model.step_bounds[mode_id])
+    return np.linalg.matrix_power(dyn.a, steps), sigma
 
 
 def guard_axis_hulls(
@@ -72,11 +76,10 @@ def guard_axis_hulls(
     """
     if np.any(lo > hi):
         raise ValueError("box has lo > hi")
-    dyn = model.dynamics(mode_id)
     center, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     wide = np.flatnonzero(half > 0.0)
     for d in count(1):
-        power, sigma = reach_operator(dyn, d)
+        power, sigma = reach_operator(model, mode_id, d)
         radius = 0.0
         for h, entry in zip(half[wide].tolist(), power[axis, wide].tolist()):
             radius += abs(h * entry)

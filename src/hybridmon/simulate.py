@@ -10,8 +10,8 @@ Runs of one model are stepped together: one loop steps S seeds in
 lockstep, `sweep` hands it its seeds GROUP at a time, and `simulate` is the
 one-seed case. A run has two parts. The plant loop steps per sample only
 what feeds back into the plant: the controller, the guards, x = A x + B u +
-w and the measurement, with each mode's matrices, noise scales and guards
-looked up once per run and the standard normals drawn once per block of
+w and the measurement, with each mode's matrices and guards looked up once
+per run and the noise, one for all modes, drawn once per block of
 samples. Per seed, the loop calls the controller, checks the guards on the
 seed's state, read from one `tolist` of the row of all seeds, and takes A x
 with one `ndarray.dot` into the seed's row; the sums with B u and w, the
@@ -142,6 +142,14 @@ class AttackSpec:
         return rows
 
 
+def _check_axis(name: str, axis: object) -> None:
+    """Raise ValueError naming the field unless axis is a nonnegative whole number."""
+    if not whole_number(axis):
+        raise ValueError(f"{name} must be a whole number, got {axis!r}")
+    if axis < 0:
+        raise ValueError(f"{name} must be nonnegative, got {axis!r}")
+
+
 @dataclass(frozen=True)
 class ZoneController:
     """Piecewise-constant reference input from the measured state.
@@ -158,8 +166,8 @@ class ZoneController:
     outside_value: float
 
     def __post_init__(self) -> None:
-        if not whole_number(self.axis):
-            raise ValueError(f"zone controller axis must be a whole number, got {self.axis!r}")
+        _check_axis("zone controller axis", self.axis)
+        object.__setattr__(self, "axis", int(self.axis))
         for name in ("center", "half_width", "inside_value", "outside_value"):
             if not real_number(value := getattr(self, name)):
                 raise ValueError(f"zone controller {name} must be a real number, got {value!r}")
@@ -199,6 +207,14 @@ class ZoneSpeedLimit:
     half_width: float
     speed_axis: int
     limit: float
+
+    def __post_init__(self) -> None:
+        for name in ("position_axis", "speed_axis"):
+            _check_axis(f"zone speed limit {name}", value := getattr(self, name))
+            object.__setattr__(self, name, int(value))
+        for name in ("center", "half_width", "limit"):
+            if not real_number(value := getattr(self, name)):
+                raise ValueError(f"zone speed limit {name} must be a real number, got {value!r}")
 
     def violated(self, x: np.ndarray) -> np.ndarray:
         """Whether each row of x breaks the limit: a bool for one state, one per row of a block."""
@@ -334,7 +350,7 @@ class SimulationResult:
 
 def baseline_threshold(model: HybridAutomaton) -> float:
     """Residual-monitor alarm level: estimation margin plus noise bound."""
-    return model.theta + float(np.max(model.max_v_bounds))
+    return model.theta + float(np.max(model.v_bounds))
 
 
 # Samples decided per detector pass. A summary-only run keeps one block of
@@ -364,8 +380,6 @@ class _ModeStep(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     gain: np.ndarray
-    sigma: np.ndarray  # (2, n): standard deviations of w and v
-    bound: np.ndarray  # (2, n): the bounds they are clipped to
     guards: tuple[tuple[int, int, float, Transition], ...]  # (axis, sign, threshold, transition)
 
 
@@ -379,10 +393,8 @@ def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeS
     steps = {}
     for mode in model.modes:
         dyn = mode.dynamics
-        bound = np.stack([dyn.w_bounds, dyn.v_bounds])
         steps[mode.mode_id] = _ModeStep(
-            dyn.a, dyn.b, bank.gains[mode.mode_id].gain, bound / 3.0, bound,
-            tuple(guards[mode.mode_id]),
+            dyn.a, dyn.b, bank.gains[mode.mode_id].gain, tuple(guards[mode.mode_id])
         )
     return steps
 
@@ -492,6 +504,9 @@ class _Run:
         self.model, self.detector, self.steps, self.safety = model, detector, steps, safety
         self.threshold = baseline_threshold(model)
         self.h, self.dwell, dim = model.sampling_period, model.dwell_time, model.dim
+        # the model's noise: w's and v's bounds, row by row, and their normals' deviations
+        self.bound = np.array((model.w_bounds, model.v_bounds))
+        self.sigma = self.bound / 3.0
         # the plant: the mode's step and the observer node; the last
         # controller output that passed the check, as bytes, which tell -0.0
         # from 0.0 and see an array rewritten in place, and as a read-only
@@ -525,22 +540,15 @@ class _Run:
         self.violation: SafetyViolation | None = None
 
     def draw(self, k: int) -> None:
-        """Draw the block's standard normals and lay their noise into rows 1 .. k."""
-        # row j: w of sample t + j, then v and the attack of sample t + j + 1
-        self.z = self.rng.standard_normal((k, 2, self.model.dim))
-        self.lay(0, spent=0)
-
-    def lay(self, i: int, spent: int) -> None:
-        """Lay the current mode's noise from row i of the block's normals on.
+        """Draw the block's noise and lay it into rows 1 .. k.
 
         w of sample t + j goes into x's row j + 1 and v of sample t + j + 1
-        into y's row j + 1, where the loop adds the rest of each sum. With
-        spent=1, row i's w was used already and is not laid again.
+        into y's row j + 1, where the loop adds the rest of each sum.
         """
-        noise = _truncated_gaussian(self.z[i:], self.step.sigma, self.step.bound)
-        k, group, s = len(self.z), self.group, self.s
-        group.x[i + 1 + spent : k + 1, s] = noise[spent:, 0]
-        group.y[i + 1 : k + 1, s] = noise[:, 1]
+        z = self.rng.standard_normal((k, 2, self.model.dim))
+        noise = _truncated_gaussian(z, self.sigma, self.bound)
+        self.group.x[1 : k + 1, self.s] = noise[:, 0]
+        self.group.y[1 : k + 1, self.s] = noise[:, 1]
 
     def label(self, first: int, k: int, carry: bool, marks: dict[int, list]) -> int:
         """Rebuild the labels of rows 0 .. k - 1, which hold samples first .. first + k - 1.
@@ -786,10 +794,9 @@ def _lockstep(
     # nor is x + v; adding the zero row of a run without attack would change
     # nothing, and the loop skips it.
     gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
-    step = steps[q]
     group.x[0] = x
     for s, run in enumerate(runs):
-        v = _truncated_gaussian(run.rng.standard_normal(dim), step.sigma[1], step.bound[1])
+        v = _truncated_gaussian(run.rng.standard_normal(dim), run.sigma[1], run.bound[1])
         group.y[0, s] = x + v + gamma0
     group.x_est[0] = group.y[0]
     # (run, transition, state) of each guard that fired at this sample
@@ -866,8 +873,6 @@ def _lockstep(
                         continue
                     run.step = step = steps[tr.target]
                     _b_dot(step.b, run.u, run.bu)
-                    # row i's w is spent; its v, and the rows after, are the new mode's
-                    run.lay(i, spent=1)
                 fired.clear()
                 if not active:
                     break

@@ -147,8 +147,8 @@ def z_star(model, transition, eps, margin):
     hi[guard.axis] = min(hi[guard.axis], eps)
     if lo[guard.axis] > hi[guard.axis]:
         raise EmptyGeometryError("overshoot slab misses the source invariant")
-    dyn_t = model.dynamics(transition.target)
-    return max(0.0, box_max(dyn_t.a[guard.axis], lo, hi) + dyn_t.step_bound + margin - c_g)
+    a_row = model.dynamics(transition.target).a[guard.axis]
+    return max(0.0, box_max(a_row, lo, hi) + model.step_bounds[transition.target] + margin - c_g)
 
 
 def rising_band(model, regions, transition, delta_q):
@@ -158,7 +158,7 @@ def rising_band(model, regions, transition, delta_q):
     """
     guard = transition.guard
     axis, sign = guard.axis, guard.sign
-    a_power, sigma = reach_operator(model.dynamics(transition.source), delta_q)
+    a_power, sigma = reach_operator(model, transition.source, delta_q)
     a_row = a_power[axis]
     coefficient = float(a_row[axis])
     if coefficient < 0.0:
@@ -230,7 +230,7 @@ def d_star_bisection(model, regions, transition, delta_q, margin):
 
 def state_guarantees(model, regions, deltas):
     """`state_guarantees`, each falling guard solved as a rising one on the mirrored model."""
-    margin = model.theta + 2.0 * float(np.max(model.max_v_bounds))
+    margin = model.theta + 2.0 * float(np.max(model.v_bounds))
     out = {}
     for mode_id in model.mode_ids:
         guards = []
@@ -275,17 +275,18 @@ def slabs(model):
     return out
 
 
-def solve_riccati(mode_id, dyn, max_iter=RICCATI_MAX_ITER):
-    """Riccati fixed point and gain of one dynamics; errors name mode_id."""
-    n = dyn.dim
-    q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
-    r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
+def solve_riccati(model, mode_id, max_iter=RICCATI_MAX_ITER):
+    """Riccati fixed point and gain of one mode, with the model's noise; errors name mode_id."""
+    a = model.dynamics(mode_id).a
+    n = len(a)
+    q_cov = np.diag((np.asarray(model.w_bounds) / 3.0) ** 2)
+    r_cov = np.diag((np.asarray(model.v_bounds) / 3.0) ** 2)
     p = q_cov.copy()
     increment = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         k = p @ np.linalg.inv(p + r_cov)
-        p_next = dyn.a @ (p - k @ p) @ dyn.a.T + q_cov
+        p_next = a @ (p - k @ p) @ a.T + q_cov
         increment = float(np.max(np.abs(p_next - p)))
         p = p_next
         if increment < RICCATI_TOL:
@@ -296,7 +297,7 @@ def solve_riccati(mode_id, dyn, max_iter=RICCATI_MAX_ITER):
             f"within {max_iter} steps (last increment {increment:.3e})"
         )
     k = p @ np.linalg.inv(p + r_cov)
-    closed = (np.eye(n) - k) @ dyn.a
+    closed = (np.eye(n) - k) @ a
     radius = float(np.max(np.abs(np.linalg.eigvals(closed)))) if n else 0.0
     if radius >= 1.0:
         raise GainInstabilityError(

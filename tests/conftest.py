@@ -104,11 +104,11 @@ def excursion_envelope(model, trace, i, segment_start):
     below = np.zeros(2)
     above = np.zeros(2)
     if segment_start == 0:
-        below[0] = k * dyn.w_bounds[0]
+        below[0] = k * model.w_bounds[0]
     else:
         pole = dyn.a[1, 1]
         entry = max(0.0, float(trace.x_true[segment_start, 1] - hi[1]))
-        above[1] = pole**k * entry + dyn.w_bounds[1] * (1.0 - pole**k) / (1.0 - pole)
+        above[1] = pole**k * entry + model.w_bounds[1] * (1.0 - pole**k) / (1.0 - pole)
     return below, above
 
 

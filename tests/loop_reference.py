@@ -27,6 +27,7 @@ from hybridmon.simulate import (
 
 def truncated_gaussian(rng, bounds):
     """Gaussian draw with sigma = bound / 3, clipped to the bound."""
+    bounds = np.asarray(bounds)
     return np.clip(rng.normal(0.0, bounds / 3.0), -bounds, bounds)
 
 
@@ -73,9 +74,7 @@ def reference_verdict(detector, node, steady, x_est, residual, event=None):
     """(estimated mode, warming up, A, B, C, volume) of one sample."""
     singleton = len(node) == 1
     center = np.array(x_est, dtype=float)
-    half = np.abs(np.asarray(residual, dtype=float)) + (
-        detector._v[node[0]] if singleton else detector._fallback_v
-    )
+    half = np.abs(np.asarray(residual, dtype=float)) + detector.model.v_bounds
     lo, hi = center - half, center + half
     vol = float((2.0 * half).prod())
     mode_id = node[0] if singleton else None
@@ -122,7 +121,7 @@ def reference_simulate(config, detector, bank, observer):
     dim = x.size
 
     gamma0 = config.attack.gamma_rows(0, 1, h, dim)[0] if config.attack else np.zeros(dim)
-    v = truncated_gaussian(rng, model.dynamics(q).v_bounds)
+    v = truncated_gaussian(rng, model.v_bounds)
     y = x + v + gamma0
     x_est = y.copy()
 
@@ -180,7 +179,7 @@ def reference_simulate(config, detector, bank, observer):
                 stop_event = fired.output_event
                 break
 
-        w = truncated_gaussian(rng, model.dynamics(q).w_bounds)
+        w = truncated_gaussian(rng, model.w_bounds)
         dyn = model.dynamics(q)
         x = dyn.a @ x + dyn.b @ u + w
 
@@ -196,7 +195,7 @@ def reference_simulate(config, detector, bank, observer):
         else:
             steady_timer += 1
 
-        v = truncated_gaussian(rng, model.dynamics(q).v_bounds)
+        v = truncated_gaussian(rng, model.v_bounds)
         gamma = config.attack.gamma_rows(t + 1, 1, h, dim)[0] if config.attack else np.zeros(dim)
         y = x + v + gamma
         x_est = reference_step(bank, model, predict_mode, x_est, u, y)

@@ -163,14 +163,15 @@ def test_criterion_09_reachability_soundness():
             modes=(
                 Mode(
                     "m",
-                    LtiDynamics(
-                        a=a, b=b, w_bounds=w, v_bounds=np.full(n, 0.1), input_bound=mu
-                    ),
+                    LtiDynamics(a=a, b=b),
                     Invariant(tuple((-100.0, 100.0) for _ in range(n))),
                 ),
             ),
             events=(),
             transitions=(),
+            w_bounds=w,
+            v_bounds=np.full(n, 0.1),
+            input_bound=mu,
             dwell_time=1,
             sampling_period=0.1,
             theta=0.05,

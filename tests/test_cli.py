@@ -98,6 +98,20 @@ class TestParseAttack:
         with pytest.raises(ValueError, match="unknown attack kind"):
             parse_attack("pulse:magnitude=1")
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("axis=0.5", "attack option axis must be a whole number, got '0.5'"),
+            ("slope=fast", "attack option slope must be a real number, got 'fast'"),
+            ("magnitude=", "attack option magnitude must be a real number, got ''"),
+            ("start=1.5s", "attack option start must be a real number, got '1.5s'"),
+        ],
+    )
+    def test_option_that_is_not_a_number_is_named(self, capsys, option, message):
+        # the error names the option and its text, not only the parse failure
+        code, out, err = run_cli(capsys, "run", "train-gate", "--attack", f"ramp:{option}")
+        assert (code, out, err) == (1, [], f"error: {message}\n")
+
 
 class TestSeedRange:
     def test_range_is_inclusive(self):
@@ -239,7 +253,7 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path), "--duration", "1")
         assert code == 1
         assert err == (
-            "error: model failed validation: noise: mode 1: axis 1 has zero process and "
+            "error: model failed validation: noise: axis 1 has zero process and "
             "measurement noise variance (w = 0, v = 0), so P + R is singular\n"
         )
 
@@ -324,7 +338,7 @@ class TestStaticCommands:
         code, out, err = run_cli(capsys, command, write_model(tmp_path, doc))
         assert (code, out) == (1, [])
         assert err == (
-            "error: model failed validation: noise: mode 1: axis 0 has zero process and "
+            "error: model failed validation: noise: axis 0 has zero process and "
             "measurement noise variance (w = 0, v = 0), so P + R is singular\n"
         )
 

@@ -40,18 +40,15 @@ def rotation_model():
         modes=(
             Mode(
                 1,
-                LtiDynamics(
-                    a=[[0.0, -1.0], [1.0, 0.0]],
-                    b=[[0.0], [0.0]],
-                    w_bounds=[0.0, 0.0],
-                    v_bounds=[0.1, 0.1],
-                    input_bound=0.0,
-                ),
+                LtiDynamics(a=[[0.0, -1.0], [1.0, 0.0]], b=[[0.0], [0.0]]),
                 Invariant(((0.5, 1.0), (-0.2, 0.2))),
             ),
         ),
         events=(),
         transitions=(),
+        w_bounds=[0.0, 0.0],
+        v_bounds=[0.1, 0.1],
+        input_bound=0.0,
         dwell_time=1,
         sampling_period=1.0,
         theta=0.05,
@@ -233,14 +230,13 @@ def _one_mode(a, w, v, invariant) -> HybridAutomaton:
     n = len(a)
     return HybridAutomaton(
         modes=(
-            Mode(
-                1,
-                LtiDynamics(a=a, b=[[0.0]] * n, w_bounds=w, v_bounds=v, input_bound=0.0),
-                Invariant(tuple(invariant)),
-            ),
+            Mode(1, LtiDynamics(a=a, b=[[0.0]] * n), Invariant(tuple(invariant))),
         ),
         events=(),
         transitions=(),
+        w_bounds=w,
+        v_bounds=v,
+        input_bound=0.0,
         dwell_time=1,
         sampling_period=1.0,
         theta=0.05,
@@ -250,9 +246,9 @@ def _one_mode(a, w, v, invariant) -> HybridAutomaton:
 def _reference_reach(model, delta, x_est, residual):
     """The horizon set built explicitly: inflate(linear_map(A^delta, X_I), sigma)."""
     dyn = model.dynamics(1)
-    x_i = Zonotope(x_est, np.diag(np.abs(residual) + dyn.v_bounds))
+    x_i = Zonotope(x_est, np.diag(np.abs(residual) + model.v_bounds))
     a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
-    sigma = sigma_sum(a_norm, delta, dyn.step_bound)
+    sigma = sigma_sum(a_norm, delta, model.step_bounds[1])
     return x_i, inflate(linear_map(np.linalg.matrix_power(dyn.a, delta), x_i), sigma)
 
 
@@ -539,7 +535,7 @@ class TestEventCheck:
         # without an attack the box holds the true state, and a firing state
         # lies in the slab, whatever the estimation error
         rng = np.random.default_rng(3)
-        v = tg_model.dynamics(1).v_bounds
+        v = np.array(tg_model.v_bounds)
         for _ in range(500):
             x = np.array([rng.uniform(45.0, epsilon), rng.uniform(0.0, 1.5)])
             y = x + rng.uniform(-v, v)
@@ -564,7 +560,7 @@ class TestEventCheck:
         # worst case for the check: the true state at the slab face nearest
         # the offset, the estimate trailing the attacked trajectory by theta
         # and the noise draw at its bound, both against the offset
-        theta, v = tg_model.theta, tg_model.dynamics(1).v_bounds[0]
+        theta, v = tg_model.theta, tg_model.v_bounds[0]
         offset = sign * (detection_threshold(tg_model, 1) + 1e-9)
         x = 45.0 if sign > 0 else epsilon
         y = x + offset + sign * v

@@ -39,19 +39,14 @@ def face_model(theta=0.05, v=0.1, w=0.0, a_source=1.0, a_target=1.0):
     """1-D pair with the guard on the source invariant's upper face."""
     return HybridAutomaton(
         modes=(
-            Mode(
-                1,
-                LtiDynamics(a=[[a_source]], b=[[0.0]], w_bounds=[w], v_bounds=[v], input_bound=0.0),
-                Invariant(((0.0, 10.0),)),
-            ),
-            Mode(
-                2,
-                LtiDynamics(a=[[a_target]], b=[[0.0]], w_bounds=[w], v_bounds=[v], input_bound=0.0),
-                Invariant(((10.0, 12.0),)),
-            ),
+            Mode(1, LtiDynamics(a=[[a_source]], b=[[0.0]]), Invariant(((0.0, 10.0),))),
+            Mode(2, LtiDynamics(a=[[a_target]], b=[[0.0]]), Invariant(((10.0, 12.0),))),
         ),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=10.0)),),
+        w_bounds=[w],
+        v_bounds=[v],
+        input_bound=0.0,
         dwell_time=1,
         sampling_period=1.0,
         theta=theta,
@@ -64,23 +59,19 @@ def mono_model(w, falling=False):
     The falling variant is its mirror image on the axis.
     """
     sign = -1.0 if falling else 1.0
+    drift_free = LtiDynamics(a=[[1.0]], b=[[0.0]])
     return HybridAutomaton(
         modes=(
-            Mode(
-                1,
-                LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[w], v_bounds=[0.1], input_bound=0.0),
-                Invariant((tuple(sorted((0.0, sign * 10.0))),)),
-            ),
-            Mode(
-                2,
-                LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[w], v_bounds=[0.1], input_bound=0.0),
-                Invariant((tuple(sorted((0.0, sign * 2.0))),)),
-            ),
+            Mode(1, drift_free, Invariant((tuple(sorted((0.0, sign * 10.0))),))),
+            Mode(2, drift_free, Invariant((tuple(sorted((0.0, sign * 2.0))),))),
         ),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(
             Transition(1, "go", "seen", 2, Guard(axis=0, sign=int(sign), threshold=sign * 2.0)),
         ),
+        w_bounds=[w],
+        v_bounds=[0.1],
+        input_bound=0.0,
         dwell_time=1,
         sampling_period=1.0,
         theta=0.05,
@@ -206,7 +197,7 @@ class TestTrainGateGuarantees:
             assert bound.guards[0].d_star == math.inf
 
     def test_threshold_is_z_star_plus_margin(self, tg_model, tg_bounds):
-        margin = tg_model.theta + 2.0 * max(tg_model.dynamics(1).v_bounds)
+        margin = tg_model.theta + 2.0 * max(tg_model.v_bounds)
         for bound in tg_bounds.values():
             assert bound.threshold == pytest.approx(bound.z_star + margin, abs=1e-12)
 
@@ -231,21 +222,16 @@ class TestReflection:
         # mirror of the face model: travel downward, guard at the lower face
         model = HybridAutomaton(
             modes=(
-                Mode(
-                    1,
-                    LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0),
-                    Invariant(((-10.0, 0.0),)),
-                ),
-                Mode(
-                    2,
-                    LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0),
-                    Invariant(((-12.0, -10.0),)),
-                ),
+                Mode(1, LtiDynamics(a=[[1.0]], b=[[0.0]]), Invariant(((-10.0, 0.0),))),
+                Mode(2, LtiDynamics(a=[[1.0]], b=[[0.0]]), Invariant(((-12.0, -10.0),))),
             ),
             events=(Event("go", "input"), Event("seen", "output")),
             transitions=(
                 Transition(1, "go", "seen", 2, Guard(axis=0, sign=-1, threshold=-10.0)),
             ),
+            w_bounds=[0.0],
+            v_bounds=[0.1],
+            input_bound=0.0,
             dwell_time=1,
             sampling_period=1.0,
             theta=0.05,
@@ -278,15 +264,11 @@ class TestReflection:
             assert bounds[q].threshold == pytest.approx(tg_bounds[q].threshold, abs=1e-9)
 
 
-def _mode(mode_id, a, b, box, w, v):
-    return Mode(
-        mode_id,
-        LtiDynamics(a=a, b=b, w_bounds=w, v_bounds=v, input_bound=1.0),
-        Invariant(tuple(box)),
-    )
+def _mode(mode_id, a, b, box):
+    return Mode(mode_id, LtiDynamics(a=a, b=b), Invariant(tuple(box)))
 
 
-def _automaton(modes, guards, theta=0.05):
+def _automaton(modes, guards, w, v, theta=0.05):
     """Mode i leaves on guards[i] = (axis, sign, threshold, target)."""
     events, transitions = [], []
     for i, (axis, sign, threshold, target) in enumerate(guards):
@@ -298,6 +280,9 @@ def _automaton(modes, guards, theta=0.05):
         modes=tuple(modes),
         events=tuple(events),
         transitions=tuple(transitions),
+        w_bounds=w,
+        v_bounds=v,
+        input_bound=1.0,
         dwell_time=10,
         sampling_period=0.1,
         theta=theta,
@@ -329,9 +314,9 @@ def ring_model(dim, mirrored):
         hi = bounds[i + 1] + (overlap if i < 3 else 0.0)
         position = tuple(sorted((sign * bounds[i], sign * hi)))
         box = [position] + [(0.0, ceilings[i])] * (dim - 1)
-        modes.append(_mode(i, a, b, box, w, v))
+        modes.append(_mode(i, a, b, box))
         guards.append((0, -1 if mirrored else 1, sign * bounds[i + 1], (i + 1) % 4))
-    return _automaton(modes, guards, theta=0.06)
+    return _automaton(modes, guards, w, v, theta=0.06)
 
 
 def shuttle_model():
@@ -339,10 +324,10 @@ def shuttle_model():
     a, b = [[1.0, 0.1], [0.0, 0.9]], [[0.0], [0.1]]
     w, v = [0.01, 0.01], [0.1, 0.1]
     modes = [
-        _mode("out", a, b, [(0.0, 21.0), (0.0, 1.0)], w, v),
-        _mode("back", a, b, [(20.0, 40.0), (-1.0, 0.0)], w, v),
+        _mode("out", a, b, [(0.0, 21.0), (0.0, 1.0)]),
+        _mode("back", a, b, [(20.0, 40.0), (-1.0, 0.0)]),
     ]
-    return _automaton(modes, [(0, 1, 20.0, "back"), (0, -1, 21.0, "out")])
+    return _automaton(modes, [(0, 1, 20.0, "back"), (0, -1, 21.0, "out")], w, v)
 
 
 def two_axis_model():
@@ -350,11 +335,11 @@ def two_axis_model():
     a, b = np.eye(2), 0.1 * np.eye(2)
     w, v = [0.01, 0.02], [0.1, 0.05]
     modes = [
-        _mode(0, a, b, [(0.0, 10.0), (0.0, 10.0)], w, v),
-        _mode(1, a, b, [(-5.0, 1.0), (0.0, 10.0)], w, v),
-        _mode(2, a, b, [(-5.0, 1.0), (-5.0, 1.0)], w, v),
+        _mode(0, a, b, [(0.0, 10.0), (0.0, 10.0)]),
+        _mode(1, a, b, [(-5.0, 1.0), (0.0, 10.0)]),
+        _mode(2, a, b, [(-5.0, 1.0), (-5.0, 1.0)]),
     ]
-    return _automaton(modes, [(0, -1, 1.0, 1), (1, -1, 1.0, 2), (0, 1, 0.0, 0)])
+    return _automaton(modes, [(0, -1, 1.0, 1), (1, -1, 1.0, 2), (0, 1, 0.0, 0)], w, v)
 
 
 ORACLE_MODELS = {
@@ -515,7 +500,7 @@ class TestAnalysisReference:
         bank = synthesize_gains(model)
         for mode in model.modes:
             mine = bank.gains[mode.mode_id]
-            theirs = analysis_reference.solve_riccati(mode.mode_id, mode.dynamics)
+            theirs = analysis_reference.solve_riccati(model, mode.mode_id)
             assert _bits(mine.gain) == _bits(theirs.gain)
             assert _bits(mine.predicted_covariance) == _bits(theirs.predicted_covariance)
             assert mine.iterations == theirs.iterations
@@ -535,12 +520,15 @@ def _entry(rng, scale):
     return 0.0 if r < 0.25 else -0.0 if r < 0.5 else float(rng.uniform(-scale, scale))
 
 
-def one_guard_pair(dyn, source, target, guard):
+def one_guard_pair(dyn, source, target, guard, w, v, input_bound=0.0):
     """Modes 0 and 1 sharing dyn, with these invariants, and one transition 0 -> 1 on guard."""
     return HybridAutomaton(
         modes=(Mode(0, dyn, Invariant(tuple(source))), Mode(1, dyn, Invariant(tuple(target)))),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(Transition(0, "go", "seen", 1, guard),),
+        w_bounds=w,
+        v_bounds=v,
+        input_bound=input_bound,
         dwell_time=1,
         sampling_period=1.0,
         theta=0.05,
@@ -564,13 +552,8 @@ def generated_pair(rng):
     a[np.diag_indices(dim)] = rng.uniform(0.8, 1.0, size=dim)
     a[axis, axis] = rng.choice([1.0, 0.99, 0.95])
     b = np.array([[_entry(rng, 0.1)] for _ in range(dim)])
-    dyn = LtiDynamics(
-        a=a,
-        b=b,
-        w_bounds=rng.uniform(0.25, 0.5, size=dim),
-        v_bounds=rng.uniform(0.02, 0.1, size=dim),
-        input_bound=1.0,
-    )
+    dyn = LtiDynamics(a=a, b=b)
+    w, v = rng.uniform(0.25, 0.5, size=dim), rng.uniform(0.02, 0.1, size=dim)
     box = [(_entry(rng, 0.0) if rng.random() < 0.5 else -1.0, 1.0) for _ in range(dim)]
     lo = float(rng.uniform(-3.0, 1.0))
     hi = lo + float(rng.uniform(1.0, 4.0))
@@ -579,7 +562,7 @@ def generated_pair(rng):
     source, target = list(box), list(box)
     source[axis] = (lo, hi)
     target[axis] = (c_g, hi + 5.0) if sign > 0 else (lo - 5.0, c_g)
-    return one_guard_pair(dyn, source, target, Guard(axis, sign, c_g)), tie
+    return one_guard_pair(dyn, source, target, Guard(axis, sign, c_g), w, v, 1.0), tie
 
 
 def _mirror_view(bounds, sign=1):
@@ -595,12 +578,13 @@ def _mirror_view(bounds, sign=1):
 
 def tie_pair(sign):
     """a = 0.99, w = 0.3 and the guard at the midpoint of [0, 10], rising, or its mirror image."""
-    dyn = LtiDynamics(a=[[0.99]], b=[[0.0]], w_bounds=[0.3], v_bounds=[0.1], input_bound=0.0)
     return one_guard_pair(
-        dyn,
+        LtiDynamics(a=[[0.99]], b=[[0.0]]),
         [sorted((0.0, sign * 10.0))],
         [sorted((sign * 5.0, sign * 15.0))],
         Guard(axis=0, sign=sign, threshold=sign * 5.0),
+        w=[0.3],
+        v=[0.1],
     )
 
 
@@ -680,8 +664,8 @@ class TestDStarClosedForm:
         # band at d = 0 misses the invariant and proves nothing, so d* is the
         # first offset whose band meets it, 0 + 1 - margin, where the
         # bisection stops just above
-        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0)
-        model = one_guard_pair(dyn, [(0.0, 10.0)], [(-1.0, 15.0)], Guard(0, 1, -1.0))
+        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]])
+        model = one_guard_pair(dyn, [(0.0, 10.0)], [(-1.0, 15.0)], Guard(0, 1, -1.0), [0.0], [0.1])
         regions, tr, margin = decompose_regions(model), model.transitions[0], _margin(model)
         assert margin == 0.25
         assert _d_star(model, regions, tr, 1, margin) == 0.75
@@ -716,8 +700,8 @@ class TestSignAwareGuards:
         # the one-step hull of a falling guard at 1 with w = 1 bottoms out at
         # 1 - 1 = 0.0; negating the mirror's top end, -1 + 1, gives -0.0
         # instead, the one place where the two ways differ in bits
-        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]], w_bounds=[1.0], v_bounds=[0.1], input_bound=0.0)
-        model = one_guard_pair(dyn, [(-5.0, 5.0)], [(-10.0, 1.0)], Guard(0, -1, 1.0))
+        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]])
+        model = one_guard_pair(dyn, [(-5.0, 5.0)], [(-10.0, 1.0)], Guard(0, -1, 1.0), [1.0], [0.1])
         tr = model.transitions[0]
         assert _bits(facet_epsilon(model, tr)) == _bits(0.0)
         assert _bits(analysis_reference.facet_epsilon(model, tr)) == _bits(-0.0)

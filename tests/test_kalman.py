@@ -53,12 +53,15 @@ def single_mode(a, w, v):
         modes=(
             Mode(
                 "s",
-                LtiDynamics(a=a, b=[[0.0]] * n, w_bounds=w, v_bounds=v, input_bound=0.0),
+                LtiDynamics(a=a, b=[[0.0]] * n),
                 Invariant(tuple((-10.0, 10.0) for _ in range(n))),
             ),
         ),
         events=(),
         transitions=(),
+        w_bounds=w,
+        v_bounds=v,
+        input_bound=0.0,
         dwell_time=1,
         sampling_period=0.1,
         theta=0.05,
@@ -112,7 +115,7 @@ class TestSynthesizeGains:
         model = single_mode([[0.5, 0.0], [0.0, 0.5]], [0.01, 0.0], [0.1, 0.0])
         with pytest.raises(
             RiccatiError,
-            match=r"^mode 's': axis 1 has zero process and measurement noise variance "
+            match=r"^axis 1 has zero process and measurement noise variance "
             r"\(w = 0, v = 0\), so P \+ R is singular$",
         ):
             synthesize_gains(model)
@@ -124,7 +127,7 @@ class TestSynthesizeGains:
         # axis in the words of the solve.
         model = single_mode([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]], [w] * 3, [v] * 3)
         named = (
-            rf"mode 's': axis 0 has process and measurement noise variances "
+            rf"axis 0 has process and measurement noise variances "
             rf"\(w = {w:g}, v = {v:g}\) too small to invert: 1 / \(Q \+ R\) is not finite$"
         )
         (problem,) = validate_model(model)
@@ -160,19 +163,21 @@ class TestSynthesizeGains:
         assert issubclass(GainInstabilityError, RuntimeError)
 
 
-def _two_modes(a1, a2, v1, v2):
-    """Two 2-D modes with the given A and v bounds, the same w and B."""
-    def mode(mode_id, a, v, box):
-        dyn = LtiDynamics(a=a, b=[[0.0], [0.1]], w_bounds=[0.01, 0.02], v_bounds=v, input_bound=1.0)
-        return Mode(mode_id, dyn, Invariant(box))
+def _two_modes(a1, a2):
+    """Two 2-D modes with the given A, the same B."""
+    def mode(mode_id, a, box):
+        return Mode(mode_id, LtiDynamics(a=a, b=[[0.0], [0.1]]), Invariant(box))
 
     return HybridAutomaton(
         modes=(
-            mode(1, a1, v1, ((0.0, 11.0), (0.0, 1.0))),
-            mode(2, a2, v2, ((10.0, 20.0), (0.0, 1.0))),
+            mode(1, a1, ((0.0, 11.0), (0.0, 1.0))),
+            mode(2, a2, ((10.0, 20.0), (0.0, 1.0))),
         ),
         events=(),
         transitions=(),
+        w_bounds=[0.01, 0.02],
+        v_bounds=[0.1, 0.1],
+        input_bound=1.0,
         dwell_time=1,
         sampling_period=0.1,
         theta=0.05,
@@ -191,21 +196,16 @@ def _same_bits(x, y):
 class TestSharedSolves:
     A = [[1.0, 0.1], [0.0, 0.9]]
     A_NEG_ZERO = [[1.0, 0.1], [-0.0, 0.9]]
-    V = [0.1, 0.1]
 
     def test_equal_dynamics_share_one_gain(self, tg_model):
         bank = synthesize_gains(tg_model)
         assert bank.gains[2] is bank.gains[1] and bank.gains[3] is bank.gains[1]
-        bank = synthesize_gains(_two_modes(self.A, [row[:] for row in self.A], self.V, self.V))
+        bank = synthesize_gains(_two_modes(self.A, [row[:] for row in self.A]))
         assert bank.gains[2] is bank.gains[1]
 
-    @pytest.mark.parametrize(
-        "a2, v2",
-        [(A_NEG_ZERO, V), (A, [0.1, 0.12])],
-        ids=["negative-zero-in-A", "per-mode-noise"],
-    )
-    def test_distinct_dynamics_solve_apart(self, a2, v2):
-        model = _two_modes(self.A, a2, self.V, v2)
+    @pytest.mark.parametrize("a2", [A_NEG_ZERO], ids=["negative-zero-in-A"])
+    def test_distinct_dynamics_solve_apart(self, a2):
+        model = _two_modes(self.A, a2)
         bank = synthesize_gains(model)
         assert bank.gains[1] is not bank.gains[2]
         for mode in model.modes:
@@ -223,8 +223,8 @@ _ORACLE_MAX_ITER = 3_000
 
 
 @st.composite
-def _riccati_dynamics(draw):
-    """1-D to 5-D dynamics with mirrored axes and w or v, never both, zero on some axes."""
+def _riccati_model(draw):
+    """A one-mode model: 1-D to 5-D A with mirrored axes; w or v, never both, zero on some axes."""
     dim = draw(st.integers(1, 5))
     a = np.array(draw(st.lists(_A_ENTRIES, min_size=dim * dim, max_size=dim * dim)))
     a = a.reshape(dim, dim)
@@ -237,13 +237,13 @@ def _riccati_dynamics(draw):
         silent = draw(st.sampled_from(("w", "v", None)))
         w.append(0.0 if silent == "w" else draw(_BOUNDS))
         v.append(0.0 if silent == "v" else draw(_BOUNDS))
-    return LtiDynamics(a=a, b=np.zeros((dim, 1)), w_bounds=w, v_bounds=v, input_bound=0.0)
+    return single_mode(a, w, v)
 
 
-def _outcome(solve, dyn):
+def _outcome(solve, model):
     """The bytes of a solve's result, or the type and text of its error."""
     try:
-        g = solve("q", dyn, _ORACLE_MAX_ITER)
+        g = solve(model, "s", _ORACLE_MAX_ITER)
     except (RiccatiError, GainInstabilityError) as error:
         return type(error), str(error)
     return (
@@ -258,17 +258,17 @@ class TestRiccatiReference:
     """The solve gives the bits of `tests/analysis_reference.py`'s `np.linalg.inv` and `@` loop."""
 
     @settings(max_examples=3 * settings.default.max_examples, deadline=None)
-    @given(_riccati_dynamics())
-    def test_solve_is_the_reference(self, dyn):
-        assert _outcome(_solve_riccati, dyn) == _outcome(analysis_reference.solve_riccati, dyn)
+    @given(_riccati_model())
+    def test_solve_is_the_reference(self, model):
+        assert _outcome(_solve_riccati, model) == _outcome(analysis_reference.solve_riccati, model)
 
     @pytest.mark.parametrize("a", [0.0, -0.0, -0.5, -1.0, 1.0])
     @pytest.mark.parametrize("w, v", [(0.0, 0.3), (0.3, 0.0), (0.3, 0.3)])
     def test_one_dimension_has_the_signs_of_matmul(self, a, w, v):
         # a 1 x 1 dot can keep a -0.0 where @ gives +0.0; with w = 0 and
         # A <= -0.0 the solve forms such products, and they must not show
-        dyn = LtiDynamics(a=[[a]], b=[[0.0]], w_bounds=[w], v_bounds=[v], input_bound=0.0)
-        assert _outcome(_solve_riccati, dyn) == _outcome(analysis_reference.solve_riccati, dyn)
+        model = single_mode([[a]], [w], [v])
+        assert _outcome(_solve_riccati, model) == _outcome(analysis_reference.solve_riccati, model)
 
     @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -377,15 +377,15 @@ class TestCheckDwell:
         assert not check_dwell(model, [0, 12, 23])
 
 
-def _posterior_sigma(dyn):
-    """Per-axis standard deviation of the settled filter's estimation error.
+def _posterior_sigma(model, mode_id):
+    """Per-axis standard deviation of a mode's settled filter's estimation error.
 
     Solves the filter Riccati equation independently of the synthesis
     code; the noise standard deviations are the bounds over three.
     """
-    q_cov = np.diag((dyn.w_bounds / 3.0) ** 2)
-    r_cov = np.diag((dyn.v_bounds / 3.0) ** 2)
-    prior = solve_discrete_are(dyn.a.T, np.eye(dyn.dim), q_cov, r_cov)
+    q_cov = np.diag((np.array(model.w_bounds) / 3.0) ** 2)
+    r_cov = np.diag((np.array(model.v_bounds) / 3.0) ** 2)
+    prior = solve_discrete_are(model.dynamics(mode_id).a.T, np.eye(model.dim), q_cov, r_cov)
     posterior = prior - prior @ np.linalg.inv(prior + r_cov) @ prior
     return np.sqrt(np.diag(posterior))
 
@@ -393,7 +393,7 @@ def _posterior_sigma(dyn):
 class TestNominalEstimationQuality:
     def test_steady_residual_within_baseline(self, tg_model, nominal_digest):
         # residuals of settled nominal runs stay under theta + max v bound
-        bound = tg_model.theta + max(tg_model.dynamics(1).v_bounds)
+        bound = tg_model.theta + max(tg_model.v_bounds)
         worst = max(r.max_residual_steady for r in nominal_digest.runs)
         assert worst <= bound, f"steady residual {worst:.4f} exceeds {bound}"
 
@@ -406,7 +406,7 @@ class TestNominalEstimationQuality:
         # the settled samples past it must be no more frequent than a
         # Gaussian error of that covariance predicts.
         sigma = np.max(
-            [_posterior_sigma(tg_model.dynamics(q)) for q in tg_model.mode_ids], axis=0
+            [_posterior_sigma(tg_model, q) for q in tg_model.mode_ids], axis=0
         )
         assert np.all(tg_model.theta >= THETA_SIGMAS * sigma), sigma
         samples = sum(r.steady_samples for r in nominal_digest.runs)

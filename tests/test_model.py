@@ -27,15 +27,21 @@ from hybridmon.model import neighbor_value
 from hybridmon.train_gate import train_gate_model, train_gate_scenario
 
 
-def dyn1(a=0.5, w=0.01, v=0.1):
-    return LtiDynamics(a=[[a]], b=[[0.0]], w_bounds=[w], v_bounds=[v], input_bound=1.0)
+def dyn1(a=0.5):
+    return LtiDynamics(a=[[a]], b=[[0.0]])
+
+
+# w_bounds, v_bounds and input_bound of the 1-D test models
+NOISE = ((0.01,), (0.1,), 1.0)
 
 
 def _inside(box, pt):
     return all(lo <= value <= hi for value, (lo, hi) in zip(pt, box))
 
 
-def corridor(lo_a=0.0, hi_a=2.0, lo_b=1.0, hi_b=3.0, guard_at=1.0, tie_guard=None, sign=1):
+def corridor(
+    lo_a=0.0, hi_a=2.0, lo_b=1.0, hi_b=3.0, guard_at=1.0, tie_guard=None, sign=1, w=0.01, v=0.1
+):
     """Two 1-D modes whose invariants overlap on [lo_b, hi_a]."""
     threshold = guard_at if tie_guard is None else tie_guard
     return HybridAutomaton(
@@ -47,6 +53,9 @@ def corridor(lo_a=0.0, hi_a=2.0, lo_b=1.0, hi_b=3.0, guard_at=1.0, tie_guard=Non
         transitions=(
             Transition("a", "go", "went", "b", Guard(axis=0, sign=sign, threshold=threshold)),
         ),
+        w_bounds=(w,),
+        v_bounds=(v,),
+        input_bound=1.0,
         dwell_time=1,
         sampling_period=0.1,
         theta=0.05,
@@ -84,22 +93,13 @@ class TestPrimitives:
             Invariant(((0.0, float("inf")),))
 
     def test_dynamics_shape_checks(self):
-        fields = dict(a=[[1.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.0], input_bound=1.0)
+        fields = dict(a=[[1.0]], b=[[0.0]])
         refusals = [
             ({"a": [[1.0, 0.0]]}, "A must be square, got shape (1, 2)"),
             ({"a": np.zeros((1, 1, 1))}, "A must be square, got shape (1, 1, 1)"),
             ({"b": [[0.0], [0.0]]}, "B must have 1 rows, got shape (2, 1)"),
-            ({"w_bounds": [0.0, 0.0]}, "process noise bounds must have length 1"),
-            ({"v_bounds": [[0.0]]}, "measurement noise bounds must have length 1"),
-            ({"w_bounds": [-0.1]}, "noise bounds must be nonnegative"),
-            ({"v_bounds": [np.nan]}, "noise bounds must be nonnegative"),
             ({"a": [[np.inf]]}, "system matrices must be finite"),
             ({"b": [[np.nan]]}, "system matrices must be finite"),
-            ({"input_bound": np.nan}, "input bound must be finite and nonnegative"),
-            ({"input_bound": np.inf}, "input bound must be finite and nonnegative"),
-            ({"input_bound": -1.0}, "input bound must be finite and nonnegative"),
-            ({"input_bound": "1"}, "input_bound must be a real number, got '1'"),
-            ({"input_bound": True}, "input_bound must be a real number, got True"),
         ]
         for change, message in refusals:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
@@ -107,36 +107,25 @@ class TestPrimitives:
 
     def test_dynamics_store_read_only_copies(self):
         a, b = [[0.5, 0.1], [0.0, 0.9]], np.array([[0.0], [0.1]])
-        w, v = np.array([0.01, 0.02]), [0.1, 0.2]
-        dyn = LtiDynamics(a=a, b=b, w_bounds=w, v_bounds=v, input_bound=1.0)
-        a[0][0], b[1, 0], w[0], v[1] = 7.0, 7.0, 7.0, 7.0
+        dyn = LtiDynamics(a=a, b=b)
+        a[0][0], b[1, 0] = 7.0, 7.0
         assert dyn.a.tolist() == [[0.5, 0.1], [0.0, 0.9]]
         assert dyn.b.tolist() == [[0.0], [0.1]]
-        assert dyn.w_bounds.tolist() == [0.01, 0.02]
-        assert dyn.v_bounds.tolist() == [0.1, 0.2]
-        for arr in (dyn.a, dyn.b, dyn.w_bounds, dyn.v_bounds):
+        for arr in (dyn.a, dyn.b):
             assert arr.dtype == np.float64 and not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_dynamics_promote_low_rank_inputs(self):
-        scalar = LtiDynamics(a=0.5, b=0.0, w_bounds=0.01, v_bounds=0.1, input_bound=1)
+        scalar = LtiDynamics(a=0.5, b=0.0)
         assert scalar.a.shape == (1, 1) and scalar.b.shape == (1, 1)
-        assert scalar.w_bounds.shape == scalar.v_bounds.shape == (1,)
-        assert isinstance(scalar.input_bound, float)
-        row = LtiDynamics(a=[[0.5]], b=[0.1, 0.2], w_bounds=[0.01], v_bounds=[0.1], input_bound=1.0)
+        row = LtiDynamics(a=[[0.5]], b=[0.1, 0.2])
         assert row.b.shape == (1, 2) and row.n_inputs == 2
 
     def test_dynamics_norms(self):
-        d = LtiDynamics(
-            a=[[1.0, 0.1], [0.0, 0.95]],
-            b=[[0.0], [0.05]],
-            w_bounds=[0.01, 0.02],
-            v_bounds=[0.1, 0.1],
-            input_bound=1.0,
-        )
+        d = LtiDynamics(a=[[1.0, 0.1], [0.0, -0.95]], b=[[0.0], [0.05]])
         assert d.dim == 2 and d.n_inputs == 1
-        assert d.w_norm == 0.02
+        assert d.a_norm == 1.1
 
     def test_guard_satisfied_is_closed_halfspace(self):
         up = Guard(axis=0, sign=1, threshold=45.0)
@@ -198,7 +187,7 @@ class TestPrimitives:
 
 
 class TestValueEquality:
-    """Models compare and hash by value, through `LtiDynamics`' arrays."""
+    """Models compare and hash by value, through `LtiDynamics`' arrays and the noise tuples."""
 
     def test_fresh_train_gate_models_are_equal(self):
         first, second = train_gate_model(), train_gate_model()
@@ -219,17 +208,21 @@ class TestValueEquality:
 
     def test_other_fields_are_compared(self):
         dyn = dyn1()
-        assert dyn != dataclasses.replace(dyn, input_bound=2.0)
         assert dyn != dataclasses.replace(dyn, b=[[0.0, 0.0]])
-        assert dyn != dataclasses.replace(dyn, w_bounds=[0.02])
-        assert dyn != dataclasses.replace(dyn, v_bounds=[0.2])
         assert dyn != "dynamics"
+        model = corridor()
+        assert model != dataclasses.replace(model, input_bound=2.0)
+        assert model != dataclasses.replace(model, w_bounds=[0.02])
+        assert model != dataclasses.replace(model, v_bounds=[0.2])
+        assert model == dataclasses.replace(model, v_bounds=np.array([0.1]))
 
     def test_signed_zeros_are_equal_and_hash_equal(self):
-        plus = LtiDynamics(a=[[0.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0)
-        minus = LtiDynamics(
-            a=[[-0.0]], b=[[-0.0]], w_bounds=[-0.0], v_bounds=[0.1], input_bound=-0.0
-        )
+        plus = LtiDynamics(a=[[0.0]], b=[[0.0]])
+        minus = LtiDynamics(a=[[-0.0]], b=[[-0.0]])
+        assert plus == minus and hash(plus) == hash(minus)
+        base = corridor()
+        plus = dataclasses.replace(base, w_bounds=(0.0,), input_bound=0.0)
+        minus = dataclasses.replace(base, w_bounds=(-0.0,), input_bound=-0.0)
         assert plus == minus and hash(plus) == hash(minus)
 
     def test_scenarios_compare_equal(self):
@@ -254,7 +247,44 @@ class TestAutomatonValidation:
     def test_rejects_nonpositive_theta(self):
         base = corridor()
         with pytest.raises(ModelError):
-            HybridAutomaton(base.modes, base.events, base.transitions, 1, 0.1, 0.0)
+            HybridAutomaton(base.modes, base.events, base.transitions, *NOISE, 1, 0.1, 0.0)
+
+    def test_noise_checks(self):
+        base = corridor()
+        refusals = [
+            ({"w_bounds": [0.0, 0.0]}, "process noise bounds must have length 1"),
+            ({"v_bounds": [[0.0]]}, "measurement noise bounds must have length 1"),
+            ({"v_bounds": ()}, "measurement noise bounds must have length 1"),
+            ({"w_bounds": [-0.1]}, "noise bounds must be nonnegative"),
+            ({"v_bounds": [np.nan]}, "noise bounds must be nonnegative"),
+            ({"input_bound": np.nan}, "input bound must be finite and nonnegative"),
+            ({"input_bound": np.inf}, "input bound must be finite and nonnegative"),
+            ({"input_bound": -1.0}, "input bound must be finite and nonnegative"),
+            ({"input_bound": "1"}, "input_bound must be a real number, got '1'"),
+            ({"input_bound": True}, "input_bound must be a real number, got True"),
+        ]
+        for change, message in refusals:
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(base, **change)
+
+    def test_noise_stored_as_float_tuples(self):
+        w, v = np.array([0.01]), [np.float32(0.5)]
+        model = dataclasses.replace(corridor(), w_bounds=w, v_bounds=v, input_bound=1)
+        w[0], v[0] = 7.0, 7.0
+        assert (model.w_bounds, model.v_bounds, model.input_bound) == ((0.01,), (0.5,), 1.0)
+        assert all(type(x) is float for x in model.w_bounds + model.v_bounds)
+        assert type(model.input_bound) is float
+        scalar = dataclasses.replace(corridor(), w_bounds=0.01, v_bounds=0.1)
+        assert (scalar.w_bounds, scalar.v_bounds) == ((0.01,), (0.1,))
+
+    def test_step_bounds_are_per_mode(self):
+        # ||B_q|| mu + ||w||: mode "b" takes a B of norm 0.5 + 0.25
+        base = corridor(w=0.01)
+        wide = Mode("b", LtiDynamics(a=[[0.5]], b=[[0.5, -0.25]]), base.modes[1].invariant)
+        narrow = Mode("a", LtiDynamics(a=[[0.5]], b=[[0.0, 0.0]]), base.modes[0].invariant)
+        model = dataclasses.replace(base, modes=(narrow, wide), input_bound=2.0)
+        assert dict(model.step_bounds) == {"a": 0.01, "b": 1.5 + 0.01}
+        assert model.step_bounds is model.step_bounds
 
     def test_refuses_header_values_that_disarm_the_monitor(self):
         base = corridor()
@@ -278,17 +308,17 @@ class TestAutomatonValidation:
         ]
         for header, message in refusals:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-                HybridAutomaton(base.modes, base.events, base.transitions, *header)
+                HybridAutomaton(base.modes, base.events, base.transitions, *NOISE, *header)
 
     def test_integral_float_dwell_accepted(self):
         base = corridor()
-        model = HybridAutomaton(base.modes, base.events, base.transitions, 15.0, 0.1, 0.05)
+        model = HybridAutomaton(base.modes, base.events, base.transitions, *NOISE, 15.0, 0.1, 0.05)
         assert model.dwell_time == 15 and type(model.dwell_time) is int
 
     def test_rejects_zero_dwell(self):
         base = corridor()
         with pytest.raises(ModelError):
-            HybridAutomaton(base.modes, base.events, base.transitions, 0, 0.1, 0.05)
+            HybridAutomaton(base.modes, base.events, base.transitions, *NOISE, 0, 0.1, 0.05)
 
     def test_rejects_duplicate_mode_input_pair(self):
         base = corridor()
@@ -296,53 +326,40 @@ class TestAutomatonValidation:
             Transition("a", "go", "went", "a", Guard(axis=0, sign=-1, threshold=0.5)),
         )
         with pytest.raises(ModelError, match="duplicate transition"):
-            HybridAutomaton(base.modes, base.events, dup, 1, 0.1, 0.05)
+            HybridAutomaton(base.modes, base.events, dup, *NOISE, 1, 0.1, 0.05)
 
     def test_rejects_dangling_references(self):
         base = corridor()
         bad_mode = (Transition("a", "go", "went", "zz", Guard(0, 1, 1.0)),)
         with pytest.raises(ModelError, match="unknown mode"):
-            HybridAutomaton(base.modes, base.events, bad_mode, 1, 0.1, 0.05)
+            HybridAutomaton(base.modes, base.events, bad_mode, *NOISE, 1, 0.1, 0.05)
         bad_event = (Transition("a", "warp", "went", "b", Guard(0, 1, 1.0)),)
         with pytest.raises(ModelError, match="unknown event"):
-            HybridAutomaton(base.modes, base.events, bad_event, 1, 0.1, 0.05)
+            HybridAutomaton(base.modes, base.events, bad_event, *NOISE, 1, 0.1, 0.05)
 
     def test_rejects_event_kind_swap(self):
         base = corridor()
         swapped = (Transition("a", "went", "go", "b", Guard(0, 1, 1.0)),)
         with pytest.raises(ModelError, match="declared output"):
-            HybridAutomaton(base.modes, base.events, swapped, 1, 0.1, 0.05)
+            HybridAutomaton(base.modes, base.events, swapped, *NOISE, 1, 0.1, 0.05)
 
     def test_rejects_guard_axis_out_of_range(self):
         base = corridor()
         off = (Transition("a", "go", "went", "b", Guard(axis=3, sign=1, threshold=1.0)),)
         with pytest.raises(ModelError, match="guard axis"):
-            HybridAutomaton(base.modes, base.events, off, 1, 0.1, 0.05)
+            HybridAutomaton(base.modes, base.events, off, *NOISE, 1, 0.1, 0.05)
 
     def test_rejects_mixed_dimensions(self):
         modes = (
             Mode("a", dyn1(), Invariant(((0.0, 2.0),))),
             Mode(
                 "b",
-                LtiDynamics([[0.5, 0.0], [0.0, 0.5]], [[0.0], [0.0]], [0.0, 0.0], [0.1, 0.1], 1.0),
+                LtiDynamics([[0.5, 0.0], [0.0, 0.5]], [[0.0], [0.0]]),
                 Invariant(((1.0, 3.0), (0.0, 1.0))),
             ),
         )
         with pytest.raises(ModelError, match="one continuous dimension"):
-            HybridAutomaton(modes, (), (), 1, 0.1, 0.05)
-
-
-    def test_max_v_bounds_is_the_largest_per_axis(self):
-        a, b = [[0.5, 0.0], [0.0, 0.5]], [[0.0], [0.0]]
-        modes = tuple(
-            Mode(q, LtiDynamics(a, b, [0.0, 0.0], v, 1.0), Invariant(((lo, lo + 2.0), (0.0, 1.0))))
-            for q, v, lo in (("a", [0.1, 0.3], 0.0), ("b", [0.2, -0.0], 1.0))
-        )
-        model = HybridAutomaton(modes, (), (), 1, 0.1, 0.05)
-        assert model.max_v_bounds.tolist() == [0.2, 0.3]
-        assert model.max_v_bounds is model.max_v_bounds
-        with pytest.raises(ValueError, match="read-only"):
-            model.max_v_bounds[0] = 1.0
+            HybridAutomaton(modes, (), (), *NOISE, 1, 0.1, 0.05)
 
 
 class TestValidateModel:
@@ -355,7 +372,7 @@ class TestValidateModel:
             Mode("a", dyn1(a=1.2), base.modes[0].invariant),
             base.modes[1],
         )
-        model = HybridAutomaton(hot, base.events, base.transitions, 1, 0.1, 0.05)
+        model = HybridAutomaton(hot, base.events, base.transitions, *NOISE, 1, 0.1, 0.05)
         tags = validate_model(model)
         assert len(tags) == 1
         assert tags[0].startswith("stability: mode 'a'")
@@ -373,7 +390,7 @@ class TestValidateModel:
                 Mode("d", dyn1(a=0.0), box),
                 Mode("e", dyn1(a=0.0), box),
             ),
-            base.events, base.transitions, 1, 0.1, 0.05,
+            base.events, base.transitions, *NOISE, 1, 0.1, 0.05,
         )
         calls = []
         eigvals = np.linalg.eigvals
@@ -385,20 +402,11 @@ class TestValidateModel:
         assert len(calls) == 3
 
     def test_flags_noise_the_filter_cannot_invert(self):
-        # "a" and "b" share w = v = 0, which leaves P + R singular, and are
-        # named once, by "a"; "c" has noise of its own and is clean
-        base = corridor(tie_guard=2.0)
-        silent = dyn1(w=0.0, v=0.0)
-        model = HybridAutomaton(
-            (
-                Mode("a", silent, base.modes[0].invariant),
-                Mode("b", silent, base.modes[1].invariant),
-                Mode("c", dyn1(), Invariant(((0.0, 1.0),))),
-            ),
-            base.events, base.transitions, 1, 0.1, 0.05,
-        )
+        # w = v = 0 leaves P + R singular; the noise is the model's, so it is
+        # named once, with no mode
+        model = corridor(tie_guard=2.0, w=0.0, v=0.0)
         text = (
-            "mode 'a': axis 0 has zero process and measurement noise variance "
+            "axis 0 has zero process and measurement noise variance "
             "(w = 0, v = 0), so P + R is singular"
         )
         assert validate_model(model) == ["noise: " + text]
@@ -497,6 +505,7 @@ class TestDecomposeRegions:
             modes,
             (Event("go", "input", True), Event("went", "output", True)),
             (),
+            *NOISE,
             1,
             0.1,
             0.05,
@@ -533,7 +542,7 @@ class TestExtractFsm:
             Transition("a", "back", "tock", "a", Guard(axis=0, sign=-1, threshold=0.2)),
         )
         events = base.events + (Event("back", "input", True), Event("tock", "output", True))
-        model = HybridAutomaton(base.modes, events, extra, 1, 0.1, 0.05)
+        model = HybridAutomaton(base.modes, events, extra, *NOISE, 1, 0.1, 0.05)
         fsm = extract_fsm(model)
         assert fsm.active_pairs("a") == (("back", "tock"), ("go", "went"))
         assert fsm.active_pairs("b") == ()

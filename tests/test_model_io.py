@@ -1,7 +1,6 @@
 """Schema document parsing and serialization round-trips."""
 
 import copy
-import dataclasses
 import json
 import types
 
@@ -106,21 +105,17 @@ def test_dump_is_deterministic(tmp_path, tg_model):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "field, value", [("v_bounds", [0.3, 0.3]), ("w_bounds", [0.01, 0.02]), ("input_bound", 2.0)]
-)
-def test_per_mode_noise_refused(tg_model, field, value):
-    # the schema has one noise block; writing mode 1's values for mode 2
-    # would silently change the model on the way back in
-    modes = tuple(
-        dataclasses.replace(m, dynamics=dataclasses.replace(m.dynamics, **{field: value}))
-        if m.mode_id == 2
-        else m
-        for m in tg_model.modes
-    )
-    model = dataclasses.replace(tg_model, modes=modes)
-    with pytest.raises(ModelError, match=f"mode 2: {field} differs"):
-        model_to_dict(model)
+def test_noise_maps_one_to_one(tg_model):
+    # the document's one noise block is the model's, field for field
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    doc["noise"] = {"w": [0.01, 0.0], "v": [0.1, 0.25]}
+    doc["input_bound"] = 2
+    model = parse_model(doc)
+    assert (model.w_bounds, model.v_bounds, model.input_bound) == ((0.01, 0.0), (0.1, 0.25), 2.0)
+    assert model_to_dict(model)["noise"] == doc["noise"]
+    assert model_to_dict(model)["input_bound"] == 2.0
+    noise = {"w": list(tg_model.w_bounds), "v": list(tg_model.v_bounds)}
+    assert model_to_dict(tg_model)["noise"] == noise
 
 
 def test_unobservable_event_rejected():

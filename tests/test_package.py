@@ -95,11 +95,11 @@ PUBLIC_SIGNATURES = {
     "GuaranteeBound": '(mode_id, guards, z_star, d_star, threshold)',
     "Guard": '(axis, sign, threshold)',
     "HorizonError": None,
-    "HybridAutomaton": '(modes, events, transitions, dwell_time, sampling_period, theta)',
+    "HybridAutomaton": '(modes, events, transitions, w_bounds, v_bounds, input_bound, dwell_time, sampling_period, theta)',
     "Invariant": '(intervals)',
     "KalmanBank": '(gains)',
     "KalmanGain": '(gain, predicted_covariance, iterations, final_increment)',
-    "LtiDynamics": '(a, b, w_bounds, v_bounds, input_bound)',
+    "LtiDynamics": '(a, b)',
     "Mode": '(mode_id, dynamics, invariant)',
     "ModelError": None,
     "NoGuaranteeError": None,

@@ -36,19 +36,14 @@ from hybridmon.reachability import (
 def one_guard(a, w, inv_src, inv_tgt, threshold, b=0.0, mu=0.0):
     return HybridAutomaton(
         modes=(
-            Mode(
-                1,
-                LtiDynamics(a=[[a]], b=[[b]], w_bounds=[w], v_bounds=[0.1], input_bound=mu),
-                Invariant((inv_src,)),
-            ),
-            Mode(
-                2,
-                LtiDynamics(a=[[a]], b=[[b]], w_bounds=[w], v_bounds=[0.1], input_bound=mu),
-                Invariant((inv_tgt,)),
-            ),
+            Mode(1, LtiDynamics(a=[[a]], b=[[b]]), Invariant((inv_src,))),
+            Mode(2, LtiDynamics(a=[[a]], b=[[b]]), Invariant((inv_tgt,))),
         ),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=threshold)),),
+        w_bounds=[w],
+        v_bounds=[0.1],
+        input_bound=mu,
         dwell_time=1,
         sampling_period=1.0,
         theta=0.05,
@@ -122,7 +117,7 @@ class TestLinearMapInflate:
 class TestSigmaSum:
     def test_train_gate_per_step_bound(self, tg_model):
         # ||B|| mu + w = 0.05 * 1.0 + 0.01
-        assert tg_model.dynamics(1).step_bound == pytest.approx(0.06, abs=1e-15)
+        assert tg_model.step_bounds[1] == pytest.approx(0.06, abs=1e-15)
 
     def test_geometric_sum_frozen(self):
         # 0.06 * (1.1^d - 1) / 0.1 for the crossing model's row-sum norm
@@ -176,8 +171,8 @@ class TestReach:
         for _ in range(50):
             x = rng.uniform([10.0, 0.5], [12.0, 0.7])
             for _ in range(delta):
-                u = rng.uniform(-dyn.input_bound, dyn.input_bound, size=1)
-                w = rng.uniform(-dyn.w_bounds, dyn.w_bounds)
+                u = rng.uniform(-tg_model.input_bound, tg_model.input_bound, size=1)
+                w = rng.uniform(-np.array(tg_model.w_bounds), tg_model.w_bounds)
                 x = dyn.a @ x + dyn.b @ u + w
             assert intersects_box(tube, [(x[0], x[0]), (x[1], x[1])])
 
@@ -426,11 +421,13 @@ def test_import_leaves_the_solver_unloaded():
 def one_mode(a, b, w, mu):
     """A model of one mode with the given dynamics and no transition."""
     n = len(a)
-    dyn = LtiDynamics(a=a, b=b, w_bounds=w, v_bounds=[0.1] * n, input_bound=mu)
     return HybridAutomaton(
-        modes=(Mode(0, dyn, Invariant(((-100.0, 100.0),) * n)),),
+        modes=(Mode(0, LtiDynamics(a=a, b=b), Invariant(((-100.0, 100.0),) * n)),),
         events=(),
         transitions=(),
+        w_bounds=w,
+        v_bounds=[0.1] * n,
+        input_bound=mu,
         dwell_time=1,
         sampling_period=1.0,
         theta=0.05,

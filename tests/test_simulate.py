@@ -247,6 +247,7 @@ class TestControllersAndSafety:
         [
             ("axis", 0.5, "zone controller axis must be a whole number, got 0.5"),
             ("axis", True, "zone controller axis must be a whole number, got True"),
+            ("axis", -1, "zone controller axis must be nonnegative, got -1"),
             ("center", "60", "zone controller center must be a real number, got '60'"),
             ("half_width", None, "zone controller half_width must be a real number, got None"),
             ("inside_value", "2", "zone controller inside_value must be a real number, got '2'"),
@@ -271,6 +272,43 @@ class TestControllersAndSafety:
         with pytest.raises(ValueError) as refused:
             ConstantController(values=values)
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("position_axis", -1, "zone speed limit position_axis must be nonnegative, got -1"),
+            ("speed_axis", -2, "zone speed limit speed_axis must be nonnegative, got -2"),
+            ("speed_axis", True, "zone speed limit speed_axis must be a whole number, got True"),
+            (
+                "position_axis",
+                True,
+                "zone speed limit position_axis must be a whole number, got True",
+            ),
+            ("speed_axis", 0.5, "zone speed limit speed_axis must be a whole number, got 0.5"),
+            ("center", "60", "zone speed limit center must be a real number, got '60'"),
+            ("half_width", None, "zone speed limit half_width must be a real number, got None"),
+            ("limit", "0.4", "zone speed limit limit must be a real number, got '0.4'"),
+        ],
+    )
+    def test_speed_limit_refuses_bad_fields(self, field, value, message):
+        # unchecked, -1 reads the last axis, the speed, and "0.4" fails only
+        # after the first block of samples, inside numpy
+        fields = dict(position_axis=0, center=60.0, half_width=12.0, speed_axis=1, limit=0.4)
+        with pytest.raises(ValueError) as refused:
+            ZoneSpeedLimit(**{**fields, field: value})
+        assert str(refused.value) == message
+
+    def test_whole_float_axes_become_ints(self):
+        zone = ZoneController(
+            axis=0.0, center=60.0, half_width=16.0, inside_value=0.2, outside_value=1.0
+        )
+        limit = ZoneSpeedLimit(
+            position_axis=0.0, center=60.0, half_width=12.0, speed_axis=np.int64(1), limit=0.4
+        )
+        axes = (zone.axis, limit.position_axis, limit.speed_axis)
+        assert [type(axis) for axis in axes] == [int, int, int]
+        assert zone.control(np.array([60.0, 0.0]), 0.0).tolist() == [0.2]
+        assert limit.violated(np.array([[60.0, 0.5], [60.0, 0.3]])).tolist() == [True, False]
 
 
 def _scalar_violated(limit, x):
@@ -379,14 +417,13 @@ class TestSimulateValidation:
     def test_rejects_model_with_assumption_violations(self):
         model = HybridAutomaton(
             modes=(
-                Mode(
-                    "a",
-                    LtiDynamics(a=[[1.2]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0),
-                    Invariant(((0.0, 2.0),)),
-                ),
+                Mode("a", LtiDynamics(a=[[1.2]], b=[[0.0]]), Invariant(((0.0, 2.0),))),
             ),
             events=(),
             transitions=(),
+            w_bounds=[0.0],
+            v_bounds=[0.1],
+            input_bound=0.0,
             dwell_time=1,
             sampling_period=0.1,
             theta=0.05,
@@ -404,12 +441,15 @@ class TestSimulateValidation:
     def test_rejects_modes_with_identical_invariants(self):
         # two guardless modes on the same box pass validate_model, but the
         # detector's horizons need their regions told apart
-        dyn = LtiDynamics(a=[[0.5]], b=[[0.0]], w_bounds=[0.01], v_bounds=[0.1], input_bound=0.0)
+        dyn = LtiDynamics(a=[[0.5]], b=[[0.0]])
         box = Invariant(((0.0, 10.0),))
         model = HybridAutomaton(
             modes=(Mode("a", dyn, box), Mode("b", dyn, box)),
             events=(),
             transitions=(),
+            w_bounds=[0.01],
+            v_bounds=[0.1],
+            input_bound=0.0,
             dwell_time=1,
             sampling_period=0.1,
             theta=0.05,
@@ -609,7 +649,7 @@ class TestInPlaceStep:
         # A = 0, B = 0 and a negative input: from a negative first estimate,
         # the prediction's products are zeros whose sign `dot` and `@`
         # disagree on, and the zero gain leaves the prediction as the estimate
-        dyn = LtiDynamics(a=[[0.0]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=1.0)
+        dyn = LtiDynamics(a=[[0.0]], b=[[0.0]])
         model = HybridAutomaton(
             modes=(
                 Mode(1, dyn, Invariant(((-1.0, 10.0),))),
@@ -617,6 +657,9 @@ class TestInPlaceStep:
             ),
             events=(Event("go", "input"), Event("seen", "output")),
             transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=10.0)),),
+            w_bounds=[0.0],
+            v_bounds=[0.1],
+            input_bound=1.0,
             dwell_time=1,
             sampling_period=1.0,
             theta=0.3,
@@ -1025,14 +1068,13 @@ class TestClassifyFdia:
     def test_strictly_stable_dynamics(self):
         model = HybridAutomaton(
             modes=(
-                Mode(
-                    1,
-                    LtiDynamics(a=[[0.5]], b=[[0.0]], w_bounds=[0.0], v_bounds=[0.1], input_bound=0.0),
-                    Invariant(((0.0, 1.0),)),
-                ),
+                Mode(1, LtiDynamics(a=[[0.5]], b=[[0.0]]), Invariant(((0.0, 1.0),))),
             ),
             events=(),
             transitions=(),
+            w_bounds=[0.0],
+            v_bounds=[0.1],
+            input_bound=0.0,
             dwell_time=1,
             sampling_period=0.1,
             theta=0.05,
@@ -1046,18 +1088,15 @@ class TestClassifyFdia:
             modes=(
                 Mode(
                     1,
-                    LtiDynamics(
-                        a=[[1.0, 1.0], [0.0, 1.0]],
-                        b=[[0.0], [0.0]],
-                        w_bounds=[0.0, 0.0],
-                        v_bounds=[0.1, 0.1],
-                        input_bound=0.0,
-                    ),
+                    LtiDynamics(a=[[1.0, 1.0], [0.0, 1.0]], b=[[0.0], [0.0]]),
                     Invariant(((0.0, 1.0), (0.0, 1.0))),
                 ),
             ),
             events=(),
             transitions=(),
+            w_bounds=[0.0, 0.0],
+            v_bounds=[0.1, 0.1],
+            input_bound=0.0,
             dwell_time=1,
             sampling_period=0.1,
             theta=0.05,

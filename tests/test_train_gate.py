@@ -81,11 +81,9 @@ class TestModel:
         assert tg_model.theta == 0.05
         assert tg_model.dwell_time == 15
         assert tg_model.sampling_period == 0.1
-        for q in tg_model.mode_ids:
-            dyn = tg_model.dynamics(q)
-            np.testing.assert_allclose(dyn.w_bounds, [0.01, 0.01])
-            np.testing.assert_allclose(dyn.v_bounds, [0.1, 0.1])
-            assert dyn.input_bound == 1.0
+        assert tg_model.w_bounds == (0.01, 0.01)
+        assert tg_model.v_bounds == (0.1, 0.1)
+        assert tg_model.input_bound == 1.0
 
     def test_fresh_instances_are_equal(self):
         assert model_to_dict(train_gate_model()) == model_to_dict(train_gate_model())

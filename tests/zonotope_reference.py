@@ -90,7 +90,7 @@ def reach(model, mode_id, z, delta):
         raise ValueError("delta must be nonnegative")
     if delta == 0:
         return z
-    a_power, sigma = reach_operator(model.dynamics(mode_id), delta)
+    a_power, sigma = reach_operator(model, mode_id, delta)
     return inflate(linear_map(a_power, z), sigma)
 
 
