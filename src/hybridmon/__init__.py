@@ -18,7 +18,6 @@ from .model import (
     Guard,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     ModelError,
     RegionDecomposition,
@@ -87,7 +86,6 @@ __all__ = [
     "Invariant",
     "KalmanBank",
     "KalmanGain",
-    "LtiDynamics",
     "Mode",
     "ModelError",
     "NoGuaranteeError",

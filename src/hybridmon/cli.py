@@ -41,6 +41,14 @@ def _load(model_arg: str) -> HybridAutomaton:
     return load_model(model_arg)
 
 
+def _parse_number(text: str, parse: Callable[[str], float], name: str, what: str) -> float:
+    """parse(text), or ValueError naming the option and its text."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
+
+
 def parse_attack(text: str) -> AttackSpec:
     """Parse `kind:key=value,...`, e.g. `ramp:axis=0,slope=0.02,start=1.5`."""
     kind, _, body = text.partition(":")
@@ -58,11 +66,7 @@ def parse_attack(text: str) -> AttackSpec:
         raise ValueError(f"unknown attack options: {sorted(unknown)}")
 
     def option(key: str, parse: Callable[[str], float], what: str) -> float:
-        text = fields.get(key, "0")
-        try:
-            return parse(text)
-        except ValueError:
-            raise ValueError(f"attack option {key} must be {what}, got {text!r}") from None
+        return _parse_number(fields.get(key, "0"), parse, f"attack option {key}", what)
 
     return AttackSpec(
         axes=(option("axis", int, "a whole number"),),
@@ -77,15 +81,13 @@ def _generic_scenario(
     model: HybridAutomaton, seed: int, duration: float, attack: AttackSpec | None
 ) -> ScenarioConfig:
     """Fallback wiring for model files with no scenario of their own."""
-    first = model.mode_ids[0]
-    inv = model.invariant(first)
-    center = tuple((lo + hi) / 2.0 for lo, hi in inv.intervals)
-    n_inputs = model.dynamics(first).n_inputs
+    first = model.modes[0]
+    center = tuple((lo + hi) / 2.0 for lo, hi in first.invariant.intervals)
     return ScenarioConfig(
         model=model,
-        controller=ConstantController(values=(0.0,) * n_inputs),
+        controller=ConstantController(values=(0.0,) * first.b.shape[1]),
         initial_state=center,
-        initial_mode=first,
+        initial_mode=first.mode_id,
         duration=duration,
         seed=seed,
         attack=attack,
@@ -187,10 +189,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _parse_seed_range(text: str) -> range:
     first, sep, last = text.partition("..")
-    if not sep:
-        value = int(text)
-        return range(value, value + 1)
-    return range(int(first), int(last) + 1)
+    lo, hi = (
+        _parse_number(part, int, "--seeds bound", "a whole number")
+        for part in (first, last if sep else first)
+    )
+    return range(lo, hi + 1)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

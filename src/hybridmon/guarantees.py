@@ -112,7 +112,7 @@ def _z_star(
     if lo[axis] > hi[axis]:
         raise EmptyGeometryError("overshoot slab misses the source invariant")
     target = transition.target
-    row = sign * model.dynamics(target).a[axis]
+    row = sign * model.mode(target).a[axis]
     return max(0.0, box_max(row, lo, hi) + model.step_bounds[target] + margin - sign * c_g)
 
 
@@ -270,7 +270,7 @@ def classify_fdia(
         if not whole_number(axis):
             raise ValueError(f"attack axis must be a whole number, got {axis!r}")
     axes = tuple(sorted(set(int(a) for a in gamma_axes)))
-    a = model.dynamics(mode_id).a
+    a = model.mode(mode_id).a
     n = a.shape[0]
     if any(axis < 0 or axis >= n for axis in axes):
         raise ValueError("attack axis outside the state dimension")

@@ -101,7 +101,7 @@ def synthesize_gains(model: HybridAutomaton, max_iter: int = RICCATI_MAX_ITER) -
     gains: dict[ModeId, KalmanGain] = {}
     solved: dict[tuple, KalmanGain] = {}
     for mode in model.modes:
-        a = mode.dynamics.a
+        a = mode.a
         key = (a.shape, a.tobytes())
         if key not in solved:
             solved[key] = _solve_riccati(model, mode.mode_id, max_iter)
@@ -111,7 +111,7 @@ def synthesize_gains(model: HybridAutomaton, max_iter: int = RICCATI_MAX_ITER) -
 
 def _solve_riccati(model: HybridAutomaton, mode_id: ModeId, max_iter: int) -> KalmanGain:
     """Riccati fixed point and gain of one mode, with the model's noise; errors name mode_id."""
-    a = model.dynamics(mode_id).a
+    a = model.mode(mode_id).a
     a_t = a.T
     q_cov = np.diag((np.array(model.w_bounds) / 3.0) ** 2)
     r_cov = np.diag((np.array(model.v_bounds) / 3.0) ** 2)

@@ -1,11 +1,11 @@
 """Hybrid automaton data model, structural validation, and region decomposition.
 
-A hybrid automaton here is a set of discrete modes, each carrying linear
+A hybrid automaton here is a set of discrete modes, each holding linear
 time-invariant dynamics x+ = A x + B u + w and a hyperrectangular invariant,
 connected by guarded transitions. Each guard is a closed half-space on a
 single state variable. Measurements are y = x + v (identity output map).
 The bounds on w, v and u are the automaton's, one noise model for every
-mode, as the model file holds them.
+mode, and every mode takes the same number of inputs, as the file holds them.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ def readonly(a: np.ndarray, ndmin: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Event:
-    """A discrete event: a command (input) or a sensor signal (output)."""
+    """A discrete event, a command (input) or a sensor signal (output); all are observable."""
 
     name: str
     kind: str  # "input" or "output"
-    observable: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("input", "output"):
@@ -82,54 +81,6 @@ class Invariant:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(self.intervals, dtype=float)
         return arr[:, 0].copy(), arr[:, 1].copy()
-
-
-@dataclass(frozen=True)
-class LtiDynamics:
-    """One mode's dynamics x+ = A x + B u + w.
-
-    The noise bounds on w and v and the input bound on u belong to the
-    automaton, which shares them among its modes. The output map is the
-    identity, so no output matrix is stored. Arrays are read-only copies,
-    compared and hashed by value (0.0 equals -0.0).
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        a, b = readonly(self.a, ndmin=2), readonly(self.b, ndmin=2)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ModelError(f"A must be square, got shape {a.shape}")
-        n = a.shape[0]
-        if b.shape[0] != n:
-            raise ModelError(f"B must have {n} rows, got shape {b.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ModelError("system matrices must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LtiDynamics):
-            return NotImplemented
-        return np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)
-
-    def __hash__(self) -> int:
-        values = (tuple(m.ravel().tolist()) for m in (self.a, self.b))
-        return hash((self.a.shape, self.b.shape, *values))
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.b.shape[1]
-
-    @cached_property
-    def a_norm(self) -> float:
-        """||A|| in the infinity norm, the largest absolute row sum."""
-        return float(abs(self.a).sum(axis=1).max())
 
 
 def real_number(value: object) -> bool:
@@ -186,25 +137,65 @@ class Transition:
 
 @dataclass(frozen=True)
 class Mode:
-    """One discrete mode: id, continuous dynamics, and invariant."""
+    """One discrete mode as a `states` entry of the model file holds it: x+ = A x + B u + w.
+
+    The noise and input bounds are the automaton's, and the output map is
+    the identity. A and B are read-only copies, compared and hashed by
+    value (0.0 equals -0.0).
+    """
 
     mode_id: ModeId
-    dynamics: LtiDynamics
+    a: np.ndarray
+    b: np.ndarray
     invariant: Invariant
 
     def __post_init__(self) -> None:
-        if self.dynamics.dim != self.invariant.dim:
+        a, b = readonly(self.a, ndmin=2), readonly(self.b, ndmin=2)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ModelError(f"A must be square, got shape {a.shape}")
+        n = a.shape[0]
+        if b.shape[0] != n:
+            raise ModelError(f"B must have {n} rows, got shape {b.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ModelError("system matrices must be finite")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if n != self.invariant.dim:
             raise ModelError(
-                f"mode {self.mode_id!r}: dynamics dimension {self.dynamics.dim} "
+                f"mode {self.mode_id!r}: dynamics dimension {n} "
                 f"!= invariant dimension {self.invariant.dim}"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mode):
+            return NotImplemented
+        return (
+            self.mode_id == other.mode_id
+            and self.invariant == other.invariant
+            and np.array_equal(self.a, other.a)
+            and np.array_equal(self.b, other.b)
+        )
+
+    def __hash__(self) -> int:
+        values = (tuple(m.ravel().tolist()) for m in (self.a, self.b))
+        return hash((self.mode_id, self.invariant, self.a.shape, self.b.shape, *values))
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+    @cached_property
+    def a_norm(self) -> float:
+        """||A|| in the infinity norm, the largest absolute row sum."""
+        return float(abs(self.a).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
 class HybridAutomaton:
     """The full nominal model: modes, events, guarded transitions, noise, timing.
 
-    One noise model serves every mode: w_bounds and v_bounds are per-axis
+    Every mode shares one continuous dimension and one input width. One
+    noise model serves every mode: w_bounds and v_bounds are per-axis
     infinity-norm bounds on the process and measurement noise, and
     input_bound is the infinity-norm bound on u. They are stored as tuples
     of floats, as `Invariant.intervals` is, so the model compares and
@@ -249,9 +240,12 @@ class HybridAutomaton:
             value = getattr(self, name)
             if not (isfinite(value) and value > 0):
                 raise ModelError(f"{name} must be finite and positive, got {value!r}")
-        dims = {m.dynamics.dim for m in self.modes}
-        if len(dims) != 1:
+        if len({m.dim for m in self.modes}) != 1:
             raise ModelError("all modes must share one continuous dimension")
+        if len({m.b.shape[1] for m in self.modes}) != 1:
+            raise ModelError(
+                "modes take different numbers of inputs; one controller cannot drive them"
+            )
         n = self.dim
         w = np.array(self.w_bounds, dtype=float, ndmin=1)
         v = np.array(self.v_bounds, dtype=float, ndmin=1)
@@ -292,7 +286,7 @@ class HybridAutomaton:
 
     @property
     def dim(self) -> int:
-        return self.modes[0].dynamics.dim
+        return self.modes[0].dim
 
     @property
     def mode_ids(self) -> tuple[ModeId, ...]:
@@ -308,7 +302,7 @@ class HybridAutomaton:
         w_norm = float(np.max(self.w_bounds)) if self.w_bounds else 0.0
         bounds = {}
         for mode in self.modes:
-            b = mode.dynamics.b
+            b = mode.b
             b_norm = float(abs(b).sum(axis=1).max()) if b.size else 0.0
             bounds[mode.mode_id] = b_norm * self.input_bound + w_norm
         return MappingProxyType(bounds)
@@ -318,9 +312,6 @@ class HybridAutomaton:
             if m.mode_id == mode_id:
                 return m
         raise KeyError(mode_id)
-
-    def dynamics(self, mode_id: ModeId) -> LtiDynamics:
-        return self.mode(mode_id).dynamics
 
     def invariant(self, mode_id: ModeId) -> Invariant:
         return self.mode(mode_id).invariant
@@ -436,24 +427,16 @@ def validate_model(model: HybridAutomaton) -> list[str]:
     Structural problems (bad shapes, dangling ids) raise ModelError at
     construction time; this function reports semantic assumption violations:
     eigenvalue moduli above 1, noise the filter cannot invert
-    (`noise_problem`), unobservable events (the discrete observer has no
-    closure over them), guards outside their source invariant, and
+    (`noise_problem`), guards outside their source invariant, and
     intermediate bands not delimited by the guard and neighbor hyperplanes.
     """
     violations: list[str] = []
-    for event in model.events:
-        if not event.observable:
-            violations.append(
-                f"observability: event {event.name!r} is unobservable, and the "
-                "discrete observer has no closure over unobservable events"
-            )
     # one eigenvalue solve per bitwise-distinct A, as synthesize_gains keys its solves
     moduli: dict[tuple, float] = {}
     for mode in model.modes:
-        dyn = mode.dynamics
-        key = (dyn.a.shape, dyn.a.tobytes())
+        key = (mode.a.shape, mode.a.tobytes())
         if key not in moduli:
-            eigs = np.linalg.eigvals(dyn.a)
+            eigs = np.linalg.eigvals(mode.a)
             moduli[key] = float(np.max(np.abs(eigs))) if eigs.size else 0.0
         worst = moduli[key]
         if worst > 1.0 + EIG_TOL:

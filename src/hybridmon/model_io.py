@@ -4,8 +4,9 @@ The model file is a JSON document with a fixed schema; unknown keys are
 rejected at every level so typos fail loudly instead of being ignored.
 
 Top-level keys:
-  states          list of {id, A, B, invariant}; A and B are row-major
-                  nested lists, invariant is a list of [lo, hi] pairs
+  states          list of {id, A, B, invariant}, one `Mode` each; A and B
+                  are row-major nested lists, invariant is a list of
+                  [lo, hi] pairs, and every B has the same number of columns
   events          list of {id, kind: "input"|"output", observable: true};
                   unobservable events are rejected, because the observer
                   has no closure over them
@@ -33,7 +34,6 @@ from .model import (
     Guard,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     ModelError,
     Transition,
@@ -123,7 +123,8 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
     modes = [
         Mode(
             mode_id=state["id"],
-            dynamics=LtiDynamics(a=state["A"], b=state["B"]),
+            a=state["A"],
+            b=state["B"],
             invariant=Invariant(tuple((lo, hi) for lo, hi in state["invariant"])),
         )
         for state in states
@@ -179,14 +180,14 @@ def model_to_dict(model: HybridAutomaton) -> dict[str, Any]:
         "states": [
             {
                 "id": m.mode_id,
-                "A": [[float(x) for x in row] for row in m.dynamics.a],
-                "B": [[float(x) for x in row] for row in m.dynamics.b],
+                "A": [[float(x) for x in row] for row in m.a],
+                "B": [[float(x) for x in row] for row in m.b],
                 "invariant": [[lo, hi] for lo, hi in m.invariant.intervals],
             }
             for m in model.modes
         ],
         "events": [
-            {"id": e.name, "kind": e.kind, "observable": e.observable}
+            {"id": e.name, "kind": e.kind, "observable": True}
             for e in model.events
         ],
         "transitions": [

@@ -57,9 +57,9 @@ def reach_operator(
 ) -> tuple[np.ndarray, float]:
     """A^steps and sigma_steps of a mode: the reach set of Z after `steps`
     steps is A^steps Z plus the infinity-ball of radius sigma_steps."""
-    dyn = model.dynamics(mode_id)
-    sigma = sigma_sum(dyn.a_norm, steps, model.step_bounds[mode_id])
-    return np.linalg.matrix_power(dyn.a, steps), sigma
+    mode = model.mode(mode_id)
+    sigma = sigma_sum(mode.a_norm, steps, model.step_bounds[mode_id])
+    return np.linalg.matrix_power(mode.a, steps), sigma
 
 
 def guard_axis_hulls(

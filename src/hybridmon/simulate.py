@@ -175,6 +175,11 @@ class ZoneController:
         object.__setattr__(self, "_inside", readonly((self.inside_value,)))
         object.__setattr__(self, "_outside", readonly((self.outside_value,)))
 
+    def check_axes(self, dim: int) -> None:
+        """Raise ValueError when the zone axis lies outside a dim-dimensional state."""
+        if self.axis >= dim:
+            raise ValueError(f"zone controller axis {self.axis} outside a {dim}-dimensional state")
+
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
         inside = abs(float(y[self.axis]) - self.center) <= self.half_width
         return self._inside if inside else self._outside
@@ -215,6 +220,14 @@ class ZoneSpeedLimit:
         for name in ("center", "half_width", "limit"):
             if not real_number(value := getattr(self, name)):
                 raise ValueError(f"zone speed limit {name} must be a real number, got {value!r}")
+
+    def check_axes(self, dim: int) -> None:
+        """Raise ValueError when either axis lies outside a dim-dimensional state."""
+        for name in ("position_axis", "speed_axis"):
+            if (axis := getattr(self, name)) >= dim:
+                raise ValueError(
+                    f"zone speed limit {name} {axis} outside a {dim}-dimensional state"
+                )
 
     def violated(self, x: np.ndarray) -> np.ndarray:
         """Whether each row of x breaks the limit: a bool for one state, one per row of a block."""
@@ -262,8 +275,10 @@ class ScenarioConfig:
             raise ValueError(f"duration must be finite, got {duration!r}")
         if round(duration / self.model.sampling_period) <= 0:
             raise ValueError("duration too short for one sample")
-        if self.attack is not None:
-            self.attack.check_axes(self.model.dim)
+        # controllers and safety predicates of other types are the caller's to check
+        for part in (self.attack, self.controller, self.safety):
+            if isinstance(part, (AttackSpec, ZoneController, ZoneSpeedLimit)):
+                part.check_axes(self.model.dim)
 
 
 @dataclass(frozen=True)
@@ -385,16 +400,13 @@ class _ModeStep(NamedTuple):
 
 def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeStep]:
     """Each mode's step."""
-    if len({mode.dynamics.n_inputs for mode in model.modes}) > 1:
-        raise ValueError("modes take different numbers of inputs; one controller cannot drive them")
     guards: dict[ModeId, list] = {q: [] for q in model.mode_ids}
     for tr in model.transitions:
         guards[tr.source].append((tr.guard.axis, tr.guard.sign, tr.guard.threshold, tr))
     steps = {}
     for mode in model.modes:
-        dyn = mode.dynamics
         steps[mode.mode_id] = _ModeStep(
-            dyn.a, dyn.b, bank.gains[mode.mode_id].gain, tuple(guards[mode.mode_id])
+            mode.a, mode.b, bank.gains[mode.mode_id].gain, tuple(guards[mode.mode_id])
         )
     return steps
 

@@ -90,11 +90,10 @@ def reflect_model(model, axis):
     modes = []
     for mode_id in model.mode_ids:
         mode = model.mode(mode_id)
-        dyn = mode.dynamics
-        a = dyn.a.copy()
+        a = mode.a.copy()
         a[axis, :] *= -1.0
         a[:, axis] *= -1.0
-        b = dyn.b.copy()
+        b = mode.b.copy()
         b[axis, :] *= -1.0
         intervals = list(mode.invariant.intervals)
         lo, hi = intervals[axis]
@@ -102,7 +101,8 @@ def reflect_model(model, axis):
         modes.append(
             Mode(
                 mode_id=mode.mode_id,
-                dynamics=replace(dyn, a=a, b=b),
+                a=a,
+                b=b,
                 invariant=Invariant(intervals=tuple(intervals)),
             )
         )
@@ -147,7 +147,7 @@ def z_star(model, transition, eps, margin):
     hi[guard.axis] = min(hi[guard.axis], eps)
     if lo[guard.axis] > hi[guard.axis]:
         raise EmptyGeometryError("overshoot slab misses the source invariant")
-    a_row = model.dynamics(transition.target).a[guard.axis]
+    a_row = model.mode(transition.target).a[guard.axis]
     return max(0.0, box_max(a_row, lo, hi) + model.step_bounds[transition.target] + margin - c_g)
 
 
@@ -277,7 +277,7 @@ def slabs(model):
 
 def solve_riccati(model, mode_id, max_iter=RICCATI_MAX_ITER):
     """Riccati fixed point and gain of one mode, with the model's noise; errors name mode_id."""
-    a = model.dynamics(mode_id).a
+    a = model.mode(mode_id).a
     n = len(a)
     q_cov = np.diag((np.asarray(model.w_bounds) / 3.0) ** 2)
     r_cov = np.diag((np.asarray(model.v_bounds) / 3.0) ** 2)

@@ -98,7 +98,6 @@ def excursion_envelope(model, trace, i, segment_start):
     lambda**k * e_0 + w_1 * (1 - lambda**k) / (1 - lambda).
     """
     mode = trace.mode_true[i]
-    dyn = model.dynamics(mode)
     _, hi = model.invariant(mode).bounds()
     k = i - segment_start
     below = np.zeros(2)
@@ -106,7 +105,7 @@ def excursion_envelope(model, trace, i, segment_start):
     if segment_start == 0:
         below[0] = k * model.w_bounds[0]
     else:
-        pole = dyn.a[1, 1]
+        pole = model.mode(mode).a[1, 1]
         entry = max(0.0, float(trace.x_true[segment_start, 1] - hi[1]))
         above[1] = pole**k * entry + model.w_bounds[1] * (1.0 - pole**k) / (1.0 - pole)
     return below, above

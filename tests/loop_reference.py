@@ -60,13 +60,13 @@ def residual_baseline(trace, threshold):
 
 def reference_step(bank, model, mode_id, x_est, u, y):
     """One predict/update step with the mode's gain, inputs checked."""
-    dyn = model.dynamics(mode_id)
+    mode = model.mode(mode_id)
     x_est = np.asarray(x_est, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(x_est)) and np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise ValueError("reference step requires finite inputs")
-    predicted = dyn.a @ x_est + dyn.b @ u
+    predicted = mode.a @ x_est + mode.b @ u
     return predicted + bank.gains[mode_id].gain @ (y - predicted)
 
 
@@ -180,8 +180,8 @@ def reference_simulate(config, detector, bank, observer):
                 break
 
         w = truncated_gaussian(rng, model.w_bounds)
-        dyn = model.dynamics(q)
-        x = dyn.a @ x + dyn.b @ u + w
+        mode = model.mode(q)
+        x = mode.a @ x + mode.b @ u + w
 
         predict_mode = node[0]
         if fired is not None:

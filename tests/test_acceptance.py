@@ -15,7 +15,6 @@ from zonotope_reference import Zonotope, intersects_box, reach
 from hybridmon import (
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     box_max,
     decompose_regions,
@@ -163,7 +162,8 @@ def test_criterion_09_reachability_soundness():
             modes=(
                 Mode(
                     "m",
-                    LtiDynamics(a=a, b=b),
+                    a,
+                    b,
                     Invariant(tuple((-100.0, 100.0) for _ in range(n))),
                 ),
             ),

@@ -292,6 +292,14 @@ class TestSweep:
         assert (code, out) == (1, [])
         assert err == f"error: seed must be nonnegative, got {seed}\n"
 
+    @pytest.mark.parametrize(
+        "seeds, bound", [("0.5..3", "0.5"), ("x", "x"), ("1..3.0", "3.0"), ("1..", "")]
+    )
+    def test_seed_bound_that_is_not_a_whole_number_is_named(self, capsys, seeds, bound):
+        code, out, err = run_cli(capsys, "sweep", "train-gate", f"--seeds={seeds}")
+        assert (code, out) == (1, [])
+        assert err == f"error: --seeds bound must be a whole number, got {bound!r}\n"
+
     def test_empty_seed_range_errors(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "train-gate", "--seeds", "5..4")
         assert code == 1
@@ -341,6 +349,13 @@ class TestStaticCommands:
             "error: model failed validation: noise: axis 0 has zero process and "
             "measurement noise variance (w = 0, v = 0), so P + R is singular\n"
         )
+
+    @pytest.mark.parametrize("command", ["compute-delta", "compute-bounds", "run"])
+    def test_modes_with_different_input_counts_refused_at_load(self, capsys, tmp_path, command):
+        doc = json.loads(ND_ACTUATOR.read_text())
+        doc["states"][1]["B"] = [row + [0.0] for row in doc["states"][1]["B"]]
+        want = "error: modes take different numbers of inputs; one controller cannot drive them\n"
+        assert run_cli(capsys, command, write_model(tmp_path, doc)) == (1, [], want)
 
     def test_unsolvable_threshold_stays_an_error_in_compute_bounds(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "compute-bounds", write_model(tmp_path, UNSOLVABLE_MODEL))

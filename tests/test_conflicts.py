@@ -18,7 +18,6 @@ from hybridmon import (
     Guard,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     Transition,
     detection_threshold,
@@ -40,7 +39,8 @@ def rotation_model():
         modes=(
             Mode(
                 1,
-                LtiDynamics(a=[[0.0, -1.0], [1.0, 0.0]], b=[[0.0], [0.0]]),
+                [[0.0, -1.0], [1.0, 0.0]],
+                [[0.0], [0.0]],
                 Invariant(((0.5, 1.0), (-0.2, 0.2))),
             ),
         ),
@@ -230,7 +230,7 @@ def _one_mode(a, w, v, invariant) -> HybridAutomaton:
     n = len(a)
     return HybridAutomaton(
         modes=(
-            Mode(1, LtiDynamics(a=a, b=[[0.0]] * n), Invariant(tuple(invariant))),
+            Mode(1, a, [[0.0]] * n, Invariant(tuple(invariant))),
         ),
         events=(),
         transitions=(),
@@ -245,11 +245,11 @@ def _one_mode(a, w, v, invariant) -> HybridAutomaton:
 
 def _reference_reach(model, delta, x_est, residual):
     """The horizon set built explicitly: inflate(linear_map(A^delta, X_I), sigma)."""
-    dyn = model.dynamics(1)
+    a = model.mode(1).a
     x_i = Zonotope(x_est, np.diag(np.abs(residual) + model.v_bounds))
-    a_norm = float(np.max(np.sum(np.abs(dyn.a), axis=1)))
+    a_norm = float(np.max(np.sum(np.abs(a), axis=1)))
     sigma = sigma_sum(a_norm, delta, model.step_bounds[1])
-    return x_i, inflate(linear_map(np.linalg.matrix_power(dyn.a, delta), x_i), sigma)
+    return x_i, inflate(linear_map(np.linalg.matrix_power(a, delta), x_i), sigma)
 
 
 @st.composite

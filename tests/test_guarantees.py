@@ -17,7 +17,6 @@ from hybridmon import (
     GuaranteeBound,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     NoGuaranteeError,
     Transition,
@@ -39,8 +38,8 @@ def face_model(theta=0.05, v=0.1, w=0.0, a_source=1.0, a_target=1.0):
     """1-D pair with the guard on the source invariant's upper face."""
     return HybridAutomaton(
         modes=(
-            Mode(1, LtiDynamics(a=[[a_source]], b=[[0.0]]), Invariant(((0.0, 10.0),))),
-            Mode(2, LtiDynamics(a=[[a_target]], b=[[0.0]]), Invariant(((10.0, 12.0),))),
+            Mode(1, [[a_source]], [[0.0]], Invariant(((0.0, 10.0),))),
+            Mode(2, [[a_target]], [[0.0]], Invariant(((10.0, 12.0),))),
         ),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=10.0)),),
@@ -59,11 +58,11 @@ def mono_model(w, falling=False):
     The falling variant is its mirror image on the axis.
     """
     sign = -1.0 if falling else 1.0
-    drift_free = LtiDynamics(a=[[1.0]], b=[[0.0]])
+    drift_free = ([[1.0]], [[0.0]])
     return HybridAutomaton(
         modes=(
-            Mode(1, drift_free, Invariant((tuple(sorted((0.0, sign * 10.0))),))),
-            Mode(2, drift_free, Invariant((tuple(sorted((0.0, sign * 2.0))),))),
+            Mode(1, *drift_free, Invariant((tuple(sorted((0.0, sign * 10.0))),))),
+            Mode(2, *drift_free, Invariant((tuple(sorted((0.0, sign * 2.0))),))),
         ),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(
@@ -222,8 +221,8 @@ class TestReflection:
         # mirror of the face model: travel downward, guard at the lower face
         model = HybridAutomaton(
             modes=(
-                Mode(1, LtiDynamics(a=[[1.0]], b=[[0.0]]), Invariant(((-10.0, 0.0),))),
-                Mode(2, LtiDynamics(a=[[1.0]], b=[[0.0]]), Invariant(((-12.0, -10.0),))),
+                Mode(1, [[1.0]], [[0.0]], Invariant(((-10.0, 0.0),))),
+                Mode(2, [[1.0]], [[0.0]], Invariant(((-12.0, -10.0),))),
             ),
             events=(Event("go", "input"), Event("seen", "output")),
             transitions=(
@@ -265,7 +264,7 @@ class TestReflection:
 
 
 def _mode(mode_id, a, b, box):
-    return Mode(mode_id, LtiDynamics(a=a, b=b), Invariant(tuple(box)))
+    return Mode(mode_id, a, b, Invariant(tuple(box)))
 
 
 def _automaton(modes, guards, w, v, theta=0.05):
@@ -520,10 +519,11 @@ def _entry(rng, scale):
     return 0.0 if r < 0.25 else -0.0 if r < 0.5 else float(rng.uniform(-scale, scale))
 
 
-def one_guard_pair(dyn, source, target, guard, w, v, input_bound=0.0):
-    """Modes 0 and 1 sharing dyn, with these invariants, and one transition 0 -> 1 on guard."""
+def one_guard_pair(ab, source, target, guard, w, v, input_bound=0.0):
+    """Modes 0 and 1 sharing ab = (A, B), with these invariants, and one
+    transition 0 -> 1 on guard."""
     return HybridAutomaton(
-        modes=(Mode(0, dyn, Invariant(tuple(source))), Mode(1, dyn, Invariant(tuple(target)))),
+        modes=(Mode(0, *ab, Invariant(tuple(source))), Mode(1, *ab, Invariant(tuple(target)))),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(Transition(0, "go", "seen", 1, guard),),
         w_bounds=w,
@@ -552,7 +552,6 @@ def generated_pair(rng):
     a[np.diag_indices(dim)] = rng.uniform(0.8, 1.0, size=dim)
     a[axis, axis] = rng.choice([1.0, 0.99, 0.95])
     b = np.array([[_entry(rng, 0.1)] for _ in range(dim)])
-    dyn = LtiDynamics(a=a, b=b)
     w, v = rng.uniform(0.25, 0.5, size=dim), rng.uniform(0.02, 0.1, size=dim)
     box = [(_entry(rng, 0.0) if rng.random() < 0.5 else -1.0, 1.0) for _ in range(dim)]
     lo = float(rng.uniform(-3.0, 1.0))
@@ -562,7 +561,7 @@ def generated_pair(rng):
     source, target = list(box), list(box)
     source[axis] = (lo, hi)
     target[axis] = (c_g, hi + 5.0) if sign > 0 else (lo - 5.0, c_g)
-    return one_guard_pair(dyn, source, target, Guard(axis, sign, c_g), w, v, 1.0), tie
+    return one_guard_pair((a, b), source, target, Guard(axis, sign, c_g), w, v, 1.0), tie
 
 
 def _mirror_view(bounds, sign=1):
@@ -579,7 +578,7 @@ def _mirror_view(bounds, sign=1):
 def tie_pair(sign):
     """a = 0.99, w = 0.3 and the guard at the midpoint of [0, 10], rising, or its mirror image."""
     return one_guard_pair(
-        LtiDynamics(a=[[0.99]], b=[[0.0]]),
+        ([[0.99]], [[0.0]]),
         [sorted((0.0, sign * 10.0))],
         [sorted((sign * 5.0, sign * 15.0))],
         Guard(axis=0, sign=sign, threshold=sign * 5.0),
@@ -664,8 +663,8 @@ class TestDStarClosedForm:
         # band at d = 0 misses the invariant and proves nothing, so d* is the
         # first offset whose band meets it, 0 + 1 - margin, where the
         # bisection stops just above
-        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]])
-        model = one_guard_pair(dyn, [(0.0, 10.0)], [(-1.0, 15.0)], Guard(0, 1, -1.0), [0.0], [0.1])
+        ab = ([[1.0]], [[0.0]])
+        model = one_guard_pair(ab, [(0.0, 10.0)], [(-1.0, 15.0)], Guard(0, 1, -1.0), [0.0], [0.1])
         regions, tr, margin = decompose_regions(model), model.transitions[0], _margin(model)
         assert margin == 0.25
         assert _d_star(model, regions, tr, 1, margin) == 0.75
@@ -700,8 +699,8 @@ class TestSignAwareGuards:
         # the one-step hull of a falling guard at 1 with w = 1 bottoms out at
         # 1 - 1 = 0.0; negating the mirror's top end, -1 + 1, gives -0.0
         # instead, the one place where the two ways differ in bits
-        dyn = LtiDynamics(a=[[1.0]], b=[[0.0]])
-        model = one_guard_pair(dyn, [(-5.0, 5.0)], [(-10.0, 1.0)], Guard(0, -1, 1.0), [1.0], [0.1])
+        ab = ([[1.0]], [[0.0]])
+        model = one_guard_pair(ab, [(-5.0, 5.0)], [(-10.0, 1.0)], Guard(0, -1, 1.0), [1.0], [0.1])
         tr = model.transitions[0]
         assert _bits(facet_epsilon(model, tr)) == _bits(0.0)
         assert _bits(analysis_reference.facet_epsilon(model, tr)) == _bits(-0.0)

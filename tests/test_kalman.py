@@ -16,7 +16,6 @@ from hybridmon import (
     Guard,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     RiccatiError,
     Transition,
@@ -53,7 +52,8 @@ def single_mode(a, w, v):
         modes=(
             Mode(
                 "s",
-                LtiDynamics(a=a, b=[[0.0]] * n),
+                a,
+                [[0.0]] * n,
                 Invariant(tuple((-10.0, 10.0) for _ in range(n))),
             ),
         ),
@@ -84,7 +84,7 @@ class TestSynthesizeGains:
 
     def test_closed_loop_is_stable(self, tg_model):
         bank = synthesize_gains(tg_model)
-        closed = bank.gains[1].closed_loop(tg_model.dynamics(1).a)
+        closed = bank.gains[1].closed_loop(tg_model.mode(1).a)
         moduli = np.abs(np.linalg.eigvals(closed))
         np.testing.assert_allclose(moduli, 0.8904016958242512, atol=1e-12)
 
@@ -104,7 +104,7 @@ class TestSynthesizeGains:
         model = single_mode([[0.0]], [0.3], [0.3])
         gain = synthesize_gains(model).gains["s"]
         assert gain.gain[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert gain.closed_loop(model.dynamics("s").a)[0, 0] == 0.0
+        assert gain.closed_loop(model.mode("s").a)[0, 0] == 0.0
 
     def test_riccati_iteration_budget(self, tg_model):
         with pytest.raises(RiccatiError, match="did not converge"):
@@ -166,7 +166,7 @@ class TestSynthesizeGains:
 def _two_modes(a1, a2):
     """Two 2-D modes with the given A, the same B."""
     def mode(mode_id, a, box):
-        return Mode(mode_id, LtiDynamics(a=a, b=[[0.0], [0.1]]), Invariant(box))
+        return Mode(mode_id, a, [[0.0], [0.1]], Invariant(box))
 
     return HybridAutomaton(
         modes=(
@@ -295,12 +295,12 @@ class TestStepContinuous:
         # predict, then correct, in this order: (I - K) A is the same map in
         # exact arithmetic but not in floating point, and traces pin the bits
         gain = synthesize_gains(tg_model).gains[1].gain
-        dyn = tg_model.dynamics(1)
+        mode = tg_model.mode(1)
         x_est = np.array([10.0, 1.0])
         u = np.array([0.5])
         y = np.array([10.2, 0.9])
-        predicted = dyn.a @ x_est + dyn.b @ u
-        est = one_step(dyn.a, gain, dyn.b @ u, x_est, y)
+        predicted = mode.a @ x_est + mode.b @ u
+        est = one_step(mode.a, gain, mode.b @ u, x_est, y)
         assert est.tobytes() == (predicted + gain @ (y - predicted)).tobytes()
         np.testing.assert_allclose(est, predicted + TG_GAIN @ (y - predicted), atol=1e-12)
 
@@ -385,7 +385,7 @@ def _posterior_sigma(model, mode_id):
     """
     q_cov = np.diag((np.array(model.w_bounds) / 3.0) ** 2)
     r_cov = np.diag((np.array(model.v_bounds) / 3.0) ** 2)
-    prior = solve_discrete_are(model.dynamics(mode_id).a.T, np.eye(model.dim), q_cov, r_cov)
+    prior = solve_discrete_are(model.mode(mode_id).a.T, np.eye(model.dim), q_cov, r_cov)
     posterior = prior - prior @ np.linalg.inv(prior + r_cov) @ prior
     return np.sqrt(np.diag(posterior))
 

@@ -13,7 +13,6 @@ from hybridmon import (
     Guard,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     ModelError,
     RiccatiError,
@@ -28,7 +27,8 @@ from hybridmon.train_gate import train_gate_model, train_gate_scenario
 
 
 def dyn1(a=0.5):
-    return LtiDynamics(a=[[a]], b=[[0.0]])
+    """A and B of a 1-D mode whose one input has no effect."""
+    return ([[a]], [[0.0]])
 
 
 # w_bounds, v_bounds and input_bound of the 1-D test models
@@ -46,10 +46,10 @@ def corridor(
     threshold = guard_at if tie_guard is None else tie_guard
     return HybridAutomaton(
         modes=(
-            Mode("a", dyn1(), Invariant(((lo_a, hi_a),))),
-            Mode("b", dyn1(), Invariant(((lo_b, hi_b),))),
+            Mode("a", *dyn1(), Invariant(((lo_a, hi_a),))),
+            Mode("b", *dyn1(), Invariant(((lo_b, hi_b),))),
         ),
-        events=(Event("go", "input", True), Event("went", "output", True)),
+        events=(Event("go", "input"), Event("went", "output")),
         transitions=(
             Transition("a", "go", "went", "b", Guard(axis=0, sign=sign, threshold=threshold)),
         ),
@@ -65,7 +65,7 @@ def corridor(
 class TestPrimitives:
     def test_event_kind_checked(self):
         with pytest.raises(ModelError):
-            Event("e", "internal", True)
+            Event("e", "internal")
 
     def test_invariant_accessors(self):
         inv = Invariant(((0.0, 46.0), (0.0, 1.5)))
@@ -93,7 +93,7 @@ class TestPrimitives:
             Invariant(((0.0, float("inf")),))
 
     def test_dynamics_shape_checks(self):
-        fields = dict(a=[[1.0]], b=[[0.0]])
+        fields = dict(mode_id="m", a=[[1.0]], b=[[0.0]], invariant=Invariant(((0.0, 1.0),)))
         refusals = [
             ({"a": [[1.0, 0.0]]}, "A must be square, got shape (1, 2)"),
             ({"a": np.zeros((1, 1, 1))}, "A must be square, got shape (1, 1, 1)"),
@@ -103,29 +103,30 @@ class TestPrimitives:
         ]
         for change, message in refusals:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-                LtiDynamics(**{**fields, **change})
+                Mode(**{**fields, **change})
 
     def test_dynamics_store_read_only_copies(self):
         a, b = [[0.5, 0.1], [0.0, 0.9]], np.array([[0.0], [0.1]])
-        dyn = LtiDynamics(a=a, b=b)
+        mode = Mode("m", a, b, Invariant(((0.0, 1.0),) * 2))
         a[0][0], b[1, 0] = 7.0, 7.0
-        assert dyn.a.tolist() == [[0.5, 0.1], [0.0, 0.9]]
-        assert dyn.b.tolist() == [[0.0], [0.1]]
-        for arr in (dyn.a, dyn.b):
+        assert mode.a.tolist() == [[0.5, 0.1], [0.0, 0.9]]
+        assert mode.b.tolist() == [[0.0], [0.1]]
+        for arr in (mode.a, mode.b):
             assert arr.dtype == np.float64 and not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_dynamics_promote_low_rank_inputs(self):
-        scalar = LtiDynamics(a=0.5, b=0.0)
+        box = Invariant(((0.0, 1.0),))
+        scalar = Mode("m", 0.5, 0.0, box)
         assert scalar.a.shape == (1, 1) and scalar.b.shape == (1, 1)
-        row = LtiDynamics(a=[[0.5]], b=[0.1, 0.2])
-        assert row.b.shape == (1, 2) and row.n_inputs == 2
+        row = Mode("m", [[0.5]], [0.1, 0.2], box)
+        assert row.b.shape == (1, 2)
 
     def test_dynamics_norms(self):
-        d = LtiDynamics(a=[[1.0, 0.1], [0.0, -0.95]], b=[[0.0], [0.05]])
-        assert d.dim == 2 and d.n_inputs == 1
-        assert d.a_norm == 1.1
+        mode = Mode("m", [[1.0, 0.1], [0.0, -0.95]], [[0.0], [0.05]], Invariant(((0.0, 1.0),) * 2))
+        assert mode.dim == 2
+        assert mode.a_norm == 1.1
 
     def test_guard_satisfied_is_closed_halfspace(self):
         up = Guard(axis=0, sign=1, threshold=45.0)
@@ -182,12 +183,13 @@ class TestPrimitives:
         assert type(guard.axis) is int and type(guard.sign) is int
 
     def test_mode_dimension_mismatch(self):
-        with pytest.raises(ModelError):
-            Mode("m", dyn1(), Invariant(((0.0, 1.0), (0.0, 1.0))))
+        message = "mode 'm': dynamics dimension 1 != invariant dimension 2"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            Mode("m", *dyn1(), Invariant(((0.0, 1.0), (0.0, 1.0))))
 
 
 class TestValueEquality:
-    """Models compare and hash by value, through `LtiDynamics`' arrays and the noise tuples."""
+    """Models compare and hash by value, through each `Mode`'s arrays and the noise tuples."""
 
     def test_fresh_train_gate_models_are_equal(self):
         first, second = train_gate_model(), train_gate_model()
@@ -197,19 +199,19 @@ class TestValueEquality:
 
     def test_changed_entry_is_unequal(self):
         model = train_gate_model()
-        a = model.modes[0].dynamics.a.copy()
+        a = model.modes[0].a.copy()
         a[0, 1] += 1e-12
-        mode = dataclasses.replace(
-            model.modes[0], dynamics=dataclasses.replace(model.modes[0].dynamics, a=a)
-        )
+        mode = dataclasses.replace(model.modes[0], a=a)
         changed = dataclasses.replace(model, modes=(mode,) + model.modes[1:])
         assert changed != model and model != changed
-        assert changed.modes[0].dynamics != model.modes[0].dynamics
+        assert mode != model.modes[0]
 
     def test_other_fields_are_compared(self):
-        dyn = dyn1()
-        assert dyn != dataclasses.replace(dyn, b=[[0.0, 0.0]])
-        assert dyn != "dynamics"
+        mode = Mode("m", *dyn1(), Invariant(((0.0, 1.0),)))
+        assert mode != dataclasses.replace(mode, b=[[0.0, 0.0]])
+        assert mode != dataclasses.replace(mode, mode_id="n")
+        assert mode != dataclasses.replace(mode, invariant=Invariant(((0.0, 2.0),)))
+        assert mode != "m"
         model = corridor()
         assert model != dataclasses.replace(model, input_bound=2.0)
         assert model != dataclasses.replace(model, w_bounds=[0.02])
@@ -217,8 +219,8 @@ class TestValueEquality:
         assert model == dataclasses.replace(model, v_bounds=np.array([0.1]))
 
     def test_signed_zeros_are_equal_and_hash_equal(self):
-        plus = LtiDynamics(a=[[0.0]], b=[[0.0]])
-        minus = LtiDynamics(a=[[-0.0]], b=[[-0.0]])
+        plus = Mode("m", [[0.0]], [[0.0]], Invariant(((0.0, 1.0),)))
+        minus = Mode("m", [[-0.0]], [[-0.0]], Invariant(((-0.0, 1.0),)))
         assert plus == minus and hash(plus) == hash(minus)
         base = corridor()
         plus = dataclasses.replace(base, w_bounds=(0.0,), input_bound=0.0)
@@ -280,8 +282,8 @@ class TestAutomatonValidation:
     def test_step_bounds_are_per_mode(self):
         # ||B_q|| mu + ||w||: mode "b" takes a B of norm 0.5 + 0.25
         base = corridor(w=0.01)
-        wide = Mode("b", LtiDynamics(a=[[0.5]], b=[[0.5, -0.25]]), base.modes[1].invariant)
-        narrow = Mode("a", LtiDynamics(a=[[0.5]], b=[[0.0, 0.0]]), base.modes[0].invariant)
+        wide = Mode("b", [[0.5]], [[0.5, -0.25]], base.modes[1].invariant)
+        narrow = Mode("a", [[0.5]], [[0.0, 0.0]], base.modes[0].invariant)
         model = dataclasses.replace(base, modes=(narrow, wide), input_bound=2.0)
         assert dict(model.step_bounds) == {"a": 0.01, "b": 1.5 + 0.01}
         assert model.step_bounds is model.step_bounds
@@ -351,10 +353,11 @@ class TestAutomatonValidation:
 
     def test_rejects_mixed_dimensions(self):
         modes = (
-            Mode("a", dyn1(), Invariant(((0.0, 2.0),))),
+            Mode("a", *dyn1(), Invariant(((0.0, 2.0),))),
             Mode(
                 "b",
-                LtiDynamics([[0.5, 0.0], [0.0, 0.5]], [[0.0], [0.0]]),
+                [[0.5, 0.0], [0.0, 0.5]],
+                [[0.0], [0.0]],
                 Invariant(((1.0, 3.0), (0.0, 1.0))),
             ),
         )
@@ -369,7 +372,7 @@ class TestValidateModel:
     def test_flags_unstable_mode(self):
         base = corridor(tie_guard=2.0)  # clean geometry, see below
         hot = (
-            Mode("a", dyn1(a=1.2), base.modes[0].invariant),
+            Mode("a", *dyn1(a=1.2), base.modes[0].invariant),
             base.modes[1],
         )
         model = HybridAutomaton(hot, base.events, base.transitions, *NOISE, 1, 0.1, 0.05)
@@ -384,11 +387,11 @@ class TestValidateModel:
         box = Invariant(((0.0, 1.0),))
         model = HybridAutomaton(
             (
-                Mode("a", dyn1(a=1.2), base.modes[0].invariant),
-                Mode("b", dyn1(a=1.2), base.modes[1].invariant),
-                Mode("c", dyn1(a=-0.0), box),
-                Mode("d", dyn1(a=0.0), box),
-                Mode("e", dyn1(a=0.0), box),
+                Mode("a", *dyn1(a=1.2), base.modes[0].invariant),
+                Mode("b", *dyn1(a=1.2), base.modes[1].invariant),
+                Mode("c", *dyn1(a=-0.0), box),
+                Mode("d", *dyn1(a=0.0), box),
+                Mode("e", *dyn1(a=0.0), box),
             ),
             base.events, base.transitions, *NOISE, 1, 0.1, 0.05,
         )
@@ -412,19 +415,6 @@ class TestValidateModel:
         assert validate_model(model) == ["noise: " + text]
         with pytest.raises(RiccatiError, match="^" + re.escape(text) + "$"):
             synthesize_gains(model)
-
-    def test_flags_unobservable_event(self, tg_model):
-        # built in code, the flag bypasses parse_model; the observer would
-        # still move (1,) to (2,) on s_1
-        events = tuple(
-            dataclasses.replace(e, observable=False) if e.name == "s_1" else e
-            for e in tg_model.events
-        )
-        tags = validate_model(dataclasses.replace(tg_model, events=events))
-        assert tags == [
-            "observability: event 's_1' is unobservable, and the discrete observer "
-            "has no closure over unobservable events"
-        ]
 
     def test_flags_guard_outside_invariant(self):
         model = corridor(tie_guard=5.0)
@@ -498,12 +488,12 @@ class TestDecomposeRegions:
 
     def test_identical_invariants_rejected(self):
         modes = (
-            Mode("a", dyn1(), Invariant(((0.0, 2.0),))),
-            Mode("b", dyn1(), Invariant(((0.0, 2.0),))),
+            Mode("a", *dyn1(), Invariant(((0.0, 2.0),))),
+            Mode("b", *dyn1(), Invariant(((0.0, 2.0),))),
         )
         model = HybridAutomaton(
             modes,
-            (Event("go", "input", True), Event("went", "output", True)),
+            (Event("go", "input"), Event("went", "output")),
             (),
             *NOISE,
             1,
@@ -541,7 +531,7 @@ class TestExtractFsm:
         extra = base.transitions + (
             Transition("a", "back", "tock", "a", Guard(axis=0, sign=-1, threshold=0.2)),
         )
-        events = base.events + (Event("back", "input", True), Event("tock", "output", True))
+        events = base.events + (Event("back", "input"), Event("tock", "output"))
         model = HybridAutomaton(base.modes, events, extra, *NOISE, 1, 0.1, 0.05)
         fsm = extract_fsm(model)
         assert fsm.active_pairs("a") == (("back", "tock"), ("go", "went"))

@@ -94,7 +94,7 @@ def test_file_round_trip(tmp_path, tg_model):
     assert json.loads(text) == json.loads(json.dumps(model_to_dict(tg_model)))
     loaded = load_model(path)
     assert model_to_dict(loaded) == model_to_dict(tg_model)
-    np.testing.assert_array_equal(loaded.dynamics(2).a, tg_model.dynamics(2).a)
+    np.testing.assert_array_equal(loaded.mode(2).a, tg_model.mode(2).a)
 
 
 def test_dump_is_deterministic(tmp_path, tg_model):

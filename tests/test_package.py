@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "Invariant",
     "KalmanBank",
     "KalmanGain",
-    "LtiDynamics",
     "Mode",
     "ModelError",
     "NoGuaranteeError",
@@ -89,7 +88,7 @@ PUBLIC_SIGNATURES = {
     "Detector": '(model, deltas=None)',
     "DiscreteInconsistencyError": '(node, pair)',
     "EmptyGeometryError": None,
-    "Event": '(name, kind, observable=True)',
+    "Event": '(name, kind)',
     "FdiaClassification": '(feasible, indeterminate, eigenvalue, eigenvector, reason)',
     "Fsm": '(states, transitions, outputs)',
     "GuaranteeBound": '(mode_id, guards, z_star, d_star, threshold)',
@@ -99,8 +98,7 @@ PUBLIC_SIGNATURES = {
     "Invariant": '(intervals)',
     "KalmanBank": '(gains)',
     "KalmanGain": '(gain, predicted_covariance, iterations, final_increment)',
-    "LtiDynamics": '(a, b)',
-    "Mode": '(mode_id, dynamics, invariant)',
+    "Mode": '(mode_id, a, b, invariant)',
     "ModelError": None,
     "NoGuaranteeError": None,
     "ObservabilityResult": '(observable, k, witness)',

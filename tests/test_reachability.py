@@ -19,7 +19,6 @@ from hybridmon import (
     HorizonError,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     Transition,
     compute_delta,
@@ -36,8 +35,8 @@ from hybridmon.reachability import (
 def one_guard(a, w, inv_src, inv_tgt, threshold, b=0.0, mu=0.0):
     return HybridAutomaton(
         modes=(
-            Mode(1, LtiDynamics(a=[[a]], b=[[b]]), Invariant((inv_src,))),
-            Mode(2, LtiDynamics(a=[[a]], b=[[b]]), Invariant((inv_tgt,))),
+            Mode(1, [[a]], [[b]], Invariant((inv_src,))),
+            Mode(2, [[a]], [[b]], Invariant((inv_tgt,))),
         ),
         events=(Event("go", "input"), Event("seen", "output")),
         transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=threshold)),),
@@ -164,7 +163,7 @@ class TestReach:
 
     def test_sampled_trajectories_stay_inside(self, tg_model):
         rng = np.random.default_rng(42)
-        dyn = tg_model.dynamics(1)
+        mode = tg_model.mode(1)
         z0 = box_zonotope([10.0, 0.5], [12.0, 0.7])
         delta = 6
         tube = reach(tg_model, 1, z0, delta)
@@ -173,7 +172,7 @@ class TestReach:
             for _ in range(delta):
                 u = rng.uniform(-tg_model.input_bound, tg_model.input_bound, size=1)
                 w = rng.uniform(-np.array(tg_model.w_bounds), tg_model.w_bounds)
-                x = dyn.a @ x + dyn.b @ u + w
+                x = mode.a @ x + mode.b @ u + w
             assert intersects_box(tube, [(x[0], x[0]), (x[1], x[1])])
 
 
@@ -422,7 +421,7 @@ def one_mode(a, b, w, mu):
     """A model of one mode with the given dynamics and no transition."""
     n = len(a)
     return HybridAutomaton(
-        modes=(Mode(0, LtiDynamics(a=a, b=b), Invariant(((-100.0, 100.0),) * n)),),
+        modes=(Mode(0, a, b, Invariant(((-100.0, 100.0),) * n)),),
         events=(),
         transitions=(),
         w_bounds=w,

@@ -28,7 +28,6 @@ from hybridmon import (
     Guard,
     HybridAutomaton,
     Invariant,
-    LtiDynamics,
     Mode,
     ModelError,
     ScenarioConfig,
@@ -274,6 +273,34 @@ class TestControllersAndSafety:
         assert str(refused.value) == message
 
     @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("controller", dict(axis=4), "zone controller axis 4 outside a 2-dimensional state"),
+            (
+                "safety",
+                dict(position_axis=5),
+                "zone speed limit position_axis 5 outside a 2-dimensional state",
+            ),
+            (
+                "safety",
+                dict(speed_axis=2),
+                "zone speed limit speed_axis 2 outside a 2-dimensional state",
+            ),
+        ],
+    )
+    def test_axes_outside_the_model_refused_by_the_scenario(self, field, change, message):
+        # unchecked, numpy raises IndexError at the first sample, or at the
+        # end of the first block of samples for the safety predicate
+        base = train_gate_scenario()
+        part = dataclasses.replace(getattr(base, field), **change)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(base, **{field: part})
+        # the last axis is inside, and the 3-D crossing takes the 2-D axes
+        last = dataclasses.replace(part, **{name: 1 for name in change})
+        dataclasses.replace(base, **{field: last})
+        train_gate_scenario(model=parse_model(ND_ACTUATOR))
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("position_axis", -1, "zone speed limit position_axis must be nonnegative, got -1"),
@@ -417,7 +444,7 @@ class TestSimulateValidation:
     def test_rejects_model_with_assumption_violations(self):
         model = HybridAutomaton(
             modes=(
-                Mode("a", LtiDynamics(a=[[1.2]], b=[[0.0]]), Invariant(((0.0, 2.0),))),
+                Mode("a", [[1.2]], [[0.0]], Invariant(((0.0, 2.0),))),
             ),
             events=(),
             transitions=(),
@@ -441,10 +468,10 @@ class TestSimulateValidation:
     def test_rejects_modes_with_identical_invariants(self):
         # two guardless modes on the same box pass validate_model, but the
         # detector's horizons need their regions told apart
-        dyn = LtiDynamics(a=[[0.5]], b=[[0.0]])
+        ab = ([[0.5]], [[0.0]])
         box = Invariant(((0.0, 10.0),))
         model = HybridAutomaton(
-            modes=(Mode("a", dyn, box), Mode("b", dyn, box)),
+            modes=(Mode("a", *ab, box), Mode("b", *ab, box)),
             events=(),
             transitions=(),
             w_bounds=[0.01],
@@ -649,11 +676,11 @@ class TestInPlaceStep:
         # A = 0, B = 0 and a negative input: from a negative first estimate,
         # the prediction's products are zeros whose sign `dot` and `@`
         # disagree on, and the zero gain leaves the prediction as the estimate
-        dyn = LtiDynamics(a=[[0.0]], b=[[0.0]])
+        ab = ([[0.0]], [[0.0]])
         model = HybridAutomaton(
             modes=(
-                Mode(1, dyn, Invariant(((-1.0, 10.0),))),
-                Mode(2, dyn, Invariant(((10.0, 12.0),))),
+                Mode(1, *ab, Invariant(((-1.0, 10.0),))),
+                Mode(2, *ab, Invariant(((10.0, 12.0),))),
             ),
             events=(Event("go", "input"), Event("seen", "output")),
             transitions=(Transition(1, "go", "seen", 2, Guard(axis=0, sign=1, threshold=10.0)),),
@@ -783,10 +810,9 @@ class TestOutputReuse:
             dict(state, B=[[0.0, 0.0], [0.0, 0.0], [0.2, 0.1]] if state["id"] == 2 else state["B"])
             for state in ND_ACTUATOR["states"]
         ]
-        config = train_gate_scenario(model=parse_model(dict(ND_ACTUATOR, states=states)))
-        config = dataclasses.replace(config, initial_state=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="different numbers of inputs"):
-            simulate(config)
+        message = "modes take different numbers of inputs; one controller cannot drive them"
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            parse_model(dict(ND_ACTUATOR, states=states))
 
 
 class TestReproducibility:
@@ -1068,7 +1094,7 @@ class TestClassifyFdia:
     def test_strictly_stable_dynamics(self):
         model = HybridAutomaton(
             modes=(
-                Mode(1, LtiDynamics(a=[[0.5]], b=[[0.0]]), Invariant(((0.0, 1.0),))),
+                Mode(1, [[0.5]], [[0.0]], Invariant(((0.0, 1.0),))),
             ),
             events=(),
             transitions=(),
@@ -1088,7 +1114,8 @@ class TestClassifyFdia:
             modes=(
                 Mode(
                     1,
-                    LtiDynamics(a=[[1.0, 1.0], [0.0, 1.0]], b=[[0.0], [0.0]]),
+                    [[1.0, 1.0], [0.0, 1.0]],
+                    [[0.0], [0.0]],
                     Invariant(((0.0, 1.0), (0.0, 1.0))),
                 ),
             ),

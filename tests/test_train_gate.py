@@ -53,17 +53,17 @@ class TestModel:
 
     def test_eigenvalues(self, tg_model):
         for q in tg_model.mode_ids:
-            eig = np.linalg.eigvals(tg_model.dynamics(q).a)
+            eig = np.linalg.eigvals(tg_model.mode(q).a)
             assert sorted(np.abs(eig)) == [0.95, 1.0]
 
     def test_position_integrates_speed(self, tg_model):
-        a = tg_model.dynamics(1).a
+        a = tg_model.mode(1).a
         np.testing.assert_allclose(a[0], [1.0, tg_model.sampling_period])
 
     def test_speed_tracks_reference(self, tg_model):
         # unit steady-state gain from the reference input to the speed axis
-        a = tg_model.dynamics(1).a
-        b = tg_model.dynamics(1).b
+        a = tg_model.mode(1).a
+        b = tg_model.mode(1).b
         assert b[1, 0] / (1.0 - a[1, 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_guards_sit_at_the_sensors(self, tg_model):
