@@ -200,6 +200,19 @@ class Detector:
         mode. A, B and the horizon part of C wait for a settled singleton
         node; until then the row is marked warming up.
 
+        A row whose event the box explains is judged in the set its state
+        can lie in: the source invariant joined with the guard slabs of the
+        transitions that explain the event. A firing state has crossed the
+        guard, by at most the one-step overshoot, so on a nominal run it
+        lies in that join though it may have left the invariant, as
+        train-gate's stop event at 80 m leaves [75, 80] on every run. The
+        box meets one of those slabs, so it meets the join and B is false.
+        The horizon check is skipped on the row for the same reason: it
+        asks the mode's reach set to meet the invariant, which a state past
+        the guard owes nothing, as it leaves the mode at the next sample.
+        So the event check alone decides C on an event row; rows without
+        an event are judged as before.
+
         Of its own (k, n) float arrays the pass holds the box half-widths
         |r| + v for its whole length, and the box bounds c -/+ h only
         through the event check and B; the horizon checks, each holding two
@@ -228,10 +241,13 @@ class Detector:
         lo, hi = centers - half, centers + half
         vol = (2.0 * half).prod(axis=1)
         unexplained = np.zeros(k, dtype=bool)
+        # settled rows with an event, which B and the horizon check leave to the event check
+        evented = np.zeros(k, dtype=bool)
         # an event pair is a non-empty tuple, so a block without events skips the scan
         for i, event in enumerate(events if any(events) else ()):
             if event is None or not steady[i]:
                 continue
+            evented[i] = True
             slabs = [s for s in self._slabs.get(event, ()) if s[0] in nodes[i]]
             unexplained[i] = not any(
                 lo[i, axis] <= s_hi and hi[i, axis] >= s_lo for _, axis, s_lo, s_hi in slabs
@@ -253,14 +269,14 @@ class Detector:
             armed[rows] = settled
             inv_lo, inv_hi = self._inv[node[0]]
             outside = ((hi[rows] < inv_lo) | (lo[rows] > inv_hi)).any(axis=1)
-            conflict_b[rows] = settled & outside
+            conflict_b[rows] = settled & outside & (unexplained[rows] | ~evented[rows])
             decided.append((node[0], rows, settled))
         del lo, hi
         conflict_c = unexplained.copy()
         for mode_id, rows, settled in decided:
             table = self._tables.get(mode_id)
             if table is not None:
-                checked = settled & ~unexplained[rows]
+                checked = settled & ~evented[rows]
                 conflict_c[rows] |= checked & table.misses(centers[rows], half[rows])
         return ConflictRows(
             estimated_mode=tuple(estimated),

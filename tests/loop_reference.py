@@ -92,10 +92,13 @@ def reference_verdict(detector, node, steady, x_est, residual, event=None):
     inv_lo, inv_hi = detector._inv[mode_id]
     conflict_c = unexplained
     table = detector._tables.get(mode_id)
-    if table is not None and not conflict_c:
+    if table is not None and event is None:
         gap = abs(table.m @ center - table.n_mid)
         conflict_c = bool((gap > table.m_abs @ half + table.slack).any())
-    conflict_b = bool((hi < inv_lo).any() or (lo > inv_hi).any())
+    # an explained event: the box meets a guard slab, so it meets the
+    # invariant joined with the slabs, the set a firing state lies in
+    explained = event is not None and not unexplained
+    conflict_b = not explained and bool((hi < inv_lo).any() or (lo > inv_hi).any())
     return mode_id, False, vol > detector.volume_bound, conflict_b, conflict_c, vol
 
 

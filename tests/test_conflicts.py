@@ -555,6 +555,23 @@ class TestEventCheck:
         rows = one_row(detector, (1,), False, (44.3, 1.0), (0.02, 0.01), self.EVENT)
         assert not rows.alarm[0]
 
+    def test_explained_event_past_the_invariant_is_not_b(self, detector):
+        # s_3 fires at 80 m, the end of mode 3's [75, 80]: a box past it that
+        # meets the guard slab is judged in the invariant joined with the
+        # slab, so neither B nor the horizon check fires; without the event
+        # the same box is B
+        x_est, r = (80.25, 0.6), (0.02, 0.01)
+        assert one_row(detector, (3,), True, x_est, r).conflict_b[0]
+        rows = one_row(detector, (3,), True, x_est, r, ("c_next", "s_3"))
+        assert not rows.alarm[0]
+        assert not rows.warming_up[0]
+
+    def test_unexplained_event_keeps_b(self, detector):
+        # a box that misses the slab is C by the event check, and B as before
+        x_est, r = (83.0, 0.6), (0.02, 0.01)
+        rows = one_row(detector, (3,), True, x_est, r, ("c_next", "s_3"))
+        assert rows.conflict_c[0] and rows.conflict_b[0]
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_offset_above_threshold_is_flagged(self, tg_model, detector, epsilon, sign):
         # worst case for the check: the true state at the slab face nearest

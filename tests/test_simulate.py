@@ -1013,6 +1013,25 @@ class TestMonitors:
         assert not summary.alarm
         assert residual_baseline(nominal_run.trace, summary.baseline_threshold) is None
 
+    # every seed of 0-5,999 that raised B on its stop-event row at 320 s
+    # while the row was judged in the source invariant alone; the first two
+    # are the 200 s runs that showed it
+    EVENT_ROW_SEEDS = (2131455717, 1818756093)
+    EVENT_ROW_SEEDS_320 = (
+        159, 204, 349, 1214, 1589, 1635, 1637, 1905, 1988, 2061, 2140,
+        3044, 3280, 3332, 3425, 4260, 4779, 5420, 5689, 5908, 5976,
+    )
+
+    @pytest.mark.parametrize("duration, seeds", [(200.0, EVENT_ROW_SEEDS), (320.0, EVENT_ROW_SEEDS_320)])
+    def test_stop_event_row_is_silent(self, duration, seeds):
+        # the state that fires s_3 at 80 m has left mode 3's [75, 80]; the
+        # box that explains the event is judged against the invariant joined
+        # with the guard slab, which it meets
+        for result in sweep(train_gate_scenario(duration=duration), seeds):
+            summary = result.summary
+            assert summary.stop_event == "s_3", summary.seed
+            assert not summary.alarm, (summary.seed, summary.first_conflict)
+
     def test_step_attack_trips_baseline_quickly(self, tg_machinery):
         detector, bank, observer = tg_machinery
         attack = AttackSpec(axes=(0,), kind="step", magnitude=1.0, start_time=1.5)
