@@ -20,14 +20,14 @@ leaves 1 / (Q + R) not finite on an axis (both zero, say: P + R is then
 singular); a solve raises it naming the mode when an increment is not
 finite and when any step yields an invalid value.
 
-`step_rows` is the update, for S seeds at once: it takes each seed's A and
-gain as arrays and its B u as a row, and steps a range of rows of an
-estimate buffer, each from the row before and its measurement, with no
-model lookup, copy or validation. `simulate`'s monitor pass calls it once
-per stretch of samples in which no seed changes its predicting mode or its
-input, after the plant loop has filled the measurements; one step of one
-seed is a range of one row with S = 1. The caller keeps the residual and
-the settling count.
+The update itself, p = A x_est + B u, then p + K (y - p), is one of the
+per-sample products of `kernels`, in its explicit order of Python-float
+operations; `simulate`'s monitor pass steps each seed's estimate one
+stretch of samples at a time, between the samples where its predicting
+mode or its input changes. The gains are the part of the estimate that
+still depends on the machine: the solve's products and inversion go
+through numpy's BLAS and LAPACK, whose rounding can differ between builds
+and CPUs.
 """
 
 from __future__ import annotations
@@ -157,50 +157,6 @@ def _solve_riccati(model: HybridAutomaton, mode_id: ModeId, max_iter: int) -> Ka
             f"mode {mode_id!r}: closed-loop spectral radius {radius:.6g} >= 1"
         )
     return gain
-
-
-def step_rows(
-    a: Sequence[np.ndarray],
-    gain: Sequence[np.ndarray],
-    bu: np.ndarray,
-    x_est: np.ndarray,
-    y: np.ndarray,
-    lo: int,
-    hi: int,
-    scratch: np.ndarray,
-) -> None:
-    """Predict/update steps of S seeds together, rows lo + 1 .. hi in place.
-
-    x_est and y hold row r of seed s at [r, s], each row one C-contiguous
-    (S, n) array; a and gain hold each seed's A and gain, and bu, (S, n),
-    each seed's B times its input. Row r of seed s becomes
-    A_s x_est[r - 1, s] + bu[s], then that plus K_s (y[r, s] - it). Each
-    product is one `ndarray.dot` per seed, into that seed's row of scratch;
-    the sum with B u, the innovation and the correction sum are one
-    elementwise call for all seeds, so each seed gets the bits of stepping
-    it alone. scratch holds three (S, n) arrays, which must not overlap
-    x_est, y or bu: A x_est, the innovation and the correction. The
-    operation order is part of the result: reassociating it, to (I - K) A
-    say, changes the float bits of every trace. `ndarray.dot` gives the bits
-    of `@` up to the sign of a zero (see `simulate`), so when bu is not
-    -0.0, as `B @ u` never is, neither is A x_est + B u, and each row has
-    the bits of the same formula written with `@`.
-    """
-    # `out` is passed by position, which numpy parses faster than a keyword
-    predicted, innovation, correction = scratch
-    predictions = list(enumerate(zip([matrix.dot for matrix in a], predicted)))
-    corrections = list(zip([matrix.dot for matrix in gain], innovation, correction))
-    add, subtract = np.add, np.subtract
-    prev = x_est[lo]
-    for out, meas in zip(x_est[lo + 1 : hi + 1], y[lo + 1 : hi + 1]):
-        for s, (dot, into) in predictions:
-            dot(prev[s], into)
-        add(predicted, bu, out)
-        subtract(meas, out, innovation)
-        for dot, row, into in corrections:
-            dot(row, into)
-        out += correction
-        prev = out
 
 
 def check_dwell(model: HybridAutomaton, event_samples: Sequence[int]) -> bool:

@@ -13,31 +13,37 @@ what feeds back into the plant: the controller, the guards, x = A x + B u +
 w and the measurement, with each mode's matrices and guards looked up once
 per run and the noise, one for all modes, drawn once per block of
 samples. Per seed, the loop calls the controller, checks the guards on the
-seed's state, read from one `tolist` of the row of all seeds, and takes A x
-with one `ndarray.dot` into the seed's row; the sums with B u and w, the
-measurement y = x + v and the attack are one elementwise call each on the
-(S, n) row of all seeds. A controller output is checked once per distinct
-value, told apart by its bytes, and B u is taken again with the seed's mode's
-B only when the output or the mode changes. The observer steps only on
-events. Of the rest, the loop records change points per seed: the row of
-each event, with the new mode and node, and the row of each new controller
-output, with the output. The monitor pass then takes a block of samples at a
-time. Per seed it rebuilds the mode, node, settled and event columns from
-the change points; `step_rows` steps the Kalman estimate of all seeds
-together, one stretch of rows at a time between the rows where some seed's
-A, K or B u changes, with the B of the node's mode, one `dot` per seed and
-the sums shared; and per seed it decides the safety predicate, the
-detector, the baseline monitor and the steady maxima with
-`ZoneSpeedLimit.violated` and `Detector.evaluate_rows`. The monitor feeds
-nothing back, so this gives the bits of deciding each sample as it comes.
-Each product is the same `dot` on a C-contiguous row that a seed stepped
-alone would take, and every other step is elementwise, so each seed keeps
-its bits whatever runs beside it. Products and sums are written straight
-into buffer rows, in the operation order that fixes the bits. A seed that
-ends, at a stop event or a discrete inconsistency, is no longer stepped;
-its rows leave the buffers at the end of the block. A model's validation
-verdict, detector, filter bank, observer and mode steps are built on its
-first run and kept on the model object for the next.
+seed's state and steps x and y with one call of the plant function of
+`kernels`, which reads and writes the seed's rows in place. A controller
+output is checked once per distinct value, told apart by its bytes, and
+B u is taken again with the seed's mode's B only when the output or the
+mode changes. The observer steps only on events. Of the rest, the loop
+records change points per seed: the row of each event, with the new mode
+and node, and the row of each new controller output, with the output. The
+monitor pass then takes a block of samples at a time. Per seed it rebuilds
+the mode, node, settled and event columns from the change points, steps the
+Kalman estimate with one call of the update function of `kernels` per
+stretch of rows between the rows where the seed's A, K or B u changes, with
+the B of the node's mode, and decides the safety predicate, the detector,
+the baseline monitor and the steady maxima with `ZoneSpeedLimit.violated`
+and `Detector.evaluate_rows`. The monitor feeds nothing back, so this gives
+the bits of deciding each sample as it comes.
+
+Every per-sample product, A x, B u, A x_est and K times the innovation, is
+a left-to-right sum of Python-float products (see `kernels`), and each seed
+goes through the same function at its own offset in the group's buffers.
+So each seed keeps its bits whatever runs beside it, and the plant, the
+measurement and the estimate have the same bits on every IEEE-754 host,
+whatever BLAS numpy uses. What still goes through BLAS or LAPACK, and may
+round differently on another machine, is computed once per model: the
+Riccati gains (`kalman`), and `matrix_power` in `reach_operator` with the
+products built on it: horizons, thresholds and the detector's
+separating-axis tables. They can move a gain's last bits, and so every
+estimate, or a verdict at contact. A seed that ends, at a stop event
+or a discrete inconsistency, is no longer stepped; its rows leave the
+buffers at the end of the block. A model's validation verdict, detector,
+filter bank, observer and mode steps are built on its first run and kept
+on the model object for the next.
 """
 
 from __future__ import annotations
@@ -46,13 +52,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
 from .conflicts import Detector
-from .kalman import KalmanBank, check_dwell, step_rows, synthesize_gains
+from .kalman import KalmanBank, check_dwell, synthesize_gains
+from .kernels import Kernels, kernels
 from .model import (
     HybridAutomaton,
     ModeId,
@@ -390,11 +396,15 @@ def _truncated_gaussian(z: np.ndarray, sigma: np.ndarray, bound: np.ndarray) -> 
 
 
 class _ModeStep(NamedTuple):
-    """What a sample needs of one mode, looked up once per run."""
+    """What a sample needs of one mode, looked up once per run.
 
-    a: np.ndarray
-    b: np.ndarray
-    gain: np.ndarray
+    A, B and the gain are flat row-major tuples of floats, as the
+    functions of `kernels` take them.
+    """
+
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    gain: tuple[float, ...]
     guards: tuple[tuple[int, int, float, Transition], ...]  # (axis, sign, threshold, transition)
 
 
@@ -405,17 +415,11 @@ def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeS
         guards[tr.source].append((tr.guard.axis, tr.guard.sign, tr.guard.threshold, tr))
     steps = {}
     for mode in model.modes:
+        entries = (mode.a, mode.b, bank.gains[mode.mode_id].gain)
         steps[mode.mode_id] = _ModeStep(
-            mode.a, mode.b, bank.gains[mode.mode_id].gain, tuple(guards[mode.mode_id])
+            *(tuple(matrix.ravel().tolist()) for matrix in entries), tuple(guards[mode.mode_id])
         )
     return steps
-
-
-def _b_dot(b: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-    """B u into out; with one dimension, plus 0.0 (see `_lockstep`)."""
-    b.dot(u, out)
-    if out.size == 1:
-        out += 0.0
 
 
 def _first_baseline(
@@ -451,6 +455,7 @@ class _Machinery:
 
     def __init__(self, model: HybridAutomaton) -> None:
         self.model = model
+        self.passed: tuple[KalmanBank, dict[ModeId, _ModeStep]] | None = None
 
     @cached_property
     def problems(self) -> list[str]:
@@ -472,6 +477,19 @@ class _Machinery:
     def steps(self) -> dict[ModeId, _ModeStep]:
         return _mode_steps(self.model, self.bank)
 
+    def steps_for(self, bank: KalmanBank | None) -> dict[ModeId, _ModeStep]:
+        """The mode steps with the model's bank, or with a passed one.
+
+        The steps of the last bank passed are kept for the next run, so a
+        caller that passes one bank run after run has its matrices turned
+        into tuples once.
+        """
+        if bank is None:
+            return self.steps
+        if self.passed is None or self.passed[0] is not bank:
+            self.passed = (bank, _mode_steps(self.model, bank))
+        return self.passed[1]
+
 
 def _machinery(model: HybridAutomaton) -> _Machinery:
     machinery = model.__dict__.get("_machinery")
@@ -483,21 +501,22 @@ def _machinery(model: HybridAutomaton) -> _Machinery:
 class _Run:
     """One seed of a lockstep group: its plant state, change points and monitor.
 
-    `_Group` gives the run its index s in the group's buffers, and its rows
-    of A x and B u. The loop reads sample t from row i = t % BLOCK and
-    steps x and y of sample t + 1 straight into row i + 1, so the buffers
-    have one row past the block; after a flush, the group moves that row to
-    row 0. Of the rest, the loop records only change points: `event_rows`
-    holds (row, event pair, mode, node) for each event, the mode and node
-    being those of the next row, and `input_rows` holds (row, u) for each
-    row whose controller output u differs from the last. The monitor pass
-    (`_flush`) has three parts: `label` rebuilds the labels from the change
-    points (the true modes only when the trace is kept, as nothing else
-    reads them) and marks the rows where the seed's A, K and B u change,
-    `step_rows` steps the Kalman estimate of every seed of the group, and
-    `monitor` hands the block to the detector, folds its verdicts into the
-    summary figures and, when the trace is kept, writes its columns in
-    place into columns allocated for all n samples at the start.
+    `_Group` gives the run its index s in the group's buffers, and the
+    offset s * n of its row in each flat row of all seeds. The loop reads
+    sample t from row i = t % BLOCK and steps x and y of sample t + 1
+    straight into row i + 1, so the buffers have one row past the block;
+    after a flush, the group moves that row to row 0. Of the rest, the loop
+    records only change points: `event_rows` holds (row, event pair, mode,
+    node) for each event, the mode and node being those of the next row,
+    and `input_rows` holds (row, u) for each row whose controller output u
+    differs from the last. The monitor pass (`_flush`) has three parts:
+    `label` rebuilds the labels from the change points (the true modes only
+    when the trace is kept, as nothing else reads them) and lists the rows
+    where the seed's A, K and B u change, `estimate` steps the seed's Kalman
+    estimate one stretch of rows between those at a time, and `monitor`
+    hands the block to the detector, folds its verdicts into the summary
+    figures and, when the trace is kept, writes its columns in place into
+    columns allocated for all n samples at the start.
     """
 
     def __init__(
@@ -521,11 +540,13 @@ class _Run:
         self.sigma = self.bound / 3.0
         # the plant: the mode's step and the observer node; the last
         # controller output that passed the check, as bytes, which tell -0.0
-        # from 0.0 and see an array rewritten in place, and as a read-only
-        # array of those bytes; and, once the run has ended, its last sample
+        # from 0.0 and see an array rewritten in place, and as a tuple of
+        # floats, with B u of the mode in force; and, once the run has
+        # ended, its last sample
         self.step, self.node = steps[mode], node
         self.u_bytes: bytes | None = None
-        self.u: np.ndarray | None = None
+        self.u: tuple[float, ...] = ()
+        self.bu: tuple[float, ...] = ()
         self.events: list[EventRecord] = []
         self.stop_event: str | None = None
         self.inconsistency: float | None = None
@@ -534,7 +555,7 @@ class _Run:
         # flush, the first sample of the current settling count, and the
         # controller output in force for the estimate
         self.event_rows: list[tuple[int, tuple[str, str], ModeId, Node]] = []
-        self.input_rows: list[tuple[int, np.ndarray]] = []
+        self.input_rows: list[tuple[int, tuple[float, ...]]] = []
         self.label_mode, self.label_node, self.since, self.est_u = mode, node, 0, None
         self.columns: dict[str, np.ndarray] | None = None
         self.mode_column: list = []
@@ -562,11 +583,11 @@ class _Run:
         self.group.x[1 : k + 1, self.s] = noise[:, 0]
         self.group.y[1 : k + 1, self.s] = noise[:, 1]
 
-    def label(self, first: int, k: int, carry: bool, marks: dict[int, list]) -> int:
+    def label(self, first: int, k: int, carry: bool) -> tuple[list, int]:
         """Rebuild the labels of rows 0 .. k - 1, which hold samples first .. first + k - 1.
 
-        Adds (seed index, step, u) to marks at each row where the estimate
-        changes its A, K or B u, and returns the last row whose estimate is
+        Returns (lo, step, u) for each row lo from which the estimate is
+        stepped with a new A, K or B u, and the last row whose estimate is
         stepped: k with carry, as the run goes on, else k - 1.
         """
         self.k = k
@@ -594,12 +615,23 @@ class _Run:
         stop = k if carry else k - 1
         inputs = dict(self.input_rows)
         changes = [at + 1 for at, *_ in self.event_rows] + list(inputs)
+        stretches = []
         for lo in sorted({0, *(c for c in changes if c < stop)}):
             self.est_u = inputs.get(lo, self.est_u)
-            marks.setdefault(lo, []).append((self.s, self.steps[nodes[lo][0]], self.est_u))
+            stretches.append((lo, self.steps[nodes[lo][0]], self.est_u))
         self.event_rows.clear()
         self.input_rows.clear()
-        return stop
+        return stretches, stop
+
+    def estimate(self, first: int, k: int, carry: bool) -> None:
+        """Label rows 0 .. k - 1 and step their estimates, one call per stretch of rows."""
+        group, kern = self.group, self.group.kernels
+        stretches, stop = self.label(first, k, carry)
+        ends = [lo for lo, *_ in stretches[1:]] + [stop]
+        for (lo, step, u), hi in zip(stretches, ends):
+            start = lo * group.stride + self.offset
+            bu = kern.b_times(step.b, u)
+            kern.estimate(group.es, group.ys, start, group.stride, hi - lo, step.a, step.gain, bu)
 
     def monitor(self, first: int) -> None:
         """Decide the labelled rows, their estimates stepped, and fold the verdicts in."""
@@ -678,24 +710,26 @@ class _Group:
     """The buffers of the seeds stepped together, one (S, n) array per row.
 
     Row r of seed s is [r, s] of x, y and x_est, which have BLOCK + 1
-    rows. So [r] is row r of every seed, one C-contiguous (S, n) array that
-    each shared elementwise step takes in one call, and [r, s] one seed's
-    C-contiguous row. ax holds each seed's A x, and bu its B u in force.
-    The buffers start as zeros: a run that ends leaves its rows, unread, to
-    the shared steps for the rest of the block, and they stay finite.
+    rows, and [r, s] is one seed's C-contiguous row. The functions of
+    `kernels` read and write them through flat memoryviews xs, ys and es,
+    where row r of seed s starts at r * stride + s * n, stride = S * n. The
+    buffers start as zeros.
     """
 
-    def __init__(self, runs: list[_Run], dim: int) -> None:
+    def __init__(self, runs: list[_Run], dim: int, kern: Kernels) -> None:
         count = len(runs)
+        self.kernels = kern
         self.x, self.y, self.x_est = (np.zeros((BLOCK + 1, count, dim)) for _ in range(3))
-        self.ax, self.bu = np.zeros((2, count, dim))
+        buffers = (self.x, self.y, self.x_est)
+        self.xs, self.ys, self.es = (memoryview(rows.reshape(-1)) for rows in buffers)
+        self.stride = count * dim
         self.steady = np.zeros((count, BLOCK), dtype=bool)
         # what `control` is handed: read-only rows, which the loop
         # overwrites one block later
         self.y_seen = self.y.view()
         self.y_seen.flags.writeable = False
         for s, run in enumerate(runs):
-            run.group, run.s, run.ax, run.bu = self, s, self.ax[s], self.bu[s]
+            run.group, run.s, run.offset = self, s, s * dim
 
     def carry(self, runs: list[_Run]) -> tuple[list[_Run], _Group]:
         """The runs that go on, and their buffers, with row BLOCK moved to row 0."""
@@ -705,51 +739,26 @@ class _Group:
                 rows[0] = rows[BLOCK]
             return runs, self
         runs = [runs[s] for s in kept]
-        group = _Group(runs, self.bu.shape[1])
+        group = _Group(runs, self.x.shape[2], self.kernels)
         for new, old in ((group.x, self.x), (group.y, self.y), (group.x_est, self.x_est)):
             new[0] = old[BLOCK, kept]
-        group.bu[...] = self.bu[kept]
         return runs, group
 
 
-def _flush(runs: list[_Run], group: _Group, first: int, k: int, carry: bool) -> None:
+def _flush(runs: list[_Run], first: int, k: int, carry: bool) -> None:
     """The monitor pass over a block whose rows 0 .. k - 1 hold samples first .. first + k - 1.
 
     With carry the runs go on, and the estimate of row k is stepped too. A
-    run that ended in the block is flushed up to its last sample. The
-    estimate's bookkeeping is gone before the detector runs, which sets the
-    peak of a summary-only run.
+    run that ended in the block is flushed up to its last sample. Every
+    estimate is stepped before the detector runs.
     """
-    _estimate(runs, group, first, k, carry)
-    for run in runs:
-        run.monitor(first)
-
-
-def _estimate(runs: list[_Run], group: _Group, first: int, k: int, carry: bool) -> None:
-    """Label each run's rows and step the Kalman estimates of all runs together.
-
-    The estimates go one stretch of rows at a time, between the rows where
-    some seed's A, K or B u changes; a seed's B u is taken again, with the
-    B of its node's mode, at each of its change points.
-    """
-    marks: dict[int, list] = {}
-    top = 0
     for run in runs:
         if run.end is None:
-            stop = run.label(first, k, carry, marks)
+            run.estimate(first, k, carry)
         else:
-            stop = run.label(first, run.end - first + 1, False, marks)
-        top = max(top, stop)
-    a: list = [None] * len(runs)
-    gain: list = [None] * len(runs)
-    # each seed's B u in force for the estimate, and step_rows' scratch
-    bu_est, *scratch = np.zeros((4,) + group.bu.shape)
-    cuts = sorted({*marks, top})
-    for lo, hi in zip(cuts, cuts[1:]):
-        for s, step, u in marks[lo]:
-            a[s], gain[s] = step.a, step.gain
-            _b_dot(step.b, u, bu_est[s])
-        step_rows(a, gain, bu_est, group.x_est, group.y, lo, hi, scratch)
+            run.estimate(first, run.end - first + 1, False)
+    for run in runs:
+        run.monitor(first)
 
 
 def _lockstep(
@@ -791,20 +800,15 @@ def _lockstep(
     if q not in node:
         raise ValueError("initial mode is missing from the observer root")
     dim = x.size
-    steps = machinery.steps if bank is None else _mode_steps(model, bank)
+    steps = machinery.steps_for(bank)
     control = config.controller.control
     stop_events = config.stop_events
     keep = n if keep_trace else None
     everyone = [_Run(seed, model, detector, steps, config.safety, q, node, keep) for seed in seeds]
-    runs, group = everyone, _Group(everyone, dim)
-    # Products are taken with `ndarray.dot(..., out=row)`, which gives the
-    # bits of `@` but for the sign of a zero: a product with one column has
-    # no sum, and keeps a -0.0 that `@` turns into +0.0. A sum is -0.0 only
-    # if both terms are, so A x + B u and A x_est + B u keep the bits of `@`
-    # when B u is not -0.0 or A x is not: A x never is for dim >= 2, and for
-    # dim 1 `_b_dot` adds 0.0 to B u. So x past sample 0 is never -0.0,
-    # nor is x + v; adding the zero row of a run without attack would change
-    # nothing, and the loop skips it.
+    inputs = model.modes[0].b.shape[1]
+    kern = kernels(dim, inputs)
+    runs, group = everyone, _Group(everyone, dim, kern)
+    b_times = kern.b_times
     gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
     group.x[0] = x
     for s, run in enumerate(runs):
@@ -813,49 +817,57 @@ def _lockstep(
     group.x_est[0] = group.y[0]
     # (run, transition, state) of each guard that fired at this sample
     fired: list[tuple[_Run, Transition, list[float]]] = []
-    asarray = np.asarray
+    asarray, isfinite = np.asarray, math.isfinite
 
     t = i = first = 0
     for first in range(0, n, BLOCK):
         if first:
-            _flush(runs, group, first - BLOCK, BLOCK, carry=True)
+            _flush(runs, first - BLOCK, BLOCK, carry=True)
             runs, group = group.carry(runs)
         k = min(BLOCK, n - first)
         for run in runs:
             run.draw(k)
-        gammas = attack.gamma_rows(first + 1, k, h, dim) if attack else repeat(None, k)
-        xs, ys, y_seen, ax, bu = group.x, group.y, group.y_seen, group.ax, group.bu
-        x_now = xs[0]
+        # the plant step adds the attack to y last: y = x + v + gamma
+        if attack:
+            plant, gammas = kern.plant_attacked, attack.gamma_rows(first + 1, k, h, dim).tolist()
+        else:
+            plant, gammas = kern.plant, None
+        xs, ys, y_seen, stride = group.xs, group.ys, group.y_seen, group.stride
         # the runs still going, in seed order; a run that ends leaves it
         active = runs[:]
-        for i, (x_next, y_next, gamma) in enumerate(zip(xs[1 : k + 1], ys[1 : k + 1], gammas)):
+        for i in range(k):
             t = first + i
             now = t * h
-            states = x_now.tolist()
+            row = i * stride
             for run in active:
-                s = run.s
-                state = states[s]
-                u = asarray(control(y_seen[i, s], now), float)
+                o = row + run.offset
+                u = asarray(control(y_seen[i, run.s], now), float)
                 if u.ndim != 1 or u.tobytes() != run.u_bytes:
-                    if u.ndim != 1 or not all(map(math.isfinite, u.tolist())):
+                    values = u.tolist()
+                    if u.ndim != 1 or not all(map(isfinite, values)):
                         raise ValueError(
-                            f"controller output {u.tolist()} at {now} s is not a vector of finite numbers"
+                            f"controller output {values} at {now} s "
+                            "is not a vector of finite numbers"
+                        )
+                    if len(values) != inputs:
+                        raise ValueError(
+                            f"controller output {values} at {now} s has {len(values)} entries, "
+                            f"but the model takes {inputs} inputs"
                         )
                     run.u_bytes = u.tobytes()
-                    run.u = np.frombuffer(run.u_bytes)
+                    run.u = tuple(values)
                     run.input_rows.append((i, run.u))
-                    _b_dot(run.step.b, run.u, run.bu)
+                    run.bu = b_times(run.step.b, run.u)
                 step = run.step
                 for axis, sign, guard_at, tr in step.guards:
-                    if sign * (state[axis] - guard_at) >= 0.0:
-                        fired.append((run, tr, state))
+                    if sign * (xs[o + axis] - guard_at) >= 0.0:
+                        fired.append((run, tr, xs[o : o + dim].tolist()))
                         break
-                step.a.dot(x_now[s], run.ax)
-
-            # x of sample t + 1 = A x + B u + w: row i + 1 holds w, and a
-            # sum of two terms has the same bits in either order
-            ax += bu
-            x_next += ax
+                # x and y of sample t + 1, with the mode of sample t
+                if gammas is None:
+                    plant(xs, ys, o, o + stride, step.a, run.bu)
+                else:
+                    plant(xs, ys, o, o + stride, step.a, run.bu, gammas[i])
 
             if fired:
                 for run, tr, state in fired:
@@ -884,23 +896,17 @@ def _lockstep(
                         active.remove(run)
                         continue
                     run.step = step = steps[tr.target]
-                    _b_dot(step.b, run.u, run.bu)
+                    run.bu = b_times(step.b, run.u)
                 fired.clear()
                 if not active:
                     break
-
-            # y = x + v + gamma, where row i + 1 of y holds v
-            y_next += x_next
-            if gamma is not None:
-                y_next += gamma
-            x_now = x_next
         if not active:
             break
 
     for run in runs:
         if run.end is None:
             run.end = t
-    _flush(runs, group, first, i + 1, carry=False)
+    _flush(runs, first, i + 1, carry=False)
     return [run.result() for run in everyone]
 
 

@@ -5,9 +5,12 @@ It keeps the loop as it was before the block detector pass: one
 the mode up and validates its inputs, and a detector verdict per sample,
 decided with one matrix-vector product per sample from the detector's
 tables. `simulate` must give the same summaries and byte-identical traces.
-It also keeps the per-sample forms of what the package computes a block
-at a time: an attack's value at one sample, one guard test, and the first
-baseline alarm of a trace.
+The plant step and the Kalman step take their products with `matvec`,
+a plain loop over Python floats that sums each row left to right, the
+order the package's generated functions promise. It also keeps the
+per-sample forms of what the package computes a block at a time: an
+attack's value at one sample, one guard test, and the first baseline
+alarm of a trace.
 """
 
 import numpy as np
@@ -58,6 +61,28 @@ def residual_baseline(trace, threshold):
     return None
 
 
+def matvec(matrix, vector):
+    """The product of a matrix and a vector as a list of Python floats.
+
+    Each entry is the row's first product plus each later one in turn,
+    every multiply and add rounded on its own; a row with no entries is 0.0.
+    """
+    values = [float(value) for value in vector]
+    result = []
+    for row in np.asarray(matrix, dtype=float).tolist():
+        total = None
+        for coefficient, value in zip(row, values):
+            term = coefficient * value
+            total = term if total is None else total + term
+        result.append(0.0 if total is None else total)
+    return result
+
+
+def plant_step(a, b, x, u, w):
+    """The next state w + (A x + B u), entry by entry."""
+    return np.array([wi + (ax + bu) for wi, ax, bu in zip(w.tolist(), matvec(a, x), matvec(b, u))])
+
+
 def reference_step(bank, model, mode_id, x_est, u, y):
     """One predict/update step with the mode's gain, inputs checked."""
     mode = model.mode(mode_id)
@@ -66,8 +91,14 @@ def reference_step(bank, model, mode_id, x_est, u, y):
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(x_est)) and np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise ValueError("reference step requires finite inputs")
-    predicted = mode.a @ x_est + mode.b @ u
-    return predicted + bank.gains[mode_id].gain @ (y - predicted)
+    return kalman_step(mode.a, matvec(mode.b, u), bank.gains[mode_id].gain, x_est, y)
+
+
+def kalman_step(a, bu, gain, x_est, y):
+    """p = A x_est + B u, then p + K (y - p), entry by entry, from the vector B u."""
+    predicted = [ax + b for ax, b in zip(matvec(a, x_est), np.asarray(bu, dtype=float).tolist())]
+    innovation = [meas - p for meas, p in zip(np.asarray(y, dtype=float).tolist(), predicted)]
+    return np.array([p + c for p, c in zip(predicted, matvec(gain, innovation))])
 
 
 def reference_verdict(detector, node, steady, x_est, residual, event=None):
@@ -184,7 +215,7 @@ def reference_simulate(config, detector, bank, observer):
 
         w = truncated_gaussian(rng, model.w_bounds)
         mode = model.mode(q)
-        x = mode.a @ x + mode.b @ u + w
+        x = plant_step(mode.a, mode.b, x, np.atleast_1d(np.asarray(u, dtype=float)), w)
 
         predict_mode = node[0]
         if fired is not None:

@@ -5,6 +5,7 @@ import re
 
 import analysis_reference
 import numpy as np
+from loop_reference import kalman_step
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +24,8 @@ from hybridmon import (
     synthesize_gains,
     validate_model,
 )
-from hybridmon.kalman import (
-    GainInstabilityError,
-    _inv,
-    _solve_riccati,
-    step_rows,
-)
+from hybridmon.kalman import GainInstabilityError, _inv, _solve_riccati
+from hybridmon.kernels import kernels
 
 # fixed point of the builtin crossing model's Riccati recursion, frozen from
 # a converged run; all three modes share one dynamics matrix so one gain
@@ -279,13 +276,18 @@ class TestRiccatiReference:
         assert _inv(spd, signature="d->d").tobytes() == np.linalg.inv(spd).tobytes()
 
 
+def _flat(matrix):
+    return tuple(np.asarray(matrix, dtype=float).ravel().tolist())
+
+
 def one_step(a, gain, bu, x_est, y):
-    """One predict/update step: `step_rows` on a fresh block of one row of one seed."""
-    rows = np.array((x_est, np.full_like(x_est, np.nan)))[:, None]
-    meas = np.array((np.full_like(y, np.nan), y))[:, None]
-    bu = np.array(bu, dtype=float)[None]
-    step_rows([a], [gain], bu, rows, meas, 0, 1, np.empty((3, 1, len(y))))
-    return rows[1, 0]
+    """One predict/update step: the generated update on a fresh block of one row of one seed."""
+    dim = len(y)
+    rows = np.array((x_est, np.full_like(x_est, np.nan)), dtype=float)
+    meas = np.array((np.full_like(y, np.nan), y), dtype=float)
+    views = (memoryview(rows.reshape(-1)), memoryview(meas.reshape(-1)))
+    kernels(dim, 1).estimate(*views, 0, dim, 1, _flat(a), _flat(gain), tuple(bu))
+    return rows[1]
 
 
 class TestStepContinuous:
@@ -293,16 +295,22 @@ class TestStepContinuous:
 
     def test_predict_update_by_hand(self, tg_model):
         # predict, then correct, in this order: (I - K) A is the same map in
-        # exact arithmetic but not in floating point, and traces pin the bits
+        # exact arithmetic but not in floating point, and traces pin the
+        # bits; each row is summed from the left, every operation rounded
         gain = synthesize_gains(tg_model).gains[1].gain
         mode = tg_model.mode(1)
-        x_est = np.array([10.0, 1.0])
-        u = np.array([0.5])
-        y = np.array([10.2, 0.9])
-        predicted = mode.a @ x_est + mode.b @ u
-        est = one_step(mode.a, gain, mode.b @ u, x_est, y)
-        assert est.tobytes() == (predicted + gain @ (y - predicted)).tobytes()
-        np.testing.assert_allclose(est, predicted + TG_GAIN @ (y - predicted), atol=1e-12)
+        (a0, a1), (a2, a3) = mode.a.tolist()
+        (k0, k1), (k2, k3) = gain.tolist()
+        bu = (mode.b[0, 0] * 0.5, mode.b[1, 0] * 0.5)
+        p0, p1 = a0 * 10.0 + a1 * 1.0 + bu[0], a2 * 10.0 + a3 * 1.0 + bu[1]
+        e0, e1 = 10.2 - p0, 0.9 - p1
+        want = np.array((p0 + (k0 * e0 + k1 * e1), p1 + (k2 * e0 + k3 * e1)))
+        est = one_step(mode.a, gain, bu, np.array([10.0, 1.0]), np.array([10.2, 0.9]))
+        assert est.tobytes() == want.tobytes()
+        predicted = mode.a @ np.array([10.0, 1.0]) + mode.b @ np.array([0.5])
+        np.testing.assert_allclose(
+            est, predicted + TG_GAIN @ (np.array([10.2, 0.9]) - predicted), atol=1e-12
+        )
 
 
 # signed zeros next to ordinary magnitudes that cannot overflow
@@ -336,26 +344,28 @@ class TestStepRows:
     @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     @given(_segmented_block())
     def test_rows_are_repeated_one_row_steps(self, case):
-        # the monitor pass steps a block of every seed one (A, K, B u)
-        # segment at a time; row for row and seed for seed it must give the
-        # bits of one step per sample of that seed alone, and of the formula
-        # with a fresh innovation and correction per step
+        # the monitor pass steps each seed's estimate one (A, K, B u)
+        # segment at a time, through the buffers of the whole group; row for
+        # row and seed for seed it must give the bits of one step per sample
+        # of that seed alone, and of the reference's per-entry loop
         starts, y, segments = case
         seeds, dim = starts.shape
         # row r of every seed at [r], as the loop's buffers hold them
         rows = np.full((y.shape[0], seeds, dim), np.nan)
         rows[0] = starts
-        scratch = np.empty((3, seeds, dim))
-        for lo, hi, a, gain, bu in segments:
-            step_rows(list(a), list(gain), bu, rows, y, lo, hi, scratch)
+        views = (memoryview(rows.reshape(-1)), memoryview(y.reshape(-1)))
+        stride = seeds * dim
+        estimate = kernels(dim, 1).estimate
+        for s in range(seeds):
+            for lo, hi, a, gain, bu in segments:
+                offset = lo * stride + s * dim
+                estimate(*views, offset, stride, hi - lo, _flat(a[s]), _flat(gain[s]), tuple(bu[s]))
         for s in range(seeds):
             est = starts[s]
             for lo, hi, a, gain, bu in segments:
                 for r in range(lo + 1, hi + 1):
                     prev, est = est, one_step(a[s], gain[s], bu[s], est, y[r, s])
-                    fresh = a[s].dot(prev)
-                    fresh += bu[s]
-                    fresh += gain[s].dot(y[r, s] - fresh)
+                    fresh = kalman_step(a[s], bu[s], gain[s], prev, y[r, s])
                     assert rows[r, s].tobytes() == est.tobytes() == fresh.tobytes()
 
 

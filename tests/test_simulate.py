@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from loop_reference import magnitude_at, reference_simulate, residual_baseline, satisfied
+from loop_reference import (
+    magnitude_at,
+    plant_step,
+    reference_simulate,
+    residual_baseline,
+    satisfied,
+)
 from trace_io_reference import reference_csv_cell, reference_write_csv, reference_write_jsonl
 
 import hybridmon
@@ -45,6 +51,7 @@ from hybridmon import (
     synthesize_gains,
     validate_model,
 )
+from hybridmon.kernels import kernels
 from hybridmon.observer import ObserverFsm
 from hybridmon.simulate import (
     BLOCK,
@@ -565,68 +572,52 @@ _EDGE_FLOATS = st.one_of(
 )
 
 
-@st.composite
-def _matrix_and_vector(draw):
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.sampled_from([rows, 1, draw(st.integers(1, 4))]))
-    matrix = draw(st.lists(_EDGE_FLOATS, min_size=rows * cols, max_size=rows * cols))
-    vector = draw(st.lists(_EDGE_FLOATS, min_size=cols, max_size=cols))
-    return np.array(matrix).reshape(rows, cols), np.array(vector)
-
-
 class TestInPlaceStep:
     """The loop steps each sample straight into its buffers' rows."""
-
-    @settings(max_examples=8 * settings.default.max_examples, deadline=None)
-    @given(_matrix_and_vector())
-    def test_dot_into_a_row_gives_the_bits_of_matmul(self, case):
-        # the loop takes its products with `ndarray.dot(..., out=row)` and
-        # its traces have the bits of `@`; what it relies on: `@` never
-        # gives -0.0, and `dot` gives the same bits but, with one column,
-        # keeps the -0.0 that `@` turns into +0.0
-        matrix, vector = case
-        rows = np.full((2, matrix.shape[0]), np.nan)
-        matrix.dot(vector, out=rows[1])
-        want = matrix @ vector
-        assert not np.any(np.signbit(want) & (want == 0.0))
-        assert (rows[1] + 0.0).tobytes() == want.tobytes()
-        if matrix.shape[1] > 1:
-            assert rows[1].tobytes() == want.tobytes()
 
     @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     @given(st.data())
     def test_seed_rows_keep_the_bits_of_one_seed_steps(self, data):
-        # the loop steps S seeds with one `dot` per seed into its row of the
-        # (S, n) row of all seeds, then adds B u and w and forms y = x + v
-        # and the attack for all seeds in one call each; every seed must get
-        # the bytes of stepping it alone
+        # the loop steps each of S seeds through one generated function, at
+        # the seed's offset in the (S, n) row of all seeds, with or without
+        # the attack; every seed must get the bytes of stepping it alone,
+        # which are those of the reference's per-entry loop
         seeds, dim = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        inputs = data.draw(st.integers(1, 2))
 
         def arrays(*shape):
             count = int(np.prod(shape))
             values = data.draw(st.lists(_EDGE_FLOATS, min_size=count, max_size=count))
             return np.array(values).reshape(shape)
 
-        a, x = arrays(seeds, dim, dim), arrays(seeds, dim)
-        bu, w, v, gamma = arrays(seeds, dim), arrays(seeds, dim), arrays(seeds, dim), arrays(dim)
-        # rows of all seeds, as the loop's buffers hold them: x_next holds
-        # w and y_next holds v before the sums, as the loop lays them
-        xs, ys = (np.full((3, seeds, dim), np.nan) for _ in range(2))
-        ax, x_next, y_next = np.empty((seeds, dim)), xs[2], ys[2]
-        x_next[...], y_next[...] = w, v
-        for matrix, state, into in zip(a, x, ax):
-            matrix.dot(state, into)
-        ax += bu
-        x_next += ax
-        y_next += x_next
-        y_next += gamma
-        for s in range(seeds):
-            alone = np.empty(dim)
-            a[s].dot(x[s], out=alone)
-            alone += bu[s]
-            alone += w[s]
-            assert xs[2, s].tobytes() == alone.tobytes()
-            assert ys[2, s].tobytes() == (alone + v[s] + gamma).tobytes()
+        a, b, u = arrays(seeds, dim, dim), arrays(seeds, dim, inputs), arrays(seeds, inputs)
+        x, w, v, gamma = arrays(seeds, dim), arrays(seeds, dim), arrays(seeds, dim), arrays(dim)
+        kern = kernels(dim, inputs)
+
+        def step(members, attacked):
+            # rows 0 and 1 of the member seeds, as the loop's buffers hold
+            # them: row 1 holds w and v before the step, as the loop lays them
+            count = len(members)
+            xs, ys = np.full((2, count, dim), np.nan), np.full((2, count, dim), np.nan)
+            xs[0], xs[1], ys[1] = x[members], w[members], v[members]
+            views = memoryview(xs.reshape(-1)), memoryview(ys.reshape(-1))
+            for s, seed in enumerate(members):
+                bu = kern.b_times(tuple(b[seed].ravel().tolist()), tuple(u[seed].tolist()))
+                at = (s * dim, (count + s) * dim, tuple(a[seed].ravel().tolist()), bu)
+                if attacked:
+                    kern.plant_attacked(*views, *at, tuple(gamma.tolist()))
+                else:
+                    kern.plant(*views, *at)
+            return xs[1], ys[1]
+
+        for attacked in (False, True):
+            x_all, y_all = step(list(range(seeds)), attacked)
+            for seed in range(seeds):
+                want = plant_step(a[seed], b[seed], x[seed], u[seed], w[seed])
+                want_y = v[seed] + want + gamma if attacked else v[seed] + want
+                x_one, y_one = step([seed], attacked)
+                assert x_all[seed].tobytes() == x_one[0].tobytes() == want.tobytes()
+                assert y_all[seed].tobytes() == y_one[0].tobytes() == want_y.tobytes()
 
     def test_controller_cannot_write_into_y(self, tg_machinery):
         class Scribbler:
@@ -762,6 +753,18 @@ class TestOutputReuse:
         )
         assert got.summary.samples == 40
         _assert_bit_equal(got, want, tmp_path)
+
+    @pytest.mark.parametrize("output", [(0.5, 0.5), ()])
+    def test_output_of_another_width_is_refused(self, output):
+        message = (
+            f"controller output {list(output)} at 0.0 s has {len(output)} entries, "
+            "but the model takes 1 inputs"
+        )
+        config = dataclasses.replace(
+            train_gate_scenario(duration=1.0), controller=ConstantController(output)
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(config)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_written_in_place_stops_the_run(self, tg_machinery):
@@ -1022,7 +1025,9 @@ class TestMonitors:
         3044, 3280, 3332, 3425, 4260, 4779, 5420, 5689, 5908, 5976,
     )
 
-    @pytest.mark.parametrize("duration, seeds", [(200.0, EVENT_ROW_SEEDS), (320.0, EVENT_ROW_SEEDS_320)])
+    @pytest.mark.parametrize(
+        "duration, seeds", [(200.0, EVENT_ROW_SEEDS), (320.0, EVENT_ROW_SEEDS_320)]
+    )
     def test_stop_event_row_is_silent(self, duration, seeds):
         # the state that fires s_3 at 80 m has left mode 3's [75, 80]; the
         # box that explains the event is judged against the invariant joined
