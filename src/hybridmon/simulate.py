@@ -749,15 +749,13 @@ def _flush(runs: list[_Run], first: int, k: int, carry: bool) -> None:
     """The monitor pass over a block whose rows 0 .. k - 1 hold samples first .. first + k - 1.
 
     With carry the runs go on, and the estimate of row k is stepped too. A
-    run that ended in the block is flushed up to its last sample. Every
-    estimate is stepped before the detector runs.
+    run that ended in the block is flushed up to its last sample.
     """
     for run in runs:
         if run.end is None:
             run.estimate(first, k, carry)
         else:
             run.estimate(first, run.end - first + 1, False)
-    for run in runs:
         run.monitor(first)
 
 
