@@ -21,9 +21,8 @@ The functions for one (n, m) are generated once and cached, the way
 `dataclasses` builds `__init__`: their source is built from those two
 integers alone, never from model data. Matrices come in as flat row-major
 tuples of floats. The state, output and estimate are read and written in
-place through flat `memoryview`s of float64 buffers, at an offset and, for
-the update, a stride between consecutive rows, so the function a seed goes
-through does not depend on what else the buffer holds.
+place through flat `memoryview`s of float64 buffers of n-entry rows, from
+the row at an offset o to the row after it, at o + n.
 """
 
 from __future__ import annotations
@@ -36,14 +35,14 @@ class Kernels(NamedTuple):
     """The generated functions of one state dimension n and input width m.
 
     - `b_times(b, u)`: B u as a tuple, b the n * m entries of B.
-    - `plant(x, y, o, p, a, bu)`: the state at offset p of x holds w and
-      the output at offset p of y holds v; they become x' and y', from the
-      state at offset o of x, A's n * n entries and the tuple bu.
-    - `plant_attacked(x, y, o, p, a, bu, gamma)`: the same, adding gamma's
-      n entries to y' last.
-    - `estimate(x_est, y, o, stride, count, a, k, bu)`: the update of count
-      rows, row r + 1 at offset o + (r + 1) * stride of x_est from row r
-      and the measurement at the same offset of y.
+    - `plant(x, y, o, a, bu)`: the state at offset o + n of x holds w and
+      the output at offset o + n of y holds v; they become x' and y', from
+      the state at offset o of x, A's n * n entries and the tuple bu.
+    - `plant_attacked(x, y, o, a, bu, gamma)`: the same, adding gamma's n
+      entries to y' last.
+    - `estimate(x_est, y, o, count, a, k, bu)`: the update of count rows,
+      row r + 1 at offset o + (r + 1) * n of x_est from row r and the
+      measurement at the same offset of y.
     """
 
     b_times: Callable[..., tuple[float, ...]]
@@ -92,7 +91,7 @@ def _source(n: int, m: int) -> str:
 
     def plant(name: str, attacked: bool) -> list[str]:
         lines = [
-            f"def {name}(X, Y, o, p, a, bu{', gamma' if attacked else ''}):",
+            f"def {name}(X, Y, o, a, bu{', gamma' if attacked else ''}):",
             _unpack(_flat(a), "a"),
             _unpack(bu, "bu"),
         ]
@@ -100,22 +99,24 @@ def _source(n: int, m: int) -> str:
             lines.append(_unpack(g, "gamma"))
         lines += [f"    {x[i]} = X[{_at('o', i)}]" for i in range(n)]
         lines += [
-            f"    {new[i]} = X[{_at('p', i)}] + ({_row_sum(a[i], x)} + {bu[i]})" for i in range(n)
+            f"    {new[i]} = X[{_at('o', n + i)}] + ({_row_sum(a[i], x)} + {bu[i]})"
+            for i in range(n)
         ]
-        lines += [f"    X[{_at('p', i)}] = {new[i]}" for i in range(n)]
+        lines += [f"    X[{_at('o', n + i)}] = {new[i]}" for i in range(n)]
         lines += [
-            f"    Y[{_at('p', i)}] = Y[{_at('p', i)}] + {new[i]}{f' + {g[i]}' if attacked else ''}"
+            f"    Y[{_at('o', n + i)}] = Y[{_at('o', n + i)}] + {new[i]}"
+            f"{f' + {g[i]}' if attacked else ''}"
             for i in range(n)
         ]
         return lines
 
     estimate = [
-        "def estimate(E, Y, o, stride, count, a, k, bu):",
+        "def estimate(E, Y, o, count, a, k, bu):",
         _unpack(_flat(a), "a"),
         _unpack(_flat(gain), "k"),
         _unpack(bu, "bu"),
         *(f"    {x[i]} = E[{_at('o', i)}]" for i in range(n)),
-        "    for o in range(o + stride, o + (count + 1) * stride, stride):",
+        f"    for o in range(o + {n}, o + (count + 1) * {n}, {n}):",
         *(f"        {pred[i]} = {_row_sum(a[i], x)} + {bu[i]}" for i in range(n)),
         *(f"        {innov[i]} = Y[{_at('o', i)}] - {pred[i]}" for i in range(n)),
         *(f"        {x[i]} = {pred[i]} + ({_row_sum(gain[i], innov)})" for i in range(n)),

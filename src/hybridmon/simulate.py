@@ -6,51 +6,46 @@ observers, evaluates the conflict detector and the residual baseline, and
 reports first-alarm times against the safety-violation time. A
 counter-based generator keyed by the seed makes traces bit-reproducible.
 
-Runs of one model are stepped together: one loop steps S seeds in
-lockstep, `sweep` hands it its seeds GROUP at a time, and `simulate` is the
-one-seed case. A run has two parts. The plant loop steps per sample only
-what feeds back into the plant: the controller, the guards, x = A x + B u +
-w and the measurement, with each mode's matrices and guards looked up once
-per run and the noise, one for all modes, drawn once per block of
-samples. Per seed, the loop calls the controller, checks the guards on the
-seed's state and steps x and y with one call of the plant function of
-`kernels`, which reads and writes the seed's rows in place. A controller
-output is checked once per distinct value, told apart by its bytes, and
-B u is taken again with the seed's mode's B only when the output or the
-mode changes. The observer steps only on events. Of the rest, the loop
-records change points per seed: the row of each event, with the new mode
-and node, and the row of each new controller output, with the output. The
-monitor pass then takes a block of samples at a time. Per seed it rebuilds
-the mode, node, settled and event columns from the change points, steps the
-Kalman estimate with one call of the update function of `kernels` per
-stretch of rows between the rows where the seed's A, K or B u changes, with
-the B of the node's mode, and decides the safety predicate, the detector,
-the baseline monitor and the steady maxima with `ZoneSpeedLimit.violated`
-and `Detector.evaluate_rows`. The monitor feeds nothing back, so this gives
-the bits of deciding each sample as it comes.
+`simulate` runs one seed, and `sweep` runs it once per seed. A run has
+two parts. The plant loop steps per sample only what feeds back into the
+plant: the controller, the guards, x = A x + B u + w and the measurement,
+with each mode's matrices and guards looked up once per run and the noise,
+one for all modes, drawn once per block of samples. Per sample, the loop
+calls the controller, steps x and y with one call of the plant function of
+`kernels`, which reads and writes the run's rows in place, and checks the
+guards on the state. A controller output is checked once per distinct
+value, told apart by its bytes, and B u is taken again with the mode's B
+only when the output or the mode changes. The observer steps only on
+events. Of the rest, the loop records change points: the row of each
+event, with the new mode and node, and the row of each new controller
+output, with the output. The monitor pass then takes a block of samples at
+a time. It rebuilds the mode, node, settled and event columns from the
+change points, steps the Kalman estimate with one call of the update
+function of `kernels` per stretch of rows between the rows where A, K or
+B u changes, with the B of the node's mode, and decides the safety
+predicate, the detector, the baseline monitor and the steady maxima with
+`ZoneSpeedLimit.violated` and `Detector.evaluate_rows`. The monitor feeds
+nothing back, so this gives the bits of deciding each sample as it comes.
 
 Every per-sample product, A x, B u, A x_est and K times the innovation, is
-a left-to-right sum of Python-float products (see `kernels`), and each seed
-goes through the same function at its own offset in the group's buffers.
-So each seed keeps its bits whatever runs beside it, and the plant, the
-measurement and the estimate have the same bits on every IEEE-754 host,
-whatever BLAS numpy uses. What still goes through BLAS or LAPACK, and may
-round differently on another machine, is computed once per model: the
-Riccati gains (`kalman`), and `matrix_power` in `reach_operator` with the
-products built on it: horizons, thresholds and the detector's
+a left-to-right sum of Python-float products (see `kernels`). So the plant,
+the measurement and the estimate have the same bits on every IEEE-754
+host, whatever BLAS numpy uses. What still goes through BLAS or LAPACK,
+and may round differently on another machine, is computed once per model:
+the Riccati gains (`kalman`), and `matrix_power` in `reach_operator` with
+the products built on it: horizons, thresholds and the detector's
 separating-axis tables. They can move a gain's last bits, and so every
-estimate, or a verdict at contact. A seed that ends, at a stop event
-or a discrete inconsistency, is no longer stepped; its rows leave the
-buffers at the end of the block. A model's validation verdict, detector,
-filter bank, observer and mode steps are built on its first run and kept
-on the model object for the next.
+estimate, or a verdict at contact. A run that ends, at a stop event or a
+discrete inconsistency, is decided up to that sample. A model's validation
+verdict, detector, filter bank, observer and mode steps are built on its
+first run and kept on the model object for the next.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, TextIO
 
@@ -257,7 +252,10 @@ class ScenarioConfig:
 
     The seed must be a nonnegative whole number, or ValueError names it;
     whole floats and numpy integers are stored as int. The duration must be
-    a finite real number that rounds to at least one sample.
+    a finite real number that rounds to at least one sample. The initial
+    mode must be one of the model's, and each stop event the output event
+    of one of its transitions; stop_events is stored as a frozenset, and
+    text, which would be read as a set of characters, is refused.
     """
 
     model: HybridAutomaton
@@ -281,6 +279,14 @@ class ScenarioConfig:
             raise ValueError(f"duration must be finite, got {duration!r}")
         if round(duration / self.model.sampling_period) <= 0:
             raise ValueError("duration too short for one sample")
+        if self.initial_mode not in self.model.mode_ids:
+            raise ValueError(f"initial mode {self.initial_mode!r} is not a mode of the model")
+        if isinstance(self.stop_events, str):
+            raise ValueError(f"stop_events must be a set of event names, got {self.stop_events!r}")
+        object.__setattr__(self, "stop_events", frozenset(self.stop_events))
+        if unknown := self.stop_events - {tr.output_event for tr in self.model.transitions}:
+            event = min(unknown, key=repr)
+            raise ValueError(f"stop event {event!r} is the output event of no transition")
         # controllers and safety predicates of other types are the caller's to check
         for part in (self.attack, self.controller, self.safety):
             if isinstance(part, (AttackSpec, ZoneController, ZoneSpeedLimit)):
@@ -378,11 +384,6 @@ def baseline_threshold(model: HybridAutomaton) -> float:
 # rows whatever its length; a larger block spends less NumPy call overhead
 # per sample and keeps more rows.
 BLOCK = 128
-
-# Seeds that `sweep` steps together. A group keeps BLOCK + 1 rows of each
-# buffer per seed; a larger group spends less NumPy call overhead per
-# seed-sample and keeps more rows.
-GROUP = 16
 
 
 def _truncated_gaussian(z: np.ndarray, sigma: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -499,24 +500,25 @@ def _machinery(model: HybridAutomaton) -> _Machinery:
 
 
 class _Run:
-    """One seed of a lockstep group: its plant state, change points and monitor.
+    """One seed's run: its buffers, change points and monitor.
 
-    `_Group` gives the run its index s in the group's buffers, and the
-    offset s * n of its row in each flat row of all seeds. The loop reads
-    sample t from row i = t % BLOCK and steps x and y of sample t + 1
-    straight into row i + 1, so the buffers have one row past the block;
-    after a flush, the group moves that row to row 0. Of the rest, the loop
-    records only change points: `event_rows` holds (row, event pair, mode,
-    node) for each event, the mode and node being those of the next row,
-    and `input_rows` holds (row, u) for each row whose controller output u
-    differs from the last. The monitor pass (`_flush`) has three parts:
+    x, y and x_est hold BLOCK + 1 rows of one state each, starting as zeros.
+    The loop reads sample t from row i = t % BLOCK and steps x and y of
+    sample t + 1 straight into row i + 1, so the buffers have one row past
+    the block; after a block's monitor pass, the loop moves that row to row
+    0. The functions of `kernels` read and write the rows through the flat
+    memoryviews xs, ys and es, where row r starts at r * dim. Of the rest,
+    the loop records only change points: `event_rows` holds (row, event
+    pair, mode, node) for each event, the mode and node being those of the
+    next row, and `input_rows` holds (row, u) for each row whose controller
+    output u differs from the last. The monitor pass has three parts:
     `label` rebuilds the labels from the change points (the true modes only
     when the trace is kept, as nothing else reads them) and lists the rows
-    where the seed's A, K and B u change, `estimate` steps the seed's Kalman
-    estimate one stretch of rows between those at a time, and `monitor`
-    hands the block to the detector, folds its verdicts into the summary
-    figures and, when the trace is kept, writes its columns in place into
-    columns allocated for all n samples at the start.
+    where A, K and B u change, `estimate` steps the Kalman estimate one
+    stretch of rows between those at a time, and `monitor` hands the block
+    to the detector, folds its verdicts into the summary figures and, when
+    the trace is kept, writes its columns in place into columns allocated
+    for all n samples at the start.
     """
 
     def __init__(
@@ -525,34 +527,29 @@ class _Run:
         model: HybridAutomaton,
         detector: Detector,
         steps: dict[ModeId, _ModeStep],
+        kern: Kernels,
         safety: ZoneSpeedLimit | None,
         mode: ModeId,
         node: Node,
         n: int | None,
     ) -> None:
         self.seed = seed
-        self.rng = np.random.Generator(np.random.Philox(key=seed))
-        self.model, self.detector, self.steps, self.safety = model, detector, steps, safety
+        self.model, self.detector, self.steps, self.kernels = model, detector, steps, kern
+        self.safety = safety
         self.threshold = baseline_threshold(model)
-        self.h, self.dwell, dim = model.sampling_period, model.dwell_time, model.dim
-        # the model's noise: w's and v's bounds, row by row, and their normals' deviations
-        self.bound = np.array((model.w_bounds, model.v_bounds))
-        self.sigma = self.bound / 3.0
-        # the plant: the mode's step and the observer node; the last
-        # controller output that passed the check, as bytes, which tell -0.0
-        # from 0.0 and see an array rewritten in place, and as a tuple of
-        # floats, with B u of the mode in force; and, once the run has
-        # ended, its last sample
-        self.step, self.node = steps[mode], node
-        self.u_bytes: bytes | None = None
-        self.u: tuple[float, ...] = ()
-        self.bu: tuple[float, ...] = ()
+        self.h, self.dwell, self.dim = model.sampling_period, model.dwell_time, model.dim
+        self.x, self.y, self.x_est = (np.zeros((BLOCK + 1, self.dim)) for _ in range(3))
+        self.xs, self.ys, self.es = (
+            memoryview(rows.reshape(-1)) for rows in (self.x, self.y, self.x_est)
+        )
+        self.steady = np.zeros(BLOCK, dtype=bool)
+        # the plant's outcome: its events, why it ended and its last sample
         self.events: list[EventRecord] = []
         self.stop_event: str | None = None
         self.inconsistency: float | None = None
         self.end: int | None = None
         # the monitor: the change points, the labels of the next row to
-        # flush, the first sample of the current settling count, and the
+        # decide, the first sample of the current settling count, and the
         # controller output in force for the estimate
         self.event_rows: list[tuple[int, tuple[str, str], ModeId, Node]] = []
         self.input_rows: list[tuple[int, tuple[float, ...]]] = []
@@ -562,7 +559,9 @@ class _Run:
         self.node_column: list = []
         if n is not None:
             flags = ("steady", "warming_up", "conflict_a", "conflict_b", "conflict_c", "alarm")
-            self.columns = {name: np.empty((n, dim)) for name in ("x_true", "y", "x_est", "residual")}
+            self.columns = {
+                name: np.empty((n, self.dim)) for name in ("x_true", "y", "x_est", "residual")
+            }
             self.columns.update({name: np.empty(n) for name in ("times", "volume")})
             self.columns.update({name: np.empty(n, dtype=bool) for name in flags})
         self.max_residual = 0.0
@@ -572,17 +571,6 @@ class _Run:
         self.first_conflict: ConflictAlarm | None = None
         self.violation: SafetyViolation | None = None
 
-    def draw(self, k: int) -> None:
-        """Draw the block's noise and lay it into rows 1 .. k.
-
-        w of sample t + j goes into x's row j + 1 and v of sample t + j + 1
-        into y's row j + 1, where the loop adds the rest of each sum.
-        """
-        z = self.rng.standard_normal((k, 2, self.model.dim))
-        noise = _truncated_gaussian(z, self.sigma, self.bound)
-        self.group.x[1 : k + 1, self.s] = noise[:, 0]
-        self.group.y[1 : k + 1, self.s] = noise[:, 1]
-
     def label(self, first: int, k: int, carry: bool) -> tuple[list, int]:
         """Rebuild the labels of rows 0 .. k - 1, which hold samples first .. first + k - 1.
 
@@ -591,7 +579,7 @@ class _Run:
         stepped: k with carry, as the run goes on, else k - 1.
         """
         self.k = k
-        steady = self.group.steady[self.s, :k]
+        steady = self.steady[:k]
         nodes: list[Node] = []
         events: list[tuple[str, str] | None] = [None] * k
 
@@ -625,24 +613,20 @@ class _Run:
 
     def estimate(self, first: int, k: int, carry: bool) -> None:
         """Label rows 0 .. k - 1 and step their estimates, one call per stretch of rows."""
-        group, kern = self.group, self.group.kernels
+        kern = self.kernels
         stretches, stop = self.label(first, k, carry)
         ends = [lo for lo, *_ in stretches[1:]] + [stop]
         for (lo, step, u), hi in zip(stretches, ends):
-            start = lo * group.stride + self.offset
             bu = kern.b_times(step.b, u)
-            kern.estimate(group.es, group.ys, start, group.stride, hi - lo, step.a, step.gain, bu)
+            kern.estimate(self.es, self.ys, lo * self.dim, hi - lo, step.a, step.gain, bu)
 
     def monitor(self, first: int) -> None:
         """Decide the labelled rows, their estimates stepped, and fold the verdicts in."""
-        k, group, s = self.k, self.group, self.s
+        k = self.k
         nodes, events = self.labels
-        steady = group.steady[s, :k]
-        # the seed's rows, C-contiguous (copies when the group has more
-        # than one seed); the safety predicate must not change x
-        x, y, x_est = (
-            np.ascontiguousarray(rows[:k, s]) for rows in (group.x, group.y, group.x_est)
-        )
+        steady = self.steady[:k]
+        x, y, x_est = self.x[:k], self.y[:k], self.x_est[:k]
+        # the safety predicate must not change x
         x.flags.writeable = False
         # sample t's time has the bits of t * h
         times = np.arange(first, first + k) * self.h
@@ -706,208 +690,6 @@ class _Run:
         return SimulationResult(summary=summary, trace=trace)
 
 
-class _Group:
-    """The buffers of the seeds stepped together, one (S, n) array per row.
-
-    Row r of seed s is [r, s] of x, y and x_est, which have BLOCK + 1
-    rows, and [r, s] is one seed's C-contiguous row. The functions of
-    `kernels` read and write them through flat memoryviews xs, ys and es,
-    where row r of seed s starts at r * stride + s * n, stride = S * n. The
-    buffers start as zeros.
-    """
-
-    def __init__(self, runs: list[_Run], dim: int, kern: Kernels) -> None:
-        count = len(runs)
-        self.kernels = kern
-        self.x, self.y, self.x_est = (np.zeros((BLOCK + 1, count, dim)) for _ in range(3))
-        buffers = (self.x, self.y, self.x_est)
-        self.xs, self.ys, self.es = (memoryview(rows.reshape(-1)) for rows in buffers)
-        self.stride = count * dim
-        self.steady = np.zeros((count, BLOCK), dtype=bool)
-        # what `control` is handed: read-only rows, which the loop
-        # overwrites one block later
-        self.y_seen = self.y.view()
-        self.y_seen.flags.writeable = False
-        for s, run in enumerate(runs):
-            run.group, run.s, run.offset = self, s, s * dim
-
-    def carry(self, runs: list[_Run]) -> tuple[list[_Run], _Group]:
-        """The runs that go on, and their buffers, with row BLOCK moved to row 0."""
-        kept = [s for s, run in enumerate(runs) if run.end is None]
-        if len(kept) == len(runs):
-            for rows in (self.x, self.y, self.x_est):
-                rows[0] = rows[BLOCK]
-            return runs, self
-        runs = [runs[s] for s in kept]
-        group = _Group(runs, self.x.shape[2], self.kernels)
-        for new, old in ((group.x, self.x), (group.y, self.y), (group.x_est, self.x_est)):
-            new[0] = old[BLOCK, kept]
-        return runs, group
-
-
-def _flush(runs: list[_Run], first: int, k: int, carry: bool) -> None:
-    """The monitor pass over a block whose rows 0 .. k - 1 hold samples first .. first + k - 1.
-
-    With carry the runs go on, and the estimate of row k is stepped too. A
-    run that ended in the block is flushed up to its last sample.
-    """
-    for run in runs:
-        if run.end is None:
-            run.estimate(first, k, carry)
-        else:
-            run.estimate(first, run.end - first + 1, False)
-        run.monitor(first)
-
-
-def _lockstep(
-    config: ScenarioConfig,
-    seeds: list[int],
-    keep_trace: bool,
-    detector: Detector | None = None,
-    bank: KalmanBank | None = None,
-    observer: ObserverFsm | None = None,
-) -> list[SimulationResult]:
-    """Run config once per seed, all seeds stepped together; see `simulate` and `sweep`."""
-    model = config.model
-    machinery = _machinery(model)
-    refuse_invalid(machinery.problems)
-    x = np.array(config.initial_state, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(
-            f"initial_state has shape {x.shape}, not the model's ({model.dim},)"
-        )
-    h = model.sampling_period
-    attack = config.attack
-    if attack is not None:
-        settle = model.dwell_time * h
-        if attack.start_time < settle - 1e-12:
-            raise ValueError(
-                f"attack starts at {attack.start_time} s but the observer "
-                f"only settles at {settle} s"
-            )
-    n = int(round(config.duration / h))
-    if detector is None:
-        detector = machinery.detector
-    if observer is None:
-        observer = machinery.observer
-
-    q: ModeId = config.initial_mode
-    if not model.invariant(q).contains(x):
-        raise ValueError("initial state lies outside the initial mode's invariant")
-    node: Node = observer.root
-    if q not in node:
-        raise ValueError("initial mode is missing from the observer root")
-    dim = x.size
-    steps = machinery.steps_for(bank)
-    control = config.controller.control
-    stop_events = config.stop_events
-    keep = n if keep_trace else None
-    everyone = [_Run(seed, model, detector, steps, config.safety, q, node, keep) for seed in seeds]
-    inputs = model.modes[0].b.shape[1]
-    kern = kernels(dim, inputs)
-    runs, group = everyone, _Group(everyone, dim, kern)
-    b_times = kern.b_times
-    gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
-    group.x[0] = x
-    for s, run in enumerate(runs):
-        v = _truncated_gaussian(run.rng.standard_normal(dim), run.sigma[1], run.bound[1])
-        group.y[0, s] = x + v + gamma0
-    group.x_est[0] = group.y[0]
-    # (run, transition, state) of each guard that fired at this sample
-    fired: list[tuple[_Run, Transition, list[float]]] = []
-    asarray, isfinite = np.asarray, math.isfinite
-
-    t = i = first = 0
-    for first in range(0, n, BLOCK):
-        if first:
-            _flush(runs, first - BLOCK, BLOCK, carry=True)
-            runs, group = group.carry(runs)
-        k = min(BLOCK, n - first)
-        for run in runs:
-            run.draw(k)
-        # the plant step adds the attack to y last: y = x + v + gamma
-        if attack:
-            plant, gammas = kern.plant_attacked, attack.gamma_rows(first + 1, k, h, dim).tolist()
-        else:
-            plant, gammas = kern.plant, None
-        xs, ys, y_seen, stride = group.xs, group.ys, group.y_seen, group.stride
-        # the runs still going, in seed order; a run that ends leaves it
-        active = runs[:]
-        for i in range(k):
-            t = first + i
-            now = t * h
-            row = i * stride
-            for run in active:
-                o = row + run.offset
-                u = asarray(control(y_seen[i, run.s], now), float)
-                if u.ndim != 1 or u.tobytes() != run.u_bytes:
-                    values = u.tolist()
-                    if u.ndim != 1 or not all(map(isfinite, values)):
-                        raise ValueError(
-                            f"controller output {values} at {now} s "
-                            "is not a vector of finite numbers"
-                        )
-                    if len(values) != inputs:
-                        raise ValueError(
-                            f"controller output {values} at {now} s has {len(values)} entries, "
-                            f"but the model takes {inputs} inputs"
-                        )
-                    run.u_bytes = u.tobytes()
-                    run.u = tuple(values)
-                    run.input_rows.append((i, run.u))
-                    run.bu = b_times(run.step.b, run.u)
-                step = run.step
-                for axis, sign, guard_at, tr in step.guards:
-                    if sign * (xs[o + axis] - guard_at) >= 0.0:
-                        fired.append((run, tr, xs[o : o + dim].tolist()))
-                        break
-                # x and y of sample t + 1, with the mode of sample t
-                if gammas is None:
-                    plant(xs, ys, o, o + stride, step.a, run.bu)
-                else:
-                    plant(xs, ys, o, o + stride, step.a, run.bu, gammas[i])
-
-            if fired:
-                for run, tr, state in fired:
-                    pair = (tr.input_event, tr.output_event)
-                    run.events.append(
-                        EventRecord(
-                            sample=t,
-                            time=now,
-                            source=tr.source,
-                            target=tr.target,
-                            input_event=tr.input_event,
-                            output_event=tr.output_event,
-                            state=tuple(state),
-                        )
-                    )
-                    if tr.output_event in stop_events:
-                        run.stop_event = tr.output_event
-                    else:
-                        try:
-                            run.node = step_discrete(observer, run.node, pair)
-                        except DiscreteInconsistencyError:
-                            run.inconsistency = (t + 1) * h
-                    run.event_rows.append((i, pair, tr.target, run.node))
-                    if run.stop_event is not None or run.inconsistency is not None:
-                        run.end = t
-                        active.remove(run)
-                        continue
-                    run.step = step = steps[tr.target]
-                    run.bu = b_times(step.b, run.u)
-                fired.clear()
-                if not active:
-                    break
-        if not active:
-            break
-
-    for run in runs:
-        if run.end is None:
-            run.end = t
-    _flush(runs, first, i + 1, carry=False)
-    return [run.result() for run in everyone]
-
-
 def simulate(
     config: ScenarioConfig,
     *,
@@ -942,12 +724,156 @@ def simulate(
     it may hand out one array and rewrite it in place. The safety predicate
     does not feed back: `safety.violated(x)` is handed a read-only block of
     up to BLOCK states, one per row, and returns one bool per row; it is not
-    called past the block of the first violation.
-
-    This is the one-seed case of the loop that `sweep` runs for many seeds
-    at once.
+    called past the block of the first violation. An error of the monitor
+    pass, such as a safety predicate that does not return one bool per row,
+    comes at the end of its block.
     """
-    return _lockstep(config, [config.seed], keep_trace, detector, bank, observer)[0]
+    model = config.model
+    machinery = _machinery(model)
+    refuse_invalid(machinery.problems)
+    x0 = np.array(config.initial_state, dtype=float)
+    if x0.shape != (model.dim,):
+        raise ValueError(
+            f"initial_state has shape {x0.shape}, not the model's ({model.dim},)"
+        )
+    h = model.sampling_period
+    attack = config.attack
+    if attack is not None:
+        settle = model.dwell_time * h
+        if attack.start_time < settle - 1e-12:
+            raise ValueError(
+                f"attack starts at {attack.start_time} s but the observer "
+                f"only settles at {settle} s"
+            )
+    n = int(round(config.duration / h))
+    if detector is None:
+        detector = machinery.detector
+    if observer is None:
+        observer = machinery.observer
+
+    mode: ModeId = config.initial_mode
+    if not model.invariant(mode).contains(x0):
+        raise ValueError("initial state lies outside the initial mode's invariant")
+    node: Node = observer.root
+    if mode not in node:
+        raise ValueError("initial mode is missing from the observer root")
+    dim = model.dim
+    inputs = model.modes[0].b.shape[1]
+    kern = kernels(dim, inputs)
+    b_times = kern.b_times
+    steps = machinery.steps_for(bank)
+    step = steps[mode]
+    control = config.controller.control
+    stop_events = config.stop_events
+    run = _Run(
+        config.seed, model, detector, steps, kern, config.safety, mode, node,
+        n if keep_trace else None,
+    )
+    x, y, xs, ys = run.x, run.y, run.xs, run.ys
+    # what `control` is handed: read-only rows, which the loop overwrites
+    # one block later
+    y_seen = y.view()
+    y_seen.flags.writeable = False
+    # the model's noise: w's and v's bounds, row by row, and their normals' deviations
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    bound = np.array((model.w_bounds, model.v_bounds))
+    sigma = bound / 3.0
+    gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
+    x[0] = x0
+    y[0] = x0 + _truncated_gaussian(rng.standard_normal(dim), sigma[1], bound[1]) + gamma0
+    run.x_est[0] = y[0]
+    # the last controller output that passed the check, as bytes, which
+    # tell -0.0 from 0.0 and see an array rewritten in place, and as a
+    # tuple of floats, with B u of the mode in force
+    u_bytes: bytes | None = None
+    u: tuple[float, ...] = ()
+    bu: tuple[float, ...] = ()
+    asarray, isfinite = np.asarray, math.isfinite
+
+    t = i = first = 0
+    for first in range(0, n, BLOCK):
+        if first:
+            run.estimate(first - BLOCK, BLOCK, carry=True)
+            run.monitor(first - BLOCK)
+            for rows in (x, y, run.x_est):
+                rows[0] = rows[BLOCK]
+        k = min(BLOCK, n - first)
+        # w of sample first + j goes into x's row j + 1 and v of sample
+        # first + j + 1 into y's row j + 1, where the plant step adds the
+        # rest of each sum; the draw is not kept past the statement
+        x[1 : k + 1], y[1 : k + 1] = _truncated_gaussian(
+            rng.standard_normal((k, 2, dim)), sigma, bound
+        ).swapaxes(0, 1)
+        # the plant step adds the attack to y last: y = x + v + gamma
+        if attack:
+            plant, gammas = kern.plant_attacked, attack.gamma_rows(first + 1, k, h, dim).tolist()
+        else:
+            plant, gammas = kern.plant, None
+        for i in range(k):
+            t = first + i
+            now = t * h
+            o = i * dim
+            output = asarray(control(y_seen[i], now), float)
+            if output.ndim != 1 or output.tobytes() != u_bytes:
+                values = output.tolist()
+                if output.ndim != 1 or not all(map(isfinite, values)):
+                    raise ValueError(
+                        f"controller output {values} at {now} s "
+                        "is not a vector of finite numbers"
+                    )
+                if len(values) != inputs:
+                    raise ValueError(
+                        f"controller output {values} at {now} s has {len(values)} entries, "
+                        f"but the model takes {inputs} inputs"
+                    )
+                u_bytes = output.tobytes()
+                u = tuple(values)
+                run.input_rows.append((i, u))
+                bu = b_times(step.b, u)
+            # x and y of sample t + 1, with the mode of sample t
+            if gammas is None:
+                plant(xs, ys, o, step.a, bu)
+            else:
+                plant(xs, ys, o, step.a, bu, gammas[i])
+            for axis, sign, guard_at, tr in step.guards:
+                if sign * (xs[o + axis] - guard_at) >= 0.0:
+                    break
+            else:
+                continue
+
+            # tr fired at sample t, on the state of row i
+            pair = (tr.input_event, tr.output_event)
+            run.events.append(
+                EventRecord(
+                    sample=t,
+                    time=now,
+                    source=tr.source,
+                    target=tr.target,
+                    input_event=tr.input_event,
+                    output_event=tr.output_event,
+                    state=tuple(xs[o : o + dim].tolist()),
+                )
+            )
+            if tr.output_event in stop_events:
+                run.stop_event = tr.output_event
+            else:
+                try:
+                    node = step_discrete(observer, node, pair)
+                except DiscreteInconsistencyError:
+                    run.inconsistency = (t + 1) * h
+            run.event_rows.append((i, pair, tr.target, node))
+            if run.stop_event is not None or run.inconsistency is not None:
+                run.end = t
+                break
+            step = steps[tr.target]
+            bu = b_times(step.b, u)
+        if run.end is not None:
+            break
+
+    run.end = t
+    run.estimate(first, i + 1, carry=False)
+    run.monitor(first)
+    return run.result()
 
 
 def sweep(
@@ -958,30 +884,20 @@ def sweep(
 ) -> tuple[SimulationResult, ...]:
     """Run the same scenario across seeds, in seed order, each seed once.
 
-    The seeds are stepped together, GROUP at a time, through the loop that
-    `simulate` runs for one, so the model's machinery is built once and each
-    seed gets the bits of its own `simulate` run. A group keeps BLOCK + 1
-    rows of each buffer per seed, so GROUP bounds the buffers whatever the
-    seed count; with keep_traces every seed's trace is returned.
-    Within a sample the controller is called once per seed that is still
-    running, in seed order, so a controller that keeps state between calls
-    sees the seeds' calls interleaved, not one run after another.
+    Each seed is one `simulate` run of base with that seed, so the model's
+    machinery is built once for all of them and each seed gets the bits of
+    its own run; with keep_traces every seed's trace is returned. The runs
+    go one after another: a controller that keeps state between calls sees
+    the lowest seed's calls from its first sample to its last, then the
+    next seed's.
 
     A seed that is not a whole number raises ValueError naming it before
     any run; whole floats and numpy integers count as ints. When several
-    seeds would raise, the sweep raises the error, with the message a run
-    alone gives, that comes first as the groups are stepped: an earlier
-    group's first; within a group, the first sample's, and in one sample
-    the lowest seed's. An error of the monitor pass, such as a safety
-    predicate that does not return one bool per row, comes at the end of
-    its block, after the plant errors of that block's samples.
+    seeds would raise, the sweep raises the lowest such seed's error, with
+    the message its run alone gives.
     """
     seeds = sorted({_whole_seed(seed) for seed in seeds})
-    results: list[SimulationResult] = []
-    for lo in range(0, len(seeds), GROUP):
-        results += _lockstep(base, seeds[lo : lo + GROUP], keep_traces)
-    return tuple(results)
-
+    return tuple(simulate(replace(base, seed=seed), keep_trace=keep_traces) for seed in seeds)
 
 
 # Verdict columns after the four float groups, in the order both trace formats

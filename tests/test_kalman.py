@@ -286,7 +286,7 @@ def one_step(a, gain, bu, x_est, y):
     rows = np.array((x_est, np.full_like(x_est, np.nan)), dtype=float)
     meas = np.array((np.full_like(y, np.nan), y), dtype=float)
     views = (memoryview(rows.reshape(-1)), memoryview(meas.reshape(-1)))
-    kernels(dim, 1).estimate(*views, 0, dim, 1, _flat(a), _flat(gain), tuple(bu))
+    kernels(dim, 1).estimate(*views, 0, 1, _flat(a), _flat(gain), tuple(bu))
     return rows[1]
 
 
@@ -319,8 +319,7 @@ _STEP_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-100
 
 @st.composite
 def _segmented_block(draw):
-    """A block of rows of 1-5 seeds cut into segments, each seed with its own A, K and B u."""
-    seeds = draw(st.integers(1, 5))
+    """A block of rows of one run cut into segments, each with its own A, K and B u."""
     dim = draw(st.integers(1, 4))
     rows = draw(st.integers(1, 10))
     vectors = st.lists(_STEP_FLOATS, min_size=dim, max_size=dim).map(np.array)
@@ -329,44 +328,36 @@ def _segmented_block(draw):
     )
     cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=3)) if rows > 1 else set())
     bounds = [0, *cuts, rows]
-    per_seed = (matrices, matrices, vectors)
     segments = [
-        (lo, hi, *(np.array([draw(kind) for _ in range(seeds)]) for kind in per_seed))
+        (lo, hi, draw(matrices), draw(matrices), draw(vectors))
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    count = (rows + 2) * seeds * dim
+    count = (rows + 2) * dim
     values = np.array(draw(st.lists(_STEP_FLOATS, min_size=count, max_size=count)))
-    starts, y = values[: seeds * dim].reshape(seeds, dim), values[seeds * dim :]
-    return starts, y.reshape(rows + 1, seeds, dim), segments
+    return values[:dim], values[dim:].reshape(rows + 1, dim), segments
 
 
 class TestStepRows:
     @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     @given(_segmented_block())
     def test_rows_are_repeated_one_row_steps(self, case):
-        # the monitor pass steps each seed's estimate one (A, K, B u)
-        # segment at a time, through the buffers of the whole group; row for
-        # row and seed for seed it must give the bits of one step per sample
-        # of that seed alone, and of the reference's per-entry loop
-        starts, y, segments = case
-        seeds, dim = starts.shape
-        # row r of every seed at [r], as the loop's buffers hold them
-        rows = np.full((y.shape[0], seeds, dim), np.nan)
-        rows[0] = starts
+        # the monitor pass steps the estimate one (A, K, B u) segment at a
+        # time, through the run's buffers; row for row it must give the bits
+        # of one step per sample, and of the reference's per-entry loop
+        start, y, segments = case
+        dim = start.size
+        rows = np.full(y.shape, np.nan)
+        rows[0] = start
         views = (memoryview(rows.reshape(-1)), memoryview(y.reshape(-1)))
-        stride = seeds * dim
         estimate = kernels(dim, 1).estimate
-        for s in range(seeds):
-            for lo, hi, a, gain, bu in segments:
-                offset = lo * stride + s * dim
-                estimate(*views, offset, stride, hi - lo, _flat(a[s]), _flat(gain[s]), tuple(bu[s]))
-        for s in range(seeds):
-            est = starts[s]
-            for lo, hi, a, gain, bu in segments:
-                for r in range(lo + 1, hi + 1):
-                    prev, est = est, one_step(a[s], gain[s], bu[s], est, y[r, s])
-                    fresh = kalman_step(a[s], bu[s], gain[s], prev, y[r, s])
-                    assert rows[r, s].tobytes() == est.tobytes() == fresh.tobytes()
+        for lo, hi, a, gain, bu in segments:
+            estimate(*views, lo * dim, hi - lo, _flat(a), _flat(gain), tuple(bu))
+        est = start
+        for lo, hi, a, gain, bu in segments:
+            for r in range(lo + 1, hi + 1):
+                prev, est = est, one_step(a, gain, bu, est, y[r])
+                fresh = kalman_step(a, bu, gain, prev, y[r])
+                assert rows[r].tobytes() == est.tobytes() == fresh.tobytes()
 
 
 class TestCheckDwell:

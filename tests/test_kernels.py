@@ -39,7 +39,7 @@ def _run(dim, inputs, a, b, gain, u, x, w, v, gamma, y_rows):
     out = [np.array(bu)]
     for attacked in (False, True):
         xs, ys = np.array((x, w)), np.array((np.full(dim, np.nan), v))
-        args = (*_views(xs, ys), 0, dim, _flat(a), bu)
+        args = (*_views(xs, ys), 0, _flat(a), bu)
         if attacked:
             kern.plant_attacked(*args, _flat(gamma))
         else:
@@ -47,7 +47,7 @@ def _run(dim, inputs, a, b, gain, u, x, w, v, gamma, y_rows):
         out += [xs[1], ys[1]]
     estimates = np.full((len(y_rows), dim), np.nan)
     estimates[0] = x
-    kern.estimate(*_views(estimates, y_rows), 0, dim, len(y_rows) - 1, _flat(a), _flat(gain), bu)
+    kern.estimate(*_views(estimates, y_rows), 0, len(y_rows) - 1, _flat(a), _flat(gain), bu)
     return out + [estimates[1:]]
 
 

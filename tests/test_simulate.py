@@ -55,9 +55,7 @@ from hybridmon.kernels import kernels
 from hybridmon.observer import ObserverFsm
 from hybridmon.simulate import (
     BLOCK,
-    GROUP,
     Trace,
-    _lockstep,
     _csv_cell,
     baseline_threshold,
     write_trace_csv,
@@ -69,7 +67,6 @@ from hybridmon.train_gate import (
     SLOW_SPEED,
     SLOW_ZONE_HALF_WIDTH,
     ramp_attack,
-    train_gate_model,
     train_gate_scenario,
 )
 
@@ -523,6 +520,28 @@ class TestSimulateValidation:
         with pytest.raises(ValueError, match="observer root"):
             simulate(train_gate_scenario(), detector=detector, bank=bank, observer=crippled)
 
+    def test_stop_events_given_as_text_refused(self):
+        # "s_3s_1" would match s_1 as a substring and end the lap there
+        message = "stop_events must be a set of event names, got 's_3s_1'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(train_gate_scenario(), stop_events="s_3s_1")
+
+    def test_stop_events_stored_as_a_frozenset(self):
+        config = dataclasses.replace(train_gate_scenario(), stop_events=["s_1", "s_1"])
+        assert type(config.stop_events) is frozenset and config.stop_events == {"s_1"}
+
+    @pytest.mark.parametrize("event", ["s3", "c_down"])
+    def test_stop_event_of_no_transition_refused(self, event):
+        # a typo, or an input event, would never end the run
+        message = f"stop event {event!r} is the output event of no transition"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(train_gate_scenario(), stop_events={"s_3", event})
+
+    def test_initial_mode_outside_the_model_refused(self):
+        message = "initial mode 9 is not a mode of the model"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(train_gate_scenario(), initial_mode=9)
+
     def test_rejects_too_short_duration(self):
         with pytest.raises(ValueError, match="duration"):
             dataclasses.replace(train_gate_scenario(), duration=0.04)
@@ -578,11 +597,12 @@ class TestInPlaceStep:
     @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     @given(st.data())
     def test_seed_rows_keep_the_bits_of_one_seed_steps(self, data):
-        # the loop steps each of S seeds through one generated function, at
-        # the seed's offset in the (S, n) row of all seeds, with or without
-        # the attack; every seed must get the bytes of stepping it alone,
-        # which are those of the reference's per-entry loop
-        seeds, dim = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        # the loop steps row i of the run's buffers into row i + 1 through
+        # one generated function at offset i * dim, with or without the
+        # attack, each row with its own A, B and u as after an event or a
+        # new output; every row must get the bytes of the reference's
+        # per-entry loop
+        steps, dim = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
         inputs = data.draw(st.integers(1, 2))
 
         def arrays(*shape):
@@ -590,34 +610,26 @@ class TestInPlaceStep:
             values = data.draw(st.lists(_EDGE_FLOATS, min_size=count, max_size=count))
             return np.array(values).reshape(shape)
 
-        a, b, u = arrays(seeds, dim, dim), arrays(seeds, dim, inputs), arrays(seeds, inputs)
-        x, w, v, gamma = arrays(seeds, dim), arrays(seeds, dim), arrays(seeds, dim), arrays(dim)
+        a, b, u = arrays(steps, dim, dim), arrays(steps, dim, inputs), arrays(steps, inputs)
+        x, w, v, gamma = arrays(dim), arrays(steps, dim), arrays(steps, dim), arrays(dim)
         kern = kernels(dim, inputs)
-
-        def step(members, attacked):
-            # rows 0 and 1 of the member seeds, as the loop's buffers hold
-            # them: row 1 holds w and v before the step, as the loop lays them
-            count = len(members)
-            xs, ys = np.full((2, count, dim), np.nan), np.full((2, count, dim), np.nan)
-            xs[0], xs[1], ys[1] = x[members], w[members], v[members]
+        for attacked in (False, True):
+            # rows 1 .. steps hold w and v before the steps, as the loop lays them
+            xs, ys = np.full((steps + 1, dim), np.nan), np.full((steps + 1, dim), np.nan)
+            xs[0], xs[1:], ys[1:] = x, w, v
             views = memoryview(xs.reshape(-1)), memoryview(ys.reshape(-1))
-            for s, seed in enumerate(members):
-                bu = kern.b_times(tuple(b[seed].ravel().tolist()), tuple(u[seed].tolist()))
-                at = (s * dim, (count + s) * dim, tuple(a[seed].ravel().tolist()), bu)
+            want = x
+            for i in range(steps):
+                bu = kern.b_times(tuple(b[i].ravel().tolist()), tuple(u[i].tolist()))
+                at = (i * dim, tuple(a[i].ravel().tolist()), bu)
                 if attacked:
                     kern.plant_attacked(*views, *at, tuple(gamma.tolist()))
                 else:
                     kern.plant(*views, *at)
-            return xs[1], ys[1]
-
-        for attacked in (False, True):
-            x_all, y_all = step(list(range(seeds)), attacked)
-            for seed in range(seeds):
-                want = plant_step(a[seed], b[seed], x[seed], u[seed], w[seed])
-                want_y = v[seed] + want + gamma if attacked else v[seed] + want
-                x_one, y_one = step([seed], attacked)
-                assert x_all[seed].tobytes() == x_one[0].tobytes() == want.tobytes()
-                assert y_all[seed].tobytes() == y_one[0].tobytes() == want_y.tobytes()
+                want = plant_step(a[i], b[i], want, u[i], w[i])
+                want_y = v[i] + want + gamma if attacked else v[i] + want
+                assert xs[i + 1].tobytes() == want.tobytes()
+                assert ys[i + 1].tobytes() == want_y.tobytes()
 
     def test_controller_cannot_write_into_y(self, tg_machinery):
         class Scribbler:
@@ -1400,7 +1412,7 @@ class TestBlockBoundaries:
         assert summary_only.summary == want.summary
 
 
-# (base scenario, seeds) that `sweep` steps together
+# (base scenario, seeds) that `sweep` runs
 LOCKSTEP_CASES = {
     "train-gate": (lambda: train_gate_scenario(duration=60.0), (0, 1, 5)),
     "nd-nominal": (LOOP_CASES["nd-nominal"], (6, 9, 13)),
@@ -1412,12 +1424,11 @@ LOCKSTEP_CASES = {
     "ramp-shared": (
         lambda: train_gate_scenario(attack=ramp_attack(-0.06), duration=60.0), (2, 3, 4)
     ),
-    "past-the-group": (lambda: train_gate_scenario(duration=20.0), range(GROUP + 3)),
 }
 
 
 class TestLockstep:
-    """Seeds stepped together give each seed the bits of its own run."""
+    """A sweep gives each seed the bits of its own run."""
 
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
     def test_sweep_is_separate_runs(self, name, tmp_path):
@@ -1431,23 +1442,44 @@ class TestLockstep:
         if name == "stop-on-block-end":
             assert {r.summary.samples for r in results} == {126, 127, 128}
 
-    def test_one_seed_inconsistent_while_others_run_on(self, tmp_path):
-        # an observer that misses the second event pair: a seed is
-        # inconsistent at its s_2, which seeds 2 and 8 reach before the end
-        model = train_gate_model()
-        full = build_observer(extract_fsm(model))
-        transitions = {key: node for key, node in full.transitions.items() if key[1][1] != "s_2"}
-        observer = ObserverFsm(root=full.root, nodes=full.nodes, transitions=transitions)
-        detector, bank = Detector(model), synthesize_gains(model)
-        base = train_gate_scenario(duration=193.0, model=model)
-        results = _lockstep(base, [0, 2, 3, 8], True, detector, bank, observer)
-        ends = {r.summary.seed: r.summary.discrete_inconsistency for r in results}
-        assert ends[0] is None and ends[3] is None
-        assert ends[2] is not None and ends[8] is not None
-        for got in results:
-            config = dataclasses.replace(base, seed=got.summary.seed)
-            want = simulate(config, detector=detector, bank=bank, observer=observer)
-            _assert_bit_equal(got, want, tmp_path)
+    def test_controller_sees_one_run_after_another(self):
+        # a controller that keeps state sees the lowest seed's calls from
+        # its first sample to its last, then the next seed's
+        base = train_gate_scenario(duration=20.0)
+
+        class Recorder:
+            def __init__(self):
+                self.times = []
+
+            def control(self, y, t):
+                self.times.append(t)
+                return base.controller.control(y, t)
+
+        recorder = Recorder()
+        results = sweep(dataclasses.replace(base, controller=recorder), [1, 0])
+        assert [r.summary.samples for r in results] == [200, 200]
+        times = [t * base.model.sampling_period for t in range(200)]
+        assert recorder.times == times + times
+
+    def test_lowest_failing_seed_raises(self):
+        # the output turns NaN past 20 m: at 22.2 s for seed 0 and at 22.0 s
+        # for seed 1; the sweep raises seed 0's error, as its run alone does
+        base = train_gate_scenario(duration=40.0)
+
+        class NanPast20:
+            def control(self, y, t):
+                return np.array([np.nan]) if y[0] > 20.0 else base.controller.control(y, t)
+
+        config = dataclasses.replace(base, controller=NanPast20())
+        messages = []
+        for seed in (0, 1):
+            with pytest.raises(ValueError) as alone:
+                simulate(dataclasses.replace(config, seed=seed))
+            messages.append(str(alone.value))
+        assert "at 22.2" in messages[0] and "at 22.0 s" in messages[1]
+        with pytest.raises(ValueError) as refused:
+            sweep(config, [1, 0])
+        assert str(refused.value) == messages[0]
 
 
 WRITER_CASES = (
