@@ -10,12 +10,12 @@ a plain loop over Python floats that sums each row left to right, the
 order the package's generated functions promise. It also keeps the
 per-sample forms of what the package computes a block at a time: an
 attack's value at one sample, one guard test, and the first baseline
-alarm of a trace.
+alarm of a trace, and train-gate's gains written out as literals.
 """
 
 import numpy as np
 
-from hybridmon.kalman import check_dwell
+from hybridmon.kalman import KalmanBank, KalmanGain, check_dwell
 from hybridmon.observer import DiscreteInconsistencyError, step_discrete
 from hybridmon.simulate import (
     ConflictAlarm,
@@ -26,6 +26,19 @@ from hybridmon.simulate import (
     Trace,
     baseline_threshold,
 )
+
+
+# Train-gate's steady-state gain as literals: the Riccati solve goes through
+# LAPACK and BLAS, whose last bits can differ between hosts, and these do not.
+LITERAL_GAIN = [
+    [0.11298129669571991, 0.02242207879493787],
+    [0.02242207879493787, 0.05859364501954387],
+]
+
+
+def literal_bank(model):
+    """A filter bank with `LITERAL_GAIN` for every mode of the model."""
+    return KalmanBank({q: KalmanGain(LITERAL_GAIN, LITERAL_GAIN, 0, 0.0) for q in model.mode_ids})
 
 
 def truncated_gaussian(rng, bounds):

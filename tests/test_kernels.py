@@ -15,7 +15,8 @@ from loop_reference import kalman_step, matvec, plant_step
 
 from hybridmon.kernels import _source, kernels
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # signed zeros and subnormals next to ordinary magnitudes that cannot overflow
 _EDGE_FLOATS = st.one_of(
@@ -130,11 +131,10 @@ if sys.argv[1] == "probe":
     rows = [m.dot(x) for m, x in pairs]
     print(hashlib.sha256(np.array(rows).tobytes()).hexdigest())
     sys.exit()
-from hybridmon import KalmanBank, KalmanGain, simulate
+from hybridmon import simulate
 from hybridmon.train_gate import train_gate_model, train_gate_scenario
-gain = [[0.11298129669571991, 0.02242207879493787], [0.02242207879493787, 0.05859364501954387]]
-model = train_gate_model()
-bank = KalmanBank({q: KalmanGain(gain, gain, 0, 0.0) for q in model.mode_ids})
+from loop_reference import literal_bank
+bank = literal_bank(train_gate_model())
 digest = hashlib.sha256()
 for seed in range(4):
     trace = simulate(train_gate_scenario(seed=seed), bank=bank).trace
@@ -148,7 +148,7 @@ def _under_core(core, what):
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     if core is not None:
         env["OPENBLAS_CORETYPE"] = core
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS), env.get("PYTHONPATH", "")])
     done = subprocess.run(
         [sys.executable, "-c", _BLAS_SCRIPT, what],
         env=env, capture_output=True, text=True, timeout=300, check=True,

@@ -1,6 +1,7 @@
 """Closed-loop runs: reproducibility, event mechanics, monitors, writers."""
 
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import json
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from loop_reference import (
+    literal_bank,
     magnitude_at,
     plant_step,
     reference_simulate,
@@ -67,6 +69,7 @@ from hybridmon.train_gate import (
     SLOW_SPEED,
     SLOW_ZONE_HALF_WIDTH,
     ramp_attack,
+    train_gate_model,
     train_gate_scenario,
 )
 
@@ -1321,7 +1324,20 @@ LOOP_CASES = {
         initial_state=(34.7, 0.0),
         stop_events=frozenset({"s_1"}),
     ),
+    # the run ends by its duration on sample 127, the sample whose state fires s_1
+    "event-on-last-sample": lambda: _start_at(34.7, duration=12.8),
+    # a new controller output on the run's last sample, row 127 of block 1
+    "output-on-last-sample": lambda: _start_at(
+        0.0, duration=25.6, controller=TimeKeyedController(switches=(255,))
+    ),
+    # a new controller output on row 127 of block 0, the run going on
+    "output-on-row-127": lambda: _start_at(
+        0.0, controller=TimeKeyedController(switches=(127,))
+    ),
 }
+
+# the `LOOP_CASES` entries on the train-gate model
+TRAIN_GATE_CASES = sorted(name for name in LOOP_CASES if not name.startswith("nd-"))
 
 
 class TestBlockLoop:
@@ -1341,6 +1357,11 @@ class TestBlockLoop:
             assert got.summary.samples == BLOCK and got.summary.stop_event == "s_1"
         if name == "inconsistency":
             assert got.summary.discrete_inconsistency is not None
+        if name == "event-on-last-sample":
+            assert got.summary.samples == BLOCK and got.summary.stop_event is None
+            assert [e.sample for e in got.summary.events] == [BLOCK - 1]
+        if name == "output-on-last-sample":
+            assert got.summary.samples == 2 * BLOCK
         for writer, suffix in ((write_trace_csv, "csv"), (write_trace_jsonl, "jsonl")):
             writer(got.trace, str(tmp_path / f"got.{suffix}"))
             writer(want.trace, str(tmp_path / f"want.{suffix}"))
@@ -1353,15 +1374,51 @@ class TestBlockLoop:
         assert summary_only.summary == want.summary
 
 
-class TimeKeyedController:
-    """Output 0.8 before sample 128, 1.2 from there, 0.5 from sample 255 on."""
+FINGERPRINTS = Path(__file__).resolve().parent / "trace_fingerprints.json"
 
-    def __init__(self):
+
+class TestTraceFingerprints:
+    """Train-gate's `LOOP_CASES` against SHA-256 digests committed in `FINGERPRINTS`.
+
+    The runs take `literal_bank`'s gains, so the digests hold on any host
+    whose BLAS gives train-gate's detector tables their bits. Each case hashes
+    the summary's repr, the same with and without a kept trace, and the CSV
+    and JSONL bytes of the trace.
+    """
+
+    def test_digests_match_the_committed_file(self, tmp_path):
+        fresh = {}
+        for name in TRAIN_GATE_CASES:
+            config = LOOP_CASES[name]()
+            config, observer = config if isinstance(config, tuple) else (config, None)
+            assert config.model == train_gate_model(), name
+            bank = literal_bank(config.model)
+            kept = simulate(config, bank=bank, observer=observer)
+            alone = simulate(config, keep_trace=False, bank=bank, observer=observer)
+            assert repr(alone.summary) == repr(kept.summary), name
+            digests = {"summary": hashlib.sha256(repr(kept.summary).encode()).hexdigest()}
+            for writer, suffix in ((write_trace_csv, "csv"), (write_trace_jsonl, "jsonl")):
+                path = tmp_path / f"{name}.{suffix}"
+                writer(kept.trace, str(path))
+                digests[suffix] = hashlib.sha256(path.read_bytes()).hexdigest()
+            fresh[name] = digests
+        committed = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+        assert fresh == committed, "fresh digests:\n" + json.dumps(fresh, indent=1, sort_keys=True)
+
+
+class TimeKeyedController:
+    """Output 0.8, then 1.2 from the first switch sample on and 0.5 from the second.
+
+    The switches default to samples 128 and 255.
+    """
+
+    def __init__(self, switches=(128, 255)):
+        self.switches = switches
         self.outputs = [np.array([value]) for value in (0.8, 1.2, 0.5)]
 
     def control(self, y, t):
         sample = round(t * 10)
-        return self.outputs[(sample >= 128) + (sample >= 255)]
+        return self.outputs[sum(sample >= switch for switch in self.switches)]
 
 
 def _start_at(position, **kwargs):
