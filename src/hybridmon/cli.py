@@ -102,7 +102,7 @@ def _scenario(
     attack: AttackSpec | None,
 ) -> ScenarioConfig:
     if model_arg == TRAIN_GATE_ALIAS:
-        return train_gate_scenario(seed=seed, duration=duration, attack=attack)
+        return train_gate_scenario(seed=seed, duration=duration, attack=attack, model=model)
     return _generic_scenario(model, seed, duration, attack)
 
 

@@ -22,9 +22,9 @@ finite and when any step yields an invalid value.
 
 The update itself, p = A x_est + B u, then p + K (y - p), is one of the
 per-sample products of `kernels`, in its explicit order of Python-float
-operations; `simulate`'s monitor pass steps each seed's estimate one
-stretch of samples at a time, between the samples where its predicting
-mode or its input changes. The gains are the part of the estimate that
+operations; `simulate`'s monitor steps a run's estimate one stretch of
+samples at a time, between the samples where its predicting mode or its
+input changes. The gains are the part of the estimate that
 still depends on the machine: the solve's products and inversion go
 through numpy's BLAS and LAPACK, whose rounding can differ between builds
 and CPUs.
@@ -84,7 +84,7 @@ class KalmanBank:
     gains: Mapping[ModeId, KalmanGain]
 
 
-def synthesize_gains(model: HybridAutomaton, max_iter: int = RICCATI_MAX_ITER) -> KalmanBank:
+def synthesize_gains(model: HybridAutomaton) -> KalmanBank:
     """Iterate the Riccati recursion per distinct dynamics and check stability.
 
     With the identity output map the update is K = P (P + R)^-1 on the
@@ -104,7 +104,7 @@ def synthesize_gains(model: HybridAutomaton, max_iter: int = RICCATI_MAX_ITER) -
         a = mode.a
         key = (a.shape, a.tobytes())
         if key not in solved:
-            solved[key] = _solve_riccati(model, mode.mode_id, max_iter)
+            solved[key] = _solve_riccati(model, mode.mode_id, RICCATI_MAX_ITER)
         gains[mode.mode_id] = solved[key]
     return KalmanBank(gains=gains)
 

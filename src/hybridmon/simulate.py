@@ -9,23 +9,24 @@ counter-based generator keyed by the seed makes traces bit-reproducible.
 `simulate` runs one seed, and `sweep` runs it once per seed. A run has
 two parts. The plant loop steps per sample only what feeds back into the
 plant: the controller, the guards, x = A x + B u + w and the measurement,
-with each mode's matrices and guards looked up once per run and the noise,
-one for all modes, drawn once per block of samples. Per sample, the loop
-calls the controller, steps x and y with one call of the plant function of
-`kernels`, which reads and writes the run's rows in place, and checks the
-guards on the state. A controller output is checked once per distinct
-value, told apart by its bytes, and B u is taken again with the mode's B
-only when the output or the mode changes. The observer steps only on
-events. Of the rest, the loop records change points: the row of each
+with each mode's matrices and guards looked up once per model and the
+noise, one for all modes, drawn once per block of samples. Per sample, the
+loop calls the controller, steps x and y with one call of the plant
+function of `kernels`, which reads and writes the run's rows in place, and
+checks the guards on the state. A controller output is checked once per
+distinct value, told apart by its bytes, and B u is taken again with the
+mode's B only when the output or the mode changes. The observer steps only
+on events. Of the rest, the loop records change points: the row of each
 event, with the new mode and node, and the row of each new controller
-output, with the output. The monitor pass then takes a block of samples at
-a time. It rebuilds the mode, node, settled and event columns from the
-change points, steps the Kalman estimate with one call of the update
-function of `kernels` per stretch of rows between the rows where A, K or
-B u changes, with the B of the node's mode, and decides the safety
-predicate, the detector, the baseline monitor and the steady maxima with
-`ZoneSpeedLimit.violated` and `Detector.evaluate_rows`. The monitor feeds
-nothing back, so this gives the bits of deciding each sample as it comes.
+output, with the output. At the end of each block of samples, one monitor
+step decides the block. It rebuilds the mode, node, settled and event
+columns from the change points, steps the Kalman estimate with one call of
+the update function of `kernels` per stretch of rows between the rows
+where A, K or B u changes, with the B of the node's mode, and decides the
+safety predicate, the detector, the baseline monitor and the steady maxima
+with `ZoneSpeedLimit.violated` and `Detector.evaluate_rows`. The monitor
+feeds nothing back, so this gives the bits of deciding each sample as it
+comes.
 
 Every per-sample product, A x, B u, A x_est and K times the innovation, is
 a left-to-right sum of Python-float products (see `kernels`). So the plant,
@@ -36,9 +37,11 @@ the Riccati gains (`kalman`), and `matrix_power` in `reach_operator` with
 the products built on it: horizons, thresholds and the detector's
 separating-axis tables. They can move a gain's last bits, and so every
 estimate, or a verdict at contact. A run that ends, at a stop event or a
-discrete inconsistency, is decided up to that sample. A model's validation
-verdict, detector, filter bank, observer and mode steps are built on its
-first run and kept on the model object for the next.
+discrete inconsistency, is decided up to that sample. What a run builds
+from an immutable input is built on first use and kept on that input for
+the next run: a model keeps its validation verdict, detector, filter bank,
+observer and mode steps, and a filter bank, the model's or a passed one,
+keeps its gains as flat tuples.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import Callable, Iterable, NamedTuple, TextIO, TypeVar
 
 import numpy as np
 
@@ -253,9 +255,10 @@ class ScenarioConfig:
     The seed must be a nonnegative whole number, or ValueError names it;
     whole floats and numpy integers are stored as int. The duration must be
     a finite real number that rounds to at least one sample. The initial
-    mode must be one of the model's, and each stop event the output event
-    of one of its transitions; stop_events is stored as a frozenset, and
-    text, which would be read as a set of characters, is refused.
+    mode must be one of the model's, of its type, and each stop event the
+    output event of one of its transitions; stop_events is stored as a
+    frozenset, and text, which would be read as a set of characters, is
+    refused.
     """
 
     model: HybridAutomaton
@@ -279,7 +282,9 @@ class ScenarioConfig:
             raise ValueError(f"duration must be finite, got {duration!r}")
         if round(duration / self.model.sampling_period) <= 0:
             raise ValueError("duration too short for one sample")
-        if self.initial_mode not in self.model.mode_ids:
+        # a mode id of another type, True or 1.0 for 1, would show in the trace's labels
+        initial = self.initial_mode
+        if not any(type(q) is type(initial) and q == initial for q in self.model.mode_ids):
             raise ValueError(f"initial mode {self.initial_mode!r} is not a mode of the model")
         if isinstance(self.stop_events, str):
             raise ValueError(f"stop_events must be a set of event names, got {self.stop_events!r}")
@@ -397,30 +402,52 @@ def _truncated_gaussian(z: np.ndarray, sigma: np.ndarray, bound: np.ndarray) -> 
 
 
 class _ModeStep(NamedTuple):
-    """What a sample needs of one mode, looked up once per run.
+    """What a sample needs of one mode, looked up once per model.
 
-    A, B and the gain are flat row-major tuples of floats, as the
-    functions of `kernels` take them.
+    A and B are flat row-major tuples of floats, as the functions of
+    `kernels` take them.
     """
 
     a: tuple[float, ...]
     b: tuple[float, ...]
-    gain: tuple[float, ...]
     guards: tuple[tuple[int, int, float, Transition], ...]  # (axis, sign, threshold, transition)
 
 
-def _mode_steps(model: HybridAutomaton, bank: KalmanBank) -> dict[ModeId, _ModeStep]:
+def _flat(matrix: np.ndarray) -> tuple[float, ...]:
+    return tuple(matrix.ravel().tolist())
+
+
+def _mode_steps(model: HybridAutomaton) -> dict[ModeId, _ModeStep]:
     """Each mode's step."""
     guards: dict[ModeId, list] = {q: [] for q in model.mode_ids}
     for tr in model.transitions:
         guards[tr.source].append((tr.guard.axis, tr.guard.sign, tr.guard.threshold, tr))
-    steps = {}
-    for mode in model.modes:
-        entries = (mode.a, mode.b, bank.gains[mode.mode_id].gain)
-        steps[mode.mode_id] = _ModeStep(
-            *(tuple(matrix.ravel().tolist()) for matrix in entries), tuple(guards[mode.mode_id])
-        )
-    return steps
+    return {
+        mode.mode_id: _ModeStep(_flat(mode.a), _flat(mode.b), tuple(guards[mode.mode_id]))
+        for mode in model.modes
+    }
+
+
+def _flat_gains(bank: KalmanBank) -> dict[ModeId, tuple[float, ...]]:
+    """Each mode's gain as a flat row-major tuple of floats."""
+    return {mode_id: _flat(gain.gain) for mode_id, gain in bank.gains.items()}
+
+
+_T = TypeVar("_T")
+
+
+def _kept(owner: object, name: str, build: Callable[[], _T]) -> _T:
+    """build(), called on the first ask and kept on owner under name for the next.
+
+    The owners are a run's immutable inputs, a model or a filter bank, so
+    what is built from one stays valid for its life. It is kept in the
+    owner's `__dict__`, as a cached property keeps its value, under a name
+    that is no attribute's. Equal but distinct owners each build their own.
+    """
+    kept = owner.__dict__
+    if name not in kept:
+        kept[name] = build()
+    return kept[name]
 
 
 def _first_baseline(
@@ -446,96 +473,37 @@ def _first_violation(
     return SafetyViolation(time=float(times[j]), state=tuple(x[j].tolist()))
 
 
-class _Machinery:
-    """A model's run machinery, each part built on first use and kept on the model.
-
-    `_machinery` keeps one per model object in the model's `__dict__`, where
-    a cached property keeps its value; the model is immutable, so the parts
-    stay valid for its life. Equal but distinct models each build their own.
-    """
-
-    def __init__(self, model: HybridAutomaton) -> None:
-        self.model = model
-        self.passed: tuple[KalmanBank, dict[ModeId, _ModeStep]] | None = None
-
-    @cached_property
-    def problems(self) -> list[str]:
-        return validate_model(self.model)
-
-    @cached_property
-    def detector(self) -> Detector:
-        return Detector(self.model)
-
-    @cached_property
-    def bank(self) -> KalmanBank:
-        return synthesize_gains(self.model)
-
-    @cached_property
-    def observer(self) -> ObserverFsm:
-        return build_observer(extract_fsm(self.model))
-
-    @cached_property
-    def steps(self) -> dict[ModeId, _ModeStep]:
-        return _mode_steps(self.model, self.bank)
-
-    def steps_for(self, bank: KalmanBank | None) -> dict[ModeId, _ModeStep]:
-        """The mode steps with the model's bank, or with a passed one.
-
-        The steps of the last bank passed are kept for the next run, so a
-        caller that passes one bank run after run has its matrices turned
-        into tuples once.
-        """
-        if bank is None:
-            return self.steps
-        if self.passed is None or self.passed[0] is not bank:
-            self.passed = (bank, _mode_steps(self.model, bank))
-        return self.passed[1]
-
-
-def _machinery(model: HybridAutomaton) -> _Machinery:
-    machinery = model.__dict__.get("_machinery")
-    if machinery is None:
-        machinery = model.__dict__["_machinery"] = _Machinery(model)
-    return machinery
-
-
 class _Run:
     """One seed's run: its buffers, change points and monitor.
 
     x, y and x_est hold BLOCK + 1 rows of one state each, starting as zeros.
     The loop reads sample t from row i = t % BLOCK and steps x and y of
     sample t + 1 straight into row i + 1, so the buffers have one row past
-    the block; after a block's monitor pass, the loop moves that row to row
-    0. The functions of `kernels` read and write the rows through the flat
+    the block, which `decide` moves to row 0 for the next block. The
+    functions of `kernels` read and write the rows through the flat
     memoryviews xs, ys and es, where row r starts at r * dim. Of the rest,
     the loop records only change points: `event_rows` holds (row, event
     pair, mode, node) for each event, the mode and node being those of the
     next row, and `input_rows` holds (row, u) for each row whose controller
-    output u differs from the last. The monitor pass has three parts:
-    `label` rebuilds the labels from the change points (the true modes only
-    when the trace is kept, as nothing else reads them) and lists the rows
-    where A, K and B u change, `estimate` steps the Kalman estimate one
-    stretch of rows between those at a time, and `monitor` hands the block
-    to the detector, folds its verdicts into the summary figures and, when
-    the trace is kept, writes its columns in place into columns allocated
-    for all n samples at the start.
+    output u differs from the last. When the trace is kept, `decide` writes
+    each block into columns allocated for all n samples at the start.
     """
 
     def __init__(
         self,
-        seed: int,
-        model: HybridAutomaton,
+        config: ScenarioConfig,
         detector: Detector,
         steps: dict[ModeId, _ModeStep],
+        gains: dict[ModeId, tuple[float, ...]],
         kern: Kernels,
-        safety: ZoneSpeedLimit | None,
-        mode: ModeId,
         node: Node,
         n: int | None,
     ) -> None:
-        self.seed = seed
-        self.model, self.detector, self.steps, self.kernels = model, detector, steps, kern
-        self.safety = safety
+        model = config.model
+        self.seed, self.model, self.safety = config.seed, model, config.safety
+        self.detector, self.steps, self.kernels = detector, steps, kern
+        # every mode's gain, so a bank without one fails before the run
+        self.gains = {mode_id: gains[mode_id] for mode_id in steps}
         self.threshold = baseline_threshold(model)
         self.h, self.dwell, self.dim = model.sampling_period, model.dwell_time, model.dim
         self.x, self.y, self.x_est = (np.zeros((BLOCK + 1, self.dim)) for _ in range(3))
@@ -543,17 +511,17 @@ class _Run:
             memoryview(rows.reshape(-1)) for rows in (self.x, self.y, self.x_est)
         )
         self.steady = np.zeros(BLOCK, dtype=bool)
-        # the plant's outcome: its events, why it ended and its last sample
+        # the plant's outcome: its events and why it ended
         self.events: list[EventRecord] = []
         self.stop_event: str | None = None
         self.inconsistency: float | None = None
-        self.end: int | None = None
         # the monitor: the change points, the labels of the next row to
         # decide, the first sample of the current settling count, and the
         # controller output in force for the estimate
         self.event_rows: list[tuple[int, tuple[str, str], ModeId, Node]] = []
         self.input_rows: list[tuple[int, tuple[float, ...]]] = []
-        self.label_mode, self.label_node, self.since, self.est_u = mode, node, 0, None
+        self.label_mode, self.label_node = config.initial_mode, node
+        self.since, self.est_u = 0, None
         self.columns: dict[str, np.ndarray] | None = None
         self.mode_column: list = []
         self.node_column: list = []
@@ -571,15 +539,23 @@ class _Run:
         self.first_conflict: ConflictAlarm | None = None
         self.violation: SafetyViolation | None = None
 
-    def label(self, first: int, k: int, carry: bool) -> tuple[list, int]:
-        """Rebuild the labels of rows 0 .. k - 1, which hold samples first .. first + k - 1.
+    @property
+    def ended(self) -> bool:
+        """Whether a stop event or a discrete inconsistency has ended the run."""
+        return self.stop_event is not None or self.inconsistency is not None
 
-        Returns (lo, step, u) for each row lo from which the estimate is
-        stepped with a new A, K or B u, and the last row whose estimate is
-        stepped: k with carry, as the run goes on, else k - 1.
+    def decide(self, first: int, k: int) -> None:
+        """Decide rows 0 .. k - 1, which hold samples first .. first + k - 1, then move row k to 0.
+
+        The labels are rebuilt from the change points (the true modes only
+        when the trace is kept, as nothing else reads them). The estimates
+        of rows 1 .. k are stepped one call per stretch of rows that share
+        A, K and B u: row r + 1's with row r's node and u. Row k, which the
+        plant step has written, starts the next block; at the run's end no
+        output reads it. The detector's verdicts are then folded into the
+        summary figures and, when the trace is kept, into its columns.
         """
-        self.k = k
-        steady = self.steady[:k]
+        kern, dim, steady = self.kernels, self.dim, self.steady[:k]
         nodes: list[Node] = []
         events: list[tuple[str, str] | None] = [None] * k
 
@@ -596,35 +572,18 @@ class _Run:
             fill(row, at + 1)
             self.label_mode, self.label_node, self.since, row = mode, node, first + at + 1, at + 1
         fill(row, k)
-        self.labels = nodes, events
 
-        # row r + 1's estimate is stepped with row r's node and u, so one
-        # stretch of rows shares A, K and B u between those change points
-        stop = k if carry else k - 1
         inputs = dict(self.input_rows)
-        changes = [at + 1 for at, *_ in self.event_rows] + list(inputs)
-        stretches = []
-        for lo in sorted({0, *(c for c in changes if c < stop)}):
+        starts = sorted({0, *inputs, *(at + 1 for at, *_ in self.event_rows if at + 1 < k)})
+        for lo, hi in zip(starts, starts[1:] + [k]):
             self.est_u = inputs.get(lo, self.est_u)
-            stretches.append((lo, self.steps[nodes[lo][0]], self.est_u))
+            mode = nodes[lo][0]
+            step = self.steps[mode]
+            bu = kern.b_times(step.b, self.est_u)
+            kern.estimate(self.es, self.ys, lo * dim, hi - lo, step.a, self.gains[mode], bu)
         self.event_rows.clear()
         self.input_rows.clear()
-        return stretches, stop
 
-    def estimate(self, first: int, k: int, carry: bool) -> None:
-        """Label rows 0 .. k - 1 and step their estimates, one call per stretch of rows."""
-        kern = self.kernels
-        stretches, stop = self.label(first, k, carry)
-        ends = [lo for lo, *_ in stretches[1:]] + [stop]
-        for (lo, step, u), hi in zip(stretches, ends):
-            bu = kern.b_times(step.b, u)
-            kern.estimate(self.es, self.ys, lo * self.dim, hi - lo, step.a, step.gain, bu)
-
-    def monitor(self, first: int) -> None:
-        """Decide the labelled rows, their estimates stepped, and fold the verdicts in."""
-        k = self.k
-        nodes, events = self.labels
-        steady = self.steady[:k]
         x, y, x_est = self.x[:k], self.y[:k], self.x_est[:k]
         # the safety predicate must not change x
         x.flags.writeable = False
@@ -659,14 +618,16 @@ class _Run:
             for name, values in block.items():
                 self.columns[name][first : first + k] = values
             self.node_column += nodes
+        for buffer in (self.x, self.y, self.x_est):
+            buffer[0] = buffer[k]
 
-    def result(self) -> SimulationResult:
-        """The run's summary, and its trace when kept, once it has ended."""
-        samples = self.end + 1
+    def result(self, end: int) -> SimulationResult:
+        """The run's summary, and its trace when kept, once it has ended at sample end."""
+        samples = end + 1
         summary = SimulationSummary(
             seed=self.seed,
             completed=self.inconsistency is None,
-            end_time=self.end * self.h,
+            end_time=end * self.h,
             samples=samples,
             stop_event=self.stop_event,
             events=tuple(self.events),
@@ -715,7 +676,8 @@ def simulate(
 
     The detector, the filter bank and the observer default to the model's
     own, built on its first run and kept for the next; so is the verdict of
-    `validate_model`. Passed ones take precedence.
+    `validate_model`. Passed ones take precedence. The bank in use, the
+    model's or a passed one, keeps its gains flattened for the next run.
 
     `control(y, t)` is handed a read-only row of the run's buffers, valid
     only for the call: the loop overwrites it BLOCK samples later, so a
@@ -724,13 +686,12 @@ def simulate(
     it may hand out one array and rewrite it in place. The safety predicate
     does not feed back: `safety.violated(x)` is handed a read-only block of
     up to BLOCK states, one per row, and returns one bool per row; it is not
-    called past the block of the first violation. An error of the monitor
-    pass, such as a safety predicate that does not return one bool per row,
-    comes at the end of its block.
+    called past the block of the first violation. An error of the monitor,
+    such as a safety predicate that does not return one bool per row, comes
+    at the end of its block.
     """
     model = config.model
-    machinery = _machinery(model)
-    refuse_invalid(machinery.problems)
+    refuse_invalid(_kept(model, "simulate.problems", lambda: validate_model(model)))
     x0 = np.array(config.initial_state, dtype=float)
     if x0.shape != (model.dim,):
         raise ValueError(
@@ -747,9 +708,11 @@ def simulate(
             )
     n = int(round(config.duration / h))
     if detector is None:
-        detector = machinery.detector
+        detector = _kept(model, "simulate.detector", lambda: Detector(model))
     if observer is None:
-        observer = machinery.observer
+        observer = _kept(
+            model, "simulate.observer", lambda: build_observer(extract_fsm(model))
+        )
 
     mode: ModeId = config.initial_mode
     if not model.invariant(mode).contains(x0):
@@ -761,14 +724,14 @@ def simulate(
     inputs = model.modes[0].b.shape[1]
     kern = kernels(dim, inputs)
     b_times = kern.b_times
-    steps = machinery.steps_for(bank)
+    if bank is None:
+        bank = _kept(model, "simulate.bank", lambda: synthesize_gains(model))
+    gains = _kept(bank, "simulate.gains", lambda: _flat_gains(bank))
+    steps = _kept(model, "simulate.steps", lambda: _mode_steps(model))
     step = steps[mode]
     control = config.controller.control
     stop_events = config.stop_events
-    run = _Run(
-        config.seed, model, detector, steps, kern, config.safety, mode, node,
-        n if keep_trace else None,
-    )
+    run = _Run(config, detector, steps, gains, kern, node, n if keep_trace else None)
     x, y, xs, ys = run.x, run.y, run.xs, run.ys
     # what `control` is handed: read-only rows, which the loop overwrites
     # one block later
@@ -790,13 +753,7 @@ def simulate(
     bu: tuple[float, ...] = ()
     asarray, isfinite = np.asarray, math.isfinite
 
-    t = i = first = 0
     for first in range(0, n, BLOCK):
-        if first:
-            run.estimate(first - BLOCK, BLOCK, carry=True)
-            run.monitor(first - BLOCK)
-            for rows in (x, y, run.x_est):
-                rows[0] = rows[BLOCK]
         k = min(BLOCK, n - first)
         # w of sample first + j goes into x's row j + 1 and v of sample
         # first + j + 1 into y's row j + 1, where the plant step adds the
@@ -862,18 +819,14 @@ def simulate(
                 except DiscreteInconsistencyError:
                     run.inconsistency = (t + 1) * h
             run.event_rows.append((i, pair, tr.target, node))
-            if run.stop_event is not None or run.inconsistency is not None:
-                run.end = t
+            if run.ended:
                 break
             step = steps[tr.target]
             bu = b_times(step.b, u)
-        if run.end is not None:
+        run.decide(first, i + 1)
+        if run.ended:
             break
-
-    run.end = t
-    run.estimate(first, i + 1, carry=False)
-    run.monitor(first)
-    return run.result()
+    return run.result(first + i)
 
 
 def sweep(
@@ -884,10 +837,10 @@ def sweep(
 ) -> tuple[SimulationResult, ...]:
     """Run the same scenario across seeds, in seed order, each seed once.
 
-    Each seed is one `simulate` run of base with that seed, so the model's
-    machinery is built once for all of them and each seed gets the bits of
-    its own run; with keep_traces every seed's trace is returned. The runs
-    go one after another: a controller that keeps state between calls sees
+    Each seed is one `simulate` run of base with that seed, so what the
+    model's runs keep is built once for all of them and each seed gets the
+    bits of its own run; with keep_traces every seed's trace is returned.
+    The runs go one after another: a controller that keeps state between calls sees
     the lowest seed's calls from its first sample to its last, then the
     next seed's.
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridmon import model_to_dict
+from hybridmon import model_to_dict, parse_model
 from hybridmon.cli import _parse_seed_range, main, parse_attack
 from hybridmon.train_gate import TRAIN_GATE_MODEL_DICT, train_gate_model
 
@@ -304,6 +304,28 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "train-gate", "--seeds", "5..4")
         assert code == 1
         assert "empty seed range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "train-gate", "--duration", "5"),
+        ("sweep", "train-gate", "--seeds", "0..1", "--duration", "5"),
+        ("calibrate-theta", "train-gate", "--runs", "2", "--duration", "5"),
+    ],
+)
+def test_train_gate_is_parsed_once(capsys, monkeypatch, argv):
+    # the runs and the printed figures share the one model the command loads
+    parsed = []
+
+    def counted(doc):
+        parsed.append(doc)
+        return parse_model(doc)
+
+    monkeypatch.setattr("hybridmon.train_gate.parse_model", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert parsed == [TRAIN_GATE_MODEL_DICT]
 
 
 class TestStaticCommands:

@@ -129,7 +129,7 @@ PUBLIC_SIGNATURES = {
     "state_guarantees": '(model, regions=None, deltas=None)',
     "step_discrete": '(obs, node, pair)',
     "sweep": '(base, seeds, *, keep_traces=False)',
-    "synthesize_gains": '(model, max_iter=100000)',
+    "synthesize_gains": '(model)',
     "train_gate_model": '()',
     "train_gate_scenario": '(seed=0, duration=200.0, attack=None, model=None)',
     "validate_model": '(model)',

@@ -545,6 +545,14 @@ class TestSimulateValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(train_gate_scenario(), initial_mode=9)
 
+    @pytest.mark.parametrize("mode", [True, 1.0, np.int64(1)])
+    def test_initial_mode_of_another_type_refused(self, mode):
+        # each equals train-gate's mode 1, but would be the trace's true-mode
+        # label until the first event; np.int64 would not write as JSON
+        message = f"initial mode {mode!r} is not a mode of the model"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(train_gate_scenario(), initial_mode=mode)
+
     def test_rejects_too_short_duration(self):
         with pytest.raises(ValueError, match="duration"):
             dataclasses.replace(train_gate_scenario(), duration=0.04)
@@ -875,9 +883,12 @@ class TestReproducibility:
 
 
 class TestModelMachinery:
-    """A model's detector, gains, observer and verdict are built once, on its first run."""
+    """What a run builds is built once per input: per model, and the flat gains per bank."""
 
-    BUILDS = ("validate_model", "Detector", "synthesize_gains", "build_observer")
+    BUILDS = (
+        "validate_model", "Detector", "synthesize_gains", "build_observer", "_mode_steps",
+        "_flat_gains",
+    )
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -925,13 +936,27 @@ class TestModelMachinery:
             gains={q: dataclasses.replace(g, gain=0.5 * g.gain) for q, g in bank.gains.items()},
         )
         got = simulate(config, detector=spy, bank=scaled, observer=observer)
-        assert builds == dict(dict.fromkeys(self.BUILDS, 0), validate_model=1)
+        assert builds == dict(
+            dict.fromkeys(self.BUILDS, 0), validate_model=1, _mode_steps=1, _flat_gains=1
+        )
         assert spy.calls == -(-len(got.trace) // BLOCK)
         want = reference_simulate(config, detector, scaled, observer)
         assert got.summary == want.summary
         assert got.trace.x_est.tobytes() == want.trace.x_est.tobytes()
         config, mute = _mute(_start_at(34.7))
         assert simulate(config, observer=mute).summary.discrete_inconsistency == 12.8
+
+    def test_a_passed_bank_flattens_its_gains_once(self, builds, tg_machinery):
+        detector, bank, observer = tg_machinery
+        # two banks no run has used yet
+        first, second = dataclasses.replace(bank), dataclasses.replace(bank)
+        config = train_gate_scenario(duration=5.0)
+        machinery = dict(detector=detector, observer=observer, keep_trace=False)
+        runs = [simulate(config, bank=first, **machinery) for _ in range(2)]
+        assert (builds["_flat_gains"], builds["_mode_steps"]) == (1, 1)
+        runs.append(simulate(config, bank=second, **machinery))
+        assert (builds["_flat_gains"], builds["_mode_steps"]) == (2, 1)
+        assert runs[0].summary == runs[1].summary == runs[2].summary
 
 
 class TestEventMechanics:
