@@ -33,8 +33,8 @@ from .model import (
     ModeId,
     RegionDecomposition,
     Transition,
+    as_index,
     decompose_regions,
-    whole_number,
 )
 from .reachability import compute_all_deltas, guard_axis_hulls, reach_operator
 
@@ -266,13 +266,10 @@ def classify_fdia(
     vector leave the answer indeterminate, since generalized eigenvectors
     could still align.
     """
-    for axis in gamma_axes:
-        if not whole_number(axis):
-            raise ValueError(f"attack axis must be a whole number, got {axis!r}")
-    axes = tuple(sorted(set(int(a) for a in gamma_axes)))
+    axes = tuple(sorted({as_index(axis, "attack axis", ValueError) for axis in gamma_axes}))
     a = model.mode(mode_id).a
     n = a.shape[0]
-    if any(axis < 0 or axis >= n for axis in axes):
+    if any(axis >= n for axis in axes):
         raise ValueError("attack axis outside the state dimension")
     if not axes:
         return FdiaClassification(

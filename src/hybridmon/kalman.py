@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,9 +80,12 @@ class KalmanGain:
 
 @dataclass(frozen=True)
 class KalmanBank:
-    """One synthesized gain per mode, immutable after synthesis."""
+    """One synthesized gain per mode, kept as a read-only copy of the mapping passed."""
 
     gains: Mapping[ModeId, KalmanGain]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gains", MappingProxyType(dict(self.gains)))
 
 
 def synthesize_gains(model: HybridAutomaton) -> KalmanBank:

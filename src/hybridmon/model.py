@@ -59,13 +59,14 @@ class Invariant:
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        for i, (lo, hi) in enumerate(ivs):
-            if not (isfinite(lo) and isfinite(hi)):
-                raise ModelError(f"invariant axis {i}: bounds must be finite")
+        ivs = []
+        for i, (lo, hi) in enumerate(self.intervals):
+            lo = as_finite(lo, f"invariant axis {i} lower bound")
+            hi = as_finite(hi, f"invariant axis {i} upper bound")
             if lo > hi:
                 raise ModelError(f"invariant axis {i}: lower bound {lo} > upper bound {hi}")
+            ivs.append((lo, hi))
+        object.__setattr__(self, "intervals", tuple(ivs))
 
     @property
     def dim(self) -> int:
@@ -100,6 +101,36 @@ def whole_number(value: object) -> bool:
     )
 
 
+def as_real(value: object, name: str, error: type[ValueError] = ModelError) -> float:
+    """value as a float, or error naming the field unless it is a real number a float holds."""
+    if type(value) is float:
+        return value
+    if not real_number(value):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must be finite, got a number too large for a float") from None
+
+
+def as_finite(value: object, name: str, error: type[ValueError] = ModelError) -> float:
+    """value as a float, or error naming the field unless it is a finite real number."""
+    number = as_real(value, name, error)
+    if not isfinite(number):
+        raise error(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def as_index(value: object, name: str, error: type[ValueError] = ModelError) -> int:
+    """value as an int, or error naming the field unless it is a nonnegative whole number."""
+    if not whole_number(value):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    index = int(value)
+    if index < 0:
+        raise error(f"{name} must be nonnegative, got {index}")
+    return index
+
+
 @dataclass(frozen=True)
 class Guard:
     """Closed half-space past the hyperplane x[axis] = threshold.
@@ -115,13 +146,9 @@ class Guard:
     def __post_init__(self) -> None:
         if isinstance(self.sign, (bool, np.bool_)) or self.sign not in (-1, 1):
             raise ModelError(f"guard sign must be -1 or +1, got {self.sign!r}")
-        if not whole_number(self.axis):
-            raise ModelError(f"guard axis must be a whole number, got {self.axis!r}")
-        if not real_number(self.threshold):
-            raise ModelError(f"guard threshold must be a real number, got {self.threshold!r}")
-        object.__setattr__(self, "axis", int(self.axis))
+        object.__setattr__(self, "axis", as_index(self.axis, "guard axis"))
         object.__setattr__(self, "sign", int(self.sign))
-        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(self, "threshold", as_finite(self.threshold, "guard threshold"))
 
 
 @dataclass(frozen=True)
@@ -216,16 +243,12 @@ class HybridAutomaton:
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        if not whole_number(self.dwell_time):
-            raise ModelError(
-                f"dwell_time must be a whole number of samples, got {self.dwell_time!r}"
-            )
-        object.__setattr__(self, "dwell_time", int(self.dwell_time))
+        object.__setattr__(self, "dwell_time", as_index(self.dwell_time, "dwell_time"))
         for name in ("sampling_period", "theta"):
-            value = getattr(self, name)
-            if not real_number(value):
-                raise ModelError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = as_real(getattr(self, name), name)
+            if not (isfinite(value) and value > 0):
+                raise ModelError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.modes:
             raise ModelError("model must declare at least one mode")
         ids = [m.mode_id for m in self.modes]
@@ -236,10 +259,6 @@ class HybridAutomaton:
             raise ModelError("duplicate event names")
         if self.dwell_time < 1:
             raise ModelError("dwell_time must be a positive number of samples")
-        for name in ("sampling_period", "theta"):
-            value = getattr(self, name)
-            if not (isfinite(value) and value > 0):
-                raise ModelError(f"{name} must be finite and positive, got {value!r}")
         if len({m.dim for m in self.modes}) != 1:
             raise ModelError("all modes must share one continuous dimension")
         if len({m.b.shape[1] for m in self.modes}) != 1:
@@ -255,9 +274,7 @@ class HybridAutomaton:
             raise ModelError(f"measurement noise bounds must have length {n}")
         if not ((w >= 0).all() and (v >= 0).all()):
             raise ModelError("noise bounds must be nonnegative")
-        if not real_number(self.input_bound):
-            raise ModelError(f"input_bound must be a real number, got {self.input_bound!r}")
-        mu = float(self.input_bound)
+        mu = as_real(self.input_bound, "input_bound")
         if not isfinite(mu) or mu < 0:
             raise ModelError("input bound must be finite and nonnegative")
         object.__setattr__(self, "w_bounds", tuple(w.tolist()))
@@ -276,7 +293,7 @@ class HybridAutomaton:
                 raise ModelError(f"event {tr.input_event!r} used as input but declared output")
             if event_by_name[tr.output_event].kind != "output":
                 raise ModelError(f"event {tr.output_event!r} used as output but declared input")
-            if not (0 <= tr.guard.axis < self.dim):
+            if tr.guard.axis >= self.dim:
                 raise ModelError(f"guard axis {tr.guard.axis} out of range")
             key = (tr.source, tr.input_event)
             if key in seen_pairs:

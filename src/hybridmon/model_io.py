@@ -37,7 +37,7 @@ from .model import (
     Mode,
     ModelError,
     Transition,
-    real_number,
+    as_real,
 )
 
 _TOP_KEYS = {
@@ -79,8 +79,8 @@ def _check_numbers(values: Any, where: str) -> None:
         for i, value in enumerate(values):
             if type(value) is not float:
                 _check_numbers(value, f"{where}[{i}]")
-    elif not real_number(values):
-        raise ModelError(f"{where} must be a real number, got {values!r}")
+    else:
+        as_real(values, where)
 
 
 def _check_arrays(states: Any, noise: Mapping[str, Any]) -> None:

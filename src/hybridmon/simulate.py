@@ -60,12 +60,12 @@ from .model import (
     HybridAutomaton,
     ModeId,
     Transition,
+    as_finite,
+    as_index,
     extract_fsm,
     readonly,
-    real_number,
     refuse_invalid,
     validate_model,
-    whole_number,
 )
 from .observer import (
     DiscreteInconsistencyError,
@@ -84,7 +84,9 @@ class AttackSpec:
     the plant and the event sensors see the true state throughout. A ramp
     grows by slope units per second from zero at the start time; a step
     jumps to the magnitude; a custom sequence is consumed one value per
-    sample from the start and reads zero after it runs out.
+    sample from the start and reads zero after it runs out. Axes are stored
+    as a tuple of ints, samples as a tuple of floats and the other numbers
+    as floats; one that is refused raises ValueError naming its field.
     """
 
     axes: tuple[int, ...]
@@ -97,38 +99,22 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("ramp", "step", "custom"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        for axis in self.axes:
-            if not whole_number(axis):
-                raise ValueError(f"attack axis must be a whole number, got {axis!r}")
-        # whole floats and numpy integers become ints; a tuple of ints is kept as passed
-        if any(type(axis) is not int for axis in self.axes):
-            object.__setattr__(self, "axes", tuple(map(int, self.axes)))
-        if len(set(self.axes)) != len(self.axes):
+        axes = tuple(as_index(axis, "attack axis", ValueError) for axis in self.axes)
+        if len(set(axes)) != len(axes):
             raise ValueError("attack axes repeat")
-        if any(a < 0 for a in self.axes):
-            raise ValueError("attack axes must be nonnegative")
+        object.__setattr__(self, "axes", axes)
+        _store(self, as_finite, "attack", "slope", "magnitude", "start_time")
+        object.__setattr__(self, "samples", _finite_tuple(self.samples, "attack samples"))
         if self.kind == "custom" and not self.samples:
             raise ValueError("custom attack needs a sample sequence")
-        named = [(name, getattr(self, name)) for name in ("slope", "magnitude", "start_time")]
-        for name, value in named + [(f"samples[{i}]", v) for i, v in enumerate(self.samples)]:
-            if not real_number(value):
-                raise ValueError(f"attack {name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"attack {name} must be finite, got {value!r}")
         if self.start_time < 0:
             raise ValueError("attack start time must be nonnegative")
-
-    def check_axes(self, dim: int) -> None:
-        """Raise ValueError when an attacked axis lies outside a dim-dimensional output."""
-        for axis in self.axes:
-            if axis >= dim:
-                raise ValueError(f"attack axis {axis} outside a {dim}-dimensional output")
 
     def gamma_rows(
         self, first: int, count: int, sampling_period: float, dim: int
     ) -> np.ndarray:
         """Corruption vectors of samples first, ..., first + count - 1, one row each."""
-        self.check_axes(dim)
+        _check_inside("attack axis", self.axes, dim, "output")
         start = int(round(self.start_time / sampling_period))
         offsets = np.arange(first - start, first - start + count)
         # a ramp multiplies slope, offset and period in that order, the bits of
@@ -145,12 +131,22 @@ class AttackSpec:
         return rows
 
 
-def _check_axis(name: str, axis: object) -> None:
-    """Raise ValueError naming the field unless axis is a nonnegative whole number."""
-    if not whole_number(axis):
-        raise ValueError(f"{name} must be a whole number, got {axis!r}")
-    if axis < 0:
-        raise ValueError(f"{name} must be nonnegative, got {axis!r}")
+def _store(part: object, convert: Callable[..., object], label: str, *names: str) -> None:
+    """Store each named field of a frozen part as convert returns it, or raise ValueError."""
+    for name in names:
+        object.__setattr__(part, name, convert(getattr(part, name), f"{label} {name}", ValueError))
+
+
+def _check_inside(name: str, axes: Iterable[int], dim: int, space: str) -> None:
+    """Raise ValueError naming the field when an axis lies outside a dim-dimensional space."""
+    for axis in axes:
+        if axis >= dim:
+            raise ValueError(f"{name} {axis} outside a {dim}-dimensional {space}")
+
+
+def _finite_tuple(values: Iterable[object], name: str) -> tuple[float, ...]:
+    """values as a tuple of floats; ValueError names the first entry that is not finite."""
+    return tuple(as_finite(v, f"{name}[{i}]", ValueError) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -169,19 +165,14 @@ class ZoneController:
     outside_value: float
 
     def __post_init__(self) -> None:
-        _check_axis("zone controller axis", self.axis)
-        object.__setattr__(self, "axis", int(self.axis))
-        for name in ("center", "half_width", "inside_value", "outside_value"):
-            if not real_number(value := getattr(self, name)):
-                raise ValueError(f"zone controller {name} must be a real number, got {value!r}")
+        _store(self, as_index, "zone controller", "axis")
+        _store(self, as_finite, "zone controller", "center", "half_width")
+        _store(self, as_finite, "zone controller", "inside_value", "outside_value")
+        if (width := self.half_width) < 0:
+            raise ValueError(f"zone controller half_width must be nonnegative, got {width}")
         # not fields, so eq, hash and repr are the dataclass's own
         object.__setattr__(self, "_inside", readonly((self.inside_value,)))
         object.__setattr__(self, "_outside", readonly((self.outside_value,)))
-
-    def check_axes(self, dim: int) -> None:
-        """Raise ValueError when the zone axis lies outside a dim-dimensional state."""
-        if self.axis >= dim:
-            raise ValueError(f"zone controller axis {self.axis} outside a {dim}-dimensional state")
 
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
         inside = abs(float(y[self.axis]) - self.center) <= self.half_width
@@ -195,11 +186,7 @@ class ConstantController:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for i, value in enumerate(self.values):
-            if not real_number(value):
-                raise ValueError(
-                    f"constant controller values[{i}] must be a real number, got {value!r}"
-                )
+        object.__setattr__(self, "values", _finite_tuple(self.values, "constant controller values"))
         object.__setattr__(self, "_output", readonly(self.values))
 
     def control(self, y: np.ndarray, t: float) -> np.ndarray:
@@ -217,20 +204,10 @@ class ZoneSpeedLimit:
     limit: float
 
     def __post_init__(self) -> None:
-        for name in ("position_axis", "speed_axis"):
-            _check_axis(f"zone speed limit {name}", value := getattr(self, name))
-            object.__setattr__(self, name, int(value))
-        for name in ("center", "half_width", "limit"):
-            if not real_number(value := getattr(self, name)):
-                raise ValueError(f"zone speed limit {name} must be a real number, got {value!r}")
-
-    def check_axes(self, dim: int) -> None:
-        """Raise ValueError when either axis lies outside a dim-dimensional state."""
-        for name in ("position_axis", "speed_axis"):
-            if (axis := getattr(self, name)) >= dim:
-                raise ValueError(
-                    f"zone speed limit {name} {axis} outside a {dim}-dimensional state"
-                )
+        _store(self, as_index, "zone speed limit", "position_axis", "speed_axis")
+        _store(self, as_finite, "zone speed limit", "center", "half_width", "limit")
+        if (width := self.half_width) < 0:
+            raise ValueError(f"zone speed limit half_width must be nonnegative, got {width}")
 
     def violated(self, x: np.ndarray) -> np.ndarray:
         """Whether each row of x breaks the limit: a bool for one state, one per row of a block."""
@@ -239,26 +216,18 @@ class ZoneSpeedLimit:
         return near & (x[..., self.speed_axis] > self.limit)
 
 
-def _whole_seed(seed: object) -> int:
-    """seed as an int; ValueError naming it unless it is a nonnegative whole number."""
-    if not whole_number(seed):
-        raise ValueError(f"seed must be a whole number, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {int(seed)}")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything that determines one run; the seed fixes the trace bits.
 
     The seed must be a nonnegative whole number, or ValueError names it;
     whole floats and numpy integers are stored as int. The duration must be
-    a finite real number that rounds to at least one sample. The initial
-    mode must be one of the model's, of its type, and each stop event the
-    output event of one of its transitions; stop_events is stored as a
-    frozenset, and text, which would be read as a set of characters, is
-    refused.
+    a finite real number that rounds to at least one sample, and is stored
+    as a float. The initial mode must be one of the model's, of its type,
+    and each stop event the output event of one of its transitions;
+    stop_events is stored as a frozenset, and text, which would be read as
+    a set of characters, is refused, as is an attack, zone controller or
+    speed limit axis past the model's dimension.
     """
 
     model: HybridAutomaton
@@ -274,13 +243,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # initial_state is not checked here: callers build a config for one
         # model and `replace` the start to fit it
-        object.__setattr__(self, "seed", _whole_seed(self.seed))
-        duration = self.duration
-        if not real_number(duration):
-            raise ValueError(f"duration must be a real number, got {duration!r}")
-        if not math.isfinite(duration):
-            raise ValueError(f"duration must be finite, got {duration!r}")
-        if round(duration / self.model.sampling_period) <= 0:
+        object.__setattr__(self, "seed", as_index(self.seed, "seed", ValueError))
+        object.__setattr__(self, "duration", as_finite(self.duration, "duration", ValueError))
+        if round(self.duration / self.model.sampling_period) <= 0:
             raise ValueError("duration too short for one sample")
         # a mode id of another type, True or 1.0 for 1, would show in the trace's labels
         initial = self.initial_mode
@@ -293,9 +258,14 @@ class ScenarioConfig:
             event = min(unknown, key=repr)
             raise ValueError(f"stop event {event!r} is the output event of no transition")
         # controllers and safety predicates of other types are the caller's to check
-        for part in (self.attack, self.controller, self.safety):
-            if isinstance(part, (AttackSpec, ZoneController, ZoneSpeedLimit)):
-                part.check_axes(self.model.dim)
+        dim, safety = self.model.dim, self.safety
+        if isinstance(self.attack, AttackSpec):
+            _check_inside("attack axis", self.attack.axes, dim, "output")
+        if isinstance(self.controller, ZoneController):
+            _check_inside("zone controller axis", (self.controller.axis,), dim, "state")
+        if isinstance(safety, ZoneSpeedLimit):
+            _check_inside("zone speed limit position_axis", (safety.position_axis,), dim, "state")
+            _check_inside("zone speed limit speed_axis", (safety.speed_axis,), dim, "state")
 
 
 @dataclass(frozen=True)
@@ -849,7 +819,7 @@ def sweep(
     seeds would raise, the sweep raises the lowest such seed's error, with
     the message its run alone gives.
     """
-    seeds = sorted({_whole_seed(seed) for seed in seeds})
+    seeds = sorted({as_index(seed, "seed", ValueError) for seed in seeds})
     return tuple(simulate(replace(base, seed=seed), keep_trace=keep_traces) for seed in seeds)
 
 

@@ -17,6 +17,7 @@ from hybridmon import (
     Guard,
     HybridAutomaton,
     Invariant,
+    KalmanBank,
     Mode,
     RiccatiError,
     Transition,
@@ -155,6 +156,18 @@ class TestSynthesizeGains:
         gain = synthesize_gains(tg_model).gains[1]
         with pytest.raises(ValueError):
             gain.gain[0, 0] = 0.0
+
+    def test_bank_gains_are_a_read_only_copy(self, tg_model):
+        # a run keeps the bank's gains flattened on the bank, so a bank that
+        # changed after a run would go on serving its old gains
+        synthesized = synthesize_gains(tg_model)
+        passed = dict(synthesized.gains)
+        bank = KalmanBank(gains=passed)
+        with pytest.raises(TypeError):
+            bank.gains[1] = synthesized.gains[2]
+        passed[1] = dataclasses.replace(passed[1], gain=0.5 * passed[1].gain)
+        assert bank.gains[1] is synthesized.gains[1]
+        assert bank == synthesized
 
     def test_instability_error_exported(self):
         assert issubclass(GainInstabilityError, RuntimeError)

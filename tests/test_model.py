@@ -87,10 +87,22 @@ class TestPrimitives:
         assert str(refused.value) == f"state of shape ({len(x)},) against a 2-axis invariant"
 
     def test_invariant_rejects_bad_bounds(self):
-        with pytest.raises(ModelError):
-            Invariant(((1.0, 0.0),))
-        with pytest.raises(ModelError):
-            Invariant(((0.0, float("inf")),))
+        refusals = [
+            (((1.0, 0.0),), "invariant axis 0: lower bound 1.0 > upper bound 0.0"),
+            (((0.0, float("inf")),), "invariant axis 0 upper bound must be finite, got inf"),
+            (((0.0, 1.0), (np.nan, 1.0)), "invariant axis 1 lower bound must be finite, got nan"),
+            (((-np.inf, 1.0),), "invariant axis 0 lower bound must be finite, got -inf"),
+            (
+                ((0.0, 10**400),),
+                "invariant axis 0 upper bound must be finite, got a number too large for a float",
+            ),
+            ((("0", 1.0),), "invariant axis 0 lower bound must be a real number, got '0'"),
+            (((0.0, True),), "invariant axis 0 upper bound must be a real number, got True"),
+        ]
+        for intervals, message in refusals:
+            with pytest.raises(ModelError) as refused:
+                Invariant(intervals)
+            assert str(refused.value) == message
 
     def test_dynamics_shape_checks(self):
         fields = dict(mode_id="m", a=[[1.0]], b=[[0.0]], invariant=Invariant(((0.0, 1.0),)))
@@ -166,6 +178,13 @@ class TestPrimitives:
             (dict(threshold=None), "guard threshold must be a real number, got None"),
             (dict(threshold=True), "guard threshold must be a real number, got True"),
             (dict(threshold=[1.0]), "guard threshold must be a real number, got [1.0]"),
+            (dict(threshold=np.nan), "guard threshold must be finite, got nan"),
+            (dict(threshold=-np.inf), "guard threshold must be finite, got -inf"),
+            (
+                dict(threshold=10**400),
+                "guard threshold must be finite, got a number too large for a float",
+            ),
+            (dict(axis=-1), "guard axis must be nonnegative, got -1"),
         ]
         for fields, message in refusals:
             with pytest.raises(ModelError) as refused:
@@ -264,6 +283,10 @@ class TestAutomatonValidation:
             ({"input_bound": -1.0}, "input bound must be finite and nonnegative"),
             ({"input_bound": "1"}, "input_bound must be a real number, got '1'"),
             ({"input_bound": True}, "input_bound must be a real number, got True"),
+            (
+                {"input_bound": 10**400},
+                "input_bound must be finite, got a number too large for a float",
+            ),
         ]
         for change, message in refusals:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
@@ -297,16 +320,22 @@ class TestAutomatonValidation:
             ((1, np.nan, 0.05), "sampling_period must be finite and positive, got nan"),
             ((1, np.inf, 0.05), "sampling_period must be finite and positive, got inf"),
             ((1, 0.0, 0.05), "sampling_period must be finite and positive, got 0.0"),
-            ((15.7, 0.1, 0.05), "dwell_time must be a whole number of samples, got 15.7"),
-            ((True, 0.1, 0.05), "dwell_time must be a whole number of samples, got True"),
-            ((np.True_, 0.1, 0.05), "dwell_time must be a whole number of samples, got np.True_"),
-            ((np.nan, 0.1, 0.05), "dwell_time must be a whole number of samples, got nan"),
-            (("15", 0.1, 0.05), "dwell_time must be a whole number of samples, got '15'"),
+            ((15.7, 0.1, 0.05), "dwell_time must be a whole number, got 15.7"),
+            ((True, 0.1, 0.05), "dwell_time must be a whole number, got True"),
+            ((np.True_, 0.1, 0.05), "dwell_time must be a whole number, got np.True_"),
+            ((np.nan, 0.1, 0.05), "dwell_time must be a whole number, got nan"),
+            (("15", 0.1, 0.05), "dwell_time must be a whole number, got '15'"),
             ((1, "0.1", 0.05), "sampling_period must be a real number, got '0.1'"),
             ((1, True, 0.05), "sampling_period must be a real number, got True"),
             ((1, 0.1, "0.05"), "theta must be a real number, got '0.05'"),
             ((1, 0.1, True), "theta must be a real number, got True"),
             ((1, 0.1, None), "theta must be a real number, got None"),
+            ((-1, 0.1, 0.05), "dwell_time must be nonnegative, got -1"),
+            (
+                (1, 10**400, 0.05),
+                "sampling_period must be finite, got a number too large for a float",
+            ),
+            ((1, 0.1, -(10**400)), "theta must be finite, got a number too large for a float"),
         ]
         for header, message in refusals:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):

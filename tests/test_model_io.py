@@ -133,8 +133,14 @@ def test_unobservable_event_rejected():
         ("theta", "NaN", "theta must be finite and positive, got nan"),
         ("theta", "Infinity", "theta must be finite and positive, got inf"),
         ("sampling_period", "NaN", "sampling_period must be finite and positive, got nan"),
-        ("dwell_time", "15.7", "dwell_time must be a whole number of samples, got 15.7"),
-        ("dwell_time", "true", "dwell_time must be a whole number of samples, got True"),
+        ("dwell_time", "15.7", "dwell_time must be a whole number, got 15.7"),
+        ("dwell_time", "true", "dwell_time must be a whole number, got True"),
+        pytest.param(
+            "theta",
+            "1" + "0" * 400,
+            "theta must be finite, got a number too large for a float",
+            id="theta-10**400",
+        ),
     ],
 )
 def test_header_values_that_disarm_the_monitor_refused(tmp_path, field, text, message):
@@ -150,7 +156,7 @@ def test_header_values_that_disarm_the_monitor_refused(tmp_path, field, text, me
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("dwell_time", "15", "dwell_time must be a whole number of samples, got '15'"),
+        ("dwell_time", "15", "dwell_time must be a whole number, got '15'"),
         ("theta", "0.05", "theta must be a real number, got '0.05'"),
         ("sampling_period", "0.1", "sampling_period must be a real number, got '0.1'"),
         ("theta", True, "theta must be a real number, got True"),

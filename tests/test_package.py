@@ -245,6 +245,22 @@ def test_modules_import_no_private_names():
     assert private == []
 
 
+def test_number_predicates_are_called_only_by_the_field_helpers():
+    # every other module checks a number it is handed through `as_real`,
+    # `as_finite` or `as_index`, so the field rule lives in `model` alone
+    package = Path(hybridmon.__file__).resolve().parent
+    calls = [
+        f"{path.name}:{node.lineno} calls {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in ("real_number", "whole_number")
+    ]
+    assert calls == []
+
+
 def test_run_time_modules_import_no_zonotope_or_solver():
     # the monitor's path and the static analyses decide from tables and
     # guard-axis hulls. The zonotope algebra they are tested against, the

@@ -102,6 +102,8 @@ class TestAttackSpec:
             (np.inf, "attack axis must be a whole number, got inf"),
             ("1", "attack axis must be a whole number, got '1'"),
             (None, "attack axis must be a whole number, got None"),
+            (-1, "attack axis must be nonnegative, got -1"),
+            (np.int64(-2), "attack axis must be nonnegative, got -2"),
         ]
         for axis, message in refusals:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -125,6 +127,10 @@ class TestAttackSpec:
             ("magnitude", dict(kind="step", magnitude=float("inf"))),
             ("start_time", dict(kind="ramp", start_time=float("nan"))),
             (r"samples\[1\]", dict(kind="custom", samples=(0.1, float("-inf")))),
+            ("slope", dict(kind="ramp", slope=10**400)),
+            ("magnitude", dict(kind="step", magnitude=-(10**400))),
+            ("start_time", dict(start_time=10**400)),
+            (r"samples\[0\]", dict(kind="custom", samples=[10**400])),
         ],
     )
     def test_non_finite_values_rejected(self, field, kwargs):
@@ -258,6 +264,16 @@ class TestControllersAndSafety:
             ("half_width", None, "zone controller half_width must be a real number, got None"),
             ("inside_value", "2", "zone controller inside_value must be a real number, got '2'"),
             ("outside_value", True, "zone controller outside_value must be a real number, got True"),
+            ("center", np.nan, "zone controller center must be finite, got nan"),
+            ("half_width", np.inf, "zone controller half_width must be finite, got inf"),
+            ("half_width", -1.0, "zone controller half_width must be nonnegative, got -1.0"),
+            ("inside_value", -np.inf, "zone controller inside_value must be finite, got -inf"),
+            pytest.param(
+                "outside_value",
+                10**400,
+                "zone controller outside_value must be finite, got a number too large for a float",
+                id="outside_value-10**400",
+            ),
         ],
     )
     def test_zone_controller_refuses_text_and_bools(self, field, value, message):
@@ -272,6 +288,12 @@ class TestControllersAndSafety:
         [
             (("1",), "constant controller values[0] must be a real number, got '1'"),
             ((0.0, False), "constant controller values[1] must be a real number, got False"),
+            ((np.nan,), "constant controller values[0] must be finite, got nan"),
+            ([0.0, -np.inf], "constant controller values[1] must be finite, got -inf"),
+            (
+                (10**400,),
+                "constant controller values[0] must be finite, got a number too large for a float",
+            ),
         ],
     )
     def test_constant_controller_refuses_text_and_bools(self, values, message):
@@ -322,6 +344,16 @@ class TestControllersAndSafety:
             ("center", "60", "zone speed limit center must be a real number, got '60'"),
             ("half_width", None, "zone speed limit half_width must be a real number, got None"),
             ("limit", "0.4", "zone speed limit limit must be a real number, got '0.4'"),
+            ("limit", np.inf, "zone speed limit limit must be finite, got inf"),
+            ("center", -np.inf, "zone speed limit center must be finite, got -inf"),
+            ("half_width", np.nan, "zone speed limit half_width must be finite, got nan"),
+            ("half_width", -0.5, "zone speed limit half_width must be nonnegative, got -0.5"),
+            pytest.param(
+                "limit",
+                10**400,
+                "zone speed limit limit must be finite, got a number too large for a float",
+                id="limit-10**400",
+            ),
         ],
     )
     def test_speed_limit_refuses_bad_fields(self, field, value, message):
@@ -343,6 +375,45 @@ class TestControllersAndSafety:
         assert [type(axis) for axis in axes] == [int, int, int]
         assert zone.control(np.array([60.0, 0.0]), 0.0).tolist() == [0.2]
         assert limit.violated(np.array([[60.0, 0.5], [60.0, 0.3]])).tolist() == [True, False]
+
+    def test_fields_are_stored_as_float_int_or_tuple(self):
+        f32, i64 = np.float32(0.5), np.int64(1)
+        attack = AttackSpec(
+            axes=[i64, 0.0], kind="custom", slope=f32, magnitude=2, start_time=i64, samples=[f32, 1]
+        )
+        zone = ZoneController(
+            axis=i64, center=f32, half_width=16, inside_value=i64, outside_value=1.0
+        )
+        constant = ConstantController(values=[f32, 1, i64])
+        limit = ZoneSpeedLimit(
+            position_axis=0.0, center=i64, half_width=f32, speed_axis=i64, limit=1
+        )
+        config = dataclasses.replace(train_gate_scenario(), seed=i64, duration=f32 * 400)
+        guard = Guard(axis=i64, sign=1, threshold=i64)
+        invariant = Invariant([[f32, 1], (i64, 2.0)])
+        model = dataclasses.replace(
+            train_gate_model(), dwell_time=np.float64(15.0), sampling_period=f32, theta=i64
+        )
+        fields = [
+            (attack.axes, (1, 0)),
+            ((attack.slope, attack.magnitude, attack.start_time), (0.5, 2.0, 1.0)),
+            (attack.samples, (0.5, 1.0)),
+            (constant.values, (0.5, 1.0, 1.0)),
+            ((zone.axis, limit.position_axis, limit.speed_axis), (1, 0, 1)),
+            ((zone.center, zone.half_width, zone.inside_value), (0.5, 16.0, 1.0)),
+            ((limit.center, limit.half_width, limit.limit), (1.0, 0.5, 1.0)),
+            ((config.seed, config.duration), (1, 200.0)),
+            ((guard.axis, guard.threshold), (1, 1.0)),
+            (invariant.intervals[0] + invariant.intervals[1], (0.5, 1.0, 1.0, 2.0)),
+            ((model.dwell_time, model.sampling_period, model.theta), (15, 0.5, 1.0)),
+        ]
+        for got, want in fields:
+            assert got == want and type(got) is tuple
+            assert [type(x) for x in got] == [type(x) for x in want]
+        assert type(invariant.intervals) is tuple and type(invariant.intervals[1]) is tuple
+        assert hash(AttackSpec(axes=[0], kind="step", magnitude=1.0)) == hash(
+            AttackSpec(axes=(0,), kind="step", magnitude=1.0)
+        )
 
 
 def _scalar_violated(limit, x):
@@ -563,7 +634,18 @@ class TestSimulateValidation:
         with pytest.raises(ValueError, match=r"initial_state has shape .* not the model's \(2,\)"):
             simulate(config)
 
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_speed_limit_refused_before_it_disarms_the_predicate(self):
+        # with the limit of 0.4 this run breaks it at 161.6 s; a NaN limit
+        # compares false with every speed, so the predicate would never fire
+        config = train_gate_scenario(seed=0, attack=ramp_attack(0.06))
+        with pytest.raises(ValueError, match="^zone speed limit limit must be finite, got nan$"):
+            dataclasses.replace(
+                config, safety=dataclasses.replace(config.safety, limit=float("nan"))
+            )
+
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="10**400")]
+    )
     def test_rejects_non_finite_duration(self, duration):
         with pytest.raises(ValueError, match=r"duration must be finite, got"):
             dataclasses.replace(train_gate_scenario(), duration=duration)
