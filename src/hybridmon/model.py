@@ -244,6 +244,7 @@ class HybridAutomaton:
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "transitions", tuple(self.transitions))
         object.__setattr__(self, "dwell_time", as_index(self.dwell_time, "dwell_time"))
+        as_real(self.dwell_time, "dwell_time")  # a run's settling time is dwell_time * h, a float
         for name in ("sampling_period", "theta"):
             value = as_real(getattr(self, name), name)
             if not (isfinite(value) and value > 0):

@@ -1,172 +1,174 @@
 """Model file parsing and serialization.
 
-The model file is a JSON document with a fixed schema; unknown keys are
-rejected at every level so typos fail loudly instead of being ignored.
+A model file is a JSON document of the schema `_SCHEMA` below. Before
+anything is converted, one walk checks the document's kinds and shapes
+against it: exact keys, lists where lists belong, [lo, hi] pairs, rows of
+one length in A and B, every array entry a real number that a float
+holds, mode ids of text or int, and event names and kinds of text. The
+first misfit is refused with ModelError naming its path, such as
+`states[0].A[1][0]`. The values (finiteness, whole numbers, signs,
+dimensions) are checked by `Mode`, `Invariant`, `Guard` and
+`HybridAutomaton` as the model is built, with their own messages.
 
-Top-level keys:
-  states          list of {id, A, B, invariant}, one `Mode` each; A and B
-                  are row-major nested lists, invariant is a list of
-                  [lo, hi] pairs, and every B has the same number of columns
-  events          list of {id, kind: "input"|"output", observable: true};
-                  unobservable events are rejected, because the observer
-                  has no closure over them
-  transitions     list of {source, input_event, output_event, target,
-                  guard: {axis, sign, threshold}}
-  noise           {w: [per-axis bound], v: [per-axis bound]}, shared by
-                  every mode
-  input_bound     scalar infinity-norm bound on the control input, shared
-                  by every mode
-  sampling_period sample time in seconds
-  dwell_time      minimum inter-event gap in samples
-  theta           steady-state estimation error bound used by the detector
+The top-level keys: `states`, one `Mode` each; `events`, each observable,
+as the observer has no closure over unobservable ones; `transitions`, each
+with its guard; `noise` {w, v} and `input_bound`, the per-axis noise bounds
+and the control input's bound, shared by every mode; `sampling_period` in
+seconds; `dwell_time`, the minimum inter-event gap in samples; and
+`theta`, the detector's bound on the settled estimation error.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
-from .model import (
-    Event,
-    Guard,
-    HybridAutomaton,
-    Invariant,
-    Mode,
-    ModelError,
-    Transition,
-    as_real,
-)
+from .model import Event, Guard, HybridAutomaton, Invariant, Mode, ModelError, Transition, as_real
 
-_TOP_KEYS = {
-    "states",
-    "events",
-    "transitions",
-    "noise",
-    "input_bound",
-    "sampling_period",
-    "dwell_time",
-    "theta",
+# A dict is an object with exactly its keys, None marking a value that the
+# model types check. [spec] is a list whose items fit spec, [spec, spec] a
+# [lo, hi] pair, and the rows of a list of lists have one length. A tuple of
+# types takes a value of one of them by type alone: a bool, 1.0 or None as
+# a mode id would label the trace's modes with another type. as_real takes
+# every real number that a float holds.
+_SCHEMA = {
+    "states": [
+        {"id": (str, int), "A": [[as_real]], "B": [[as_real]], "invariant": [[as_real, as_real]]}
+    ],
+    "events": [{"id": (str,), "kind": (str,), "observable": None}],
+    "transitions": [
+        {"source": (str, int), "input_event": (str,), "output_event": (str,), "target": (str, int),
+         "guard": {"axis": None, "sign": None, "threshold": None}}
+    ],
+    "noise": {"w": [as_real], "v": [as_real]},
+    "input_bound": None, "sampling_period": None, "dwell_time": None, "theta": None,
 }
-_STATE_KEYS = {"id", "A", "B", "invariant"}
-_EVENT_KEYS = {"id", "kind", "observable"}
-_TRANSITION_KEYS = {"source", "input_event", "output_event", "target", "guard"}
-_GUARD_KEYS = {"axis", "sign", "threshold"}
-_NOISE_KEYS = {"w", "v"}
-_ARRAY_KEYS = ("A", "B", "invariant")
 
 
 class UnknownKeyError(ModelError):
     """The document contains a key outside the published schema."""
 
 
-def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
+def _check_keys(obj: Any, allowed: Set[str], where: str) -> None:
     if not isinstance(obj, Mapping):
         raise ModelError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise UnknownKeyError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = allowed - set(obj)
-    if missing:
+    if unknown := set(obj) - allowed:
+        raise UnknownKeyError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    if missing := allowed - set(obj):
         raise ModelError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _check_numbers(values: Any, where: str) -> None:
-    """Refuse the first entry of a nested array that is not a real number, naming its path."""
-    if isinstance(values, (list, tuple)):
-        for i, value in enumerate(values):
-            if type(value) is not float:
-                _check_numbers(value, f"{where}[{i}]")
-    else:
-        as_real(values, where)
+def _refuse(value: Any, spec: Any, length: int | None, where: str) -> None:
+    """Raise ModelError naming where value misfits spec, or a list of length items."""
+    if type(spec) is dict:
+        _check_keys(value, spec.keys(), where)
+    if type(spec) is tuple:
+        kind = "text or an integer" if int in spec else "text"
+        raise ModelError(f"{where} must be {kind}, got {value!r}")
+    leaf = spec
+    while type(leaf) is list:
+        leaf = leaf[0]
+    # in a numeric array, a scalar where a row belongs is named as an entry
+    if spec is as_real or leaf is as_real and not isinstance(value, (list, tuple, Mapping)):
+        as_real(value, where)
+    got = f"a list of {len(value)}" if type(value) in (list, tuple) else type(value).__name__
+    expected = "a list" if length is None else f"a list of {length}"
+    raise ModelError(f"{where}: expected {expected}, got {got}")
 
 
-def _check_arrays(states: Any, noise: Mapping[str, Any]) -> None:
-    """Refuse text, bools and other non-numbers among the states' A, B and
-    invariant entries and the noise bounds.
+class _Misfit(Exception):
+    """The walk's first misfit: _refuse's value, spec and length, then its path, innermost first."""
 
-    NumPy reads "1.0" and true as numbers, and model_to_dict would write
-    them back as numbers, so a document that carried them would not
-    round-trip. Matrices and vectors of floats and ints, the usual case,
-    are read in one pass in C; any other document is walked to name its
-    first bad entry.
-    """
-    matrices = [state[key] for state in states for key in _ARRAY_KEYS]
-    try:
-        entries = itertools.chain(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(matrices)),
-            noise["w"],
-            noise["v"],
-        )
-        if set(map(type, entries)) <= {float, int}:
+
+def _floats(value: list, spec: list) -> bool:
+    """Whether value is a numeric array of floats alone, in lists of spec's shape: read in C."""
+    if spec[0] is as_real:
+        return set(map(type, value)) <= {float}
+    return (
+        type(spec[0]) is list
+        and spec[0][0] is as_real
+        and set(map(type, value)) <= {list}
+        and len(widths := set(map(len, value))) <= 1
+        and (len(spec[0]) == 1 or widths <= {len(spec[0])})
+        and set(map(type, chain.from_iterable(value))) <= {float}
+    )
+
+
+def _walk(node: Any, spec: Any, length: int | None = None) -> None:
+    """Check node against spec, and a list's length if given; raise _Misfit at the first misfit."""
+    if type(spec) is dict:
+        if type(node) is not dict and not isinstance(node, Mapping) or node.keys() != spec.keys():
+            raise _Misfit(node, spec, None)
+        for key, sub in spec.items():
+            item = node[key]
+            if sub is None or type(sub) is tuple and type(item) in sub:
+                continue
+            try:
+                _walk(item, sub)
+            except _Misfit as misfit:
+                misfit.args += (key,)
+                raise
+    elif type(spec) is list:
+        length = len(spec) if len(spec) > 1 else length
+        if type(node) not in (list, tuple) or length is not None and len(node) != length:
+            raise _Misfit(node, spec, length)
+        if _floats(node, spec):
             return
-    except TypeError:  # an entry where a row belongs
-        pass
-    for key in ("w", "v"):
-        _check_numbers(noise[key], f"noise.{key}")
-    for i, state in enumerate(states):
-        for key in _ARRAY_KEYS:
-            _check_numbers(state[key], f"states[{i}].{key}")
+        for i, item in enumerate(node):
+            sub = spec[i] if len(spec) > 1 else spec[0]
+            if sub is as_real and type(item) is float:
+                continue
+            try:
+                # every row as long as the first, which is checked first
+                _walk(item, sub, len(node[0]) if i and type(sub) is list else None)
+            except _Misfit as misfit:
+                misfit.args += (i,)
+                raise
+    elif type(spec) is tuple:
+        if type(node) not in spec:
+            raise _Misfit(node, spec, None)
+    else:
+        try:
+            as_real(node, "")
+        except ModelError:
+            raise _Misfit(node, spec, None) from None
 
 
 def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
-    """Build a validated-for-structure automaton from a schema document."""
-    _check_keys(doc, _TOP_KEYS, "model")
-    noise = doc["noise"]
-    _check_keys(noise, _NOISE_KEYS, "noise")
-    states = doc["states"]
-    for i, state in enumerate(states):
-        _check_keys(state, _STATE_KEYS, f"states[{i}]")
-    _check_arrays(states, noise)
-    modes = [
-        Mode(
-            mode_id=state["id"],
-            a=state["A"],
-            b=state["B"],
-            invariant=Invariant(tuple((lo, hi) for lo, hi in state["invariant"])),
-        )
-        for state in states
-    ]
-    events = []
-    for i, ev in enumerate(doc["events"]):
-        _check_keys(ev, _EVENT_KEYS, f"events[{i}]")
-        if not isinstance(ev["observable"], bool):
-            raise ModelError(
-                f"events[{i}] ({ev['id']!r}): observable must be true or false, "
-                f"got {ev['observable']!r}"
-            )
-        if not ev["observable"]:
-            raise ModelError(
-                f"events[{i}] ({ev['id']!r}): unobservable events are not supported; "
+    """Build an automaton from a schema document, once the document fits the schema."""
+    try:
+        _walk(doc, _SCHEMA)
+    except _Misfit as misfit:
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(misfit.args[3:]))
+        _refuse(*misfit.args[:3], where[1:] or "model")
+    for i, event in enumerate(doc["events"]):
+        # the one field no model type keeps, refused unless true
+        if (observable := event["observable"]) is not True:
+            problem = (
+                "unobservable events are not supported; "
                 "the discrete observer has no closure over them"
+                if observable is False
+                else f"observable must be true or false, got {observable!r}"
             )
-        events.append(Event(name=ev["id"], kind=ev["kind"]))
-    transitions = []
-    for i, tr in enumerate(doc["transitions"]):
-        _check_keys(tr, _TRANSITION_KEYS, f"transitions[{i}]")
-        guard = tr["guard"]
-        _check_keys(guard, _GUARD_KEYS, f"transitions[{i}].guard")
-        transitions.append(
-            Transition(
-                source=tr["source"],
-                input_event=tr["input_event"],
-                output_event=tr["output_event"],
-                target=tr["target"],
-                guard=Guard(
-                    axis=guard["axis"],
-                    sign=guard["sign"],
-                    threshold=guard["threshold"],
-                ),
-            )
-        )
+            raise ModelError(f"events[{i}] ({event['id']!r}): {problem}")
     return HybridAutomaton(
-        modes=tuple(modes),
-        events=tuple(events),
-        transitions=tuple(transitions),
-        w_bounds=noise["w"],
-        v_bounds=noise["v"],
+        modes=tuple(
+            Mode(state["id"], state["A"], state["B"], Invariant(state["invariant"]))
+            for state in doc["states"]
+        ),
+        events=tuple(Event(event["id"], event["kind"]) for event in doc["events"]),
+        transitions=tuple(
+            Transition(
+                tr["source"], tr["input_event"], tr["output_event"], tr["target"],
+                Guard(tr["guard"]["axis"], tr["guard"]["sign"], tr["guard"]["threshold"]),
+            )
+            for tr in doc["transitions"]
+        ),
+        w_bounds=doc["noise"]["w"],
+        v_bounds=doc["noise"]["v"],
         input_bound=doc["input_bound"],
         dwell_time=doc["dwell_time"],
         sampling_period=doc["sampling_period"],
@@ -180,27 +182,20 @@ def model_to_dict(model: HybridAutomaton) -> dict[str, Any]:
         "states": [
             {
                 "id": m.mode_id,
-                "A": [[float(x) for x in row] for row in m.a],
-                "B": [[float(x) for x in row] for row in m.b],
+                "A": m.a.tolist(),
+                "B": m.b.tolist(),
                 "invariant": [[lo, hi] for lo, hi in m.invariant.intervals],
             }
             for m in model.modes
         ],
-        "events": [
-            {"id": e.name, "kind": e.kind, "observable": True}
-            for e in model.events
-        ],
+        "events": [{"id": e.name, "kind": e.kind, "observable": True} for e in model.events],
         "transitions": [
             {
                 "source": t.source,
                 "input_event": t.input_event,
                 "output_event": t.output_event,
                 "target": t.target,
-                "guard": {
-                    "axis": t.guard.axis,
-                    "sign": t.guard.sign,
-                    "threshold": t.guard.threshold,
-                },
+                "guard": dict(axis=t.guard.axis, sign=t.guard.sign, threshold=t.guard.threshold),
             }
             for t in model.transitions
         ],

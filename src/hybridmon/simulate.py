@@ -220,14 +220,14 @@ class ZoneSpeedLimit:
 class ScenarioConfig:
     """Everything that determines one run; the seed fixes the trace bits.
 
-    The seed must be a nonnegative whole number, or ValueError names it;
-    whole floats and numpy integers are stored as int. The duration must be
-    a finite real number that rounds to at least one sample, and is stored
-    as a float. The initial mode must be one of the model's, of its type,
-    and each stop event the output event of one of its transitions;
-    stop_events is stored as a frozenset, and text, which would be read as
-    a set of characters, is refused, as is an attack, zone controller or
-    speed limit axis past the model's dimension.
+    The seed must be a whole number from 0 below 2**128, or ValueError
+    names it; whole floats and numpy integers are stored as int. The
+    duration must be a finite real number that rounds to at least one
+    sample, and is stored as a float. The initial mode must be one of the
+    model's, of its type, and each stop event the output event of one of
+    its transitions; stop_events is stored as a frozenset, and text, which
+    would be read as a set of characters, is refused, as is an attack,
+    zone controller or speed limit axis past the model's dimension.
     """
 
     model: HybridAutomaton
@@ -243,7 +243,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # initial_state is not checked here: callers build a config for one
         # model and `replace` the start to fit it
-        object.__setattr__(self, "seed", as_index(self.seed, "seed", ValueError))
+        seed = as_index(self.seed, "seed", ValueError)
+        if seed >= 2**128:  # past the key of the run's Philox generator
+            raise ValueError(f"seed must be less than 2**128, got {seed}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "duration", as_finite(self.duration, "duration", ValueError))
         if round(self.duration / self.model.sampling_period) <= 0:
             raise ValueError("duration too short for one sample")
@@ -814,13 +817,14 @@ def sweep(
     the lowest seed's calls from its first sample to its last, then the
     next seed's.
 
-    A seed that is not a whole number raises ValueError naming it before
-    any run; whole floats and numpy integers count as ints. When several
-    seeds would raise, the sweep raises the lowest such seed's error, with
-    the message its run alone gives.
+    A seed that is not a whole number from 0 below 2**128 raises
+    ValueError naming it before any run; whole floats and numpy integers
+    count as ints. When several seeds would raise, the sweep raises the
+    lowest such seed's error, with the message its run alone gives.
     """
     seeds = sorted({as_index(seed, "seed", ValueError) for seed in seeds})
-    return tuple(simulate(replace(base, seed=seed), keep_trace=keep_traces) for seed in seeds)
+    configs = [replace(base, seed=seed) for seed in seeds]  # each refuses its seed before any run
+    return tuple(simulate(config, keep_trace=keep_traces) for config in configs)
 
 
 # Verdict columns after the four float groups, in the order both trace formats

@@ -329,6 +329,14 @@ def test_train_gate_is_parsed_once(capsys, monkeypatch, argv):
 
 
 class TestStaticCommands:
+    def test_malformed_model_file_names_the_path(self, capsys, tmp_path):
+        # an object where an invariant's [lo, hi] pair belongs
+        doc = json.loads(json.dumps(TRAIN_GATE_MODEL_DICT))
+        doc["states"][0]["invariant"][1] = {}
+        code, out, err = run_cli(capsys, "compute-bounds", write_model(tmp_path, doc))
+        assert (code, out) == (1, [])
+        assert err == "error: states[0].invariant[1]: expected a list of 2, got dict\n"
+
     def test_check_observability(self, capsys):
         code, out, _ = run_cli(capsys, "check-observability", "train-gate")
         assert code == 0

@@ -336,6 +336,7 @@ class TestAutomatonValidation:
                 "sampling_period must be finite, got a number too large for a float",
             ),
             ((1, 0.1, -(10**400)), "theta must be finite, got a number too large for a float"),
+            ((10**400, 0.1, 0.05), "dwell_time must be finite, got a number too large for a float"),
         ]
         for header, message in refusals:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):

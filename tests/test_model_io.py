@@ -1,11 +1,17 @@
 """Schema document parsing and serialization round-trips."""
 
 import copy
+import functools
 import json
+import math
+import operator
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridmon import ModelError, dump_model, load_model, model_to_dict, parse_model
 from hybridmon.model_io import UnknownKeyError
@@ -50,6 +56,14 @@ def test_unknown_top_level_key_rejected():
     doc["extra"] = 1
     with pytest.raises(UnknownKeyError, match="unknown keys.*extra"):
         parse_model(doc)
+
+
+def test_unknown_keys_of_mixed_types_rejected():
+    # a document built in Python may hold keys that are not text
+    doc = {**TRAIN_GATE_MODEL_DICT, 1: 0, "extra": 0}
+    with pytest.raises(UnknownKeyError) as refused:
+        parse_model(doc)
+    assert str(refused.value) == "model: unknown keys [1, 'extra']"
 
 
 def test_unknown_nested_key_rejected():
@@ -140,6 +154,12 @@ def test_unobservable_event_rejected():
             "1" + "0" * 400,
             "theta must be finite, got a number too large for a float",
             id="theta-10**400",
+        ),
+        pytest.param(
+            "dwell_time",
+            "1" + "0" * 400,
+            "dwell_time must be finite, got a number too large for a float",
+            id="dwell_time-10**400",
         ),
     ],
 )
@@ -255,3 +275,123 @@ def test_text_or_bool_array_entries_refused(path, value, message):
     with pytest.raises(ModelError) as refused:
         parse_model(doc)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("states", 0, "id"), None, "states[0].id must be text or an integer, got None"),
+        (("states", 0, "id"), True, "states[0].id must be text or an integer, got True"),
+        (("states", 0, "id"), 1.0, "states[0].id must be text or an integer, got 1.0"),
+        (
+            ("transitions", 0, "source"),
+            [1.0],
+            "transitions[0].source must be text or an integer, got [1.0]",
+        ),
+        (("events", 2, "id"), {}, "events[2].id must be text, got {}"),
+        (("events", 2, "kind"), None, "events[2].kind must be text, got None"),
+        (("transitions", 1, "output_event"), 2, "transitions[1].output_event must be text, got 2"),
+        (("states",), {}, "states: expected a list, got dict"),
+        (("events",), -1, "events: expected a list, got int"),
+        # every row as long as the first
+        (("states", 0, "A", 0), [1.0], "states[0].A[1]: expected a list of 1, got a list of 2"),
+        (("states", 0, "A", 1), [1.0], "states[0].A[1]: expected a list of 2, got a list of 1"),
+        (("states", 0, "A", 1), 1.0, "states[0].A[1]: expected a list of 2, got float"),
+        (("states", 0, "B"), 0.0, "states[0].B: expected a list, got float"),
+        (
+            ("states", 2, "invariant", 1),
+            {},
+            "states[2].invariant[1]: expected a list of 2, got dict",
+        ),
+        (
+            ("states", 2, "invariant", 0),
+            [75.0, 80.0, 1.0],
+            "states[2].invariant[0]: expected a list of 2, got a list of 3",
+        ),
+        (("states", 1, "A", 0, 1), [1.0], "states[1].A[0][1] must be a real number, got [1.0]"),
+        pytest.param(
+            ("states", 1, "B", 1, 0),
+            10**400,
+            "states[1].B[1][0] must be finite, got a number too large for a float",
+            id="B-10**400",
+        ),
+        pytest.param(
+            ("noise", "v", 1),
+            -(10**400),
+            "noise.v[1] must be finite, got a number too large for a float",
+            id="v-minus-10**400",
+        ),
+        (("noise", "w"), {}, "noise.w: expected a list, got dict"),
+    ],
+)
+def test_misfits_refused_by_path(path, value, message):
+    # the walk checks kinds and shapes before anything is converted, so a
+    # list as a mode id or 10**400 in B is named, not raised as TypeError or
+    # OverflowError from inside the model types
+    doc = copy.deepcopy(TRAIN_GATE_MODEL_DICT)
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, doc)[last] = value
+    with pytest.raises(ModelError) as refused:
+        parse_model(doc)
+    assert str(refused.value) == message
+
+
+DOCUMENTS = {
+    "train-gate": TRAIN_GATE_MODEL_DICT,
+    "nd-actuator": json.loads(
+        (Path(__file__).resolve().parents[1] / "monbench" / "nd_actuator.json").read_text()
+    ),
+}
+DELETE = "<delete the key>"
+# text, bools, None, non-finite and signed-zero floats, ints past a float and
+# past int64, and lists and objects where a value belongs, or the reverse
+MUTANTS = (
+    "text", True, False, None, math.nan, math.inf, -math.inf, -0.0, 10**400, 2**63,
+    [], {}, [1.0], [[1.0]],
+)
+
+
+def _paths(node, path=()):
+    """The path of every value below node, each key and list entry at every depth."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield path + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _paths(node[key], path + (key,))
+
+
+PATHS = {name: tuple(_paths(doc)) for name, doc in DOCUMENTS.items()}
+
+
+@st.composite
+def mutations(draw):
+    """A document's name, the path of one of its values, and what replaces it or DELETE."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    path = draw(st.sampled_from(PATHS[name]))
+    deletable = isinstance(path[-1], str)
+    return name, path, draw(st.sampled_from(MUTANTS + (DELETE,) * deletable))
+
+
+@settings(max_examples=20 * settings.default.max_examples, deadline=None)
+@given(mutations())
+@example(("train-gate", ("transitions", 0, "source"), [1.0]))
+@example(("nd-actuator", ("states", 1, "B", 2, 0), 10**400))
+@example(("nd-actuator", ("states", 0, "A", 2), [0.0, 0.8]))
+@example(("train-gate", ("events",), -1))
+def test_a_mutated_document_round_trips_or_is_refused(mutation):
+    # one value replaced or one key deleted: the document either parses to a
+    # model that round-trips exactly, or is refused with ModelError; any
+    # other exception escapes and fails the test
+    name, path, value = mutation
+    doc = copy.deepcopy(DOCUMENTS[name])
+    *parents, last = path
+    parent = functools.reduce(operator.getitem, parents, doc)
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)
+    try:
+        model = parse_model(doc)
+    except ModelError:
+        return
+    assert parse_model(model_to_dict(model)) == model

@@ -510,6 +510,29 @@ class TestSimulateValidation:
             sweep(config, [1.7, True])
         assert str(refused.value) == "seed must be a whole number, got 1.7"
 
+    def test_seeds_must_fit_the_philox_key(self):
+        # numpy's Philox takes a key below 2**128; the config names the seed first
+        config = train_gate_scenario(seed=0, duration=1.0)
+        message = f"seed must be less than 2**128, got {2**128}"
+        with pytest.raises(ValueError) as refused:
+            dataclasses.replace(config, seed=2**128)
+        assert str(refused.value) == message
+        assert simulate(dataclasses.replace(config, seed=2**128 - 1)).summary.seed == 2**128 - 1
+
+    def test_sweep_refuses_a_seed_past_the_key_before_any_run(self):
+        calls = []
+
+        class Counter:
+            def control(self, y, t):
+                calls.append(t)
+                return np.zeros(1)
+
+        config = dataclasses.replace(train_gate_scenario(seed=0, duration=1.0), controller=Counter())
+        with pytest.raises(ValueError) as refused:
+            sweep(config, [0, 2**128])
+        assert str(refused.value) == f"seed must be less than 2**128, got {2**128}"
+        assert calls == []
+
     def test_whole_seeds_become_ints(self):
         config = train_gate_scenario(seed=0, duration=1.0)
         for seed in (2.0, np.int64(2), np.float64(2.0), np.uint8(2)):
