@@ -22,11 +22,19 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Set
-from itertools import chain
 from pathlib import Path
 from typing import Any
 
-from .model import Event, Guard, HybridAutomaton, Invariant, Mode, ModelError, Transition, as_real
+from .model import (
+    Event,
+    Guard,
+    HybridAutomaton,
+    Invariant,
+    Mode,
+    ModelError,
+    Transition,
+    as_real,
+)
 
 # A dict is an object with exactly its keys, None marking a value that the
 # model types check. [spec] is a list whose items fit spec, [spec, spec] a
@@ -40,11 +48,19 @@ _SCHEMA = {
     ],
     "events": [{"id": (str,), "kind": (str,), "observable": None}],
     "transitions": [
-        {"source": (str, int), "input_event": (str,), "output_event": (str,), "target": (str, int),
-         "guard": {"axis": None, "sign": None, "threshold": None}}
+        {
+            "source": (str, int),
+            "input_event": (str,),
+            "output_event": (str,),
+            "target": (str, int),
+            "guard": {"axis": None, "sign": None, "threshold": None},
+        }
     ],
     "noise": {"w": [as_real], "v": [as_real]},
-    "input_bound": None, "sampling_period": None, "dwell_time": None, "theta": None,
+    "input_bound": None,
+    "sampling_period": None,
+    "dwell_time": None,
+    "theta": None,
 }
 
 
@@ -61,62 +77,34 @@ def _check_keys(obj: Any, allowed: Set[str], where: str) -> None:
         raise ModelError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _refuse(value: Any, spec: Any, length: int | None, where: str) -> None:
-    """Raise ModelError naming where value misfits spec, or a list of length items."""
-    if type(spec) is dict:
-        _check_keys(value, spec.keys(), where)
-    if type(spec) is tuple:
-        kind = "text or an integer" if int in spec else "text"
-        raise ModelError(f"{where} must be {kind}, got {value!r}")
-    leaf = spec
-    while type(leaf) is list:
-        leaf = leaf[0]
-    # in a numeric array, a scalar where a row belongs is named as an entry
-    if spec is as_real or leaf is as_real and not isinstance(value, (list, tuple, Mapping)):
-        as_real(value, where)
-    got = f"a list of {len(value)}" if type(value) in (list, tuple) else type(value).__name__
-    expected = "a list" if length is None else f"a list of {length}"
-    raise ModelError(f"{where}: expected {expected}, got {got}")
-
-
-class _Misfit(Exception):
-    """The walk's first misfit: _refuse's value, spec and length, then its path, innermost first."""
-
-
-def _floats(value: list, spec: list) -> bool:
-    """Whether value is a numeric array of floats alone, in lists of spec's shape: read in C."""
-    if spec[0] is as_real:
-        return set(map(type, value)) <= {float}
-    return (
-        type(spec[0]) is list
-        and spec[0][0] is as_real
-        and set(map(type, value)) <= {list}
-        and len(widths := set(map(len, value))) <= 1
-        and (len(spec[0]) == 1 or widths <= {len(spec[0])})
-        and set(map(type, chain.from_iterable(value))) <= {float}
-    )
-
-
 def _walk(node: Any, spec: Any, length: int | None = None) -> None:
-    """Check node against spec, and a list's length if given; raise _Misfit at the first misfit."""
+    """Check node against spec, and a list's length if given.
+
+    The first misfit raises ModelError with the message that follows its
+    path; each level adds its key or index to the error's args as the walk
+    unwinds, so the path text is built only for a refusal.
+    """
     if type(spec) is dict:
         if type(node) is not dict and not isinstance(node, Mapping) or node.keys() != spec.keys():
-            raise _Misfit(node, spec, None)
+            _check_keys(node, spec.keys(), "")
         for key, sub in spec.items():
             item = node[key]
             if sub is None or type(sub) is tuple and type(item) in sub:
                 continue
             try:
                 _walk(item, sub)
-            except _Misfit as misfit:
-                misfit.args += (key,)
+            except ModelError as refusal:
+                refusal.args += (key,)
                 raise
     elif type(spec) is list:
         length = len(spec) if len(spec) > 1 else length
         if type(node) not in (list, tuple) or length is not None and len(node) != length:
-            raise _Misfit(node, spec, length)
-        if _floats(node, spec):
-            return
+            # in a numeric array, a scalar where a row belongs is named as an entry
+            if type(spec[0]) is not dict and not isinstance(node, (list, tuple, Mapping)):
+                as_real(node, "")
+            got = f"a list of {len(node)}" if type(node) in (list, tuple) else type(node).__name__
+            expected = "a list" if length is None else f"a list of {length}"
+            raise ModelError(f": expected {expected}, got {got}")
         for i, item in enumerate(node):
             sub = spec[i] if len(spec) > 1 else spec[0]
             if sub is as_real and type(item) is float:
@@ -124,26 +112,25 @@ def _walk(node: Any, spec: Any, length: int | None = None) -> None:
             try:
                 # every row as long as the first, which is checked first
                 _walk(item, sub, len(node[0]) if i and type(sub) is list else None)
-            except _Misfit as misfit:
-                misfit.args += (i,)
+            except ModelError as refusal:
+                refusal.args += (i,)
                 raise
     elif type(spec) is tuple:
         if type(node) not in spec:
-            raise _Misfit(node, spec, None)
+            kind = "text or an integer" if int in spec else "text"
+            raise ModelError(f" must be {kind}, got {node!r}")
     else:
-        try:
-            as_real(node, "")
-        except ModelError:
-            raise _Misfit(node, spec, None) from None
+        as_real(node, "")
 
 
 def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
     """Build an automaton from a schema document, once the document fits the schema."""
     try:
         _walk(doc, _SCHEMA)
-    except _Misfit as misfit:
-        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(misfit.args[3:]))
-        _refuse(*misfit.args[:3], where[1:] or "model")
+    except ModelError as refusal:
+        tail, *path = refusal.args
+        where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(path))
+        raise type(refusal)((where[1:] or "model") + tail) from None
     for i, event in enumerate(doc["events"]):
         # the one field no model type keeps, refused unless true
         if (observable := event["observable"]) is not True:
@@ -182,20 +169,27 @@ def model_to_dict(model: HybridAutomaton) -> dict[str, Any]:
         "states": [
             {
                 "id": m.mode_id,
-                "A": m.a.tolist(),
-                "B": m.b.tolist(),
+                "A": [[float(x) for x in row] for row in m.a],
+                "B": [[float(x) for x in row] for row in m.b],
                 "invariant": [[lo, hi] for lo, hi in m.invariant.intervals],
             }
             for m in model.modes
         ],
-        "events": [{"id": e.name, "kind": e.kind, "observable": True} for e in model.events],
+        "events": [
+            {"id": e.name, "kind": e.kind, "observable": True}
+            for e in model.events
+        ],
         "transitions": [
             {
                 "source": t.source,
                 "input_event": t.input_event,
                 "output_event": t.output_event,
                 "target": t.target,
-                "guard": dict(axis=t.guard.axis, sign=t.guard.sign, threshold=t.guard.threshold),
+                "guard": {
+                    "axis": t.guard.axis,
+                    "sign": t.guard.sign,
+                    "threshold": t.guard.threshold,
+                },
             }
             for t in model.transitions
         ],

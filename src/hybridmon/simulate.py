@@ -216,6 +216,15 @@ class ZoneSpeedLimit:
         return near & (x[..., self.speed_axis] > self.limit)
 
 
+def _seed(value: object) -> int:
+    """value as an int, or ValueError naming the seed unless it is a whole
+    number from 0 below 2**128, the bound of the run's Philox key."""
+    seed = as_index(value, "seed", ValueError)
+    if seed >= 2**128:
+        raise ValueError(f"seed must be less than 2**128, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything that determines one run; the seed fixes the trace bits.
@@ -243,10 +252,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         # initial_state is not checked here: callers build a config for one
         # model and `replace` the start to fit it
-        seed = as_index(self.seed, "seed", ValueError)
-        if seed >= 2**128:  # past the key of the run's Philox generator
-            raise ValueError(f"seed must be less than 2**128, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "duration", as_finite(self.duration, "duration", ValueError))
         if round(self.duration / self.model.sampling_period) <= 0:
             raise ValueError("duration too short for one sample")
@@ -819,12 +825,11 @@ def sweep(
 
     A seed that is not a whole number from 0 below 2**128 raises
     ValueError naming it before any run; whole floats and numpy integers
-    count as ints. When several seeds would raise, the sweep raises the
-    lowest such seed's error, with the message its run alone gives.
+    count as ints. When several seeds' runs would raise, the sweep raises
+    the lowest such seed's error, with the message its run alone gives.
     """
-    seeds = sorted({as_index(seed, "seed", ValueError) for seed in seeds})
-    configs = [replace(base, seed=seed) for seed in seeds]  # each refuses its seed before any run
-    return tuple(simulate(config, keep_trace=keep_traces) for config in configs)
+    seeds = sorted({_seed(seed) for seed in seeds})
+    return tuple(simulate(replace(base, seed=seed), keep_trace=keep_traces) for seed in seeds)
 
 
 # Verdict columns after the four float groups, in the order both trace formats
