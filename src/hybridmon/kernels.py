@@ -8,8 +8,9 @@ width m, with row i of A x written as a_i0 x_0 + a_i1 x_1 + ... from the
 left:
 
 - B u is b_i0 u_0 + b_i1 u_1 + ... (0.0 when m = 0);
-- the plant step is x' = w + (A x + B u) and y' = v + x', plus gamma when
-  the output is attacked;
+- the plant step is x' = w + (A x + B u) and y' = v + x' + gamma, with
+  gamma a zero row when the output is not attacked: v is never -0.0, so
+  neither is v + x', and adding +0.0 keeps its bits;
 - the Kalman update is p = A x_est + B u, e = y - p, x_est' = p + K e.
 
 Python's float operations are IEEE-754 double operations, so these bits are
@@ -35,11 +36,10 @@ class Kernels(NamedTuple):
     """The generated functions of one state dimension n and input width m.
 
     - `b_times(b, u)`: B u as a tuple, b the n * m entries of B.
-    - `plant(x, y, o, a, bu)`: the state at offset o + n of x holds w and
-      the output at offset o + n of y holds v; they become x' and y', from
-      the state at offset o of x, A's n * n entries and the tuple bu.
-    - `plant_attacked(x, y, o, a, bu, gamma)`: the same, adding gamma's n
-      entries to y' last.
+    - `plant(x, y, o, a, bu, gamma)`: the state at offset o + n of x holds
+      w and the output at offset o + n of y holds v; they become x' and y',
+      from the state at offset o of x, A's n * n entries, the tuple bu and
+      gamma's n entries, added to y' last.
     - `estimate(x_est, y, o, count, a, k, bu)`: the update of count rows,
       row r + 1 at offset o + (r + 1) * n of x_est from row r and the
       measurement at the same offset of y.
@@ -47,7 +47,6 @@ class Kernels(NamedTuple):
 
     b_times: Callable[..., tuple[float, ...]]
     plant: Callable[..., None]
-    plant_attacked: Callable[..., None]
     estimate: Callable[..., None]
 
 
@@ -77,7 +76,7 @@ def _at(offset: str, i: int) -> str:
 
 
 def _source(n: int, m: int) -> str:
-    """The source text of the four functions of one (n, m)."""
+    """The source text of the three functions of one (n, m)."""
     a, b, gain = _matrix("a", n, n), _matrix("b", n, m), _matrix("k", n, n)
     x, u, bu, g = _names("x", n), _names("u", m), _names("bu", n), _names("g", n)
     new, pred, innov = _names("s", n), _names("p", n), _names("e", n)
@@ -89,27 +88,17 @@ def _source(n: int, m: int) -> str:
         f"    return ({''.join(_row_sum(row, u) + ', ' for row in b)})",
     ]
 
-    def plant(name: str, attacked: bool) -> list[str]:
-        lines = [
-            f"def {name}(X, Y, o, a, bu{', gamma' if attacked else ''}):",
-            _unpack(_flat(a), "a"),
-            _unpack(bu, "bu"),
-        ]
-        if attacked:
-            lines.append(_unpack(g, "gamma"))
-        lines += [f"    {x[i]} = X[{_at('o', i)}]" for i in range(n)]
-        lines += [
-            f"    {new[i]} = X[{_at('o', n + i)}] + ({_row_sum(a[i], x)} + {bu[i]})"
-            for i in range(n)
-        ]
-        lines += [f"    X[{_at('o', n + i)}] = {new[i]}" for i in range(n)]
-        lines += [
-            f"    Y[{_at('o', n + i)}] = Y[{_at('o', n + i)}] + {new[i]}"
-            f"{f' + {g[i]}' if attacked else ''}"
-            for i in range(n)
-        ]
-        return lines
-
+    out = [_at("o", n + i) for i in range(n)]  # row o + n, which the plant step writes
+    plant = [
+        "def plant(X, Y, o, a, bu, gamma):",
+        _unpack(_flat(a), "a"),
+        _unpack(bu, "bu"),
+        _unpack(g, "gamma"),
+        *(f"    {x[i]} = X[{_at('o', i)}]" for i in range(n)),
+        *(f"    {new[i]} = X[{out[i]}] + ({_row_sum(a[i], x)} + {bu[i]})" for i in range(n)),
+        *(f"    X[{out[i]}] = {new[i]}" for i in range(n)),
+        *(f"    Y[{out[i]}] = Y[{out[i]}] + {new[i]} + {g[i]}" for i in range(n)),
+    ]
     estimate = [
         "def estimate(E, Y, o, count, a, k, bu):",
         _unpack(_flat(a), "a"),
@@ -122,7 +111,7 @@ def _source(n: int, m: int) -> str:
         *(f"        {x[i]} = {pred[i]} + ({_row_sum(gain[i], innov)})" for i in range(n)),
         *(f"        E[{_at('o', i)}] = {x[i]}" for i in range(n)),
     ]
-    functions = (b_times, plant("plant", False), plant("plant_attacked", True), estimate)
+    functions = (b_times, plant, estimate)
     return "\n\n".join("\n".join(line for line in lines if line) for lines in functions) + "\n"
 
 

@@ -101,6 +101,14 @@ def whole_number(value: object) -> bool:
     )
 
 
+def shown(value: object) -> str:
+    """repr(value), or the size of an int with more digits than Python prints."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def as_real(value: object, name: str, error: type[ValueError] = ModelError) -> float:
     """value as a float, or error naming the field unless it is a real number a float holds."""
     if type(value) is float:
@@ -127,7 +135,7 @@ def as_index(value: object, name: str, error: type[ValueError] = ModelError) -> 
         raise error(f"{name} must be a whole number, got {value!r}")
     index = int(value)
     if index < 0:
-        raise error(f"{name} must be nonnegative, got {index}")
+        raise error(f"{name} must be nonnegative, got {shown(index)}")
     return index
 
 
@@ -145,7 +153,7 @@ class Guard:
 
     def __post_init__(self) -> None:
         if isinstance(self.sign, (bool, np.bool_)) or self.sign not in (-1, 1):
-            raise ModelError(f"guard sign must be -1 or +1, got {self.sign!r}")
+            raise ModelError(f"guard sign must be -1 or +1, got {shown(self.sign)}")
         object.__setattr__(self, "axis", as_index(self.axis, "guard axis"))
         object.__setattr__(self, "sign", int(self.sign))
         object.__setattr__(self, "threshold", as_finite(self.threshold, "guard threshold"))
@@ -266,26 +274,24 @@ class HybridAutomaton:
             raise ModelError(
                 "modes take different numbers of inputs; one controller cannot drive them"
             )
-        n = self.dim
-        w = np.array(self.w_bounds, dtype=float, ndmin=1)
-        v = np.array(self.v_bounds, dtype=float, ndmin=1)
-        if w.shape != (n,):
-            raise ModelError(f"process noise bounds must have length {n}")
-        if v.shape != (n,):
-            raise ModelError(f"measurement noise bounds must have length {n}")
-        if not ((w >= 0).all() and (v >= 0).all()):
-            raise ModelError("noise bounds must be nonnegative")
+        for name, label in (("w_bounds", "process"), ("v_bounds", "measurement")):
+            bounds = np.array(getattr(self, name), dtype=float, ndmin=1)
+            if bounds.shape != (self.dim,):
+                raise ModelError(f"{label} noise bounds must have length {self.dim}")
+            if not (bounds >= 0).all():
+                raise ModelError("noise bounds must be nonnegative")
+            for i, bound in enumerate(bounds.tolist()):
+                as_finite(bound, f"{label} noise bound {i}")
+            object.__setattr__(self, name, tuple(bounds.tolist()))
         mu = as_real(self.input_bound, "input_bound")
         if not isfinite(mu) or mu < 0:
             raise ModelError("input bound must be finite and nonnegative")
-        object.__setattr__(self, "w_bounds", tuple(w.tolist()))
-        object.__setattr__(self, "v_bounds", tuple(v.tolist()))
         object.__setattr__(self, "input_bound", mu)
         event_by_name = {e.name: e for e in self.events}
         seen_pairs: set[tuple[ModeId, str]] = set()
         for tr in self.transitions:
-            if tr.source not in set(ids) or tr.target not in set(ids):
-                raise ModelError(f"transition references unknown mode: {tr}")
+            if (q := tr.source) not in ids or (q := tr.target) not in ids:
+                raise ModelError(f"transition references unknown mode {shown(q)}")
             if tr.input_event not in event_by_name:
                 raise ModelError(f"transition references unknown event {tr.input_event!r}")
             if tr.output_event not in event_by_name:
@@ -295,7 +301,7 @@ class HybridAutomaton:
             if event_by_name[tr.output_event].kind != "output":
                 raise ModelError(f"event {tr.output_event!r} used as output but declared input")
             if tr.guard.axis >= self.dim:
-                raise ModelError(f"guard axis {tr.guard.axis} out of range")
+                raise ModelError(f"guard axis {shown(tr.guard.axis)} out of range")
             key = (tr.source, tr.input_event)
             if key in seen_pairs:
                 # the discrete transition relation must stay a function

@@ -34,6 +34,7 @@ from .model import (
     ModelError,
     Transition,
     as_real,
+    shown,
 )
 
 # A dict is an object with exactly its keys, None marking a value that the
@@ -118,7 +119,7 @@ def _walk(node: Any, spec: Any, length: int | None = None) -> None:
     elif type(spec) is tuple:
         if type(node) not in spec:
             kind = "text or an integer" if int in spec else "text"
-            raise ModelError(f" must be {kind}, got {node!r}")
+            raise ModelError(f" must be {kind}, got {shown(node)}")
     else:
         as_real(node, "")
 
@@ -138,7 +139,7 @@ def parse_model(doc: Mapping[str, Any]) -> HybridAutomaton:
                 "unobservable events are not supported; "
                 "the discrete observer has no closure over them"
                 if observable is False
-                else f"observable must be true or false, got {observable!r}"
+                else f"observable must be true or false, got {shown(observable)}"
             )
             raise ModelError(f"events[{i}] ({event['id']!r}): {problem}")
     return HybridAutomaton(

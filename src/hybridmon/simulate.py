@@ -12,21 +12,24 @@ plant: the controller, the guards, x = A x + B u + w and the measurement,
 with each mode's matrices and guards looked up once per model and the
 noise, one for all modes, drawn once per block of samples. Per sample, the
 loop calls the controller, steps x and y with one call of the plant
-function of `kernels`, which reads and writes the run's rows in place, and
+function of `kernels`, which reads and writes the run's rows in place and
+adds the attack's row to y, a zero row when the run is not attacked, and
 checks the guards on the state. A controller output is checked once per
 distinct value, told apart by its bytes, and B u is taken again with the
-mode's B only when the output or the mode changes. The observer steps only
-on events. Of the rest, the loop records change points: the row of each
-event, with the new mode and node, and the row of each new controller
-output, with the output. At the end of each block of samples, one monitor
-step decides the block. It rebuilds the mode, node, settled and event
-columns from the change points, steps the Kalman estimate with one call of
-the update function of `kernels` per stretch of rows between the rows
-where A, K or B u changes, with the B of the node's mode, and decides the
-safety predicate, the detector, the baseline monitor and the steady maxima
-with `ZoneSpeedLimit.violated` and `Detector.evaluate_rows`. The monitor
-feeds nothing back, so this gives the bits of deciding each sample as it
-comes.
+mode's B only when the output or the mode changes. Of the rest, the loop
+records change points: the row of each fired transition, and the row of
+each new controller output, with the output; a stop event ends it. At the
+end of each block of samples, one monitor step decides the block. It
+builds each event's record, steps the discrete observer on each event
+pair, rebuilds the mode, node, settled and event columns from the change
+points, steps the Kalman estimate with one call of the update function of
+`kernels` per stretch of rows between the rows where A, K or B u changes,
+with the B of the node's mode, and decides the safety predicate, the
+detector, the baseline monitor and the steady maxima with
+`ZoneSpeedLimit.violated` and `Detector.evaluate_rows`. The monitor feeds
+nothing back, so this gives the bits of deciding each sample as it comes.
+A discrete inconsistency ends the run at its row, which the monitor step
+meets after the plant and the controller have run on to the block's end.
 
 Every per-sample product, A x, B u, A x_est and K times the innovation, is
 a left-to-right sum of Python-float products (see `kernels`). So the plant,
@@ -49,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, TextIO, TypeVar
 
 import numpy as np
@@ -65,6 +69,7 @@ from .model import (
     extract_fsm,
     readonly,
     refuse_invalid,
+    shown,
     validate_model,
 )
 from .observer import (
@@ -221,7 +226,7 @@ def _seed(value: object) -> int:
     number from 0 below 2**128, the bound of the run's Philox key."""
     seed = as_index(value, "seed", ValueError)
     if seed >= 2**128:
-        raise ValueError(f"seed must be less than 2**128, got {seed}")
+        raise ValueError(f"seed must be less than 2**128, got {shown(seed)}")
     return seed
 
 
@@ -461,11 +466,12 @@ class _Run:
     the block, which `decide` moves to row 0 for the next block. The
     functions of `kernels` read and write the rows through the flat
     memoryviews xs, ys and es, where row r starts at r * dim. Of the rest,
-    the loop records only change points: `event_rows` holds (row, event
-    pair, mode, node) for each event, the mode and node being those of the
-    next row, and `input_rows` holds (row, u) for each row whose controller
-    output u differs from the last. When the trace is kept, `decide` writes
-    each block into columns allocated for all n samples at the start.
+    the loop records only change points: `event_rows` holds (row,
+    transition) for each fired transition, and `input_rows` holds (row, u)
+    for each row whose controller output u differs from the last. `decide`
+    owns the rest: the event records, the observer's node, the stop event
+    and the inconsistency. When the trace is kept, it writes each block into
+    columns of n rows, allocated from the first block's.
     """
 
     def __init__(
@@ -475,11 +481,12 @@ class _Run:
         steps: dict[ModeId, _ModeStep],
         gains: dict[ModeId, tuple[float, ...]],
         kern: Kernels,
-        node: Node,
+        observer: ObserverFsm,
         n: int | None,
     ) -> None:
         model = config.model
         self.seed, self.model, self.safety = config.seed, model, config.safety
+        self.observer, self.stop_events, self.trace_rows = observer, config.stop_events, n
         self.detector, self.steps, self.kernels = detector, steps, kern
         # every mode's gain, so a bank without one fails before the run
         self.gains = {mode_id: gains[mode_id] for mode_id in steps}
@@ -497,23 +504,14 @@ class _Run:
         # the monitor: the change points, the labels of the next row to
         # decide, the first sample of the current settling count, and the
         # controller output in force for the estimate
-        self.event_rows: list[tuple[int, tuple[str, str], ModeId, Node]] = []
+        self.event_rows: list[tuple[int, Transition]] = []
         self.input_rows: list[tuple[int, tuple[float, ...]]] = []
-        self.label_mode, self.label_node = config.initial_mode, node
-        self.since, self.est_u = 0, None
+        self.label_mode, self.label_node = config.initial_mode, observer.root
+        self.since, self.est_u, self.samples = 0, None, 0
         self.columns: dict[str, np.ndarray] | None = None
-        self.mode_column: list = []
-        self.node_column: list = []
-        if n is not None:
-            flags = ("steady", "warming_up", "conflict_a", "conflict_b", "conflict_c", "alarm")
-            self.columns = {
-                name: np.empty((n, self.dim)) for name in ("x_true", "y", "x_est", "residual")
-            }
-            self.columns.update({name: np.empty(n) for name in ("times", "volume")})
-            self.columns.update({name: np.empty(n, dtype=bool) for name in flags})
-        self.max_residual = 0.0
-        self.max_error = 0.0
-        self.max_volume = 0.0
+        self.mode_column: list[ModeId] = []
+        self.node_column: list[Node] = []
+        self.max_residual = self.max_error = self.max_volume = 0.0
         self.first_baseline: float | None = None
         self.first_conflict: ConflictAlarm | None = None
         self.violation: SafetyViolation | None = None
@@ -526,7 +524,11 @@ class _Run:
     def decide(self, first: int, k: int) -> None:
         """Decide rows 0 .. k - 1, which hold samples first .. first + k - 1, then move row k to 0.
 
-        The labels are rebuilt from the change points (the true modes only
+        Each fired transition is recorded with its state, row `at` of x. A
+        stop event ends the run at its row; any other pair steps the
+        observer, and one it refuses, a discrete inconsistency, ends the run
+        at its row, though the plant loop has stepped the rows past it. The
+        labels are rebuilt from the change points (the true modes only
         when the trace is kept, as nothing else reads them). The estimates
         of rows 1 .. k are stepped one call per stretch of rows that share
         A, K and B u: row r + 1's with row r's node and u. Row k, which the
@@ -534,26 +536,43 @@ class _Run:
         output reads it. The detector's verdicts are then folded into the
         summary figures and, when the trace is kept, into its columns.
         """
-        kern, dim, steady = self.kernels, self.dim, self.steady[:k]
+        kern, dim, steady = self.kernels, self.dim, self.steady
         nodes: list[Node] = []
         events: list[tuple[str, str] | None] = [None] * k
+        starts = {0}
 
         def fill(lo: int, hi: int) -> None:
             nodes.extend([self.label_node] * (hi - lo))
-            if self.columns is not None:
+            if self.trace_rows is not None:
                 self.mode_column.extend([self.label_mode] * (hi - lo))
             steady[lo:hi] = False
             steady[max(lo, self.since + self.dwell - first) : hi] = True
 
         row = 0
-        for at, pair, mode, node in self.event_rows:
-            events[at] = pair
+        for at, tr in self.event_rows:
+            events[at] = pair = (tr.input_event, tr.output_event)
             fill(row, at + 1)
-            self.label_mode, self.label_node, self.since, row = mode, node, first + at + 1, at + 1
+            t = first + at
+            state = tuple(self.x[at].tolist())
+            self.events.append(EventRecord(t, t * self.h, tr.source, tr.target, *pair, state))
+            if tr.output_event in self.stop_events:
+                self.stop_event = tr.output_event
+            else:
+                try:
+                    self.label_node = step_discrete(self.observer, self.label_node, pair)
+                except DiscreteInconsistencyError:
+                    # the run ends at this row; the plant's later rows go unread
+                    self.inconsistency = (t + 1) * self.h
+                    row = k = at + 1
+                    del events[k:]
+                    break
+            self.label_mode, self.since, row = tr.target, t + 1, at + 1
+            starts.add(row)
         fill(row, k)
+        steady = steady[:k]
 
-        inputs = dict(self.input_rows)
-        starts = sorted({0, *inputs, *(at + 1 for at, *_ in self.event_rows if at + 1 < k)})
+        inputs = {at: u for at, u in self.input_rows if at < k}
+        starts = sorted(starts.union(inputs).difference((k,)))
         for lo, hi in zip(starts, starts[1:] + [k]):
             self.est_u = inputs.get(lo, self.est_u)
             mode = nodes[lo][0]
@@ -587,26 +606,33 @@ class _Run:
             self.first_conflict = ConflictAlarm(
                 time=float(times[j]), kind=kind, mode=rows.estimated_mode[j]
             )
-        if self.columns is not None:
+        if self.trace_rows is not None:
             block = {
                 "times": times, "x_true": x, "y": y, "x_est": x_est, "residual": residual,
                 "steady": steady, "warming_up": rows.warming_up, "conflict_a": rows.conflict_a,
                 "conflict_b": rows.conflict_b, "conflict_c": rows.conflict_c, "alarm": alarm,
                 "volume": rows.volume,
             }
+            if self.columns is None:
+                # every column as long as the run, with the first block's dtype and row shape
+                self.columns = {
+                    name: np.empty((self.trace_rows, *values.shape[1:]), values.dtype)
+                    for name, values in block.items()
+                }
             for name, values in block.items():
                 self.columns[name][first : first + k] = values
             self.node_column += nodes
         for buffer in (self.x, self.y, self.x_est):
             buffer[0] = buffer[k]
+        self.samples = first + k
 
-    def result(self, end: int) -> SimulationResult:
-        """The run's summary, and its trace when kept, once it has ended at sample end."""
-        samples = end + 1
+    def result(self) -> SimulationResult:
+        """The run's summary, and its trace when kept, once its last block is decided."""
+        samples = self.samples
         summary = SimulationSummary(
             seed=self.seed,
             completed=self.inconsistency is None,
-            end_time=end * self.h,
+            end_time=(samples - 1) * self.h,
             samples=samples,
             stop_event=self.stop_event,
             events=tuple(self.events),
@@ -656,7 +682,11 @@ def simulate(
     The detector, the filter bank and the observer default to the model's
     own, built on its first run and kept for the next; so is the verdict of
     `validate_model`. Passed ones take precedence. The bank in use, the
-    model's or a passed one, keeps its gains flattened for the next run.
+    model's or a passed one, keeps its gains flattened for the next run. A
+    passed observer may refuse an event pair, a discrete inconsistency that
+    the model's own observer cannot meet: the summary and the trace end at
+    the sample that fired it, but the plant and the controller run on to
+    the end of its block, at most BLOCK - 1 samples more.
 
     `control(y, t)` is handed a read-only row of the run's buffers, valid
     only for the call: the loop overwrites it BLOCK samples later, so a
@@ -696,13 +726,12 @@ def simulate(
     mode: ModeId = config.initial_mode
     if not model.invariant(mode).contains(x0):
         raise ValueError("initial state lies outside the initial mode's invariant")
-    node: Node = observer.root
-    if mode not in node:
+    if mode not in observer.root:
         raise ValueError("initial mode is missing from the observer root")
     dim = model.dim
     inputs = model.modes[0].b.shape[1]
     kern = kernels(dim, inputs)
-    b_times = kern.b_times
+    b_times, plant = kern.b_times, kern.plant
     if bank is None:
         bank = _kept(model, "simulate.bank", lambda: synthesize_gains(model))
     gains = _kept(bank, "simulate.gains", lambda: _flat_gains(bank))
@@ -710,7 +739,7 @@ def simulate(
     step = steps[mode]
     control = config.controller.control
     stop_events = config.stop_events
-    run = _Run(config, detector, steps, gains, kern, node, n if keep_trace else None)
+    run = _Run(config, detector, steps, gains, kern, observer, n if keep_trace else None)
     x, y, xs, ys = run.x, run.y, run.xs, run.ys
     # what `control` is handed: read-only rows, which the loop overwrites
     # one block later
@@ -720,7 +749,8 @@ def simulate(
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     bound = np.array((model.w_bounds, model.v_bounds))
     sigma = bound / 3.0
-    gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else np.zeros(dim)
+    zero = (0.0,) * dim
+    gamma0 = attack.gamma_rows(0, 1, h, dim)[0] if attack else zero
     x[0] = x0
     y[0] = x0 + _truncated_gaussian(rng.standard_normal(dim), sigma[1], bound[1]) + gamma0
     run.x_est[0] = y[0]
@@ -741,13 +771,9 @@ def simulate(
             rng.standard_normal((k, 2, dim)), sigma, bound
         ).swapaxes(0, 1)
         # the plant step adds the attack to y last: y = x + v + gamma
-        if attack:
-            plant, gammas = kern.plant_attacked, attack.gamma_rows(first + 1, k, h, dim).tolist()
-        else:
-            plant, gammas = kern.plant, None
-        for i in range(k):
-            t = first + i
-            now = t * h
+        gammas = attack.gamma_rows(first + 1, k, h, dim).tolist() if attack else repeat(zero, k)
+        for i, gamma in enumerate(gammas):
+            now = (first + i) * h
             o = i * dim
             output = asarray(control(y_seen[i], now), float)
             if output.ndim != 1 or output.tobytes() != u_bytes:
@@ -767,45 +793,22 @@ def simulate(
                 run.input_rows.append((i, u))
                 bu = b_times(step.b, u)
             # x and y of sample t + 1, with the mode of sample t
-            if gammas is None:
-                plant(xs, ys, o, step.a, bu)
-            else:
-                plant(xs, ys, o, step.a, bu, gammas[i])
+            plant(xs, ys, o, step.a, bu, gamma)
             for axis, sign, guard_at, tr in step.guards:
                 if sign * (xs[o + axis] - guard_at) >= 0.0:
                     break
             else:
                 continue
-
             # tr fired at sample t, on the state of row i
-            pair = (tr.input_event, tr.output_event)
-            run.events.append(
-                EventRecord(
-                    sample=t,
-                    time=now,
-                    source=tr.source,
-                    target=tr.target,
-                    input_event=tr.input_event,
-                    output_event=tr.output_event,
-                    state=tuple(xs[o : o + dim].tolist()),
-                )
-            )
+            run.event_rows.append((i, tr))
             if tr.output_event in stop_events:
-                run.stop_event = tr.output_event
-            else:
-                try:
-                    node = step_discrete(observer, node, pair)
-                except DiscreteInconsistencyError:
-                    run.inconsistency = (t + 1) * h
-            run.event_rows.append((i, pair, tr.target, node))
-            if run.ended:
                 break
             step = steps[tr.target]
             bu = b_times(step.b, u)
         run.decide(first, i + 1)
         if run.ended:
             break
-    return run.result(first + i)
+    return run.result()
 
 
 def sweep(

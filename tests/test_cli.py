@@ -337,6 +337,16 @@ class TestStaticCommands:
         assert (code, out) == (1, [])
         assert err == "error: states[0].invariant[1]: expected a list of 2, got dict\n"
 
+    @pytest.mark.parametrize("command", ["compute-bounds", "compute-delta", "run"])
+    def test_infinite_noise_bound_is_named(self, capsys, tmp_path, command):
+        # refused as the model is built, before a reach hull or a Riccati
+        # solve meets it
+        doc = json.loads(ND_ACTUATOR.read_text())
+        doc["noise"]["w"][0] = float("inf")
+        code, out, err = run_cli(capsys, command, write_model(tmp_path, doc))
+        assert (code, out) == (1, [])
+        assert err == "error: process noise bound 0 must be finite, got inf\n"
+
     def test_check_observability(self, capsys):
         code, out, _ = run_cli(capsys, "check-observability", "train-gate")
         assert code == 0

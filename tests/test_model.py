@@ -292,6 +292,37 @@ class TestAutomatonValidation:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
                 dataclasses.replace(base, **change)
 
+    def test_infinite_noise_bounds_refused_by_axis(self):
+        # an infinite bound would give an infinite reach hull, NaN residuals
+        # or a Riccati solve that never settles
+        base = train_gate_model()
+        refusals = [
+            (base, {"w_bounds": (np.inf, 0.01)}, "process noise bound 0"),
+            (base, {"v_bounds": (0.1, float("inf"))}, "measurement noise bound 1"),
+            (corridor(), {"v_bounds": [np.inf]}, "measurement noise bound 0"),
+        ]
+        for model, change, name in refusals:
+            with pytest.raises(ModelError, match=f"^{name} must be finite, got inf$"):
+                dataclasses.replace(model, **change)
+
+    def test_ints_too_long_to_print_are_named_by_size(self):
+        # Python refuses to print an int of more than 4,300 digits, so a
+        # refusal names its size
+        huge, size = 10**5000, "an integer of 16610 bits"
+        base = corridor()
+        (tr,) = base.transitions
+        refusals = [
+            (lambda: Guard(-huge, 1, 0.0), f"guard axis must be nonnegative, got {size}"),
+            (lambda: Guard(0, huge, 0.0), f"guard sign must be -1 or +1, got {size}"),
+            (
+                lambda: dataclasses.replace(base, transitions=(dataclasses.replace(tr, target=huge),)),
+                f"transition references unknown mode {size}",
+            ),
+        ]
+        for build, message in refusals:
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                build()
+
     def test_noise_stored_as_float_tuples(self):
         w, v = np.array([0.01]), [np.float32(0.5)]
         model = dataclasses.replace(corridor(), w_bounds=w, v_bounds=v, input_bound=1)

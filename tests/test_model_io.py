@@ -343,11 +343,12 @@ DOCUMENTS = {
     ),
 }
 DELETE = "<delete the key>"
-# text, bools, None, non-finite and signed-zero floats, ints past a float and
-# past int64, and lists and objects where a value belongs, or the reverse
+# text, bools, None, non-finite and signed-zero floats, ints past a float,
+# past int64 and past the digits Python prints, and lists and objects where
+# a value belongs, or the reverse
 MUTANTS = (
     "text", True, False, None, math.nan, math.inf, -math.inf, -0.0, 10**400, 2**63,
-    [], {}, [1.0], [[1.0]],
+    10**5000, [], {}, [1.0], [[1.0]],
 )
 
 

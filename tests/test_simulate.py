@@ -519,6 +519,14 @@ class TestSimulateValidation:
         assert str(refused.value) == message
         assert simulate(dataclasses.replace(config, seed=2**128 - 1)).summary.seed == 2**128 - 1
 
+    def test_seeds_too_long_to_print_are_named_by_size(self):
+        # Python prints no int of more than 4,300 digits
+        config = train_gate_scenario(seed=0, duration=1.0)
+        for seed, bound in ((10**5000, "less than 2**128"), (-(10**5000), "nonnegative")):
+            with pytest.raises(ValueError) as refused:
+                dataclasses.replace(config, seed=seed)
+            assert str(refused.value) == f"seed must be {bound}, got an integer of 16610 bits"
+
     def test_sweep_refuses_a_seed_past_the_key_before_any_run(self):
         calls = []
 
@@ -714,10 +722,10 @@ class TestInPlaceStep:
     @given(st.data())
     def test_seed_rows_keep_the_bits_of_one_seed_steps(self, data):
         # the loop steps row i of the run's buffers into row i + 1 through
-        # one generated function at offset i * dim, with or without the
-        # attack, each row with its own A, B and u as after an event or a
-        # new output; every row must get the bytes of the reference's
-        # per-entry loop
+        # one generated function at offset i * dim, each row with its own
+        # A, B and u as after an event or a new output, and its own attack
+        # row, a zero row when the run is not attacked; every row must get
+        # the bytes of the reference's per-entry loop
         steps, dim = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
         inputs = data.draw(st.integers(1, 2))
 
@@ -727,25 +735,19 @@ class TestInPlaceStep:
             return np.array(values).reshape(shape)
 
         a, b, u = arrays(steps, dim, dim), arrays(steps, dim, inputs), arrays(steps, inputs)
-        x, w, v, gamma = arrays(dim), arrays(steps, dim), arrays(steps, dim), arrays(dim)
+        x, w, v, gamma = arrays(dim), arrays(steps, dim), arrays(steps, dim), arrays(steps, dim)
         kern = kernels(dim, inputs)
-        for attacked in (False, True):
-            # rows 1 .. steps hold w and v before the steps, as the loop lays them
-            xs, ys = np.full((steps + 1, dim), np.nan), np.full((steps + 1, dim), np.nan)
-            xs[0], xs[1:], ys[1:] = x, w, v
-            views = memoryview(xs.reshape(-1)), memoryview(ys.reshape(-1))
-            want = x
-            for i in range(steps):
-                bu = kern.b_times(tuple(b[i].ravel().tolist()), tuple(u[i].tolist()))
-                at = (i * dim, tuple(a[i].ravel().tolist()), bu)
-                if attacked:
-                    kern.plant_attacked(*views, *at, tuple(gamma.tolist()))
-                else:
-                    kern.plant(*views, *at)
-                want = plant_step(a[i], b[i], want, u[i], w[i])
-                want_y = v[i] + want + gamma if attacked else v[i] + want
-                assert xs[i + 1].tobytes() == want.tobytes()
-                assert ys[i + 1].tobytes() == want_y.tobytes()
+        # rows 1 .. steps hold w and v before the steps, as the loop lays them
+        xs, ys = np.full((steps + 1, dim), np.nan), np.full((steps + 1, dim), np.nan)
+        xs[0], xs[1:], ys[1:] = x, w, v
+        views = memoryview(xs.reshape(-1)), memoryview(ys.reshape(-1))
+        want = x
+        for i in range(steps):
+            bu = kern.b_times(tuple(b[i].ravel().tolist()), tuple(u[i].tolist()))
+            kern.plant(*views, i * dim, tuple(a[i].ravel().tolist()), bu, tuple(gamma[i].tolist()))
+            want = plant_step(a[i], b[i], want, u[i], w[i])
+            assert xs[i + 1].tobytes() == want.tobytes()
+            assert ys[i + 1].tobytes() == (v[i] + want + gamma[i]).tobytes()
 
     def test_controller_cannot_write_into_y(self, tg_machinery):
         class Scribbler:
@@ -1149,6 +1151,33 @@ class TestEventMechanics:
             (first_event.sample + 1) * 0.1
         )
 
+    def test_inconsistency_ends_the_run_at_its_row_and_the_plant_at_its_block(
+        self, tg_machinery, tmp_path
+    ):
+        # the block's monitor step meets the inconsistency, so the plant and
+        # the controller run on to the end of that block, and the run's
+        # summary and trace end at the inconsistency's row
+        class Counting:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def control(self, y, t):
+                self.calls += 1
+                return self.inner.control(y, t)
+
+        detector, bank, _ = tg_machinery
+        base, mute = _mute(train_gate_scenario(seed=0))
+        counting = Counting(base.controller)
+        got = simulate(
+            dataclasses.replace(base, controller=counting),
+            detector=detector, bank=bank, observer=mute,
+        )
+        _assert_bit_equal(got, reference_simulate(base, detector, bank, mute), tmp_path)
+        event = got.summary.events[-1].sample
+        assert got.summary.samples == event + 1 and len(got.trace) == event + 1
+        assert event % BLOCK < BLOCK - 1
+        assert counting.calls == (event // BLOCK + 1) * BLOCK
+
 
 class TestMonitors:
     def test_baseline_threshold_value(self, tg_model):
@@ -1390,8 +1419,8 @@ ND_ACTUATOR = {
 }
 
 
-def _nd_scenario(seed, slope=None, w=None):
-    doc = dict(ND_ACTUATOR, noise={"w": w or ND_ACTUATOR["noise"]["w"], "v": [0.1] * 3})
+def _nd_scenario(seed, slope=None, w=None, v=None):
+    doc = dict(ND_ACTUATOR, noise={"w": w or ND_ACTUATOR["noise"]["w"], "v": v or [0.1] * 3})
     attack = None if slope is None else ramp_attack(slope)
     config = train_gate_scenario(seed=seed, duration=70.0, attack=attack, model=parse_model(doc))
     return dataclasses.replace(config, initial_state=(0.0, 0.0, 0.0))
@@ -1436,6 +1465,9 @@ LOOP_CASES = {
     "nd-ramp-falling": lambda: _nd_scenario(8, slope=-0.06),
     # a noise bound of zero: every draw on that axis clips to +0.0
     "nd-noiseless-actuator": lambda: _nd_scenario(9, w=[0.01, 0.01, 0.0]),
+    # every measurement on axis 2 is +0.0 + x', never -0.0, so the zero row
+    # an unattacked run adds keeps y's bits
+    "nd-noiseless-sensor": lambda: _nd_scenario(12, v=[0.1, 0.1, 0.0]),
     "nd-distinct-b": lambda: _distinct_b_scenario(10),
     # from mode 2, the estimate predicts with the root node's mode 1 and its
     # B (0.2) while the plant steps with mode 2's (0.3), until s_2 at sample
